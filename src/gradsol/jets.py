@@ -9,8 +9,23 @@ differentiates anything by finite differences or symbols.
 Coefficients are stored in graded-lexicographic rank order, which makes
 truncation to a lower order a plain prefix slice.  The heavy operation is
 the truncated product; its index structure is precomputed per (dim, order)
-so that batched products over whole tensors reduce to one gather, one
-einsum and one segmented sum.
+as the P pairs (i, j) -> k of ranks whose degrees add up to at most the
+order.  `jet_einsum` contracts whole tensors of jets in one of two ways:
+
+* gather: pick the P pair coefficients out of both operands, run one einsum
+  over components and pairs, then sum the pairs of each target k
+  (``reduceat``).  Cost ~ P * (na + nb + nfull + nout).
+* matrix: scatter the operand with fewer components into its T x T
+  multiplication matrix M[..., k, j] = a[..., i] (T = n_terms; a given
+  (k, j) fixes i, so this is a plain assignment), then contract M with the
+  other operand in one BLAS-backed einsum.
+  Cost ~ 2 * min(na, nb) * T^2 + nfull * T^2 / 16.
+
+Here na, nb and nout count the components of the operands and the output,
+and nfull those of the full index space.  Each call takes the cheaper
+estimate: the matrix path wins on small-by-large contractions at low and
+middle orders, the gather path on same-size products, full contractions
+and orders 4-5, where T^2 outgrows P.
 """
 
 import math
@@ -49,7 +64,7 @@ class JetSpace:
 
     __slots__ = (
         "dim", "order", "n_terms", "exponents", "block_starts", "factorial",
-        "mul_left", "mul_right", "mul_starts", "diff_src", "diff_fac",
+        "mul_left", "mul_right", "mul_starts", "mul_flat", "diff_src", "diff_fac",
         "_rank_of",
     )
 
@@ -91,6 +106,8 @@ class JetSpace:
         mk = np.array(target, dtype=np.intp)[ordering]
         # every rank k occurs (pair (k, 0)), so reduceat yields n_terms segments
         self.mul_starts = np.searchsorted(mk, np.arange(self.n_terms))
+        # (k, j) fixes i, so pair p owns entry (target, right) of a flat T x T matrix
+        self.mul_flat = mk * self.n_terms + self.mul_right
 
         n_lower = starts[order] if order > 0 else 0
         src, fac = [], []
@@ -160,7 +177,44 @@ def truncate_arrays(space, data, order):
     return lower, data[..., : lower.n_terms]
 
 
-_EINSUM_PATHS = {}
+# two operands admit one contraction order; naming it skips numpy's path
+# search while still letting einsum hand the contraction to BLAS
+_PAIR_PATH = ["einsum_path", (0, 1)]
+_EINSUM_PLANS = {}
+
+
+def _einsum_gather(space, sub_a, sub_b, out, a, b):
+    """Gather every product pair, contract components, sum pairs per target."""
+    p = np.einsum(
+        f"{sub_a}Z,{sub_b}Z->{out}Z",
+        a[..., space.mul_left], b[..., space.mul_right], optimize=_PAIR_PATH,
+    )
+    return np.add.reduceat(p, space.mul_starts, axis=-1)
+
+
+def _einsum_matrix(space, sub_a, sub_b, out, a, b):
+    """Scatter `a` into its multiplication matrix M[..., k, j], contract with `b`."""
+    n = space.n_terms
+    m = np.zeros(a.shape[:-1] + (n * n,))
+    m[..., space.mul_flat] = a[..., space.mul_left]
+    m = m.reshape(a.shape[:-1] + (n, n))
+    return np.einsum(f"{sub_a}YZ,{sub_b}Z->{out}Y", m, b, optimize=_PAIR_PATH)
+
+
+def _plan(space, sub_a, sub_b, out, a, b):
+    """Pick the strategy with the lower cost estimate (module docstring).
+
+    Returns (kernel, swap); `swap` puts the operand with fewer components
+    first, where the matrix path scatters it.
+    """
+    sizes = dict(zip(sub_a + sub_b, a.shape[:-1] + b.shape[:-1]))
+    t2, pairs = space.n_terms ** 2, len(space.mul_left)
+    na, nb = math.prod(a.shape[:-1]), math.prod(b.shape[:-1])
+    nout = math.prod(sizes[c] for c in out)
+    nfull = math.prod(sizes.values())
+    if 2 * min(na, nb) * t2 + nfull * t2 / 16 < pairs * (na + nb + nfull + nout):
+        return _einsum_matrix, nb < na
+    return _einsum_gather, False
 
 
 def jet_einsum(space, subscripts, a, b):
@@ -172,16 +226,14 @@ def jet_einsum(space, subscripts, a, b):
     """
     ins, out = subscripts.split("->")
     sub_a, sub_b = ins.split(",")
-    expanded = f"{sub_a}Z,{sub_b}Z->{out}Z"
-    ga = a[..., space.mul_left]
-    gb = b[..., space.mul_right]
-    key = (expanded, ga.shape, gb.shape)
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(expanded, ga, gb, optimize="optimal")[0]
-        _EINSUM_PATHS[key] = path
-    p = np.einsum(expanded, ga, gb, optimize=path)
-    return np.add.reduceat(p, space.mul_starts, axis=-1)
+    key = (space, subscripts, a.shape, b.shape)
+    plan = _EINSUM_PLANS.get(key)
+    if plan is None:
+        plan = _EINSUM_PLANS[key] = _plan(space, sub_a, sub_b, out, a, b)
+    kernel, swap = plan
+    if swap:
+        return kernel(space, sub_b, sub_a, out, b, a)
+    return kernel(space, sub_a, sub_b, out, a, b)
 
 
 # ---------------------------------------------------------------------------

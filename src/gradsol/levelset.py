@@ -25,7 +25,7 @@ from .tensors import TensorJet, tensor_norm_sq
 from .conformal import d_tensor
 
 GRAD_THRESHOLD = 1e-6
-_D_ZERO_TOL = 1e-9
+D_ZERO_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -287,7 +287,7 @@ def level_points(inst, c, n_points=12, seed=11, min_grad=GRAD_THRESHOLD,
     return points
 
 
-def prop32_report(inst, c, n_points=12, seed=11, order=3, d_zero_tol=_D_ZERO_TOL):
+def prop32_report(inst, c, n_points=12, seed=11, order=3, d_zero_tol=D_ZERO_TOL):
     """Sampled level-surface report for an instance whose 3-tensor D vanishes.
 
     Checks constancy of R, |grad f|^2 and H across the level surface,

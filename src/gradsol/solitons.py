@@ -200,6 +200,10 @@ def validate_instance(inst, n_points=20, seed=7, tol=SOLITON_TOL, order=3):
     argmax = pts[0]
     for p in pts:
         r = soliton_residual(inst, p, order=order)
+        if not math.isfinite(r):
+            raise ValidationError(
+                f"{inst.name}: non-finite defining-equation residual {r} at {list(p)}"
+            )
         if r > worst:
             worst, argmax = r, p
     result = {
@@ -219,6 +223,11 @@ def validate_instance(inst, n_points=20, seed=7, tol=SOLITON_TOL, order=3):
         h1 = h2 = 0.0
         for p in pts:
             a, b = hamilton_residuals(inst, p, order=order)
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValidationError(
+                    f"{inst.name}: non-finite first-integral residuals ({a}, {b}) "
+                    f"at {list(p)}"
+                )
             h1, h2 = max(h1, a), max(h2, b)
         result["first_integral_residuals"] = (h1, h2)
         if max(h1, h2) > HAMILTON_TOL:

@@ -49,27 +49,6 @@ class TensorJet:
         shape = (space.dim,) * len(valence) + (space.n_terms,)
         return cls(space, valence, np.zeros(shape))
 
-    @classmethod
-    def from_scalars(cls, space, valence, grid):
-        """Build from a nested list of JetScalar (or plain numbers)."""
-        rank = len(valence)
-        out = cls.zeros(space, valence)
-
-        def fill(node, idx):
-            if len(idx) == rank:
-                if isinstance(node, JetScalar):
-                    if node.space is not space:
-                        raise ConfigurationError("component jets must share one space")
-                    out.data[idx] = node.coeffs
-                else:
-                    out.data[idx + (0,)] = float(node)
-                return
-            for i, sub in enumerate(node):
-                fill(sub, idx + (i,))
-
-        fill(grid, ())
-        return out
-
     @property
     def dim(self):
         return self.space.dim
@@ -179,6 +158,8 @@ def tensor_norm_sq(t, metric):
     """Full metric contraction |T|^2 of a covariant tensor; constant term."""
     if any(v != "d" for v in t.valence):
         raise TensorShapeError("tensor_norm_sq expects a fully covariant tensor")
+    # only the constant term is read, so contract values alone
+    t = t.truncated(0)
     up = t
     for slot in range(t.rank):
         up = raise_lower(up, slot, metric)

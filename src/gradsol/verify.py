@@ -36,7 +36,6 @@ from .solitons import sample_points, validate_instance
 from .tensors import tensor_norm_sq
 
 MIN_POINTS = 8
-D_ZERO_TOL = 1e-9
 FLAT_TOL = 1e-10
 
 
@@ -296,7 +295,7 @@ def _check_bach_vanishes(ev):
 # instance-level checks
 
 def _instance_d_zero(evals):
-    return max(ev.d_norm for ev in evals) <= D_ZERO_TOL
+    return max(ev.d_norm for ev in evals) <= levelset.D_ZERO_TOL
 
 
 def _instance_flat(evals):
@@ -308,15 +307,16 @@ def _run_prop32(inst, evals, config):
         return None
     c = _f_at_base(inst)
     rep = levelset.prop32_report(inst, c, n_points=12, seed=config["seed"])
-    resid = max(
+    # np.max, unlike max, lets a NaN through to the judgement
+    resid = np.max([
         rep["r_spread"] / (1.0 + abs(rep["r_mean"])),
         rep["grad_sq_spread"] / (1.0 + abs(rep["grad_sq_mean"])),
         rep["h_spread"] / (1.0 + abs(rep["h_mean"])),
         rep["ricci_mixed_max"],
         rep["umbilicity_max"],
         rep["eigenvalue_mismatch"],
-    )
-    return resid, 1.0, None
+    ])
+    return float(resid), 1.0, None
 
 
 def _f_at_base(inst):
@@ -460,6 +460,13 @@ def check_ids():
 # ---------------------------------------------------------------------------
 # suite runner
 
+def _judge(resid, scale):
+    """Residual relative to max(1, scale); NaN when the scale is not finite."""
+    if not math.isfinite(scale):
+        return math.nan
+    return resid / max(1.0, scale)
+
+
 def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     """Run the identity suite on one instance; returns the report dict.
 
@@ -505,23 +512,29 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
                 judged = argmax = None
                 if out is not None:
                     resid, scale, argmax = out
-                    judged = resid / max(1.0, scale)
+                    judged = _judge(resid, scale)
             else:
                 judged = argmax = None
                 for ev in evals:
                     out = spec.fn(ev)
                     if out is None:
                         continue
-                    r, s = out
-                    j = r / max(1.0, s)
-                    if judged is None or j > judged:
+                    j = _judge(*out)
+                    # `not j <= judged` also holds for NaN, which ends the scan
+                    if judged is None or not j <= judged:
                         judged, argmax = j, ev.point
+                    if not math.isfinite(j):
+                        break
             if judged is None:
                 entries.append(entry)
                 continue
             entry["max_residual"] = judged
             entry["argmax_point"] = argmax
-            entry["status"] = "PASS" if judged <= entry["tolerance"] else "FAIL"
+            if not math.isfinite(judged):
+                entry["status"] = "FAIL"
+                entry["error"] = f"non-finite residual {judged} at {argmax}"
+            else:
+                entry["status"] = "PASS" if judged <= entry["tolerance"] else "FAIL"
         except InsufficientOrderError:
             entry["status"] = "SKIPPED"
         except GradsolError as err:
@@ -534,6 +547,10 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
         "config": config,
         "checks": entries,
     }
+
+
+def _finite_or_none(x):
+    return x if x is None or math.isfinite(x) else None
 
 
 def report_to_json(report):
@@ -549,7 +566,7 @@ def report_to_json(report):
             {
                 "id": e["id"],
                 "status": e["status"],
-                "max_residual": e["max_residual"],
+                "max_residual": _finite_or_none(e["max_residual"]),
                 "argmax_point": e["argmax_point"],
                 "tolerance": e["tolerance"],
             }

@@ -229,3 +229,78 @@ def test_truncation_is_prefix():
     space = JetSpace.get(3, 5)
     lower = JetSpace.get(3, 2)
     assert space.exponents[: lower.n_terms].tolist() == lower.exponents.tolist()
+
+
+def _engine_subscripts():
+    """Every subscript pattern the engine hands to jet_einsum."""
+    pats = [
+        "ij,jk->ik", "kl,lij->kij", "lis,sjk->lkij", "ml,lkij->mkij", "ij,ij->",
+        "ik,jl->ijkl", "jk,i->ijk", "kl,ikjl->ij", "km,mkij->ij", "lm,mikjl->ikj",
+        "km,mikj->ij", "ij,j->i", "il,l->i", "lm,mijkl->ijk", "jm,mij->i",
+        "ik,ikj->j", "i,i->",
+    ]
+    for rank in range(1, 5):
+        letters = "abcd"[:rank]
+        pats.append(f"{letters},{letters}->")  # tensor_norm_sq
+        for r, old in enumerate(letters):
+            new = "abcde"[rank]
+            pats.append(f"{new}{old},{letters}->{letters.replace(old, new)}")  # raise_lower
+            tsub = letters[:r] + "s" + letters[r + 1:]
+            pats.append(f"sm{old},{tsub}->m{letters}")  # covariant_derivative
+    return pats
+
+
+def _per_component_reference(space, sub_a, sub_b, out, a, b):
+    letters = sorted(set(sub_a + sub_b))
+    n = space.dim
+    ref = np.zeros((n,) * len(out) + (space.n_terms,))
+    for idx in np.ndindex(*(n,) * len(letters)):
+        at = dict(zip(letters, idx))
+        ref[tuple(at[c] for c in out)] += jets.mul_arrays(
+            space, a[tuple(at[c] for c in sub_a)], b[tuple(at[c] for c in sub_b)]
+        )
+    return ref
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("order", range(0, 6))
+def test_jet_einsum_strategies_agree(dim, order):
+    # both product strategies, called directly, against each other and
+    # against per-component truncated products
+    rng = np.random.default_rng(100 * dim + order)
+    space = JetSpace.get(dim, order)
+    for subscripts in _engine_subscripts():
+        ins, out = subscripts.split("->")
+        sub_a, sub_b = ins.split(",")
+        a = rng.uniform(-1, 1, (dim,) * len(sub_a) + (space.n_terms,))
+        b = rng.uniform(-1, 1, (dim,) * len(sub_b) + (space.n_terms,))
+        gathered = jets._einsum_gather(space, sub_a, sub_b, out, a, b)
+        scale = np.abs(gathered).max()
+        results = [gathered]
+        # the matrix path scatters the operand with fewer components
+        if b.size < a.size:
+            sub_a, sub_b, a, b = sub_b, sub_a, b, a
+        if a.size * space.n_terms <= 2_000_000:
+            matrix = jets._einsum_matrix(space, sub_a, sub_b, out, a, b)
+            assert np.abs(matrix - gathered).max() <= 1e-13 * scale, subscripts
+            results.append(matrix)
+        else:
+            # a matrix over 16 MB is never chosen; keep the test small too
+            assert jets._plan(space, sub_a, sub_b, out, a, b)[0] is jets._einsum_gather
+        # the scalar loop runs dim**letters products; dims 3-4 cover 5 letters
+        if dim ** len(set(sub_a + sub_b)) <= 1024:
+            ref = _per_component_reference(space, sub_a, sub_b, out, a, b)
+            for r in results:
+                assert np.abs(r - ref).max() <= 1e-13 * scale, subscripts
+
+
+def test_jet_einsum_strategy_choice():
+    # small-by-large at a middle order takes the matrix path; same-size
+    # products at order 5 stay on the gather path
+    s53, s55 = JetSpace.get(5, 3), JetSpace.get(5, 5)
+    a = np.zeros((5, 5, s53.n_terms))
+    b = np.zeros((5, 5, 5, 5, s53.n_terms))
+    assert jets._plan(s53, "ed", "abcd", "abce", a, b) == (jets._einsum_matrix, False)
+    assert jets._plan(s53, "abcd", "ed", "abce", b, a) == (jets._einsum_matrix, True)
+    g = np.zeros((5, 5, s55.n_terms))
+    assert jets._plan(s55, "ij", "jk", "ik", g, g) == (jets._einsum_gather, False)

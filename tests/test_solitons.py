@@ -203,3 +203,19 @@ def test_get_instance_unknown():
 
     with pytest.raises(ConfigurationError):
         get_instance("no-such-instance")
+
+
+def test_non_finite_residual_fails_certification():
+    # a NaN residual loses every `r > worst` comparison; it must not certify
+    spec = {
+        "name": "json-gaussian-rho-inf",
+        "n": 3,
+        "rho": "inf",
+        "kind": "shrinking",
+        "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "potential": "(x1^2 + x2^2 + x3^2)/4",
+        "domain": {"box": [[-2, 2], [-2, 2], [-2, 2]]},
+        "base_point": [2.0, 0.0, 0.0],
+    }
+    with pytest.raises(ValidationError, match="non-finite"):
+        validate_instance(instance_from_spec(spec), n_points=8, seed=7)

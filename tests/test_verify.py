@@ -6,8 +6,10 @@ import pytest
 from conftest import report_entry
 from gradsol.cli import main
 from gradsol.errors import ValidationError
+from gradsol import verify
 from gradsol.solitons import get_instance
 from gradsol.verify import (
+    CheckSpec,
     check_ids,
     report_to_json,
     run_suite,
@@ -214,3 +216,34 @@ def test_cli_extension_file(tmp_path, capsys):
     assert main(["catalog", "validate", "json-gaussian-r3", "--extensions", str(path),
                  "--points", "8"]) == 0
     capsys.readouterr()
+
+
+def _nan_at_second_point():
+    seen = []
+
+    def fn(ev):
+        seen.append(ev.point)
+        return (float("nan") if len(seen) == 2 else 1e-20), 1.0
+
+    return CheckSpec("nan_point", 2, 1e-9, fn)
+
+
+@pytest.mark.parametrize(
+    "make_spec",
+    [
+        _nan_at_second_point,
+        lambda: CheckSpec("inf_scale", 2, 1e-9, lambda ev: (0.0, float("inf"))),
+        lambda: CheckSpec("nan_instance", 2, 1e-9, lambda inst, evals, config: (
+            float("nan"), 1.0, None), per_instance=True),
+    ],
+    ids=["nan_point", "inf_scale", "nan_instance"],
+)
+def test_non_finite_residual_fails(monkeypatch, make_spec):
+    monkeypatch.setattr(verify, "CHECKS", [make_spec()])
+    rep = run_suite(get_instance("gaussian-r3"), n_points=8, seed=7, order=2)
+    (entry,) = rep["checks"]
+    assert entry["status"] == "FAIL"
+    assert "non-finite" in entry["error"]
+    assert not suite_passed(rep)
+    (clean,) = json.loads(report_to_json(rep))["checks"]
+    assert clean["status"] == "FAIL" and clean["max_residual"] is None
