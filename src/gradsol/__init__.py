@@ -10,10 +10,8 @@ from .curvature import (
     scalar_gradient,
 )
 from .conformal import (
-    ConformalPack,
     bach,
     bach_via_d_residual,
-    conformal_pack,
     cotton,
     cotton_weyl_divergence_residual,
     d_decomposition_residual,

@@ -6,11 +6,9 @@ import sys
 
 import numpy as np
 
-from .conformal import bach, cotton, d_tensor, weyl
-from .curvature import curvature_pack
 from .errors import GradsolError, ValidationError
-from .solitons import catalog, get_instance, load_extension_file, validate_instance
-from .verify import report_to_json, run_suite, suite_passed, thm52_status
+from .solitons import PointEval, catalog, get_instance, load_extension_file, validate_instance
+from .verify import report_to_json, run_suite, suite_passed
 
 
 def _load_instances(args):
@@ -79,9 +77,12 @@ def _cmd_verify(args):
                 line += f"  [{e['error']}]"
             print(line)
         print("   summary: " + ", ".join(f"{k} {v}" for k, v in sorted(counts.items())))
-        if inst.n == 5 and inst.kind is not None:
-            status = thm52_status(inst, seed=args.seed, order=args.order) \
-                if args.order >= 5 else {"status": "skipped", "reason": "needs order 5"}
+        if inst.n == 5:
+            thm = next(e for e in rep["checks"] if e["id"] == "thm5.2")
+            if thm["status"] == "SKIPPED":
+                status = {"status": "skipped", "reason": "needs order 5"}
+            else:
+                status = thm.get("detail", {"status": "error", "reason": thm.get("error")})
             print(f"   equivalence status: {json.dumps(status, sort_keys=True, default=float)}")
     if args.report and reports:
         payload = (
@@ -101,6 +102,7 @@ def _cmd_verify(args):
 
 
 _TENSOR_WHAT = ("weyl", "cotton", "bach", "d", "ricci", "scalar")
+_TENSOR_ATTR = {"weyl": "weyl", "cotton": "cotton", "bach": "bach", "d": "dtensor"}
 
 
 def _cmd_tensor(args):
@@ -110,26 +112,13 @@ def _cmd_tensor(args):
     if len(point) != inst.n:
         print(f"point must have {inst.n} coordinates")
         return 2
-    metric = inst.metric_at(point, args.order)
-    pack = curvature_pack(metric)
+    ev = PointEval(inst, point, args.order)
     if args.what == "scalar":
-        print(f"scalar curvature at {point}: {pack.scalar.value!r}")
+        print(f"scalar curvature at {point}: {ev.pack.scalar.value!r}")
         return 0
-    if args.what == "ricci":
-        arr = pack.ricci.values
-    elif args.what == "weyl":
-        arr = weyl(pack, inst.n).values
-    elif args.what == "cotton":
-        arr = cotton(pack, inst.n).values
-    elif args.what == "bach":
-        w = weyl(pack, inst.n)
-        c = cotton(pack, inst.n)
-        arr = bach(pack, c, w, inst.n).values
-    else:
-        f = inst.potential_jet(point, metric.space)
-        arr = d_tensor(pack, f, inst.n, cross_check=inst.kind is not None).values
+    tensor = ev.pack.ricci if args.what == "ricci" else getattr(ev, _TENSOR_ATTR[args.what])
     print(f"{args.what} components at {point} (chart basis):")
-    print(np.array2string(arr, precision=10, suppress_small=True))
+    print(np.array2string(tensor.values, precision=10, suppress_small=True))
     return 0
 
 

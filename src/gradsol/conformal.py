@@ -7,8 +7,6 @@ and return the worst component mismatch together with the magnitude of
 each side, so callers can confirm a check was not vacuous.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .curvature import covariant_derivative, scalar_gradient
@@ -18,18 +16,6 @@ from .tensors import TensorJet, align, raise_lower
 
 _CROSS_CHECK_ALGEBRAIC = 1e-10
 _CROSS_CHECK_DIFFERENTIAL = 1e-8
-
-
-@dataclass(frozen=True)
-class ConformalPack:
-    """The derived tensors of one metric/potential evaluation."""
-
-    schouten: TensorJet
-    einstein: TensorJet
-    weyl: TensorJet
-    cotton: TensorJet
-    bach: TensorJet | None
-    dtensor: TensorJet
 
 
 def _judged(residual, scale):
@@ -215,20 +201,6 @@ def d_tensor(pack, f_jet, n, cross_check=False):
             d_t, TensorJet(s2, "ddd", d2), _CROSS_CHECK_ALGEBRAIC, "d_tensor"
         )
     return d_t
-
-
-def conformal_pack(pack, f_jet, n, with_bach=True, cross_check_d=False):
-    w = weyl(pack, n)
-    c = cotton(pack, n)
-    b = bach(pack, c, w, n) if (with_bach and n >= 4) else None
-    return ConformalPack(
-        schouten=schouten(pack, n),
-        einstein=einstein_tensor(pack),
-        weyl=w,
-        cotton=c,
-        bach=b,
-        dtensor=d_tensor(pack, f_jet, n, cross_check=cross_check_d),
-    )
 
 
 # ---------------------------------------------------------------------------

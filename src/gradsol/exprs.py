@@ -155,11 +155,22 @@ def _evaluate(node, xs):
 
 
 def compile_expression(text, dim):
-    """Parse `text` into a closure over a list of `dim` coordinate operands."""
-    ast = _Parser(text, dim).parse()
+    """Parse `text` into a closure over a list of `dim` coordinate operands.
+
+    Arithmetic errors of the evaluation (division by zero, overflow, a
+    math-domain error) raise ConfigurationError naming the expression.
+    """
+    shown = text if len(text) <= 60 else text[:57] + "..."
+    try:
+        ast = _Parser(text, dim).parse()
+    except RecursionError:
+        raise ConfigurationError(f"expression nested too deeply: {shown!r}") from None
 
     def fn(xs):
-        return _evaluate(ast, xs)
+        try:
+            return _evaluate(ast, xs)
+        except (ZeroDivisionError, OverflowError, ValueError) as err:
+            raise ConfigurationError(f"cannot evaluate {shown!r}: {err}") from None
 
     fn.source = text
     return fn

@@ -397,11 +397,6 @@ def coordinate_jets(space, point):
     return [variable(space, i, x) for i, x in enumerate(point)]
 
 
-def extract_partial(a, alpha):
-    """Partial derivative of a jet at its base point (alpha! times coeff)."""
-    return a.partial(alpha)
-
-
 # ---------------------------------------------------------------------------
 # elementary functions via univariate Taylor composition
 

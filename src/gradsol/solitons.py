@@ -10,10 +10,13 @@ pair is included as a negative control for the verification harness.
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
+from . import levelset
+from .conformal import bach, cotton, d_tensor, weyl
 from .curvature import curvature_pack, hessian, scalar_gradient
 from .errors import (
     ConfigurationError,
@@ -23,12 +26,13 @@ from .errors import (
 )
 from .exprs import compile_expression
 from .jets import JetScalar, JetSpace, constant, coordinate_jets
-from .tensors import metric_at_point
+from .tensors import metric_at_point, tensor_norm_sq
 
 SOLITON_TOL = 1e-9
 HAMILTON_TOL = 1e-9
 MIN_GRAD_DISTANCE = 1e-3
 MIN_EXCLUDED_DISTANCE = 1e-3
+CONTROL_POINTS = 8  # sample points that size a negative control's rejection
 
 
 @dataclass
@@ -81,7 +85,7 @@ class SolitonInstance:
         constancy elsewhere is then a genuine test.
         """
         if self._f_shift is None:
-            if self.rho == 0.5 and self.kind in ("shrinking", "einstein"):
+            if is_normalized_shrinker(self):
                 space = JetSpace.get(self.n, 2)
                 metric = self.metric_at(self.base_point, 2)
                 pack = curvature_pack(metric)
@@ -100,19 +104,121 @@ class SolitonInstance:
 
 
 # ---------------------------------------------------------------------------
-# residuals
+# per-point evaluation and residuals
+
+def _norm(t, metric):
+    return math.sqrt(max(tensor_norm_sq(t, metric), 0.0))
+
+
+class PointEval:
+    """Lazy, cached geometry of one instance at one sample point."""
+
+    def __init__(self, inst, point, order):
+        self.inst = inst
+        self.point = [float(x) for x in point]
+        self.order = order
+
+    @cached_property
+    def metric(self):
+        return self.inst.metric_at(self.point, self.order)
+
+    @cached_property
+    def pack(self):
+        return curvature_pack(self.metric)
+
+    @cached_property
+    def f(self):
+        return self.inst.potential_jet(self.point, self.metric.space)
+
+    @cached_property
+    def df(self):
+        return scalar_gradient(self.f)
+
+    @cached_property
+    def hess_f(self):
+        return hessian(self.f, self.pack)
+
+    @cached_property
+    def gradf_up_values(self):
+        return self.metric.g_inv.values @ self.df.values
+
+    @cached_property
+    def weyl(self):
+        return weyl(self.pack, self.inst.n)
+
+    @cached_property
+    def cotton(self):
+        return cotton(self.pack, self.inst.n)
+
+    @cached_property
+    def bach(self):
+        return bach(self.pack, self.cotton, self.weyl, self.inst.n)
+
+    @cached_property
+    def dtensor(self):
+        return d_tensor(
+            self.pack, self.f, self.inst.n, cross_check=self.inst.kind is not None
+        )
+
+    @cached_property
+    def d_norm(self):
+        return _norm(self.dtensor, self.metric)
+
+    @cached_property
+    def cotton_norm(self):
+        return _norm(self.cotton, self.metric)
+
+    @cached_property
+    def weyl_norm(self):
+        return _norm(self.weyl, self.metric)
+
+    @cached_property
+    def bach_norm(self):
+        return _norm(self.bach, self.metric)
+
+    @cached_property
+    def frame(self):
+        return levelset.adapted_frame(self.metric, self.f)
+
+
+# Each residual below returns (absolute_residual, scale_of_largest_term).
+
+def soliton_eq_residual(ev):
+    """Ric + Hess f - rho g at one point evaluation."""
+    hess = ev.hess_f
+    g = ev.metric.g.truncated(hess.order).values
+    ric = ev.pack.ricci.values
+    resid = np.abs(ric + hess.values - ev.inst.rho * g).max()
+    scale = max(np.abs(ric).max(), np.abs(hess.values).max(), abs(ev.inst.rho) * np.abs(g).max())
+    return float(resid), float(scale)
+
+
+def hamilton_first_residual(ev):
+    """dR - 2 Ric(grad f) at one point evaluation (needs order 3)."""
+    d_scal = scalar_gradient(ev.pack.scalar).values
+    rhs = 2.0 * ev.pack.ricci.values @ ev.gradf_up_values
+    resid = np.abs(d_scal - rhs).max()
+    return float(resid), float(max(np.abs(d_scal).max(), np.abs(rhs).max()))
+
+
+def hamilton_second_residual(ev):
+    """R + |grad f|^2 - f at one point evaluation."""
+    grad_sq = float(ev.df.values @ ev.gradf_up_values)
+    r = ev.pack.scalar.value
+    f0 = ev.f.value
+    return abs(r + grad_sq - f0), max(abs(r), grad_sq, abs(f0))
+
+
+def is_normalized_shrinker(inst):
+    """Whether the first integrals apply: a shrinker (or Einstein) with rho = 1/2."""
+    return inst.rho == 0.5 and inst.kind in ("shrinking", "einstein")
+
 
 def soliton_residual(inst, point, order=3):
     """Worst component of Ric + Hess f - rho g at the point."""
     if not inst.contains(point):
         raise DomainError(f"{list(point)} is outside the chart box of {inst.name}")
-    metric = inst.metric_at(point, order)
-    pack = curvature_pack(metric)
-    f = inst.potential_jet(point, metric.space)
-    hess = hessian(f, pack)
-    g = metric.g.truncated(hess.order)
-    resid = pack.ricci.values + hess.values - inst.rho * g.values
-    return float(np.abs(resid).max())
+    return soliton_eq_residual(PointEval(inst, point, order))[0]
 
 
 def hamilton_residuals(inst, point, order=3):
@@ -120,23 +226,15 @@ def hamilton_residuals(inst, point, order=3):
 
     Returns (max_i |d_i R - 2 R_ij grad^j f|, |R + |grad f|^2 - f|).
     """
-    if not (inst.rho == 0.5 and inst.kind in ("shrinking", "einstein")):
+    if not is_normalized_shrinker(inst):
         raise HypothesisViolationError(
             f"{inst.name}: first-integral residuals apply to normalized "
             "shrinkers only (rho = 1/2)"
         )
     if not inst.contains(point):
         raise DomainError(f"{list(point)} is outside the chart box of {inst.name}")
-    metric = inst.metric_at(point, order)
-    pack = curvature_pack(metric)
-    f = inst.potential_jet(point, metric.space)
-    df = scalar_gradient(f)
-    gradf_up = metric.g_inv.values @ df.values
-    d_scal = scalar_gradient(pack.scalar).values
-    first = float(np.abs(d_scal - 2.0 * pack.ricci.values @ gradf_up).max())
-    grad_sq = float(df.values @ gradf_up)
-    second = abs(pack.scalar.value + grad_sq - f.value)
-    return first, second
+    ev = PointEval(inst, point, order)
+    return hamilton_first_residual(ev)[0], hamilton_second_residual(ev)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +247,8 @@ def instance_rng(inst, seed, salt=0):
 
 
 def _grad_norm_value(inst, point):
-    space = JetSpace.get(inst.n, 1)
-    metric = inst.metric_at(point, 1)
-    f = inst.potential_jet(point, space)
-    df = np.array([f.partial(tuple(1 if k == v else 0 for k in range(inst.n)))
-                   for v in range(inst.n)])
-    return math.sqrt(max(df @ metric.g_inv.values @ df, 0.0))
+    ev = PointEval(inst, point, 1)
+    return math.sqrt(max(ev.df.values @ ev.gradf_up_values, 0.0))
 
 
 def sample_points(inst, n_points, seed, min_grad=MIN_GRAD_DISTANCE,
@@ -180,53 +274,51 @@ def sample_points(inst, n_points, seed, min_grad=MIN_GRAD_DISTANCE,
     return points
 
 
-def validate_instance(inst, n_points=20, seed=7, tol=SOLITON_TOL, order=3):
+def certify(inst, evals, tol=SOLITON_TOL):
     """Certify the defining equation (and first integrals for shrinkers).
 
+    Reads the residuals from point evaluations of order 3 or more.
     Returns a dict of residual maxima; raises ValidationError when the
     instance is not a soliton of its declared kind.
     """
     if inst.kind is None:
-        worst = max(
-            soliton_residual(inst, p, order=order)
-            for p in sample_points(inst, min(n_points, 8), seed)
-        )
+        worst = max(soliton_eq_residual(ev)[0] for ev in evals[:CONTROL_POINTS])
         raise ValidationError(
             f"{inst.name}: negative control, defining-equation residual "
             f"{worst:.3e} (kind-less instances are rejected by design)"
         )
-    pts = sample_points(inst, n_points, seed)
     worst = 0.0
-    argmax = pts[0]
-    for p in pts:
-        r = soliton_residual(inst, p, order=order)
+    argmax = evals[0].point
+    for ev in evals:
+        r = soliton_eq_residual(ev)[0]
         if not math.isfinite(r):
             raise ValidationError(
-                f"{inst.name}: non-finite defining-equation residual {r} at {list(p)}"
+                f"{inst.name}: non-finite defining-equation residual {r} at {ev.point}"
             )
         if r > worst:
-            worst, argmax = r, p
+            worst, argmax = r, ev.point
     result = {
         "name": inst.name,
         "soliton_residual": worst,
-        "argmax_point": [float(x) for x in argmax],
-        "n_points": len(pts),
+        "argmax_point": list(argmax),
+        "n_points": len(evals),
         "f_shift": inst.f_shift,
         "base_point": list(inst.base_point),
     }
     if worst > tol:
         raise ValidationError(
             f"{inst.name}: defining-equation residual {worst:.3e} exceeds {tol:.1e} "
-            f"at {list(argmax)}"
+            f"at {argmax}"
         )
-    if inst.rho == 0.5 and inst.kind in ("shrinking", "einstein"):
+    if is_normalized_shrinker(inst):
         h1 = h2 = 0.0
-        for p in pts:
-            a, b = hamilton_residuals(inst, p, order=order)
+        for ev in evals:
+            a = hamilton_first_residual(ev)[0]
+            b = hamilton_second_residual(ev)[0]
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValidationError(
                     f"{inst.name}: non-finite first-integral residuals ({a}, {b}) "
-                    f"at {list(p)}"
+                    f"at {ev.point}"
                 )
             h1, h2 = max(h1, a), max(h2, b)
         result["first_integral_residuals"] = (h1, h2)
@@ -236,6 +328,12 @@ def validate_instance(inst, n_points=20, seed=7, tol=SOLITON_TOL, order=3):
                 f"exceed {HAMILTON_TOL:.1e}"
             )
     return result
+
+
+def validate_instance(inst, n_points=20, seed=7, tol=SOLITON_TOL, order=3):
+    """Certify an instance on `n_points` fresh sample points; see `certify`."""
+    evals = [PointEval(inst, p, order) for p in sample_points(inst, n_points, seed)]
+    return certify(inst, evals, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +630,17 @@ def get_instance(name, extra=()):
 # ---------------------------------------------------------------------------
 # JSON catalog extensions
 
+def _finite_numbers(values, what):
+    """The entries of `values` as floats; ConfigurationError unless all are finite."""
+    try:
+        out = [float(v) for v in values]
+    except (TypeError, ValueError):
+        out = [math.nan]
+    if not all(math.isfinite(x) for x in out):
+        raise ConfigurationError(f"{what} must hold finite numbers, got {values!r}")
+    return out
+
+
 def instance_from_spec(spec):
     """Build an instance from a JSON-style dict of expression strings."""
     required = {"name", "n", "rho", "metric", "potential", "domain"}
@@ -548,21 +657,29 @@ def instance_from_spec(spec):
     def metric_fn(xs):
         return [[compiled[i][j](xs) for j in range(n)] for i in range(n)]
 
-    box = [tuple(float(v) for v in b) for b in spec["domain"]["box"]]
+    (rho,) = _finite_numbers([spec["rho"]], "rho")
+    box = [tuple(_finite_numbers(b, "domain.box")) for b in spec["domain"]["box"]]
+    if len(box) != n or any(len(b) != 2 or not b[0] < b[1] for b in box):
+        raise ConfigurationError(
+            f"domain.box must hold {n} pairs [lo, hi] with lo < hi, got {box}"
+        )
     excluded = [
         _ball_exclusion(e["center"], float(e.get("radius", 0.0)))
         for e in spec.get("excluded", [])
     ]
     base = spec.get("base_point") or [(lo + hi) / 2.0 for lo, hi in box]
+    base = _finite_numbers(base, "base_point")
+    if len(base) != n or not all(lo <= x <= hi for x, (lo, hi) in zip(base, box)):
+        raise ConfigurationError(f"base_point {base} must be {n} coordinates inside the box")
     return SolitonInstance(
         name=str(spec["name"]),
         n=n,
-        rho=float(spec["rho"]),
+        rho=rho,
         kind=spec.get("kind"),
         metric_fn=metric_fn,
         potential_fn=potential,
         box=box,
-        base_point=[float(x) for x in base],
+        base_point=base,
         excluded=excluded,
         trivial=bool(spec.get("trivial", False)),
         description=str(spec.get("description", "catalog extension")),

@@ -11,122 +11,37 @@ byte-identical JSON.
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import levelset
-from .conformal import (
+from .conformal import (  # bach is unused here; bench/test_bench.py looks up verify.bach
     bach,
     bach_via_d_residual,
-    cotton,
     cotton_weyl_divergence_residual,
     d_cotton_contraction_residual,
     d_decomposition_residual,
-    d_tensor,
     div_bach_residual,
-    einstein_tensor,
-    schouten,
-    weyl,
 )
-from .curvature import covariant_derivative, curvature_pack, hessian, scalar_gradient
+from .curvature import covariant_derivative, scalar_gradient
 from .errors import GradsolError, InsufficientOrderError
-from .jets import JetSpace, jet_einsum, truncate_arrays
-from .solitons import sample_points, validate_instance
-from .tensors import tensor_norm_sq
+from .jets import jet_einsum, truncate_arrays
+from .solitons import (
+    PointEval,
+    certify,
+    hamilton_first_residual,
+    hamilton_second_residual,
+    is_normalized_shrinker,
+    sample_points,
+    soliton_eq_residual,
+)
 
 MIN_POINTS = 8
 FLAT_TOL = 1e-10
 
 
-class PointEval:
-    """Lazy, cached geometry of one instance at one sample point."""
-
-    def __init__(self, inst, point, order):
-        self.inst = inst
-        self.point = [float(x) for x in point]
-        self.order = order
-
-    @cached_property
-    def metric(self):
-        return self.inst.metric_at(self.point, self.order)
-
-    @cached_property
-    def pack(self):
-        return curvature_pack(self.metric)
-
-    @cached_property
-    def f(self):
-        return self.inst.potential_jet(self.point, self.metric.space)
-
-    @cached_property
-    def df(self):
-        return scalar_gradient(self.f)
-
-    @cached_property
-    def gradf_up_values(self):
-        return self.metric.g_inv.values @ self.df.values
-
-    @cached_property
-    def schouten(self):
-        return schouten(self.pack, self.inst.n)
-
-    @cached_property
-    def einstein(self):
-        return einstein_tensor(self.pack)
-
-    @cached_property
-    def weyl(self):
-        return weyl(self.pack, self.inst.n)
-
-    @cached_property
-    def cotton(self):
-        return cotton(self.pack, self.inst.n)
-
-    @cached_property
-    def bach(self):
-        return bach(self.pack, self.cotton, self.weyl, self.inst.n)
-
-    @cached_property
-    def dtensor(self):
-        return d_tensor(
-            self.pack, self.f, self.inst.n, cross_check=self.inst.kind is not None
-        )
-
-    @cached_property
-    def d_norm(self):
-        return math.sqrt(max(tensor_norm_sq(self.dtensor, self.metric), 0.0))
-
-    @cached_property
-    def frame(self):
-        return levelset.adapted_frame(self.metric, self.f)
-
-
 # ---------------------------------------------------------------------------
 # point checks: each returns (absolute_residual, scale_of_largest_term)
-
-def _check_soliton_eq(ev):
-    hess = hessian(ev.f, ev.pack)
-    g = ev.metric.g.truncated(hess.order).values
-    ric = ev.pack.ricci.values
-    resid = np.abs(ric + hess.values - ev.inst.rho * g).max()
-    scale = max(np.abs(ric).max(), np.abs(hess.values).max(), abs(ev.inst.rho) * np.abs(g).max())
-    return float(resid), float(scale)
-
-
-def _check_hamilton_first(ev):
-    d_scal = scalar_gradient(ev.pack.scalar).values
-    rhs = 2.0 * ev.pack.ricci.values @ ev.gradf_up_values
-    resid = np.abs(d_scal - rhs).max()
-    return float(resid), float(max(np.abs(d_scal).max(), np.abs(rhs).max()))
-
-
-def _check_hamilton_second(ev):
-    grad_sq = float(ev.df.values @ ev.gradf_up_values)
-    r = ev.pack.scalar.value
-    f0 = ev.f.value
-    return abs(r + grad_sq - f0), max(abs(r), grad_sq, abs(f0))
-
 
 def _check_scalar_nonneg(ev):
     return max(0.0, -ev.pack.scalar.value), 1.0
@@ -268,8 +183,7 @@ def _check_lemma42(ev):
 def _check_lemma43(ev):
     if ev.inst.trivial:
         return None
-    w_norm = math.sqrt(max(tensor_norm_sq(ev.weyl, ev.metric), 0.0))
-    return w_norm, 1.0
+    return ev.weyl_norm, 1.0
 
 
 def _check_d_vanishes(ev):
@@ -277,35 +191,34 @@ def _check_d_vanishes(ev):
 
 
 def _check_cotton_vanishes(ev):
-    c_norm = math.sqrt(max(tensor_norm_sq(ev.cotton, ev.metric), 0.0))
-    return c_norm, 1.0
+    return ev.cotton_norm, 1.0
 
 
 def _check_weyl_vanishes(ev):
-    w_norm = math.sqrt(max(tensor_norm_sq(ev.weyl, ev.metric), 0.0))
-    return w_norm, 1.0
+    return ev.weyl_norm, 1.0
 
 
 def _check_bach_vanishes(ev):
-    b_norm = math.sqrt(max(tensor_norm_sq(ev.bach, ev.metric), 0.0))
-    return b_norm, 1.0
+    return ev.bach_norm, 1.0
 
 
 # ---------------------------------------------------------------------------
 # instance-level checks
 
+# np.max, unlike max, lets a NaN at any point through: NaN is neither D = 0 nor flat
+
 def _instance_d_zero(evals):
-    return max(ev.d_norm for ev in evals) <= levelset.D_ZERO_TOL
+    return bool(np.max([ev.d_norm for ev in evals]) <= levelset.D_ZERO_TOL)
 
 
 def _instance_flat(evals):
-    return max(np.abs(ev.pack.riemann.values).max() for ev in evals) <= FLAT_TOL
+    return bool(np.max([np.abs(ev.pack.riemann.values).max() for ev in evals]) <= FLAT_TOL)
 
 
 def _run_prop32(inst, evals, config):
     if inst.trivial or not _instance_d_zero(evals):
         return None
-    c = _f_at_base(inst)
+    c = levelset._f_value(inst, inst.base_point)
     rep = levelset.prop32_report(inst, c, n_points=12, seed=config["seed"])
     # np.max, unlike max, lets a NaN through to the judgement
     resid = np.max([
@@ -319,15 +232,13 @@ def _run_prop32(inst, evals, config):
     return float(resid), 1.0, None
 
 
-def _f_at_base(inst):
-    return inst.potential_jet(inst.base_point, JetSpace.get(inst.n, 0)).value
-
-
 def _run_thm52(inst, evals, config):
     status = thm52_status_from_evals(inst, evals)
     if status["status"] != "evaluated":
-        return None
-    return (0.0 if status["consistent"] else 1.0), 1.0, None
+        return None, 1.0, status
+    if not all(math.isfinite(v) for v in status["measured"].values()):
+        return math.nan, 1.0, status
+    return (0.0 if status["consistent"] else 1.0), 1.0, status
 
 
 def thm52_status_from_evals(inst, evals, tol=1e-8):
@@ -341,23 +252,20 @@ def thm52_status_from_evals(inst, evals, tol=1e-8):
             "status": "trivial",
             "reason": "Einstein or flat instance; the equivalence is vacuous here",
         }
-    d_max = max(ev.d_norm for ev in evals)
-    c_max = max(
-        math.sqrt(max(tensor_norm_sq(ev.cotton, ev.metric), 0.0))
-        for ev in evals
-    )
-    w1_max = 0.0
-    w1a1b_max = 0.0
-    divb_gradf_max = 0.0
+    # np.max, unlike max, lets a NaN at any point through to the verdict
+    d_max = float(np.max([ev.d_norm for ev in evals]))
+    c_max = float(np.max([ev.cotton_norm for ev in evals]))
+    w1, w1a1b, divb_gradf = [], [], []
     for ev in evals:
         e = ev.frame.vectors
         w = np.einsum("ia,jb,kc,ld,abcd->ijkl", e, e, e, e, ev.weyl.values, optimize=True)
-        w1_max = max(w1_max, float(np.abs(w[0]).max()))
-        w1a1b_max = max(w1a1b_max, float(np.abs(w[0, 1:, 0, 1:]).max()))
+        w1.append(np.abs(w[0]).max())
+        w1a1b.append(np.abs(w[0, 1:, 0, 1:]).max())
         db = covariant_derivative(ev.bach, ev.pack)
         _, ginv = truncate_arrays(ev.metric.space, ev.metric.g_inv.data, db.order)
         div_b = jet_einsum(db.space, "jm,mij->i", ginv, db.data)[..., 0]
-        divb_gradf_max = max(divb_gradf_max, abs(float(div_b @ ev.gradf_up_values)))
+        divb_gradf.append(abs(div_b @ ev.gradf_up_values))
+    w1_max, w1a1b_max, divb_gradf_max = (float(np.max(v)) for v in (w1, w1a1b, divb_gradf))
     a = d_max <= tol
     b = (c_max <= tol) and (w1_max <= tol)
     c = (divb_gradf_max <= tol) and (w1a1b_max <= tol)
@@ -414,17 +322,15 @@ class CheckSpec:
             return False
         if not (self.min_dim <= inst.n <= self.max_dim):
             return False
-        if self.shrinker_only and not (
-            inst.rho == 0.5 and inst.kind in ("shrinking", "einstein")
-        ):
+        if self.shrinker_only and not is_normalized_shrinker(inst):
             return False
         return True
 
 
 CHECKS = [
-    CheckSpec("soliton_eq", 2, 1e-9, _check_soliton_eq),
-    CheckSpec("hamilton_2.5", 3, 1e-9, _check_hamilton_first, shrinker_only=True),
-    CheckSpec("hamilton_2.6", 2, 1e-9, _check_hamilton_second, shrinker_only=True),
+    CheckSpec("soliton_eq", 2, 1e-9, soliton_eq_residual),
+    CheckSpec("hamilton_2.5", 3, 1e-9, hamilton_first_residual, shrinker_only=True),
+    CheckSpec("hamilton_2.6", 2, 1e-9, hamilton_second_residual, shrinker_only=True),
     CheckSpec("scalar_nonnegative", 2, 1e-10, _check_scalar_nonneg, shrinker_only=True),
     CheckSpec("metric_compatibility", 2, 1e-10, _check_metric_compat),
     CheckSpec("riemann_symmetries", 2, 1e-9, _check_riemann_symmetries),
@@ -470,17 +376,21 @@ def _judge(resid, scale):
 def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     """Run the identity suite on one instance; returns the report dict.
 
-    The instance is certified first (kind-less instances abort).  Checks
-    whose required order exceeds `order` are SKIPPED; checks whose
-    hypotheses the instance does not meet are N/A.  Per-check errors are
-    recorded without aborting the rest of the suite.
+    Each sample point is evaluated once, at order max(order, 3) for the
+    first integrals, and the instance is certified from those evaluations
+    first (kind-less instances abort).  Checks whose required order exceeds
+    `order` are SKIPPED; checks whose hypotheses the instance does not meet
+    are N/A.  Per-check errors are recorded without aborting the rest of
+    the suite.  A per-instance check returns None or (residual, scale,
+    detail), with residual None for N/A; entry["detail"] keeps the detail
+    (for thm5.2 the equivalence status) in memory only.
     """
     n_points = max(MIN_POINTS, int(n_points))
-    validate_instance(inst, n_points=n_points, seed=seed)
+    pts = sample_points(inst, n_points, seed)
+    evals = [PointEval(inst, p, max(order, 3)) for p in pts]
+    certify(inst, evals)
 
     selected = CHECKS if checks is None else [c for c in CHECKS if c.id in set(checks)]
-    pts = sample_points(inst, n_points, seed)
-    evals = [PointEval(inst, p, order) for p in pts]
     config = {"order": order, "points": n_points, "seed": seed}
 
     d_zero = None
@@ -507,14 +417,16 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
                 entries.append(entry)
                 continue
         try:
+            judged = argmax = None
             if spec.per_instance:
                 out = spec.fn(inst, evals, config)
-                judged = argmax = None
                 if out is not None:
-                    resid, scale, argmax = out
-                    judged = _judge(resid, scale)
+                    resid, scale, detail = out
+                    if detail is not None:
+                        entry["detail"] = detail
+                    if resid is not None:
+                        judged = _judge(resid, scale)
             else:
-                judged = argmax = None
                 for ev in evals:
                     out = spec.fn(ev)
                     if out is None:

@@ -4,7 +4,6 @@ import pytest
 from gradsol.conformal import (
     bach,
     bach_via_d_residual,
-    conformal_pack,
     cotton,
     cotton_weyl_divergence_residual,
     d_decomposition_residual,
@@ -262,12 +261,14 @@ def test_div_bach_requires_full_order(geometry):
         div_bach_residual(b, c, pack, 4)
 
 
-def test_conformal_pack_assembly(geometry):
-    inst, m, pack, f = geometry("s2xr2", [0.2, 0.1, 1.6, 0.5], 5)
-    cp = conformal_pack(pack, f, 4, cross_check_d=True)
-    assert cp.bach is not None
-    assert cp.weyl.valence == "dddd"
-    assert cp.dtensor.valence == "ddd"
+def test_direct_tensor_assembly(geometry):
+    _, _, pack, f = geometry("s2xr2", [0.2, 0.1, 1.6, 0.5], 5)
+    w = weyl(pack, 4)
+    c = cotton(pack, 4)
+    assert w.valence == "dddd"
+    assert c.valence == "ddd"
+    assert d_tensor(pack, f, 4, cross_check=True).valence == "ddd"
     # symmetry of the rank-2 members
-    for t in (cp.schouten, cp.einstein, cp.bach):
+    for t in (schouten(pack, 4), einstein_tensor(pack), bach(pack, c, w, 4)):
+        assert t.valence == "dd"
         assert np.abs(t.values - t.values.T).max() < 1e-9

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -94,3 +96,36 @@ def test_bad_character():
 def test_unbalanced_parenthesis():
     with pytest.raises(ConfigurationError):
         compile_expression("sin(x1", 1)
+
+
+def _validate_with_potential(tmp_path, potential):
+    from gradsol.cli import main
+
+    doc = {"instances": [{
+        "name": "json-bad-potential", "n": 2, "rho": 0.5, "kind": "shrinking",
+        "metric": [["1", "0"], ["0", "1"]], "potential": potential,
+        "domain": {"box": [[-2, 2], [-2, 2]]},
+    }]}
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(doc))
+    return main(["catalog", "validate", "json-bad-potential", "--extensions", str(path),
+                 "--points", "8"])
+
+
+@pytest.mark.parametrize(
+    "potential",
+    ["(" * 5000 + "x1" + ")" * 5000, "1/0 + x1"],
+    ids=["deep-nesting", "division-by-zero"],
+)
+def test_expression_arithmetic_errors_reach_cli_as_errors(tmp_path, capsys, potential):
+    assert _validate_with_potential(tmp_path, potential) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert potential[:20] in err
+
+
+@pytest.mark.parametrize("text", ["sqrt(0-1)", "1/0", "exp(800*x1)", "x1/0"])
+def test_expression_arithmetic_errors_name_the_expression(text):
+    fn = compile_expression(text, 1)
+    with pytest.raises(ConfigurationError, match=re.escape(repr(text))):
+        fn([1.0])

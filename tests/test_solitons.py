@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from gradsol.errors import (
+    ConfigurationError,
     DomainError,
     HypothesisViolationError,
     ValidationError,
@@ -205,17 +208,49 @@ def test_get_instance_unknown():
         get_instance("no-such-instance")
 
 
+_GAUSSIAN_R3 = {
+    "name": "json-gaussian-r3",
+    "n": 3,
+    "rho": 0.5,
+    "kind": "shrinking",
+    "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "potential": "(x1^2 + x2^2 + x3^2)/4",
+    "domain": {"box": [[-2, 2], [-2, 2], [-2, 2]]},
+    "base_point": [2.0, 0.0, 0.0],
+}
+
+
 def test_non_finite_residual_fails_certification():
-    # a NaN residual loses every `r > worst` comparison; it must not certify
-    spec = {
-        "name": "json-gaussian-rho-inf",
-        "n": 3,
-        "rho": "inf",
-        "kind": "shrinking",
-        "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-        "potential": "(x1^2 + x2^2 + x3^2)/4",
-        "domain": {"box": [[-2, 2], [-2, 2], [-2, 2]]},
-        "base_point": [2.0, 0.0, 0.0],
-    }
+    # a NaN residual loses every `r > worst` comparison; it must not certify.
+    # Specs reject a non-finite rho, so the instance is changed after loading.
+    inst = dataclasses.replace(instance_from_spec(_GAUSSIAN_R3), rho=math.inf)
     with pytest.raises(ValidationError, match="non-finite"):
-        validate_instance(instance_from_spec(spec), n_points=8, seed=7)
+        validate_instance(inst, n_points=8, seed=7)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"rho": "inf"}, "rho"),
+        ({"rho": "nan"}, "rho"),
+        ({"domain": {"box": [[-2, 2], [2, -2], [-2, 2]]}}, "lo < hi"),
+        ({"domain": {"box": [[-2, 2], [-2, 2]]}}, "3 pairs"),
+        ({"domain": {"box": [[-2, 2], [-2, 2], [-2, "inf"]]}}, "domain.box"),
+        ({"base_point": [2.0, 0.0, 5.0]}, "inside the box"),
+        ({"base_point": [2.0, 0.0]}, "3 coordinates"),
+        ({"base_point": [2.0, "nan", 0.0]}, "base_point"),
+    ],
+    ids=["rho-inf", "rho-nan", "inverted-box", "short-box", "infinite-box",
+         "base-outside", "base-short", "base-nan"],
+)
+def test_extension_spec_rejects_bad_numbers(change, message):
+    with pytest.raises(ConfigurationError, match=message):
+        instance_from_spec({**_GAUSSIAN_R3, **change})
+
+
+def test_extension_spec_rejects_one_pair_box_in_dimension_two():
+    spec = {**_GAUSSIAN_R3, "n": 2, "metric": [["1", "0"], ["0", "1"]],
+            "potential": "(x1^2 + x2^2)/4", "domain": {"box": [[-2, 2]]},
+            "base_point": None}
+    with pytest.raises(ConfigurationError, match="2 pairs"):
+        instance_from_spec(spec)

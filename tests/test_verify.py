@@ -1,4 +1,6 @@
+import collections
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from conftest import report_entry
 from gradsol.cli import main
 from gradsol.errors import ValidationError
-from gradsol import verify
+from gradsol import cli, solitons, verify
 from gradsol.solitons import get_instance
 from gradsol.verify import (
     CheckSpec,
@@ -247,3 +249,52 @@ def test_non_finite_residual_fails(monkeypatch, make_spec):
     assert not suite_passed(rep)
     (clean,) = json.loads(report_to_json(rep))["checks"]
     assert clean["status"] == "FAIL" and clean["max_residual"] is None
+
+
+def test_nan_d_norm_at_second_point_is_not_d_zero(monkeypatch):
+    # Python's max(0.0, nan) is 0.0; a NaN |D| must neither read as D = 0
+    # nor leave the thm5.2 verdict standing
+    inst = get_instance("cylinder-s4xr")
+    second = [float(x) for x in verify.sample_points(inst, 8, 7)[1]]
+    d_norm = verify.PointEval.d_norm.func
+    monkeypatch.setattr(verify.PointEval, "d_norm", property(
+        lambda ev: math.nan if ev.point == second else d_norm(ev)))
+    rep = run_suite(inst, n_points=8, seed=7, order=5)
+    thm = report_entry(rep, "thm5.2")
+    assert thm["status"] == "FAIL" and "non-finite" in thm["error"]
+    assert not math.isfinite(thm["detail"]["measured"]["d_max"])
+    for cid in ("eq4.6", "eq4.7", "codazzi_tangential", "lemma4.2", "prop3.2"):
+        assert report_entry(rep, cid)["status"] == "N/A", cid
+    assert report_entry(rep, "d_vanishes")["status"] == "FAIL"
+
+
+def test_suite_evaluates_each_sample_point_once(monkeypatch):
+    inst = get_instance("s2xr3")
+    points = [tuple(float(x) for x in p) for p in verify.sample_points(inst, 8, 7)]
+    calls = collections.Counter()
+    metric_at_point = solitons.metric_at_point
+
+    def counting(metric_fn, point, n, order):
+        calls[tuple(float(x) for x in point), order] += 1
+        return metric_at_point(metric_fn, point, n, order)
+
+    monkeypatch.setattr(solitons, "metric_at_point", counting)
+    run_suite(inst, n_points=8, seed=7, order=4)
+    for p in points:
+        # order 1 is the gradient test of sampling; order 4 the suite's evaluation
+        assert {o: c for (q, o), c in calls.items() if q == p} == {1: 1, 4: 1}
+
+
+def test_cli_equivalence_line_comes_from_the_suite(monkeypatch, capsys):
+    def rerun(*args, **kwargs):
+        raise AssertionError("thm5.2 evaluated outside the suite")
+
+    monkeypatch.setattr(verify, "thm52_status", rerun)
+    monkeypatch.setattr(cli, "thm52_status", rerun, raising=False)
+    rc = main(["verify", "--instance", "s2xr3", "--order", "5", "--points", "8"])
+    assert rc == 1  # d_vanishes and weyl_vanishes fail by design on s2xr3
+    out = capsys.readouterr().out
+    line = next(x for x in out.splitlines() if "equivalence status:" in x)
+    status = json.loads(line.split("equivalence status: ", 1)[1])
+    assert status["status"] == "evaluated" and status["consistent"]
+    assert (status["a_d_zero"], status["c_divbach_and_w1a1b_zero"]) == (False, False)
