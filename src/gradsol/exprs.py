@@ -2,17 +2,21 @@
 
 Grammar:  +, -, *, /, ^ (right associative), parentheses, numeric literals,
 variables ``x1 .. xn`` (1-based), and the calls sin, cos, exp, sqrt.
-Expressions compile to closures that evaluate over jets (or any operand
-type supporting Python arithmetic), so catalog extensions defined in JSON
-plug straight into the differentiation engine.
+Exponents must be constant.  Expressions compile to closures over a list of
+coordinate jets, so catalog extensions defined in JSON plug straight into
+the differentiation engine, or over a list of plain floats.  On floats a
+closure returns exactly the constant term of its order-0 jet value: each
+operation with a varying operand takes the jets' own steps (a varying
+divisor b as ``a * (1/b)``, an integer power by repeated squaring, a real
+power and the calls through ``jets``), as fixed at compile time.  Constant
+subexpressions use plain float arithmetic and ``math`` in both cases.
 """
 
 import math
-import numbers
 import re
 
 from .errors import ConfigurationError
-from .jets import ELEMENTARY
+from .jets import ELEMENTARY, JetScalar, int_power, real_power, reciprocal
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -124,6 +128,35 @@ class _Parser:
         raise ConfigurationError(f"unexpected token in {self.text!r}")
 
 
+def _bind(node, text):
+    """Return (node, varies) with the jet forms of ops on varying operands.
+
+    A call on, a division by or a power of a varying operand becomes
+    ``jcall``, ``jdiv`` or ``jpow``, which take the jets' steps also on
+    plain floats.
+    """
+    op = node[0]
+    if op == "num":
+        return node, False
+    if op == "var":
+        return node, True
+    if op == "neg":
+        arg, varies = _bind(node[1], text)
+        return ("neg", arg), varies
+    if op == "call":
+        arg, varies = _bind(node[2], text)
+        return ("jcall" if varies else "call", node[1], arg), varies
+    a, va = _bind(node[1], text)
+    b, vb = _bind(node[2], text)
+    if op == "pow" and vb:
+        raise ConfigurationError(f"exponent must be constant in {text!r}")
+    if op == "div" and vb:
+        op = "jdiv"
+    elif op == "pow" and va:
+        op = "jpow"
+    return (op, a, b), va or vb
+
+
 def _evaluate(node, xs):
     op = node[0]
     if op == "num":
@@ -133,10 +166,9 @@ def _evaluate(node, xs):
     if op == "neg":
         return -_evaluate(node[1], xs)
     if op == "call":
-        arg = _evaluate(node[2], xs)
-        if isinstance(arg, numbers.Real):
-            return getattr(math, node[1])(arg)
-        return _FUNCTIONS[node[1]](arg)
+        return getattr(math, node[1])(_evaluate(node[2], xs))
+    if op == "jcall":
+        return _FUNCTIONS[node[1]](_evaluate(node[2], xs))
     a = _evaluate(node[1], xs)
     b = _evaluate(node[2], xs)
     if op == "add":
@@ -147,10 +179,12 @@ def _evaluate(node, xs):
         return a * b
     if op == "div":
         return a / b
+    if op == "jdiv":
+        return a / b if isinstance(b, JetScalar) else a * reciprocal(b)
     if op == "pow":
-        if isinstance(b, float) and b == int(b):
-            return a ** int(b)
-        return a ** b
+        return a ** int(b) if b == int(b) else a ** b
+    if op == "jpow":
+        return int_power(a, int(b)) if b == int(b) else real_power(a, b)
     raise ConfigurationError(f"unknown node {op!r}")
 
 
@@ -162,7 +196,7 @@ def compile_expression(text, dim):
     """
     shown = text if len(text) <= 60 else text[:57] + "..."
     try:
-        ast = _Parser(text, dim).parse()
+        ast, _ = _bind(_Parser(text, dim).parse(), shown)
     except RecursionError:
         raise ConfigurationError(f"expression nested too deeply: {shown!r}") from None
 

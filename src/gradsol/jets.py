@@ -336,29 +336,19 @@ class JetScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * _reciprocal(o)
+        return self * reciprocal(o)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * _reciprocal(self)
+        return o * reciprocal(self)
 
     def __pow__(self, p):
         if isinstance(p, numbers.Integral):
-            return _int_power(self, int(p))
+            return int_power(self, int(p))
         if isinstance(p, numbers.Real):
-            a0 = self.value
-            if a0 <= 0.0:
-                raise SingularEvaluationError(
-                    "non-integer power requires a positive constant term"
-                )
-            coef = 1.0
-            dcoeffs = []
-            for k in range(self.order + 1):
-                dcoeffs.append(coef * a0 ** (p - k))
-                coef *= (p - k) / (k + 1)
-            return _compose(self, dcoeffs)
+            return real_power(self, p)
         return NotImplemented
 
     def __repr__(self):
@@ -399,9 +389,20 @@ def coordinate_jets(space, point):
 
 # ---------------------------------------------------------------------------
 # elementary functions via univariate Taylor composition
+#
+# Each also takes a plain real, as an order-0 jet: it then returns the float
+# that the jet's constant term would hold, computed by the same operations.
+
+def _value_order(a):
+    if isinstance(a, JetScalar):
+        return a.value, a.order
+    return float(a), 0
+
 
 def _compose(a, dcoeffs):
     """Sum_k dcoeffs[k] * (a - a0)^k, truncated.  dcoeffs[k] = f^(k)(a0)/k!."""
+    if not isinstance(a, JetScalar):
+        return dcoeffs[0]
     space = a.space
     out = np.zeros(space.n_terms)
     out[0] = dcoeffs[0]
@@ -416,10 +417,11 @@ def _compose(a, dcoeffs):
     return JetScalar(space, out)
 
 
-def _int_power(a, p):
+def int_power(a, p):
+    """a ** p for an integer p: repeated squaring, reciprocal first if p < 0."""
     if p < 0:
-        return _int_power(_reciprocal(a), -p)
-    result = constant(a.space, 1.0)
+        return int_power(reciprocal(a), -p)
+    result = constant(a.space, 1.0) if isinstance(a, JetScalar) else 1.0
     base = a
     while p:
         if p & 1:
@@ -430,47 +432,63 @@ def _int_power(a, p):
     return result
 
 
-def _reciprocal(a):
-    a0 = a.value
+def real_power(a, p):
+    """a ** p for a real p by power series; the constant term must be positive."""
+    a0, order = _value_order(a)
+    if a0 <= 0.0:
+        raise SingularEvaluationError(
+            "non-integer power requires a positive constant term"
+        )
+    coef = 1.0
+    dcoeffs = []
+    for k in range(order + 1):
+        dcoeffs.append(coef * a0 ** (p - k))
+        coef *= (p - k) / (k + 1)
+    return _compose(a, dcoeffs)
+
+
+def reciprocal(a):
+    a0, order = _value_order(a)
     if a0 == 0.0:
         raise SingularEvaluationError("division by a jet with zero constant term")
-    return _compose(a, [(-1.0) ** k / a0 ** (k + 1) for k in range(a.order + 1)])
+    return _compose(a, [(-1.0) ** k / a0 ** (k + 1) for k in range(order + 1)])
 
 
 def exp(a):
-    e0 = math.exp(a.value)
-    return _compose(a, [e0 / math.factorial(k) for k in range(a.order + 1)])
+    a0, order = _value_order(a)
+    e0 = math.exp(a0)
+    return _compose(a, [e0 / math.factorial(k) for k in range(order + 1)])
 
 
 def log(a):
-    a0 = a.value
+    a0, order = _value_order(a)
     if a0 <= 0.0:
         raise SingularEvaluationError("log requires a positive constant term")
     dc = [math.log(a0)]
-    dc += [(-1.0) ** (k - 1) / (k * a0 ** k) for k in range(1, a.order + 1)]
+    dc += [(-1.0) ** (k - 1) / (k * a0 ** k) for k in range(1, order + 1)]
     return _compose(a, dc)
 
 
 def sqrt(a):
-    a0 = a.value
+    a0, _ = _value_order(a)
     if a0 <= 0.0:
         raise SingularEvaluationError("sqrt requires a positive constant term")
-    return a ** 0.5
+    return real_power(a, 0.5)
 
 
 def sin(a):
-    a0 = a.value
+    a0, order = _value_order(a)
     return _compose(
         a,
-        [math.sin(a0 + k * math.pi / 2) / math.factorial(k) for k in range(a.order + 1)],
+        [math.sin(a0 + k * math.pi / 2) / math.factorial(k) for k in range(order + 1)],
     )
 
 
 def cos(a):
-    a0 = a.value
+    a0, order = _value_order(a)
     return _compose(
         a,
-        [math.cos(a0 + k * math.pi / 2) / math.factorial(k) for k in range(a.order + 1)],
+        [math.cos(a0 + k * math.pi / 2) / math.factorial(k) for k in range(order + 1)],
     )
 
 

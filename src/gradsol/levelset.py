@@ -19,7 +19,7 @@ from .errors import (
     HypothesisViolationError,
     LevelPointError,
 )
-from .jets import JetScalar, JetSpace, jet_einsum, mul_arrays, truncate_arrays
+from .jets import JetScalar, jet_einsum, mul_arrays, truncate_arrays
 from .jets import sqrt as jets_sqrt
 from .tensors import TensorJet, tensor_norm_sq
 from .conformal import d_tensor
@@ -211,8 +211,12 @@ def frame_cotton_components(pack, cotton_t, weyl_t, f_jet, min_grad=GRAD_THRESHO
 # level-point sampling by root finding along chart rays
 
 def _f_value(inst, point):
-    space = JetSpace.get(inst.n, 0)
-    return inst.potential_jet(point, space).value
+    """Normalized f at the point, evaluated on plain floats.
+
+    The potential closures and compiled expressions run order-0 jet
+    arithmetic on floats, so this equals the order-0 jet value bit for bit.
+    """
+    return float(inst.potential_fn([float(x) for x in point])) + inst.f_shift
 
 
 def _grad_norm(inst, point):
@@ -303,24 +307,24 @@ def prop32_report(inst, c, n_points=12, seed=11, order=3, d_zero_tol=D_ZERO_TOL)
     pts = level_points(inst, c, n_points=n_points, seed=seed)
     n = inst.n
     evals = []
-    d_max = 0.0
+    d_norms = []
     for p in pts:
         metric = inst.metric_at(p, order)
         pack = curvature_pack(metric)
         f = inst.potential_jet(p, metric.space)
         conf_d = d_tensor(pack, f, n)
-        d_max = max(d_max, math.sqrt(max(tensor_norm_sq(conf_d, metric), 0.0)))
+        d_norms.append(math.sqrt(max(tensor_norm_sq(conf_d, metric), 0.0)))
         evals.append((metric, pack, f))
-    if d_max > d_zero_tol:
+    # np.max and `not <=`, unlike max and `>`, let a NaN at any point through
+    d_max = float(np.max(d_norms))
+    if not d_max <= d_zero_tol:
         raise HypothesisViolationError(
             f"{inst.name}: |D| = {d_max:.3e} on the level surface; the report "
             "applies only where the 3-tensor D vanishes"
         )
 
     r_vals, w2_vals, h_means = [], [], []
-    ric_mixed = 0.0
-    umbil = 0.0
-    eig_mismatch = 0.0
+    ric_mixed, umbil, eig_mismatch = [], [], []
     lambdas, mus = [], []
     for metric, pack, f in evals:
         frame = adapted_frame(metric, f)
@@ -329,21 +333,18 @@ def prop32_report(inst, c, n_points=12, seed=11, order=3, d_zero_tol=D_ZERO_TOL)
         w2_vals.append(frame.grad_f_norm ** 2)
         h_means.append(lsd.H)
         ric_f = frame.vectors @ pack.ricci.values @ frame.vectors.T
-        ric_mixed = max(ric_mixed, float(np.abs(ric_f[0, 1:]).max()))
-        umbil = max(
-            umbil,
-            float(np.abs(lsd.h - (lsd.H / (n - 1)) * np.eye(n - 1)).max()),
-        )
+        ric_mixed.append(np.abs(ric_f[0, 1:]).max())
+        umbil.append(np.abs(lsd.h - (lsd.H / (n - 1)) * np.eye(n - 1)).max())
         lam = pack.scalar.value - (n - 1) * inst.rho + lsd.H * frame.grad_f_norm
         mu = inst.rho - lsd.H * frame.grad_f_norm / (n - 1)
         lambdas.append(lam)
         mus.append(mu)
         expected = np.sort(np.array([lam] + [mu] * (n - 1)))
         eig = np.sort(np.linalg.eigvalsh(ric_f))
-        eig_mismatch = max(eig_mismatch, float(np.abs(eig - expected).max()))
+        eig_mismatch.append(np.abs(eig - expected).max())
 
     def spread(vals):
-        return float(max(vals) - min(vals))
+        return float(np.max(vals) - np.min(vals))
 
     return {
         "instance": inst.name,
@@ -355,10 +356,10 @@ def prop32_report(inst, c, n_points=12, seed=11, order=3, d_zero_tol=D_ZERO_TOL)
         "grad_sq_spread": spread(w2_vals),
         "h_mean": float(np.mean(h_means)),
         "h_spread": spread(h_means),
-        "ricci_mixed_max": ric_mixed,
-        "umbilicity_max": umbil,
+        "ricci_mixed_max": float(np.max(ric_mixed)),
+        "umbilicity_max": float(np.max(umbil)),
         "lambda": float(np.mean(lambdas)),
         "mu": float(np.mean(mus)),
-        "eigenvalue_mismatch": eig_mismatch,
+        "eigenvalue_mismatch": float(np.max(eig_mismatch)),
         "points": [[float(x) for x in p] for p in pts],
     }

@@ -509,9 +509,7 @@ def warped_sphere_instance():
     def phi(r):
         from . import jets
 
-        if isinstance(r, JetScalar):
-            return root6 * jets.sin(r / root6)
-        return root6 * math.sin(r / root6)
+        return root6 * jets.sin(r / root6)
 
     return warped_product_instance(
         "warped-sphere-s4",
@@ -647,18 +645,31 @@ def instance_from_spec(spec):
     missing = required - set(spec)
     if missing:
         raise ConfigurationError(f"catalog extension missing fields: {sorted(missing)}")
-    n = int(spec["n"])
+    try:
+        n = int(spec["n"])
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"n must be an integer, got {spec['n']!r}") from None
     rows = spec["metric"]
-    if len(rows) != n or any(len(r) != n for r in rows):
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n for r in rows)):
         raise ConfigurationError("metric must be an n-by-n grid of expressions")
+    # every entry must compile, but only the upper triangle is evaluated
     compiled = [[compile_expression(str(e), n) for e in row] for row in rows]
     potential = compile_expression(str(spec["potential"]), n)
 
     def metric_fn(xs):
-        return [[compiled[i][j](xs) for j in range(n)] for i in range(n)]
+        grid = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                grid[i][j] = grid[j][i] = compiled[i][j](xs)
+        return grid
 
     (rho,) = _finite_numbers([spec["rho"]], "rho")
-    box = [tuple(_finite_numbers(b, "domain.box")) for b in spec["domain"]["box"]]
+    domain = spec["domain"]
+    box = domain.get("box") if isinstance(domain, dict) else None
+    if not isinstance(box, list):
+        raise ConfigurationError(f"domain.box must be a list of {n} pairs, got {box!r}")
+    box = [tuple(_finite_numbers(b, "domain.box")) for b in box]
     if len(box) != n or any(len(b) != 2 or not b[0] < b[1] for b in box):
         raise ConfigurationError(
             f"domain.box must hold {n} pairs [lo, hi] with lo < hi, got {box}"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gradsol.jets as jets
-from gradsol.errors import ConfigurationError
+from gradsol.errors import ConfigurationError, GradsolError
 from gradsol.exprs import compile_expression
 from gradsol.jets import JetSpace, coordinate_jets
 
@@ -129,3 +129,44 @@ def test_expression_arithmetic_errors_name_the_expression(text):
     fn = compile_expression(text, 1)
     with pytest.raises(ConfigurationError, match=re.escape(repr(text))):
         fn([1.0])
+
+
+# Expressions whose float evaluation must reproduce order-0 jets bit for bit:
+# integer powers (repeated squaring), varying divisors (a * (1/b)), real
+# powers and the elementary calls, next to constant subexpressions.
+FLOAT_EXACT = [
+    "x1^2/4 + 1.5",
+    "x1^3 + x2^2",
+    "x1^-2 - 3*x2^-3",
+    "1/(1 + x1^2) + x2/x1",
+    "sqrt(1 + x1^2)*sin(x2) - exp(x1)/x2",
+    "cos(x1*x2)/exp(x2) + x1^0.5 - sqrt(2)*x2^7",
+]
+
+
+@pytest.mark.parametrize("text", FLOAT_EXACT)
+def test_float_evaluation_is_order0_jet_value(text):
+    fn = compile_expression(text, 2)
+    space = JetSpace.get(2, 0)
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        p = [float(rng.uniform(0.1, 3.0)), float(rng.uniform(-3.0, 3.0))]
+        assert fn(p).hex() == fn(coordinate_jets(space, p)).value.hex(), p
+
+
+@pytest.mark.parametrize("text", ["sqrt(x1 - 2)", "(x1 - 2)^0.5", "1/(x1 - 1)"])
+def test_float_evaluation_raises_where_jets_raise(text):
+    # Python's (-1.0) ** 0.5 is a complex number; the jets refuse it
+    fn = compile_expression(text, 1)
+    with pytest.raises(GradsolError) as on_jet:
+        fn(coordinate_jets(JetSpace.get(1, 0), [1.0]))
+    with pytest.raises(GradsolError) as on_float:
+        fn([1.0])
+    assert type(on_float.value) is type(on_jet.value)
+
+
+def test_varying_exponent_is_rejected():
+    with pytest.raises(ConfigurationError, match="exponent"):
+        compile_expression("x1^x2", 2)
+    with pytest.raises(ConfigurationError, match="exponent"):
+        compile_expression("2^(x1 + 1)", 1)

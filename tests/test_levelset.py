@@ -6,7 +6,11 @@ from gradsol.errors import (
     CriticalPointError,
     HypothesisViolationError,
 )
+from gradsol import levelset
+from gradsol.exprs import compile_expression
+from gradsol.jets import JetSpace
 from gradsol.levelset import (
+    _f_value,
     adapted_frame,
     frame_cotton_components,
     frame_riemann_e1_tangential,
@@ -16,7 +20,8 @@ from gradsol.levelset import (
     prop32_report,
     second_fundamental_form,
 )
-from gradsol.solitons import sample_points
+from gradsol.solitons import SolitonInstance, catalog, get_instance, sample_points
+from gradsol.verify import run_suite
 
 
 def test_frame_gaussian(geometry):
@@ -225,3 +230,74 @@ def test_codazzi_consequence_on_d_zero_instances(geometry, instances):
             _, m, pack, f = geometry(name, list(p), 4)
             fr = adapted_frame(m, f)
             assert frame_riemann_e1_tangential(pack, fr) < 1e-8, name
+
+
+def _jet_f_value(inst, point):
+    # the root finder's potential evaluation through order-0 jets
+    return inst.potential_jet(point, JetSpace.get(inst.n, 0)).value
+
+
+def _expression_instance(text):
+    return SolitonInstance(
+        name=f"expr {text}", n=2, rho=0.0, kind=None,
+        metric_fn=lambda xs: [[1.0, 0.0], [0.0, 1.0]],
+        potential_fn=compile_expression(text, 2), box=[(0.1, 3.0), (-3.0, 3.0)],
+        base_point=[1.0, 0.0],
+    )
+
+
+def _box_points(inst, count, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(inst.box).T
+    return [lo + (hi - lo) * rng.random(inst.n) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", [i.name for i in catalog()])
+def test_f_value_is_order0_jet_value_on_catalog(name):
+    inst = get_instance(name)
+    for p in _box_points(inst, 300, 5):
+        assert _f_value(inst, p).hex() == _jet_f_value(inst, p).hex(), p
+
+
+@pytest.mark.parametrize("text", [
+    "x1^2/4 + x2^3", "x1^-2 + x2/x1", "sqrt(1 + x2^2)*sin(x1*x2)", "exp(x2)/(1 + x1^2)",
+])
+def test_f_value_is_order0_jet_value_on_expressions(text):
+    inst = _expression_instance(text)
+    for p in _box_points(inst, 300, 6):
+        assert _f_value(inst, p).hex() == _jet_f_value(inst, p).hex(), p
+
+
+@pytest.mark.parametrize("make, c", [
+    (lambda: get_instance("cylinder-s3xr"), 9.0 / 4.0 + 1.5),
+    (lambda: get_instance("gaussian-r3"), 1.0),
+    (lambda: get_instance("expanding-gaussian-r4"), -1.0),
+    (lambda: _expression_instance("x1^2/4 + x2^3/9"), 2.0),
+], ids=["cylinder-s3xr", "gaussian-r3", "expanding-gaussian-r4", "expression"])
+def test_level_points_match_jet_root_finder(monkeypatch, make, c):
+    inst = make()
+    pts = level_points(inst, c, n_points=12, seed=5)
+    monkeypatch.setattr(levelset, "_f_value", _jet_f_value)
+    ref = level_points(inst, c, n_points=12, seed=5)
+    assert all(np.array_equal(a, b) for a, b in zip(pts, ref, strict=True))
+
+
+def test_prop32_nan_d_at_second_level_point_fails(monkeypatch):
+    # Python's max(acc, nan) is acc: a NaN |D| past the first level point
+    # must not pass the D = 0 gate of prop3.2
+    calls = []
+    d_tensor = levelset.d_tensor
+
+    def nan_at_second(pack, f, n, *args, **kwargs):
+        d = d_tensor(pack, f, n, *args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            d.data[...] = np.nan
+        return d
+
+    monkeypatch.setattr(levelset, "d_tensor", nan_at_second)
+    rep = run_suite(get_instance("gaussian-r3"), n_points=8, seed=7, order=3)
+    (entry,) = [e for e in rep["checks"] if e["id"] == "prop3.2"]
+    assert len(calls) >= 2
+    assert entry["status"] == "FAIL"
+    assert "HypothesisViolationError" in entry["error"] and "nan" in entry["error"]

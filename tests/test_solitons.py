@@ -254,3 +254,29 @@ def test_extension_spec_rejects_one_pair_box_in_dimension_two():
             "base_point": None}
     with pytest.raises(ConfigurationError, match="2 pairs"):
         instance_from_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"n": "four"}, {"domain": {"box": 5}}, {"domain": 5}, {"metric": 5},
+     {"metric": [["1", "0", "0"], 7, ["0", "0", "1"]]}],
+    ids=["n-word", "box-int", "domain-int", "metric-int", "metric-row-int"],
+)
+def test_malformed_extension_structure_is_an_error(tmp_path, capsys, change):
+    from gradsol.cli import main
+
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps({"instances": [{**_GAUSSIAN_R3, **change}]}))
+    assert main(["catalog", "list", "--extensions", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_extension_lower_triangle_is_not_evaluated():
+    # the README: entries are read from the upper triangle and mirrored
+    spec = {**_GAUSSIAN_R3, "n": 2, "metric": [["1", "0"], ["1/0", "1"]],
+            "potential": "(x1^2 + x2^2)/4", "domain": {"box": [[-2, 2], [-2, 2]]},
+            "base_point": [2.0, 0.0]}
+    result = validate_instance(instance_from_spec(spec), n_points=8, seed=7)
+    assert result["soliton_residual"] < 1e-12
+    with pytest.raises(ConfigurationError):
+        instance_from_spec({**spec, "metric": [["1", "0"], ["1/", "1"]]})
