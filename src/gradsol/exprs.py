@@ -182,7 +182,7 @@ def _evaluate(node, xs):
     if op == "jdiv":
         return a / b if isinstance(b, JetScalar) else a * reciprocal(b)
     if op == "pow":
-        return a ** int(b) if b == int(b) else a ** b
+        return a ** int(b) if b == int(b) else math.pow(a, b)
     if op == "jpow":
         return int_power(a, int(b)) if b == int(b) else real_power(a, b)
     raise ConfigurationError(f"unknown node {op!r}")

@@ -12,13 +12,13 @@ the truncated product; its index structure is precomputed per (dim, order)
 as the P pairs (i, j) -> k of ranks whose degrees add up to at most the
 order.  `jet_einsum` contracts whole tensors of jets in one of two ways:
 
-* gather: pick the P pair coefficients out of both operands, run one einsum
-  over components and pairs, then sum the pairs of each target k
-  (``reduceat``).  Cost ~ P * (na + nb + nfull + nout).
+* gather: pick the P pair coefficients out of both operands, contract
+  components with the pairs as a batch axis, then sum the pairs of each
+  target k (``reduceat``).  Cost ~ P * (na + nb + nfull + nout).
 * matrix: scatter the operand with fewer components into its T x T
   multiplication matrix M[..., k, j] = a[..., i] (T = n_terms; a given
   (k, j) fixes i, so this is a plain assignment), then contract M with the
-  other operand in one BLAS-backed einsum.
+  other operand in one BLAS-backed matmul.
   Cost ~ 2 * min(na, nb) * T^2 + nfull * T^2 / 16.
 
 Here na, nb and nout count the components of the operands and the output,
@@ -26,6 +26,16 @@ and nfull those of the full index space.  Each call takes the cheaper
 estimate: the matrix path wins on small-by-large contractions at low and
 middle orders, the gather path on same-size products, full contractions
 and orders 4-5, where T^2 outgrows P.
+
+Both choices are made once per call signature (space, subscripts, operand
+shapes).  The component contraction each kernel then runs is compiled once
+per signature as well: its index letters are sorted into batch, contracted
+and kept groups, and the plan is a fixed transpose and reshape of each
+operand, one ``np.matmul`` (a broadcast ``np.multiply`` when nothing of size
+above 1 is contracted) and a reshape and transpose into output order.  A
+repeated call therefore parses no subscripts and makes no ``np.einsum`` or
+``einsum_path`` call, and returns the same bits as numpy's two-operand
+einsum, which lays the contraction out the same way.
 """
 
 import math
@@ -177,17 +187,76 @@ def truncate_arrays(space, data, order):
     return lower, data[..., : lower.n_terms]
 
 
-# two operands admit one contraction order; naming it skips numpy's path
-# search while still letting einsum hand the contraction to BLAS
-_PAIR_PATH = ["einsum_path", (0, 1)]
+# Compiled pair contractions, keyed by (sub_x, sub_y, out, x.shape, y.shape):
+# the transposes, reshapes and the one matmul (or multiply) that evaluate
+# `sub_x,sub_y->out`, found once so a hot call parses nothing.
+_PAIR_PLANS = {}
 _EINSUM_PLANS = {}
 
 
+def _compile_pair(sub_x, sub_y, out, shape_x, shape_y):
+    """Plan `sub_x,sub_y->out` as (perm_x, fused_x, perm_y, fused_y, shape_xy, perm_xy).
+
+    A letter in both operands is batch (kept in `out`) or contracted; a letter
+    of one operand must be kept.  x is laid out (batch, kept-x, contracted)
+    and y (batch, contracted, kept-y), each group fused to one axis, so one
+    matmul contracts them; its product is unfused and put in `out` order.
+    When every contracted axis has size 1 (none, or dim 1, or the jet axis
+    at order 0), each operand is laid out in `out` order with size-1 axes
+    for the letters it lacks, and one broadcast multiply is the product
+    (shape_xy is None).  Other size-1 axes simply fuse into their groups.
+    """
+    sizes = {}
+    for c, n in zip(sub_x + sub_y, shape_x + shape_y):
+        if sizes.setdefault(c, n) != n:
+            raise ValueError(f"axis {c!r} has sizes {sizes[c]} and {n}")
+    batch = [c for c in sub_x if c in sub_y and c in out]
+    summed = [c for c in sub_x if c in sub_y and c not in out]
+    keep_x = [c for c in sub_x if c not in sub_y]
+    keep_y = [c for c in sub_y if c not in sub_x]
+    if all(sizes[c] == 1 for c in summed):
+        return (
+            tuple(sub_x.index(c) for c in out + "".join(summed) if c in sub_x),
+            tuple(sizes[c] if c in sub_x else 1 for c in out),
+            tuple(sub_y.index(c) for c in out + "".join(summed) if c in sub_y),
+            tuple(sizes[c] if c in sub_y else 1 for c in out),
+            None, None,
+        )
+    lead = [batch] if batch else []  # no batch: plain 2-D matmul
+    gx, gy = lead + [keep_x, summed], lead + [summed, keep_y]
+    made = batch + keep_x + keep_y
+    return (
+        tuple(sub_x.index(c) for g in gx for c in g),
+        tuple(math.prod(sizes[c] for c in g) for g in gx),
+        tuple(sub_y.index(c) for g in gy for c in g),
+        tuple(math.prod(sizes[c] for c in g) for g in gy),
+        tuple(sizes[c] for c in made),
+        tuple(made.index(c) for c in out),
+    )
+
+
+def _pair_contract(sub_x, sub_y, out, x, y):
+    """``np.einsum(f"{sub_x},{sub_y}->{out}", x, y)`` through its compiled plan."""
+    key = (sub_x, sub_y, out, x.shape, y.shape)
+    plan = _PAIR_PLANS.get(key)
+    if plan is None:
+        plan = _PAIR_PLANS[key] = _compile_pair(sub_x, sub_y, out, x.shape, y.shape)
+    perm_x, fused_x, perm_y, fused_y, shape_xy, perm_xy = plan
+    x = x.transpose(perm_x).reshape(fused_x)
+    y = y.transpose(perm_y).reshape(fused_y)
+    if shape_xy is None:
+        return np.multiply(x, y)
+    return np.matmul(x, y).reshape(shape_xy).transpose(perm_xy)
+
+
+# Both kernels put the `b`-side operand first: numpy's two-operand einsum
+# hands a pair to matmul in that order, so the kernels give its bits.
+
 def _einsum_gather(space, sub_a, sub_b, out, a, b):
     """Gather every product pair, contract components, sum pairs per target."""
-    p = np.einsum(
-        f"{sub_a}Z,{sub_b}Z->{out}Z",
-        a[..., space.mul_left], b[..., space.mul_right], optimize=_PAIR_PATH,
+    p = _pair_contract(
+        sub_b + "Z", sub_a + "Z", out + "Z",
+        b[..., space.mul_right], a[..., space.mul_left],
     )
     return np.add.reduceat(p, space.mul_starts, axis=-1)
 
@@ -198,7 +267,7 @@ def _einsum_matrix(space, sub_a, sub_b, out, a, b):
     m = np.zeros(a.shape[:-1] + (n * n,))
     m[..., space.mul_flat] = a[..., space.mul_left]
     m = m.reshape(a.shape[:-1] + (n, n))
-    return np.einsum(f"{sub_a}YZ,{sub_b}Z->{out}Y", m, b, optimize=_PAIR_PATH)
+    return _pair_contract(sub_b + "Z", sub_a + "YZ", out + "Y", b, m)
 
 
 def _plan(space, sub_a, sub_b, out, a, b):

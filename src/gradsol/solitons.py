@@ -631,6 +631,8 @@ def get_instance(name, extra=()):
 def _finite_numbers(values, what):
     """The entries of `values` as floats; ConfigurationError unless all are finite."""
     try:
+        if isinstance(values, str):  # would read as a list of its digits
+            raise TypeError
         out = [float(v) for v in values]
     except (TypeError, ValueError):
         out = [math.nan]
@@ -674,10 +676,18 @@ def instance_from_spec(spec):
         raise ConfigurationError(
             f"domain.box must hold {n} pairs [lo, hi] with lo < hi, got {box}"
         )
-    excluded = [
-        _ball_exclusion(e["center"], float(e.get("radius", 0.0)))
-        for e in spec.get("excluded", [])
-    ]
+    excluded = spec.get("excluded", [])
+    if not (isinstance(excluded, list) and all(isinstance(e, dict) for e in excluded)):
+        raise ConfigurationError(f"excluded must be a list of balls, got {excluded!r}")
+    balls = []
+    for e in excluded:
+        center = _finite_numbers(e.get("center", ()), "excluded center")
+        (radius,) = _finite_numbers([e.get("radius", 0.0)], "excluded radius")
+        if len(center) != n or radius < 0.0:
+            raise ConfigurationError(
+                f"excluded ball needs a center of {n} coordinates and a radius >= 0, got {e!r}"
+            )
+        balls.append(_ball_exclusion(center, radius))
     base = spec.get("base_point") or [(lo + hi) / 2.0 for lo, hi in box]
     base = _finite_numbers(base, "base_point")
     if len(base) != n or not all(lo <= x <= hi for x, (lo, hi) in zip(base, box)):
@@ -691,7 +701,7 @@ def instance_from_spec(spec):
         potential_fn=potential,
         box=box,
         base_point=base,
-        excluded=excluded,
+        excluded=balls,
         trivial=bool(spec.get("trivial", False)),
         description=str(spec.get("description", "catalog extension")),
     )

@@ -114,8 +114,8 @@ def _validate_with_potential(tmp_path, potential):
 
 @pytest.mark.parametrize(
     "potential",
-    ["(" * 5000 + "x1" + ")" * 5000, "1/0 + x1"],
-    ids=["deep-nesting", "division-by-zero"],
+    ["(" * 5000 + "x1" + ")" * 5000, "1/0 + x1", "(0-8)^0.5 + x1"],
+    ids=["deep-nesting", "division-by-zero", "negative-base-real-power"],
 )
 def test_expression_arithmetic_errors_reach_cli_as_errors(tmp_path, capsys, potential):
     assert _validate_with_potential(tmp_path, potential) == 1

@@ -304,3 +304,56 @@ def test_jet_einsum_strategy_choice():
     assert jets._plan(s53, "abcd", "ed", "abce", b, a) == (jets._einsum_matrix, True)
     g = np.zeros((5, 5, s55.n_terms))
     assert jets._plan(s55, "ij", "jk", "ik", g, g) == (jets._einsum_gather, False)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("order", range(0, 6))
+def test_compiled_plans_match_plain_einsum(dim, order):
+    # both kernels run compiled pair plans; numpy's unoptimised einsum over
+    # the gathered pairs is independent code.  dim 1 makes every component
+    # axis size 1, order 0 the jet axis.
+    rng = np.random.default_rng(1000 + 10 * dim + order)
+    space = JetSpace.get(dim, order)
+    for subscripts in _engine_subscripts():
+        ins, out = subscripts.split("->")
+        sub_a, sub_b = ins.split(",")
+        a = rng.uniform(-1, 1, (dim,) * len(sub_a) + (space.n_terms,))
+        b = rng.uniform(-1, 1, (dim,) * len(sub_b) + (space.n_terms,))
+        ref = np.add.reduceat(
+            np.einsum(f"{sub_a}Z,{sub_b}Z->{out}Z", a[..., space.mul_left],
+                      b[..., space.mul_right], optimize=False),
+            space.mul_starts, axis=-1,
+        )
+        scale = np.abs(ref).max()
+        for x, y, sx, sy in ((a, b, sub_a, sub_b), (b, a, sub_b, sub_a)):
+            kernels = [jets._einsum_gather]
+            if x.size * space.n_terms <= 2_000_000:
+                kernels.append(jets._einsum_matrix)
+            for kernel in kernels:
+                got = kernel(space, sx, sy, out, x, y)
+                assert got.shape == ref.shape, (subscripts, sx, kernel.__name__)
+                assert np.abs(got - ref).max() <= 1e-13 * scale, (subscripts, sx, kernel.__name__)
+
+
+def test_warm_jet_einsum_calls_no_einsum(monkeypatch):
+    # once a call signature is planned, jet_einsum runs transposes, reshapes
+    # and matmul only: the same calls with einsum disabled give the same bits
+    rng = np.random.default_rng(7)
+    space = JetSpace.get(4, 2)
+    calls = []
+    for subscripts in _engine_subscripts():
+        sub_a, sub_b = subscripts.split("->")[0].split(",")
+        a = rng.uniform(-1, 1, (4,) * len(sub_a) + (space.n_terms,))
+        b = rng.uniform(-1, 1, (4,) * len(sub_b) + (space.n_terms,))
+        calls.append((subscripts, a, b, jets.jet_einsum(space, subscripts, a, b)))
+    kernels = {jets._EINSUM_PLANS[(space, s, a.shape, b.shape)][0] for s, a, b, _ in calls}
+    assert kernels == {jets._einsum_gather, jets._einsum_matrix}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("einsum on a warm jet_einsum call")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    monkeypatch.setattr(np, "einsum_path", forbidden)
+    for subscripts, a, b, warm in calls:
+        hot = jets.jet_einsum(space, subscripts, a, b)
+        assert hot.shape == warm.shape and np.array_equal(hot, warm), subscripts

@@ -271,6 +271,24 @@ def test_malformed_extension_structure_is_an_error(tmp_path, capsys, change):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "excluded",
+    [5, [5], [{"radius": 1}], [{"center": [0, 0], "radius": 1}],
+     [{"center": [0, 0, "nan"]}], [{"center": "000"}],
+     [{"center": [0, 0, 0], "radius": -1}], [{"center": [0, 0, 0], "radius": "inf"}]],
+    ids=["not-a-list", "entry-int", "no-center", "short-center", "nan-center",
+         "string-center", "negative-radius", "infinite-radius"],
+)
+def test_malformed_excluded_entry_is_an_error(tmp_path, capsys, excluded):
+    from gradsol.cli import main
+
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps({"instances": [{**_GAUSSIAN_R3, "excluded": excluded}]}))
+    assert main(["catalog", "validate", "json-gaussian-r3", "--extensions", str(path),
+                 "--points", "8"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_extension_lower_triangle_is_not_evaluated():
     # the README: entries are read from the upper triangle and mirrored
     spec = {**_GAUSSIAN_R3, "n": 2, "metric": [["1", "0"], ["1/0", "1"]],
