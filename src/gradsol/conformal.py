@@ -1,10 +1,13 @@
 """Conformal-curvature tensors and the residual forms of their identities.
 
 Each tensor that admits two textbook expressions is computed along *both*
-and the paths must agree; a disagreement raises :class:`ConsistencyError`.
-Residual operations evaluate the two sides of an identity independently
-and return the worst component mismatch together with the magnitude of
-each side, so callers can confirm a check was not vacuous.
+and the paths must agree; a disagreement, or a NaN on either path, raises
+:class:`ConsistencyError`.  Each identity residual reads one
+:class:`~gradsol.solitons.PointEval` and evaluates the two sides of its
+identity independently.  It returns ``(residual, scale)``: the worst
+component mismatch and the magnitude of the larger side.  Residuals whose
+side sizes show that a check was not vacuous add a third element, a dict
+of those named maxima.
 """
 
 import numpy as np
@@ -18,16 +21,12 @@ _CROSS_CHECK_ALGEBRAIC = 1e-10
 _CROSS_CHECK_DIFFERENTIAL = 1e-8
 
 
-def _judged(residual, scale):
-    """Residual judged relatively once the identity's terms exceed unit size."""
-    return residual / max(1.0, scale)
-
-
 def _require_agreement(a, b, tol, what):
     aa, bb = align(a, b)
     diff = float(np.abs(aa.data - bb.data).max())
     scale = max(aa.max_abs(all_coeffs=True), bb.max_abs(all_coeffs=True))
-    if _judged(diff, scale) > tol:
+    # `not <=`, unlike `>`, holds for NaN: a NaN on either path disagrees
+    if not diff / max(1.0, scale) <= tol:
         raise ConsistencyError(
             f"{what}: independent paths disagree by {diff:.3e} (scale {scale:.3e})"
         )
@@ -206,101 +205,80 @@ def d_tensor(pack, f_jet, n, cross_check=False):
 # ---------------------------------------------------------------------------
 # identity residuals (two sides evaluated independently, compared at values)
 
-def _gradf_up_values(pack, f_jet):
-    df = scalar_gradient(f_jet)
-    ginv0 = pack.metric.g_inv.values
-    return ginv0 @ df.values
+def _compare(lhs, rhs):
+    """Worst component of lhs - rhs and the magnitude of the larger side."""
+    return float(np.abs(lhs - rhs).max()), max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
 
 
-def cotton_weyl_divergence_residual(pack, cotton_t, weyl_t, n):
-    """C_ijk + ((n-2)/(n-3)) div W residual; both sides returned."""
+def cotton_weyl_divergence_residual(ev):
+    """C_ijk + ((n-2)/(n-3)) div W residual at one point evaluation."""
+    n = ev.inst.n
     if n < 4:
         raise UnsupportedDimensionError("the divergence relation needs dimension >= 4")
-    dw = covariant_derivative(weyl_t, pack)
-    _, ginv = truncate_arrays(pack.metric.space, pack.metric.g_inv.data, dw.order)
+    dw = covariant_derivative(ev.weyl, ev.pack)
+    _, ginv = truncate_arrays(ev.metric.space, ev.metric.g_inv.data, dw.order)
     divw = jet_einsum(dw.space, "lm,mijkl->ijk", ginv, dw.data)
-    lhs = cotton_t.values
+    lhs = ev.cotton.values
     rhs = -((n - 2.0) / (n - 3.0)) * divw[..., 0]
-    resid = float(np.abs(lhs - rhs).max())
-    scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return {"residual": resid, "scale": scale, "cotton_max": float(np.abs(lhs).max()),
-            "divergence_max": float(np.abs(rhs).max())}
+    return *_compare(lhs, rhs), {"cotton_max": float(np.abs(lhs).max())}
 
 
-def d_decomposition_residual(d_t, cotton_t, weyl_t, f_jet, metric):
+def d_decomposition_residual(ev):
     """Worst component of D_ijk - C_ijk - W_ijkl grad^l f at the point."""
-    df = scalar_gradient(f_jet)
-    gradf_up = metric.g_inv.values @ df.values
-    w_term = np.einsum("ijkl,l->ijk", weyl_t.values, gradf_up)
-    lhs = d_t.values
-    rhs = cotton_t.values + w_term
-    resid = float(np.abs(lhs - rhs).max())
-    scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return {"residual": resid, "scale": scale}
+    w_term = np.einsum("ijkl,l->ijk", ev.weyl.values, ev.gradf_up_values)
+    return _compare(ev.dtensor.values, ev.cotton.values + w_term)
 
 
-def d_cotton_contraction_residual(d_t, cotton_t, f_jet, metric):
+def d_cotton_contraction_residual(ev):
     """Contracting the last slot with grad f must erase the D/C difference.
 
     Their difference is a conformal-curvature term antisymmetric in the
     contracted pair, so (D_ijk - C_ijk) grad^k f vanishes on a soliton
     even where D itself does not.
     """
-    df = scalar_gradient(f_jet)
-    gradf_up = metric.g_inv.values @ df.values
-    lhs = np.einsum("ijk,k->ij", d_t.values, gradf_up)
-    rhs = np.einsum("ijk,k->ij", cotton_t.values, gradf_up)
-    resid = float(np.abs(lhs - rhs).max())
-    scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()),
-                d_t.max_abs(), cotton_t.max_abs())
-    return {"residual": resid, "scale": scale}
+    lhs = np.einsum("ijk,k->ij", ev.dtensor.values, ev.gradf_up_values)
+    rhs = np.einsum("ijk,k->ij", ev.cotton.values, ev.gradf_up_values)
+    resid, scale = _compare(lhs, rhs)
+    return resid, max(scale, ev.dtensor.max_abs(), ev.cotton.max_abs())
 
 
-def bach_via_d_residual(bach_t, d_t, cotton_t, f_jet, pack, n):
+def bach_via_d_residual(ev):
     """Residual of the Bach expression through D and C on a soliton.
 
     B_ij + (nabla_k D_ikj + ((n-3)/(n-2)) C_jli grad^l f) / (n-2), evaluated
-    with the printed index order; each term's magnitude is reported.
+    with the printed index order; the Bach and div D magnitudes are reported.
     """
-    metric = pack.metric
-    dd = covariant_derivative(d_t, pack)
-    _, ginv = truncate_arrays(metric.space, metric.g_inv.data, dd.order)
+    n = ev.inst.n
+    dd = covariant_derivative(ev.dtensor, ev.pack)
+    _, ginv = truncate_arrays(ev.metric.space, ev.metric.g_inv.data, dd.order)
     div_d = jet_einsum(dd.space, "km,mikj->ij", ginv, dd.data)[..., 0]
-    gradf_up = _gradf_up_values(pack, f_jet)
-    c_term = np.einsum("jli,l->ij", cotton_t.values, gradf_up)
-    lhs = bach_t.values
+    c_term = np.einsum("jli,l->ij", ev.cotton.values, ev.gradf_up_values)
+    lhs = ev.bach.values
     rhs = -(div_d + ((n - 3.0) / (n - 2.0)) * c_term) / (n - 2.0)
-    resid = float(np.abs(lhs - rhs).max())
-    scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return {
-        "residual": resid,
-        "scale": scale,
+    return *_compare(lhs, rhs), {
         "bach_max": float(np.abs(lhs).max()),
         "d_divergence_max": float(np.abs(div_d).max()),
-        "cotton_term_max": float(np.abs(c_term).max()),
     }
 
 
-def div_bach_residual(bach_t, cotton_t, pack, n):
+def div_bach_residual(ev):
     """Two-sided check of the divergence of the Bach tensor.
 
     div B_i = ((n-4)/(n-2)^2) C_ijk R^{jk}; requires one jet order left on
-    the Bach tensor, i.e. a full order-5 evaluation of the metric.
+    the Bach tensor, i.e. a full order-5 evaluation of the metric.  The
+    scale includes |B|, so a vanishing divergence is judged against it.
     """
-    metric = pack.metric
-    db = covariant_derivative(bach_t, pack)  # raises InsufficientOrderError below order 5
-    _, ginv = truncate_arrays(metric.space, metric.g_inv.data, db.order)
-    lhs = jet_einsum(db.space, "jm,mij->i", ginv, db.data)[..., 0]
-    ric_up = raise_lower(raise_lower(pack.ricci, 0, metric), 1, metric)
+    n = ev.inst.n
+    metric = ev.metric
+    lhs = ev.div_bach  # raises InsufficientOrderError below order 5
+    ric_up = raise_lower(raise_lower(ev.pack.ricci, 0, metric), 1, metric)
     rhs = ((n - 4.0) / (n - 2.0) ** 2) * np.einsum(
-        "ijk,jk->i", cotton_t.values, ric_up.values
+        "ijk,jk->i", ev.cotton.values, ric_up.values
     )
-    resid = float(np.abs(lhs - rhs).max())
-    scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return {
-        "residual": resid,
-        "scale": scale,
+    resid, scale = _compare(lhs, rhs)
+    bach_max = ev.bach.max_abs()
+    return resid, max(scale, bach_max), {
         "lhs_max": float(np.abs(lhs).max()),
         "rhs_max": float(np.abs(rhs).max()),
-        "bach_max": bach_t.max_abs(),
+        "bach_max": bach_max,
     }

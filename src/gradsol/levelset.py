@@ -5,6 +5,14 @@ form is taken as h_ab = (Hess f)(e_a, e_b)/|grad f|, which corresponds to
 the outward unit normal +e_1.  Checks against the inward normal -e_1
 (where a derivative of the frame metric along the normal appears) carry
 the compensating sign explicitly.
+
+The per-point functions read one :class:`~gradsol.solitons.PointEval`,
+which caches the frame, the Hessian of f and the level-surface data, so
+each is computed once per point.  The residuals of the suite's level-set
+checks return ``None`` where the potential is constant, else
+``(residual, scale)``; :func:`prop31_residual` and
+:func:`frame_cotton_components` add a third element, a dict of the
+quantities behind the residual.
 """
 
 import math
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import covariant_derivative, curvature_pack, hessian, scalar_gradient
+from .curvature import covariant_derivative, scalar_gradient
 from .errors import (
     ConsistencyError,
     CriticalPointError,
@@ -22,7 +30,6 @@ from .errors import (
 from .jets import JetScalar, jet_einsum, mul_arrays, truncate_arrays
 from .jets import sqrt as jets_sqrt
 from .tensors import TensorJet, tensor_norm_sq
-from .conformal import d_tensor
 
 GRAD_THRESHOLD = 1e-6
 D_ZERO_TOL = 1e-9
@@ -86,25 +93,35 @@ def adapted_frame(metric, f_jet, min_grad=GRAD_THRESHOLD):
     return AdaptedFrame(np.array(vectors), norm)
 
 
-def second_fundamental_form(pack, f_jet, frame, rho=None):
+def in_frame(frame, values):
+    """Components of a covariant tensor's values in the adapted frame."""
+    src = "abcd"[: values.ndim]
+    dst = "ijkl"[: values.ndim]
+    spec = ",".join(i + a for i, a in zip(dst, src)) + f",{src}->{dst}"
+    e = frame.vectors
+    return np.einsum(spec, *[e] * values.ndim, values, optimize=True)
+
+
+def second_fundamental_form(ev):
     """Second fundamental form and mean curvature in the adapted frame.
 
-    Primary form (Hess f)(e_a, e_b)/|grad f|; when `rho` is supplied the
-    equivalent soliton form (rho g_ab - R_ab)/|grad f| is computed too and
-    both must agree to 1e-9.
+    Primary form (Hess f)(e_a, e_b)/|grad f|; on an instance declared a
+    soliton the equivalent form (rho g_ab - R_ab)/|grad f| is computed too
+    and both must agree to 1e-9.
     """
-    hess = hessian(f_jet, pack).values
+    frame = ev.frame
     t = frame.tangent
-    h = t @ hess @ t.T / frame.grad_f_norm
-    if rho is not None:
-        ric_f = t @ pack.ricci.values @ t.T
-        alt = (rho * np.eye(len(t)) - ric_f) / frame.grad_f_norm
+    h = t @ ev.hess_f.values @ t.T / frame.grad_f_norm
+    if ev.inst.kind is not None:
+        ric_f = t @ ev.pack.ricci.values @ t.T
+        alt = (ev.inst.rho * np.eye(len(t)) - ric_f) / frame.grad_f_norm
         scale = max(1.0, float(np.abs(h).max()), float(np.abs(alt).max()))
-        if float(np.abs(h - alt).max()) / scale > 1e-9:
+        # `not <=`, unlike `>`, holds for NaN: a NaN on either form disagrees
+        if not float(np.abs(h - alt).max()) / scale <= 1e-9:
             raise ConsistencyError(
                 "second fundamental form: Hessian and soliton forms disagree"
             )
-    dscal = scalar_gradient(pack.scalar).values
+    dscal = scalar_gradient(ev.pack.scalar).values
     return LevelSurfaceData(
         h=h,
         H=float(np.trace(h)),
@@ -113,27 +130,40 @@ def second_fundamental_form(pack, f_jet, frame, rho=None):
     )
 
 
-def prop31_residual(pack, conf_d, f_jet, frame, lsd, n):
+def prop31_residual(ev):
     """Two-sided residual of the level-surface norm identity for |D|^2.
 
     lhs = |D|^2; rhs = 2|grad f|^4/(n-2)^2 |h - H/(n-1) g|^2
     + |tangential dR|^2 / (2(n-1)(n-2)).
     """
-    lhs = tensor_norm_sq(conf_d, pack.metric)
+    if ev.inst.trivial:
+        return None
+    n = ev.inst.n
+    lsd = ev.level_surface
+    lhs = tensor_norm_sq(ev.dtensor, ev.metric)
     traceless = lsd.h - (lsd.H / (n - 1)) * np.eye(n - 1)
     rhs = (
-        2.0 * frame.grad_f_norm ** 4 / (n - 2) ** 2 * float((traceless ** 2).sum())
+        2.0 * ev.frame.grad_f_norm ** 4 / (n - 2) ** 2 * float((traceless ** 2).sum())
         + float((lsd.tangential_dR ** 2).sum()) / (2.0 * (n - 1) * (n - 2))
     )
-    return {
-        "residual": abs(lhs - rhs),
-        "scale": max(abs(lhs), abs(rhs)),
-        "lhs": lhs,
-        "rhs": rhs,
-    }
+    return abs(lhs - rhs), max(abs(lhs), abs(rhs)), {"lhs": lhs, "rhs": rhs}
 
 
-def normal_metric_derivative(pack, f_jet, frame):
+def _normal_form_derivative(ev, phi):
+    """Values of the covariant derivative of the one-form df * phi(|grad f|^2).
+
+    `phi` maps the jet of |grad f|^2 to a scalar jet.
+    """
+    df = ev.df
+    space = df.space
+    _, ginv = truncate_arrays(ev.metric.space, ev.metric.g_inv.data, space.order)
+    up = jet_einsum(space, "ij,j->i", ginv, df.data)
+    w2 = JetScalar(space, jet_einsum(space, "i,i->", up, df.data))
+    form = TensorJet(space, "d", mul_arrays(space, df.data, phi(w2).coeffs))
+    return covariant_derivative(form, ev.pack).values
+
+
+def normal_metric_derivative(ev):
     """Derivative of the frame-metric components along the inward normal.
 
     The frame fields are dragged along the potential flow, so the
@@ -141,70 +171,54 @@ def normal_metric_derivative(pack, f_jet, frame):
     -|grad f| times the symmetrised covariant derivative of df/|grad f|^2
     contracted with the tangent frame.
     """
-    metric = pack.metric
-    df = scalar_gradient(f_jet)
-    space = df.space
-    _, ginv = truncate_arrays(metric.space, metric.g_inv.data, space.order)
-    up = jet_einsum(space, "ij,j->i", ginv, df.data)
-    w2 = jet_einsum(space, "i,i->", up, df.data)
-    recip = (1.0 / JetScalar(space, w2)).coeffs
-    v = TensorJet(space, "d", mul_arrays(space, df.data, recip))
-    dv = covariant_derivative(v, pack).values
+    dv = _normal_form_derivative(ev, lambda w2: 1.0 / w2)
     lie = dv + dv.T
-    t = frame.tangent
-    return -frame.grad_f_norm * (t @ lie @ t.T)
+    t = ev.frame.tangent
+    return -ev.frame.grad_f_norm * (t @ lie @ t.T)
 
 
-def normal_geodesic_residual(pack, f_jet, frame):
+def normal_geodesic_residual(ev):
     """max |nabla_nu nu| for the unit normal field nu = -grad f/|grad f|.
 
     The integral curves of the unit normal are geodesics whenever
     |grad f| is constant on level surfaces.
     """
-    metric = pack.metric
-    df = scalar_gradient(f_jet)
-    space = df.space
-    _, ginv = truncate_arrays(metric.space, metric.g_inv.data, space.order)
-    up = jet_einsum(space, "ij,j->i", ginv, df.data)
-    w2 = jet_einsum(space, "i,i->", up, df.data)
-    inv_norm = (1.0 / jets_sqrt(JetScalar(space, w2))).coeffs
-    nu_form = TensorJet(space, "d", -mul_arrays(space, df.data, inv_norm))
-    dnu = covariant_derivative(nu_form, pack).values
-    nu_up = -frame.e1  # unit normal, contravariant components
-    resid = nu_up @ dnu
-    return float(np.abs(resid).max())
+    if ev.inst.trivial:
+        return None
+    dnu = _normal_form_derivative(ev, lambda w2: -(1.0 / jets_sqrt(w2)))
+    nu_up = -ev.frame.e1  # unit normal, contravariant components
+    return float(np.abs(nu_up @ dnu).max()), 1.0
 
 
-def frame_riemann_e1_tangential(pack, frame):
+def frame_riemann_e1_tangential(ev):
     """max |Rm(e_1, e_a, e_b, e_c)| over tangential a, b, c."""
-    e = frame.vectors
-    rm = np.einsum(
-        "ia,jb,kc,ld,abcd->ijkl", e, e, e, e, pack.riemann.values, optimize=True
-    )
-    return float(np.abs(rm[0, 1:, 1:, 1:]).max())
+    if ev.inst.trivial:
+        return None
+    rm = in_frame(ev.frame, ev.pack.riemann.values)
+    return float(np.abs(rm[0, 1:, 1:, 1:]).max()), float(np.abs(ev.pack.riemann.values).max())
 
 
-def frame_cotton_components(pack, cotton_t, weyl_t, f_jet, min_grad=GRAD_THRESHOLD):
+def frame_cotton_components(ev):
     """Adapted-frame component families of the Cotton and conformal tensors.
 
-    Keys: c_ij1 (third slot along e_1), c_abc (all tangential), c_1ab,
-    w_1abc, w_1a1b.  On instances whose soliton 3-tensor vanishes these
-    all vanish; elsewhere the record shows which families survive.
+    The third element's keys: c_ij1 (third slot along e_1), c_abc (all
+    tangential), c_1ab, w_1abc, w_1a1b, and grad_f_norm.  On instances
+    whose soliton 3-tensor vanishes the five families vanish and their
+    maximum is the residual; elsewhere the record shows which survive.
     """
-    frame = adapted_frame(pack.metric, f_jet, min_grad=min_grad)
-    e = frame.vectors
-    c = np.einsum("ia,jb,kc,abc->ijk", e, e, e, cotton_t.values, optimize=True)
-    w = np.einsum(
-        "ia,jb,kc,ld,abcd->ijkl", e, e, e, e, weyl_t.values, optimize=True
-    )
-    return {
+    if ev.inst.trivial:
+        return None
+    c = in_frame(ev.frame, ev.cotton.values)
+    w = ev.frame_weyl
+    rec = {
         "c_ij1": float(np.abs(c[:, :, 0]).max()),
         "c_abc": float(np.abs(c[1:, 1:, 1:]).max()),
         "c_1ab": float(np.abs(c[0, 1:, 1:]).max()),
         "w_1abc": float(np.abs(w[0, 1:, 1:, 1:]).max()),
         "w_1a1b": float(np.abs(w[0, 1:, 0, 1:]).max()),
-        "grad_f_norm": frame.grad_f_norm,
+        "grad_f_norm": ev.frame.grad_f_norm,
     }
+    return max(rec[k] for k in ("c_ij1", "c_abc", "c_1ab", "w_1abc", "w_1a1b")), 1.0, rec
 
 
 # ---------------------------------------------------------------------------
@@ -219,20 +233,12 @@ def _f_value(inst, point):
     return float(inst.potential_fn([float(x) for x in point])) + inst.f_shift
 
 
-def _grad_norm(inst, point):
-    from .solitons import _grad_norm_value
-
-    return _grad_norm_value(inst, point)
-
-
 def level_points(inst, c, n_points=12, seed=11, min_grad=GRAD_THRESHOLD,
                  max_rays=600, scan_steps=48):
     """Deterministic points on {f = c} found by bisection along rays."""
-    import zlib
+    from .solitons import _grad_norm_value, instance_rng
 
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, zlib.crc32(inst.name.encode()), 97])
-    )
+    rng = instance_rng(inst, seed, salt=97)
     lo = np.array([b[0] for b in inst.box])
     hi = np.array([b[1] for b in inst.box])
     anchor = (lo + hi) / 2.0
@@ -281,7 +287,7 @@ def level_points(inst, c, n_points=12, seed=11, min_grad=GRAD_THRESHOLD,
         p = anchor + 0.5 * (a + b) * d
         if inst.excluded_distance(p) < 1e-3:
             continue
-        if _grad_norm(inst, p) < max(min_grad, 1e-3):
+        if _grad_norm_value(inst, p) < max(min_grad, 1e-3):
             continue
         points.append(p)
     if len(points) < n_points:
@@ -291,7 +297,7 @@ def level_points(inst, c, n_points=12, seed=11, min_grad=GRAD_THRESHOLD,
     return points
 
 
-def prop32_report(inst, c, n_points=12, seed=11, order=3, d_zero_tol=D_ZERO_TOL):
+def prop32_report(inst, c, n_points=12, seed=11):
     """Sampled level-surface report for an instance whose 3-tensor D vanishes.
 
     Checks constancy of R, |grad f|^2 and H across the level surface,
@@ -299,25 +305,20 @@ def prop32_report(inst, c, n_points=12, seed=11, order=3, d_zero_tol=D_ZERO_TOL)
     the second fundamental form, and the two-eigenvalue structure of the
     Ricci tensor with the predicted values
     lambda = R - (n-1) rho + H |grad f| and mu = rho - H |grad f|/(n-1).
+    Each level point is one order-3 point evaluation.
     """
+    from .solitons import PointEval
+
     if inst.trivial:
         raise HypothesisViolationError(
             f"{inst.name}: potential is constant, there are no regular level values"
         )
     pts = level_points(inst, c, n_points=n_points, seed=seed)
     n = inst.n
-    evals = []
-    d_norms = []
-    for p in pts:
-        metric = inst.metric_at(p, order)
-        pack = curvature_pack(metric)
-        f = inst.potential_jet(p, metric.space)
-        conf_d = d_tensor(pack, f, n)
-        d_norms.append(math.sqrt(max(tensor_norm_sq(conf_d, metric), 0.0)))
-        evals.append((metric, pack, f))
+    evals = [PointEval(inst, p, 3) for p in pts]
     # np.max and `not <=`, unlike max and `>`, let a NaN at any point through
-    d_max = float(np.max(d_norms))
-    if not d_max <= d_zero_tol:
+    d_max = float(np.max([ev.d_norm for ev in evals]))
+    if not d_max <= D_ZERO_TOL:
         raise HypothesisViolationError(
             f"{inst.name}: |D| = {d_max:.3e} on the level surface; the report "
             "applies only where the 3-tensor D vanishes"
@@ -326,9 +327,8 @@ def prop32_report(inst, c, n_points=12, seed=11, order=3, d_zero_tol=D_ZERO_TOL)
     r_vals, w2_vals, h_means = [], [], []
     ric_mixed, umbil, eig_mismatch = [], [], []
     lambdas, mus = [], []
-    for metric, pack, f in evals:
-        frame = adapted_frame(metric, f)
-        lsd = second_fundamental_form(pack, f, frame, rho=inst.rho)
+    for ev in evals:
+        frame, lsd, pack = ev.frame, ev.level_surface, ev.pack
         r_vals.append(pack.scalar.value)
         w2_vals.append(frame.grad_f_norm ** 2)
         h_means.append(lsd.H)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import levelset
 from .conformal import bach, cotton, d_tensor, weyl
-from .curvature import curvature_pack, hessian, scalar_gradient
+from .curvature import covariant_derivative, curvature_pack, hessian, scalar_gradient
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .exprs import compile_expression
-from .jets import JetScalar, JetSpace, constant, coordinate_jets
+from .jets import JetScalar, JetSpace, constant, coordinate_jets, jet_einsum, truncate_arrays
 from .tensors import metric_at_point, tensor_norm_sq
 
 SOLITON_TOL = 1e-9
@@ -177,8 +177,24 @@ class PointEval:
         return _norm(self.bach, self.metric)
 
     @cached_property
+    def div_bach(self):
+        """Values of div B; raises InsufficientOrderError below order 5."""
+        db = covariant_derivative(self.bach, self.pack)
+        _, ginv = truncate_arrays(self.metric.space, self.metric.g_inv.data, db.order)
+        return jet_einsum(db.space, "jm,mij->i", ginv, db.data)[..., 0]
+
+    @cached_property
     def frame(self):
         return levelset.adapted_frame(self.metric, self.f)
+
+    @cached_property
+    def level_surface(self):
+        return levelset.second_fundamental_form(self)
+
+    @cached_property
+    def frame_weyl(self):
+        """W in the adapted frame, slot by slot."""
+        return levelset.in_frame(self.frame, self.weyl.values)
 
 
 # Each residual below returns (absolute_residual, scale_of_largest_term).

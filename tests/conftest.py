@@ -5,7 +5,7 @@ import pytest
 
 from gradsol.curvature import curvature_pack
 from gradsol.jets import JetScalar, JetSpace, coordinate_jets
-from gradsol.solitons import catalog, get_instance
+from gradsol.solitons import PointEval, catalog, get_instance
 from gradsol.verify import run_suite
 
 
@@ -29,6 +29,21 @@ def geometry():
 
     def get(name, point, order=4):
         return _geometry(name, tuple(float(x) for x in point), order)
+
+    return get
+
+
+@lru_cache(maxsize=256)
+def _point_eval(name, point, order):
+    return PointEval(get_instance(name), list(point), order)
+
+
+@pytest.fixture(scope="session")
+def point_eval():
+    """Cached PointEval per (name, point, order); tests must not mutate it."""
+
+    def get(name, point, order=4):
+        return _point_eval(name, tuple(float(x) for x in point), order)
 
     return get
 

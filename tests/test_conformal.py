@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from gradsol import conformal
 from gradsol.conformal import (
+    _require_agreement,
     bach,
     bach_via_d_residual,
     cotton,
@@ -14,9 +16,9 @@ from gradsol.conformal import (
     weyl,
 )
 from gradsol.curvature import curvature_pack
-from gradsol.errors import InsufficientOrderError, UnsupportedDimensionError
+from gradsol.errors import ConsistencyError, InsufficientOrderError, UnsupportedDimensionError
 from gradsol.solitons import sample_points
-from gradsol.tensors import tensor_norm_sq
+from gradsol.tensors import TensorJet, tensor_norm_sq
 
 
 def test_schouten_flat(geometry):
@@ -111,27 +113,22 @@ def test_cotton_zero_on_einstein_and_products(geometry):
         assert cotton(pack, n).max_abs() < 1e-9, name
 
 
-def test_cotton_weyl_divergence_on_curved_metric(geometry):
+def test_cotton_weyl_divergence_on_curved_metric(point_eval):
     # the relation holds for arbitrary metrics and is non-vacuous on the
     # perturbed control, where the Cotton tensor is order 1e-2
-    _, _, pack, _ = geometry("perturbed-non-soliton-r4", [1.0, -0.8, 1.2, 0.7], 5)
-    c = cotton(pack, 4)
-    w = weyl(pack, 4)
-    r = cotton_weyl_divergence_residual(pack, c, w, 4)
-    assert r["cotton_max"] > 1e-3
-    assert r["residual"] / max(1.0, r["scale"]) < 1e-8
+    ev = point_eval("perturbed-non-soliton-r4", [1.0, -0.8, 1.2, 0.7], 5)
+    resid, scale, sides = cotton_weyl_divergence_residual(ev)
+    assert sides["cotton_max"] > 1e-3
+    assert resid / max(1.0, scale) < 1e-8
 
 
-def test_cotton_weyl_divergence_all_certified(instances, geometry):
+def test_cotton_weyl_divergence_all_certified(instances, point_eval):
     for inst in instances.values():
         if inst.kind is None or inst.n < 4:
             continue
-        p = list(inst.base_point)
-        _, _, pack, _ = geometry(inst.name, p, 4)
-        c = cotton(pack, inst.n)
-        w = weyl(pack, inst.n)
-        r = cotton_weyl_divergence_residual(pack, c, w, inst.n)
-        assert r["residual"] / max(1.0, r["scale"]) < 1e-8, inst.name
+        resid, scale, _ = cotton_weyl_divergence_residual(
+            point_eval(inst.name, list(inst.base_point), 4))
+        assert resid / max(1.0, scale) < 1e-8, inst.name
 
 
 def test_bach_zero_on_einstein_and_conformally_flat(geometry):
@@ -170,95 +167,65 @@ def test_d_tensor_values(geometry):
     assert abs(tensor_norm_sq(d, m) - 1.0 / 12.0) < 1e-8
 
 
-def test_d_decomposition(geometry, instances):
+def test_d_decomposition(point_eval, instances):
     # flat/Einstein: all three terms vanish; on the curved product the
     # Cotton tensor vanishes so D must match the conformal term alone
-    _, m, pack, f = geometry("gaussian-r4", [1.0, 0.4, -0.3, 0.2], 4)
-    d = d_tensor(pack, f, 4)
-    r = d_decomposition_residual(d, cotton(pack, 4), weyl(pack, 4), f, m)
-    assert r["residual"] == 0.0
+    ev = point_eval("gaussian-r4", [1.0, 0.4, -0.3, 0.2], 4)
+    assert d_decomposition_residual(ev)[0] == 0.0
 
     inst = instances["s2xr2"]
     for p in sample_points(inst, 6, seed=21):
-        _, m, pack, f = geometry("s2xr2", list(p), 4)
-        d = d_tensor(pack, f, 4)
-        c = cotton(pack, 4)
-        w = weyl(pack, 4)
-        r = d_decomposition_residual(d, c, w, f, m)
-        assert r["residual"] < 1e-8
-        assert c.max_abs() < 1e-9
-        assert d.max_abs() > 1e-3  # non-vacuous: D equals the W-term
+        ev = point_eval("s2xr2", list(p), 4)
+        assert d_decomposition_residual(ev)[0] < 1e-8
+        assert ev.cotton.max_abs() < 1e-9
+        assert ev.dtensor.max_abs() > 1e-3  # non-vacuous: D equals the W-term
 
 
-def test_d_cotton_contraction(geometry, instances):
+def test_d_cotton_contraction(point_eval, instances):
     # contracting with grad f erases the D/C difference even where D != 0
     from gradsol.conformal import d_cotton_contraction_residual
 
     inst = instances["s2xr2"]
     for p in sample_points(inst, 6, seed=43):
-        _, m, pack, f = geometry("s2xr2", list(p), 4)
-        d = d_tensor(pack, f, 4)
-        c = cotton(pack, 4)
-        r = d_cotton_contraction_residual(d, c, f, m)
-        assert d.max_abs() > 1e-3
-        assert r["residual"] < 1e-9
+        ev = point_eval("s2xr2", list(p), 4)
+        assert ev.dtensor.max_abs() > 1e-3
+        assert d_cotton_contraction_residual(ev)[0] < 1e-9
 
 
-def test_bach_via_d(geometry, instances):
+def test_bach_via_d(point_eval, instances):
     inst = instances["s2xr2"]
     seen_nonzero = False
     for p in sample_points(inst, 6, seed=33):
-        _, m, pack, f = geometry("s2xr2", list(p), 5)
-        w = weyl(pack, 4)
-        c = cotton(pack, 4)
-        b = bach(pack, c, w, 4)
-        d = d_tensor(pack, f, 4)
-        r = bach_via_d_residual(b, d, c, f, pack, 4)
-        assert r["residual"] / max(1.0, r["scale"]) < 1e-8
-        if r["bach_max"] > 1e-3 and r["d_divergence_max"] > 1e-3:
+        resid, scale, sides = bach_via_d_residual(point_eval("s2xr2", list(p), 5))
+        assert resid / max(1.0, scale) < 1e-8
+        if sides["bach_max"] > 1e-3 and sides["d_divergence_max"] > 1e-3:
             seen_nonzero = True
     assert seen_nonzero
 
     for name, p in [("cylinder-s3xr", [0.3, -0.2, 0.5, 2.0]), ("gaussian-r4", [1.2, 0.5, -0.3, 0.8])]:
-        _, m, pack, f = geometry(name, p, 5)
-        w = weyl(pack, 4)
-        c = cotton(pack, 4)
-        b = bach(pack, c, w, 4)
-        d = d_tensor(pack, f, 4)
-        r = bach_via_d_residual(b, d, c, f, pack, 4)
-        assert r["residual"] < 1e-9, name
+        assert bach_via_d_residual(point_eval(name, p, 5))[0] < 1e-9, name
 
 
-def test_div_bach_dimension_four_general(geometry):
+def test_div_bach_dimension_four_general(point_eval):
     # at n = 4 the divergence of the Bach tensor vanishes for any metric;
     # the perturbed control makes this non-vacuous (nonzero Bach tensor)
-    _, _, pack, _ = geometry("perturbed-non-soliton-r4", [1.1, -0.9, 0.8, 1.3], 5)
-    w = weyl(pack, 4)
-    c = cotton(pack, 4)
-    b = bach(pack, c, w, 4)
-    r = div_bach_residual(b, c, pack, 4)
-    assert r["bach_max"] > 1e-3
-    assert r["rhs_max"] == 0.0
-    assert r["lhs_max"] < 1e-7
+    _, _, sides = div_bach_residual(point_eval("perturbed-non-soliton-r4", [1.1, -0.9, 0.8, 1.3], 5))
+    assert sides["bach_max"] > 1e-3
+    assert sides["rhs_max"] == 0.0
+    assert sides["lhs_max"] < 1e-7
 
 
-def test_div_bach_dimension_five_two_sided(geometry):
-    _, _, pack, _ = geometry("perturbed-non-soliton-r5", [1.0, -0.8, 1.2, 0.7, -1.1], 5)
-    w = weyl(pack, 5)
-    c = cotton(pack, 5)
-    b = bach(pack, c, w, 5)
-    r = div_bach_residual(b, c, pack, 5)
-    assert r["residual"] / max(1.0, r["scale"]) < 1e-7
-    assert r["lhs_max"] > 1e-4 and r["rhs_max"] > 1e-4
+def test_div_bach_dimension_five_two_sided(point_eval):
+    ev = point_eval("perturbed-non-soliton-r5", [1.0, -0.8, 1.2, 0.7, -1.1], 5)
+    resid, _, sides = div_bach_residual(ev)
+    # judged against the two sides alone, not the suite's scale that includes |B|
+    assert resid / max(1.0, sides["lhs_max"], sides["rhs_max"]) < 1e-7
+    assert sides["lhs_max"] > 1e-4 and sides["rhs_max"] > 1e-4
 
 
-def test_div_bach_requires_full_order(geometry):
-    _, _, pack, _ = geometry("cylinder-s3xr", [0.3, -0.2, 0.5, 2.0], 4)
-    w = weyl(pack, 4)
-    c = cotton(pack, 4)
-    b = bach(pack, c, w, 4)
+def test_div_bach_requires_full_order(point_eval):
     with pytest.raises(InsufficientOrderError):
-        div_bach_residual(b, c, pack, 4)
+        div_bach_residual(point_eval("cylinder-s3xr", [0.3, -0.2, 0.5, 2.0], 4))
 
 
 def test_direct_tensor_assembly(geometry):
@@ -272,3 +239,36 @@ def test_direct_tensor_assembly(geometry):
     for t in (schouten(pack, 4), einstein_tensor(pack), bach(pack, c, w, 4)):
         assert t.valence == "dd"
         assert np.abs(t.values - t.values.T).max() < 1e-9
+
+
+def _nan_like(t):
+    return TensorJet(t.space, t.valence, np.full_like(t.data, np.nan))
+
+
+def test_require_agreement_rejects_a_nan_path(geometry):
+    # NaN compares false both ways, so `diff > tol` let a NaN path pass
+    _, _, pack, _ = geometry("s2xr2", [0.2, 0.1, 1.6, 0.5], 5)
+    w = weyl(pack, 4)
+    for a, b in ((w, _nan_like(w)), (_nan_like(w), w)):
+        with pytest.raises(ConsistencyError, match="weyl"):
+            _require_agreement(a, b, 1e-10, "weyl")
+
+
+@pytest.mark.parametrize("what", ["weyl", "cotton", "bach", "d_tensor"])
+def test_two_path_tensor_with_a_nan_path_raises(monkeypatch, geometry, what):
+    _, _, pack, f = geometry("s2xr2", [0.2, 0.1, 1.6, 0.5], 5)
+    if what == "bach":
+        # the Cotton tensor enters only the Cotton-divergence path
+        with pytest.raises(ConsistencyError, match="bach"):
+            bach(pack, _nan_like(cotton(pack, 4)), weyl(pack, 4), 4)
+        return
+    # the Schouten tensor enters one path of each of the other three
+    schouten_ = conformal.schouten
+    monkeypatch.setattr(conformal, "schouten", lambda p, n: _nan_like(schouten_(p, n)))
+    build = {
+        "weyl": lambda: weyl(pack, 4),
+        "cotton": lambda: cotton(pack, 4),
+        "d_tensor": lambda: d_tensor(pack, f, 4, cross_check=True),
+    }[what]
+    with pytest.raises(ConsistencyError, match=what):
+        build()

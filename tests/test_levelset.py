@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from gradsol.conformal import cotton, d_tensor, weyl
 from gradsol.errors import (
+    ConsistencyError,
     CriticalPointError,
     HypothesisViolationError,
 )
-from gradsol import levelset
+from gradsol import levelset, solitons
 from gradsol.exprs import compile_expression
 from gradsol.jets import JetSpace
 from gradsol.levelset import (
@@ -20,7 +20,7 @@ from gradsol.levelset import (
     prop32_report,
     second_fundamental_form,
 )
-from gradsol.solitons import SolitonInstance, catalog, get_instance, sample_points
+from gradsol.solitons import PointEval, SolitonInstance, catalog, get_instance, sample_points
 from gradsol.verify import run_suite
 
 
@@ -55,64 +55,46 @@ def test_frame_critical_point(geometry):
         adapted_frame(m, f)
 
 
-def test_h_cylinder_totally_geodesic(geometry):
-    _, m, pack, f = geometry("cylinder-s3xr", [0.3, -0.2, 0.5, 2.0], 3)
-    fr = adapted_frame(m, f)
-    lsd = second_fundamental_form(pack, f, fr, rho=0.5)
+def test_h_cylinder_totally_geodesic(point_eval):
+    lsd = second_fundamental_form(point_eval("cylinder-s3xr", [0.3, -0.2, 0.5, 2.0], 3))
     assert np.abs(lsd.h).max() < 1e-13
     assert abs(lsd.H) < 1e-13
 
 
-def test_h_s2xr2_product_point(geometry):
-    _, m, pack, f = geometry("s2xr2", [0.0, 0.0, 2.0, 0.0], 3)
-    fr = adapted_frame(m, f)
-    lsd = second_fundamental_form(pack, f, fr, rho=0.5)
+def test_h_s2xr2_product_point(point_eval):
+    lsd = second_fundamental_form(point_eval("s2xr2", [0.0, 0.0, 2.0, 0.0], 3))
     assert np.allclose(np.sort(np.diag(lsd.h)), [0.0, 0.0, 0.5], atol=1e-12)
     assert abs(lsd.H - 0.5) < 1e-12
 
 
-def test_h_gaussian_round_spheres(geometry):
+def test_h_gaussian_round_spheres(point_eval):
     p = [1.2, -0.8, 0.6, 1.0]
     r = float(np.linalg.norm(p))
-    _, m, pack, f = geometry("gaussian-r4", p, 3)
-    fr = adapted_frame(m, f)
-    lsd = second_fundamental_form(pack, f, fr, rho=0.5)
+    lsd = second_fundamental_form(point_eval("gaussian-r4", p, 3))
     assert np.abs(lsd.h - np.eye(3) / r).max() < 1e-12
     assert abs(lsd.H - 3.0 / r) < 1e-12
 
 
-def test_prop31_spot_value(geometry):
-    inst, m, pack, f = geometry("s2xr2", [0.0, 0.0, 2.0, 0.0], 4)
-    fr = adapted_frame(m, f)
-    lsd = second_fundamental_form(pack, f, fr, rho=0.5)
-    d = d_tensor(pack, f, 4)
-    r = prop31_residual(pack, d, f, fr, lsd, 4)
+def test_prop31_spot_value(point_eval):
+    resid, _, r = prop31_residual(point_eval("s2xr2", [0.0, 0.0, 2.0, 0.0], 4))
     assert abs(r["lhs"] - 1.0 / 12.0) < 1e-8
     assert abs(r["rhs"] - 1.0 / 12.0) < 1e-8
-    assert r["residual"] < 1e-8
+    assert resid < 1e-8
 
 
-def test_prop31_vanishing_cases(geometry, instances):
+def test_prop31_vanishing_cases(point_eval, instances):
     for name in ("cylinder-s3xr", "gaussian-r4"):
         inst = instances[name]
         for p in sample_points(inst, 6, seed=23):
-            _, m, pack, f = geometry(name, list(p), 4)
-            fr = adapted_frame(m, f)
-            lsd = second_fundamental_form(pack, f, fr, rho=0.5)
-            d = d_tensor(pack, f, 4)
-            r = prop31_residual(pack, d, f, fr, lsd, 4)
+            _, _, r = prop31_residual(point_eval(name, list(p), 4))
             assert r["lhs"] < 1e-9 and r["rhs"] < 1e-9
 
 
-def test_prop31_sampled_s2xr2(geometry, instances):
+def test_prop31_sampled_s2xr2(point_eval, instances):
     inst = instances["s2xr2"]
     for p in sample_points(inst, 10, seed=29):
-        _, m, pack, f = geometry("s2xr2", list(p), 4)
-        fr = adapted_frame(m, f)
-        lsd = second_fundamental_form(pack, f, fr, rho=0.5)
-        d = d_tensor(pack, f, 4)
-        r = prop31_residual(pack, d, f, fr, lsd, 4)
-        assert r["residual"] / max(1.0, r["scale"]) < 1e-8
+        resid, scale, _ = prop31_residual(point_eval("s2xr2", list(p), 4))
+        assert resid / max(1.0, scale) < 1e-8
 
 
 def test_level_points_on_level(instances):
@@ -175,61 +157,53 @@ def test_prop32_rejects_nonvanishing_d(instances):
         prop32_report(instances["s2xr2"], 2.0)
 
 
-def test_frame_components_cylinder(geometry, instances):
+def test_frame_components_cylinder(point_eval, instances):
     inst = instances["cylinder-s3xr"]
     for p in sample_points(inst, 6, seed=31):
-        _, m, pack, f = geometry("cylinder-s3xr", list(p), 4)
-        rec = frame_cotton_components(pack, cotton(pack, 4), weyl(pack, 4), f)
+        _, _, rec = frame_cotton_components(point_eval("cylinder-s3xr", list(p), 4))
         for key in ("c_ij1", "c_abc", "c_1ab", "w_1abc", "w_1a1b"):
             assert rec[key] < 1e-9, key
 
 
-def test_frame_components_s2xr2(geometry):
-    _, m, pack, f = geometry("s2xr2", [0.0, 0.0, 2.0, 0.0], 4)
-    rec = frame_cotton_components(pack, cotton(pack, 4), weyl(pack, 4), f)
+def test_frame_components_s2xr2(point_eval):
+    _, _, rec = frame_cotton_components(point_eval("s2xr2", [0.0, 0.0, 2.0, 0.0], 4))
     assert rec["c_ij1"] < 1e-9
     assert rec["c_abc"] < 1e-9
     assert rec["c_1ab"] < 1e-9
     assert rec["w_1a1b"] > 0.05
 
 
-def test_frame_components_gaussian(geometry):
-    _, m, pack, f = geometry("gaussian-r4", [1.5, 0.4, -0.2, 0.9], 4)
-    rec = frame_cotton_components(pack, cotton(pack, 4), weyl(pack, 4), f)
+def test_frame_components_gaussian(point_eval):
+    _, _, rec = frame_cotton_components(point_eval("gaussian-r4", [1.5, 0.4, -0.2, 0.9], 4))
     assert max(rec[k] for k in ("c_ij1", "c_abc", "c_1ab", "w_1abc", "w_1a1b")) == 0.0
 
 
-def test_normal_derivative_of_frame_metric(geometry, instances):
+def test_normal_derivative_of_frame_metric(point_eval, instances):
     # h_ab equals half the derivative of the frame metric along the inward
     # normal (sign folded into the check)
     for name in ("cylinder-s3xr", "gaussian-r4", "s2xr2"):
         inst = instances[name]
         for p in sample_points(inst, 5, seed=37):
-            _, m, pack, f = geometry(name, list(p), 4)
-            fr = adapted_frame(m, f)
-            lsd = second_fundamental_form(pack, f, fr)
-            nug = normal_metric_derivative(pack, f, fr)
+            ev = point_eval(name, list(p), 4)
+            lsd = second_fundamental_form(ev)
+            nug = normal_metric_derivative(ev)
             assert np.abs(lsd.h + 0.5 * nug).max() < 1e-8, name
 
 
-def test_normal_field_is_geodesic_on_d_zero_instances(geometry, instances):
+def test_normal_field_is_geodesic_on_d_zero_instances(point_eval, instances):
     from gradsol.levelset import normal_geodesic_residual
 
     for name in ("cylinder-s3xr", "gaussian-r4", "expanding-gaussian-r4"):
         inst = instances[name]
         for p in sample_points(inst, 5, seed=47):
-            _, m, pack, f = geometry(name, list(p), 4)
-            fr = adapted_frame(m, f)
-            assert normal_geodesic_residual(pack, f, fr) < 1e-8, name
+            assert normal_geodesic_residual(point_eval(name, list(p), 4))[0] < 1e-8, name
 
 
-def test_codazzi_consequence_on_d_zero_instances(geometry, instances):
+def test_codazzi_consequence_on_d_zero_instances(point_eval, instances):
     for name in ("cylinder-s3xr", "gaussian-r4", "warped-cylinder", "steady-flat-r4"):
         inst = instances[name]
         for p in sample_points(inst, 5, seed=41):
-            _, m, pack, f = geometry(name, list(p), 4)
-            fr = adapted_frame(m, f)
-            assert frame_riemann_e1_tangential(pack, fr) < 1e-8, name
+            assert frame_riemann_e1_tangential(point_eval(name, list(p), 4))[0] < 1e-8, name
 
 
 def _jet_f_value(inst, point):
@@ -285,19 +259,34 @@ def test_level_points_match_jet_root_finder(monkeypatch, make, c):
 def test_prop32_nan_d_at_second_level_point_fails(monkeypatch):
     # Python's max(acc, nan) is acc: a NaN |D| past the first level point
     # must not pass the D = 0 gate of prop3.2
+    inst = get_instance("gaussian-r3")
+    c = levelset._f_value(inst, inst.base_point)
+    # suite points are point evaluations too: count D at prop3.2's level points only
+    level = {tuple(float(x) for x in p) for p in level_points(inst, c, n_points=12, seed=7)}
     calls = []
-    d_tensor = levelset.d_tensor
+    d_tensor = solitons.d_tensor
 
     def nan_at_second(pack, f, n, *args, **kwargs):
         d = d_tensor(pack, f, n, *args, **kwargs)
-        calls.append(None)
-        if len(calls) == 2:
-            d.data[...] = np.nan
+        if tuple(pack.metric.point.tolist()) in level:
+            calls.append(None)
+            if len(calls) == 2:
+                d.data[...] = np.nan
         return d
 
-    monkeypatch.setattr(levelset, "d_tensor", nan_at_second)
-    rep = run_suite(get_instance("gaussian-r3"), n_points=8, seed=7, order=3)
+    monkeypatch.setattr(solitons, "d_tensor", nan_at_second)
+    rep = run_suite(inst, n_points=8, seed=7, order=3)
     (entry,) = [e for e in rep["checks"] if e["id"] == "prop3.2"]
     assert len(calls) >= 2
     assert entry["status"] == "FAIL"
     assert "HypothesisViolationError" in entry["error"] and "nan" in entry["error"]
+
+
+def test_second_fundamental_form_rejects_a_nan_ricci_tensor():
+    # NaN compares false both ways, so `diff / scale > 1e-9` let a NaN
+    # soliton form pass and returned a finite h
+    ev = PointEval(get_instance("s2xr2"), [0.0, 0.0, 2.0, 0.0], 3)
+    assert ev.hess_f is not None and ev.frame is not None  # neither reads Ric
+    ev.pack.ricci.data[...] = np.nan
+    with pytest.raises(ConsistencyError, match="second fundamental form"):
+        second_fundamental_form(ev)

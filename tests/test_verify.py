@@ -8,7 +8,7 @@ import pytest
 from conftest import report_entry
 from gradsol.cli import main
 from gradsol.errors import ValidationError
-from gradsol import cli, solitons, verify
+from gradsol import cli, conformal, curvature, levelset, solitons, verify
 from gradsol.solitons import get_instance
 from gradsol.verify import (
     CheckSpec,
@@ -283,6 +283,68 @@ def test_suite_evaluates_each_sample_point_once(monkeypatch):
     for p in points:
         # order 1 is the gradient test of sampling; order 4 the suite's evaluation
         assert {o: c for (q, o), c in calls.items() if q == p} == {1: 1, 4: 1}
+
+
+def _count_calls(monkeypatch, fn, key):
+    """Count calls of fn per key(args, result), skipping a None key, under
+    every gradsol binding of fn."""
+    import gradsol
+
+    counts = collections.Counter()
+
+    def counting(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        k = key(args, out)
+        if k is not None:
+            counts[k] += 1
+        return out
+
+    modules = [gradsol] + [getattr(gradsol, m) for m in (
+        "conformal", "curvature", "levelset", "solitons", "verify")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, attr, counting)
+    return counts
+
+
+def _where(obj):
+    """(point, order) of a PointEval, a curvature pack or a metric."""
+    metric = getattr(obj, "metric", obj)
+    return tuple(float(x) for x in metric.point), metric.order
+
+
+def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
+    # cylinder-s4xr: n = 5, D = 0 and curved, so prop3.1, eq4.6, lemma4.2,
+    # lemma5.1, thm5.2 and prop3.2 all run on it
+    inst = get_instance("cylinder-s4xr")
+    suite_points = {tuple(float(x) for x in p) for p in verify.sample_points(inst, 8, 7)}
+    bach_ids = _count_calls(monkeypatch, conformal.bach, lambda a, out: id(out))
+    counts = {
+        "sff": _count_calls(monkeypatch, levelset.second_fundamental_form,
+                            lambda a, out: _where(a[0])),
+        "hessian": _count_calls(monkeypatch, curvature.hessian, lambda a, out: _where(a[1])),
+        "frame": _count_calls(monkeypatch, levelset.adapted_frame, lambda a, out: _where(a[0])),
+        "nabla_bach": _count_calls(
+            monkeypatch, curvature.covariant_derivative,
+            lambda a, out: _where(a[1]) if id(a[0]) in bach_ids else None),
+    }
+    rep = run_suite(inst, n_points=8, seed=7, order=5)
+    for cid in ("prop3.1", "eq4.6", "lemma4.2", "lemma5.1", "thm5.2", "prop3.2"):
+        assert report_entry(rep, cid)["status"] == "PASS", cid
+    per_point = collections.defaultdict(dict)
+    for what, c in counts.items():
+        for where, n in c.items():
+            per_point[where][what] = n
+    suite = {w: c for w, c in per_point.items() if w[0] in suite_points}
+    level = {w: c for w, c in per_point.items() if w[0] not in suite_points}
+    assert sorted(suite) == sorted((p, 5) for p in suite_points)
+    for where, c in suite.items():
+        assert c == {"sff": 1, "hessian": 1, "frame": 1, "nabla_bach": 1}, where
+    # prop3.2's own level points: order-3 evaluations, no Bach tensor
+    assert len(level) == 12 and {o for _, o in level} == {3}
+    for where, c in level.items():
+        assert c == {"sff": 1, "hessian": 1, "frame": 1}, where
 
 
 def test_cli_equivalence_line_comes_from_the_suite(monkeypatch, capsys):
