@@ -6,6 +6,7 @@ from .curvature import (
     christoffel,
     covariant_derivative,
     curvature_pack,
+    divergence,
     hessian,
     scalar_gradient,
 )

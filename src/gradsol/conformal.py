@@ -2,7 +2,9 @@
 
 Each tensor that admits two textbook expressions is computed along *both*
 and the paths must agree; a disagreement, or a NaN on either path, raises
-:class:`ConsistencyError`.  Each identity residual reads one
+:class:`ConsistencyError`.  The dimension is the curvature pack's.  The
+Bach tensor takes div W as an input, so a point evaluation builds it once
+for eq 2.2 and Bach.  Each identity residual reads one
 :class:`~gradsol.solitons.PointEval` and evaluates the two sides of its
 identity independently.  It returns ``(residual, scale)``: the worst
 component mismatch and the magnitude of the larger side.  Residuals whose
@@ -12,7 +14,7 @@ of those named maxima.
 
 import numpy as np
 
-from .curvature import covariant_derivative, scalar_gradient
+from .curvature import covariant_derivative, divergence, scalar_gradient
 from .errors import ConsistencyError, UnsupportedDimensionError
 from .jets import jet_einsum, mul_arrays, truncate_arrays
 from .tensors import TensorJet, align, raise_lower
@@ -32,13 +34,20 @@ def _require_agreement(a, b, tol, what):
         )
 
 
-def _pair_pattern(space, a, b):
-    """P[i,j,k,l] = a_ik * b_jl; the three sibling terms are transposes."""
-    return jet_einsum(space, "ik,jl->ijkl", a, b)
+def _kulkarni_nomizu(space, g, h):
+    """(g KN h)_ijkl = g_ik h_jl - g_il h_jk - g_jk h_il + g_jl h_ik, by transposes."""
+    p = jet_einsum(space, "ik,jl->ijkl", g, h)
+    return (
+        p
+        - p.transpose(0, 1, 3, 2, 4)
+        - p.transpose(1, 0, 2, 3, 4)
+        + p.transpose(1, 0, 3, 2, 4)
+    )
 
 
-def schouten(pack, n):
+def schouten(pack):
     """Trace-adjusted Ricci tensor A_ij = R_ij - R g_ij / (2(n-1))."""
+    n = pack.dim
     if n < 3:
         raise UnsupportedDimensionError("schouten tensor needs dimension >= 3")
     space = pack.ricci.space
@@ -55,25 +64,20 @@ def einstein_tensor(pack):
     return TensorJet(space, "dd", data)
 
 
-def weyl(pack, n):
+def weyl(pack):
     """Totally trace-free part of the curvature tensor.
 
     Computed from the Ricci/scalar form and independently from the
     Schouten form; both must agree before the first is returned.
     """
+    n = pack.dim
     if n < 3:
         raise UnsupportedDimensionError("weyl tensor needs dimension >= 3")
     space = pack.riemann.space
     _, g = truncate_arrays(pack.metric.space, pack.metric.g.data, space.order)
 
-    p = _pair_pattern(space, g, pack.ricci.data)
-    ric_part = (
-        p
-        - p.transpose(0, 1, 3, 2, 4)
-        - p.transpose(1, 0, 2, 3, 4)
-        + p.transpose(1, 0, 3, 2, 4)
-    )
-    gg = _pair_pattern(space, g, g)
+    ric_part = _kulkarni_nomizu(space, g, pack.ricci.data)
+    gg = jet_einsum(space, "ik,jl->ijkl", g, g)
     gg_asym = gg - gg.transpose(0, 1, 3, 2, 4)
     scal_part = mul_arrays(space, gg_asym, pack.scalar.coeffs)
     w = (
@@ -83,25 +87,19 @@ def weyl(pack, n):
     )
     weyl_t = TensorJet(space, "dddd", w)
 
-    a = schouten(pack, n)
-    pa = _pair_pattern(space, g, a.data)
-    kn = (
-        pa
-        - pa.transpose(0, 1, 3, 2, 4)
-        - pa.transpose(1, 0, 2, 3, 4)
-        + pa.transpose(1, 0, 3, 2, 4)
-    )
+    kn = _kulkarni_nomizu(space, g, schouten(pack).data)
     weyl_alt = TensorJet(space, "dddd", pack.riemann.data - kn / (n - 2))
     _require_agreement(weyl_t, weyl_alt, _CROSS_CHECK_ALGEBRAIC, "weyl")
     return weyl_t
 
 
-def cotton(pack, n):
+def cotton(pack):
     """Antisymmetrised derivative of the trace-adjusted Ricci tensor.
 
     Both the Ricci/scalar form and the derivative-of-Schouten form are
     evaluated and compared.
     """
+    n = pack.dim
     if n < 3:
         raise UnsupportedDimensionError("cotton tensor needs dimension >= 3")
     dric = covariant_derivative(pack.ricci, pack)
@@ -116,7 +114,7 @@ def cotton(pack, n):
     )
     cotton_t = TensorJet(space, "ddd", c)
 
-    da = covariant_derivative(schouten(pack, n), pack)
+    da = covariant_derivative(schouten(pack), pack)
     cotton_alt = TensorJet(space, "ddd", da.data - da.data.swapaxes(0, 1))
     _require_agreement(cotton_t, cotton_alt, _CROSS_CHECK_ALGEBRAIC, "cotton")
     return cotton_t
@@ -130,31 +128,27 @@ def _ricci_weyl_contraction(pack, weyl_t):
     return jet_einsum(wmix.space, "kl,ikjl->ij", ric.data, wmix.data)
 
 
-def bach(pack, cotton_t, weyl_t, n):
+def bach(pack, cotton_t, weyl_t, div_weyl):
     """Bach tensor from the Cotton divergence, cross-checked against the
-    double-divergence-of-Weyl definition."""
+    double-divergence-of-Weyl definition; `div_weyl` is
+    ``divergence(weyl_t, pack, 3)``, the first divergence of that path."""
+    n = pack.dim
     if n < 4:
         raise UnsupportedDimensionError("bach tensor needs dimension >= 4")
-    metric = pack.metric
-    dc = covariant_derivative(cotton_t, pack)
-    space = dc.space
-    _, ginv = truncate_arrays(metric.space, metric.g_inv.data, space.order)
-    div_c = jet_einsum(space, "km,mkij->ij", ginv, dc.data)
+    div_c = divergence(cotton_t, pack, 0)
+    space = div_c.space
     rw = _ricci_weyl_contraction(pack, weyl_t)
     _, rw_tr = truncate_arrays(pack.ricci.space, rw, space.order)
-    b1 = TensorJet(space, "dd", (div_c + rw_tr) / (n - 2))
+    b1 = TensorJet(space, "dd", (div_c.data + rw_tr) / (n - 2))
 
-    dw = covariant_derivative(weyl_t, pack)
-    _, ginv1 = truncate_arrays(metric.space, metric.g_inv.data, dw.order)
-    u = jet_einsum(dw.space, "lm,mikjl->ikj", ginv1, dw.data)
-    du = covariant_derivative(TensorJet(dw.space, "ddd", u), pack)
-    div2 = jet_einsum(du.space, "km,mikj->ij", ginv[..., : du.space.n_terms], du.data)
-    b2 = TensorJet(du.space, "dd", div2 / (n - 3) + rw_tr[..., : du.space.n_terms] / (n - 2))
+    div2 = divergence(div_weyl, pack, 1)
+    rw_2 = rw_tr[..., : div2.space.n_terms]
+    b2 = TensorJet(div2.space, "dd", div2.data / (n - 3) + rw_2 / (n - 2))
     _require_agreement(b1, b2, _CROSS_CHECK_DIFFERENTIAL, "bach")
     return b1
 
 
-def d_tensor(pack, f_jet, n, cross_check=False):
+def d_tensor(pack, f_jet, cross_check=False):
     """Soliton 3-tensor coupling trace-adjusted curvature to the potential.
 
     Primary path uses the Schouten and Einstein tensors.  The alternative
@@ -162,10 +156,11 @@ def d_tensor(pack, f_jet, n, cross_check=False):
     agrees with it only when the instance satisfies the soliton equations,
     so that comparison is opt-in.
     """
+    n = pack.dim
     if n < 3:
         raise UnsupportedDimensionError("d tensor needs dimension >= 3")
     metric = pack.metric
-    a = schouten(pack, n)
+    a = schouten(pack)
     e = einstein_tensor(pack)
     space = a.space
     df = scalar_gradient(f_jet)
@@ -215,11 +210,8 @@ def cotton_weyl_divergence_residual(ev):
     n = ev.inst.n
     if n < 4:
         raise UnsupportedDimensionError("the divergence relation needs dimension >= 4")
-    dw = covariant_derivative(ev.weyl, ev.pack)
-    _, ginv = truncate_arrays(ev.metric.space, ev.metric.g_inv.data, dw.order)
-    divw = jet_einsum(dw.space, "lm,mijkl->ijk", ginv, dw.data)
     lhs = ev.cotton.values
-    rhs = -((n - 2.0) / (n - 3.0)) * divw[..., 0]
+    rhs = -((n - 2.0) / (n - 3.0)) * ev.div_weyl.values
     return *_compare(lhs, rhs), {"cotton_max": float(np.abs(lhs).max())}
 
 
@@ -249,9 +241,7 @@ def bach_via_d_residual(ev):
     with the printed index order; the Bach and div D magnitudes are reported.
     """
     n = ev.inst.n
-    dd = covariant_derivative(ev.dtensor, ev.pack)
-    _, ginv = truncate_arrays(ev.metric.space, ev.metric.g_inv.data, dd.order)
-    div_d = jet_einsum(dd.space, "km,mikj->ij", ginv, dd.data)[..., 0]
+    div_d = divergence(ev.dtensor, ev.pack, 1).values
     c_term = np.einsum("jli,l->ij", ev.cotton.values, ev.gradf_up_values)
     lhs = ev.bach.values
     rhs = -(div_d + ((n - 3.0) / (n - 2.0)) * c_term) / (n - 2.0)

@@ -5,7 +5,7 @@ curvature in the form R_ijkl = c (g_ik g_jl - g_il g_jk) with c = 1/r^2,
 and the Ricci tensor is the trace R_ij = g^{kl} R_kilj.  Connection
 coefficients are evaluated *in jet arithmetic*, so their own derivatives
 (needed for Riemann and for covariant derivatives of derived tensors) come
-from the same code path at every order.
+from the same code path at every order; so does every divergence.
 """
 
 from dataclasses import dataclass
@@ -97,6 +97,20 @@ def covariant_derivative(t, pack):
         subs = f"sm{letters[r]},{tsub}->m{letters}"
         parts = parts - jet_einsum(out_space, subs, gtr, ttr)
     return TensorJet(out_space, "d" * (t.rank + 1), parts)
+
+
+def divergence(t, pack, slot):
+    """Divergence g^{cm} nabla_m t_{..c..} of a fully covariant tensor in slot c.
+
+    The other slots keep their order; the output is one order below t.
+    """
+    dt = covariant_derivative(t, pack)
+    _, ginv = truncate_arrays(pack.metric.space, pack.metric.g_inv.data, dt.order)
+    letters = _L[: t.rank]
+    c = letters[slot]
+    rest = letters.replace(c, "")
+    out = jet_einsum(dt.space, f"{c}m,m{letters}->{rest}", ginv, dt.data)
+    return TensorJet(dt.space, "d" * len(rest), out)
 
 
 def scalar_gradient(s):

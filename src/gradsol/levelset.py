@@ -33,6 +33,8 @@ from .tensors import TensorJet, tensor_norm_sq
 
 GRAD_THRESHOLD = 1e-6
 D_ZERO_TOL = 1e-9
+_MAX_RAYS = 600
+_SCAN_STEPS = 48
 
 
 @dataclass(frozen=True)
@@ -65,17 +67,16 @@ class LevelSurfaceData:
     frame: AdaptedFrame
 
 
-def adapted_frame(metric, f_jet, min_grad=GRAD_THRESHOLD):
+def adapted_frame(ev):
     """Gram-Schmidt completion of grad f/|grad f| against the chart basis."""
-    g0 = metric.g.values
-    df = scalar_gradient(f_jet).values
-    grad = metric.g_inv.values @ df
+    g0 = ev.metric.g.values
+    grad = ev.gradf_up_values
     norm = math.sqrt(max(grad @ g0 @ grad, 0.0))
-    if norm < min_grad:
+    if norm < GRAD_THRESHOLD:
         raise CriticalPointError(
-            f"|grad f| = {norm:.3e} below threshold {min_grad:.1e}"
+            f"|grad f| = {norm:.3e} below threshold {GRAD_THRESHOLD:.1e}"
         )
-    n = metric.dim
+    n = ev.metric.dim
     vectors = [grad / norm]
     for k in range(n):
         v = np.zeros(n)
@@ -233,19 +234,18 @@ def _f_value(inst, point):
     return float(inst.potential_fn([float(x) for x in point])) + inst.f_shift
 
 
-def level_points(inst, c, n_points=12, seed=11, min_grad=GRAD_THRESHOLD,
-                 max_rays=600, scan_steps=48):
-    """Deterministic points on {f = c} found by bisection along rays."""
-    from .solitons import _grad_norm_value, instance_rng
+def level_points(inst, c, n_points=12, seed=11):
+    """Order-3 point evaluations on {f = c}, found by bisection along rays."""
+    from . import solitons
 
-    rng = instance_rng(inst, seed, salt=97)
+    rng = solitons.instance_rng(inst, seed, salt=97)
     lo = np.array([b[0] for b in inst.box])
     hi = np.array([b[1] for b in inst.box])
     anchor = (lo + hi) / 2.0
     f_anchor = _f_value(inst, anchor)
-    points = []
-    for _ in range(max_rays):
-        if len(points) == n_points:
+    evals = []
+    for _ in range(_MAX_RAYS):
+        if len(evals) == n_points:
             break
         d = rng.standard_normal(inst.n)
         d /= np.linalg.norm(d)
@@ -260,8 +260,8 @@ def level_points(inst, c, n_points=12, seed=11, min_grad=GRAD_THRESHOLD,
             continue
         prev_s, prev_v = 0.0, f_anchor - c
         bracket = None
-        for k in range(1, scan_steps + 1):
-            s = s_max * k / scan_steps
+        for k in range(1, _SCAN_STEPS + 1):
+            s = s_max * k / _SCAN_STEPS
             v = _f_value(inst, anchor + s * d) - c
             if prev_v == 0.0:
                 bracket = (prev_s, prev_s)
@@ -285,16 +285,17 @@ def level_points(inst, c, n_points=12, seed=11, min_grad=GRAD_THRESHOLD,
             else:
                 b = mid
         p = anchor + 0.5 * (a + b) * d
-        if inst.excluded_distance(p) < 1e-3:
+        if inst.excluded_distance(p) < solitons.MIN_EXCLUDED_DISTANCE:
             continue
-        if _grad_norm_value(inst, p) < max(min_grad, 1e-3):
+        ev = solitons.PointEval(inst, p, 3)
+        if solitons._grad_norm_value(ev) < solitons.MIN_GRAD_DISTANCE:
             continue
-        points.append(p)
-    if len(points) < n_points:
+        evals.append(ev)
+    if len(evals) < n_points:
         raise LevelPointError(
-            f"{inst.name}: found only {len(points)}/{n_points} points on f = {c}"
+            f"{inst.name}: found only {len(evals)}/{n_points} points on f = {c}"
         )
-    return points
+    return evals
 
 
 def prop32_report(inst, c, n_points=12, seed=11):
@@ -305,17 +306,14 @@ def prop32_report(inst, c, n_points=12, seed=11):
     the second fundamental form, and the two-eigenvalue structure of the
     Ricci tensor with the predicted values
     lambda = R - (n-1) rho + H |grad f| and mu = rho - H |grad f|/(n-1).
-    Each level point is one order-3 point evaluation.
+    Each level point is an order-3 point evaluation from :func:`level_points`.
     """
-    from .solitons import PointEval
-
     if inst.trivial:
         raise HypothesisViolationError(
             f"{inst.name}: potential is constant, there are no regular level values"
         )
-    pts = level_points(inst, c, n_points=n_points, seed=seed)
+    evals = level_points(inst, c, n_points=n_points, seed=seed)
     n = inst.n
-    evals = [PointEval(inst, p, 3) for p in pts]
     # np.max and `not <=`, unlike max and `>`, let a NaN at any point through
     d_max = float(np.max([ev.d_norm for ev in evals]))
     if not d_max <= D_ZERO_TOL:
@@ -349,7 +347,7 @@ def prop32_report(inst, c, n_points=12, seed=11):
     return {
         "instance": inst.name,
         "level": float(c),
-        "n_points": len(pts),
+        "n_points": len(evals),
         "r_mean": float(np.mean(r_vals)),
         "r_spread": spread(r_vals),
         "grad_sq_mean": float(np.mean(w2_vals)),
@@ -361,5 +359,5 @@ def prop32_report(inst, c, n_points=12, seed=11):
         "lambda": float(np.mean(lambdas)),
         "mu": float(np.mean(mus)),
         "eigenvalue_mismatch": float(np.max(eig_mismatch)),
-        "points": [[float(x) for x in p] for p in pts],
+        "points": [list(ev.point) for ev in evals],
     }

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import levelset
 from .conformal import bach, cotton, d_tensor, weyl
-from .curvature import covariant_derivative, curvature_pack, hessian, scalar_gradient
+from .curvature import curvature_pack, divergence, hessian, scalar_gradient
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .exprs import compile_expression
-from .jets import JetScalar, JetSpace, constant, coordinate_jets, jet_einsum, truncate_arrays
+from .jets import JetScalar, JetSpace, constant, coordinate_jets
 from .tensors import metric_at_point, tensor_norm_sq
 
 SOLITON_TOL = 1e-9
@@ -144,21 +144,24 @@ class PointEval:
 
     @cached_property
     def weyl(self):
-        return weyl(self.pack, self.inst.n)
+        return weyl(self.pack)
+
+    @cached_property
+    def div_weyl(self):
+        """div W in its last slot, shared by eq 2.2 and the Bach tensor."""
+        return divergence(self.weyl, self.pack, 3)
 
     @cached_property
     def cotton(self):
-        return cotton(self.pack, self.inst.n)
+        return cotton(self.pack)
 
     @cached_property
     def bach(self):
-        return bach(self.pack, self.cotton, self.weyl, self.inst.n)
+        return bach(self.pack, self.cotton, self.weyl, self.div_weyl)
 
     @cached_property
     def dtensor(self):
-        return d_tensor(
-            self.pack, self.f, self.inst.n, cross_check=self.inst.kind is not None
-        )
+        return d_tensor(self.pack, self.f, cross_check=self.inst.kind is not None)
 
     @cached_property
     def d_norm(self):
@@ -179,13 +182,11 @@ class PointEval:
     @cached_property
     def div_bach(self):
         """Values of div B; raises InsufficientOrderError below order 5."""
-        db = covariant_derivative(self.bach, self.pack)
-        _, ginv = truncate_arrays(self.metric.space, self.metric.g_inv.data, db.order)
-        return jet_einsum(db.space, "jm,mij->i", ginv, db.data)[..., 0]
+        return divergence(self.bach, self.pack, 1).values
 
     @cached_property
     def frame(self):
-        return levelset.adapted_frame(self.metric, self.f)
+        return levelset.adapted_frame(self)
 
     @cached_property
     def level_surface(self):
@@ -230,14 +231,14 @@ def is_normalized_shrinker(inst):
     return inst.rho == 0.5 and inst.kind in ("shrinking", "einstein")
 
 
-def soliton_residual(inst, point, order=3):
+def soliton_residual(inst, point):
     """Worst component of Ric + Hess f - rho g at the point."""
     if not inst.contains(point):
         raise DomainError(f"{list(point)} is outside the chart box of {inst.name}")
-    return soliton_eq_residual(PointEval(inst, point, order))[0]
+    return soliton_eq_residual(PointEval(inst, point, 3))[0]
 
 
-def hamilton_residuals(inst, point, order=3):
+def hamilton_residuals(inst, point):
     """First-integral residuals of a normalized shrinker at the point.
 
     Returns (max_i |d_i R - 2 R_ij grad^j f|, |R + |grad f|^2 - f|).
@@ -249,7 +250,7 @@ def hamilton_residuals(inst, point, order=3):
         )
     if not inst.contains(point):
         raise DomainError(f"{list(point)} is outside the chart box of {inst.name}")
-    ev = PointEval(inst, point, order)
+    ev = PointEval(inst, point, 3)
     return hamilton_first_residual(ev)[0], hamilton_second_residual(ev)[0]
 
 
@@ -262,25 +263,23 @@ def instance_rng(inst, seed, salt=0):
     )
 
 
-def _grad_norm_value(inst, point):
-    ev = PointEval(inst, point, 1)
+def _grad_norm_value(ev):
     return math.sqrt(max(ev.df.values @ ev.gradf_up_values, 0.0))
 
 
-def sample_points(inst, n_points, seed, min_grad=MIN_GRAD_DISTANCE,
-                  min_excluded=MIN_EXCLUDED_DISTANCE, max_tries=20000):
+def sample_points(inst, n_points, seed):
     """Deterministic chart samples away from excluded loci and critical points."""
     rng = instance_rng(inst, seed)
     lo = np.array([b[0] for b in inst.box])
     hi = np.array([b[1] for b in inst.box])
     points = []
-    for _ in range(max_tries):
+    for _ in range(20000):  # candidates drawn before giving up
         if len(points) == n_points:
             break
         p = lo + (hi - lo) * rng.random(inst.n)
-        if inst.excluded_distance(p) < min_excluded:
+        if inst.excluded_distance(p) < MIN_EXCLUDED_DISTANCE:
             continue
-        if not inst.trivial and _grad_norm_value(inst, p) < min_grad:
+        if not inst.trivial and _grad_norm_value(PointEval(inst, p, 1)) < MIN_GRAD_DISTANCE:
             continue
         points.append(p)
     if len(points) < n_points:
@@ -290,7 +289,7 @@ def sample_points(inst, n_points, seed, min_grad=MIN_GRAD_DISTANCE,
     return points
 
 
-def certify(inst, evals, tol=SOLITON_TOL):
+def certify(inst, evals):
     """Certify the defining equation (and first integrals for shrinkers).
 
     Reads the residuals from point evaluations of order 3 or more.
@@ -321,9 +320,9 @@ def certify(inst, evals, tol=SOLITON_TOL):
         "f_shift": inst.f_shift,
         "base_point": list(inst.base_point),
     }
-    if worst > tol:
+    if worst > SOLITON_TOL:
         raise ValidationError(
-            f"{inst.name}: defining-equation residual {worst:.3e} exceeds {tol:.1e} "
+            f"{inst.name}: defining-equation residual {worst:.3e} exceeds {SOLITON_TOL:.1e} "
             f"at {argmax}"
         )
     if is_normalized_shrinker(inst):
@@ -346,10 +345,10 @@ def certify(inst, evals, tol=SOLITON_TOL):
     return result
 
 
-def validate_instance(inst, n_points=20, seed=7, tol=SOLITON_TOL, order=3):
-    """Certify an instance on `n_points` fresh sample points; see `certify`."""
-    evals = [PointEval(inst, p, order) for p in sample_points(inst, n_points, seed)]
-    return certify(inst, evals, tol)
+def validate_instance(inst, n_points=20, seed=7):
+    """Certify an instance on `n_points` fresh order-3 point evaluations; see `certify`."""
+    evals = [PointEval(inst, p, 3) for p in sample_points(inst, n_points, seed)]
+    return certify(inst, evals)
 
 
 # ---------------------------------------------------------------------------

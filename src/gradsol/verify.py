@@ -23,9 +23,9 @@ from .conformal import (  # bach is unused here; bench/test_bench.py looks up ve
     d_decomposition_residual,
     div_bach_residual,
 )
-from .curvature import covariant_derivative, scalar_gradient
+from .curvature import covariant_derivative, divergence, scalar_gradient
 from .errors import GradsolError, InsufficientOrderError
-from .jets import jet_einsum, truncate_arrays
+from .jets import MAX_DIM
 from .solitons import (
     PointEval,
     certify,
@@ -70,9 +70,7 @@ def _check_riemann_symmetries(ev):
 
 
 def _check_bianchi_contracted(ev):
-    dric = covariant_derivative(ev.pack.ricci, ev.pack)
-    _, ginv = truncate_arrays(ev.metric.space, ev.metric.g_inv.data, dric.order)
-    div_ric = jet_einsum(dric.space, "ik,ikj->j", ginv, dric.data)[..., 0]
+    div_ric = divergence(ev.pack.ricci, ev.pack, 0).values
     d_scal = scalar_gradient(ev.pack.scalar).values
     resid = np.abs(div_ric - 0.5 * d_scal).max()
     return float(resid), float(max(np.abs(div_ric).max(), np.abs(d_scal).max(), 1e-30))
@@ -178,7 +176,7 @@ def _run_prop32(inst, evals, config):
 
 
 def _run_thm52(inst, evals, config):
-    status = thm52_status_from_evals(inst, evals)
+    status = thm52_status(inst, evals)
     if status["status"] != "evaluated":
         return None, 1.0, status
     if not all(math.isfinite(v) for v in status["measured"].values()):
@@ -186,7 +184,7 @@ def _run_thm52(inst, evals, config):
     return (0.0 if status["consistent"] else 1.0), 1.0, status
 
 
-def thm52_status_from_evals(inst, evals):
+def thm52_status(inst, evals):
     """Evaluate the three equivalent vanishing conditions on shared evals."""
     if inst.n != 5:
         return {"status": "not-applicable", "reason": "stated for dimension 5"}
@@ -227,42 +225,27 @@ def thm52_status_from_evals(inst, evals):
     }
 
 
-def thm52_status(inst, n_points=12, seed=7, order=5):
-    """Equivalence-status triple for a dimension-5 instance."""
-    if inst.kind is None:
-        return {"status": "not-applicable", "reason": "not a certified soliton"}
-    if inst.n != 5:
-        return {"status": "not-applicable", "reason": "stated for dimension 5"}
-    pts = sample_points(inst, max(MIN_POINTS, n_points), seed)
-    evals = [PointEval(inst, p, order) for p in pts]
-    return thm52_status_from_evals(inst, evals)
-
-
 # ---------------------------------------------------------------------------
 # registry
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One identity or property checked by the suite."""
+    """One identity or property checked by the suite on a certified soliton."""
 
     id: str
     required_order: int
     tolerance: float
     fn: object
     per_instance: bool = False
-    needs_soliton: bool = True
     min_dim: int = 3
-    max_dim: int = 6
     shrinker_only: bool = False
     d_zero_only: bool = False
     exact_dim: int | None = None
 
     def applicable(self, inst):
-        if self.needs_soliton and inst.kind is None:
-            return False
         if self.exact_dim is not None and inst.n != self.exact_dim:
             return False
-        if not (self.min_dim <= inst.n <= self.max_dim):
+        if not (self.min_dim <= inst.n <= MAX_DIM):
             return False
         if self.shrinker_only and not is_normalized_shrinker(inst):
             return False

@@ -5,8 +5,8 @@ import pytest
 
 from gradsol.curvature import curvature_pack
 from gradsol.jets import JetScalar, JetSpace, coordinate_jets
-from gradsol.solitons import PointEval, catalog, get_instance
-from gradsol.verify import run_suite
+from gradsol.solitons import PointEval, catalog, get_instance, sample_points
+from gradsol.verify import run_suite, thm52_status
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +59,11 @@ def suite_reports():
         reports[inst.name] = run_suite(inst, n_points=20, seed=7, order=5)
     elapsed = time.perf_counter() - t0
     return {"reports": reports, "elapsed": elapsed}
+
+
+def thm52_of(inst):
+    """thm5.2 status on 12 order-5 evaluations of the suite's sample points."""
+    return thm52_status(inst, [PointEval(inst, p, 5) for p in sample_points(inst, 12, 7)])
 
 
 def report_entry(report, check_id):

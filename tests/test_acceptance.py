@@ -10,7 +10,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import all_alphas, fd_metric_partials, jet_partial_of_entry, report_entry
+from conftest import (
+    all_alphas,
+    fd_metric_partials,
+    jet_partial_of_entry,
+    report_entry,
+    thm52_of,
+)
 from gradsol.conformal import bach_via_d_residual, div_bach_residual
 from gradsol.errors import ValidationError
 from gradsol.levelset import prop31_residual, prop32_report
@@ -23,7 +29,7 @@ from gradsol.solitons import (
     soliton_residual,
     validate_instance,
 )
-from gradsol.verify import report_to_json, run_suite, thm52_status
+from gradsol.verify import report_to_json, run_suite
 
 
 def _verdict(num, label, ok):
@@ -186,9 +192,9 @@ def test_criterion_09_div_bach(suite_reports):
 
 
 def test_criterion_10_equivalence_statuses():
-    st1 = thm52_status(get_instance("cylinder-s4xr"))
-    st2 = thm52_status(get_instance("einstein-cylinder-s2xs2xr"))
-    st3 = thm52_status(get_instance("s2xr3"))
+    st1 = thm52_of(get_instance("cylinder-s4xr"))
+    st2 = thm52_of(get_instance("einstein-cylinder-s2xs2xr"))
+    st3 = thm52_of(get_instance("s2xr3"))
     ok = (
         st1["status"] == "evaluated"
         and st1["a_d_zero"] and st1["b_cotton_and_w1_zero"] and st1["c_divbach_and_w1a1b_zero"]
@@ -198,7 +204,7 @@ def test_criterion_10_equivalence_statuses():
     for inst in catalog():
         if inst.n != 5 or inst.kind is None:
             continue
-        st = thm52_status(inst)
+        st = thm52_of(inst)
         if st["status"] == "evaluated":
             ok = ok and st["consistent"]
     _verdict(10, "equivalence-status triples in dimension five", ok)

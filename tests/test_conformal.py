@@ -15,7 +15,7 @@ from gradsol.conformal import (
     schouten,
     weyl,
 )
-from gradsol.curvature import curvature_pack
+from gradsol.curvature import covariant_derivative, curvature_pack, divergence
 from gradsol.errors import ConsistencyError, InsufficientOrderError, UnsupportedDimensionError
 from gradsol.solitons import sample_points
 from gradsol.tensors import TensorJet, tensor_norm_sq
@@ -23,28 +23,34 @@ from gradsol.tensors import TensorJet, tensor_norm_sq
 
 def test_schouten_flat(geometry):
     _, _, pack, _ = geometry("gaussian-r4", [1.0, 0.4, -0.3, 0.2], 4)
-    assert schouten(pack, 4).max_abs(all_coeffs=True) == 0.0
+    assert schouten(pack).max_abs(all_coeffs=True) == 0.0
 
 
 def test_schouten_round_sphere(geometry):
     _, m, pack, _ = geometry("sphere-s4", [0.5, -0.2, 0.3, 0.1], 4)
-    a = schouten(pack, 4)
+    a = schouten(pack)
     g = m.g.truncated(a.order)
     assert np.abs(a.data - g.data / 6.0).max() < 1e-11
 
 
 def test_schouten_trace_cylinder(geometry):
     _, m, pack, _ = geometry("cylinder-s3xr", [0.2, 0.5, -0.3, 1.4], 4)
-    a = schouten(pack, 4)
+    a = schouten(pack)
     trace = np.einsum("ij,ij->", m.g_inv.values, a.values)
     # R (n-2)/(2(n-1)) with R = 3/2, n = 4
     assert abs(trace - 0.5) < 1e-12
 
 
-def test_schouten_dimension_guard(geometry):
-    _, _, pack, _ = geometry("gaussian-r3", [1.0, 0.2, 0.3], 3)
+def test_schouten_dimension_guard():
+    from gradsol.tensors import metric_at_point
+
+    # a curved surface: the dimension now comes from the pack itself
+    m = metric_at_point(lambda xs: [[1.0 + 0.2 * xs[1] * xs[1], 0.0], [0.0, 1.0]],
+                        [0.4, -0.7], 2, 3)
+    pack = curvature_pack(m)
+    assert pack.dim == 2
     with pytest.raises(UnsupportedDimensionError):
-        schouten(pack, 2)
+        schouten(pack)
 
 
 def test_einstein_tensor(geometry):
@@ -70,14 +76,14 @@ def test_weyl_vanishes_dimension_three():
     m = metric_at_point(curved3, [0.4, -0.7, 0.9], 3, 4)
     pack = curvature_pack(m)
     assert pack.riemann.max_abs() > 1e-3  # non-flat
-    assert weyl(pack, 3).max_abs(all_coeffs=True) < 1e-9
+    assert weyl(pack).max_abs(all_coeffs=True) < 1e-9
 
 
 def test_weyl_vanishes_on_cylinder(geometry, instances):
     inst = instances["cylinder-s3xr"]
     for p in sample_points(inst, 6, seed=5):
         _, m, pack, _ = geometry("cylinder-s3xr", list(p), 4)
-        assert weyl(pack, 4).max_abs() < 1e-9
+        assert weyl(pack).max_abs() < 1e-9
 
 
 def test_weyl_vanishes_s2xr_three_manifold(geometry, instances):
@@ -86,7 +92,7 @@ def test_weyl_vanishes_s2xr_three_manifold(geometry, instances):
     for p in sample_points(inst, 6, seed=5):
         _, m, pack, _ = geometry("cylinder-s2xr", list(p), 4)
         assert pack.riemann.max_abs() > 1e-2
-        assert weyl(pack, 3).max_abs() < 1e-9
+        assert weyl(pack).max_abs() < 1e-9
 
 
 def test_weyl_norm_s2xr2(instances):
@@ -94,12 +100,12 @@ def test_weyl_norm_s2xr2(instances):
     for p in sample_points(inst, 8, seed=5):
         m = inst.metric_at(p, 3)
         pack = curvature_pack(m)
-        w = weyl(pack, 4)
+        w = weyl(pack)
         assert tensor_norm_sq(w, m) > 0.1
     # exact value from the product structure
     m = inst.metric_at([0.0, 0.0, 2.0, 0.0], 3)
     pack = curvature_pack(m)
-    assert abs(tensor_norm_sq(weyl(pack, 4), m) - 1.0 / 3.0) < 1e-12
+    assert abs(tensor_norm_sq(weyl(pack), m) - 1.0 / 3.0) < 1e-12
 
 
 def test_cotton_zero_on_einstein_and_products(geometry):
@@ -109,8 +115,7 @@ def test_cotton_zero_on_einstein_and_products(geometry):
         ("s2xr2", [0.3, -0.2, 1.8, 0.6]),
     ]:
         _, _, pack, _ = geometry(name, p, 4)
-        n = pack.dim
-        assert cotton(pack, n).max_abs() < 1e-9, name
+        assert cotton(pack).max_abs() < 1e-9, name
 
 
 def test_cotton_weyl_divergence_on_curved_metric(point_eval):
@@ -137,33 +142,33 @@ def test_bach_zero_on_einstein_and_conformally_flat(geometry):
         ("cylinder-s3xr", [0.3, -0.2, 0.5, 2.0]),
     ]:
         _, _, pack, _ = geometry(name, p, 4)
-        w = weyl(pack, 4)
-        c = cotton(pack, 4)
-        assert bach(pack, c, w, 4).max_abs() < 1e-8, name
+        w = weyl(pack)
+        c = cotton(pack)
+        assert bach(pack, c, w, divergence(w, pack, 3)).max_abs() < 1e-8, name
 
 
 def test_bach_zero_exactly_on_flat(geometry):
     _, _, pack, _ = geometry("gaussian-r4", [1.5, 0.2, -0.7, 0.4], 4)
-    w = weyl(pack, 4)
-    c = cotton(pack, 4)
-    assert bach(pack, c, w, 4).max_abs(all_coeffs=True) == 0.0
+    w = weyl(pack)
+    c = cotton(pack)
+    assert bach(pack, c, w, divergence(w, pack, 3)).max_abs(all_coeffs=True) == 0.0
 
 
 def test_bach_dimension_guard(geometry):
     _, _, pack, _ = geometry("gaussian-r3", [1.0, 0.2, 0.3], 4)
-    w = weyl(pack, 3)
-    c = cotton(pack, 3)
+    w = weyl(pack)
+    c = cotton(pack)
     with pytest.raises(UnsupportedDimensionError):
-        bach(pack, c, w, 3)
+        bach(pack, c, w, divergence(w, pack, 3))
 
 
 def test_d_tensor_values(geometry):
     for name, p in [("sphere-s4", [0.4, 0.1, -0.3, 0.2]), ("cylinder-s3xr", [0.3, -0.2, 0.5, 2.0])]:
         inst, m, pack, f = geometry(name, p, 4)
-        d = d_tensor(pack, f, 4, cross_check=True)
+        d = d_tensor(pack, f, cross_check=True)
         assert d.max_abs() < 1e-9, name
     inst, m, pack, f = geometry("s2xr2", [0.0, 0.0, 2.0, 0.0], 4)
-    d = d_tensor(pack, f, 4, cross_check=True)
+    d = d_tensor(pack, f, cross_check=True)
     assert abs(tensor_norm_sq(d, m) - 1.0 / 12.0) < 1e-8
 
 
@@ -230,13 +235,13 @@ def test_div_bach_requires_full_order(point_eval):
 
 def test_direct_tensor_assembly(geometry):
     _, _, pack, f = geometry("s2xr2", [0.2, 0.1, 1.6, 0.5], 5)
-    w = weyl(pack, 4)
-    c = cotton(pack, 4)
+    w = weyl(pack)
+    c = cotton(pack)
     assert w.valence == "dddd"
     assert c.valence == "ddd"
-    assert d_tensor(pack, f, 4, cross_check=True).valence == "ddd"
+    assert d_tensor(pack, f, cross_check=True).valence == "ddd"
     # symmetry of the rank-2 members
-    for t in (schouten(pack, 4), einstein_tensor(pack), bach(pack, c, w, 4)):
+    for t in (schouten(pack), einstein_tensor(pack), bach(pack, c, w, divergence(w, pack, 3))):
         assert t.valence == "dd"
         assert np.abs(t.values - t.values.T).max() < 1e-9
 
@@ -248,7 +253,7 @@ def _nan_like(t):
 def test_require_agreement_rejects_a_nan_path(geometry):
     # NaN compares false both ways, so `diff > tol` let a NaN path pass
     _, _, pack, _ = geometry("s2xr2", [0.2, 0.1, 1.6, 0.5], 5)
-    w = weyl(pack, 4)
+    w = weyl(pack)
     for a, b in ((w, _nan_like(w)), (_nan_like(w), w)):
         with pytest.raises(ConsistencyError, match="weyl"):
             _require_agreement(a, b, 1e-10, "weyl")
@@ -260,15 +265,33 @@ def test_two_path_tensor_with_a_nan_path_raises(monkeypatch, geometry, what):
     if what == "bach":
         # the Cotton tensor enters only the Cotton-divergence path
         with pytest.raises(ConsistencyError, match="bach"):
-            bach(pack, _nan_like(cotton(pack, 4)), weyl(pack, 4), 4)
+            w = weyl(pack)
+            bach(pack, _nan_like(cotton(pack)), w, divergence(w, pack, 3))
         return
     # the Schouten tensor enters one path of each of the other three
     schouten_ = conformal.schouten
-    monkeypatch.setattr(conformal, "schouten", lambda p, n: _nan_like(schouten_(p, n)))
+    monkeypatch.setattr(conformal, "schouten", lambda p: _nan_like(schouten_(p)))
     build = {
-        "weyl": lambda: weyl(pack, 4),
-        "cotton": lambda: cotton(pack, 4),
-        "d_tensor": lambda: d_tensor(pack, f, 4, cross_check=True),
+        "weyl": lambda: weyl(pack),
+        "cotton": lambda: cotton(pack),
+        "d_tensor": lambda: d_tensor(pack, f, cross_check=True),
     }[what]
     with pytest.raises(ConsistencyError, match=what):
         build()
+
+
+def test_divergence_matches_a_hand_written_trace(point_eval):
+    # D of the perturbed control is generic, so every slot's trace is nonzero
+    ev = point_eval("perturbed-non-soliton-r4", [1.0, -0.8, 1.2, 0.7], 5)
+    dd = covariant_derivative(ev.dtensor, ev.pack)
+    ginv = ev.metric.g_inv.values
+    by_slot = {
+        0: np.einsum("im,mijk->jk", ginv, dd.values),
+        1: np.einsum("jm,mijk->ik", ginv, dd.values),
+        2: np.einsum("km,mijk->ij", ginv, dd.values),
+    }
+    for slot, want in by_slot.items():
+        div = divergence(ev.dtensor, ev.pack, slot)
+        assert (div.valence, div.order) == ("dd", dd.order)
+        assert np.abs(want).max() > 1e-3, slot
+        assert np.abs(div.values - want).max() < 1e-13, slot

@@ -24,35 +24,32 @@ from gradsol.solitons import PointEval, SolitonInstance, catalog, get_instance, 
 from gradsol.verify import run_suite
 
 
-def test_frame_gaussian(geometry):
-    _, m, _, f = geometry("gaussian-r4", [2.0, 0.0, 0.0, 0.0], 3)
-    fr = adapted_frame(m, f)
+def test_frame_gaussian(point_eval):
+    fr = adapted_frame(point_eval("gaussian-r4", [2.0, 0.0, 0.0, 0.0], 3))
     assert np.allclose(fr.e1, [1.0, 0.0, 0.0, 0.0])
     assert abs(fr.grad_f_norm - 1.0) < 1e-14
 
 
-def test_frame_cylinder_axis(geometry):
-    _, m, _, f = geometry("cylinder-s3xr", [0.3, -0.2, 0.5, 2.0], 3)
-    fr = adapted_frame(m, f)
+def test_frame_cylinder_axis(point_eval):
+    fr = adapted_frame(point_eval("cylinder-s3xr", [0.3, -0.2, 0.5, 2.0], 3))
     assert np.allclose(np.abs(fr.e1), [0.0, 0.0, 0.0, 1.0], atol=1e-13)
-    _, m, _, f = geometry("cylinder-s3xr", [0.3, -0.2, 0.5, -2.0], 3)
-    fr = adapted_frame(m, f)
+    fr = adapted_frame(point_eval("cylinder-s3xr", [0.3, -0.2, 0.5, -2.0], 3))
     assert fr.e1[3] < 0.0
 
 
-def test_frame_orthonormal_sampled(geometry, instances):
+def test_frame_orthonormal_sampled(point_eval, instances):
     inst = instances["s2xr2"]
     for p in sample_points(inst, 20, seed=19):
-        _, m, _, f = geometry("s2xr2", list(p), 3)
-        fr = adapted_frame(m, f)
-        gram = fr.vectors @ m.g.values @ fr.vectors.T
+        ev = point_eval("s2xr2", list(p), 3)
+        fr = adapted_frame(ev)
+        gram = fr.vectors @ ev.metric.g.values @ fr.vectors.T
         assert np.abs(gram - np.eye(4)).max() < 1e-10
 
 
-def test_frame_critical_point(geometry):
-    _, m, _, f = geometry("gaussian-r4", [1e-7, 0.0, 0.0, 0.0], 3)
+def test_frame_critical_point(point_eval):
+    ev = point_eval("gaussian-r4", [1e-7, 0.0, 0.0, 0.0], 3)
     with pytest.raises(CriticalPointError):
-        adapted_frame(m, f)
+        adapted_frame(ev)
 
 
 def test_h_cylinder_totally_geodesic(point_eval):
@@ -100,14 +97,14 @@ def test_prop31_sampled_s2xr2(point_eval, instances):
 def test_level_points_on_level(instances):
     inst = instances["cylinder-s3xr"]
     c = 9.0 / 4.0 + 1.5
-    pts = level_points(inst, c, n_points=12, seed=11)
+    pts = [ev.point for ev in level_points(inst, c, n_points=12, seed=11)]
     from gradsol.jets import JetSpace
 
     for p in pts:
         f = inst.potential_jet(list(p), JetSpace.get(4, 0)).value
         assert abs(f - c) < 1e-9
         assert abs(abs(p[3]) - 3.0) < 1e-9
-    again = level_points(inst, c, n_points=12, seed=11)
+    again = [ev.point for ev in level_points(inst, c, n_points=12, seed=11)]
     assert all(np.array_equal(a, b) for a, b in zip(pts, again))
 
 
@@ -144,7 +141,7 @@ def test_level_points_unreachable_value(instances):
 
     # the gaussian potential is nonnegative: no points on f = -1
     with pytest.raises(LevelPointError):
-        level_points(instances["gaussian-r4"], -1.0, n_points=4, max_rays=40)
+        level_points(instances["gaussian-r4"], -1.0, n_points=4)
 
 
 def test_prop32_rejects_constant_potential(instances):
@@ -250,9 +247,9 @@ def test_f_value_is_order0_jet_value_on_expressions(text):
 ], ids=["cylinder-s3xr", "gaussian-r3", "expanding-gaussian-r4", "expression"])
 def test_level_points_match_jet_root_finder(monkeypatch, make, c):
     inst = make()
-    pts = level_points(inst, c, n_points=12, seed=5)
+    pts = [ev.point for ev in level_points(inst, c, n_points=12, seed=5)]
     monkeypatch.setattr(levelset, "_f_value", _jet_f_value)
-    ref = level_points(inst, c, n_points=12, seed=5)
+    ref = [ev.point for ev in level_points(inst, c, n_points=12, seed=5)]
     assert all(np.array_equal(a, b) for a, b in zip(pts, ref, strict=True))
 
 
@@ -262,12 +259,12 @@ def test_prop32_nan_d_at_second_level_point_fails(monkeypatch):
     inst = get_instance("gaussian-r3")
     c = levelset._f_value(inst, inst.base_point)
     # suite points are point evaluations too: count D at prop3.2's level points only
-    level = {tuple(float(x) for x in p) for p in level_points(inst, c, n_points=12, seed=7)}
+    level = {tuple(ev.point) for ev in level_points(inst, c, n_points=12, seed=7)}
     calls = []
     d_tensor = solitons.d_tensor
 
-    def nan_at_second(pack, f, n, *args, **kwargs):
-        d = d_tensor(pack, f, n, *args, **kwargs)
+    def nan_at_second(pack, f, *args, **kwargs):
+        d = d_tensor(pack, f, *args, **kwargs)
         if tuple(pack.metric.point.tolist()) in level:
             calls.append(None)
             if len(calls) == 2:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import report_entry
+from conftest import report_entry, thm52_of
 from gradsol.cli import main
 from gradsol.errors import ValidationError
 from gradsol import cli, conformal, curvature, levelset, solitons, verify
@@ -16,7 +16,6 @@ from gradsol.verify import (
     report_to_json,
     run_suite,
     suite_passed,
-    thm52_status,
 )
 
 
@@ -50,7 +49,7 @@ def test_d_norm_at_spec_product_point():
     m = inst.metric_at([0.0, 0.0, 2.0, 0.0], 3)
     pack = curvature_pack(m)
     f = inst.potential_jet([0.0, 0.0, 2.0, 0.0], m.space)
-    d_norm = np.sqrt(tensor_norm_sq(d_tensor(pack, f, 4), m))
+    d_norm = np.sqrt(tensor_norm_sq(d_tensor(pack, f), m))
     assert abs(d_norm - 0.2886751345948129) < 1e-9
 
 
@@ -104,12 +103,12 @@ def test_check_subset_selection():
 
 
 def test_thm52_triples():
-    st = thm52_status(get_instance("cylinder-s4xr"))
+    st = thm52_of(get_instance("cylinder-s4xr"))
     assert st["status"] == "evaluated"
     assert st["a_d_zero"] and st["b_cotton_and_w1_zero"] and st["c_divbach_and_w1a1b_zero"]
     assert st["consistent"]
 
-    st = thm52_status(get_instance("einstein-cylinder-s2xs2xr"))
+    st = thm52_of(get_instance("einstein-cylinder-s2xs2xr"))
     assert (st["a_d_zero"], st["b_cotton_and_w1_zero"], st["c_divbach_and_w1a1b_zero"]) == (
         True,
         True,
@@ -118,13 +117,13 @@ def test_thm52_triples():
     # the sharp case: conformal curvature is nonzero yet all three hold
     assert st["measured"]["w1_max"] < 1e-8
 
-    st = thm52_status(get_instance("s2xr3"))
+    st = thm52_of(get_instance("s2xr3"))
     assert (st["a_d_zero"], st["c_divbach_and_w1a1b_zero"]) == (False, False)
     assert st["consistent"]
     assert st["measured"]["cotton_max"] < 1e-8  # C = 0 yet D != 0
 
-    assert thm52_status(get_instance("gaussian-r5"))["status"] == "trivial"
-    assert thm52_status(get_instance("gaussian-r4"))["status"] == "not-applicable"
+    assert thm52_of(get_instance("gaussian-r5"))["status"] == "trivial"
+    assert thm52_of(get_instance("gaussian-r4"))["status"] == "not-applicable"
 
 
 def test_thm52_in_suite(suite_reports):
@@ -348,15 +347,32 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
 
 
 def test_cli_equivalence_line_comes_from_the_suite(monkeypatch, capsys):
-    def rerun(*args, **kwargs):
-        raise AssertionError("thm5.2 evaluated outside the suite")
+    calls = []
+    thm52_status_ = verify.thm52_status
 
-    monkeypatch.setattr(verify, "thm52_status", rerun)
-    monkeypatch.setattr(cli, "thm52_status", rerun, raising=False)
+    def counting(inst, evals):
+        calls.append(inst.name)
+        return thm52_status_(inst, evals)
+
+    monkeypatch.setattr(verify, "thm52_status", counting)
+    monkeypatch.setattr(cli, "thm52_status", counting, raising=False)
     rc = main(["verify", "--instance", "s2xr3", "--order", "5", "--points", "8"])
+    assert calls == ["s2xr3"]  # once, by the suite's thm5.2 check
     assert rc == 1  # d_vanishes and weyl_vanishes fail by design on s2xr3
     out = capsys.readouterr().out
     line = next(x for x in out.splitlines() if "equivalence status:" in x)
     status = json.loads(line.split("equivalence status: ", 1)[1])
     assert status["status"] == "evaluated" and status["consistent"]
     assert (status["a_d_zero"], status["c_divbach_and_w1a1b_zero"]) == (False, False)
+
+
+def test_weyl_derivative_built_once_per_point(monkeypatch):
+    # eq2.2 reads the div W that the Bach tensor's second path takes as input
+    inst = get_instance("cylinder-s4xr")
+    suite_points = {tuple(float(x) for x in p) for p in verify.sample_points(inst, 8, 7)}
+    counts = _count_calls(monkeypatch, curvature.covariant_derivative,
+                          lambda a, out: _where(a[1]) if a[0].rank == 4 else None)
+    rep = run_suite(inst, n_points=8, seed=7, order=5)
+    for cid in ("eq2.2", "eq4.1", "lemma5.1", "thm5.2", "bach_vanishes"):
+        assert report_entry(rep, cid)["status"] == "PASS", cid
+    assert counts == {(p, 5): 1 for p in suite_points}
