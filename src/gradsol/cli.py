@@ -6,8 +6,15 @@ import sys
 
 import numpy as np
 
-from .errors import GradsolError, ValidationError
-from .solitons import PointEval, catalog, get_instance, load_extension_file, validate_instance
+from .errors import ConfigurationError, GradsolError, ValidationError
+from .solitons import (
+    PointEval,
+    catalog,
+    finite_numbers,
+    get_instance,
+    load_extension_file,
+    validate_instance,
+)
 from .verify import report_to_json, run_suite, suite_passed
 
 
@@ -108,10 +115,10 @@ _TENSOR_ATTR = {"weyl": "weyl", "cotton": "cotton", "bach": "bach", "d": "dtenso
 def _cmd_tensor(args):
     extra = _load_instances(args)
     inst = get_instance(args.instance, extra=extra)
-    point = [float(x) for x in args.at.split(",")]
+    point = finite_numbers(args.at.split(","), "--at")
     if len(point) != inst.n:
-        print(f"point must have {inst.n} coordinates")
-        return 2
+        raise ConfigurationError(f"--at needs {inst.n} coordinates, got {len(point)}")
+    inst.require_inside(point)
     ev = PointEval(inst, point, args.order)
     if args.what == "scalar":
         print(f"scalar curvature at {point}: {ev.pack.scalar.value!r}")

@@ -120,12 +120,16 @@ def cotton(pack):
     return cotton_t
 
 
-def _ricci_weyl_contraction(pack, weyl_t):
-    """R^{kl}-contraction against the mixed conformal curvature W_i^k_j^l."""
+def _ricci_weyl_contraction(pack, weyl_t, order):
+    """R^{kl}-contraction against the mixed conformal curvature W_i^k_j^l.
+
+    W and Ric are truncated to `order` (the Bach tensor's) before the two
+    slots are raised, so no coefficient above it is formed.
+    """
     metric = pack.metric
-    wmix = raise_lower(raise_lower(weyl_t, 1, metric), 3, metric)
-    ric, wmix = align(pack.ricci, wmix)
-    return jet_einsum(wmix.space, "kl,ikjl->ij", ric.data, wmix.data)
+    w = raise_lower(raise_lower(weyl_t.truncated(order), 1, metric), 3, metric)
+    ric = pack.ricci.truncated(order)
+    return jet_einsum(w.space, "kl,ikjl->ij", ric.data, w.data)
 
 
 def bach(pack, cotton_t, weyl_t, div_weyl):
@@ -137,13 +141,11 @@ def bach(pack, cotton_t, weyl_t, div_weyl):
         raise UnsupportedDimensionError("bach tensor needs dimension >= 4")
     div_c = divergence(cotton_t, pack, 0)
     space = div_c.space
-    rw = _ricci_weyl_contraction(pack, weyl_t)
-    _, rw_tr = truncate_arrays(pack.ricci.space, rw, space.order)
-    b1 = TensorJet(space, "dd", (div_c.data + rw_tr) / (n - 2))
+    rw = _ricci_weyl_contraction(pack, weyl_t, space.order)
+    b1 = TensorJet(space, "dd", (div_c.data + rw) / (n - 2))
 
     div2 = divergence(div_weyl, pack, 1)
-    rw_2 = rw_tr[..., : div2.space.n_terms]
-    b2 = TensorJet(div2.space, "dd", div2.data / (n - 3) + rw_2 / (n - 2))
+    b2 = TensorJet(div2.space, "dd", div2.data / (n - 3) + rw / (n - 2))
     _require_agreement(b1, b2, _CROSS_CHECK_DIFFERENTIAL, "bach")
     return b1
 
@@ -154,7 +156,9 @@ def d_tensor(pack, f_jet, cross_check=False):
     Primary path uses the Schouten and Einstein tensors.  The alternative
     path written in terms of Ricci, scalar curvature and their gradients
     agrees with it only when the instance satisfies the soliton equations,
-    so that comparison is opt-in.
+    so that comparison is opt-in.  D carries one order less than the
+    Schouten tensor (never less than 0): the order the two paths are
+    compared at, and all its readers need (its values and eq 4.1's nabla D).
     """
     n = pack.dim
     if n < 3:
@@ -162,15 +166,16 @@ def d_tensor(pack, f_jet, cross_check=False):
     metric = pack.metric
     a = schouten(pack)
     e = einstein_tensor(pack)
-    space = a.space
+    space, a = truncate_arrays(a.space, a.data, max(a.order - 1, 0))
+    _, e = truncate_arrays(e.space, e.data, space.order)
     df = scalar_gradient(f_jet)
     _, dfd = truncate_arrays(df.space, df.data, space.order)
     _, ginv = truncate_arrays(metric.space, metric.g_inv.data, space.order)
     _, g = truncate_arrays(metric.space, metric.g.data, space.order)
     gradf_up = jet_einsum(space, "ij,j->i", ginv, dfd)
 
-    t1 = jet_einsum(space, "jk,i->ijk", a.data, dfd)
-    v = jet_einsum(space, "il,l->i", e.data, gradf_up)
+    t1 = jet_einsum(space, "jk,i->ijk", a, dfd)
+    v = jet_einsum(space, "il,l->i", e, gradf_up)
     t2 = jet_einsum(space, "jk,i->ijk", g, v)
     d = (t1 - t1.swapaxes(0, 1)) / (n - 2) + (t2 - t2.swapaxes(0, 1)) / (
         (n - 1) * (n - 2)
@@ -241,7 +246,7 @@ def bach_via_d_residual(ev):
     with the printed index order; the Bach and div D magnitudes are reported.
     """
     n = ev.inst.n
-    div_d = divergence(ev.dtensor, ev.pack, 1).values
+    div_d = divergence(ev.dtensor.truncated(1), ev.pack, 1).values
     c_term = np.einsum("jli,l->ij", ev.cotton.values, ev.gradf_up_values)
     lhs = ev.bach.values
     rhs = -(div_d + ((n - 3.0) / (n - 2.0)) * c_term) / (n - 2.0)

@@ -155,7 +155,7 @@ def _normal_form_derivative(ev, phi):
 
     `phi` maps the jet of |grad f|^2 to a scalar jet.
     """
-    df = ev.df
+    df = ev.df.truncated(1)  # the derivative's values need the form to order 1
     space = df.space
     _, ginv = truncate_arrays(ev.metric.space, ev.metric.g_inv.data, space.order)
     up = jet_einsum(space, "ij,j->i", ginv, df.data)

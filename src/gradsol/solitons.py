@@ -60,6 +60,11 @@ class SolitonInstance:
     def contains(self, point):
         return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.box))
 
+    def require_inside(self, point):
+        """DomainError unless the point lies in the chart box."""
+        if not self.contains(point):
+            raise DomainError(f"{list(point)} is outside the chart box of {self.name}")
+
     def excluded_distance(self, point):
         p = np.asarray(point, dtype=float)
         return min((fn(p) for fn in self.excluded), default=math.inf)
@@ -136,7 +141,8 @@ class PointEval:
 
     @cached_property
     def hess_f(self):
-        return hessian(self.f, self.pack)
+        """Values of Hess f: f is truncated to order 2 first."""
+        return hessian(self.f.truncated(min(self.order, 2)), self.pack)
 
     @cached_property
     def gradf_up_values(self):
@@ -233,8 +239,7 @@ def is_normalized_shrinker(inst):
 
 def soliton_residual(inst, point):
     """Worst component of Ric + Hess f - rho g at the point."""
-    if not inst.contains(point):
-        raise DomainError(f"{list(point)} is outside the chart box of {inst.name}")
+    inst.require_inside(point)
     return soliton_eq_residual(PointEval(inst, point, 3))[0]
 
 
@@ -248,8 +253,7 @@ def hamilton_residuals(inst, point):
             f"{inst.name}: first-integral residuals apply to normalized "
             "shrinkers only (rho = 1/2)"
         )
-    if not inst.contains(point):
-        raise DomainError(f"{list(point)} is outside the chart box of {inst.name}")
+    inst.require_inside(point)
     ev = PointEval(inst, point, 3)
     return hamilton_first_residual(ev)[0], hamilton_second_residual(ev)[0]
 
@@ -269,6 +273,8 @@ def _grad_norm_value(ev):
 
 def sample_points(inst, n_points, seed):
     """Deterministic chart samples away from excluded loci and critical points."""
+    if n_points < 1:
+        raise ConfigurationError(f"{inst.name}: need at least 1 sample point, got {n_points}")
     rng = instance_rng(inst, seed)
     lo = np.array([b[0] for b in inst.box])
     hi = np.array([b[1] for b in inst.box])
@@ -643,7 +649,7 @@ def get_instance(name, extra=()):
 # ---------------------------------------------------------------------------
 # JSON catalog extensions
 
-def _finite_numbers(values, what):
+def finite_numbers(values, what):
     """The entries of `values` as floats; ConfigurationError unless all are finite."""
     try:
         if isinstance(values, str):  # would read as a list of its digits
@@ -681,12 +687,12 @@ def instance_from_spec(spec):
                 grid[i][j] = grid[j][i] = compiled[i][j](xs)
         return grid
 
-    (rho,) = _finite_numbers([spec["rho"]], "rho")
+    (rho,) = finite_numbers([spec["rho"]], "rho")
     domain = spec["domain"]
     box = domain.get("box") if isinstance(domain, dict) else None
     if not isinstance(box, list):
         raise ConfigurationError(f"domain.box must be a list of {n} pairs, got {box!r}")
-    box = [tuple(_finite_numbers(b, "domain.box")) for b in box]
+    box = [tuple(finite_numbers(b, "domain.box")) for b in box]
     if len(box) != n or any(len(b) != 2 or not b[0] < b[1] for b in box):
         raise ConfigurationError(
             f"domain.box must hold {n} pairs [lo, hi] with lo < hi, got {box}"
@@ -696,15 +702,15 @@ def instance_from_spec(spec):
         raise ConfigurationError(f"excluded must be a list of balls, got {excluded!r}")
     balls = []
     for e in excluded:
-        center = _finite_numbers(e.get("center", ()), "excluded center")
-        (radius,) = _finite_numbers([e.get("radius", 0.0)], "excluded radius")
+        center = finite_numbers(e.get("center", ()), "excluded center")
+        (radius,) = finite_numbers([e.get("radius", 0.0)], "excluded radius")
         if len(center) != n or radius < 0.0:
             raise ConfigurationError(
                 f"excluded ball needs a center of {n} coordinates and a radius >= 0, got {e!r}"
             )
         balls.append(_ball_exclusion(center, radius))
     base = spec.get("base_point") or [(lo + hi) / 2.0 for lo, hi in box]
-    base = _finite_numbers(base, "base_point")
+    base = finite_numbers(base, "base_point")
     if len(base) != n or not all(lo <= x <= hi for x, (lo, hi) in zip(base, box)):
         raise ConfigurationError(f"base_point {base} must be {n} coordinates inside the box")
     return SolitonInstance(

@@ -24,7 +24,7 @@ from .conformal import (  # bach is unused here; bench/test_bench.py looks up ve
     div_bach_residual,
 )
 from .curvature import covariant_derivative, divergence, scalar_gradient
-from .errors import GradsolError, InsufficientOrderError
+from .errors import ConfigurationError, GradsolError, InsufficientOrderError
 from .jets import MAX_DIM
 from .solitons import (
     PointEval,
@@ -70,7 +70,7 @@ def _check_riemann_symmetries(ev):
 
 
 def _check_bianchi_contracted(ev):
-    div_ric = divergence(ev.pack.ricci, ev.pack, 0).values
+    div_ric = divergence(ev.pack.ricci.truncated(1), ev.pack, 0).values
     d_scal = scalar_gradient(ev.pack.scalar).values
     resid = np.abs(div_ric - 0.5 * d_scal).max()
     return float(resid), float(max(np.abs(div_ric).max(), np.abs(d_scal).max(), 1e-30))
@@ -312,6 +312,9 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     detail), with residual None for N/A; entry["detail"] keeps the detail
     (for thm5.2 the equivalence status) in memory only.
     """
+    # `not 0 <`, unlike `<= 0`, also holds for NaN
+    if not 0.0 < tol_scale < math.inf:
+        raise ConfigurationError(f"tol_scale must be finite and > 0, got {tol_scale}")
     n_points = max(MIN_POINTS, int(n_points))
     pts = sample_points(inst, n_points, seed)
     evals = [PointEval(inst, p, max(order, 3)) for p in pts]

@@ -1,0 +1,161 @@
+"""Each jet is carried only to the order that is read.
+
+The metric inverse runs each Newton step at the order it makes right, the
+Ricci-Weyl term of the Bach tensor and D run at the order of their
+cross-checks, and the derivatives whose values alone are read take their
+input at order 1.  These tests pin the orders and compare every value with
+a test-local full-order version.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+
+from gradsol import conformal, levelset, tensors, verify
+from gradsol.conformal import bach_via_d_residual, einstein_tensor, schouten
+from gradsol.curvature import covariant_derivative, divergence, hessian, scalar_gradient
+from gradsol.jets import JetScalar, jet_einsum, mul_arrays, sqrt, truncate_arrays
+from gradsol.solitons import PointEval, get_instance
+from gradsol.tensors import TensorJet, align, raise_lower
+
+# a generic curved metric (no soliton structure) and a product soliton
+POINTS = [
+    ("perturbed-non-soliton-r5", [1.0, -0.8, 1.2, 0.7, 0.5]),
+    ("s2xr3", [0.2, 0.1, 1.6, 0.5, -0.4]),
+]
+
+
+@pytest.mark.parametrize("order, steps", [(4, {1: 2, 3: 2, 4: 2}), (5, {1: 2, 3: 2, 5: 2})])
+def test_products_run_at_the_order_they_make(monkeypatch, order, steps):
+    counts = collections.defaultdict(collections.Counter)
+    active = []
+
+    def counting(einsum):
+        def wrapped(space, subscripts, a, b):
+            if active:
+                counts[active[-1]][space.order] += 1
+            return einsum(space, subscripts, a, b)
+
+        return wrapped
+
+    def scoped(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args):
+            active.append(name)
+            try:
+                return fn(*args)
+            finally:
+                active.pop()
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module in (tensors, conformal):
+        monkeypatch.setattr(module, "jet_einsum", counting(module.jet_einsum))
+    scoped(tensors, "_invert_metric_jets")
+    scoped(conformal, "_ricci_weyl_contraction")
+    ev = PointEval(get_instance("cylinder-s4xr"), [0.3, -0.2, 0.4, 0.1, 1.5], order)
+    assert ev.bach.order == order - 4
+    # two products per Newton step, at orders 1, 3 and then the full order
+    assert dict(counts["_invert_metric_jets"]) == steps
+    rw = counts["_ricci_weyl_contraction"]
+    assert rw and max(rw) == order - 4
+
+
+# ---------------------------------------------------------------------------
+# full-order references: the same formulas, every input at its full order
+
+def _d_full(pack, f):
+    """D by the Schouten/Einstein path at the Schouten tensor's order."""
+    n = pack.dim
+    a, e = schouten(pack), einstein_tensor(pack)
+    space = a.space
+    df = scalar_gradient(f)
+    _, dfd = truncate_arrays(df.space, df.data, space.order)
+    _, ginv = truncate_arrays(pack.metric.space, pack.metric.g_inv.data, space.order)
+    _, g = truncate_arrays(pack.metric.space, pack.metric.g.data, space.order)
+    t1 = jet_einsum(space, "jk,i->ijk", a.data, dfd)
+    v = jet_einsum(space, "il,l->i", e.data, jet_einsum(space, "ij,j->i", ginv, dfd))
+    t2 = jet_einsum(space, "jk,i->ijk", g, v)
+    d = (t1 - t1.swapaxes(0, 1)) / (n - 2) + (t2 - t2.swapaxes(0, 1)) / ((n - 1) * (n - 2))
+    return TensorJet(space, "ddd", d)
+
+
+def _ricci_weyl_full(pack, weyl_t):
+    wmix = raise_lower(raise_lower(weyl_t, 1, pack.metric), 3, pack.metric)
+    ric, wmix = align(pack.ricci, wmix)
+    return TensorJet(wmix.space, "dd", jet_einsum(wmix.space, "kl,ikjl->ij", ric.data, wmix.data))
+
+
+def _normal_form_derivative_full(ev, phi):
+    df = ev.df
+    space = df.space
+    _, ginv = truncate_arrays(ev.metric.space, ev.metric.g_inv.data, space.order)
+    up = jet_einsum(space, "ij,j->i", ginv, df.data)
+    w2 = JetScalar(space, jet_einsum(space, "i,i->", up, df.data))
+    form = TensorJet(space, "d", mul_arrays(space, df.data, phi(w2).coeffs))
+    return covariant_derivative(form, ev.pack).values
+
+
+def _assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+@pytest.fixture(params=[(name, point, order) for name, point in POINTS for order in (4, 5)],
+                ids=lambda p: f"{p[0]}-o{p[2]}")
+def ev(request):
+    name, point, order = request.param
+    return PointEval(get_instance(name), point, order)
+
+
+def test_hessian_values(ev):
+    assert ev.hess_f.order == 0
+    _assert_close(ev.hess_f.values, hessian(ev.f, ev.pack).values)
+
+
+def test_d_at_its_cross_check_order(ev):
+    ref = _d_full(ev.pack, ev.f)
+    assert ev.dtensor.order == ref.order - 1
+    _assert_close(ev.dtensor.values, ref.values)
+    _assert_close(ev.dtensor.data, ref.data[..., : ev.dtensor.space.n_terms])
+
+
+def test_eq41_div_d_values(ev):
+    n = ev.inst.n
+    div_d = divergence(_d_full(ev.pack, ev.f), ev.pack, 1).values
+    c_term = np.einsum("jli,l->ij", ev.cotton.values, ev.gradf_up_values)
+    lhs = ev.bach.values
+    rhs = -(div_d + ((n - 3.0) / (n - 2.0)) * c_term) / (n - 2.0)
+    resid, scale, sides = bach_via_d_residual(ev)
+    assert np.abs(div_d).max() > 1e-3
+    _assert_close(sides["d_divergence_max"], np.abs(div_d).max())
+    _assert_close(resid, np.abs(lhs - rhs).max())
+    _assert_close(scale, max(np.abs(lhs).max(), np.abs(rhs).max()))
+
+
+def test_bianchi_div_ric_values(ev):
+    div_ric = divergence(ev.pack.ricci, ev.pack, 0).values
+    d_scal = scalar_gradient(ev.pack.scalar).values
+    resid, scale = verify._check_bianchi_contracted(ev)
+    _assert_close(resid, np.abs(div_ric - 0.5 * d_scal).max())
+    _assert_close(scale, max(np.abs(div_ric).max(), np.abs(d_scal).max(), 1e-30))
+
+
+@pytest.mark.parametrize("phi", [lambda w2: 1.0 / w2, lambda w2: -(1.0 / sqrt(w2))],
+                         ids=["inverse", "inverse-sqrt"])
+def test_normal_form_derivative_values(ev, phi):
+    got = levelset._normal_form_derivative(ev, phi)
+    want = _normal_form_derivative_full(ev, phi)
+    assert np.abs(want).max() > 1e-3
+    _assert_close(got, want)
+
+
+def test_ricci_weyl_term_at_bach_order(ev):
+    order = ev.order - 4
+    got = conformal._ricci_weyl_contraction(ev.pack, ev.weyl, order)
+    want = _ricci_weyl_full(ev.pack, ev.weyl).truncated(order)
+    assert np.abs(want.values).max() > 1e-3
+    _assert_close(got, want.data)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from gradsol.errors import DomainError, TensorShapeError
-from gradsol.jets import JetSpace
+from gradsol import tensors
+from gradsol.errors import ConsistencyError, DomainError, TensorShapeError
+from gradsol.jets import JetSpace, jet_einsum
+from gradsol.solitons import get_instance
 from gradsol.tensors import (
     TensorJet,
     contract,
@@ -128,6 +130,49 @@ def test_metric_inverse_coefficient_level(geometry):
     prod[np.arange(4), np.arange(4), 0] -= 1.0
     assert np.abs(prod[..., 0]).max() < 1e-12
     assert np.abs(prod).max() < 1e-10
+
+
+def _full_order_newton(space, gdata):
+    """Reference inverse: three Newton steps, each at the full order."""
+    n = space.dim
+    x = np.zeros_like(gdata)
+    x[..., 0] = np.linalg.inv(gdata[..., 0])
+    two_eye = np.zeros_like(gdata)
+    two_eye[np.arange(n), np.arange(n), 0] = 2.0
+    for _ in range(3):  # right to order 2^3 - 1 = 7
+        x = jet_einsum(space, "ij,jk->ik", x, two_eye - jet_einsum(space, "ij,jk->ik", gdata, x))
+    return x
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("order", range(6))
+def test_graded_inverse_matches_full_order_newton(dim, order):
+    space = JetSpace.get(dim, order)
+    rng = np.random.default_rng(100 * dim + order)
+    coeffs = rng.uniform(-0.5, 0.5, (dim, dim, space.n_terms))
+    gdata = coeffs + coeffs.transpose(1, 0, 2)
+    gdata[..., 0] = np.eye(dim) + 0.1 * gdata[..., 0]
+    ref = _full_order_newton(space, gdata)
+    got = tensors._invert_metric_jets(space, gdata)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_inverse_check_sees_a_top_degree_error(monkeypatch, order):
+    # the g * g_inv = id check runs at the full order, so a wrong top-degree
+    # coefficient of the inverse cannot pass
+    invert = tensors._invert_metric_jets
+
+    def off_by_1e6(space, gdata):
+        x = invert(space, gdata)
+        x[1, 1, -1] += 1e-6
+        return x
+
+    monkeypatch.setattr(tensors, "_invert_metric_jets", off_by_1e6)
+    inst = get_instance("s2xr3")
+    with pytest.raises(ConsistencyError, match="g\\*g_inv"):
+        metric_at_point(inst.metric_fn, [0.2, 0.1, 1.6, 0.5, -0.4], inst.n, order)
 
 
 def test_component_access(geometry):

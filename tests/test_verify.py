@@ -198,6 +198,38 @@ def test_cli_tensor(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--instance", "s2xr2", "--order", "4", "--points", "8", "--tol-scale", "inf"],
+    ["verify", "--instance", "s2xr2", "--order", "4", "--points", "8", "--tol-scale", "nan"],
+    ["verify", "--instance", "s2xr2", "--order", "4", "--points", "8", "--tol-scale", "0"],
+    ["verify", "--instance", "s2xr2", "--order", "4", "--points", "8", "--tol-scale", "-1"],
+    ["catalog", "validate", "cylinder-s3xr", "--points", "0"],
+    ["catalog", "validate", "cylinder-s3xr", "--points", "-3"],
+], ids=["tol-inf", "tol-nan", "tol-zero", "tol-negative", "points-zero", "points-negative"])
+def test_cli_rejects_numeric_flags_that_would_fool_the_suite(argv, capsys):
+    # an infinite tolerance would PASS s2xr2's expected FAILs; zero points
+    # would certify on no evidence
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:")
+    assert "PASS" not in out
+
+
+@pytest.mark.parametrize("instance, at, message", [
+    ("s2xr2", "0,0,two,0", "finite numbers"),
+    ("s2xr2", "0,nan,2,0", "finite numbers"),
+    ("s2xr2", "0,0,2", "4 coordinates"),
+    ("s2xr2", "0,0,2,0,0", "4 coordinates"),
+    ("cylinder-s3xr", "0,0,0,50", "outside the chart box"),
+], ids=["non-numeric", "nan", "too-few", "too-many", "outside-box"])
+def test_cli_tensor_rejects_bad_points(instance, at, message, capsys):
+    code = main(["tensor", "--instance", instance, "--at", at, "--what", "scalar", "--order", "4"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert out == ""
+
+
 def test_cli_extension_file(tmp_path, capsys):
     doc = {
         "instances": [
