@@ -19,10 +19,7 @@ from .verify import report_to_json, run_suite, suite_passed
 
 
 def _load_instances(args):
-    extra = []
-    if getattr(args, "extensions", None):
-        extra = load_extension_file(args.extensions)
-    return extra
+    return load_extension_file(args.extensions) if args.extensions else []
 
 
 def _cmd_catalog(args):

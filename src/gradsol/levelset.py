@@ -235,9 +235,16 @@ def _f_value(inst, point):
 
 
 def level_points(inst, c, n_points=12, seed=11):
-    """Order-3 point evaluations on {f = c}, found by bisection along rays."""
+    """Order-3 point evaluations on {f = c}: roots along rays that `solitons.admit` accepts.
+
+    HypothesisViolationError for a constant potential, which has no regular level values.
+    """
     from . import solitons
 
+    if inst.trivial:
+        raise HypothesisViolationError(
+            f"{inst.name}: potential is constant, there are no regular level values"
+        )
     rng = solitons.instance_rng(inst, seed, salt=97)
     lo = np.array([b[0] for b in inst.box])
     hi = np.array([b[1] for b in inst.box])
@@ -284,13 +291,9 @@ def level_points(inst, c, n_points=12, seed=11):
                 a, fa = mid, fm
             else:
                 b = mid
-        p = anchor + 0.5 * (a + b) * d
-        if inst.excluded_distance(p) < solitons.MIN_EXCLUDED_DISTANCE:
-            continue
-        ev = solitons.PointEval(inst, p, 3)
-        if solitons._grad_norm_value(ev) < solitons.MIN_GRAD_DISTANCE:
-            continue
-        evals.append(ev)
+        ev = solitons.admit(inst, anchor + 0.5 * (a + b) * d, 3)
+        if ev is not None:
+            evals.append(ev)
     if len(evals) < n_points:
         raise LevelPointError(
             f"{inst.name}: found only {len(evals)}/{n_points} points on f = {c}"
@@ -308,10 +311,6 @@ def prop32_report(inst, c, n_points=12, seed=11):
     lambda = R - (n-1) rho + H |grad f| and mu = rho - H |grad f|/(n-1).
     Each level point is an order-3 point evaluation from :func:`level_points`.
     """
-    if inst.trivial:
-        raise HypothesisViolationError(
-            f"{inst.name}: potential is constant, there are no regular level values"
-        )
     evals = level_points(inst, c, n_points=n_points, seed=seed)
     n = inst.n
     # np.max and `not <=`, unlike max and `>`, let a NaN at any point through

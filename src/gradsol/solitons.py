@@ -28,6 +28,7 @@ from .exprs import compile_expression
 from .jets import JetScalar, JetSpace, constant, coordinate_jets
 from .tensors import metric_at_point, tensor_norm_sq
 
+KINDS = ("shrinking", "steady", "expanding", "einstein")
 SOLITON_TOL = 1e-9
 HAMILTON_TOL = 1e-9
 MIN_GRAD_DISTANCE = 1e-3
@@ -41,7 +42,8 @@ class SolitonInstance:
 
     `kind` is one of shrinking/steady/expanding/einstein, or None for
     negative-control geometries that intentionally fail certification.
-    `trivial` marks constant potentials (no level-surface geometry).
+    Whether the potential is constant (`trivial`) and its normalization
+    (`f_shift`) are derived from `potential_fn`, not set.
     """
 
     name: str
@@ -53,9 +55,7 @@ class SolitonInstance:
     box: list
     base_point: list
     excluded: list = field(default_factory=list)
-    trivial: bool = False
     description: str = ""
-    _f_shift: float | None = None
 
     def contains(self, point):
         return all(lo <= x <= hi for x, (lo, hi) in zip(point, self.box))
@@ -81,7 +81,13 @@ class SolitonInstance:
             f = f + self.f_shift
         return f
 
-    @property
+    @cached_property
+    def trivial(self):
+        """Whether the potential is constant: `potential_fn` gives a number on jets."""
+        xs = coordinate_jets(JetSpace.get(self.n, 0), self.base_point)
+        return not isinstance(self.potential_fn(xs), JetScalar)
+
+    @cached_property
     def f_shift(self):
         """Additive normalization fixed by the first-integral at base_point.
 
@@ -89,20 +95,15 @@ class SolitonInstance:
         is chosen so R + |grad f|^2 - f vanishes at the base point, and its
         constancy elsewhere is then a genuine test.
         """
-        if self._f_shift is None:
-            if is_normalized_shrinker(self):
-                space = JetSpace.get(self.n, 2)
-                metric = self.metric_at(self.base_point, 2)
-                pack = curvature_pack(metric)
-                f = self.potential_jet(self.base_point, space, normalized=False)
-                df = scalar_gradient(f)
-                grad_sq = float(
-                    df.values @ metric.g_inv.values @ df.values
-                )
-                self._f_shift = pack.scalar.value + grad_sq - f.value
-            else:
-                self._f_shift = 0.0
-        return self._f_shift
+        if not is_normalized_shrinker(self):
+            return 0.0
+        space = JetSpace.get(self.n, 2)
+        metric = self.metric_at(self.base_point, 2)
+        pack = curvature_pack(metric)
+        f = self.potential_jet(self.base_point, space, normalized=False)
+        df = scalar_gradient(f)
+        grad_sq = float(df.values @ metric.g_inv.values @ df.values)
+        return pack.scalar.value + grad_sq - f.value
 
     def __repr__(self):
         return f"SolitonInstance({self.name!r}, n={self.n}, rho={self.rho}, kind={self.kind})"
@@ -262,37 +263,48 @@ def hamilton_residuals(inst, point):
 # sampling
 
 def instance_rng(inst, seed, salt=0):
+    if seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(
         np.random.SeedSequence([seed, zlib.crc32(inst.name.encode()), salt])
     )
 
 
-def _grad_norm_value(ev):
-    return math.sqrt(max(ev.df.values @ ev.gradf_up_values, 0.0))
+def admit(inst, point, order):
+    """The order-`order` point evaluation at a sampled point, or None if it is rejected.
+
+    The one admission rule: reject a point near an excluded locus and, unless
+    the potential is constant, a point where |grad f| < MIN_GRAD_DISTANCE,
+    read from the evaluation that is returned to the point's readers.
+    """
+    if inst.excluded_distance(point) < MIN_EXCLUDED_DISTANCE:
+        return None
+    ev = PointEval(inst, point, order)
+    if inst.trivial:
+        return ev
+    grad_norm = math.sqrt(max(ev.df.values @ ev.gradf_up_values, 0.0))
+    return None if grad_norm < MIN_GRAD_DISTANCE else ev
 
 
-def sample_points(inst, n_points, seed):
-    """Deterministic chart samples away from excluded loci and critical points."""
+def sample_points(inst, n_points, seed, order):
+    """Order-`order` point evaluations at deterministic chart samples that `admit` accepts."""
     if n_points < 1:
         raise ConfigurationError(f"{inst.name}: need at least 1 sample point, got {n_points}")
     rng = instance_rng(inst, seed)
     lo = np.array([b[0] for b in inst.box])
     hi = np.array([b[1] for b in inst.box])
-    points = []
+    evals = []
     for _ in range(20000):  # candidates drawn before giving up
-        if len(points) == n_points:
+        if len(evals) == n_points:
             break
-        p = lo + (hi - lo) * rng.random(inst.n)
-        if inst.excluded_distance(p) < MIN_EXCLUDED_DISTANCE:
-            continue
-        if not inst.trivial and _grad_norm_value(PointEval(inst, p, 1)) < MIN_GRAD_DISTANCE:
-            continue
-        points.append(p)
-    if len(points) < n_points:
+        ev = admit(inst, lo + (hi - lo) * rng.random(inst.n), order)
+        if ev is not None:
+            evals.append(ev)
+    if len(evals) < n_points:
         raise ConfigurationError(
             f"{inst.name}: could not draw {n_points} admissible sample points"
         )
-    return points
+    return evals
 
 
 def certify(inst, evals):
@@ -353,8 +365,7 @@ def certify(inst, evals):
 
 def validate_instance(inst, n_points=20, seed=7):
     """Certify an instance on `n_points` fresh order-3 point evaluations; see `certify`."""
-    evals = [PointEval(inst, p, 3) for p in sample_points(inst, n_points, seed)]
-    return certify(inst, evals)
+    return certify(inst, sample_points(inst, n_points, seed, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +440,6 @@ def sphere_instance(n):
         box=[(-1.5, 1.5)] * n,
         base_point=[0.3, 0.1] + [0.0] * (n - 2),
         excluded=[lambda p: 4.0 - float(np.linalg.norm(p))],
-        trivial=True,
         description=f"round sphere of radius sqrt({r_sq:g}), stereographic chart",
     )
 
@@ -480,7 +490,7 @@ def s2xs2xr_instance():
 
 def warped_product_instance(name, n, phi_fn, potential_fn, rho, kind, *,
                             r_range, fiber_range=1.2, base_point=None,
-                            trivial=False, excluded=(), description=""):
+                            excluded=(), description=""):
     """Metric dr^2 + phi(r)^2 g_fiber with a unit round fiber sphere.
 
     Coordinates are (r, u_1 .. u_{n-1}) with the fiber in stereographic
@@ -505,7 +515,6 @@ def warped_product_instance(name, n, phi_fn, potential_fn, rho, kind, *,
         box=[tuple(r_range)] + [(-fiber_range, fiber_range)] * (n - 1),
         base_point=base_point or [sum(r_range) / 2.0] + [0.0] * (n - 1),
         excluded=list(excluded),
-        trivial=trivial,
         description=description or "warped product over an interval",
     )
 
@@ -541,7 +550,6 @@ def warped_sphere_instance():
         "einstein",
         r_range=(0.4, 2.0),
         base_point=[1.0, 0.0, 0.0, 0.0],
-        trivial=True,
         excluded=[lambda p: abs(float(p[0]))],
         description="round 4-sphere in geodesic polar chart (sinusoidal warping)",
     )
@@ -668,10 +676,12 @@ def instance_from_spec(spec):
     missing = required - set(spec)
     if missing:
         raise ConfigurationError(f"catalog extension missing fields: {sorted(missing)}")
-    try:
-        n = int(spec["n"])
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"n must be an integer, got {spec['n']!r}") from None
+    n = spec["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ConfigurationError(f"n must be an integer, got {n!r}")
+    kind = spec.get("kind")
+    if kind is not None and kind not in KINDS:
+        raise ConfigurationError(f"kind must be one of {', '.join(KINDS)} or null, got {kind!r}")
     rows = spec["metric"]
     if not (isinstance(rows, list) and len(rows) == n
             and all(isinstance(r, list) and len(r) == n for r in rows)):
@@ -717,20 +727,28 @@ def instance_from_spec(spec):
         name=str(spec["name"]),
         n=n,
         rho=rho,
-        kind=spec.get("kind"),
+        kind=kind,
         metric_fn=metric_fn,
         potential_fn=potential,
         box=box,
         base_point=base,
         excluded=balls,
-        trivial=bool(spec.get("trivial", False)),
         description=str(spec.get("description", "catalog extension")),
     )
 
 
 def load_extension_file(path):
+    """The instances of a JSON extension file; ConfigurationError if it is malformed."""
     import json
 
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return [instance_from_spec(s) for s in doc.get("instances", [])]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as err:  # ValueError covers bad JSON and bad UTF-8
+        raise ConfigurationError(f"cannot read extension file {path}: {err}") from None
+    specs = doc.get("instances", []) if isinstance(doc, dict) else None
+    if not (isinstance(specs, list) and all(isinstance(s, dict) for s in specs)):
+        raise ConfigurationError(
+            f'{path}: need a JSON object whose "instances" is a list of objects'
+        )
+    return [instance_from_spec(s) for s in specs]

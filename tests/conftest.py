@@ -63,7 +63,7 @@ def suite_reports():
 
 def thm52_of(inst):
     """thm5.2 status on 12 order-5 evaluations of the suite's sample points."""
-    return thm52_status(inst, [PointEval(inst, p, 5) for p in sample_points(inst, 12, 7)])
+    return thm52_status(inst, sample_points(inst, 12, 7, 5))
 
 
 def report_entry(report, check_id):

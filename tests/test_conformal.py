@@ -79,29 +79,25 @@ def test_weyl_vanishes_dimension_three():
     assert weyl(pack).max_abs(all_coeffs=True) < 1e-9
 
 
-def test_weyl_vanishes_on_cylinder(geometry, instances):
+def test_weyl_vanishes_on_cylinder(instances):
     inst = instances["cylinder-s3xr"]
-    for p in sample_points(inst, 6, seed=5):
-        _, m, pack, _ = geometry("cylinder-s3xr", list(p), 4)
-        assert weyl(pack).max_abs() < 1e-9
+    for ev in sample_points(inst, 6, seed=5, order=4):
+        assert weyl(ev.pack).max_abs() < 1e-9
 
 
-def test_weyl_vanishes_s2xr_three_manifold(geometry, instances):
+def test_weyl_vanishes_s2xr_three_manifold(instances):
     # the 2-sphere-times-line shrinker: curved, dimension three
     inst = instances["cylinder-s2xr"]
-    for p in sample_points(inst, 6, seed=5):
-        _, m, pack, _ = geometry("cylinder-s2xr", list(p), 4)
-        assert pack.riemann.max_abs() > 1e-2
-        assert weyl(pack).max_abs() < 1e-9
+    for ev in sample_points(inst, 6, seed=5, order=4):
+        assert ev.pack.riemann.max_abs() > 1e-2
+        assert weyl(ev.pack).max_abs() < 1e-9
 
 
 def test_weyl_norm_s2xr2(instances):
     inst = instances["s2xr2"]
-    for p in sample_points(inst, 8, seed=5):
-        m = inst.metric_at(p, 3)
-        pack = curvature_pack(m)
-        w = weyl(pack)
-        assert tensor_norm_sq(w, m) > 0.1
+    for ev in sample_points(inst, 8, seed=5, order=3):
+        w = weyl(ev.pack)
+        assert tensor_norm_sq(w, ev.metric) > 0.1
     # exact value from the product structure
     m = inst.metric_at([0.0, 0.0, 2.0, 0.0], 3)
     pack = curvature_pack(m)
@@ -179,20 +175,18 @@ def test_d_decomposition(point_eval, instances):
     assert d_decomposition_residual(ev)[0] == 0.0
 
     inst = instances["s2xr2"]
-    for p in sample_points(inst, 6, seed=21):
-        ev = point_eval("s2xr2", list(p), 4)
+    for ev in sample_points(inst, 6, seed=21, order=4):
         assert d_decomposition_residual(ev)[0] < 1e-8
         assert ev.cotton.max_abs() < 1e-9
         assert ev.dtensor.max_abs() > 1e-3  # non-vacuous: D equals the W-term
 
 
-def test_d_cotton_contraction(point_eval, instances):
+def test_d_cotton_contraction(instances):
     # contracting with grad f erases the D/C difference even where D != 0
     from gradsol.conformal import d_cotton_contraction_residual
 
     inst = instances["s2xr2"]
-    for p in sample_points(inst, 6, seed=43):
-        ev = point_eval("s2xr2", list(p), 4)
+    for ev in sample_points(inst, 6, seed=43, order=4):
         assert ev.dtensor.max_abs() > 1e-3
         assert d_cotton_contraction_residual(ev)[0] < 1e-9
 
@@ -200,8 +194,8 @@ def test_d_cotton_contraction(point_eval, instances):
 def test_bach_via_d(point_eval, instances):
     inst = instances["s2xr2"]
     seen_nonzero = False
-    for p in sample_points(inst, 6, seed=33):
-        resid, scale, sides = bach_via_d_residual(point_eval("s2xr2", list(p), 5))
+    for ev in sample_points(inst, 6, seed=33, order=5):
+        resid, scale, sides = bach_via_d_residual(ev)
         assert resid / max(1.0, scale) < 1e-8
         if sides["bach_max"] > 1e-3 and sides["d_divergence_max"] > 1e-3:
             seen_nonzero = True

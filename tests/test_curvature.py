@@ -68,10 +68,8 @@ def test_riemann_space_form(geometry):
 
 def test_cylinder_scalar_curvature(instances):
     inst = instances["cylinder-s3xr"]
-    for p in sample_points(inst, 8, seed=3):
-        metric = inst.metric_at(p, 3)
-        pack = curvature_pack(metric)
-        assert abs(pack.scalar.value - 1.5) < 1e-11
+    for ev in sample_points(inst, 8, seed=3, order=3):
+        assert abs(ev.pack.scalar.value - 1.5) < 1e-11
 
 
 def test_metric_compatibility_all_instances(instances):
@@ -91,9 +89,8 @@ def test_gradient_of_potential_gaussian(geometry):
 
 def test_contracted_bianchi(instances):
     inst = instances["s2xr2"]
-    for p in sample_points(inst, 6, seed=9):
-        metric = inst.metric_at(p, 4)
-        pack = curvature_pack(metric)
+    for ev in sample_points(inst, 6, seed=9, order=4):
+        metric, pack = ev.metric, ev.pack
         dric = covariant_derivative(pack.ricci, pack)
         _, ginv = truncate_arrays(metric.space, metric.g_inv.data, dric.order)
         div_ric = jet_einsum(dric.space, "ik,ikj->j", ginv, dric.data)[..., 0]
@@ -125,9 +122,8 @@ def test_hessian_symmetric(geometry):
 def test_riemann_symmetries_sampled(instances):
     for name in ("s2xr3", "warped-sphere-s4"):
         inst = instances[name]
-        for p in sample_points(inst, 5, seed=13):
-            pack = curvature_pack(inst.metric_at(p, 3))
-            rm = pack.riemann.values
+        for ev in sample_points(inst, 5, seed=13, order=3):
+            rm = ev.pack.riemann.values
             scale = max(1.0, np.abs(rm).max())
             assert np.abs(rm + rm.transpose(1, 0, 2, 3)).max() / scale < 1e-9
             assert np.abs(rm + rm.transpose(0, 1, 3, 2)).max() / scale < 1e-9
@@ -140,9 +136,8 @@ def test_shrinker_scalar_curvature_nonnegative(instances):
     for inst in instances.values():
         if inst.kind not in ("shrinking", "einstein"):
             continue
-        for p in sample_points(inst, 20, seed=7):
-            pack = curvature_pack(inst.metric_at(p, 2))
-            assert pack.scalar.value >= -1e-10, inst.name
+        for ev in sample_points(inst, 20, seed=7, order=2):
+            assert ev.pack.scalar.value >= -1e-10, inst.name
 
 
 def test_derivative_budget_booked_by_order():

@@ -37,10 +37,9 @@ def test_frame_cylinder_axis(point_eval):
     assert fr.e1[3] < 0.0
 
 
-def test_frame_orthonormal_sampled(point_eval, instances):
+def test_frame_orthonormal_sampled(instances):
     inst = instances["s2xr2"]
-    for p in sample_points(inst, 20, seed=19):
-        ev = point_eval("s2xr2", list(p), 3)
+    for ev in sample_points(inst, 20, seed=19, order=3):
         fr = adapted_frame(ev)
         gram = fr.vectors @ ev.metric.g.values @ fr.vectors.T
         assert np.abs(gram - np.eye(4)).max() < 1e-10
@@ -79,18 +78,18 @@ def test_prop31_spot_value(point_eval):
     assert resid < 1e-8
 
 
-def test_prop31_vanishing_cases(point_eval, instances):
+def test_prop31_vanishing_cases(instances):
     for name in ("cylinder-s3xr", "gaussian-r4"):
         inst = instances[name]
-        for p in sample_points(inst, 6, seed=23):
-            _, _, r = prop31_residual(point_eval(name, list(p), 4))
+        for ev in sample_points(inst, 6, seed=23, order=4):
+            _, _, r = prop31_residual(ev)
             assert r["lhs"] < 1e-9 and r["rhs"] < 1e-9
 
 
-def test_prop31_sampled_s2xr2(point_eval, instances):
+def test_prop31_sampled_s2xr2(instances):
     inst = instances["s2xr2"]
-    for p in sample_points(inst, 10, seed=29):
-        resid, scale, _ = prop31_residual(point_eval("s2xr2", list(p), 4))
+    for ev in sample_points(inst, 10, seed=29, order=4):
+        resid, scale, _ = prop31_residual(ev)
         assert resid / max(1.0, scale) < 1e-8
 
 
@@ -149,15 +148,21 @@ def test_prop32_rejects_constant_potential(instances):
         prop32_report(instances["sphere-s4"], 2.0)
 
 
+def test_level_points_reject_constant_potential(instances):
+    # the guard sits in level_points, so the shared admission rule needs no caller branch
+    with pytest.raises(HypothesisViolationError, match="potential is constant"):
+        level_points(instances["sphere-s4"], 2.0)
+
+
 def test_prop32_rejects_nonvanishing_d(instances):
     with pytest.raises(HypothesisViolationError):
         prop32_report(instances["s2xr2"], 2.0)
 
 
-def test_frame_components_cylinder(point_eval, instances):
+def test_frame_components_cylinder(instances):
     inst = instances["cylinder-s3xr"]
-    for p in sample_points(inst, 6, seed=31):
-        _, _, rec = frame_cotton_components(point_eval("cylinder-s3xr", list(p), 4))
+    for ev in sample_points(inst, 6, seed=31, order=4):
+        _, _, rec = frame_cotton_components(ev)
         for key in ("c_ij1", "c_abc", "c_1ab", "w_1abc", "w_1a1b"):
             assert rec[key] < 1e-9, key
 
@@ -175,32 +180,31 @@ def test_frame_components_gaussian(point_eval):
     assert max(rec[k] for k in ("c_ij1", "c_abc", "c_1ab", "w_1abc", "w_1a1b")) == 0.0
 
 
-def test_normal_derivative_of_frame_metric(point_eval, instances):
+def test_normal_derivative_of_frame_metric(instances):
     # h_ab equals half the derivative of the frame metric along the inward
     # normal (sign folded into the check)
     for name in ("cylinder-s3xr", "gaussian-r4", "s2xr2"):
         inst = instances[name]
-        for p in sample_points(inst, 5, seed=37):
-            ev = point_eval(name, list(p), 4)
+        for ev in sample_points(inst, 5, seed=37, order=4):
             lsd = second_fundamental_form(ev)
             nug = normal_metric_derivative(ev)
             assert np.abs(lsd.h + 0.5 * nug).max() < 1e-8, name
 
 
-def test_normal_field_is_geodesic_on_d_zero_instances(point_eval, instances):
+def test_normal_field_is_geodesic_on_d_zero_instances(instances):
     from gradsol.levelset import normal_geodesic_residual
 
     for name in ("cylinder-s3xr", "gaussian-r4", "expanding-gaussian-r4"):
         inst = instances[name]
-        for p in sample_points(inst, 5, seed=47):
-            assert normal_geodesic_residual(point_eval(name, list(p), 4))[0] < 1e-8, name
+        for ev in sample_points(inst, 5, seed=47, order=4):
+            assert normal_geodesic_residual(ev)[0] < 1e-8, name
 
 
-def test_codazzi_consequence_on_d_zero_instances(point_eval, instances):
+def test_codazzi_consequence_on_d_zero_instances(instances):
     for name in ("cylinder-s3xr", "gaussian-r4", "warped-cylinder", "steady-flat-r4"):
         inst = instances[name]
-        for p in sample_points(inst, 5, seed=41):
-            assert frame_riemann_e1_tangential(point_eval(name, list(p), 4))[0] < 1e-8, name
+        for ev in sample_points(inst, 5, seed=41, order=4):
+            assert frame_riemann_e1_tangential(ev)[0] < 1e-8, name
 
 
 def _jet_f_value(inst, point):

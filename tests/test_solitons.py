@@ -79,7 +79,8 @@ def test_all_certified_instances_validate(instances):
 def test_negative_controls_fail_hard(instances):
     for name in ("perturbed-non-soliton-r4", "perturbed-non-soliton-r5"):
         inst = instances[name]
-        worst = max(soliton_residual(inst, p) for p in sample_points(inst, 8, seed=7))
+        worst = max(soliton_residual(inst, ev.point)
+                    for ev in sample_points(inst, 8, seed=7, order=3))
         assert worst >= 1e-3
         with pytest.raises(ValidationError):
             validate_instance(inst)
@@ -87,21 +88,21 @@ def test_negative_controls_fail_hard(instances):
 
 def test_sample_points_deterministic(instances):
     inst = instances["s2xr3"]
-    a = sample_points(inst, 12, seed=5)
-    b = sample_points(inst, 12, seed=5)
+    a = [ev.point for ev in sample_points(inst, 12, seed=5, order=3)]
+    b = [ev.point for ev in sample_points(inst, 12, seed=5, order=3)]
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    c = sample_points(inst, 12, seed=6)
+    c = [ev.point for ev in sample_points(inst, 12, seed=6, order=3)]
     assert not np.array_equal(a[0], c[0])
 
 
 def test_sample_points_respect_exclusions(instances):
     inst = instances["warped-sphere-s4"]
-    for p in sample_points(inst, 20, seed=3):
+    for p in [ev.point for ev in sample_points(inst, 20, seed=3, order=1)]:
         assert inst.excluded_distance(p) >= 1e-3
         assert inst.contains(p)
     # nontrivial instances also avoid the critical set of the potential
     cyl = instances["cylinder-s3xr"]
-    for p in sample_points(cyl, 20, seed=3):
+    for p in [ev.point for ev in sample_points(cyl, 20, seed=3, order=1)]:
         assert abs(p[3]) >= 2e-3 * 0.9  # |grad f| = |t|/2 >= 1e-3
 
 
@@ -298,3 +299,132 @@ def test_extension_lower_triangle_is_not_evaluated():
     assert result["soliton_residual"] < 1e-12
     with pytest.raises(ConfigurationError):
         instance_from_spec({**spec, "metric": [["1", "0"], ["1/", "1"]]})
+
+
+# ---------------------------------------------------------------------------
+# one admission rule; trivial and f_shift are derived
+
+_S3 = "4*(2/(1+x1^2+x2^2+x3^2))^2"
+_S2 = "2*(2/(1+x1^2+x2^2))^2"
+# expression-form copies of cylinder-s3xr and s2xr3
+_TWINS = [
+    {"name": "cylinder-s3xr-expr", "n": 4, "rho": 0.5, "kind": "shrinking",
+     "metric": [[_S3 if i == j < 3 else ("1" if i == j else "0") for j in range(4)]
+                for i in range(4)],
+     "potential": "x4^2/4 + 1.5", "domain": {"box": [[-1.2, 1.2]] * 3 + [[-4, 4]]},
+     "base_point": [0, 0, 0, 2]},
+    {"name": "s2xr3-expr", "n": 5, "rho": 0.5, "kind": "shrinking",
+     "metric": [[_S2 if i == j < 2 else ("1" if i == j else "0") for j in range(5)]
+                for i in range(5)],
+     "potential": "(x3^2 + x4^2 + x5^2)/4 + 1",
+     "domain": {"box": [[-1.2, 1.2]] * 2 + [[-3, 3]] * 3}, "base_point": [0, 0, 2, 0, 0]},
+]
+
+
+def _order1_sampler(inst, n_points, seed):
+    """The sampler before admission returned evaluations: an order-1 gradient test."""
+    from gradsol.solitons import MIN_EXCLUDED_DISTANCE, MIN_GRAD_DISTANCE, PointEval, instance_rng
+
+    rng = instance_rng(inst, seed)
+    lo = np.array([b[0] for b in inst.box])
+    hi = np.array([b[1] for b in inst.box])
+    points = []
+    while len(points) < n_points:
+        p = lo + (hi - lo) * rng.random(inst.n)
+        if inst.excluded_distance(p) < MIN_EXCLUDED_DISTANCE:
+            continue
+        ev = PointEval(inst, p, 1)
+        grad_norm = math.sqrt(max(ev.df.values @ ev.gradf_up_values, 0.0))
+        if not inst.trivial and grad_norm < MIN_GRAD_DISTANCE:
+            continue
+        points.append([float(x) for x in p])
+    return points
+
+
+@pytest.mark.parametrize("seed, order", [(3, 4), (7, 5)])
+def test_sample_points_are_the_order1_samplers_points(instances, seed, order):
+    certified = [i for i in instances.values() if i.kind is not None]
+    for inst in certified + [instance_from_spec(s) for s in _TWINS]:
+        evals = sample_points(inst, 20, seed, order)
+        assert [ev.point for ev in evals] == _order1_sampler(inst, 20, seed), inst.name
+        assert {ev.order for ev in evals} == {order}, inst.name
+
+
+def test_trivial_is_derived_from_the_potential(instances):
+    from gradsol.solitons import SolitonInstance
+
+    assert {name for name, inst in instances.items() if inst.trivial} == {
+        "sphere-s4", "sphere-s5", "warped-sphere-s4"}
+    fields = {f.name for f in dataclasses.fields(SolitonInstance)}
+    assert not fields & {"trivial", "_f_shift"}
+
+
+def _write_extension(tmp_path, *specs):
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps({"instances": list(specs)}))
+    return str(path)
+
+
+def test_constant_potential_extension_runs_the_suite(tmp_path, capsys):
+    from gradsol.cli import main
+
+    flat = {"name": "flat-constant-r4", "n": 4, "rho": 0, "kind": "steady",
+            "metric": [["1" if i == j else "0" for j in range(4)] for i in range(4)],
+            "potential": "2", "domain": {"box": [[-2, 2]] * 4}}
+    path = _write_extension(tmp_path, flat)
+    report = tmp_path / "rep.json"
+    assert main(["verify", "--instance", "flat-constant-r4", "--order", "4", "--points", "8",
+                 "--extensions", path, "--report", str(report)]) == 0
+    checks = {c["id"]: c["status"] for c in json.loads(report.read_text())["checks"]}
+    assert checks["soliton_eq"] == "PASS" and checks["prop3.1"] == "N/A"
+
+
+def test_declared_trivial_is_not_read(tmp_path, capsys):
+    from gradsol.cli import main
+
+    path = _write_extension(tmp_path, {**_GAUSSIAN_R3, "trivial": True})
+    report = tmp_path / "rep.json"
+    assert main(["verify", "--instance", "json-gaussian-r3", "--order", "4", "--points", "8",
+                 "--extensions", path, "--report", str(report)]) == 0
+    checks = {c["id"]: c["status"] for c in json.loads(report.read_text())["checks"]}
+    assert checks["prop3.1"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "directory", b"\xff\xfe", "{not json", "[1]", '{"instances": 5}',
+     '{"instances": [5]}',
+     json.dumps({"instances": [{**_GAUSSIAN_R3, "kind": "banana"}]}),
+     json.dumps({"instances": [{**_GAUSSIAN_R3, "n": 3.7}]}),
+     json.dumps({"instances": [{**_GAUSSIAN_R3, "n": True, "metric": [["1"]],
+                                "potential": "x1^2/4", "domain": {"box": [[-2, 2]]},
+                                "base_point": [2.0]}]})],
+    ids=["missing", "directory", "not-utf8", "bad-json", "top-level-list", "instances-int",
+         "instance-int", "unknown-kind", "fractional-n", "boolean-n"],
+)
+def test_bad_extension_file_is_an_error(tmp_path, capsys, content):
+    from gradsol.cli import main
+
+    path = tmp_path / "ext.json"
+    if content == "directory":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+    assert main(["catalog", "list", "--extensions", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--instance", "gaussian-r3", "--order", "4", "--points", "8", "--seed", "-1"],
+     ["catalog", "validate", "gaussian-r3", "--seed", "-1"]],
+    ids=["verify", "catalog-validate"],
+)
+def test_negative_seed_is_an_error(capsys, argv):
+    from gradsol.cli import main
+
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
