@@ -19,7 +19,10 @@ from .verify import report_to_json, run_suite, suite_passed
 
 
 def _load_instances(args):
-    return load_extension_file(args.extensions) if args.extensions else []
+    extra = []
+    if getattr(args, "extensions", None):
+        extra = load_extension_file(args.extensions)
+    return extra
 
 
 def _cmd_catalog(args):

@@ -286,7 +286,7 @@ def admit(inst, point, order):
     return None if grad_norm < MIN_GRAD_DISTANCE else ev
 
 
-def sample_points(inst, n_points, seed, order):
+def sample_evals(inst, n_points, seed, order):
     """Order-`order` point evaluations at deterministic chart samples that `admit` accepts."""
     if n_points < 1:
         raise ConfigurationError(f"{inst.name}: need at least 1 sample point, got {n_points}")
@@ -305,6 +305,11 @@ def sample_points(inst, n_points, seed, order):
             f"{inst.name}: could not draw {n_points} admissible sample points"
         )
     return evals
+
+
+def sample_points(inst, n_points, seed):
+    """The chart points of `sample_evals`, for callers that need no evaluation."""
+    return [np.array(ev.point) for ev in sample_evals(inst, n_points, seed, 1)]
 
 
 def certify(inst, evals):
@@ -365,7 +370,7 @@ def certify(inst, evals):
 
 def validate_instance(inst, n_points=20, seed=7):
     """Certify an instance on `n_points` fresh order-3 point evaluations; see `certify`."""
-    return certify(inst, sample_points(inst, n_points, seed, 3))
+    return certify(inst, sample_evals(inst, n_points, seed, 3))
 
 
 # ---------------------------------------------------------------------------

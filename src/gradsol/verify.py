@@ -31,7 +31,7 @@ from .solitons import (
     hamilton_first_residual,
     hamilton_second_residual,
     is_normalized_shrinker,
-    sample_points,
+    sample_evals,
     soliton_eq_residual,
 )
 
@@ -126,6 +126,22 @@ def _check_lemma43(ev):
     if ev.inst.trivial:
         return None
     return ev.weyl_norm, 1.0
+
+
+def _check_d_vanishes(ev):
+    return ev.d_norm, 1.0
+
+
+def _check_cotton_vanishes(ev):
+    return ev.cotton_norm, 1.0
+
+
+def _check_weyl_vanishes(ev):
+    return ev.weyl_norm, 1.0
+
+
+def _check_bach_vanishes(ev):
+    return ev.bach_norm, 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +278,10 @@ CHECKS = [
     CheckSpec("lemma4.3", 3, 1e-8, _check_lemma43, exact_dim=4, d_zero_only=True),
     CheckSpec("prop3.2", 3, 1e-8, _run_prop32, per_instance=True),
     CheckSpec("thm5.2", 5, 0.5, _run_thm52, per_instance=True, exact_dim=5),
-    CheckSpec("d_vanishes", 3, 1e-9, lambda ev: (ev.d_norm, 1.0)),
-    CheckSpec("cotton_vanishes", 3, 1e-9, lambda ev: (ev.cotton_norm, 1.0)),
-    CheckSpec("weyl_vanishes", 2, 1e-9, lambda ev: (ev.weyl_norm, 1.0), min_dim=4),
-    CheckSpec("bach_vanishes", 4, 1e-8, lambda ev: (ev.bach_norm, 1.0), min_dim=4),
+    CheckSpec("d_vanishes", 3, 1e-9, _check_d_vanishes),
+    CheckSpec("cotton_vanishes", 3, 1e-9, _check_cotton_vanishes),
+    CheckSpec("weyl_vanishes", 2, 1e-9, _check_weyl_vanishes, min_dim=4),
+    CheckSpec("bach_vanishes", 4, 1e-8, _check_bach_vanishes, min_dim=4),
 ]
 
 
@@ -290,8 +306,8 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     max(order, 3) for the first integrals, and the instance is certified
     from those evaluations first (kind-less instances abort).  Checks whose
     required order exceeds `order` are SKIPPED; checks whose hypotheses the
-    instance does not meet are N/A.  Per-check errors are recorded without aborting the rest of
-    the suite.  A per-instance check returns None or (residual, scale,
+    instance does not meet are N/A.  Per-check errors are recorded without
+    aborting the rest of the suite.  A per-instance check returns None or (residual, scale,
     detail), with residual None for N/A; entry["detail"] keeps the detail
     (for thm5.2 the equivalence status) in memory only.
     """
@@ -299,7 +315,7 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     if not 0.0 < tol_scale < math.inf:
         raise ConfigurationError(f"tol_scale must be finite and > 0, got {tol_scale}")
     n_points = max(MIN_POINTS, int(n_points))
-    evals = sample_points(inst, n_points, seed, max(order, 3))
+    evals = sample_evals(inst, n_points, seed, max(order, 3))
     certify(inst, evals)
 
     selected = CHECKS if checks is None else [c for c in CHECKS if c.id in set(checks)]

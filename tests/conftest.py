@@ -5,7 +5,7 @@ import pytest
 
 from gradsol.curvature import curvature_pack
 from gradsol.jets import JetScalar, JetSpace, coordinate_jets
-from gradsol.solitons import PointEval, catalog, get_instance, sample_points
+from gradsol.solitons import PointEval, catalog, get_instance, sample_evals
 from gradsol.verify import run_suite, thm52_status
 
 
@@ -63,7 +63,7 @@ def suite_reports():
 
 def thm52_of(inst):
     """thm5.2 status on 12 order-5 evaluations of the suite's sample points."""
-    return thm52_status(inst, sample_points(inst, 12, 7, 5))
+    return thm52_status(inst, sample_evals(inst, 12, 7, 5))
 
 
 def report_entry(report, check_id):

@@ -13,7 +13,7 @@ from gradsol.curvature import (
 )
 from gradsol.errors import InsufficientOrderError
 from gradsol.jets import jet_einsum, truncate_arrays
-from gradsol.solitons import sample_points
+from gradsol.solitons import sample_evals
 from gradsol.tensors import metric_at_point
 
 
@@ -68,7 +68,7 @@ def test_riemann_space_form(geometry):
 
 def test_cylinder_scalar_curvature(instances):
     inst = instances["cylinder-s3xr"]
-    for ev in sample_points(inst, 8, seed=3, order=3):
+    for ev in sample_evals(inst, 8, seed=3, order=3):
         assert abs(ev.pack.scalar.value - 1.5) < 1e-11
 
 
@@ -89,7 +89,7 @@ def test_gradient_of_potential_gaussian(geometry):
 
 def test_contracted_bianchi(instances):
     inst = instances["s2xr2"]
-    for ev in sample_points(inst, 6, seed=9, order=4):
+    for ev in sample_evals(inst, 6, seed=9, order=4):
         metric, pack = ev.metric, ev.pack
         dric = covariant_derivative(pack.ricci, pack)
         _, ginv = truncate_arrays(metric.space, metric.g_inv.data, dric.order)
@@ -122,7 +122,7 @@ def test_hessian_symmetric(geometry):
 def test_riemann_symmetries_sampled(instances):
     for name in ("s2xr3", "warped-sphere-s4"):
         inst = instances[name]
-        for ev in sample_points(inst, 5, seed=13, order=3):
+        for ev in sample_evals(inst, 5, seed=13, order=3):
             rm = ev.pack.riemann.values
             scale = max(1.0, np.abs(rm).max())
             assert np.abs(rm + rm.transpose(1, 0, 2, 3)).max() / scale < 1e-9
@@ -136,7 +136,7 @@ def test_shrinker_scalar_curvature_nonnegative(instances):
     for inst in instances.values():
         if inst.kind not in ("shrinking", "einstein"):
             continue
-        for ev in sample_points(inst, 20, seed=7, order=2):
+        for ev in sample_evals(inst, 20, seed=7, order=2):
             assert ev.pack.scalar.value >= -1e-10, inst.name
 
 

@@ -20,7 +20,7 @@ from gradsol.levelset import (
     prop32_report,
     second_fundamental_form,
 )
-from gradsol.solitons import PointEval, SolitonInstance, catalog, get_instance, sample_points
+from gradsol.solitons import PointEval, SolitonInstance, catalog, get_instance, sample_evals
 from gradsol.verify import run_suite
 
 
@@ -39,7 +39,7 @@ def test_frame_cylinder_axis(point_eval):
 
 def test_frame_orthonormal_sampled(instances):
     inst = instances["s2xr2"]
-    for ev in sample_points(inst, 20, seed=19, order=3):
+    for ev in sample_evals(inst, 20, seed=19, order=3):
         fr = adapted_frame(ev)
         gram = fr.vectors @ ev.metric.g.values @ fr.vectors.T
         assert np.abs(gram - np.eye(4)).max() < 1e-10
@@ -81,14 +81,14 @@ def test_prop31_spot_value(point_eval):
 def test_prop31_vanishing_cases(instances):
     for name in ("cylinder-s3xr", "gaussian-r4"):
         inst = instances[name]
-        for ev in sample_points(inst, 6, seed=23, order=4):
+        for ev in sample_evals(inst, 6, seed=23, order=4):
             _, _, r = prop31_residual(ev)
             assert r["lhs"] < 1e-9 and r["rhs"] < 1e-9
 
 
 def test_prop31_sampled_s2xr2(instances):
     inst = instances["s2xr2"]
-    for ev in sample_points(inst, 10, seed=29, order=4):
+    for ev in sample_evals(inst, 10, seed=29, order=4):
         resid, scale, _ = prop31_residual(ev)
         assert resid / max(1.0, scale) < 1e-8
 
@@ -161,7 +161,7 @@ def test_prop32_rejects_nonvanishing_d(instances):
 
 def test_frame_components_cylinder(instances):
     inst = instances["cylinder-s3xr"]
-    for ev in sample_points(inst, 6, seed=31, order=4):
+    for ev in sample_evals(inst, 6, seed=31, order=4):
         _, _, rec = frame_cotton_components(ev)
         for key in ("c_ij1", "c_abc", "c_1ab", "w_1abc", "w_1a1b"):
             assert rec[key] < 1e-9, key
@@ -185,7 +185,7 @@ def test_normal_derivative_of_frame_metric(instances):
     # normal (sign folded into the check)
     for name in ("cylinder-s3xr", "gaussian-r4", "s2xr2"):
         inst = instances[name]
-        for ev in sample_points(inst, 5, seed=37, order=4):
+        for ev in sample_evals(inst, 5, seed=37, order=4):
             lsd = second_fundamental_form(ev)
             nug = normal_metric_derivative(ev)
             assert np.abs(lsd.h + 0.5 * nug).max() < 1e-8, name
@@ -196,14 +196,14 @@ def test_normal_field_is_geodesic_on_d_zero_instances(instances):
 
     for name in ("cylinder-s3xr", "gaussian-r4", "expanding-gaussian-r4"):
         inst = instances[name]
-        for ev in sample_points(inst, 5, seed=47, order=4):
+        for ev in sample_evals(inst, 5, seed=47, order=4):
             assert normal_geodesic_residual(ev)[0] < 1e-8, name
 
 
 def test_codazzi_consequence_on_d_zero_instances(instances):
     for name in ("cylinder-s3xr", "gaussian-r4", "warped-cylinder", "steady-flat-r4"):
         inst = instances[name]
-        for ev in sample_points(inst, 5, seed=41, order=4):
+        for ev in sample_evals(inst, 5, seed=41, order=4):
             assert frame_riemann_e1_tangential(ev)[0] < 1e-8, name
 
 

@@ -17,6 +17,7 @@ from gradsol.solitons import (
     hamilton_residuals,
     instance_from_spec,
     load_extension_file,
+    sample_evals,
     sample_points,
     soliton_residual,
     validate_instance,
@@ -79,8 +80,7 @@ def test_all_certified_instances_validate(instances):
 def test_negative_controls_fail_hard(instances):
     for name in ("perturbed-non-soliton-r4", "perturbed-non-soliton-r5"):
         inst = instances[name]
-        worst = max(soliton_residual(inst, ev.point)
-                    for ev in sample_points(inst, 8, seed=7, order=3))
+        worst = max(soliton_residual(inst, p) for p in sample_points(inst, 8, seed=7))
         assert worst >= 1e-3
         with pytest.raises(ValidationError):
             validate_instance(inst)
@@ -88,21 +88,21 @@ def test_negative_controls_fail_hard(instances):
 
 def test_sample_points_deterministic(instances):
     inst = instances["s2xr3"]
-    a = [ev.point for ev in sample_points(inst, 12, seed=5, order=3)]
-    b = [ev.point for ev in sample_points(inst, 12, seed=5, order=3)]
+    a = sample_points(inst, 12, seed=5)
+    b = sample_points(inst, 12, seed=5)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    c = [ev.point for ev in sample_points(inst, 12, seed=6, order=3)]
+    c = sample_points(inst, 12, seed=6)
     assert not np.array_equal(a[0], c[0])
 
 
 def test_sample_points_respect_exclusions(instances):
     inst = instances["warped-sphere-s4"]
-    for p in [ev.point for ev in sample_points(inst, 20, seed=3, order=1)]:
+    for p in sample_points(inst, 20, seed=3):
         assert inst.excluded_distance(p) >= 1e-3
         assert inst.contains(p)
     # nontrivial instances also avoid the critical set of the potential
     cyl = instances["cylinder-s3xr"]
-    for p in [ev.point for ev in sample_points(cyl, 20, seed=3, order=1)]:
+    for p in sample_points(cyl, 20, seed=3):
         assert abs(p[3]) >= 2e-3 * 0.9  # |grad f| = |t|/2 >= 1e-3
 
 
@@ -342,12 +342,16 @@ def _order1_sampler(inst, n_points, seed):
 
 
 @pytest.mark.parametrize("seed, order", [(3, 4), (7, 5)])
-def test_sample_points_are_the_order1_samplers_points(instances, seed, order):
+def test_sample_evals_are_the_order1_samplers_points(instances, seed, order):
     certified = [i for i in instances.values() if i.kind is not None]
     for inst in certified + [instance_from_spec(s) for s in _TWINS]:
-        evals = sample_points(inst, 20, seed, order)
-        assert [ev.point for ev in evals] == _order1_sampler(inst, 20, seed), inst.name
+        expected = _order1_sampler(inst, 20, seed)
+        evals = sample_evals(inst, 20, seed, order)
+        assert [ev.point for ev in evals] == expected, inst.name
         assert {ev.order for ev in evals} == {order}, inst.name
+        points = sample_points(inst, 20, seed)
+        assert all(isinstance(p, np.ndarray) for p in points), inst.name
+        assert [list(p) for p in points] == expected, inst.name
 
 
 def test_trivial_is_derived_from_the_potential(instances):

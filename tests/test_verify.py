@@ -286,7 +286,7 @@ def test_nan_d_norm_at_second_point_is_not_d_zero(monkeypatch):
     # Python's max(0.0, nan) is 0.0; a NaN |D| must neither read as D = 0
     # nor leave the thm5.2 verdict standing
     inst = get_instance("cylinder-s4xr")
-    second = verify.sample_points(inst, 8, 7, 5)[1].point
+    second = verify.sample_evals(inst, 8, 7, 5)[1].point
     d_norm = solitons.PointEval.d_norm.func
     monkeypatch.setattr(solitons.PointEval, "d_norm", property(
         lambda ev: math.nan if ev.point == second else d_norm(ev)))
@@ -301,7 +301,7 @@ def test_nan_d_norm_at_second_point_is_not_d_zero(monkeypatch):
 
 def test_suite_evaluates_each_sample_point_once(monkeypatch):
     inst = get_instance("s2xr3")
-    points = [tuple(ev.point) for ev in verify.sample_points(inst, 8, 7, 4)]
+    points = [tuple(ev.point) for ev in verify.sample_evals(inst, 8, 7, 4)]
     calls = collections.Counter()
     metric_at_point = solitons.metric_at_point
 
@@ -349,7 +349,7 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
     # cylinder-s4xr: n = 5, D = 0 and curved, so prop3.1, eq4.6, lemma4.2,
     # lemma5.1, thm5.2 and prop3.2 all run on it
     inst = get_instance("cylinder-s4xr")
-    suite_points = {tuple(ev.point) for ev in verify.sample_points(inst, 8, 7, 5)}
+    suite_points = {tuple(ev.point) for ev in verify.sample_evals(inst, 8, 7, 5)}
     bach_ids = _count_calls(monkeypatch, conformal.bach, lambda a, out: id(out))
     counts = {
         "sff": _count_calls(monkeypatch, levelset.second_fundamental_form,
@@ -401,7 +401,7 @@ def test_cli_equivalence_line_comes_from_the_suite(monkeypatch, capsys):
 def test_weyl_derivative_built_once_per_point(monkeypatch):
     # eq2.2 reads the div W that the Bach tensor's second path takes as input
     inst = get_instance("cylinder-s4xr")
-    suite_points = {tuple(ev.point) for ev in verify.sample_points(inst, 8, 7, 5)}
+    suite_points = {tuple(ev.point) for ev in verify.sample_evals(inst, 8, 7, 5)}
     counts = _count_calls(monkeypatch, curvature.covariant_derivative,
                           lambda a, out: _where(a[1]) if a[0].rank == 4 else None)
     rep = run_suite(inst, n_points=8, seed=7, order=5)
