@@ -16,7 +16,7 @@ import numpy as np
 
 from .curvature import covariant_derivative, divergence, scalar_gradient
 from .errors import ConsistencyError, UnsupportedDimensionError
-from .jets import jet_einsum, mul_arrays, truncate_arrays
+from .jets import jet_einsum, truncate_arrays
 from .tensors import TensorJet, align, raise_lower
 
 _CROSS_CHECK_ALGEBRAIC = 1e-10
@@ -46,21 +46,15 @@ def _kulkarni_nomizu(space, g, h):
 
 
 def schouten(pack):
-    """Trace-adjusted Ricci tensor A_ij = R_ij - R g_ij / (2(n-1))."""
-    n = pack.dim
-    if n < 3:
-        raise UnsupportedDimensionError("schouten tensor needs dimension >= 3")
-    space = pack.ricci.space
-    _, g = truncate_arrays(pack.metric.space, pack.metric.g.data, space.order)
-    data = pack.ricci.data - mul_arrays(space, g, pack.scalar.coeffs) / (2.0 * (n - 1))
-    return TensorJet(space, "dd", data)
+    """Trace-adjusted Ricci tensor A_ij = R_ij - R g_ij / (2(n-1)), built once per pack."""
+    return pack.schouten
 
 
 def einstein_tensor(pack):
     """E_ij = R_ij - (R/2) g_ij."""
     space = pack.ricci.space
     _, g = truncate_arrays(pack.metric.space, pack.metric.g.data, space.order)
-    data = pack.ricci.data - 0.5 * mul_arrays(space, g, pack.scalar.coeffs)
+    data = pack.ricci.data - 0.5 * jet_einsum(space, "ij,->ij", g, pack.scalar.coeffs)
     return TensorJet(space, "dd", data)
 
 
@@ -79,7 +73,7 @@ def weyl(pack):
     ric_part = _kulkarni_nomizu(space, g, pack.ricci.data)
     gg = jet_einsum(space, "ik,jl->ijkl", g, g)
     gg_asym = gg - gg.transpose(0, 1, 3, 2, 4)
-    scal_part = mul_arrays(space, gg_asym, pack.scalar.coeffs)
+    scal_part = jet_einsum(space, "ijkl,->ijkl", gg_asym, pack.scalar.coeffs)
     w = (
         pack.riemann.data
         - ric_part / (n - 2)
@@ -190,7 +184,7 @@ def d_tensor(pack, f_jet, cross_check=False):
         u1 = jet_einsum(s2, "jk,i->ijk", pack.ricci.data[..., : s2.n_terms], df2)
         u2 = jet_einsum(s2, "jk,i->ijk", g2, dscal.data)
         u3 = jet_einsum(s2, "jk,i->ijk", g2, df2)
-        u3 = mul_arrays(s2, u3, pack.scalar.coeffs[: s2.n_terms])
+        u3 = jet_einsum(s2, "ijk,->ijk", u3, pack.scalar.coeffs[: s2.n_terms])
         d2 = (
             (u1 - u1.swapaxes(0, 1)) / (n - 2)
             + (u2 - u2.swapaxes(0, 1)) / (2.0 * (n - 1) * (n - 2))

@@ -9,10 +9,11 @@ from the same code path at every order; so does every divergence.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import TensorShapeError
+from .errors import TensorShapeError, UnsupportedDimensionError
 from .jets import JetScalar, gradient_arrays, jet_einsum, truncate_arrays
 from .tensors import MetricAtPoint, TensorJet
 
@@ -24,7 +25,8 @@ class CurvaturePack:
     """Metric, connection and curvature jets at one point.
 
     gamma is (1,2) with the contravariant slot first; riemann is fully
-    covariant R_ijkl; ricci is R_ij; scalar is g^{ij} R_ij.
+    covariant R_ijkl; ricci is R_ij; scalar is g^{ij} R_ij.  The Schouten
+    tensor, which three conformal tensors read, is built on first use and kept.
     """
 
     metric: MetricAtPoint
@@ -36,6 +38,17 @@ class CurvaturePack:
     @property
     def dim(self):
         return self.metric.dim
+
+    @cached_property
+    def schouten(self):
+        """Trace-adjusted Ricci tensor A_ij = R_ij - R g_ij / (2(n-1)), built once."""
+        n = self.dim
+        if n < 3:
+            raise UnsupportedDimensionError("schouten tensor needs dimension >= 3")
+        space = self.ricci.space
+        _, g = truncate_arrays(self.metric.space, self.metric.g.data, space.order)
+        rg = jet_einsum(space, "ij,->ij", g, self.scalar.coeffs)
+        return TensorJet(space, "dd", self.ricci.data - rg / (2.0 * (n - 1)))
 
 
 def christoffel(metric):

@@ -36,6 +36,12 @@ above 1 is contracted) and a reshape and transpose into output order.  A
 repeated call therefore parses no subscripts and makes no ``np.einsum`` or
 ``einsum_path`` call, and returns the same bits as numpy's two-operand
 einsum, which lays the contraction out the same way.
+
+A tensor times a scalar jet is ``jet_einsum`` with an empty subscript for
+the scalar (``'ijkl,->ijkl'``), so the same choice picks its kernel.
+``mul_arrays`` is the scalar-by-scalar product only: it sums its pairs with
+``reduceat``, which pays per output row x target: broadcast over Weyl's
+625 rows at dim 5, order 3 it took ten times the matrix path.
 """
 
 import math
@@ -158,7 +164,7 @@ class JetSpace:
 # packed-array kernels: jets live on the trailing axis of an ndarray
 
 def mul_arrays(space, a, b):
-    """Truncated product of coefficient arrays (jets on the trailing axis)."""
+    """Truncated product of two scalar jets' coefficient arrays."""
     p = a[..., space.mul_left] * b[..., space.mul_right]
     return np.add.reduceat(p, space.mul_starts, axis=-1)
 

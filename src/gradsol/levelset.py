@@ -27,7 +27,7 @@ from .errors import (
     HypothesisViolationError,
     LevelPointError,
 )
-from .jets import JetScalar, jet_einsum, mul_arrays, truncate_arrays
+from .jets import JetScalar, jet_einsum, truncate_arrays
 from .jets import sqrt as jets_sqrt
 from .tensors import TensorJet, tensor_norm_sq
 
@@ -160,7 +160,7 @@ def _normal_form_derivative(ev, phi):
     _, ginv = truncate_arrays(ev.metric.space, ev.metric.g_inv.data, space.order)
     up = jet_einsum(space, "ij,j->i", ginv, df.data)
     w2 = JetScalar(space, jet_einsum(space, "i,i->", up, df.data))
-    form = TensorJet(space, "d", mul_arrays(space, df.data, phi(w2).coeffs))
+    form = TensorJet(space, "d", jet_einsum(space, "i,->i", df.data, phi(w2).coeffs))
     return covariant_derivative(form, ev.pack).values
 
 

@@ -743,7 +743,8 @@ def instance_from_spec(spec):
 
 
 def load_extension_file(path):
-    """The instances of a JSON extension file; ConfigurationError if it is malformed."""
+    """The instances of a JSON extension file; ConfigurationError if it is malformed
+    or a name repeats a built-in one or another in the file."""
     import json
 
     try:
@@ -756,4 +757,10 @@ def load_extension_file(path):
         raise ConfigurationError(
             f'{path}: need a JSON object whose "instances" is a list of objects'
         )
-    return [instance_from_spec(s) for s in specs]
+    insts = [instance_from_spec(s) for s in specs]
+    taken = {inst.name for inst in catalog()}
+    for inst in insts:
+        if inst.name in taken:
+            raise ConfigurationError(f"{path}: instance name {inst.name!r} is already taken")
+        taken.add(inst.name)
+    return insts

@@ -15,9 +15,9 @@ from gradsol.conformal import (
     schouten,
     weyl,
 )
-from gradsol.curvature import covariant_derivative, curvature_pack, divergence
+from gradsol.curvature import CurvaturePack, covariant_derivative, curvature_pack, divergence
 from gradsol.errors import ConsistencyError, InsufficientOrderError, UnsupportedDimensionError
-from gradsol.solitons import sample_evals
+from gradsol.solitons import PointEval, get_instance, sample_evals
 from gradsol.tensors import TensorJet, tensor_norm_sq
 
 
@@ -51,6 +51,23 @@ def test_schouten_dimension_guard():
     assert pack.dim == 2
     with pytest.raises(UnsupportedDimensionError):
         schouten(pack)
+
+
+def test_schouten_built_once_per_pack(monkeypatch):
+    # W, C and D each read the Schouten tensor; the pack builds it once
+    built = []
+    build = CurvaturePack.schouten.func
+
+    def counting(pack):
+        built.append(pack)
+        return build(pack)
+
+    monkeypatch.setattr(CurvaturePack.schouten, "func", counting)
+    ev = PointEval(get_instance("s2xr3"), [0.2, 0.1, 1.6, 0.5, -0.4], 5)
+    for t in (ev.weyl, ev.cotton, ev.dtensor, ev.bach):
+        assert np.isfinite(t.values).all()
+    assert len(built) == 1 and built[0] is ev.pack
+    assert schouten(ev.pack) is schouten(ev.pack)
 
 
 def test_einstein_tensor(geometry):

@@ -4,7 +4,8 @@ The metric inverse runs each Newton step at the order it makes right, the
 Ricci-Weyl term of the Bach tensor and D run at the order of their
 cross-checks, and the derivatives whose values alone are read take their
 input at order 1.  These tests pin the orders and compare every value with
-a test-local full-order version.
+a test-local full-order version.  The last one keeps tensor-by-scalar
+products, which ``jet_einsum`` plans, away from ``mul_arrays``.
 """
 
 import collections
@@ -12,7 +13,7 @@ import collections
 import numpy as np
 import pytest
 
-from gradsol import conformal, levelset, tensors, verify
+from gradsol import conformal, curvature, jets, levelset, solitons, tensors, verify
 from gradsol.conformal import bach_via_d_residual, einstein_tensor, schouten
 from gradsol.curvature import covariant_derivative, divergence, hessian, scalar_gradient
 from gradsol.jets import JetScalar, jet_einsum, mul_arrays, sqrt, truncate_arrays
@@ -159,3 +160,28 @@ def test_ricci_weyl_term_at_bach_order(ev):
     want = _ricci_weyl_full(ev.pack, ev.weyl).truncated(order)
     assert np.abs(want.values).max() > 1e-3
     _assert_close(got, want.data)
+
+
+@pytest.mark.parametrize("name, point", POINTS, ids=[name for name, _ in POINTS])
+def test_scalar_jet_products_take_scalar_operands(monkeypatch, name, point):
+    # a tensor times a scalar jet goes through jet_einsum: mul_arrays, whose
+    # reduceat pays per output row, only ever multiplies two scalar jets
+    shapes = []
+
+    def recording(space, a, b):
+        shapes.append((a.shape, b.shape))
+        return mul_arrays(space, a, b)
+
+    for module in (jets, tensors, curvature, conformal, levelset, solitons):
+        if hasattr(module, "mul_arrays"):
+            monkeypatch.setattr(module, "mul_arrays", recording)
+    ev = PointEval(get_instance(name), point, 5)
+    assert ev.inst.n == 5
+    for tensor in (ev.weyl, ev.cotton, ev.dtensor, ev.bach, ev.hess_f):
+        assert np.isfinite(tensor.values).all()
+    assert np.isfinite(ev.level_surface.h).all()
+    # the normal-form derivative behind eq 4.6 and eq 4.7
+    assert np.isfinite(levelset.normal_metric_derivative(ev)).all()
+    assert levelset.normal_geodesic_residual(ev) is not None
+    assert shapes
+    assert all(len(sa) == len(sb) == 1 for sa, sb in shapes), sorted(set(shapes))

@@ -238,6 +238,8 @@ def _engine_subscripts():
         "ik,jl->ijkl", "jk,i->ijk", "kl,ikjl->ij", "km,mkij->ij", "lm,mikjl->ikj",
         "km,mikj->ij", "ij,j->i", "il,l->i", "lm,mijkl->ijk", "jm,mij->i",
         "ik,ikj->j", "i,i->",
+        # tensors times a scalar jet
+        "i,->i", "ij,->ij", "ijk,->ijk", "ijkl,->ijkl",
     ]
     for rank in range(1, 5):
         letters = "abcd"[:rank]
@@ -304,6 +306,9 @@ def test_jet_einsum_strategy_choice():
     assert jets._plan(s53, "abcd", "ed", "abce", b, a) == (jets._einsum_matrix, True)
     g = np.zeros((5, 5, s55.n_terms))
     assert jets._plan(s55, "ij", "jk", "ik", g, g) == (jets._einsum_gather, False)
+    # Weyl's g^g times the scalar curvature scatters the scalar
+    assert jets._plan(s53, "ijkl", "", "ijkl", b, np.zeros(s53.n_terms)) == (
+        jets._einsum_matrix, True)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])

@@ -290,6 +290,25 @@ def test_malformed_excluded_entry_is_an_error(tmp_path, capsys, excluded):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["catalog", "validate", "gaussian-r3", "--points", "8"],
+     ["verify", "--instance", "gaussian-r3", "--order", "4", "--points", "8"]],
+    ids=["catalog-validate", "verify"],
+)
+@pytest.mark.parametrize("names", [["gaussian-r3"], ["json-gaussian-r3"] * 2],
+                         ids=["built-in", "same-file"])
+def test_repeated_instance_name_is_an_error(tmp_path, capsys, argv, names):
+    # a copy named after a built-in would otherwise shadow it without a word
+    from gradsol.cli import main
+
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps({"instances": [{**_GAUSSIAN_R3, "name": n} for n in names]}))
+    assert main(argv + ["--extensions", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(names[0]) in err
+
+
 def test_extension_lower_triangle_is_not_evaluated():
     # the README: entries are read from the upper triangle and mirrored
     spec = {**_GAUSSIAN_R3, "n": 2, "metric": [["1", "0"], ["1/0", "1"]],
