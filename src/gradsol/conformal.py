@@ -50,12 +50,13 @@ def schouten(pack):
     return pack.schouten
 
 
-def einstein_tensor(pack):
-    """E_ij = R_ij - (R/2) g_ij."""
-    space = pack.ricci.space
+def einstein_tensor(pack, order=None):
+    """E_ij = R_ij - (R/2) g_ij, at the Ricci tensor's order or a lower `order`."""
+    order = pack.ricci.order if order is None else order
+    space, ric = truncate_arrays(pack.ricci.space, pack.ricci.data, order)
     _, g = truncate_arrays(pack.metric.space, pack.metric.g.data, space.order)
-    data = pack.ricci.data - 0.5 * jet_einsum(space, "ij,->ij", g, pack.scalar.coeffs)
-    return TensorJet(space, "dd", data)
+    _, scal = truncate_arrays(pack.scalar.space, pack.scalar.coeffs, space.order)
+    return TensorJet(space, "dd", ric - 0.5 * jet_einsum(space, "ij,->ij", g, scal))
 
 
 def weyl(pack):
@@ -159,12 +160,11 @@ def d_tensor(pack, f_jet, cross_check=False):
         raise UnsupportedDimensionError("d tensor needs dimension >= 3")
     metric = pack.metric
     a = schouten(pack)
-    e = einstein_tensor(pack)
     space, a = truncate_arrays(a.space, a.data, max(a.order - 1, 0))
-    _, e = truncate_arrays(e.space, e.data, space.order)
+    e = einstein_tensor(pack, space.order).data
     df = scalar_gradient(f_jet)
     _, dfd = truncate_arrays(df.space, df.data, space.order)
-    _, ginv = truncate_arrays(metric.space, metric.g_inv.data, space.order)
+    _, ginv = truncate_arrays(metric.g_inv.space, metric.g_inv.data, space.order)
     _, g = truncate_arrays(metric.space, metric.g.data, space.order)
     gradf_up = jet_einsum(space, "ij,j->i", ginv, dfd)
 

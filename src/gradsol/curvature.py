@@ -58,7 +58,7 @@ def christoffel(metric):
     dg = gradient_arrays(space, metric.g.data)
     lower = space.lower()
     sym = dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg
-    _, ginv = truncate_arrays(space, metric.g_inv.data, lower.order)
+    _, ginv = truncate_arrays(metric.g_inv.space, metric.g_inv.data, lower.order)
     gamma = 0.5 * jet_einsum(lower, "kl,lij->kij", ginv, sym)
     return TensorJet(lower, "udd", gamma)
 
@@ -79,7 +79,7 @@ def curvature_pack(metric):
 
     ricci = np.trace(rmix, axis1=0, axis2=2)
     _, g_low = truncate_arrays(metric.space, metric.g.data, r2.order)
-    _, ginv_low = truncate_arrays(metric.space, metric.g_inv.data, r2.order)
+    _, ginv_low = truncate_arrays(metric.g_inv.space, metric.g_inv.data, r2.order)
     riem = jet_einsum(r2, "ml,lkij->mkij", g_low, rmix)
     scal = jet_einsum(r2, "ij,ij->", ginv_low, ricci)
 
@@ -118,7 +118,7 @@ def divergence(t, pack, slot):
     The other slots keep their order; the output is one order below t.
     """
     dt = covariant_derivative(t, pack)
-    _, ginv = truncate_arrays(pack.metric.space, pack.metric.g_inv.data, dt.order)
+    _, ginv = truncate_arrays(pack.metric.g_inv.space, pack.metric.g_inv.data, dt.order)
     letters = _L[: t.rank]
     c = letters[slot]
     rest = letters.replace(c, "")

@@ -10,7 +10,8 @@ Coefficients are stored in graded-lexicographic rank order, which makes
 truncation to a lower order a plain prefix slice.  The heavy operation is
 the truncated product; its index structure is precomputed per (dim, order)
 as the P pairs (i, j) -> k of ranks whose degrees add up to at most the
-order.  `jet_einsum` contracts whole tensors of jets in one of two ways:
+order.  Above order 0, where a jet is its constant term and one plain
+contraction does, `jet_einsum` contracts whole tensors of jets in two ways:
 
 * gather: pick the P pair coefficients out of both operands, contract
   components with the pairs as a batch axis, then sum the pairs of each
@@ -276,15 +277,22 @@ def _einsum_matrix(space, sub_a, sub_b, out, a, b):
     return _pair_contract(sub_b + "Z", sub_a + "YZ", out + "Y", b, m)
 
 
+def _einsum_const(space, sub_a, sub_b, out, a, b):
+    """Order 0: one product pair, so contract the constant terms as they lie."""
+    return _pair_contract(sub_b + "Z", sub_a + "Z", out + "Z", b, a)
+
+
 def _plan(space, sub_a, sub_b, out, a, b):
     """Pick the strategy with the lower cost estimate (module docstring).
 
     Returns (kernel, swap); `swap` puts the operand with fewer components
-    first, where the matrix path scatters it.
+    first, where the matrix path scatters it; order 0 keeps that operand order.
     """
+    na, nb = math.prod(a.shape[:-1]), math.prod(b.shape[:-1])
+    if space.order == 0:
+        return _einsum_const, nb < na
     sizes = dict(zip(sub_a + sub_b, a.shape[:-1] + b.shape[:-1]))
     t2, pairs = space.n_terms ** 2, len(space.mul_left)
-    na, nb = math.prod(a.shape[:-1]), math.prod(b.shape[:-1])
     nout = math.prod(sizes[c] for c in out)
     nfull = math.prod(sizes.values())
     if 2 * min(na, nb) * t2 + nfull * t2 / 16 < pairs * (na + nb + nfull + nout):

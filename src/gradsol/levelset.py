@@ -96,11 +96,11 @@ def adapted_frame(ev):
 
 def in_frame(frame, values):
     """Components of a covariant tensor's values in the adapted frame."""
-    src = "abcd"[: values.ndim]
-    dst = "ijkl"[: values.ndim]
-    spec = ",".join(i + a for i, a in zip(dst, src)) + f",{src}->{dst}"
-    e = frame.vectors
-    return np.einsum(spec, *[e] * values.ndim, values, optimize=True)
+    out = values
+    for _ in range(values.ndim):
+        # contract the leading chart slot; its frame slot goes last
+        out = np.tensordot(out, frame.vectors, axes=(0, 1))
+    return out
 
 
 def second_fundamental_form(ev):
@@ -157,7 +157,7 @@ def _normal_form_derivative(ev, phi):
     """
     df = ev.df.truncated(1)  # the derivative's values need the form to order 1
     space = df.space
-    _, ginv = truncate_arrays(ev.metric.space, ev.metric.g_inv.data, space.order)
+    _, ginv = truncate_arrays(ev.metric.g_inv.space, ev.metric.g_inv.data, space.order)
     up = jet_einsum(space, "ij,j->i", ginv, df.data)
     w2 = JetScalar(space, jet_einsum(space, "i,i->", up, df.data))
     form = TensorJet(space, "d", jet_einsum(space, "i,->i", df.data, phi(w2).coeffs))

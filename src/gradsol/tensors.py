@@ -4,7 +4,8 @@ A TensorJet packs the jets of all n^rank components into one ndarray with
 the jet coefficients on the trailing axis, so contractions and products
 run as vectorised kernels instead of per-component Python loops.
 Component access still hands back individual :class:`~gradsol.jets.JetScalar`
-values.
+values.  A :class:`MetricAtPoint` carries g^{-1} one order below g, the most
+any reader takes, so readers slice the inverse through ``g_inv.space``.
 """
 
 import string
@@ -178,7 +179,7 @@ def outer(a, b):
 
 
 class MetricAtPoint:
-    """Metric and inverse-metric jets at one chart point."""
+    """Metric jets at one chart point, and the inverse's one order below."""
 
     __slots__ = ("space", "point", "g", "g_inv")
 
@@ -201,23 +202,20 @@ class MetricAtPoint:
 
 
 def _invert_metric_jets(space, gdata):
-    """Taylor coefficients of g^{-1} by Newton's iteration X <- X(2I - GX).
+    """Taylor coefficients of g^{-1}, solved degree by degree.
 
-    An X right to order m leaves a step right to order 2m + 1 (the error E
-    becomes -E G E), so each step runs in the space of the order it makes
-    right, min(2m + 1, order): orders 1, 3, 5 at order 5 and 1, 3, 4 at
-    order 4.  X enters a step zero-padded and G as a prefix slice.
+    (G X)_d = 0 for d >= 1 gives X_d = -G_0^{-1} (G_+ X)_d, G_+ being G
+    without its constant term; while X's degree-d block is still zero,
+    (G X)_d is (G_+ X)_d, so each degree costs one product at its order.
     """
     n = space.dim
-    x = np.linalg.inv(gdata[..., 0])[..., None]
-    m = 0
-    while m < space.order:
-        m = min(2 * m + 1, space.order)
-        step, g = truncate_arrays(space, gdata, m)
-        x = np.concatenate([x, np.zeros((n, n, step.n_terms - x.shape[-1]))], axis=-1)
-        r = -jet_einsum(step, "ij,jk->ik", g, x)
-        r[np.arange(n), np.arange(n), 0] += 2.0
-        x = jet_einsum(step, "ij,jk->ik", x, r)
+    x = np.zeros((n, n, space.n_terms))
+    x[..., 0] = x0 = np.linalg.inv(gdata[..., 0])
+    for d in range(1, space.order + 1):
+        step, g = truncate_arrays(space, gdata, d)
+        r = jet_einsum(step, "ij,jk->ik", g, x[..., : step.n_terms])
+        lo = step.block_starts[d]
+        x[..., lo : step.n_terms] = -np.tensordot(x0, r[..., lo:], axes=(1, 0))
     return x
 
 
@@ -248,12 +246,14 @@ def metric_at_point(metric_fn, point, dim, order):
     if np.linalg.eigvalsh(g0).min() <= 0.0:
         raise DomainError(f"metric is not positive definite at {list(point)}")
 
-    inv = _invert_metric_jets(space, gdata)
-    resid = jet_einsum(space, "ij,jk->ik", gdata, inv)
+    inv_space, g_low = truncate_arrays(space, gdata, max(order - 1, 0))
+    inv = _invert_metric_jets(inv_space, g_low)
+    resid = jet_einsum(inv_space, "ij,jk->ik", g_low, inv)
     resid[np.arange(dim), np.arange(dim), 0] -= 1.0
-    if np.abs(resid[..., 0]).max() > 1e-12 or np.abs(resid).max() > 1e-10:
+    # `not <=`, unlike `>`, holds for NaN: a non-finite inverse fails the check
+    if not (np.abs(resid[..., 0]).max() <= 1e-12 and np.abs(resid).max() <= 1e-10):
         raise ConsistencyError("metric inverse failed the g*g_inv = id check")
 
     g = TensorJet(space, "dd", gdata)
-    g_inv = TensorJet(space, "uu", inv)
+    g_inv = TensorJet(inv_space, "uu", inv)
     return MetricAtPoint(space, point, g, g_inv)

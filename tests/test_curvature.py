@@ -92,7 +92,7 @@ def test_contracted_bianchi(instances):
     for ev in sample_evals(inst, 6, seed=9, order=4):
         metric, pack = ev.metric, ev.pack
         dric = covariant_derivative(pack.ricci, pack)
-        _, ginv = truncate_arrays(metric.space, metric.g_inv.data, dric.order)
+        _, ginv = truncate_arrays(metric.g_inv.space, metric.g_inv.data, dric.order)
         div_ric = jet_einsum(dric.space, "ik,ikj->j", ginv, dric.data)[..., 0]
         d_scal = scalar_gradient(pack.scalar).values
         assert np.abs(div_ric - 0.5 * d_scal).max() < 1e-8

@@ -289,6 +289,10 @@ def test_jet_einsum_strategies_agree(dim, order):
         else:
             # a matrix over 16 MB is never chosen; keep the test small too
             assert jets._plan(space, sub_a, sub_b, out, a, b)[0] is jets._einsum_gather
+        if order == 0:
+            const = jets._einsum_const(space, sub_a, sub_b, out, a, b)
+            assert np.abs(const - gathered).max() <= 1e-13 * scale, subscripts
+            results.append(const)
         # the scalar loop runs dim**letters products; dims 3-4 cover 5 letters
         if dim ** len(set(sub_a + sub_b)) <= 1024:
             ref = _per_component_reference(space, sub_a, sub_b, out, a, b)
@@ -309,6 +313,11 @@ def test_jet_einsum_strategy_choice():
     # Weyl's g^g times the scalar curvature scatters the scalar
     assert jets._plan(s53, "ijkl", "", "ijkl", b, np.zeros(s53.n_terms)) == (
         jets._einsum_matrix, True)
+    # order 0 has one product pair: its constant terms are contracted directly
+    s50 = JetSpace.get(5, 0)
+    g0, r0 = np.zeros((5, 5, 1)), np.zeros((5, 5, 5, 5, 1))
+    assert jets._plan(s50, "ij", "jk", "ik", g0, g0) == (jets._einsum_const, False)
+    assert jets._plan(s50, "abcd", "ed", "abce", r0, g0) == (jets._einsum_const, True)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
@@ -334,6 +343,8 @@ def test_compiled_plans_match_plain_einsum(dim, order):
             kernels = [jets._einsum_gather]
             if x.size * space.n_terms <= 2_000_000:
                 kernels.append(jets._einsum_matrix)
+            if order == 0:
+                kernels.append(jets._einsum_const)
             for kernel in kernels:
                 got = kernel(space, sx, sy, out, x, y)
                 assert got.shape == ref.shape, (subscripts, sx, kernel.__name__)

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from gradsol import tensors
-from gradsol.errors import ConsistencyError, DomainError, TensorShapeError
-from gradsol.jets import JetSpace, jet_einsum
+from gradsol.errors import (
+    ConsistencyError,
+    DomainError,
+    InsufficientOrderError,
+    TensorShapeError,
+)
+from gradsol.jets import JetScalar, JetSpace, jet_einsum, truncate_arrays
 from gradsol.solitons import get_instance
 from gradsol.tensors import (
     TensorJet,
@@ -60,7 +65,7 @@ def test_lower_then_raise_roundtrip(geometry):
 
 def test_raise_lower_euclidean_identity():
     m = metric_at_point(_euclidean(3), [0.0, 0.0, 0.0], 3, 3)
-    space = m.space
+    space = m.g_inv.space  # raising reads g_inv, carried one order below g
     rng = np.random.default_rng(5)
     t = TensorJet(space, "dd", rng.standard_normal((3, 3, space.n_terms)))
     up = raise_lower(t, 1, m)
@@ -123,13 +128,42 @@ def test_metric_rejects_non_positive_definite():
 
 
 def test_metric_inverse_coefficient_level(geometry):
-    from gradsol.jets import jet_einsum
-
     _, m, _, _ = geometry("sphere-s4", [0.7, -0.4, 0.2, 1.1], 5)
-    prod = jet_einsum(m.space, "ij,jk->ik", m.g.data, m.g_inv.data)
+    space, g = truncate_arrays(m.space, m.g.data, m.g_inv.order)
+    prod = jet_einsum(space, "ij,jk->ik", g, m.g_inv.data)
     prod[np.arange(4), np.arange(4), 0] -= 1.0
     assert np.abs(prod[..., 0]).max() < 1e-12
     assert np.abs(prod).max() < 1e-10
+
+
+@pytest.mark.parametrize("order", range(6))
+def test_inverse_carries_one_order_less(order):
+    inst = get_instance("s2xr3")
+    m = metric_at_point(inst.metric_fn, [0.2, 0.1, 1.6, 0.5, -0.4], inst.n, order)
+    assert m.g.order == order
+    assert m.g_inv.order == max(order - 1, 0)
+    assert m.g_inv.space is JetSpace.get(inst.n, m.g_inv.order)
+    if order > 0:
+        # raising a slot of a full-order tensor would need g_inv at its order
+        with pytest.raises(InsufficientOrderError):
+            raise_lower(m.g, 0, m)
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_inverse_check_rejects_nan(order):
+    # a NaN above degree 0 leaves g_0 positive definite; the inverse check
+    # must still fail rather than hand on a non-finite g_inv
+    inst = get_instance("s2xr3")
+
+    def nan_metric(xs):
+        rows = [list(row) for row in inst.metric_fn(xs)]
+        coeffs = rows[0][0].coeffs.copy()
+        coeffs[1] = np.nan
+        rows[0][0] = JetScalar(rows[0][0].space, coeffs)
+        return rows
+
+    with pytest.raises(ConsistencyError, match="g\\*g_inv"):
+        metric_at_point(nan_metric, [0.2, 0.1, 1.6, 0.5, -0.4], inst.n, order)
 
 
 def _full_order_newton(space, gdata):
@@ -160,8 +194,8 @@ def test_graded_inverse_matches_full_order_newton(dim, order):
 
 @pytest.mark.parametrize("order", [4, 5])
 def test_inverse_check_sees_a_top_degree_error(monkeypatch, order):
-    # the g * g_inv = id check runs at the full order, so a wrong top-degree
-    # coefficient of the inverse cannot pass
+    # the g * g_inv = id check covers every coefficient the inverse carries,
+    # so a wrong top-degree coefficient of the inverse cannot pass
     invert = tensors._invert_metric_jets
 
     def off_by_1e6(space, gdata):
