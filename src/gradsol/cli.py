@@ -124,8 +124,10 @@ def _cmd_tensor(args):
         print(f"scalar curvature at {point}: {ev.pack.scalar.value!r}")
         return 0
     tensor = ev.pack.ricci if args.what == "ricci" else getattr(ev, _TENSOR_ATTR[args.what])
+    # a component that prints as zero prints unsigned, whatever its rounding
+    values = np.where(np.round(tensor.values, 10) == 0.0, 0.0, tensor.values)
     print(f"{args.what} components at {point} (chart basis):")
-    print(np.array2string(tensor.values, precision=10, suppress_small=True))
+    print(np.array2string(values, precision=10, suppress_small=True))
     return 0
 
 

@@ -2,10 +2,13 @@
 
 The convention is fixed so that the round sphere has positive sectional
 curvature in the form R_ijkl = c (g_ik g_jl - g_il g_jk) with c = 1/r^2,
-and the Ricci tensor is the trace R_ij = g^{kl} R_kilj.  Connection
-coefficients are evaluated *in jet arithmetic*, so their own derivatives
-(needed for Riemann and for covariant derivatives of derived tensors) come
-from the same code path at every order; so does every divergence.
+and the Ricci tensor is the trace R_ij = g^{kl} R_kilj.  Riemann comes from
+second derivatives of g through the Christoffel symbols of the first kind,
+Γ_{l,ij} = ½(∂_i g_jl + ∂_j g_il - ∂_l g_ij), which need no product:
+R_mkij = ∂_iΓ_{m,jk} - ∂_jΓ_{m,ik} - Γ_{l,im}Γ^l_jk + Γ_{l,jm}Γ^l_ik, i.e.
+R^l_kij lowered by g_ml.  Γ^k_ij = g^{kl}Γ_{l,ij} and the curvature are
+carried two orders below g, at g^{-1}'s order; every covariant derivative
+and divergence reads that Γ.
 """
 
 from dataclasses import dataclass
@@ -13,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import TensorShapeError, UnsupportedDimensionError
+from .errors import InsufficientOrderError, TensorShapeError, UnsupportedDimensionError
 from .jets import JetScalar, gradient_arrays, jet_einsum, truncate_arrays
 from .tensors import MetricAtPoint, TensorJet
 
@@ -51,37 +54,30 @@ class CurvaturePack:
         return TensorJet(space, "dd", self.ricci.data - rg / (2.0 * (n - 1)))
 
 
+def _connection(metric):
+    """Γ_{l,ij} ([l, i, j]) one order below g; Γ^k_ij = g^{kl}Γ_{l,ij} at g^{-1}'s order."""
+    dg = gradient_arrays(metric.space, metric.g.data)  # dg[i, j, l] = d_i g_jl
+    first = 0.5 * (dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg)
+    space, ginv = metric.g_inv.space, metric.g_inv.data
+    gamma = jet_einsum(space, "kl,lij->kij", ginv, first[..., : space.n_terms])
+    return first, TensorJet(space, "udd", gamma)
+
+
 def christoffel(metric):
     """Levi-Civita connection coefficients as a (1,2) TensorJet."""
-    space = metric.space
-    # dg[i, j, l] = d_i g_jl, one order below the metric
-    dg = gradient_arrays(space, metric.g.data)
-    lower = space.lower()
-    sym = dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg
-    _, ginv = truncate_arrays(metric.g_inv.space, metric.g_inv.data, lower.order)
-    gamma = 0.5 * jet_einsum(lower, "kl,lij->kij", ginv, sym)
-    return TensorJet(lower, "udd", gamma)
+    return _connection(metric)[1]
 
 
 def curvature_pack(metric):
     """Christoffel, Riemann, Ricci and scalar curvature in one pass."""
-    gamma = christoffel(metric)
-    gspace = gamma.space
-    r2 = gspace.lower()
-
-    # dG[m, l, i, j] = d_m Gamma^l_ij
-    dG = gradient_arrays(gspace, gamma.data)
-    # Rmix[l, k, i, j] = R^l_kij = d_i G^l_jk - d_j G^l_ik + G^l_is G^s_jk - G^l_js G^s_ik
-    t1 = dG.transpose(1, 3, 0, 2, 4)
-    _, gtr = truncate_arrays(gspace, gamma.data, r2.order)
-    q = jet_einsum(r2, "lis,sjk->lkij", gtr, gtr)
-    rmix = t1 - t1.swapaxes(2, 3) + q - q.swapaxes(2, 3)
-
-    ricci = np.trace(rmix, axis1=0, axis2=2)
-    _, g_low = truncate_arrays(metric.space, metric.g.data, r2.order)
-    _, ginv_low = truncate_arrays(metric.g_inv.space, metric.g_inv.data, r2.order)
-    riem = jet_einsum(r2, "ml,lkij->mkij", g_low, rmix)
-    scal = jet_einsum(r2, "ij,ij->", ginv_low, ricci)
+    first, gamma = _connection(metric)
+    r2, ginv = gamma.space, metric.g_inv.data
+    # R_mkij = d_i Γ_{m,jk} - d_j Γ_{m,ik} - Γ_{l,im} Γ^l_jk + Γ_{l,jm} Γ^l_ik
+    t1 = gradient_arrays(metric.space.lower(), first).transpose(1, 3, 0, 2, 4)
+    q = jet_einsum(r2, "lim,ljk->mkij", first[..., : r2.n_terms], gamma.data)
+    riem = t1 - t1.swapaxes(2, 3) - q + q.swapaxes(2, 3)
+    ricci = jet_einsum(r2, "mi,mkij->kj", ginv, riem)
+    scal = jet_einsum(r2, "ij,ij->", ginv, ricci)
 
     return CurvaturePack(
         metric=metric,
@@ -96,11 +92,17 @@ def covariant_derivative(t, pack):
     """Covariant derivative of a fully covariant tensor; new slot first.
 
     nabla_m t_{i...} = d_m t_{i...} - sum_r Gamma^s_{m i_r} t_{...s...};
-    the output carries one order less than the input.
+    the output carries one order less than the input, which is at most
+    one above the connection's order.
     """
     if any(v != "d" for v in t.valence):
         raise TensorShapeError("covariant_derivative expects a fully covariant tensor")
     out_space = t.space.lower()
+    if out_space.order > pack.gamma.order:
+        raise InsufficientOrderError(
+            f"the connection is carried to order {pack.gamma.order}; truncate the "
+            f"order-{t.order} tensor to order {pack.gamma.order + 1} first"
+        )
     parts = gradient_arrays(t.space, t.data)
     _, gtr = truncate_arrays(pack.gamma.space, pack.gamma.data, out_space.order)
     _, ttr = truncate_arrays(t.space, t.data, out_space.order)

@@ -4,8 +4,9 @@ A TensorJet packs the jets of all n^rank components into one ndarray with
 the jet coefficients on the trailing axis, so contractions and products
 run as vectorised kernels instead of per-component Python loops.
 Component access still hands back individual :class:`~gradsol.jets.JetScalar`
-values.  A :class:`MetricAtPoint` carries g^{-1} one order below g, the most
-any reader takes, so readers slice the inverse through ``g_inv.space``.
+values.  A :class:`MetricAtPoint` carries g^{-1} two orders below g, the
+order of the curvature and the most any reader takes, so readers slice the
+inverse through ``g_inv.space``.
 """
 
 import string
@@ -17,6 +18,7 @@ from .errors import (
     ConfigurationError,
     ConsistencyError,
     DomainError,
+    InsufficientOrderError,
     TensorShapeError,
 )
 from .jets import JetScalar, JetSpace, coordinate_jets, jet_einsum, truncate_arrays
@@ -145,6 +147,12 @@ def raise_lower(t, slot, metric):
     if not (0 <= slot < t.rank):
         raise TensorShapeError(f"slot {slot} out of range for rank {t.rank}")
     g = metric.g_inv if t.valence[slot] == "d" else metric.g
+    if t.order > g.order:
+        name = "g^-1" if g is metric.g_inv else "g"
+        raise InsufficientOrderError(
+            f"{name} is carried to order {g.order}; truncate the order-{t.order} "
+            f"tensor to order {g.order} first"
+        )
     _, gdata = truncate_arrays(g.space, g.data, t.order)
     letters = _LETTERS[: t.rank]
     old = letters[slot]
@@ -179,7 +187,7 @@ def outer(a, b):
 
 
 class MetricAtPoint:
-    """Metric jets at one chart point, and the inverse's one order below."""
+    """Metric jets at one chart point, and g^{-1} two orders below, the curvature's order."""
 
     __slots__ = ("space", "point", "g", "g_inv")
 
@@ -246,7 +254,7 @@ def metric_at_point(metric_fn, point, dim, order):
     if np.linalg.eigvalsh(g0).min() <= 0.0:
         raise DomainError(f"metric is not positive definite at {list(point)}")
 
-    inv_space, g_low = truncate_arrays(space, gdata, max(order - 1, 0))
+    inv_space, g_low = truncate_arrays(space, gdata, max(order - 2, 0))
     inv = _invert_metric_jets(inv_space, g_low)
     resid = jet_einsum(inv_space, "ij,jk->ik", g_low, inv)
     resid[np.arange(dim), np.arange(dim), 0] -= 1.0

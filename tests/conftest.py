@@ -1,10 +1,11 @@
 import time
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from gradsol.curvature import curvature_pack
-from gradsol.jets import JetScalar, JetSpace, coordinate_jets
+from gradsol.jets import JetScalar, JetSpace, coordinate_jets, jet_einsum
 from gradsol.solitons import PointEval, catalog, get_instance, sample_evals
 from gradsol.verify import run_suite, thm52_status
 
@@ -12,6 +13,18 @@ from gradsol.verify import run_suite, thm52_status
 @pytest.fixture(scope="session")
 def instances():
     return {inst.name: inst for inst in catalog()}
+
+
+def full_order_newton(space, gdata):
+    """Reference metric inverse: three Newton steps, each at the full order."""
+    n = space.dim
+    x = np.zeros_like(gdata)
+    x[..., 0] = np.linalg.inv(gdata[..., 0])
+    two_eye = np.zeros_like(gdata)
+    two_eye[np.arange(n), np.arange(n), 0] = 2.0
+    for _ in range(3):  # right to order 2^3 - 1 = 7
+        x = jet_einsum(space, "ij,jk->ik", x, two_eye - jet_einsum(space, "ij,jk->ik", gdata, x))
+    return x
 
 
 @lru_cache(maxsize=256)

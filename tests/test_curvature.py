@@ -77,7 +77,9 @@ def test_metric_compatibility_all_instances(instances):
         p = list(inst.base_point)
         metric = inst.metric_at(p, 4)
         pack = curvature_pack(metric)
-        ng = covariant_derivative(metric.g, pack)
+        # every coefficient the connection carries: g one order above it
+        ng = covariant_derivative(metric.g.truncated(pack.gamma.order + 1), pack)
+        assert ng.order == pack.gamma.order
         assert ng.max_abs(all_coeffs=True) < 1e-10, inst.name
 
 
@@ -161,6 +163,17 @@ def test_covariant_derivative_order_guard():
     pack = curvature_pack(m)
     with pytest.raises(InsufficientOrderError):
         covariant_derivative(pack.ricci, pack)
+
+
+def test_covariant_derivative_names_the_connection_order():
+    m = metric_at_point(_euclidean(3), [0.0] * 3, 3, 4)
+    pack = curvature_pack(m)
+    assert pack.gamma.order == 2
+    with pytest.raises(InsufficientOrderError,
+                       match="connection is carried to order 2; truncate the order-4 "
+                             "tensor to order 3"):
+        covariant_derivative(m.g, pack)
+    assert covariant_derivative(m.g.truncated(3), pack).order == 2
 
 
 def test_covariant_derivative_rejects_contravariant():

@@ -1,7 +1,9 @@
 """Each jet is carried only to the order that is read.
 
-The metric inverse stops one order below the metric and solves each degree
-with one product at that degree's order, the Ricci-Weyl term of the Bach
+The metric inverse and the connection stop two orders below the metric, the
+inverse solves each degree with one product at that degree's order, Riemann
+comes from second derivatives of g without a product above that order (a
+test-local textbook reference checks it), the Ricci-Weyl term of the Bach
 tensor and D run at the order of their cross-checks, and the derivatives
 whose values alone are read take their input at order 1.  These tests pin
 the orders and compare every value with a test-local full-order version.
@@ -14,10 +16,18 @@ import collections
 import numpy as np
 import pytest
 
+from conftest import full_order_newton
 from gradsol import conformal, curvature, jets, levelset, solitons, tensors, verify
 from gradsol.conformal import bach_via_d_residual, einstein_tensor, schouten
 from gradsol.curvature import covariant_derivative, divergence, hessian, scalar_gradient
-from gradsol.jets import JetScalar, jet_einsum, mul_arrays, sqrt, truncate_arrays
+from gradsol.jets import (
+    JetScalar,
+    gradient_arrays,
+    jet_einsum,
+    mul_arrays,
+    sqrt,
+    truncate_arrays,
+)
 from gradsol.solitons import PointEval, get_instance
 from gradsol.tensors import TensorJet, align, raise_lower
 
@@ -29,7 +39,7 @@ POINTS = [
 
 
 @pytest.mark.parametrize(
-    "order, steps", [(4, {1: 1, 2: 1, 3: 1}), (5, {1: 1, 2: 1, 3: 1, 4: 1})]
+    "order, steps", [(4, {1: 1, 2: 1}), (5, {1: 1, 2: 1, 3: 1})]
 )
 def test_products_run_at_the_order_they_make(monkeypatch, order, steps):
     counts = collections.defaultdict(collections.Counter)
@@ -55,14 +65,20 @@ def test_products_run_at_the_order_they_make(monkeypatch, order, steps):
 
         monkeypatch.setattr(module, name, wrapped)
 
-    for module in (tensors, conformal):
+    for module in (tensors, curvature, conformal):
         monkeypatch.setattr(module, "jet_einsum", counting(module.jet_einsum))
     scoped(tensors, "_invert_metric_jets")
+    scoped(solitons, "curvature_pack")
+    scoped(verify, "_check_metric_compat")
     scoped(conformal, "_ricci_weyl_contraction")
     ev = PointEval(get_instance("cylinder-s4xr"), [0.3, -0.2, 0.4, 0.1, 1.5], order)
     assert ev.bach.order == order - 4
-    # one product per degree of the inverse, which stops one below the metric
+    verify._check_metric_compat(ev)
+    # one product per degree of the inverse, which stops two below the metric
     assert dict(counts["_invert_metric_jets"]) == steps
+    # the connection and the curvature run no product above the inverse's order
+    for name in ("curvature_pack", "_check_metric_compat"):
+        assert counts[name] and max(counts[name]) == order - 2, name
     rw = counts["_ricci_weyl_contraction"]
     assert rw and max(rw) == order - 4
 
@@ -92,20 +108,49 @@ def _ricci_weyl_full(pack, weyl_t):
     return TensorJet(wmix.space, "dd", jet_einsum(wmix.space, "kl,ikjl->ij", ric.data, wmix.data))
 
 
+def _inverse_at(metric, order):
+    """g^{-1} at an order the metric's own inverse may not carry."""
+    space, g = truncate_arrays(metric.space, metric.g.data, order)
+    return full_order_newton(space, g)
+
+
+def _curvature_textbook(metric):
+    """Rm, Ric and R from the mixed formula R^l_kij = dΓ + ΓΓ, lowered by g.
+
+    Γ^l_ij = g^{lm} Γ_{m,ij} is built one order below g, from an inverse
+    carried to that order, so Riemann is differentiated out of Γ.
+    """
+    lower = metric.space.lower()
+    r2 = lower.lower()
+    dg = gradient_arrays(metric.space, metric.g.data)
+    sym = dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg
+    gamma = 0.5 * jet_einsum(lower, "kl,lij->kij", _inverse_at(metric, lower.order), sym)
+    dG = gradient_arrays(lower, gamma)  # dG[m, l, i, j] = d_m Γ^l_ij
+    t1 = dG.transpose(1, 3, 0, 2, 4)
+    gtr = gamma[..., : r2.n_terms]
+    q = jet_einsum(r2, "lis,sjk->lkij", gtr, gtr)
+    rmix = t1 - t1.swapaxes(2, 3) + q - q.swapaxes(2, 3)
+    g = metric.g.data[..., : r2.n_terms]
+    riem = jet_einsum(r2, "ml,lkij->mkij", g, rmix)
+    ricci = np.trace(rmix, axis1=0, axis2=2)
+    scalar = jet_einsum(r2, "ij,ij->", _inverse_at(metric, r2.order), ricci)
+    return riem, ricci, scalar
+
+
 def _normal_form_derivative_full(ev, phi):
     df = ev.df
     space = df.space
-    _, ginv = truncate_arrays(ev.metric.g_inv.space, ev.metric.g_inv.data, space.order)
+    ginv = _inverse_at(ev.metric, space.order)
     up = jet_einsum(space, "ij,j->i", ginv, df.data)
     w2 = JetScalar(space, jet_einsum(space, "i,i->", up, df.data))
     form = TensorJet(space, "d", mul_arrays(space, df.data, phi(w2).coeffs))
     return covariant_derivative(form, ev.pack).values
 
 
-def _assert_close(got, want):
+def _assert_close(got, want, rtol=1e-13):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+    assert np.abs(got - want).max() <= rtol * max(1.0, np.abs(want).max())
 
 
 @pytest.fixture(params=[(name, point, order) for name, point in POINTS for order in (4, 5)],
@@ -113,6 +158,17 @@ def _assert_close(got, want):
 def ev(request):
     name, point, order = request.param
     return PointEval(get_instance(name), point, order)
+
+
+def test_curvature_matches_the_textbook_formula(ev):
+    riem, ricci, scalar = _curvature_textbook(ev.metric)
+    pack = ev.pack
+    assert pack.riemann.order == ev.order - 2
+    assert np.abs(riem).max() > 1e-3
+    # every carried coefficient
+    _assert_close(pack.riemann.data, riem, rtol=1e-12)
+    _assert_close(pack.ricci.data, ricci, rtol=1e-12)
+    _assert_close(pack.scalar.coeffs, scalar, rtol=1e-12)
 
 
 def test_hessian_values(ev):

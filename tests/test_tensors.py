@@ -19,6 +19,8 @@ from gradsol.tensors import (
     tensor_norm_sq,
 )
 
+from conftest import full_order_newton
+
 
 def _euclidean(n):
     def metric(xs):
@@ -65,7 +67,7 @@ def test_lower_then_raise_roundtrip(geometry):
 
 def test_raise_lower_euclidean_identity():
     m = metric_at_point(_euclidean(3), [0.0, 0.0, 0.0], 3, 3)
-    space = m.g_inv.space  # raising reads g_inv, carried one order below g
+    space = m.g_inv.space  # raising reads g_inv, carried two orders below g
     rng = np.random.default_rng(5)
     t = TensorJet(space, "dd", rng.standard_normal((3, 3, space.n_terms)))
     up = raise_lower(t, 1, m)
@@ -77,7 +79,7 @@ def test_grad_norm_on_flat_chart(geometry):
     from gradsol.curvature import scalar_gradient
 
     inst, m, pack, f = geometry("gaussian-r4", [2.0, 0.0, 0.0, 0.0], 3)
-    df = scalar_gradient(f)
+    df = scalar_gradient(f).truncated(m.g_inv.order)
     up = raise_lower(df, 0, m)
     norm_sq = contract(outer(up, df), 0, 1)
     assert abs(norm_sq.value - 1.0) < 1e-14
@@ -137,16 +139,20 @@ def test_metric_inverse_coefficient_level(geometry):
 
 
 @pytest.mark.parametrize("order", range(6))
-def test_inverse_carries_one_order_less(order):
+def test_inverse_carries_two_orders_less(order):
     inst = get_instance("s2xr3")
     m = metric_at_point(inst.metric_fn, [0.2, 0.1, 1.6, 0.5, -0.4], inst.n, order)
     assert m.g.order == order
-    assert m.g_inv.order == max(order - 1, 0)
+    assert m.g_inv.order == max(order - 2, 0)
     assert m.g_inv.space is JetSpace.get(inst.n, m.g_inv.order)
     if order > 0:
-        # raising a slot of a full-order tensor would need g_inv at its order
-        with pytest.raises(InsufficientOrderError):
+        # raising a slot of a full-order tensor would need g_inv at its order;
+        # the error names the order g_inv is carried to
+        carried = f"g\\^-1 is carried to order {m.g_inv.order}; truncate"
+        with pytest.raises(InsufficientOrderError, match=carried):
             raise_lower(m.g, 0, m)
+        raised = raise_lower(m.g.truncated(m.g_inv.order), 0, m)
+        assert raised.order == m.g_inv.order
 
 
 @pytest.mark.parametrize("order", [3, 5])
@@ -166,18 +172,6 @@ def test_inverse_check_rejects_nan(order):
         metric_at_point(nan_metric, [0.2, 0.1, 1.6, 0.5, -0.4], inst.n, order)
 
 
-def _full_order_newton(space, gdata):
-    """Reference inverse: three Newton steps, each at the full order."""
-    n = space.dim
-    x = np.zeros_like(gdata)
-    x[..., 0] = np.linalg.inv(gdata[..., 0])
-    two_eye = np.zeros_like(gdata)
-    two_eye[np.arange(n), np.arange(n), 0] = 2.0
-    for _ in range(3):  # right to order 2^3 - 1 = 7
-        x = jet_einsum(space, "ij,jk->ik", x, two_eye - jet_einsum(space, "ij,jk->ik", gdata, x))
-    return x
-
-
 @pytest.mark.parametrize("dim", [3, 4, 5])
 @pytest.mark.parametrize("order", range(6))
 def test_graded_inverse_matches_full_order_newton(dim, order):
@@ -186,7 +180,7 @@ def test_graded_inverse_matches_full_order_newton(dim, order):
     coeffs = rng.uniform(-0.5, 0.5, (dim, dim, space.n_terms))
     gdata = coeffs + coeffs.transpose(1, 0, 2)
     gdata[..., 0] = np.eye(dim) + 0.1 * gdata[..., 0]
-    ref = _full_order_newton(space, gdata)
+    ref = full_order_newton(space, gdata)
     got = tensors._invert_metric_jets(space, gdata)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())

@@ -198,6 +198,15 @@ def test_cli_tensor(capsys):
     capsys.readouterr()
 
 
+def test_cli_tensor_prints_zeros_unsigned(capsys):
+    # Bach vanishes on the round sphere, so its components are rounding-level
+    # values of either sign; each must print as an unsigned zero
+    at = ",".join(repr(float(x)) for x in get_instance("sphere-s4").base_point)
+    assert main(["tensor", "--instance", "sphere-s4", "--at", at, "--what", "bach"]) == 0
+    out = capsys.readouterr().out
+    assert " 0." in out and "-0." not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--instance", "s2xr2", "--order", "4", "--points", "8", "--tol-scale", "inf"],
     ["verify", "--instance", "s2xr2", "--order", "4", "--points", "8", "--tol-scale", "nan"],
