@@ -3,7 +3,6 @@ gradient Ricci solitons."""
 
 from .curvature import (
     CurvaturePack,
-    christoffel,
     covariant_derivative,
     curvature_pack,
     divergence,
@@ -37,21 +36,18 @@ from .solitons import (
     SolitonInstance,
     catalog,
     get_instance,
-    hamilton_residuals,
     load_extension_file,
     sample_points,
-    soliton_residual,
     validate_instance,
     warped_product_instance,
 )
 from .tensors import (
     MetricAtPoint,
     TensorJet,
-    contract,
     metric_at_point,
     raise_lower,
     tensor_norm_sq,
 )
-from .verify import CheckSpec, check_ids, report_to_json, run_suite, thm52_status
+from .verify import CheckSpec, report_to_json, run_suite, thm52_status
 
 __version__ = "0.1.0"

@@ -14,8 +14,6 @@ and divergence reads that Γ.
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .errors import InsufficientOrderError, TensorShapeError, UnsupportedDimensionError
 from .jets import JetScalar, gradient_arrays, jet_einsum, truncate_arrays
 from .tensors import MetricAtPoint, TensorJet
@@ -61,11 +59,6 @@ def _connection(metric):
     space, ginv = metric.g_inv.space, metric.g_inv.data
     gamma = jet_einsum(space, "kl,lij->kij", ginv, first[..., : space.n_terms])
     return first, TensorJet(space, "udd", gamma)
-
-
-def christoffel(metric):
-    """Levi-Civita connection coefficients as a (1,2) TensorJet."""
-    return _connection(metric)[1]
 
 
 def curvature_pack(metric):

@@ -18,12 +18,7 @@ import numpy as np
 from . import levelset
 from .conformal import bach, cotton, d_tensor, weyl
 from .curvature import curvature_pack, divergence, hessian, scalar_gradient
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    HypothesisViolationError,
-    ValidationError,
-)
+from .errors import ConfigurationError, DomainError, ValidationError
 from .exprs import compile_expression
 from .jets import JetScalar, JetSpace, constant, coordinate_jets
 from .tensors import metric_at_point, tensor_norm_sq
@@ -236,27 +231,6 @@ def hamilton_second_residual(ev):
 def is_normalized_shrinker(inst):
     """Whether the first integrals apply: a shrinker (or Einstein) with rho = 1/2."""
     return inst.rho == 0.5 and inst.kind in ("shrinking", "einstein")
-
-
-def soliton_residual(inst, point):
-    """Worst component of Ric + Hess f - rho g at the point."""
-    inst.require_inside(point)
-    return soliton_eq_residual(PointEval(inst, point, 3))[0]
-
-
-def hamilton_residuals(inst, point):
-    """First-integral residuals of a normalized shrinker at the point.
-
-    Returns (max_i |d_i R - 2 R_ij grad^j f|, |R + |grad f|^2 - f|).
-    """
-    if not is_normalized_shrinker(inst):
-        raise HypothesisViolationError(
-            f"{inst.name}: first-integral residuals apply to normalized "
-            "shrinkers only (rho = 1/2)"
-        )
-    inst.require_inside(point)
-    ev = PointEval(inst, point, 3)
-    return hamilton_first_residual(ev)[0], hamilton_second_residual(ev)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +639,6 @@ def get_instance(name, extra=()):
 def finite_numbers(values, what):
     """The entries of `values` as floats; ConfigurationError unless all are finite."""
     try:
-        if isinstance(values, str):  # would read as a list of its digits
-            raise TypeError
         out = [float(v) for v in values]
     except (TypeError, ValueError):
         out = [math.nan]
@@ -675,12 +647,22 @@ def finite_numbers(values, what):
     return out
 
 
+def json_numbers(values, what):
+    """`finite_numbers` for a JSON list, where a boolean or a string is not a number."""
+    if not isinstance(values, list) or any(isinstance(v, (bool, str)) for v in values):
+        raise ConfigurationError(f"{what} must hold finite numbers, got {values!r}")
+    return finite_numbers(values, what)
+
+
 def instance_from_spec(spec):
     """Build an instance from a JSON-style dict of expression strings."""
     required = {"name", "n", "rho", "metric", "potential", "domain"}
     missing = required - set(spec)
     if missing:
         raise ConfigurationError(f"catalog extension missing fields: {sorted(missing)}")
+    name = spec["name"]
+    if not (isinstance(name, str) and name):
+        raise ConfigurationError(f"name must be a non-empty string, got {name!r}")
     n = spec["n"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ConfigurationError(f"n must be an integer, got {n!r}")
@@ -702,34 +684,38 @@ def instance_from_spec(spec):
                 grid[i][j] = grid[j][i] = compiled[i][j](xs)
         return grid
 
-    (rho,) = finite_numbers([spec["rho"]], "rho")
+    (rho,) = json_numbers([spec["rho"]], "rho")
     domain = spec["domain"]
     box = domain.get("box") if isinstance(domain, dict) else None
     if not isinstance(box, list):
         raise ConfigurationError(f"domain.box must be a list of {n} pairs, got {box!r}")
-    box = [tuple(finite_numbers(b, "domain.box")) for b in box]
+    box = [tuple(json_numbers(b, "domain.box")) for b in box]
     if len(box) != n or any(len(b) != 2 or not b[0] < b[1] for b in box):
         raise ConfigurationError(
             f"domain.box must hold {n} pairs [lo, hi] with lo < hi, got {box}"
         )
+    if not all(math.isfinite(hi - lo) for lo, hi in box):  # the sampler draws lo + (hi - lo) u
+        raise ConfigurationError(f"domain.box widths hi - lo must be finite, got {box}")
     excluded = spec.get("excluded", [])
     if not (isinstance(excluded, list) and all(isinstance(e, dict) for e in excluded)):
         raise ConfigurationError(f"excluded must be a list of balls, got {excluded!r}")
     balls = []
     for e in excluded:
-        center = finite_numbers(e.get("center", ()), "excluded center")
-        (radius,) = finite_numbers([e.get("radius", 0.0)], "excluded radius")
+        center = json_numbers(e.get("center", []), "excluded center")
+        (radius,) = json_numbers([e.get("radius", 0.0)], "excluded radius")
         if len(center) != n or radius < 0.0:
             raise ConfigurationError(
                 f"excluded ball needs a center of {n} coordinates and a radius >= 0, got {e!r}"
             )
         balls.append(_ball_exclusion(center, radius))
-    base = spec.get("base_point") or [(lo + hi) / 2.0 for lo, hi in box]
-    base = finite_numbers(base, "base_point")
+    base = spec.get("base_point")
+    if base is None:  # only an absent base point defaults to the box centre
+        base = [(lo + hi) / 2.0 for lo, hi in box]
+    base = json_numbers(base, "base_point")
     if len(base) != n or not all(lo <= x <= hi for x, (lo, hi) in zip(base, box)):
         raise ConfigurationError(f"base_point {base} must be {n} coordinates inside the box")
     return SolitonInstance(
-        name=str(spec["name"]),
+        name=name,
         n=n,
         rho=rho,
         kind=kind,

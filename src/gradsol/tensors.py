@@ -3,8 +3,7 @@
 A TensorJet packs the jets of all n^rank components into one ndarray with
 the jet coefficients on the trailing axis, so contractions and products
 run as vectorised kernels instead of per-component Python loops.
-Component access still hands back individual :class:`~gradsol.jets.JetScalar`
-values.  A :class:`MetricAtPoint` carries g^{-1} two orders below g, the
+A :class:`MetricAtPoint` carries g^{-1} two orders below g, the
 order of the curvature and the most any reader takes, so readers slice the
 inverse through ``g_inv.space``.
 """
@@ -13,7 +12,6 @@ import string
 
 import numpy as np
 
-from . import jets
 from .errors import (
     ConfigurationError,
     ConsistencyError,
@@ -47,11 +45,6 @@ class TensorJet:
         self.valence = valence
         self.data = data
 
-    @classmethod
-    def zeros(cls, space, valence):
-        shape = (space.dim,) * len(valence) + (space.n_terms,)
-        return cls(space, valence, np.zeros(shape))
-
     @property
     def dim(self):
         return self.space.dim
@@ -69,47 +62,14 @@ class TensorJet:
         """Constant terms: the component values at the base point."""
         return self.data[..., 0]
 
-    def component(self, *idx):
-        if len(idx) != self.rank:
-            raise TensorShapeError(f"need {self.rank} indices, got {len(idx)}")
-        return JetScalar(self.space, self.data[idx].copy())
-
     def truncated(self, order):
         lower, data = truncate_arrays(self.space, self.data, order)
         return TensorJet(lower, self.valence, data.copy())
-
-    def transpose(self, perm):
-        perm = tuple(perm)
-        data = np.transpose(self.data, perm + (self.rank,))
-        valence = "".join(self.valence[p] for p in perm)
-        return TensorJet(self.space, valence, data)
 
     def max_abs(self, all_coeffs=False):
         if all_coeffs:
             return float(np.abs(self.data).max())
         return float(np.abs(self.values).max())
-
-    def __add__(self, other):
-        self._check_like(other)
-        return TensorJet(self.space, self.valence, self.data + other.data)
-
-    def __sub__(self, other):
-        self._check_like(other)
-        return TensorJet(self.space, self.valence, self.data - other.data)
-
-    def __neg__(self):
-        return TensorJet(self.space, self.valence, -self.data)
-
-    def __mul__(self, scalar):
-        return TensorJet(self.space, self.valence, self.data * float(scalar))
-
-    __rmul__ = __mul__
-
-    def _check_like(self, other):
-        if not isinstance(other, TensorJet):
-            raise TensorShapeError("expected a TensorJet operand")
-        if other.space is not self.space or other.valence != self.valence:
-            raise TensorShapeError("tensor operands must share space and valence")
 
     def __repr__(self):
         return (
@@ -123,23 +83,6 @@ def align(a, b):
     aa = a.truncated(order) if a.order > order else a
     bb = b.truncated(order) if b.order > order else b
     return aa, bb
-
-
-def contract(t, slot_a, slot_b):
-    """Trace over one contravariant and one covariant slot."""
-    if slot_a == slot_b or not (0 <= slot_a < t.rank and 0 <= slot_b < t.rank):
-        raise TensorShapeError(f"bad slot pair ({slot_a}, {slot_b}) for rank {t.rank}")
-    if t.valence[slot_a] == t.valence[slot_b]:
-        raise TensorShapeError(
-            "contraction needs opposite variances; raise or lower a slot first"
-        )
-    data = np.trace(t.data, axis1=slot_a, axis2=slot_b)
-    valence = "".join(
-        v for i, v in enumerate(t.valence) if i not in (slot_a, slot_b)
-    )
-    if valence:
-        return TensorJet(t.space, valence, data)
-    return JetScalar(t.space, data)
 
 
 def raise_lower(t, slot, metric):
@@ -175,15 +118,6 @@ def tensor_norm_sq(t, metric):
     letters = _LETTERS[: t.rank]
     s = jet_einsum(t.space, f"{letters},{letters}->", t.data, up.data)
     return float(s[0])
-
-
-def outer(a, b):
-    """Tensor product, slots of `a` first."""
-    la = _LETTERS[: a.rank]
-    lb = _LETTERS[a.rank : a.rank + b.rank]
-    aa, bb = align(a, b)
-    out = jet_einsum(aa.space, f"{la},{lb}->{la}{lb}", aa.data, bb.data)
-    return TensorJet(aa.space, aa.valence + bb.valence, out)
 
 
 class MetricAtPoint:

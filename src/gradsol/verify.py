@@ -287,10 +287,6 @@ CHECKS = [
 ]
 
 
-def check_ids():
-    return [c.id for c in CHECKS]
-
-
 # ---------------------------------------------------------------------------
 # suite runner
 

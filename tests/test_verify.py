@@ -11,8 +11,8 @@ from gradsol.errors import ValidationError
 from gradsol import cli, conformal, curvature, levelset, solitons, verify
 from gradsol.solitons import get_instance
 from gradsol.verify import (
+    CHECKS,
     CheckSpec,
-    check_ids,
     report_to_json,
     run_suite,
     suite_passed,
@@ -82,7 +82,7 @@ def test_report_schema_and_determinism():
     for entry in doc["checks"]:
         assert set(entry) == {"id", "status", "max_residual", "argmax_point", "tolerance"}
         assert entry["status"] in ("PASS", "FAIL", "SKIPPED", "N/A")
-    assert {e["id"] for e in doc["checks"]} == set(check_ids())
+    assert {e["id"] for e in doc["checks"]} == {c.id for c in CHECKS}
 
 
 def test_tol_scale_widens_tolerances():
