@@ -18,7 +18,6 @@ from .conformal import (
     d_tensor,
     div_bach_residual,
     einstein_tensor,
-    schouten,
     weyl,
 )
 from .jets import JetScalar, JetSpace, jet_lift

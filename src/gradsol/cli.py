@@ -74,7 +74,8 @@ def _cmd_verify(args):
             continue
         reports.append(rep)
         ok = ok and suite_passed(rep)
-        print(f"== {inst.name} (order {args.order}, {args.points} points, seed {args.seed})")
+        cfg = rep["config"]  # the suite raises --points to its minimum
+        print(f"== {inst.name} (order {cfg['order']}, {cfg['points']} points, seed {cfg['seed']})")
         counts = {}
         for e in rep["checks"]:
             counts[e["status"]] = counts.get(e["status"], 0) + 1

@@ -45,18 +45,12 @@ def _kulkarni_nomizu(space, g, h):
     )
 
 
-def schouten(pack):
-    """Trace-adjusted Ricci tensor A_ij = R_ij - R g_ij / (2(n-1)), built once per pack."""
-    return pack.schouten
-
-
 def einstein_tensor(pack, order=None):
     """E_ij = R_ij - (R/2) g_ij, at the Ricci tensor's order or a lower `order`."""
     order = pack.ricci.order if order is None else order
     space, ric = truncate_arrays(pack.ricci.space, pack.ricci.data, order)
-    _, g = truncate_arrays(pack.metric.space, pack.metric.g.data, space.order)
-    _, scal = truncate_arrays(pack.scalar.space, pack.scalar.coeffs, space.order)
-    return TensorJet(space, "dd", ric - 0.5 * jet_einsum(space, "ij,->ij", g, scal))
+    rg = jet_einsum(space, "ij,->ij", pack.metric.g.data, pack.scalar.coeffs)
+    return TensorJet(space, "dd", ric - 0.5 * rg)
 
 
 def weyl(pack):
@@ -68,9 +62,7 @@ def weyl(pack):
     n = pack.dim
     if n < 3:
         raise UnsupportedDimensionError("weyl tensor needs dimension >= 3")
-    space = pack.riemann.space
-    _, g = truncate_arrays(pack.metric.space, pack.metric.g.data, space.order)
-
+    space, g = pack.riemann.space, pack.metric.g.data
     ric_part = _kulkarni_nomizu(space, g, pack.ricci.data)
     gg = jet_einsum(space, "ik,jl->ijkl", g, g)
     gg_asym = gg - gg.transpose(0, 1, 3, 2, 4)
@@ -82,7 +74,7 @@ def weyl(pack):
     )
     weyl_t = TensorJet(space, "dddd", w)
 
-    kn = _kulkarni_nomizu(space, g, schouten(pack).data)
+    kn = _kulkarni_nomizu(space, g, pack.schouten.data)
     weyl_alt = TensorJet(space, "dddd", pack.riemann.data - kn / (n - 2))
     _require_agreement(weyl_t, weyl_alt, _CROSS_CHECK_ALGEBRAIC, "weyl")
     return weyl_t
@@ -100,8 +92,7 @@ def cotton(pack):
     dric = covariant_derivative(pack.ricci, pack)
     space = dric.space
     dscal = scalar_gradient(pack.scalar)
-    _, g = truncate_arrays(pack.metric.space, pack.metric.g.data, space.order)
-    t = jet_einsum(space, "jk,i->ijk", g, dscal.data)
+    t = jet_einsum(space, "jk,i->ijk", pack.metric.g.data, dscal.data)
     c = (
         dric.data
         - dric.data.swapaxes(0, 1)
@@ -109,7 +100,7 @@ def cotton(pack):
     )
     cotton_t = TensorJet(space, "ddd", c)
 
-    da = covariant_derivative(schouten(pack), pack)
+    da = covariant_derivative(pack.schouten, pack)
     cotton_alt = TensorJet(space, "ddd", da.data - da.data.swapaxes(0, 1))
     _require_agreement(cotton_t, cotton_alt, _CROSS_CHECK_ALGEBRAIC, "cotton")
     return cotton_t
@@ -118,13 +109,12 @@ def cotton(pack):
 def _ricci_weyl_contraction(pack, weyl_t, order):
     """R^{kl}-contraction against the mixed conformal curvature W_i^k_j^l.
 
-    W and Ric are truncated to `order` (the Bach tensor's) before the two
-    slots are raised, so no coefficient above it is formed.
+    W is truncated to `order` (the Bach tensor's) before its two slots are
+    raised, so no coefficient above it is formed; Ric is read at that order.
     """
     metric = pack.metric
     w = raise_lower(raise_lower(weyl_t.truncated(order), 1, metric), 3, metric)
-    ric = pack.ricci.truncated(order)
-    return jet_einsum(w.space, "kl,ikjl->ij", ric.data, w.data)
+    return jet_einsum(w.space, "kl,ikjl->ij", pack.ricci.data, w.data)
 
 
 def bach(pack, cotton_t, weyl_t, div_weyl):
@@ -158,17 +148,13 @@ def d_tensor(pack, f_jet, cross_check=False):
     n = pack.dim
     if n < 3:
         raise UnsupportedDimensionError("d tensor needs dimension >= 3")
-    metric = pack.metric
-    a = schouten(pack)
-    space, a = truncate_arrays(a.space, a.data, max(a.order - 1, 0))
+    g, a = pack.metric.g.data, pack.schouten
+    space, _ = truncate_arrays(a.space, a.data, max(a.order - 1, 0))
     e = einstein_tensor(pack, space.order).data
-    df = scalar_gradient(f_jet)
-    _, dfd = truncate_arrays(df.space, df.data, space.order)
-    _, ginv = truncate_arrays(metric.g_inv.space, metric.g_inv.data, space.order)
-    _, g = truncate_arrays(metric.space, metric.g.data, space.order)
-    gradf_up = jet_einsum(space, "ij,j->i", ginv, dfd)
+    df = scalar_gradient(f_jet).data
+    gradf_up = jet_einsum(space, "ij,j->i", pack.metric.g_inv.data, df)
 
-    t1 = jet_einsum(space, "jk,i->ijk", a, dfd)
+    t1 = jet_einsum(space, "jk,i->ijk", a.data, df)
     v = jet_einsum(space, "il,l->i", e, gradf_up)
     t2 = jet_einsum(space, "jk,i->ijk", g, v)
     d = (t1 - t1.swapaxes(0, 1)) / (n - 2) + (t2 - t2.swapaxes(0, 1)) / (
@@ -179,12 +165,10 @@ def d_tensor(pack, f_jet, cross_check=False):
     if cross_check:
         dscal = scalar_gradient(pack.scalar)
         s2 = dscal.space
-        _, g2 = truncate_arrays(metric.space, metric.g.data, s2.order)
-        _, df2 = truncate_arrays(df.space, df.data, s2.order)
-        u1 = jet_einsum(s2, "jk,i->ijk", pack.ricci.data[..., : s2.n_terms], df2)
-        u2 = jet_einsum(s2, "jk,i->ijk", g2, dscal.data)
-        u3 = jet_einsum(s2, "jk,i->ijk", g2, df2)
-        u3 = jet_einsum(s2, "ijk,->ijk", u3, pack.scalar.coeffs[: s2.n_terms])
+        u1 = jet_einsum(s2, "jk,i->ijk", pack.ricci.data, df)
+        u2 = jet_einsum(s2, "jk,i->ijk", g, dscal.data)
+        u3 = jet_einsum(s2, "jk,i->ijk", g, df)
+        u3 = jet_einsum(s2, "ijk,->ijk", u3, pack.scalar.coeffs)
         d2 = (
             (u1 - u1.swapaxes(0, 1)) / (n - 2)
             + (u2 - u2.swapaxes(0, 1)) / (2.0 * (n - 1) * (n - 2))

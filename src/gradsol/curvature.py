@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InsufficientOrderError, TensorShapeError, UnsupportedDimensionError
-from .jets import JetScalar, gradient_arrays, jet_einsum, truncate_arrays
+from .jets import JetScalar, gradient_arrays, jet_einsum
 from .tensors import MetricAtPoint, TensorJet
 
 _L = "abcdefgh"
@@ -47,8 +47,7 @@ class CurvaturePack:
         if n < 3:
             raise UnsupportedDimensionError("schouten tensor needs dimension >= 3")
         space = self.ricci.space
-        _, g = truncate_arrays(self.metric.space, self.metric.g.data, space.order)
-        rg = jet_einsum(space, "ij,->ij", g, self.scalar.coeffs)
+        rg = jet_einsum(space, "ij,->ij", self.metric.g.data, self.scalar.coeffs)
         return TensorJet(space, "dd", self.ricci.data - rg / (2.0 * (n - 1)))
 
 
@@ -56,8 +55,8 @@ def _connection(metric):
     """Γ_{l,ij} ([l, i, j]) one order below g; Γ^k_ij = g^{kl}Γ_{l,ij} at g^{-1}'s order."""
     dg = gradient_arrays(metric.space, metric.g.data)  # dg[i, j, l] = d_i g_jl
     first = 0.5 * (dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg)
-    space, ginv = metric.g_inv.space, metric.g_inv.data
-    gamma = jet_einsum(space, "kl,lij->kij", ginv, first[..., : space.n_terms])
+    space = metric.g_inv.space
+    gamma = jet_einsum(space, "kl,lij->kij", metric.g_inv.data, first)
     return first, TensorJet(space, "udd", gamma)
 
 
@@ -67,7 +66,7 @@ def curvature_pack(metric):
     r2, ginv = gamma.space, metric.g_inv.data
     # R_mkij = d_i Γ_{m,jk} - d_j Γ_{m,ik} - Γ_{l,im} Γ^l_jk + Γ_{l,jm} Γ^l_ik
     t1 = gradient_arrays(metric.space.lower(), first).transpose(1, 3, 0, 2, 4)
-    q = jet_einsum(r2, "lim,ljk->mkij", first[..., : r2.n_terms], gamma.data)
+    q = jet_einsum(r2, "lim,ljk->mkij", first, gamma.data)
     riem = t1 - t1.swapaxes(2, 3) - q + q.swapaxes(2, 3)
     ricci = jet_einsum(r2, "mi,mkij->kj", ginv, riem)
     scal = jet_einsum(r2, "ij,ij->", ginv, ricci)
@@ -97,13 +96,11 @@ def covariant_derivative(t, pack):
             f"order-{t.order} tensor to order {pack.gamma.order + 1} first"
         )
     parts = gradient_arrays(t.space, t.data)
-    _, gtr = truncate_arrays(pack.gamma.space, pack.gamma.data, out_space.order)
-    _, ttr = truncate_arrays(t.space, t.data, out_space.order)
     letters = _L[: t.rank]
     for r in range(t.rank):
         tsub = letters[: r] + "s" + letters[r + 1 :]
         subs = f"sm{letters[r]},{tsub}->m{letters}"
-        parts = parts - jet_einsum(out_space, subs, gtr, ttr)
+        parts = parts - jet_einsum(out_space, subs, pack.gamma.data, t.data)
     return TensorJet(out_space, "d" * (t.rank + 1), parts)
 
 
@@ -113,11 +110,10 @@ def divergence(t, pack, slot):
     The other slots keep their order; the output is one order below t.
     """
     dt = covariant_derivative(t, pack)
-    _, ginv = truncate_arrays(pack.metric.g_inv.space, pack.metric.g_inv.data, dt.order)
     letters = _L[: t.rank]
     c = letters[slot]
     rest = letters.replace(c, "")
-    out = jet_einsum(dt.space, f"{c}m,m{letters}->{rest}", ginv, dt.data)
+    out = jet_einsum(dt.space, f"{c}m,m{letters}->{rest}", pack.metric.g_inv.data, dt.data)
     return TensorJet(dt.space, "d" * len(rest), out)
 
 

@@ -7,7 +7,9 @@ jets propagate exact partial derivatives, so the curvature stack never
 differentiates anything by finite differences or symbols.
 
 Coefficients are stored in graded-lexicographic rank order, which makes
-truncation to a lower order a plain prefix slice.  The heavy operation is
+truncation to a lower order a plain prefix slice.  ``jet_einsum`` takes that
+slice itself: an operand carried above the product's order is read at that
+order, so callers pass whole jets.  The heavy operation is
 the truncated product; its index structure is precomputed per (dim, order)
 as the P pairs (i, j) -> k of ranks whose degrees add up to at most the
 order.  Above order 0, where a jet is its constant term and one plain
@@ -29,12 +31,12 @@ middle orders, the gather path on same-size products, full contractions
 and orders 4-5, where T^2 outgrows P.
 
 Both choices are made once per call signature (space, subscripts, operand
-shapes).  The component contraction each kernel then runs is compiled once
-per signature as well: its index letters are sorted into batch, contracted
-and kept groups, and the plan is a fixed transpose and reshape of each
-operand, one ``np.matmul`` (a broadcast ``np.multiply`` when nothing of size
-above 1 is contracted) and a reshape and transpose into output order.  A
-repeated call therefore parses no subscripts and makes no ``np.einsum`` or
+shapes after the prefix slice).  The component contraction each kernel then
+runs is compiled once per signature as well: its index letters are sorted
+into batch, contracted and kept groups, and the plan is a fixed transpose
+and reshape of each operand, one ``np.matmul`` (a broadcast ``np.multiply``
+when nothing of size above 1 is contracted) and a reshape and transpose into
+output order.  A repeated call therefore parses no subscripts and makes no ``np.einsum`` or
 ``einsum_path`` call, and returns the same bits as numpy's two-operand
 einsum, which lays the contraction out the same way.
 
@@ -304,9 +306,17 @@ def jet_einsum(space, subscripts, a, b):
     """einsum over component axes with jet-valued entries.
 
     `subscripts` addresses component axes only (e.g. ``'kl,lij->kij'``);
-    the trailing jet axis is handled internally.  Both operands must carry
-    coefficients in `space`.
+    the trailing jet axis is handled internally.  Each operand may carry a
+    higher order than `space`: its first ``space.n_terms`` coefficients, the
+    prefix that is its truncation to `space`, are read.  An operand with
+    fewer coefficients raises InsufficientOrderError.
     """
+    n = space.n_terms
+    if min(a.shape[-1], b.shape[-1]) < n:
+        raise InsufficientOrderError(
+            f"operands carry {a.shape[-1]} and {b.shape[-1]} coefficients; {space} reads {n}"
+        )
+    a, b = a[..., :n], b[..., :n]
     ins, out = subscripts.split("->")
     sub_a, sub_b = ins.split(",")
     key = (space, subscripts, a.shape, b.shape)

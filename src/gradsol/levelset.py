@@ -9,10 +9,12 @@ the compensating sign explicitly.
 The per-point functions read one :class:`~gradsol.solitons.PointEval`,
 which caches the frame, the Hessian of f and the level-surface data, so
 each is computed once per point.  The residuals of the suite's level-set
-checks return ``None`` where the potential is constant, else
-``(residual, scale)``; :func:`prop31_residual` and
+checks return ``(residual, scale)``; :func:`prop31_residual` and
 :func:`frame_cotton_components` add a third element, a dict of the
-quantities behind the residual.
+quantities behind the residual.  They need a regular point of a
+non-constant potential: the suite's ``CheckSpec.level_sets`` keeps them
+off constant potentials, and at a critical point the adapted frame raises
+:class:`CriticalPointError`.
 """
 
 import math
@@ -27,7 +29,7 @@ from .errors import (
     HypothesisViolationError,
     LevelPointError,
 )
-from .jets import JetScalar, jet_einsum, truncate_arrays
+from .jets import JetScalar, jet_einsum
 from .jets import sqrt as jets_sqrt
 from .tensors import TensorJet, tensor_norm_sq
 
@@ -137,8 +139,6 @@ def prop31_residual(ev):
     lhs = |D|^2; rhs = 2|grad f|^4/(n-2)^2 |h - H/(n-1) g|^2
     + |tangential dR|^2 / (2(n-1)(n-2)).
     """
-    if ev.inst.trivial:
-        return None
     n = ev.inst.n
     lsd = ev.level_surface
     lhs = tensor_norm_sq(ev.dtensor, ev.metric)
@@ -157,8 +157,7 @@ def _normal_form_derivative(ev, phi):
     """
     df = ev.df.truncated(1)  # the derivative's values need the form to order 1
     space = df.space
-    _, ginv = truncate_arrays(ev.metric.g_inv.space, ev.metric.g_inv.data, space.order)
-    up = jet_einsum(space, "ij,j->i", ginv, df.data)
+    up = jet_einsum(space, "ij,j->i", ev.metric.g_inv.data, df.data)
     w2 = JetScalar(space, jet_einsum(space, "i,i->", up, df.data))
     form = TensorJet(space, "d", jet_einsum(space, "i,->i", df.data, phi(w2).coeffs))
     return covariant_derivative(form, ev.pack).values
@@ -172,9 +171,9 @@ def normal_metric_derivative(ev):
     -|grad f| times the symmetrised covariant derivative of df/|grad f|^2
     contracted with the tangent frame.
     """
+    t = ev.frame.tangent
     dv = _normal_form_derivative(ev, lambda w2: 1.0 / w2)
     lie = dv + dv.T
-    t = ev.frame.tangent
     return -ev.frame.grad_f_norm * (t @ lie @ t.T)
 
 
@@ -184,17 +183,13 @@ def normal_geodesic_residual(ev):
     The integral curves of the unit normal are geodesics whenever
     |grad f| is constant on level surfaces.
     """
-    if ev.inst.trivial:
-        return None
-    dnu = _normal_form_derivative(ev, lambda w2: -(1.0 / jets_sqrt(w2)))
     nu_up = -ev.frame.e1  # unit normal, contravariant components
+    dnu = _normal_form_derivative(ev, lambda w2: -(1.0 / jets_sqrt(w2)))
     return float(np.abs(nu_up @ dnu).max()), 1.0
 
 
 def frame_riemann_e1_tangential(ev):
     """max |Rm(e_1, e_a, e_b, e_c)| over tangential a, b, c."""
-    if ev.inst.trivial:
-        return None
     rm = in_frame(ev.frame, ev.pack.riemann.values)
     return float(np.abs(rm[0, 1:, 1:, 1:]).max()), float(np.abs(ev.pack.riemann.values).max())
 
@@ -207,8 +202,6 @@ def frame_cotton_components(ev):
     whose soliton 3-tensor vanishes the five families vanish and their
     maximum is the residual; elsewhere the record shows which survive.
     """
-    if ev.inst.trivial:
-        return None
     c = in_frame(ev.frame, ev.cotton.values)
     w = ev.frame_weyl
     rec = {

@@ -205,7 +205,7 @@ class PointEval:
 def soliton_eq_residual(ev):
     """Ric + Hess f - rho g at one point evaluation."""
     hess = ev.hess_f
-    g = ev.metric.g.truncated(hess.order).values
+    g = ev.metric.g.values
     ric = ev.pack.ricci.values
     resid = np.abs(ric + hess.values - ev.inst.rho * g).max()
     scale = max(np.abs(ric).max(), np.abs(hess.values).max(), abs(ev.inst.rho) * np.abs(g).max())
@@ -663,6 +663,9 @@ def instance_from_spec(spec):
     name = spec["name"]
     if not (isinstance(name, str) and name):
         raise ConfigurationError(f"name must be a non-empty string, got {name!r}")
+    description = spec.get("description", "catalog extension")
+    if not isinstance(description, str):
+        raise ConfigurationError(f"description must be a string, got {description!r}")
     n = spec["n"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ConfigurationError(f"n must be an integer, got {n!r}")
@@ -724,7 +727,7 @@ def instance_from_spec(spec):
         box=box,
         base_point=base,
         excluded=balls,
-        description=str(spec.get("description", "catalog extension")),
+        description=description,
     )
 
 

@@ -4,8 +4,8 @@ A TensorJet packs the jets of all n^rank components into one ndarray with
 the jet coefficients on the trailing axis, so contractions and products
 run as vectorised kernels instead of per-component Python loops.
 A :class:`MetricAtPoint` carries g^{-1} two orders below g, the
-order of the curvature and the most any reader takes, so readers slice the
-inverse through ``g_inv.space``.
+order of the curvature and the most any reader takes; ``jet_einsum`` reads
+g and g^{-1} at the order of each product, so readers pass them whole.
 """
 
 import string
@@ -96,12 +96,11 @@ def raise_lower(t, slot, metric):
             f"{name} is carried to order {g.order}; truncate the order-{t.order} "
             f"tensor to order {g.order} first"
         )
-    _, gdata = truncate_arrays(g.space, g.data, t.order)
     letters = _LETTERS[: t.rank]
     old = letters[slot]
     new = _LETTERS[t.rank]
     subs = f"{new}{old},{letters}->{letters.replace(old, new)}"
-    out = jet_einsum(t.space, subs, gdata, t.data)
+    out = jet_einsum(t.space, subs, g.data, t.data)
     valence = t.valence[:slot] + ("u" if t.valence[slot] == "d" else "d") + t.valence[slot + 1:]
     return TensorJet(t.space, valence, out)
 
@@ -154,8 +153,8 @@ def _invert_metric_jets(space, gdata):
     x = np.zeros((n, n, space.n_terms))
     x[..., 0] = x0 = np.linalg.inv(gdata[..., 0])
     for d in range(1, space.order + 1):
-        step, g = truncate_arrays(space, gdata, d)
-        r = jet_einsum(step, "ij,jk->ik", g, x[..., : step.n_terms])
+        step = JetSpace.get(n, d)
+        r = jet_einsum(step, "ij,jk->ik", gdata, x)
         lo = step.block_starts[d]
         x[..., lo : step.n_terms] = -np.tensordot(x0, r[..., lo:], axes=(1, 0))
     return x

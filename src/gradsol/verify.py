@@ -40,9 +40,9 @@ FLAT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# point checks: each returns None (nothing to check at the point) or
-# (absolute_residual, scale_of_largest_term[, named side maxima]); those of
-# the conformal and level-set identities live next to their tensors
+# point checks: each returns (absolute_residual, scale_of_largest_term[,
+# named side maxima]); those of the conformal and level-set identities live
+# next to their tensors
 
 def _check_scalar_nonneg(ev):
     return max(0.0, -ev.pack.scalar.value), 1.0
@@ -116,18 +116,10 @@ def _check_weyl_n3_zero(ev):
 
 
 def _check_eq46(ev):
-    if ev.inst.trivial:
-        return None
     h = ev.level_surface.h
     nug = levelset.normal_metric_derivative(ev)
     resid = np.abs(h + 0.5 * nug).max()
     return float(resid), float(max(np.abs(h).max(), np.abs(nug).max()))
-
-
-def _check_lemma43(ev):
-    if ev.inst.trivial:
-        return None
-    return ev.weyl_norm, 1.0
 
 
 def _check_d_vanishes(ev):
@@ -160,8 +152,6 @@ def _instance_flat(evals):
 
 
 def _run_prop32(inst, evals, config):
-    if inst.trivial or not _instance_d_zero(evals):
-        return None
     c = levelset._f_value(inst, inst.base_point)
     rep = levelset.prop32_report(inst, c, n_points=12, seed=config["seed"])
     # np.max, unlike max, lets a NaN through to the judgement
@@ -240,17 +230,23 @@ class CheckSpec:
     per_instance: bool = False
     min_dim: int = 3
     shrinker_only: bool = False
-    d_zero_only: bool = False
+    level_sets: str | None = None  # None, "any" or "d_zero": see `applicable`
     exact_dim: int | None = None
 
     def applicable(self, inst):
+        """Whether `inst` meets the check's hypotheses on dimension and kind.
+
+        A level-set check ("any") needs regular level surfaces, so a
+        non-constant potential; one on the D = 0 branch ("d_zero") also
+        needs D = 0 on the sample, which `run_suite` decides from its evals.
+        """
         if self.exact_dim is not None and inst.n != self.exact_dim:
             return False
         if not (self.min_dim <= inst.n <= MAX_DIM):
             return False
         if self.shrinker_only and not is_normalized_shrinker(inst):
             return False
-        return True
+        return not (self.level_sets and inst.trivial)
 
 
 CHECKS = [
@@ -270,15 +266,15 @@ CHECKS = [
     CheckSpec("d_gradf_contraction", 3, 1e-9, d_cotton_contraction_residual),
     CheckSpec("eq4.1", 4, 1e-8, bach_via_d_residual, min_dim=4),
     CheckSpec("lemma5.1", 5, 1e-7, div_bach_residual, min_dim=4),
-    CheckSpec("prop3.1", 3, 1e-8, levelset.prop31_residual),
-    CheckSpec("eq4.6", 3, 1e-8, _check_eq46, d_zero_only=True),
-    CheckSpec("eq4.7", 3, 1e-8, levelset.normal_geodesic_residual, d_zero_only=True),
+    CheckSpec("prop3.1", 3, 1e-8, levelset.prop31_residual, level_sets="any"),
+    CheckSpec("eq4.6", 3, 1e-8, _check_eq46, level_sets="d_zero"),
+    CheckSpec("eq4.7", 3, 1e-8, levelset.normal_geodesic_residual, level_sets="d_zero"),
     CheckSpec("codazzi_tangential", 3, 1e-8, levelset.frame_riemann_e1_tangential,
-              d_zero_only=True),
+              level_sets="d_zero"),
     CheckSpec("lemma4.2", 3, 1e-8, levelset.frame_cotton_components, min_dim=4,
-              d_zero_only=True),
-    CheckSpec("lemma4.3", 3, 1e-8, _check_lemma43, exact_dim=4, d_zero_only=True),
-    CheckSpec("prop3.2", 3, 1e-8, _run_prop32, per_instance=True),
+              level_sets="d_zero"),
+    CheckSpec("lemma4.3", 3, 1e-8, _check_weyl_vanishes, exact_dim=4, level_sets="d_zero"),
+    CheckSpec("prop3.2", 3, 1e-8, _run_prop32, per_instance=True, level_sets="d_zero"),
     CheckSpec("thm5.2", 5, 0.5, _run_thm52, per_instance=True, exact_dim=5),
     CheckSpec("d_vanishes", 3, 1e-9, _check_d_vanishes),
     CheckSpec("cotton_vanishes", 3, 1e-9, _check_cotton_vanishes),
@@ -305,7 +301,7 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     from those evaluations first (kind-less instances abort).  Checks whose
     required order exceeds `order` are SKIPPED; checks whose hypotheses the
     instance does not meet are N/A.  Per-check errors are recorded without
-    aborting the rest of the suite.  A per-instance check returns None or (residual, scale,
+    aborting the rest of the suite.  A per-instance check returns (residual, scale,
     detail), with residual None for N/A; entry["detail"] keeps the detail
     (for thm5.2 the equivalence status) in memory only.
     """
@@ -336,7 +332,7 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
             entry["status"] = "SKIPPED"
             entries.append(entry)
             continue
-        if spec.d_zero_only:
+        if spec.level_sets == "d_zero":
             if d_zero is None:
                 d_zero = _instance_d_zero(evals)
             if not d_zero:
@@ -345,18 +341,14 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
         try:
             judged = argmax = None
             if spec.per_instance:
-                out = spec.fn(inst, evals, config)
-                if out is not None:
-                    resid, scale, detail = out
-                    if detail is not None:
-                        entry["detail"] = detail
-                    if resid is not None:
-                        judged = _judge(resid, scale)
+                resid, scale, detail = spec.fn(inst, evals, config)
+                if detail is not None:
+                    entry["detail"] = detail
+                if resid is not None:
+                    judged = _judge(resid, scale)
             else:
                 for ev in evals:
                     out = spec.fn(ev)
-                    if out is None:
-                        continue
                     j = _judge(out[0], out[1])
                     # `not j <= judged` also holds for NaN, which ends the scan
                     if judged is None or not j <= judged:

@@ -1,7 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from gradsol import conformal
 from gradsol.conformal import (
     _require_agreement,
     bach,
@@ -12,7 +13,6 @@ from gradsol.conformal import (
     d_tensor,
     div_bach_residual,
     einstein_tensor,
-    schouten,
     weyl,
 )
 from gradsol.curvature import CurvaturePack, covariant_derivative, curvature_pack, divergence
@@ -23,19 +23,19 @@ from gradsol.tensors import TensorJet, tensor_norm_sq
 
 def test_schouten_flat(geometry):
     _, _, pack, _ = geometry("gaussian-r4", [1.0, 0.4, -0.3, 0.2], 4)
-    assert schouten(pack).max_abs(all_coeffs=True) == 0.0
+    assert pack.schouten.max_abs(all_coeffs=True) == 0.0
 
 
 def test_schouten_round_sphere(geometry):
     _, m, pack, _ = geometry("sphere-s4", [0.5, -0.2, 0.3, 0.1], 4)
-    a = schouten(pack)
+    a = pack.schouten
     g = m.g.truncated(a.order)
     assert np.abs(a.data - g.data / 6.0).max() < 1e-11
 
 
 def test_schouten_trace_cylinder(geometry):
     _, m, pack, _ = geometry("cylinder-s3xr", [0.2, 0.5, -0.3, 1.4], 4)
-    a = schouten(pack)
+    a = pack.schouten
     trace = np.einsum("ij,ij->", m.g_inv.values, a.values)
     # R (n-2)/(2(n-1)) with R = 3/2, n = 4
     assert abs(trace - 0.5) < 1e-12
@@ -50,7 +50,7 @@ def test_schouten_dimension_guard():
     pack = curvature_pack(m)
     assert pack.dim == 2
     with pytest.raises(UnsupportedDimensionError):
-        schouten(pack)
+        pack.schouten
 
 
 def test_schouten_built_once_per_pack(monkeypatch):
@@ -67,7 +67,7 @@ def test_schouten_built_once_per_pack(monkeypatch):
     for t in (ev.weyl, ev.cotton, ev.dtensor, ev.bach):
         assert np.isfinite(t.values).all()
     assert len(built) == 1 and built[0] is ev.pack
-    assert schouten(ev.pack) is schouten(ev.pack)
+    assert ev.pack.schouten is ev.pack.schouten
 
 
 def test_einstein_tensor(geometry):
@@ -252,7 +252,7 @@ def test_direct_tensor_assembly(geometry):
     assert c.valence == "ddd"
     assert d_tensor(pack, f, cross_check=True).valence == "ddd"
     # symmetry of the rank-2 members
-    for t in (schouten(pack), einstein_tensor(pack), bach(pack, c, w, divergence(w, pack, 3))):
+    for t in (pack.schouten, einstein_tensor(pack), bach(pack, c, w, divergence(w, pack, 3))):
         assert t.valence == "dd"
         assert np.abs(t.values - t.values.T).max() < 1e-9
 
@@ -271,7 +271,7 @@ def test_require_agreement_rejects_a_nan_path(geometry):
 
 
 @pytest.mark.parametrize("what", ["weyl", "cotton", "bach", "d_tensor"])
-def test_two_path_tensor_with_a_nan_path_raises(monkeypatch, geometry, what):
+def test_two_path_tensor_with_a_nan_path_raises(geometry, what):
     _, _, pack, f = geometry("s2xr2", [0.2, 0.1, 1.6, 0.5], 5)
     if what == "bach":
         # the Cotton tensor enters only the Cotton-divergence path
@@ -279,9 +279,10 @@ def test_two_path_tensor_with_a_nan_path_raises(monkeypatch, geometry, what):
             w = weyl(pack)
             bach(pack, _nan_like(cotton(pack)), w, divergence(w, pack, 3))
         return
-    # the Schouten tensor enters one path of each of the other three
-    schouten_ = conformal.schouten
-    monkeypatch.setattr(conformal, "schouten", lambda p: _nan_like(schouten_(p)))
+    # the Schouten tensor enters one path of each of the other three; a fresh
+    # pack holds a NaN one, so the shared cached pack stays clean
+    pack = dataclasses.replace(pack)
+    vars(pack)["schouten"] = _nan_like(pack.schouten)
     build = {
         "weyl": lambda: weyl(pack),
         "cotton": lambda: cotton(pack),

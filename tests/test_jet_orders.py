@@ -18,7 +18,7 @@ import pytest
 
 from conftest import full_order_newton
 from gradsol import conformal, curvature, jets, levelset, solitons, tensors, verify
-from gradsol.conformal import bach_via_d_residual, einstein_tensor, schouten
+from gradsol.conformal import bach_via_d_residual, einstein_tensor
 from gradsol.curvature import covariant_derivative, divergence, hessian, scalar_gradient
 from gradsol.jets import (
     JetScalar,
@@ -89,7 +89,7 @@ def test_products_run_at_the_order_they_make(monkeypatch, order, steps):
 def _d_full(pack, f):
     """D by the Schouten/Einstein path at the Schouten tensor's order."""
     n = pack.dim
-    a, e = schouten(pack), einstein_tensor(pack)
+    a, e = pack.schouten, einstein_tensor(pack)
     space = a.space
     df = scalar_gradient(f)
     _, dfd = truncate_arrays(df.space, df.data, space.order)

@@ -373,3 +373,28 @@ def test_warm_jet_einsum_calls_no_einsum(monkeypatch):
     for subscripts, a, b, warm in calls:
         hot = jets.jet_einsum(space, subscripts, a, b)
         assert hot.shape == warm.shape and np.array_equal(hot, warm), subscripts
+
+
+@pytest.mark.parametrize(
+    "order, subscripts, kernel",
+    [(0, "ij,jkl->ikl", "const"), (2, "ij,jkl->ikl", "matrix"), (4, "ij,ij->", "gather")],
+)
+def test_jet_einsum_reads_operands_at_its_own_order(order, subscripts, kernel):
+    # an operand carried one order above the space is read as its prefix, the
+    # same bits whichever kernel the plan picks; one order short is an error
+    space, above = JetSpace.get(4, order), JetSpace.get(4, order + 1)
+    n = space.n_terms
+    ins, out = subscripts.split("->")
+    sub_a, sub_b = ins.split(",")
+    rng = np.random.default_rng(31 + order)
+    a = rng.uniform(-1, 1, (4,) * len(sub_a) + (above.n_terms,))
+    b = rng.uniform(-1, 1, (4,) * len(sub_b) + (above.n_terms,))
+    a_low, b_low = a[..., :n].copy(), b[..., :n].copy()
+    chosen, _ = jets._plan(space, sub_a, sub_b, out, a_low, b_low)
+    assert chosen is getattr(jets, f"_einsum_{kernel}")
+    want = jets.jet_einsum(space, subscripts, a_low, b_low)
+    for x, y in ((a, b), (a, b_low), (a_low, b)):
+        assert np.array_equal(jets.jet_einsum(space, subscripts, x, y), want)
+    for x, y in ((a_low, b), (a, b_low)):
+        with pytest.raises(InsufficientOrderError):
+            jets.jet_einsum(above, subscripts, x, y)

@@ -443,12 +443,13 @@ def test_declared_trivial_is_not_read(tmp_path, capsys):
          {"excluded": [{"center": [0, "0", 0]}]},
          {"excluded": [{"center": [0, 0, 0], "radius": "0.1"}]},
          {"excluded": [{"center": [0, 0, 0], "radius": True}]},
-         {"name": ["a"]}, {"name": ""}, {"name": 5}])],
+         {"name": ["a"]}, {"name": ""}, {"name": 5}, {"description": ["a"]}])],
     ids=["missing", "directory", "not-utf8", "bad-json", "top-level-list", "instances-int",
          "instance-int", "unknown-kind", "fractional-n", "boolean-n",
          "boolean-rho", "string-rho", "string-box-bound", "boolean-box-bound",
          "string-base-coordinate", "boolean-base-coordinate", "string-center-coordinate",
-         "string-radius", "boolean-radius", "list-name", "empty-name", "number-name"],
+         "string-radius", "boolean-radius", "list-name", "empty-name", "number-name",
+         "list-description"],
 )
 def test_bad_extension_file_is_an_error(tmp_path, capsys, content):
     from gradsol.cli import main

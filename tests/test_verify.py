@@ -7,7 +7,7 @@ import pytest
 
 from conftest import report_entry, thm52_of
 from gradsol.cli import main
-from gradsol.errors import ValidationError
+from gradsol.errors import CriticalPointError, ValidationError
 from gradsol import cli, conformal, curvature, levelset, solitons, verify
 from gradsol.solitons import get_instance
 from gradsol.verify import (
@@ -89,6 +89,49 @@ def test_tol_scale_widens_tolerances():
     rep = run_suite(get_instance("gaussian-r3"), n_points=8, seed=3, order=4, tol_scale=10.0)
     e = report_entry(rep, "soliton_eq")
     assert abs(e["tolerance"] - 1e-8) < 1e-20
+
+
+LEVEL_SET_IDS = {"prop3.1", "eq4.6", "eq4.7", "codazzi_tangential", "lemma4.2", "lemma4.3",
+                 "prop3.2"}
+
+
+def test_level_set_checks_are_not_applicable_to_a_constant_potential(suite_reports):
+    # CheckSpec.level_sets alone keeps the level-set checks off a constant
+    # potential: on sphere-s4 exactly they turn N/A, against the nontrivial
+    # n = 4 shrinker cylinder-s3xr
+    assert {c.id for c in CHECKS if c.level_sets} == LEVEL_SET_IDS
+    assert {c.id for c in CHECKS if c.level_sets == "any"} == {"prop3.1"}
+    sphere, cylinder = get_instance("sphere-s4"), get_instance("cylinder-s3xr")
+    assert sphere.trivial and not cylinder.trivial
+    lost = {c.id for c in CHECKS if c.applicable(cylinder) and not c.applicable(sphere)}
+    assert lost == LEVEL_SET_IDS
+    assert {c.id for c in CHECKS if c.applicable(sphere) and not c.applicable(cylinder)} == set()
+    rep = suite_reports["reports"]["sphere-s4"]
+    for cid in LEVEL_SET_IDS:
+        assert report_entry(rep, cid)["status"] == "N/A", cid
+
+
+@pytest.mark.parametrize("fn", [
+    levelset.prop31_residual, verify._check_eq46, levelset.normal_geodesic_residual,
+    levelset.normal_metric_derivative, levelset.frame_riemann_e1_tangential,
+    levelset.frame_cotton_components,
+])
+def test_level_set_residual_on_a_constant_potential_raises(fn):
+    # the residuals no longer return None there: grad f = 0 is a critical point
+    ev = solitons.PointEval(get_instance("sphere-s4"), [0.5, -0.2, 0.3, 0.1], 3)
+    with pytest.raises(CriticalPointError):
+        fn(ev)
+
+
+def test_verify_header_shows_the_points_run(tmp_path, capsys):
+    # --points below the suite's minimum runs the minimum; the header says so
+    report = tmp_path / "rep.json"
+    main(["verify", "--instance", "gaussian-r3", "--order", "4", "--points", "0",
+          "--report", str(report)])
+    header = capsys.readouterr().out.splitlines()[0]
+    points = json.loads(report.read_text())["config"]["points"]
+    assert points == verify.MIN_POINTS
+    assert header == f"== gaussian-r3 (order 4, {points} points, seed 7)"
 
 
 def test_check_subset_selection():
