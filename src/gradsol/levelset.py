@@ -24,6 +24,7 @@ import numpy as np
 
 from .curvature import covariant_derivative, scalar_gradient
 from .errors import (
+    ConfigurationError,
     ConsistencyError,
     CriticalPointError,
     HypothesisViolationError,
@@ -219,50 +220,59 @@ def frame_cotton_components(ev):
 # level-point sampling by root finding along chart rays
 
 def _f_value(inst, point):
-    """Normalized f at the point, evaluated on plain floats.
+    """Normalized f at a point given as a list of floats.
 
     The potential closures and compiled expressions run order-0 jet
     arithmetic on floats, so this equals the order-0 jet value bit for bit.
     """
-    return float(inst.potential_fn([float(x) for x in point])) + inst.f_shift
+    return float(inst.potential_fn(point)) + inst.f_shift
 
 
 def level_points(inst, c, n_points=12, seed=11):
     """Order-3 point evaluations on {f = c}: roots along rays that `solitons.admit` accepts.
 
-    HypothesisViolationError for a constant potential, which has no regular level values.
+    Needs `n_points >= 1` and a finite `c` (ConfigurationError otherwise);
+    HypothesisViolationError for a constant potential, which has no regular
+    level values.  Each ray point anchor + s d is formed on floats, one
+    product and one sum per coordinate as numpy does elementwise, so the
+    points are bit-identical to the numpy formation.
     """
     from . import solitons
 
+    if n_points < 1:
+        raise ConfigurationError(f"{inst.name}: need at least 1 level point, got {n_points}")
+    if not math.isfinite(c):
+        raise ConfigurationError(f"{inst.name}: the level must be finite, got {c}")
     if inst.trivial:
         raise HypothesisViolationError(
             f"{inst.name}: potential is constant, there are no regular level values"
         )
     rng = solitons.instance_rng(inst, seed, salt=97)
-    lo = np.array([b[0] for b in inst.box])
-    hi = np.array([b[1] for b in inst.box])
-    anchor = (lo + hi) / 2.0
+    lo = [float(b[0]) for b in inst.box]
+    hi = [float(b[1]) for b in inst.box]
+    anchor = [(l + h) / 2.0 for l, h in zip(lo, hi)]
     f_anchor = _f_value(inst, anchor)
     evals = []
     for _ in range(_MAX_RAYS):
         if len(evals) == n_points:
             break
         d = rng.standard_normal(inst.n)
-        d /= np.linalg.norm(d)
+        # coordinate pairs (x, y) of the anchor and the unit direction d
+        ray = list(zip(anchor, (d / np.linalg.norm(d)).tolist()))
         # longest ray length keeping anchor + s d inside the box
         s_max = math.inf
-        for k in range(inst.n):
-            if d[k] > 1e-12:
-                s_max = min(s_max, (hi[k] - anchor[k]) / d[k])
-            elif d[k] < -1e-12:
-                s_max = min(s_max, (lo[k] - anchor[k]) / d[k])
+        for (x, y), l, h in zip(ray, lo, hi):
+            if y > 1e-12:
+                s_max = min(s_max, (h - x) / y)
+            elif y < -1e-12:
+                s_max = min(s_max, (l - x) / y)
         if not math.isfinite(s_max) or s_max < 1e-6:
             continue
         prev_s, prev_v = 0.0, f_anchor - c
         bracket = None
         for k in range(1, _SCAN_STEPS + 1):
             s = s_max * k / _SCAN_STEPS
-            v = _f_value(inst, anchor + s * d) - c
+            v = _f_value(inst, [x + s * y for x, y in ray]) - c
             if prev_v == 0.0:
                 bracket = (prev_s, prev_s)
                 break
@@ -273,10 +283,10 @@ def level_points(inst, c, n_points=12, seed=11):
         if bracket is None:
             continue
         a, b = bracket
-        fa = _f_value(inst, anchor + a * d) - c
+        fa = _f_value(inst, [x + a * y for x, y in ray]) - c
         while b - a > 1e-12:
             mid = 0.5 * (a + b)
-            fm = _f_value(inst, anchor + mid * d) - c
+            fm = _f_value(inst, [x + mid * y for x, y in ray]) - c
             if fm == 0.0:
                 a = b = mid
                 break
@@ -284,7 +294,7 @@ def level_points(inst, c, n_points=12, seed=11):
                 a, fa = mid, fm
             else:
                 b = mid
-        ev = solitons.admit(inst, anchor + 0.5 * (a + b) * d, 3)
+        ev = solitons.admit(inst, [x + 0.5 * (a + b) * y for x, y in ray], 3)
         if ev is not None:
             evals.append(ev)
     if len(evals) < n_points:

@@ -1,7 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from gradsol.errors import (
+    ConfigurationError,
     ConsistencyError,
     CriticalPointError,
     HypothesisViolationError,
@@ -222,9 +226,10 @@ def _expression_instance(text):
 
 
 def _box_points(inst, count, seed):
+    # float lists, as the root finder passes them to _f_value
     rng = np.random.default_rng(seed)
     lo, hi = np.array(inst.box).T
-    return [lo + (hi - lo) * rng.random(inst.n) for _ in range(count)]
+    return [(lo + (hi - lo) * rng.random(inst.n)).tolist() for _ in range(count)]
 
 
 @pytest.mark.parametrize("name", [i.name for i in catalog()])
@@ -243,18 +248,106 @@ def test_f_value_is_order0_jet_value_on_expressions(text):
         assert _f_value(inst, p).hex() == _jet_f_value(inst, p).hex(), p
 
 
+def _numpy_level_points(inst, c, n_points, seed):
+    # reference root finder: numpy ray points anchor + s * d and f through
+    # order-0 jets; level_points must return the same points bit for bit
+    rng = solitons.instance_rng(inst, seed, salt=97)
+    lo = np.array([b[0] for b in inst.box])
+    hi = np.array([b[1] for b in inst.box])
+    anchor = (lo + hi) / 2.0
+    f_anchor = _jet_f_value(inst, anchor)
+    evals = []
+    for _ in range(levelset._MAX_RAYS):
+        if len(evals) == n_points:
+            break
+        d = rng.standard_normal(inst.n)
+        d /= np.linalg.norm(d)
+        s_max = np.inf
+        for k in range(inst.n):
+            if d[k] > 1e-12:
+                s_max = min(s_max, (hi[k] - anchor[k]) / d[k])
+            elif d[k] < -1e-12:
+                s_max = min(s_max, (lo[k] - anchor[k]) / d[k])
+        if not np.isfinite(s_max) or s_max < 1e-6:
+            continue
+        prev_s, prev_v = 0.0, f_anchor - c
+        bracket = None
+        for k in range(1, levelset._SCAN_STEPS + 1):
+            s = s_max * k / levelset._SCAN_STEPS
+            v = _jet_f_value(inst, anchor + s * d) - c
+            if prev_v == 0.0:
+                bracket = (prev_s, prev_s)
+                break
+            if v == 0.0 or (v > 0) != (prev_v > 0):
+                bracket = (prev_s, s)
+                break
+            prev_s, prev_v = s, v
+        if bracket is None:
+            continue
+        a, b = bracket
+        fa = _jet_f_value(inst, anchor + a * d) - c
+        while b - a > 1e-12:
+            mid = 0.5 * (a + b)
+            fm = _jet_f_value(inst, anchor + mid * d) - c
+            if fm == 0.0:
+                a = b = mid
+                break
+            if (fm > 0) == (fa > 0):
+                a, fa = mid, fm
+            else:
+                b = mid
+        ev = solitons.admit(inst, anchor + 0.5 * (a + b) * d, 3)
+        if ev is not None:
+            evals.append(ev)
+    return evals
+
+
 @pytest.mark.parametrize("make, c", [
     (lambda: get_instance("cylinder-s3xr"), 9.0 / 4.0 + 1.5),
+    (lambda: get_instance("cylinder-s4xr"), 9.0 / 4.0 + 2.0),
     (lambda: get_instance("gaussian-r3"), 1.0),
     (lambda: get_instance("expanding-gaussian-r4"), -1.0),
     (lambda: _expression_instance("x1^2/4 + x2^3/9"), 2.0),
-], ids=["cylinder-s3xr", "gaussian-r3", "expanding-gaussian-r4", "expression"])
-def test_level_points_match_jet_root_finder(monkeypatch, make, c):
+    (lambda: _expression_instance("exp(x2)/(1 + x1^2)"), 1.0),
+], ids=["cylinder-s3xr", "cylinder-s4xr", "gaussian-r3", "expanding-gaussian-r4",
+        "expression", "transcendental-expression"])
+def test_level_points_match_jet_root_finder(make, c):
     inst = make()
     pts = [ev.point for ev in level_points(inst, c, n_points=12, seed=5)]
-    monkeypatch.setattr(levelset, "_f_value", _jet_f_value)
-    ref = [ev.point for ev in level_points(inst, c, n_points=12, seed=5)]
-    assert all(np.array_equal(a, b) for a, b in zip(pts, ref, strict=True))
+    ref = [ev.point for ev in _numpy_level_points(inst, c, n_points=12, seed=5)]
+    assert pts == ref
+
+
+def _counting_instance(name):
+    # a copy of the catalog instance whose potential records each call
+    inst = get_instance(name)
+    calls = []
+
+    def counting(xs, potential=inst.potential_fn):
+        calls.append(None)
+        return potential(xs)
+
+    return dataclasses.replace(inst, potential_fn=counting), calls
+
+
+def test_level_points_evaluation_count_is_pinned():
+    # potential evaluations of one run (scan, bisection, admission and the
+    # instance's own cached values) counted at the numpy-point loop:
+    # a changed scan or bisection changes this number
+    inst, calls = _counting_instance("cylinder-s3xr")
+    level_points(inst, 9.0 / 4.0 + 1.5, n_points=12, seed=5)
+    assert len(calls) == 15223
+
+
+@pytest.mark.parametrize("n_points, c", [
+    (0, 1.0), (-2, 1.0), (12, math.nan), (12, math.inf), (12, -math.inf),
+], ids=["zero-points", "negative-points", "nan-level", "inf-level", "minus-inf-level"])
+def test_prop32_rejects_bad_arguments_before_any_ray(n_points, c):
+    # the arguments are checked before the potential is evaluated at all
+    inst, calls = _counting_instance("gaussian-r3")
+    with pytest.raises(ConfigurationError):
+        prop32_report(inst, c, n_points=n_points)
+    assert calls == []
 
 
 def test_prop32_nan_d_at_second_level_point_fails(monkeypatch):
