@@ -38,7 +38,6 @@ from .solitons import (
     load_extension_file,
     sample_points,
     validate_instance,
-    warped_product_instance,
 )
 from .tensors import (
     MetricAtPoint,

@@ -1,19 +1,21 @@
-"""Tiny arithmetic-expression grammar for user-supplied metric components.
+"""Tiny arithmetic-expression grammar for the metric and potential of catalog specs.
 
 Grammar:  +, -, *, /, ^ (right associative), parentheses, numeric literals,
 variables ``x1 .. xn`` (1-based), and the calls sin, cos, exp, sqrt.
-Exponents must be constant.  Expressions compile to closures over a list of
-coordinate jets, so catalog extensions defined in JSON plug straight into
-the differentiation engine, or over a list of plain floats.  On floats a
-closure returns exactly the constant term of its order-0 jet value: each
-operation with a varying operand takes the jets' own steps (a varying
-divisor b as ``a * (1/b)``, an integer power by repeated squaring, a real
-power and the calls through ``jets``), as fixed at compile time.  Constant
-subexpressions use plain float arithmetic and ``math`` in both cases.
+Exponents must be constant.  Each expression compiles once, to one Python
+function over a list of coordinate jets, so catalog instances defined as
+specs plug straight into the differentiation engine, or over a list of
+plain floats.  On floats the function returns exactly the constant term of
+its order-0 jet value: each operation with a varying operand takes the
+jets' own steps (a varying divisor b as ``a * (1/b)``, an integer power by
+repeated squaring, a real power and the calls through ``jets``), as fixed
+at compile time.  Constant subexpressions use plain float arithmetic and
+``math`` in both cases, evaluated at each call like the rest.
 """
 
 import math
 import re
+from functools import lru_cache
 
 from .errors import ConfigurationError
 from .jets import ELEMENTARY, JetScalar, int_power, real_power, reciprocal
@@ -128,83 +130,77 @@ class _Parser:
         raise ConfigurationError(f"unexpected token in {self.text!r}")
 
 
-def _bind(node, text):
-    """Return (node, varies) with the jet forms of ops on varying operands.
+_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
-    A call on, a division by or a power of a varying operand becomes
-    ``jcall``, ``jdiv`` or ``jpow``, which take the jets' steps also on
-    plain floats.
+
+def _emit(node, text, lines, consts):
+    """Append the assignment of each operation in `node`; return (operand, varies).
+
+    An operand is a local ``t<k>``, ``xs[i]`` or a constant ``k<k>``, bound by
+    reference.  A call on, a division by or a power of a varying operand
+    takes the jets' steps (``jet_<name>``, ``a * reciprocal(b)`` on a float
+    divisor, ``int_power`` or ``real_power``), also on plain floats.
     """
     op = node[0]
     if op == "num":
-        return node, False
+        consts.append(node[1])
+        return f"k{len(consts) - 1}", False
     if op == "var":
-        return node, True
+        return f"xs[{node[1]}]", True
     if op == "neg":
-        arg, varies = _bind(node[1], text)
-        return ("neg", arg), varies
-    if op == "call":
-        arg, varies = _bind(node[2], text)
-        return ("jcall" if varies else "call", node[1], arg), varies
-    a, va = _bind(node[1], text)
-    b, vb = _bind(node[2], text)
-    if op == "pow" and vb:
-        raise ConfigurationError(f"exponent must be constant in {text!r}")
-    if op == "div" and vb:
-        op = "jdiv"
-    elif op == "pow" and va:
-        op = "jpow"
-    return (op, a, b), va or vb
+        a, varies = _emit(node[1], text, lines, consts)
+        rhs = f"-{a}"
+    elif op == "call":
+        a, varies = _emit(node[2], text, lines, consts)
+        rhs = f"{'jet_' if varies else 'math.'}{node[1]}({a})"
+    else:
+        a, va = _emit(node[1], text, lines, consts)
+        b, vb = _emit(node[2], text, lines, consts)
+        varies = va or vb
+        if op == "pow" and vb:
+            raise ConfigurationError(f"exponent must be constant in {text!r}")
+        if op == "pow":
+            rhs = (f"int_power({a}, int({b})) if {b} == int({b}) else real_power({a}, {b})"
+                   if va else f"{a} ** int({b}) if {b} == int({b}) else math.pow({a}, {b})")
+        elif op == "div" and vb:
+            rhs = f"{a} / {b} if isinstance({b}, JetScalar) else {a} * reciprocal({b})"
+        else:
+            rhs = f"{a} {_SYMBOL[op]} {b}"
+    lines.append(f"        t{len(lines)} = {rhs}")
+    return f"t{len(lines) - 1}", varies
 
 
-def _evaluate(node, xs):
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        return xs[node[1]]
-    if op == "neg":
-        return -_evaluate(node[1], xs)
-    if op == "call":
-        return getattr(math, node[1])(_evaluate(node[2], xs))
-    if op == "jcall":
-        return _FUNCTIONS[node[1]](_evaluate(node[2], xs))
-    a = _evaluate(node[1], xs)
-    b = _evaluate(node[2], xs)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "jdiv":
-        return a / b if isinstance(b, JetScalar) else a * reciprocal(b)
-    if op == "pow":
-        return a ** int(b) if b == int(b) else math.pow(a, b)
-    if op == "jpow":
-        return int_power(a, int(b)) if b == int(b) else real_power(a, b)
-    raise ConfigurationError(f"unknown node {op!r}")
-
-
+@lru_cache(maxsize=1024)
 def compile_expression(text, dim):
-    """Parse `text` into a closure over a list of `dim` coordinate operands.
+    """Compile `text` into one Python function of a list of `dim` coordinate operands.
 
-    Arithmetic errors of the evaluation (division by zero, overflow, a
-    math-domain error) raise ConfigurationError naming the expression.
+    Each operation becomes one assignment, so nesting the parser accepts
+    compiles; nothing is evaluated here.  The function is pure and cached by
+    (text, dim), so rebuilding an instance compiles nothing.  Arithmetic
+    errors of a call (division by zero, overflow, a math-domain error) raise
+    ConfigurationError naming the expression.
     """
     shown = text if len(text) <= 60 else text[:57] + "..."
+    lines, consts = [], []
     try:
-        ast, _ = _bind(_Parser(text, dim).parse(), shown)
+        result, _ = _emit(_Parser(text, dim).parse(), shown, lines, consts)
     except RecursionError:
         raise ConfigurationError(f"expression nested too deeply: {shown!r}") from None
 
-    def fn(xs):
-        try:
-            return _evaluate(ast, xs)
-        except (ZeroDivisionError, OverflowError, ValueError) as err:
-            raise ConfigurationError(f"cannot evaluate {shown!r}: {err}") from None
+    def failed(err):
+        return ConfigurationError(f"cannot evaluate {shown!r}: {err}")
 
-    fn.source = text
-    return fn
+    source = "\n".join([
+        "def expression(xs):",
+        "    try:",
+        *lines,
+        f"        return {result}",
+        "    except (ZeroDivisionError, OverflowError, ValueError) as err:",
+        "        raise failed(err) from None",
+    ])
+    namespace = {f"k{i}": c for i, c in enumerate(consts)}
+    namespace.update({f"jet_{name}": fn for name, fn in _FUNCTIONS.items()})
+    namespace.update(math=math, JetScalar=JetScalar, int_power=int_power,
+                     real_power=real_power, reciprocal=reciprocal, failed=failed)
+    exec(compile(source, f"<expression {shown!r}>", "exec"), namespace)
+    return namespace["expression"]

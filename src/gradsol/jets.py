@@ -511,17 +511,22 @@ def _compose(a, dcoeffs):
 
 
 def int_power(a, p):
-    """a ** p for an integer p: repeated squaring, reciprocal first if p < 0."""
+    """a ** p for an integer p: repeated squaring, reciprocal first if p < 0.
+
+    The product starts from the first power it needs, not from one: x^2 is
+    the one product x * x.
+    """
     if p < 0:
         return int_power(reciprocal(a), -p)
-    result = constant(a.space, 1.0) if isinstance(a, JetScalar) else 1.0
-    base = a
+    if p == 0:
+        return constant(a.space, 1.0) if isinstance(a, JetScalar) else 1.0
+    result = None
     while p:
         if p & 1:
-            result = result * base
+            result = a if result is None else result * a
         p >>= 1
         if p:
-            base = base * base
+            a = a * a
     return result
 
 

@@ -222,8 +222,8 @@ def frame_cotton_components(ev):
 def _f_value(inst, point):
     """Normalized f at a point given as a list of floats.
 
-    The potential closures and compiled expressions run order-0 jet
-    arithmetic on floats, so this equals the order-0 jet value bit for bit.
+    Compiled expressions run order-0 jet arithmetic on floats, so this
+    equals the order-0 jet value bit for bit.
     """
     return float(inst.potential_fn(point)) + inst.f_shift
 
@@ -231,7 +231,7 @@ def _f_value(inst, point):
 def level_points(inst, c, n_points=12, seed=11):
     """Order-3 point evaluations on {f = c}: roots along rays that `solitons.admit` accepts.
 
-    Needs `n_points >= 1` and a finite `c` (ConfigurationError otherwise);
+    Needs an int `n_points >= 1` and a finite `c` (ConfigurationError otherwise);
     HypothesisViolationError for a constant potential, which has no regular
     level values.  Each ray point anchor + s d is formed on floats, one
     product and one sum per coordinate as numpy does elementwise, so the
@@ -239,8 +239,10 @@ def level_points(inst, c, n_points=12, seed=11):
     """
     from . import solitons
 
-    if n_points < 1:
-        raise ConfigurationError(f"{inst.name}: need at least 1 level point, got {n_points}")
+    if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 1:
+        raise ConfigurationError(
+            f"{inst.name}: need a whole number of at least 1 level point, got {n_points!r}"
+        )
     if not math.isfinite(c):
         raise ConfigurationError(f"{inst.name}: the level must be finite, got {c}")
     if inst.trivial:
@@ -283,7 +285,7 @@ def level_points(inst, c, n_points=12, seed=11):
         if bracket is None:
             continue
         a, b = bracket
-        fa = _f_value(inst, [x + a * y for x, y in ray]) - c
+        fa = prev_v  # f - c at a, from the scan
         while b - a > 1e-12:
             mid = 0.5 * (a + b)
             fm = _f_value(inst, [x + mid * y for x, y in ray]) - c

@@ -1,10 +1,12 @@
 """Catalog of concrete gradient Ricci soliton instances.
 
 Each instance bundles a metric family, a potential and the soliton
-constant on an explicit chart box.  Sphere factors use stereographic
-coordinates so that components are rational and jets are exact; the only
-chart pole sits outside every box.  A deliberately perturbed non-soliton
-pair is included as a negative control for the verification harness.
+constant on an explicit chart box.  Built-in and user instances alike are
+specs of expression strings, built by `instance_from_spec`.  Sphere
+factors use stereographic coordinates so that components are rational and
+jets are exact; the only chart pole sits outside every box.  A
+deliberately perturbed non-soliton pair is included as a negative control
+for the verification harness.
 """
 
 import math
@@ -262,8 +264,10 @@ def admit(inst, point, order):
 
 def sample_evals(inst, n_points, seed, order):
     """Order-`order` point evaluations at deterministic chart samples that `admit` accepts."""
-    if n_points < 1:
-        raise ConfigurationError(f"{inst.name}: need at least 1 sample point, got {n_points}")
+    if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 1:
+        raise ConfigurationError(
+            f"{inst.name}: need a whole number of at least 1 sample point, got {n_points!r}"
+        )
     rng = instance_rng(inst, seed)
     lo = np.array([b[0] for b in inst.box])
     hi = np.array([b[1] for b in inst.box])
@@ -348,288 +352,103 @@ def validate_instance(inst, n_points=20, seed=7):
 
 
 # ---------------------------------------------------------------------------
-# built-in instances
+# built-in instances: specs in the extension grammar, built as extensions are
+#
+# Each expression keeps the operation order of the closed form it transcribes,
+# which fixes its rounding: 1 + (x1*x1 + x2*x2), not 1 + x1^2 + x2^2.  A
+# square is x*x, one product and no `int_power` call on the level-set root
+# finder's float path.
 
-def _ball_exclusion(center, radius):
-    c = np.asarray(center, dtype=float)
-
-    def dist(p):
-        return float(np.linalg.norm(p - c) - radius)
-
-    return dist
-
-
-def _stereographic_factor(xs, indices, radius_sq):
-    """Squared conformal factor of a round sphere in stereographic chart."""
-    u2 = None
-    for k in indices:
-        u2 = xs[k] * xs[k] if u2 is None else u2 + xs[k] * xs[k]
-    return (2.0 / (1.0 + u2)) ** 2 * radius_sq
+def _squares(indices):
+    return " + ".join(f"x{k}*x{k}" for k in indices)
 
 
-def _product_metric(n, sphere_blocks):
-    """Diagonal metric: round-sphere blocks (stereographic) + flat remainder."""
-
-    def metric(xs):
-        diag = [1.0] * n
-        for indices, radius_sq in sphere_blocks:
-            fac = _stereographic_factor(xs, indices, radius_sq)
-            for k in indices:
-                diag[k] = fac
-        return [[diag[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-    return metric
+def _sphere(indices, radius_sq):
+    """Squared conformal factor of a round sphere, radius^2 `radius_sq`, stereographic chart."""
+    return f"(2/(1 + ({_squares(indices)})))^2*{radius_sq:g}"
 
 
-def _quadratic_potential(indices, offset):
-    def potential(xs):
-        f = None
-        for k in indices:
-            f = xs[k] * xs[k] if f is None else f + xs[k] * xs[k]
-        if f is None:
-            return float(offset)
-        return f / 4.0 + offset
-
-    return potential
+def _quadratic(indices, offset):
+    return f"({_squares(indices)})/4 + {offset:g}"
 
 
-def gaussian_instance(n):
-    return SolitonInstance(
-        name=f"gaussian-r{n}",
-        n=n,
-        rho=0.5,
-        kind="shrinking",
-        metric_fn=_product_metric(n, []),
-        potential_fn=_quadratic_potential(list(range(n)), 0.0),
-        box=[(-3.0, 3.0)] * n,
-        base_point=[2.0] + [0.0] * (n - 1),
-        description="flat chart, quadratic potential",
-    )
+def _spec(name, rho, kind, diagonal, potential, box, base_point, description):
+    """A spec whose metric is `diagonal` on the diagonal and 0 elsewhere."""
+    n = len(diagonal)
+    metric = [[diagonal[i] if i == j else "0" for j in range(n)] for i in range(n)]
+    return {"name": name, "n": n, "rho": rho, "kind": kind, "metric": metric,
+            "potential": potential, "domain": {"box": box}, "base_point": base_point,
+            "description": description}
 
 
-def sphere_instance(n):
-    r_sq = 2.0 * (n - 1)
-    return SolitonInstance(
-        name=f"sphere-s{n}",
-        n=n,
-        rho=0.5,
-        kind="einstein",
-        metric_fn=_product_metric(n, [(list(range(n)), r_sq)]),
-        potential_fn=lambda xs: 0.0,
-        box=[(-1.5, 1.5)] * n,
-        base_point=[0.3, 0.1] + [0.0] * (n - 2),
-        excluded=[lambda p: 4.0 - float(np.linalg.norm(p))],
-        description=f"round sphere of radius sqrt({r_sq:g}), stereographic chart",
-    )
-
-
-def cylinder_instance(n):
-    r_sq = 2.0 * (n - 2)
-    return SolitonInstance(
-        name=f"cylinder-s{n - 1}xr",
-        n=n,
-        rho=0.5,
-        kind="shrinking",
-        metric_fn=_product_metric(n, [(list(range(n - 1)), r_sq)]),
-        potential_fn=_quadratic_potential([n - 1], (n - 1) / 2.0),
-        box=[(-1.2, 1.2)] * (n - 1) + [(-4.0, 4.0)],
-        base_point=[0.0] * (n - 1) + [2.0],
-        description=f"round {n - 1}-sphere of radius sqrt({r_sq:g}) times a line",
-    )
-
-
-def s2xrk_instance(n):
-    flat = list(range(2, n))
-    return SolitonInstance(
-        name=f"s2xr{n - 2}",
-        n=n,
-        rho=0.5,
-        kind="shrinking",
-        metric_fn=_product_metric(n, [([0, 1], 2.0)]),
-        potential_fn=_quadratic_potential(flat, 1.0),
-        box=[(-1.2, 1.2)] * 2 + [(-3.0, 3.0)] * (n - 2),
-        base_point=[0.0, 0.0, 2.0] + [0.0] * (n - 3),
-        description="round 2-sphere of radius sqrt(2) times a flat factor",
-    )
-
-
-def s2xs2xr_instance():
-    return SolitonInstance(
-        name="einstein-cylinder-s2xs2xr",
-        n=5,
-        rho=0.5,
-        kind="shrinking",
-        metric_fn=_product_metric(5, [([0, 1], 2.0), ([2, 3], 2.0)]),
-        potential_fn=_quadratic_potential([4], 2.0),
-        box=[(-1.2, 1.2)] * 4 + [(-4.0, 4.0)],
-        base_point=[0.0, 0.0, 0.0, 0.0, 2.0],
-        description="Einstein product of two round 2-spheres, times a line",
-    )
-
-
-def warped_product_instance(name, n, phi_fn, potential_fn, rho, kind, *,
-                            r_range, fiber_range=1.2, base_point=None,
-                            excluded=(), description=""):
-    """Metric dr^2 + phi(r)^2 g_fiber with a unit round fiber sphere.
-
-    Coordinates are (r, u_1 .. u_{n-1}) with the fiber in stereographic
-    chart; `phi_fn` maps the r-jet to a jet (or number).
-    """
-
-    def metric(xs):
-        phi = phi_fn(xs[0])
-        fac = _stereographic_factor(xs, list(range(1, n)), 1.0)
-        fac = fac * (phi * phi)
-        rows = [[fac if i == j else 0.0 for j in range(n)] for i in range(n)]
-        rows[0][0] = 1.0
-        return rows
-
-    return SolitonInstance(
-        name=name,
-        n=n,
-        rho=rho,
-        kind=kind,
-        metric_fn=metric,
-        potential_fn=potential_fn,
-        box=[tuple(r_range)] + [(-fiber_range, fiber_range)] * (n - 1),
-        base_point=base_point or [sum(r_range) / 2.0] + [0.0] * (n - 1),
-        excluded=list(excluded),
-        description=description or "warped product over an interval",
-    )
-
-
-def warped_cylinder_instance():
-    return warped_product_instance(
-        "warped-cylinder",
-        4,
-        lambda r: 2.0,
-        lambda xs: xs[0] * xs[0] / 4.0 + 1.5,
-        0.5,
-        "shrinking",
-        r_range=(-4.0, 4.0),
-        base_point=[2.0, 0.0, 0.0, 0.0],
-        description="constant warping phi = 2; same geometry as cylinder-s3xr",
-    )
-
-
-def warped_sphere_instance():
-    root6 = math.sqrt(6.0)
-
-    def phi(r):
-        from . import jets
-
-        return root6 * jets.sin(r / root6)
-
-    return warped_product_instance(
-        "warped-sphere-s4",
-        4,
-        phi,
-        lambda xs: 0.0,
-        0.5,
-        "einstein",
-        r_range=(0.4, 2.0),
-        base_point=[1.0, 0.0, 0.0, 0.0],
-        excluded=[lambda p: abs(float(p[0]))],
-        description="round 4-sphere in geodesic polar chart (sinusoidal warping)",
-    )
-
-
-def steady_flat_instance():
-    return SolitonInstance(
-        name="steady-flat-r4",
-        n=4,
-        rho=0.0,
-        kind="steady",
-        metric_fn=_product_metric(4, []),
-        potential_fn=lambda xs: xs[0] + 0.0,
-        box=[(-3.0, 3.0)] * 4,
-        base_point=[1.0, 0.3, 0.2, 0.1],
-        description="flat metric with a linear potential (degenerate steady)",
-    )
-
-
-def expanding_gaussian_instance():
-    def potential(xs):
-        return -sum(x * x for x in xs) / 4.0
-
-    return SolitonInstance(
-        name="expanding-gaussian-r4",
-        n=4,
-        rho=-0.5,
-        kind="expanding",
-        metric_fn=_product_metric(4, []),
-        potential_fn=potential,
-        box=[(-3.0, 3.0)] * 4,
-        base_point=[2.0, 0.0, 0.0, 0.0],
-        description="flat chart, negated quadratic potential",
-    )
-
-
-def _perturbed_metric(n, diag_eps, cubic_eps, off_terms):
+def _perturbed(n, off_terms):
+    """Generic curved control, a non-soliton on purpose; `off_terms` are (i, j, a, b)."""
     # cubic diagonal terms keep the Ricci derivative (hence the Cotton
     # tensor) first order in the perturbation; sizes chosen to stay
     # positive definite on [-2, 2]^n by a Gershgorin margin
-    def metric(xs):
-        rows = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            k = (i + 1) % n
-            k2 = (i + 2) % n
-            rows[i][i] = (
-                1.0 + diag_eps * xs[k] * xs[k] + cubic_eps * xs[k2] * xs[k2] * xs[k2]
-            )
-        for (i, j, a, b, eps) in off_terms:
-            rows[i][j] = eps * xs[a] * xs[b]
-            rows[j][i] = rows[i][j]
-        return rows
-
-    return metric
+    diagonal = [f"1 + 0.15*x{k}*x{k} + 0.05*x{k2}*x{k2}*x{k2}"
+                for k, k2 in (((i + 1) % n + 1, (i + 2) % n + 1) for i in range(n))]
+    spec = _spec(f"perturbed-non-soliton-r{n}", 0.5, None, diagonal,
+                 _quadratic(range(1, n + 1), 0), [[-2, 2]] * n, [1] * n,
+                 "generic curved metric; fails certification by design")
+    for i, j, a, b in off_terms:
+        spec["metric"][i][j] = spec["metric"][j][i] = f"0.05*x{a}*x{b}"
+    return spec
 
 
-def perturbed_instance(n):
-    if n == 4:
-        off = [(0, 1, 2, 3, 0.05), (2, 3, 0, 1, 0.05)]
-    else:
-        off = [(0, 1, 2, 3, 0.05), (2, 3, 4, 0, 0.05), (1, 4, 0, 2, 0.05)]
-    return SolitonInstance(
-        name=f"perturbed-non-soliton-r{n}",
-        n=n,
-        rho=0.5,
-        kind=None,
-        metric_fn=_perturbed_metric(n, 0.15, 0.05, off),
-        potential_fn=_quadratic_potential(list(range(n)), 0.0),
-        box=[(-2.0, 2.0)] * n,
-        base_point=[1.0] * n,
-        description="generic curved metric; fails certification by design",
-    )
+_WARPED_FIBER = [[-1.2, 1.2]] * 3  # unit round S^3 in stereographic chart over r = x1
+BUILTIN_SPECS = [
+    *(_spec(f"gaussian-r{n}", 0.5, "shrinking", ["1"] * n, _quadratic(range(1, n + 1), 0),
+            [[-3, 3]] * n, [2] + [0] * (n - 1), "flat chart, quadratic potential")
+      for n in (3, 4, 5)),
+    *(_spec(f"sphere-s{n}", 0.5, "einstein", [_sphere(range(1, n + 1), 2 * (n - 1))] * n, "0",
+            [[-1.5, 1.5]] * n, [0.3, 0.1] + [0] * (n - 2),
+            f"round sphere of radius sqrt({2 * (n - 1)}), stereographic chart")
+      for n in (4, 5)),
+    *(_spec(f"cylinder-s{n - 1}xr", 0.5, "shrinking",
+            [_sphere(range(1, n), 2 * (n - 2))] * (n - 1) + ["1"], _quadratic([n], (n - 1) / 2),
+            [[-1.2, 1.2]] * (n - 1) + [[-4, 4]], [0] * (n - 1) + [2],
+            f"round {n - 1}-sphere of radius sqrt({2 * (n - 2)}) times a line")
+      for n in (3, 4, 5)),
+    *(_spec(f"s2xr{n - 2}", 0.5, "shrinking", [_sphere([1, 2], 2)] * 2 + ["1"] * (n - 2),
+            _quadratic(range(3, n + 1), 1), [[-1.2, 1.2]] * 2 + [[-3, 3]] * (n - 2),
+            [0, 0, 2] + [0] * (n - 3), "round 2-sphere of radius sqrt(2) times a flat factor")
+      for n in (4, 5)),
+    _spec("einstein-cylinder-s2xs2xr", 0.5, "shrinking",
+          [_sphere([1, 2], 2)] * 2 + [_sphere([3, 4], 2)] * 2 + ["1"], _quadratic([5], 2),
+          [[-1.2, 1.2]] * 4 + [[-4, 4]], [0, 0, 0, 0, 2],
+          "Einstein product of two round 2-spheres, times a line"),
+    # warped products dr^2 + phi(r)^2 g_fiber
+    _spec("warped-cylinder", 0.5, "shrinking", ["1"] + [_sphere([2, 3, 4], 4)] * 3,
+          _quadratic([1], 1.5), [[-4, 4]] + _WARPED_FIBER, [2, 0, 0, 0],
+          "constant warping phi = 2; same geometry as cylinder-s3xr"),
+    _spec("warped-sphere-s4", 0.5, "einstein",
+          ["1"] + [f"{_sphere([2, 3, 4], 1)}*(sqrt(6)*sin(x1/sqrt(6)))^2"] * 3, "0",
+          [[0.4, 2]] + _WARPED_FIBER, [1, 0, 0, 0],
+          "round 4-sphere in geodesic polar chart (sinusoidal warping)"),
+    _spec("steady-flat-r4", 0, "steady", ["1"] * 4, "x1 + 0", [[-3, 3]] * 4,
+          [1, 0.3, 0.2, 0.1], "flat metric with a linear potential (degenerate steady)"),
+    _spec("expanding-gaussian-r4", -0.5, "expanding", ["1"] * 4,
+          f"-(0 + {_squares(range(1, 5))})/4", [[-3, 3]] * 4, [2, 0, 0, 0],
+          "flat chart, negated quadratic potential"),
+    _perturbed(4, [(0, 1, 3, 4), (2, 3, 1, 2)]),
+    _perturbed(5, [(0, 1, 3, 4), (2, 3, 5, 1), (1, 4, 1, 3)]),
+]
 
 
 def catalog():
     """All built-in instances, negative controls included."""
-    return [
-        gaussian_instance(3),
-        gaussian_instance(4),
-        gaussian_instance(5),
-        sphere_instance(4),
-        sphere_instance(5),
-        cylinder_instance(3),
-        cylinder_instance(4),
-        cylinder_instance(5),
-        s2xrk_instance(4),
-        s2xrk_instance(5),
-        s2xs2xr_instance(),
-        warped_cylinder_instance(),
-        warped_sphere_instance(),
-        steady_flat_instance(),
-        expanding_gaussian_instance(),
-        perturbed_instance(4),
-        perturbed_instance(5),
-    ]
+    return [instance_from_spec(spec) for spec in BUILTIN_SPECS]
 
 
 def get_instance(name, extra=()):
-    for inst in list(extra) + catalog():
+    """The instance of that name among `extra` and the built-ins; builds only that one."""
+    for inst in extra:
         if inst.name == name:
             return inst
+    for spec in BUILTIN_SPECS:
+        if spec["name"] == name:
+            return instance_from_spec(spec)
     raise ConfigurationError(f"no catalog instance named {name!r}")
 
 
@@ -654,6 +473,15 @@ def json_numbers(values, what):
     return finite_numbers(values, what)
 
 
+def _ball_exclusion(center, radius):
+    c = np.asarray(center, dtype=float)
+
+    def dist(p):
+        return float(np.linalg.norm(p - c) - radius)
+
+    return dist
+
+
 def instance_from_spec(spec):
     """Build an instance from a JSON-style dict of expression strings."""
     required = {"name", "n", "rho", "metric", "potential", "domain"}
@@ -676,16 +504,17 @@ def instance_from_spec(spec):
     if not (isinstance(rows, list) and len(rows) == n
             and all(isinstance(r, list) and len(r) == n for r in rows)):
         raise ConfigurationError("metric must be an n-by-n grid of expressions")
-    # every entry must compile, but only the upper triangle is evaluated
-    compiled = [[compile_expression(str(e), n) for e in row] for row in rows]
+    # every distinct entry compiles once; those of the upper triangle are
+    # evaluated once per call and mirrored, the lower ones never
+    texts = [[str(e) for e in row] for row in rows]
+    compiled = {t: compile_expression(t, n) for t in dict.fromkeys(sum(texts, []))}
+    upper = [[texts[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    evaluated = {t: compiled[t] for i in range(n) for t in upper[i][i:]}
     potential = compile_expression(str(spec["potential"]), n)
 
     def metric_fn(xs):
-        grid = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                grid[i][j] = grid[j][i] = compiled[i][j](xs)
-        return grid
+        values = {t: fn(xs) for t, fn in evaluated.items()}
+        return [[values[t] for t in row] for row in upper]
 
     (rho,) = json_numbers([spec["rho"]], "rho")
     domain = spec["domain"]
@@ -747,7 +576,7 @@ def load_extension_file(path):
             f'{path}: need a JSON object whose "instances" is a list of objects'
         )
     insts = [instance_from_spec(s) for s in specs]
-    taken = {inst.name for inst in catalog()}
+    taken = {spec["name"] for spec in BUILTIN_SPECS}
     for inst in insts:
         if inst.name in taken:
             raise ConfigurationError(f"{path}: instance name {inst.name!r} is already taken")

@@ -73,6 +73,21 @@ def test_integer_power_of_jet():
     assert j.partial((1,)) == 12.0
 
 
+def test_a_long_chain_compiles_to_one_assignment_per_operation():
+    # as one nested Python expression, 300 terms would pass the compiler's
+    # limit of 200 nested parentheses
+    text = " + ".join(["x1"] * 300) + " - " + "-" * 300 + "x1"
+    fn = compile_expression(text, 1)
+    assert fn([1.0]) == 299.0
+    assert _eval_at(text, [2.0]).partial((1,)) == 299.0
+
+
+def test_a_literal_that_overflows_is_bound_by_reference():
+    # float("9" * 400) is inf, whose repr is not a Python literal
+    fn = compile_expression("x1 + " + "9" * 400, 1)
+    assert fn([1.0]) == math.inf
+
+
 def test_variable_out_of_range():
     with pytest.raises(ConfigurationError):
         compile_expression("x5", 3)

@@ -398,3 +398,23 @@ def test_jet_einsum_reads_operands_at_its_own_order(order, subscripts, kernel):
     for x, y in ((a_low, b), (a, b_low)):
         with pytest.raises(InsufficientOrderError):
             jets.jet_einsum(above, subscripts, x, y)
+
+
+@pytest.mark.parametrize("p, products", [(2, 1), (3, 2), (5, 3)])
+def test_int_power_takes_the_repeated_squaring_products(monkeypatch, p, products):
+    # x^2 = x*x, x^3 = x*(x*x), x^5 = x*((x*x)*(x*x)): no product with a one jet
+    space = JetSpace.get(2, 4)
+    x = variable(space, 0, 0.7) * 1.3 + variable(space, 1, -0.4)
+    x2 = x * x
+    chain = {2: x2, 3: x * x2, 5: x * (x2 * x2)}[p]
+    calls = []
+    mul_arrays = jets.mul_arrays
+
+    def counting(*args):
+        calls.append(None)
+        return mul_arrays(*args)
+
+    monkeypatch.setattr(jets, "mul_arrays", counting)
+    power = jets.int_power(x, p)
+    assert len(calls) == products
+    assert power.coeffs.tobytes() == chain.coeffs.tobytes()

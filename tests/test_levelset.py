@@ -331,17 +331,19 @@ def _counting_instance(name):
 
 
 def test_level_points_evaluation_count_is_pinned():
-    # potential evaluations of one run (scan, bisection, admission and the
-    # instance's own cached values) counted at the numpy-point loop:
-    # a changed scan or bisection changes this number
+    # potential evaluations of one run (scan, bisection, which takes f at
+    # the bracket's low end from the scan, admission and the instance's own
+    # cached values): a changed scan or bisection changes this number
     inst, calls = _counting_instance("cylinder-s3xr")
     level_points(inst, 9.0 / 4.0 + 1.5, n_points=12, seed=5)
-    assert len(calls) == 15223
+    assert len(calls) == 15211
 
 
 @pytest.mark.parametrize("n_points, c", [
-    (0, 1.0), (-2, 1.0), (12, math.nan), (12, math.inf), (12, -math.inf),
-], ids=["zero-points", "negative-points", "nan-level", "inf-level", "minus-inf-level"])
+    (0, 1.0), (-2, 1.0), (2.5, 1.0), (True, 1.0), (12, math.nan), (12, math.inf),
+    (12, -math.inf),
+], ids=["zero-points", "negative-points", "fractional-points", "boolean-points", "nan-level",
+        "inf-level", "minus-inf-level"])
 def test_prop32_rejects_bad_arguments_before_any_ray(n_points, c):
     # the arguments are checked before the potential is evaluated at all
     inst, calls = _counting_instance("gaussian-r3")

@@ -105,10 +105,20 @@ def test_sample_points_deterministic(instances):
 
 
 def test_sample_points_respect_exclusions(instances):
-    inst = instances["warped-sphere-s4"]
+    # a ball of radius 1.5 covers about a fifth of the box [-2, 2]^3
+    inst = instance_from_spec({**_GAUSSIAN_R3, "base_point": None,
+                               "excluded": [{"center": [0, 0, 0], "radius": 1.5}]})
+    distances = []
+
+    def recording(p, distance=inst.excluded_distance):
+        distances.append(distance(p))
+        return distances[-1]
+
+    inst.excluded_distance = recording
     for p in sample_points(inst, 20, seed=3):
-        assert inst.excluded_distance(p) >= 1e-3
+        assert np.linalg.norm(p) >= 1.5 + 1e-3
         assert inst.contains(p)
+    assert sum(d < 1e-3 for d in distances) >= 1  # candidates were rejected
     # nontrivial instances also avoid the critical set of the potential
     cyl = instances["cylinder-s3xr"]
     for p in sample_points(cyl, 20, seed=3):
@@ -165,6 +175,46 @@ def test_json_extension_roundtrip(tmp_path, instances):
     p = [0.5, -0.3, 0.8]
     builtin = instances["gaussian-r3"]
     assert abs(_soliton_residual(inst, p) - _soliton_residual(builtin, p)) < 1e-15
+
+
+@pytest.mark.parametrize("count", [1.5, 2.0, True, 0],
+                         ids=["fraction", "float", "boolean", "zero"])
+def test_sample_evals_rejects_a_count_that_is_not_a_positive_int(count):
+    # len(evals) == 1.5 never holds: such a count drew all 20,000 candidates
+    inst = get_instance("gaussian-r3")
+    calls = []
+
+    def counting(xs, potential=inst.potential_fn):
+        calls.append(None)
+        return potential(xs)
+
+    with pytest.raises(ConfigurationError, match="whole number"):
+        sample_evals(dataclasses.replace(inst, potential_fn=counting), count, 3, 1)
+    assert calls == []
+
+
+def test_builtin_specs_load_as_extensions_bit_for_bit(tmp_path):
+    # the user path is the built-in path: each built-in spec, renamed and
+    # written as JSON, loads to the same metric and potential jets
+    from gradsol.jets import JetSpace
+    from gradsol.solitons import BUILTIN_SPECS
+
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(
+        {"instances": [{**spec, "name": spec["name"] + "-copy"} for spec in BUILTIN_SPECS]}))
+    loaded = load_extension_file(str(path))
+    assert [inst.name for inst in loaded] == [inst.name + "-copy" for inst in catalog()]
+    rng = np.random.default_rng(29)
+    for inst, builtin in zip(loaded, catalog()):
+        assert (inst.n, inst.rho, inst.kind, inst.box, inst.base_point) == (
+            builtin.n, builtin.rho, builtin.kind, builtin.box, builtin.base_point)
+        lo, hi = np.array(inst.box).T
+        space = JetSpace.get(inst.n, 3)
+        for p in (lo + (hi - lo) * rng.random((3, inst.n))).tolist():
+            g, g_builtin = inst.metric_at(p, 3).g.data, builtin.metric_at(p, 3).g.data
+            assert g.tobytes() == g_builtin.tobytes()
+            assert (inst.potential_jet(p, space).coeffs.tobytes()
+                    == builtin.potential_jet(p, space).coeffs.tobytes())
 
 
 def test_extension_missing_fields():
