@@ -6,7 +6,6 @@ from .curvature import (
     covariant_derivative,
     curvature_pack,
     divergence,
-    hessian,
     scalar_gradient,
 )
 from .conformal import (

@@ -19,10 +19,7 @@ from .verify import report_to_json, run_suite, suite_passed
 
 
 def _load_instances(args):
-    extra = []
-    if getattr(args, "extensions", None):
-        extra = load_extension_file(args.extensions)
-    return extra
+    return load_extension_file(args.extensions) if args.extensions else []
 
 
 def _cmd_catalog(args):
@@ -93,16 +90,8 @@ def _cmd_verify(args):
                 status = thm.get("detail", {"status": "error", "reason": thm.get("error")})
             print(f"   equivalence status: {json.dumps(status, sort_keys=True, default=float)}")
     if args.report and reports:
-        payload = (
-            report_to_json(reports[0])
-            if len(reports) == 1
-            else json.dumps(
-                [json.loads(report_to_json(r)) for r in reports], sort_keys=True, indent=2
-            )
-            + "\n"
-        )
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.write(report_to_json(*reports))
         print(f"report written to {args.report}")
     elif args.report:
         print("no report written: no instance completed the suite")

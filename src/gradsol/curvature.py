@@ -26,8 +26,9 @@ class CurvaturePack:
     """Metric, connection and curvature jets at one point.
 
     gamma is (1,2) with the contravariant slot first; riemann is fully
-    covariant R_ijkl; ricci is R_ij; scalar is g^{ij} R_ij.  The Schouten
-    tensor, which three conformal tensors read, is built on first use and kept.
+    covariant R_ijkl; ricci is R_ij; scalar is g^{ij} R_ij.  Two fields are
+    built on first use and kept: `schouten`, which three conformal tensors
+    read, and `dscalar`, the gradient dR that five identities read.
     """
 
     metric: MetricAtPoint
@@ -49,6 +50,11 @@ class CurvaturePack:
         space = self.ricci.space
         rg = jet_einsum(space, "ij,->ij", self.metric.g.data, self.scalar.coeffs)
         return TensorJet(space, "dd", self.ricci.data - rg / (2.0 * (n - 1)))
+
+    @cached_property
+    def dscalar(self):
+        """Gradient one-form dR of the scalar curvature, built once."""
+        return scalar_gradient(self.scalar)
 
 
 def _connection(metric):
@@ -121,9 +127,3 @@ def scalar_gradient(s):
     """Gradient one-form of a scalar jet."""
     data = gradient_arrays(s.space, s.coeffs)
     return TensorJet(s.space.lower(), "d", data)
-
-
-def hessian(f_jet, pack):
-    """Second covariant derivative of a scalar: d_i d_j f - Gamma^k_ij d_k f."""
-    df = scalar_gradient(f_jet)
-    return covariant_derivative(df, pack)

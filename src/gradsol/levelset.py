@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import covariant_derivative, scalar_gradient
+from .curvature import covariant_derivative
 from .errors import (
     ConfigurationError,
     ConsistencyError,
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .jets import JetScalar, jet_einsum
 from .jets import sqrt as jets_sqrt
-from .tensors import TensorJet, tensor_norm_sq
+from .tensors import TensorJet
 
 GRAD_THRESHOLD = 1e-6
 D_ZERO_TOL = 1e-9
@@ -125,11 +125,10 @@ def second_fundamental_form(ev):
             raise ConsistencyError(
                 "second fundamental form: Hessian and soliton forms disagree"
             )
-    dscal = scalar_gradient(ev.pack.scalar).values
     return LevelSurfaceData(
         h=h,
         H=float(np.trace(h)),
-        tangential_dR=t @ dscal,
+        tangential_dR=t @ ev.pack.dscalar.values,
         frame=frame,
     )
 
@@ -142,7 +141,7 @@ def prop31_residual(ev):
     """
     n = ev.inst.n
     lsd = ev.level_surface
-    lhs = tensor_norm_sq(ev.dtensor, ev.metric)
+    lhs = ev.d_norm_sq
     traceless = lsd.h - (lsd.H / (n - 1)) * np.eye(n - 1)
     rhs = (
         2.0 * ev.frame.grad_f_norm ** 4 / (n - 2) ** 2 * float((traceless ** 2).sum())

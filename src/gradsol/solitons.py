@@ -19,7 +19,7 @@ import numpy as np
 
 from . import levelset
 from .conformal import bach, cotton, d_tensor, weyl
-from .curvature import curvature_pack, divergence, hessian, scalar_gradient
+from .curvature import covariant_derivative, curvature_pack, divergence, scalar_gradient
 from .errors import ConfigurationError, DomainError, ValidationError
 from .exprs import compile_expression
 from .jets import JetScalar, JetSpace, constant, coordinate_jets
@@ -139,8 +139,8 @@ class PointEval:
 
     @cached_property
     def hess_f(self):
-        """Values of Hess f: f is truncated to order 2 first."""
-        return hessian(self.f.truncated(min(self.order, 2)), self.pack)
+        """Hess f = nabla df, from `df` truncated to order 1: its values are all readers need."""
+        return covariant_derivative(self.df.truncated(1), self.pack)
 
     @cached_property
     def gradf_up_values(self):
@@ -165,11 +165,16 @@ class PointEval:
 
     @cached_property
     def dtensor(self):
-        return d_tensor(self.pack, self.f, cross_check=self.inst.kind is not None)
+        return d_tensor(self.pack, self.df, cross_check=self.inst.kind is not None)
+
+    @cached_property
+    def d_norm_sq(self):
+        """|D|^2, the full metric contraction of `dtensor`; `d_norm` is its root."""
+        return tensor_norm_sq(self.dtensor, self.metric)
 
     @cached_property
     def d_norm(self):
-        return _norm(self.dtensor, self.metric)
+        return math.sqrt(max(self.d_norm_sq, 0.0))
 
     @cached_property
     def cotton_norm(self):
@@ -216,7 +221,7 @@ def soliton_eq_residual(ev):
 
 def hamilton_first_residual(ev):
     """dR - 2 Ric(grad f) at one point evaluation (needs order 3)."""
-    d_scal = scalar_gradient(ev.pack.scalar).values
+    d_scal = ev.pack.dscalar.values
     rhs = 2.0 * ev.pack.ricci.values @ ev.gradf_up_values
     resid = np.abs(d_scal - rhs).max()
     return float(resid), float(max(np.abs(d_scal).max(), np.abs(rhs).max()))

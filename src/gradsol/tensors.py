@@ -77,14 +77,6 @@ class TensorJet:
         )
 
 
-def align(a, b):
-    """Truncate two tensors to their common (minimum) order."""
-    order = min(a.order, b.order)
-    aa = a.truncated(order) if a.order > order else a
-    bb = b.truncated(order) if b.order > order else b
-    return aa, bb
-
-
 def raise_lower(t, slot, metric):
     """Flip the variance of one slot by contracting with g or its inverse."""
     if not (0 <= slot < t.rank):

@@ -15,7 +15,13 @@ from gradsol.conformal import (
     einstein_tensor,
     weyl,
 )
-from gradsol.curvature import CurvaturePack, covariant_derivative, curvature_pack, divergence
+from gradsol.curvature import (
+    CurvaturePack,
+    covariant_derivative,
+    curvature_pack,
+    divergence,
+    scalar_gradient,
+)
 from gradsol.errors import ConsistencyError, InsufficientOrderError, UnsupportedDimensionError
 from gradsol.solitons import PointEval, get_instance, sample_evals
 from gradsol.tensors import TensorJet, tensor_norm_sq
@@ -178,10 +184,10 @@ def test_bach_dimension_guard(geometry):
 def test_d_tensor_values(geometry):
     for name, p in [("sphere-s4", [0.4, 0.1, -0.3, 0.2]), ("cylinder-s3xr", [0.3, -0.2, 0.5, 2.0])]:
         inst, m, pack, f = geometry(name, p, 4)
-        d = d_tensor(pack, f, cross_check=True)
+        d = d_tensor(pack, scalar_gradient(f), cross_check=True)
         assert d.max_abs() < 1e-9, name
     inst, m, pack, f = geometry("s2xr2", [0.0, 0.0, 2.0, 0.0], 4)
-    d = d_tensor(pack, f, cross_check=True)
+    d = d_tensor(pack, scalar_gradient(f), cross_check=True)
     assert abs(tensor_norm_sq(d, m) - 1.0 / 12.0) < 1e-8
 
 
@@ -250,7 +256,7 @@ def test_direct_tensor_assembly(geometry):
     c = cotton(pack)
     assert w.valence == "dddd"
     assert c.valence == "ddd"
-    assert d_tensor(pack, f, cross_check=True).valence == "ddd"
+    assert d_tensor(pack, scalar_gradient(f), cross_check=True).valence == "ddd"
     # symmetry of the rank-2 members
     for t in (pack.schouten, einstein_tensor(pack), bach(pack, c, w, divergence(w, pack, 3))):
         assert t.valence == "dd"
@@ -270,6 +276,21 @@ def test_require_agreement_rejects_a_nan_path(geometry):
             _require_agreement(a, b, 1e-10, "weyl")
 
 
+def test_require_agreement_compares_the_common_order(geometry):
+    # the paths are compared up to the lower order of the two, above it not at all
+    _, _, pack, _ = geometry("s2xr2", [0.2, 0.1, 1.6, 0.5], 5)
+    ric = pack.ricci
+    low = ric.truncated(ric.order - 1)
+    high = TensorJet(ric.space, "dd", ric.data.copy())
+    high.data[..., low.space.n_terms:] += 1.0
+    _require_agreement(high, low, 1e-10, "ricci")
+    _require_agreement(low, high, 1e-10, "ricci")
+    low.data[..., low.space.n_terms - 1] += 1.0
+    for a, b in ((high, low), (low, high)):
+        with pytest.raises(ConsistencyError, match="ricci"):
+            _require_agreement(a, b, 1e-10, "ricci")
+
+
 @pytest.mark.parametrize("what", ["weyl", "cotton", "bach", "d_tensor"])
 def test_two_path_tensor_with_a_nan_path_raises(geometry, what):
     _, _, pack, f = geometry("s2xr2", [0.2, 0.1, 1.6, 0.5], 5)
@@ -286,7 +307,7 @@ def test_two_path_tensor_with_a_nan_path_raises(geometry, what):
     build = {
         "weyl": lambda: weyl(pack),
         "cotton": lambda: cotton(pack),
-        "d_tensor": lambda: d_tensor(pack, f, cross_check=True),
+        "d_tensor": lambda: d_tensor(pack, scalar_gradient(f), cross_check=True),
     }[what]
     with pytest.raises(ConsistencyError, match=what):
         build()

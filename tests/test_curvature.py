@@ -7,7 +7,6 @@ import gradsol.jets as jets
 from gradsol.curvature import (
     covariant_derivative,
     curvature_pack,
-    hessian,
     scalar_gradient,
 )
 from gradsol.errors import InsufficientOrderError
@@ -101,13 +100,13 @@ def test_contracted_bianchi(instances):
 
 def test_hessian_gaussian(geometry):
     _, m, pack, f = geometry("gaussian-r4", [2.0, 0.0, 0.0, 0.0], 3)
-    h = hessian(f, pack)
+    h = covariant_derivative(scalar_gradient(f), pack)
     assert np.abs(h.values - 0.5 * np.eye(4)).max() < 1e-14
 
 
 def test_hessian_cylinder_product_structure(geometry):
     _, _, pack, f = geometry("cylinder-s3xr", [0.4, -0.3, 0.2, 3.0], 3)
-    h = hessian(f, pack).values
+    h = covariant_derivative(scalar_gradient(f), pack).values
     expected = np.zeros((4, 4))
     expected[3, 3] = 0.5
     assert np.abs(h - expected).max() < 1e-13
@@ -116,7 +115,7 @@ def test_hessian_cylinder_product_structure(geometry):
 def test_hessian_symmetric(geometry):
     for name, p in [("s2xr2", [0.5, 0.3, 1.7, -0.9]), ("sphere-s5", [0.2, -0.4, 0.6, 0.1, 0.3])]:
         _, _, pack, f = geometry(name, p, 4)
-        h = hessian(f, pack)
+        h = covariant_derivative(scalar_gradient(f), pack)
         assert np.abs(h.data - h.data.swapaxes(0, 1)).max() < 1e-12
 
 
@@ -131,6 +130,15 @@ def test_riemann_symmetries_sampled(instances):
             assert np.abs(rm - rm.transpose(2, 3, 0, 1)).max() / scale < 1e-9
             bianchi = rm + rm.transpose(1, 2, 0, 3) + rm.transpose(2, 0, 1, 3)
             assert np.abs(bianchi).max() / scale < 1e-9
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_christoffel_symbols_exactly_symmetric(instances, order):
+    # the riemann_symmetries check leaves Γ^k_ij - Γ^k_ji out: it is 0 bit for bit
+    for inst in instances.values():
+        for ev in sample_evals(inst, 8, seed=7, order=order):
+            gamma = ev.pack.gamma.data
+            assert np.array_equal(gamma, gamma.swapaxes(1, 2)), (inst.name, ev.point)
 
 
 def test_shrinker_scalar_curvature_nonnegative(instances):

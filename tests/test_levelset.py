@@ -362,8 +362,8 @@ def test_prop32_nan_d_at_second_level_point_fails(monkeypatch):
     calls = []
     d_tensor = solitons.d_tensor
 
-    def nan_at_second(pack, f, *args, **kwargs):
-        d = d_tensor(pack, f, *args, **kwargs)
+    def nan_at_second(pack, df, *args, **kwargs):
+        d = d_tensor(pack, df, *args, **kwargs)
         if tuple(pack.metric.point.tolist()) in level:
             calls.append(None)
             if len(calls) == 2:

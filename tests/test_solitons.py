@@ -228,7 +228,7 @@ def test_warped_cylinder_matches_product(instances):
     # phi == 2 in the warped family reproduces the product cylinder; the
     # charts differ by a cyclic coordinate permutation
     from gradsol.conformal import d_tensor, weyl
-    from gradsol.curvature import curvature_pack
+    from gradsol.curvature import curvature_pack, scalar_gradient
     from gradsol.tensors import tensor_norm_sq
 
     w = instances["warped-cylinder"]
@@ -254,8 +254,8 @@ def test_warped_cylinder_matches_product(instances):
         )
         fw = w.potential_jet(pw, mw.space)
         fc = c.potential_jet(pc, mc.space)
-        dw = d_tensor(packw, fw)
-        dc = d_tensor(packc, fc)
+        dw = d_tensor(packw, scalar_gradient(fw))
+        dc = d_tensor(packc, scalar_gradient(fc))
         assert np.abs(dw.values - dc.values[np.ix_(perm, perm, perm)]).max() < 1e-9
         assert abs(tensor_norm_sq(weyl(packw), mw) - tensor_norm_sq(weyl(packc), mc)) < 1e-9
         assert abs(packw.scalar.value - packc.scalar.value) < 1e-12
@@ -282,9 +282,10 @@ _GAUSSIAN_R3 = {
 
 def test_non_finite_residual_fails_certification():
     # a NaN residual loses every `r > worst` comparison; it must not certify.
-    # Specs reject a non-finite rho, so the instance is changed after loading.
+    # Specs reject a non-finite rho, so the instance is changed after loading;
+    # inf * 0 in rho g warns on the way.
     inst = dataclasses.replace(instance_from_spec(_GAUSSIAN_R3), rho=math.inf)
-    with pytest.raises(ValidationError, match="non-finite"):
+    with pytest.raises(ValidationError, match="non-finite"), pytest.warns(RuntimeWarning):
         validate_instance(inst, n_points=8, seed=7)
 
 

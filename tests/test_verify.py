@@ -42,14 +42,14 @@ def test_s2xr2_expected_failures(suite_reports):
 def test_d_norm_at_spec_product_point():
     # |D| = sqrt(1/12) at the distinguished product point
     from gradsol.conformal import d_tensor
-    from gradsol.curvature import curvature_pack
+    from gradsol.curvature import curvature_pack, scalar_gradient
     from gradsol.tensors import tensor_norm_sq
 
     inst = get_instance("s2xr2")
     m = inst.metric_at([0.0, 0.0, 2.0, 0.0], 3)
     pack = curvature_pack(m)
     f = inst.potential_jet([0.0, 0.0, 2.0, 0.0], m.space)
-    d_norm = np.sqrt(tensor_norm_sq(d_tensor(pack, f), m))
+    d_norm = np.sqrt(tensor_norm_sq(d_tensor(pack, scalar_gradient(f)), m))
     assert abs(d_norm - 0.2886751345948129) < 1e-9
 
 
@@ -68,6 +68,14 @@ def test_order_four_skips_fifth_order_checks():
 def test_points_floor_enforced():
     rep = run_suite(get_instance("gaussian-r3"), n_points=2, seed=7, order=4)
     assert rep["config"]["points"] == 8
+
+
+def test_report_to_json_writes_an_array_for_several_reports():
+    reps = [run_suite(get_instance(name), n_points=8, seed=3, order=4)
+            for name in ("gaussian-r3", "s2xr2")]
+    one = [json.loads(report_to_json(rep)) for rep in reps]
+    assert report_to_json(*reps) == json.dumps(one, sort_keys=True, indent=2) + "\n"
+    assert json.loads(report_to_json(reps[0])) == one[0]
 
 
 def test_report_schema_and_determinism():
@@ -406,7 +414,6 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
     counts = {
         "sff": _count_calls(monkeypatch, levelset.second_fundamental_form,
                             lambda a, out: _where(a[0])),
-        "hessian": _count_calls(monkeypatch, curvature.hessian, lambda a, out: _where(a[1])),
         "frame": _count_calls(monkeypatch, levelset.adapted_frame, lambda a, out: _where(a[0])),
         "nabla_bach": _count_calls(
             monkeypatch, curvature.covariant_derivative,
@@ -423,11 +430,35 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
     level = {w: c for w, c in per_point.items() if w[0] not in suite_points}
     assert sorted(suite) == sorted((p, 5) for p in suite_points)
     for where, c in suite.items():
-        assert c == {"sff": 1, "hessian": 1, "frame": 1, "nabla_bach": 1}, where
+        assert c == {"sff": 1, "frame": 1, "nabla_bach": 1}, where
     # prop3.2's own level points: order-3 evaluations, no Bach tensor
     assert len(level) == 12 and {o for _, o in level} == {3}
     for where, c in level.items():
-        assert c == {"sff": 1, "hessian": 1, "frame": 1}, where
+        assert c == {"sff": 1, "frame": 1}, where
+
+
+def test_gradients_of_f_and_r_taken_once_per_point(monkeypatch):
+    # every reader of grad f reads PointEval.df and every reader of dR reads
+    # CurvaturePack.dscalar, so each point evaluation takes two gradients
+    inst = get_instance("cylinder-s4xr")
+    taken = []  # the scalar jets whose gradient was taken, kept alive
+    evals = []
+    # a None key counts nothing: the key function keeps each argument instead
+    _count_calls(monkeypatch, curvature.scalar_gradient, lambda a, out: taken.append(a[0]))
+
+    class RecordingPointEval(solitons.PointEval):
+        def __init__(self, *args):
+            super().__init__(*args)
+            evals.append(self)
+
+    monkeypatch.setattr(solitons, "PointEval", RecordingPointEval)
+    rep = run_suite(inst, n_points=8, seed=7, order=5)
+    assert report_entry(rep, "prop3.2")["status"] == "PASS"
+    assert sorted(ev.order for ev in evals) == [3] * 12 + [5] * 8
+    for ev in evals:
+        assert sum(s is ev.f for s in taken) == 1, ev.point
+        assert sum(s is ev.pack.scalar for s in taken) == 1, ev.point
+    assert len(taken) == 2 * len(evals) + 1  # and one for f_shift at the base point
 
 
 def test_cli_equivalence_line_comes_from_the_suite(monkeypatch, capsys):
