@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -155,9 +156,20 @@ def build_parser():
     return parser
 
 
+def _bind_at(argv):
+    """Join ``--at -0.3,...`` into ``--at=-0.3,...``: argparse takes a value
+    that starts with a minus and is not one plain number for an option."""
+    argv = list(argv)
+    for i, arg in enumerate(argv[:-1]):
+        if arg == "--at" and re.match(r"-[\d.]", argv[i + 1]):
+            argv[i : i + 2] = [f"--at={argv[i + 1]}"]
+            break
+    return argv
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_at(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "catalog":
             if args.action == "validate" and not args.name:

@@ -8,14 +8,24 @@ second derivatives of g through the Christoffel symbols of the first kind,
 R_mkij = ∂_iΓ_{m,jk} - ∂_jΓ_{m,ik} - Γ_{l,im}Γ^l_jk + Γ_{l,jm}Γ^l_ik, i.e.
 R^l_kij lowered by g_ml.  Γ^k_ij = g^{kl}Γ_{l,ij} and the curvature are
 carried two orders below g, at g^{-1}'s order; every covariant derivative
-and divergence reads that Γ.
+reads that Γ.
+
+A divergence never forms the whole covariant derivative.  It reads Γ through
+K[c, s, i] = g^{cm} Γ^s_{mi} and its trace γ^s = K[c, s, c]:
+
+    div t_{rest} = g^{cm} ∂_m t_{..c..} − Σ_{r≠slot} K[c, s, i_r] t_{..s..c..} − γ^s t_{..s..}
+
+K is built once per pack at each order a divergence asks for (one below the
+order of the tensor it differentiates), not at Γ's full order.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import InsufficientOrderError, TensorShapeError, UnsupportedDimensionError
-from .jets import JetScalar, gradient_arrays, jet_einsum
+from .jets import JetScalar, JetSpace, gradient_arrays, jet_einsum
 from .tensors import MetricAtPoint, TensorJet
 
 _L = "abcdefgh"
@@ -28,7 +38,8 @@ class CurvaturePack:
     gamma is (1,2) with the contravariant slot first; riemann is fully
     covariant R_ijkl; ricci is R_ij; scalar is g^{ij} R_ij.  Two fields are
     built on first use and kept: `schouten`, which three conformal tensors
-    read, and `dscalar`, the gradient dR that five identities read.
+    read, and `dscalar`, the gradient dR that five identities read; and
+    `raised_gamma(order)` keeps one K per order that a divergence reads.
     """
 
     metric: MetricAtPoint
@@ -36,6 +47,7 @@ class CurvaturePack:
     riemann: TensorJet
     ricci: TensorJet
     scalar: JetScalar
+    _raised: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
@@ -55,6 +67,15 @@ class CurvaturePack:
     def dscalar(self):
         """Gradient one-form dR of the scalar curvature, built once."""
         return scalar_gradient(self.scalar)
+
+    def raised_gamma(self, order):
+        """K[c, s, i] = g^{cm} Γ^s_{mi} at `order` (at most Γ's), built once per order."""
+        k = self._raised.get(order)
+        if k is None:
+            space = JetSpace.get(self.dim, order)
+            k = jet_einsum(space, "cm,smi->csi", self.metric.g_inv.data, self.gamma.data)
+            self._raised[order] = k
+        return k
 
 
 def _connection(metric):
@@ -86,6 +107,19 @@ def curvature_pack(metric):
     )
 
 
+def _lowered_space(t, pack, what):
+    """Space of the derivative of a fully covariant t: one order down, at most Γ's."""
+    if any(v != "d" for v in t.valence):
+        raise TensorShapeError(f"{what} expects a fully covariant tensor")
+    out_space = t.space.lower()
+    if out_space.order > pack.gamma.order:
+        raise InsufficientOrderError(
+            f"the connection is carried to order {pack.gamma.order}; truncate the "
+            f"order-{t.order} tensor to order {pack.gamma.order + 1} first"
+        )
+    return out_space
+
+
 def covariant_derivative(t, pack):
     """Covariant derivative of a fully covariant tensor; new slot first.
 
@@ -93,14 +127,7 @@ def covariant_derivative(t, pack):
     the output carries one order less than the input, which is at most
     one above the connection's order.
     """
-    if any(v != "d" for v in t.valence):
-        raise TensorShapeError("covariant_derivative expects a fully covariant tensor")
-    out_space = t.space.lower()
-    if out_space.order > pack.gamma.order:
-        raise InsufficientOrderError(
-            f"the connection is carried to order {pack.gamma.order}; truncate the "
-            f"order-{t.order} tensor to order {pack.gamma.order + 1} first"
-        )
+    out_space = _lowered_space(t, pack, "covariant_derivative")
     parts = gradient_arrays(t.space, t.data)
     letters = _L[: t.rank]
     for r in range(t.rank):
@@ -113,14 +140,27 @@ def covariant_derivative(t, pack):
 def divergence(t, pack, slot):
     """Divergence g^{cm} nabla_m t_{..c..} of a fully covariant tensor in slot c.
 
-    The other slots keep their order; the output is one order below t.
+    Fused, without forming nabla t (module docstring): g^{cm} d_m t_{..c..},
+    less K[c, s, i_r] t_{..s..c..} for every other slot r and γ^s t_{..s..}
+    for the slot itself.  K = pack.raised_gamma at the output's order, one
+    below t's, so the same bound on t's order holds as for
+    covariant_derivative.  The other slots keep their order.
     """
-    dt = covariant_derivative(t, pack)
+    out_space = _lowered_space(t, pack, "divergence")
+    k = pack.raised_gamma(out_space.order)
     letters = _L[: t.rank]
     c = letters[slot]
     rest = letters.replace(c, "")
-    out = jet_einsum(dt.space, f"{c}m,m{letters}->{rest}", pack.metric.g_inv.data, dt.data)
-    return TensorJet(dt.space, "d" * len(rest), out)
+    dt = gradient_arrays(t.space, t.data)
+    out = jet_einsum(out_space, f"{c}m,m{letters}->{rest}", pack.metric.g_inv.data, dt)
+    for r, i in enumerate(letters):
+        if r != slot:
+            tsub = letters[:r] + "s" + letters[r + 1 :]
+            out = out - jet_einsum(out_space, f"{c}s{i},{tsub}->{rest}", k, t.data)
+    tsub = letters[:slot] + "s" + letters[slot + 1 :]
+    trace = np.trace(k, axis1=0, axis2=2)  # γ^s
+    out = out - jet_einsum(out_space, f"s,{tsub}->{rest}", trace, t.data)
+    return TensorJet(out_space, "d" * len(rest), out)
 
 
 def scalar_gradient(s):

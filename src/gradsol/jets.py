@@ -83,7 +83,7 @@ class JetSpace:
 
     __slots__ = (
         "dim", "order", "n_terms", "exponents", "block_starts", "factorial",
-        "mul_left", "mul_right", "mul_starts", "mul_flat", "diff_src", "diff_fac",
+        "mul_left", "mul_right", "mul_starts", "mul_flat", "grad_src", "grad_fac",
         "_rank_of",
     )
 
@@ -128,20 +128,17 @@ class JetSpace:
         # (k, j) fixes i, so pair p owns entry (target, right) of a flat T x T matrix
         self.mul_flat = mk * self.n_terms + self.mul_right
 
+        # d_v of the order-(o-1) rank r reads rank src[v, r] of the order-o jet
+        # times the exponent of v there: one gather takes every partial
         n_lower = starts[order] if order > 0 else 0
-        src, fac = [], []
+        self.grad_src = np.empty((dim, n_lower), dtype=np.intp)
+        self.grad_fac = np.empty((dim, n_lower), dtype=np.float64)
         for v in range(dim):
-            s = np.empty(n_lower, dtype=np.intp)
-            f = np.empty(n_lower, dtype=np.float64)
             for r in range(n_lower):
                 beta = list(exps[r])
                 beta[v] += 1
-                s[r] = self._rank_of[tuple(beta)]
-                f[r] = beta[v]
-            src.append(s)
-            fac.append(f)
-        self.diff_src = src
-        self.diff_fac = fac
+                self.grad_src[v, r] = self._rank_of[tuple(beta)]
+                self.grad_fac[v, r] = beta[v]
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -172,16 +169,13 @@ def mul_arrays(space, a, b):
     return np.add.reduceat(p, space.mul_starts, axis=-1)
 
 
-def partial_arrays(space, data, var):
-    """Partial derivative along chart variable `var`; drops one order."""
+def gradient_arrays(space, data):
+    """All partials on a new leading axis of length dim; drops one order."""
     if space.order == 0:
         raise InsufficientOrderError("no derivative information left at order 0")
-    return data[..., space.diff_src[var]] * space.diff_fac[var]
-
-
-def gradient_arrays(space, data):
-    """Stack of all partials, new leading axis of length dim."""
-    return np.stack([partial_arrays(space, data, v) for v in range(space.dim)], axis=0)
+    parts = np.moveaxis(data[..., space.grad_src], -2, 0)
+    fac = space.grad_fac.reshape((space.dim,) + (1,) * (data.ndim - 1) + (-1,))
+    return np.multiply(parts, fac, order="C")
 
 
 def truncate_arrays(space, data, order):

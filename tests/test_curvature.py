@@ -1,18 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import gradsol.curvature as curvature
 import gradsol.jets as jets
 from gradsol.curvature import (
     covariant_derivative,
     curvature_pack,
+    divergence,
     scalar_gradient,
 )
 from gradsol.errors import InsufficientOrderError
-from gradsol.jets import jet_einsum, truncate_arrays
-from gradsol.solitons import sample_evals
-from gradsol.tensors import metric_at_point
+from gradsol.jets import JetSpace, jet_einsum, truncate_arrays
+from gradsol.solitons import PointEval, get_instance, sample_evals
+from gradsol.tensors import TensorJet, metric_at_point
 
 
 def _euclidean(n):
@@ -190,3 +193,75 @@ def test_covariant_derivative_rejects_contravariant():
     pack = curvature_pack(m)
     with pytest.raises(TensorShapeError):
         covariant_derivative(m.g_inv, pack)
+
+
+# generic points: Γ and its derivatives are nonzero on both geometries
+_DIV_POINTS = {
+    "perturbed-non-soliton-r5": [0.7, -0.4, 1.1, 0.3, -0.9],
+    "s2xr3": [-0.3, 0.1, 1.6, 0.5, -0.4],
+}
+
+
+def _reference_divergence(t, pack, slot):
+    """The g^{-1} trace of the whole covariant derivative, in slot `slot`."""
+    dt = covariant_derivative(t, pack)
+    letters = "abcd"[: t.rank]
+    c = letters[slot]
+    subs = f"{c}m,m{letters}->{letters.replace(c, '')}"
+    return jet_einsum(dt.space, subs, pack.metric.g_inv.data, dt.data)
+
+
+def _divergence_errors(pack, tensors):
+    """Largest relative error of `divergence` over every carried coefficient, per (rank, slot)."""
+    errors = {}
+    for t in tensors:
+        for slot in range(t.rank):
+            want = _reference_divergence(t, pack, slot)
+            got = divergence(t, pack, slot)
+            assert (got.valence, got.order) == ("d" * (t.rank - 1), t.order - 1)
+            errors[t.rank, slot] = np.abs(got.data - want).max() / np.abs(want).max()
+    return errors
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(_DIV_POINTS))
+def test_divergence_is_the_trace_of_the_covariant_derivative(name, order):
+    # generic tensors of ranks 1-4 at the highest order a divergence takes
+    ev = PointEval(get_instance(name), _DIV_POINTS[name], order)
+    space = JetSpace.get(ev.pack.dim, ev.pack.gamma.order + 1)
+    rng = np.random.default_rng(order)
+    tensors = [
+        TensorJet(space, "d" * rank, rng.uniform(-1, 1, (space.dim,) * rank + (space.n_terms,)))
+        for rank in range(1, 5)
+    ]
+    errors = _divergence_errors(ev.pack, tensors)
+    assert len(errors) == 10 and max(errors.values()) < 1e-12, errors
+    # the test sees a 1e-11 change of K in every rank and slot
+    pack = dataclasses.replace(ev.pack)
+    k = ev.pack.raised_gamma(space.order - 1)
+    pack._raised[space.order - 1] = k + 1e-11 * np.abs(k).max()
+    errors = _divergence_errors(pack, tensors)
+    assert min(errors.values()) > 1e-12, errors
+
+
+def test_weyl_divergence_forms_no_rank5_product(monkeypatch):
+    # the fused divergence never forms nabla W (n^5 components at n = 5)
+    name = "perturbed-non-soliton-r5"
+    ev = PointEval(get_instance(name), _DIV_POINTS[name], 5)
+    w = ev.weyl
+    pack = dataclasses.replace(ev.pack)  # an empty K cache, so K's build counts too
+    sizes = []
+
+    def recording(space, subscripts, a, b):
+        out = jet_einsum(space, subscripts, a, b)
+        sizes.append(out[..., 0].size)
+        return out
+
+    def forbidden(*args):
+        raise AssertionError("divergence called covariant_derivative")
+
+    monkeypatch.setattr(curvature, "jet_einsum", recording)
+    monkeypatch.setattr(curvature, "covariant_derivative", forbidden)
+    div_w = divergence(w, pack, 3)
+    assert div_w.max_abs() > 1e-3
+    assert len(sizes) == 6 and max(sizes) == 5**3, sizes

@@ -178,8 +178,8 @@ def test_product_rule_against_finite_differences():
 
 
 def test_derivative_is_a_derivation():
-    # partial_arrays obeys the product rule coefficient-wise
-    from gradsol.jets import mul_arrays, partial_arrays, truncate_arrays
+    # each partial of gradient_arrays obeys the product rule coefficient-wise
+    from gradsol.jets import gradient_arrays, mul_arrays, truncate_arrays
 
     rng = np.random.default_rng(7)
     space = JetSpace.get(3, 4)
@@ -189,11 +189,11 @@ def test_derivative_is_a_derivation():
         b = rng.uniform(-1.5, 1.5, space.n_terms)
         prod = mul_arrays(space, a, b)
         for v in range(3):
-            lhs = partial_arrays(space, prod, v)
+            lhs = gradient_arrays(space, prod)[v]
             _, a_low = truncate_arrays(space, a, 3)
             _, b_low = truncate_arrays(space, b, 3)
-            rhs = mul_arrays(lower, partial_arrays(space, a, v), b_low) + mul_arrays(
-                lower, a_low, partial_arrays(space, b, v)
+            rhs = mul_arrays(lower, gradient_arrays(space, a)[v], b_low) + mul_arrays(
+                lower, a_low, gradient_arrays(space, b)[v]
             )
             assert np.abs(lhs - rhs).max() < 1e-13
 
@@ -249,6 +249,16 @@ def _engine_subscripts():
             pats.append(f"{new}{old},{letters}->{letters.replace(old, new)}")  # raise_lower
             tsub = letters[:r] + "s" + letters[r + 1:]
             pats.append(f"sm{old},{tsub}->m{letters}")  # covariant_derivative
+    # divergence: Ricci and B in slots 0 and 1, C in 0, D and div W in 1, W in 3
+    pats.append("cm,smi->csi")  # its K = g^{cm} Γ^s_{mi}
+    for rank, slot in ((2, 0), (2, 1), (3, 0), (3, 1), (4, 3)):
+        letters = "abcd"[:rank]
+        c = letters[slot]
+        rest = letters.replace(c, "")
+        pats.append(f"{c}m,m{letters}->{rest}")
+        for r, i in enumerate(letters):
+            tsub = letters[:r] + "s" + letters[r + 1:]
+            pats.append(f"s,{tsub}->{rest}" if r == slot else f"{c}s{i},{tsub}->{rest}")
     return pats
 
 

@@ -249,6 +249,16 @@ def test_cli_tensor(capsys):
     capsys.readouterr()
 
 
+def test_cli_tensor_takes_a_negative_first_coordinate(capsys):
+    # the README's `--at x,y,...` form, with the value in its own argument
+    at = "-0.3,0.1,1.6,0.5,-0.4"
+    assert main(["tensor", "--instance", "s2xr3", "--at", at, "--what", "scalar"]) == 0
+    out = capsys.readouterr().out
+    assert main(["tensor", "--instance", "s2xr3", f"--at={at}", "--what", "scalar"]) == 0
+    assert capsys.readouterr().out == out
+    assert out.startswith("scalar curvature at [-0.3, 0.1, 1.6, 0.5, -0.4]: ")
+
+
 def test_cli_tensor_prints_zeros_unsigned(capsys):
     # Bach vanishes on the round sphere, so its components are rounding-level
     # values of either sign; each must print as an unsigned zero
@@ -415,8 +425,8 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
         "sff": _count_calls(monkeypatch, levelset.second_fundamental_form,
                             lambda a, out: _where(a[0])),
         "frame": _count_calls(monkeypatch, levelset.adapted_frame, lambda a, out: _where(a[0])),
-        "nabla_bach": _count_calls(
-            monkeypatch, curvature.covariant_derivative,
+        "div_bach": _count_calls(
+            monkeypatch, curvature.divergence,
             lambda a, out: _where(a[1]) if id(a[0]) in bach_ids else None),
     }
     rep = run_suite(inst, n_points=8, seed=7, order=5)
@@ -430,7 +440,7 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
     level = {w: c for w, c in per_point.items() if w[0] not in suite_points}
     assert sorted(suite) == sorted((p, 5) for p in suite_points)
     for where, c in suite.items():
-        assert c == {"sff": 1, "frame": 1, "nabla_bach": 1}, where
+        assert c == {"sff": 1, "frame": 1, "div_bach": 1}, where
     # prop3.2's own level points: order-3 evaluations, no Bach tensor
     assert len(level) == 12 and {o for _, o in level} == {3}
     for where, c in level.items():
@@ -485,7 +495,7 @@ def test_weyl_derivative_built_once_per_point(monkeypatch):
     # eq2.2 reads the div W that the Bach tensor's second path takes as input
     inst = get_instance("cylinder-s4xr")
     suite_points = {tuple(ev.point) for ev in verify.sample_evals(inst, 8, 7, 5)}
-    counts = _count_calls(monkeypatch, curvature.covariant_derivative,
+    counts = _count_calls(monkeypatch, curvature.divergence,
                           lambda a, out: _where(a[1]) if a[0].rank == 4 else None)
     rep = run_suite(inst, n_points=8, seed=7, order=5)
     for cid in ("eq2.2", "eq4.1", "lemma5.1", "thm5.2", "bach_vanishes"):
