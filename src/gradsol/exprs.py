@@ -1,7 +1,7 @@
 """Tiny arithmetic-expression grammar for the metric and potential of catalog specs.
 
 Grammar:  +, -, *, /, ^ (right associative), parentheses, numeric literals,
-variables ``x1 .. xn`` (1-based), and the calls sin, cos, exp, sqrt.
+variables ``x1 .. xn`` (1-based), and the calls sin, cos, exp, log, sqrt.
 Exponents must be constant.  Each expression compiles once, to one Python
 function over a list of coordinate jets, so catalog instances defined as
 specs plug straight into the differentiation engine, or over a list of
@@ -11,6 +11,14 @@ jets' own steps (a varying divisor b as ``a * (1/b)``, an integer power by
 repeated squaring, a real power and the calls through ``jets``), as fixed
 at compile time.  Constant subexpressions use plain float arithmetic and
 ``math`` in both cases, evaluated at each call like the rest.
+
+On a list of float64 arrays (one per coordinate, all of one shape) the
+function is evaluated elementwise with the float path's bits: numpy does
+``+ - * /`` and the ``jets`` steps take each entry as the float path does
+(see ``jets``).  An entry where the float path would raise, such as a zero
+varying divisor or the log of a non-positive number, is NaN.  An error
+that does not depend on the point, such as a constant divisor of zero,
+raises on floats at every point; on arrays numpy gives inf or NaN instead.
 """
 
 import math
@@ -25,7 +33,7 @@ _TOKEN = re.compile(
     r"|(?P<op>[-+*/^()]))"
 )
 
-_FUNCTIONS = {name: ELEMENTARY[name] for name in ("sin", "cos", "exp", "sqrt")}
+_FUNCTIONS = {name: ELEMENTARY[name] for name in ("sin", "cos", "exp", "log", "sqrt")}
 
 
 def _tokenize(text):

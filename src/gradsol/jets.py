@@ -45,11 +45,18 @@ the scalar (``'ijkl,->ijkl'``), so the same choice picks its kernel.
 ``mul_arrays`` is the scalar-by-scalar product only: it sums its pairs with
 ``reduceat``, which pays per output row x target: broadcast over Weyl's
 625 rows at dim 5, order 3 it took ten times the matrix path.
+
+The elementary functions, ``reciprocal``, ``int_power`` and ``real_power``
+also take a plain real, as an order-0 jet, and return the float its
+constant term would hold.  They take a float64 array elementwise with the
+plain real's bits: numpy divides and multiplies, and the functions that
+call ``math`` or ``**`` run their plain-real path on each entry.  An entry
+where the plain real would raise is NaN, without a warning.
 """
 
 import math
 import numbers
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -477,8 +484,27 @@ def coordinate_jets(space, point):
 # ---------------------------------------------------------------------------
 # elementary functions via univariate Taylor composition
 #
-# Each also takes a plain real, as an order-0 jet: it then returns the float
-# that the jet's constant term would hold, computed by the same operations.
+# Each also takes a plain real, and a float64 array entry by entry, as the
+# module docstring says.
+
+def _elementwise(fn):
+    """`fn` of a jet or a real, extended to float64 arrays entry by entry."""
+
+    @wraps(fn)
+    def on_arrays(a, *args):
+        if not isinstance(a, np.ndarray):
+            return fn(a, *args)
+
+        def entry(x):
+            try:
+                return fn(x, *args)
+            except (SingularEvaluationError, ArithmeticError, ValueError):
+                return math.nan
+
+        return np.fromiter(map(entry, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+
+    return on_arrays
+
 
 def _value_order(a):
     if isinstance(a, JetScalar):
@@ -513,6 +539,8 @@ def int_power(a, p):
     if p < 0:
         return int_power(reciprocal(a), -p)
     if p == 0:
+        if isinstance(a, np.ndarray):  # an entry that is NaN stays NaN
+            return np.where(np.isnan(a), np.nan, 1.0)
         return constant(a.space, 1.0) if isinstance(a, JetScalar) else 1.0
     result = None
     while p:
@@ -524,6 +552,7 @@ def int_power(a, p):
     return result
 
 
+@_elementwise
 def real_power(a, p):
     """a ** p for a real p by power series; the constant term must be positive."""
     a0, order = _value_order(a)
@@ -540,18 +569,22 @@ def real_power(a, p):
 
 
 def reciprocal(a):
+    if isinstance(a, np.ndarray):  # 1.0 / a0, as on a plain real; NaN at a0 == 0
+        return np.divide(1.0, a, out=np.full(a.shape, np.nan), where=a != 0.0)
     a0, order = _value_order(a)
     if a0 == 0.0:
         raise SingularEvaluationError("division by a jet with zero constant term")
     return _compose(a, [(-1.0) ** k / a0 ** (k + 1) for k in range(order + 1)])
 
 
+@_elementwise
 def exp(a):
     a0, order = _value_order(a)
     e0 = math.exp(a0)
     return _compose(a, [e0 / math.factorial(k) for k in range(order + 1)])
 
 
+@_elementwise
 def log(a):
     a0, order = _value_order(a)
     if a0 <= 0.0:
@@ -561,6 +594,7 @@ def log(a):
     return _compose(a, dc)
 
 
+@_elementwise
 def sqrt(a):
     a0, _ = _value_order(a)
     if a0 <= 0.0:
@@ -568,6 +602,7 @@ def sqrt(a):
     return real_power(a, 0.5)
 
 
+@_elementwise
 def sin(a):
     a0, order = _value_order(a)
     return _compose(
@@ -576,6 +611,7 @@ def sin(a):
     )
 
 
+@_elementwise
 def cos(a):
     a0, order = _value_order(a)
     return _compose(

@@ -15,6 +15,12 @@ quantities behind the residual.  They need a regular point of a
 non-constant potential: the suite's ``CheckSpec.level_sets`` keeps them
 off constant potentials, and at a critical point the adapted frame raises
 :class:`CriticalPointError`.
+
+:func:`level_points` finds its points by scanning rays from the box
+centre.  The potential of each block of rays is evaluated once, on float64
+arrays that compiled expressions take elementwise with the bits of their
+float path (NaN where that path would raise); the walk along each ray,
+the bisection and the ray points are plain floats.
 """
 
 import math
@@ -222,9 +228,75 @@ def _f_value(inst, point):
     """Normalized f at a point given as a list of floats.
 
     Compiled expressions run order-0 jet arithmetic on floats, so this
-    equals the order-0 jet value bit for bit.
+    equals the order-0 jet value bit for bit.  On float64 arrays they give
+    the same values elementwise, which `_scan` uses; the ray walk calls this
+    only at a step where the array value is NaN, so an error of the float
+    path surfaces at the step where it arises.
     """
     return float(inst.potential_fn(point)) + inst.f_shift
+
+
+def _scan(inst, c, anchor, d, s_max, f0):
+    """Where the walk of each ray must start: None if its scan brackets nothing.
+
+    Row i of `d` is a unit direction with ray length s_max[i]; f0 is f - c at
+    the anchor.  One call of the potential on float64 arrays of shape (rays,
+    steps) gives f - c at every step with the float path's bits, NaN where
+    `_f_value` would raise.  A walk starts at its ray's first NaN, zero or
+    change of sign (a zero one step before counts), as (prev_s, prev_v,
+    steps, values): the step before it (0 at the anchor) and f - c there,
+    then the ray's steps and values from it on.
+    """
+    s = s_max[:, None] * np.arange(1, _SCAN_STEPS + 1) / _SCAN_STEPS
+    with np.errstate(all="ignore"):
+        f = inst.potential_fn([x + s * d[:, [j]] for j, x in enumerate(anchor)])
+        v = (f + inst.f_shift) - c
+    s_prev = np.concatenate((np.zeros((len(d), 1)), s[:, :-1]), axis=1)
+    v_prev = np.concatenate((np.full((len(d), 1), f0), v[:, :-1]), axis=1)
+    stop = np.isnan(v) | (v == 0.0) | (v_prev == 0.0) | ((v > 0) != (v_prev > 0))
+    first = stop.argmax(axis=1)
+    starts = [None] * len(d)
+    for i in np.flatnonzero(stop.any(axis=1)).tolist():
+        k = first[i]
+        starts[i] = (float(s_prev[i, k]), float(v_prev[i, k]),
+                     s[i, k:].tolist(), v[i, k:].tolist())
+    return starts
+
+
+def _ray_root(inst, c, ray, prev_s, prev_v, steps, values):
+    """The point where the walk and bisection of one ray find f = c, or None.
+
+    `ray` pairs the anchor's coordinates with the direction's; the walk
+    takes the steps and values of `_scan` in order with the rule of a scan
+    on floats, from the step prev_s where f - c is prev_v.  Bisection runs
+    to 1e-12 on floats, with f - c at the bracket's low end from the scan.
+    """
+    bracket = None
+    for s, v in zip(steps, values):
+        if math.isnan(v):  # the float path raises here, or gives NaN as well
+            v = _f_value(inst, [x + s * y for x, y in ray]) - c
+        if prev_v == 0.0:
+            bracket = (prev_s, prev_s)
+            break
+        if v == 0.0 or (v > 0) != (prev_v > 0):
+            bracket = (prev_s, s)
+            break
+        prev_s, prev_v = s, v
+    if bracket is None:
+        return None
+    a, b = bracket
+    fa = prev_v  # f - c at a, from the scan
+    while b - a > 1e-12:
+        mid = 0.5 * (a + b)
+        fm = _f_value(inst, [x + mid * y for x, y in ray]) - c
+        if fm == 0.0:
+            a = b = mid
+            break
+        if (fm > 0) == (fa > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return [x + 0.5 * (a + b) * y for x, y in ray]
 
 
 def level_points(inst, c, n_points=12, seed=11):
@@ -232,9 +304,15 @@ def level_points(inst, c, n_points=12, seed=11):
 
     Needs an int `n_points >= 1` and a finite `c` (ConfigurationError otherwise);
     HypothesisViolationError for a constant potential, which has no regular
-    level values.  Each ray point anchor + s d is formed on floats, one
-    product and one sum per coordinate as numpy does elementwise, so the
-    points are bit-identical to the numpy formation.
+    level values.  Rays leave the box centre in blocks: the first holds one
+    ray per point sought, each later one twice as many as the one before, up
+    to 600 rays in all.  f at every scan step of a block is one evaluation
+    of the potential on float64 arrays, elementwise with the bits of the
+    float path, so the potential must take such arrays as compiled
+    expressions do.  The rays are then walked in order as a scan on floats
+    would walk them, and stop once `n_points` are admitted; a ray point
+    anchor + s d is one product and one sum per coordinate, so every point,
+    step and value is bit-identical to its numpy or float formation.
     """
     from . import solitons
 
@@ -249,55 +327,34 @@ def level_points(inst, c, n_points=12, seed=11):
             f"{inst.name}: potential is constant, there are no regular level values"
         )
     rng = solitons.instance_rng(inst, seed, salt=97)
-    lo = [float(b[0]) for b in inst.box]
-    hi = [float(b[1]) for b in inst.box]
-    anchor = [(l + h) / 2.0 for l, h in zip(lo, hi)]
-    f_anchor = _f_value(inst, anchor)
+    lo = np.array([float(b[0]) for b in inst.box])
+    hi = np.array([float(b[1]) for b in inst.box])
+    anchor = ((lo + hi) / 2.0).tolist()
+    f0 = _f_value(inst, anchor) - c
     evals = []
-    for _ in range(_MAX_RAYS):
-        if len(evals) == n_points:
-            break
-        d = rng.standard_normal(inst.n)
-        # coordinate pairs (x, y) of the anchor and the unit direction d
-        ray = list(zip(anchor, (d / np.linalg.norm(d)).tolist()))
+    drawn, block = 0, n_points
+    while len(evals) < n_points and drawn < _MAX_RAYS:
+        # one draw of the block's directions gives the stream of one draw per ray
+        draws = rng.standard_normal((min(block, _MAX_RAYS - drawn), inst.n))
+        drawn, block = drawn + len(draws), 2 * block
+        # each row by its own norm: a batched norm sums in another order
+        d = draws / np.array([np.linalg.norm(row) for row in draws])[:, None]
         # longest ray length keeping anchor + s d inside the box
-        s_max = math.inf
-        for (x, y), l, h in zip(ray, lo, hi):
-            if y > 1e-12:
-                s_max = min(s_max, (h - x) / y)
-            elif y < -1e-12:
-                s_max = min(s_max, (l - x) / y)
-        if not math.isfinite(s_max) or s_max < 1e-6:
-            continue
-        prev_s, prev_v = 0.0, f_anchor - c
-        bracket = None
-        for k in range(1, _SCAN_STEPS + 1):
-            s = s_max * k / _SCAN_STEPS
-            v = _f_value(inst, [x + s * y for x, y in ray]) - c
-            if prev_v == 0.0:
-                bracket = (prev_s, prev_s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_max = np.where(d > 1e-12, (hi - anchor) / d,
+                             np.where(d < -1e-12, (lo - anchor) / d, np.inf)).min(axis=1)
+        keep = np.isfinite(s_max) & (s_max >= 1e-6)
+        d, s_max = d[keep], s_max[keep]
+        for row, start in zip(d.tolist(), _scan(inst, c, anchor, d, s_max, f0)):
+            if len(evals) == n_points:
                 break
-            if v == 0.0 or (v > 0) != (prev_v > 0):
-                bracket = (prev_s, s)
-                break
-            prev_s, prev_v = s, v
-        if bracket is None:
-            continue
-        a, b = bracket
-        fa = prev_v  # f - c at a, from the scan
-        while b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            fm = _f_value(inst, [x + mid * y for x, y in ray]) - c
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm > 0) == (fa > 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        ev = solitons.admit(inst, [x + 0.5 * (a + b) * y for x, y in ray], 3)
-        if ev is not None:
-            evals.append(ev)
+            if start is None:
+                continue
+            point = _ray_root(inst, c, list(zip(anchor, row)), *start)
+            if point is not None:
+                ev = solitons.admit(inst, point, 3)
+                if ev is not None:
+                    evals.append(ev)
     if len(evals) < n_points:
         raise LevelPointError(
             f"{inst.name}: found only {len(evals)}/{n_points} points on f = {c}"

@@ -10,6 +10,7 @@ for the verification harness.
 """
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -244,10 +245,11 @@ def is_normalized_shrinker(inst):
 # sampling
 
 def instance_rng(inst, seed, salt=0):
-    if seed < 0:
-        raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
+    """The instance's generator for `seed`: ConfigurationError unless it is an integer >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(
-        np.random.SeedSequence([seed, zlib.crc32(inst.name.encode()), salt])
+        np.random.SeedSequence([int(seed), zlib.crc32(inst.name.encode()), salt])
     )
 
 

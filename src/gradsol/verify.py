@@ -25,7 +25,7 @@ from .conformal import (  # bach is unused here; bench/test_bench.py looks up ve
 )
 from .curvature import covariant_derivative, divergence
 from .errors import ConfigurationError, GradsolError, InsufficientOrderError
-from .jets import MAX_DIM
+from .jets import MAX_DIM, MAX_ORDER
 from .solitons import (
     certify,
     hamilton_first_residual,
@@ -303,11 +303,22 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     aborting the rest of the suite.  A per-instance check returns (residual, scale,
     detail), with residual None for N/A; entry["detail"] keeps the detail
     (for thm5.2 the equivalence status) in memory only.
+
+    ConfigurationError, before any point is drawn, for a point count that is
+    not an int (one below MIN_POINTS is raised to it), an order that is not
+    an int in 0..MAX_ORDER, a seed that is not an integer >= 0 and a
+    tol_scale that is not finite and > 0.
     """
     # `not 0 <`, unlike `<= 0`, also holds for NaN
     if not 0.0 < tol_scale < math.inf:
         raise ConfigurationError(f"tol_scale must be finite and > 0, got {tol_scale}")
-    n_points = max(MIN_POINTS, int(n_points))
+    if isinstance(n_points, bool) or not isinstance(n_points, int):
+        raise ConfigurationError(
+            f"{inst.name}: need a whole number of sample points, got {n_points!r}"
+        )
+    if isinstance(order, bool) or not isinstance(order, int) or not 0 <= order <= MAX_ORDER:
+        raise ConfigurationError(f"order must be an integer in 0..{MAX_ORDER}, got {order!r}")
+    n_points = max(MIN_POINTS, n_points)
     evals = sample_evals(inst, n_points, seed, max(order, 3))
     certify(inst, evals)
 

@@ -156,6 +156,7 @@ FLOAT_EXACT = [
     "1/(1 + x1^2) + x2/x1",
     "sqrt(1 + x1^2)*sin(x2) - exp(x1)/x2",
     "cos(x1*x2)/exp(x2) + x1^0.5 - sqrt(2)*x2^7",
+    "log(x1)*x2 - log(1 + x2^2)/log(2)",
 ]
 
 
@@ -169,7 +170,7 @@ def test_float_evaluation_is_order0_jet_value(text):
         assert fn(p).hex() == fn(coordinate_jets(space, p)).value.hex(), p
 
 
-@pytest.mark.parametrize("text", ["sqrt(x1 - 2)", "(x1 - 2)^0.5", "1/(x1 - 1)"])
+@pytest.mark.parametrize("text", ["sqrt(x1 - 2)", "(x1 - 2)^0.5", "1/(x1 - 1)", "log(x1 - 1)"])
 def test_float_evaluation_raises_where_jets_raise(text):
     # Python's (-1.0) ** 0.5 is a complex number; the jets refuse it
     fn = compile_expression(text, 1)
@@ -178,6 +179,28 @@ def test_float_evaluation_raises_where_jets_raise(text):
     with pytest.raises(GradsolError) as on_float:
         fn([1.0])
     assert type(on_float.value) is type(on_jet.value)
+
+
+@pytest.mark.parametrize("text", FLOAT_EXACT + [
+    "log(x1 - 1) + x2", "sqrt(x1 - 1)*x2^-1", "(x2 - 1)^-2 + x1^0.3", "exp(300*x2)*cos(x1)",
+    "(1/(x1 - 1))^0 + x2",
+])
+def test_array_evaluation_is_float_evaluation_elementwise(text):
+    # each entry has the float path's bits, or is NaN where the float path
+    # raises; a RuntimeWarning fails the test (pyproject's filterwarnings)
+    fn = compile_expression(text, 2)
+    rng = np.random.default_rng(4)
+    x1 = np.concatenate(([1.0, 1.0, 0.5], rng.uniform(0.1, 3.0, 202).round(1)))
+    x2 = np.concatenate(([1.0, 0.0, 3.0], rng.uniform(-3.0, 3.0, 202).round(1)))
+    got = fn([x1.reshape(5, -1), x2.reshape(5, -1)])
+    assert got.shape == (5, 41)
+    for p, value in zip(zip(x1.tolist(), x2.tolist()), got.ravel().tolist()):
+        try:
+            want = fn(list(p))
+        except GradsolError:
+            assert math.isnan(value), p
+        else:
+            assert value.hex() == want.hex(), p
 
 
 def test_varying_exponent_is_rejected():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gradsol.errors import (
     ConsistencyError,
     CriticalPointError,
     HypothesisViolationError,
+    SingularEvaluationError,
 )
 from gradsol import levelset, solitons
 from gradsol.exprs import compile_expression
@@ -241,6 +243,7 @@ def test_f_value_is_order0_jet_value_on_catalog(name):
 
 @pytest.mark.parametrize("text", [
     "x1^2/4 + x2^3", "x1^-2 + x2/x1", "sqrt(1 + x2^2)*sin(x1*x2)", "exp(x2)/(1 + x1^2)",
+    "log(x1)*x2 + log(1 + x2^2)",
 ])
 def test_f_value_is_order0_jet_value_on_expressions(text):
     inst = _expression_instance(text)
@@ -318,6 +321,68 @@ def test_level_points_match_jet_root_finder(make, c):
     assert pts == ref
 
 
+def _nan_counting(inst):
+    # a copy of the instance whose potential records the NaN entries of each
+    # array evaluation, where the float path would raise
+    nans = []
+
+    def counting(xs, potential=inst.potential_fn):
+        f = potential(xs)
+        if isinstance(f, np.ndarray):
+            nans.append(int(np.isnan(f).sum()))
+        return f
+
+    return dataclasses.replace(inst, potential_fn=counting), nans
+
+
+def test_level_points_on_a_log_potential_singular_past_every_bracket():
+    # f = log(4 - r^2) about the anchor brackets f = 1 at r = 1.13 on every
+    # ray; the steps past r = 2 that long rays scan are never walked
+    inst, nans = _nan_counting(_expression_instance("log(4 - ((x1 - 1.55)^2 + x2^2))"))
+    pts = [ev.point for ev in level_points(inst, 1.0, n_points=12, seed=5)]
+    assert sum(nans) > 0
+    assert pts == [ev.point for ev in _numpy_level_points(inst, 1.0, n_points=12, seed=5)]
+
+
+@pytest.mark.parametrize("text, c, error", [
+    ("log(1 - ((x1 - 1.55)^2 + x2^2))", 1.0, SingularEvaluationError),
+    ("exp(1000*((x1 - 1.55)^2 + x2^2))", 0.5, ConfigurationError),
+], ids=["log-domain", "exp-overflow"])
+def test_level_points_raise_as_the_float_scan_on_the_first_ray(text, c, error):
+    # f never reaches c where it is defined, and every ray leaves its domain
+    # inside the box: the first ray raises at its first step outside
+    inst = _expression_instance(text)
+    with pytest.raises(error) as on_float:
+        _f_value(inst, [3.0, 0.0])
+    with pytest.raises(error):
+        _jet_f_value(inst, [3.0, 0.0])
+    with pytest.raises(error) as in_scan:
+        level_points(inst, c, n_points=4, seed=5)
+    with pytest.raises(error) as in_reference:
+        _numpy_level_points(inst, c, n_points=4, seed=5)
+    assert str(in_scan.value) == str(in_reference.value) == str(on_float.value)
+
+
+def test_level_points_raise_only_on_rays_they_walk():
+    # f = x1 + 0.01 log(x1 - 0.3) is singular for x1 <= 0.3: a ray towards it
+    # raises before any bracket when walked, and a ray drawn in the last
+    # block past the n-th point is never walked
+    outcomes = set()
+    for seed in range(16):
+        inst, nans = _nan_counting(_expression_instance("x1 + 0.01*log(x1 - 0.3)"))
+        try:
+            ref = [ev.point for ev in _numpy_level_points(inst, 2.05, n_points=2, seed=seed)]
+        except SingularEvaluationError as err:
+            with pytest.raises(SingularEvaluationError, match=re.escape(str(err))):
+                level_points(inst, 2.05, n_points=2, seed=seed)
+            outcomes.add("raised")
+            continue
+        assert [ev.point for ev in level_points(inst, 2.05, n_points=2, seed=seed)] == ref
+        if sum(nans):
+            outcomes.add("unwalked singular ray")
+    assert outcomes == {"raised", "unwalked singular ray"}
+
+
 def _counting_instance(name):
     # a copy of the catalog instance whose potential records each call
     inst = get_instance(name)
@@ -331,12 +396,14 @@ def _counting_instance(name):
 
 
 def test_level_points_evaluation_count_is_pinned():
-    # potential evaluations of one run (scan, bisection, which takes f at
-    # the bracket's low end from the scan, admission and the instance's own
-    # cached values): a changed scan or bisection changes this number
+    # potential calls of one run: one array call per block of rays (12, 24,
+    # 48, 96 and 192 rays here) for every scan step, the float bisection,
+    # which takes f at the bracket's low end from the scan, admission and
+    # the instance's own cached values.  A changed scan or bisection changes
+    # this number; scanning each ray step by step on floats made 15,211.
     inst, calls = _counting_instance("cylinder-s3xr")
     level_points(inst, 9.0 / 4.0 + 1.5, n_points=12, seed=5)
-    assert len(calls) == 15211
+    assert len(calls) == 464
 
 
 @pytest.mark.parametrize("n_points, c", [

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import report_entry
 from gradsol.errors import ConfigurationError, DomainError, ValidationError
+from gradsol.levelset import level_points
 from gradsol.solitons import (
     PointEval,
     catalog,
@@ -14,6 +15,7 @@ from gradsol.solitons import (
     hamilton_first_residual,
     hamilton_second_residual,
     instance_from_spec,
+    instance_rng,
     load_extension_file,
     sample_evals,
     sample_points,
@@ -514,6 +516,22 @@ def test_bad_extension_file_is_an_error(tmp_path, capsys, content):
         path.write_text(content)
     assert main(["catalog", "list", "--extensions", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "7", 7.0, -1],
+                         ids=["fraction", "boolean", "string", "whole-float", "negative"])
+def test_a_seed_that_is_not_a_non_negative_integer_is_a_configuration_error(seed):
+    # 1.5 used to end in SeedSequence's TypeError and True ran as seed 1
+    inst = get_instance("gaussian-r3")
+    with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+        validate_instance(inst, n_points=8, seed=seed)
+    with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+        level_points(inst, 1.0, n_points=4, seed=seed)
+
+
+def test_a_numpy_integer_seed_draws_as_the_same_int():
+    inst = get_instance("gaussian-r3")
+    assert (instance_rng(inst, np.int64(7)).random(4) == instance_rng(inst, 7).random(4)).all()
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import report_entry, thm52_of
 from gradsol.cli import main
-from gradsol.errors import CriticalPointError, ValidationError
+from gradsol.errors import ConfigurationError, CriticalPointError, ValidationError
 from gradsol import cli, conformal, curvature, levelset, solitons, verify
 from gradsol.solitons import get_instance
 from gradsol.verify import (
@@ -68,6 +68,22 @@ def test_order_four_skips_fifth_order_checks():
 def test_points_floor_enforced():
     rep = run_suite(get_instance("gaussian-r3"), n_points=2, seed=7, order=4)
     assert rep["config"]["points"] == 8
+
+
+@pytest.mark.parametrize("n_points", [math.nan, math.inf, "12", 2.5, 8.0, True],
+                         ids=["nan", "inf", "string", "fraction", "whole-float", "boolean"])
+def test_run_suite_rejects_a_point_count_that_is_not_an_int(n_points):
+    # int() of these used to raise ValueError or OverflowError, or ran 12 or 8 points
+    with pytest.raises(ConfigurationError, match="whole number of sample points"):
+        run_suite(get_instance("gaussian-r3"), n_points=n_points, seed=7, order=4)
+
+
+@pytest.mark.parametrize("order", [4.0, True, 6, -1, "5"],
+                         ids=["whole-float", "boolean", "above-max", "negative", "string"])
+def test_run_suite_rejects_an_order_that_is_not_an_int_in_range(order):
+    # 4.0 used to run and report "order": 4.0; True ran with every check SKIPPED
+    with pytest.raises(ConfigurationError, match="order must be an integer"):
+        run_suite(get_instance("gaussian-r3"), n_points=8, seed=7, order=order)
 
 
 def test_report_to_json_writes_an_array_for_several_reports():
