@@ -50,13 +50,15 @@ The elementary functions, ``reciprocal``, ``int_power`` and ``real_power``
 also take a plain real, as an order-0 jet, and return the float its
 constant term would hold.  They take a float64 array elementwise with the
 plain real's bits: numpy divides and multiplies, and the functions that
-call ``math`` or ``**`` run their plain-real path on each entry.  An entry
-where the plain real would raise is NaN, without a warning.
+call ``math`` or ``**`` run their float rule, from which their jets take
+the constant term, on each entry.  An entry where the plain real would
+raise is NaN, without a warning.
 """
 
 import math
 import numbers
 from functools import lru_cache, wraps
+from itertools import repeat
 
 import numpy as np
 
@@ -487,23 +489,40 @@ def coordinate_jets(space, point):
 # Each also takes a plain real, and a float64 array entry by entry, as the
 # module docstring says.
 
-def _elementwise(fn):
-    """`fn` of a jet or a real, extended to float64 arrays entry by entry."""
+def _elementwise(value):
+    """Extend a jet function to plain reals and float64 arrays by its float rule.
 
-    @wraps(fn)
-    def on_arrays(a, *args):
-        if not isinstance(a, np.ndarray):
-            return fn(a, *args)
+    `value(x, *args)` is the float the constant term of the function's jet
+    holds when the argument's constant term is x, and raises where the jet
+    function raises; the jet function takes its constant term from it.  A
+    plain real gives `value` of itself, an array `value` of each entry, NaN
+    where `value` raises.
+    """
 
-        def entry(x):
-            try:
-                return fn(x, *args)
+    def extend(fn):
+        @wraps(fn)
+        def on_any(a, *args):
+            if isinstance(a, JetScalar):
+                return fn(a, *args)
+            if not isinstance(a, np.ndarray):
+                return value(float(a), *args)
+
+            def entry(x):
+                try:
+                    return value(x, *args)
+                except (SingularEvaluationError, ArithmeticError, ValueError):
+                    return math.nan
+
+            xs = a.ravel().tolist()
+            try:  # one pass without a handler per entry while no entry raises
+                out = list(map(value, xs, *[repeat(p) for p in args]))
             except (SingularEvaluationError, ArithmeticError, ValueError):
-                return math.nan
+                out = list(map(entry, xs))
+            return np.array(out, np.float64).reshape(a.shape)
 
-        return np.fromiter(map(entry, a.ravel().tolist()), np.float64, a.size).reshape(a.shape)
+        return on_any
 
-    return on_arrays
+    return extend
 
 
 def _value_order(a):
@@ -552,17 +571,21 @@ def int_power(a, p):
     return result
 
 
-@_elementwise
-def real_power(a, p):
-    """a ** p for a real p by power series; the constant term must be positive."""
-    a0, order = _value_order(a)
-    if a0 <= 0.0:
+def _real_power_value(x, p):
+    if x <= 0.0:
         raise SingularEvaluationError(
             "non-integer power requires a positive constant term"
         )
-    coef = 1.0
-    dcoeffs = []
-    for k in range(order + 1):
+    return x ** p
+
+
+@_elementwise(_real_power_value)
+def real_power(a, p):
+    """a ** p for a real p by power series; the constant term must be positive."""
+    a0 = a.value
+    dcoeffs = [_real_power_value(a0, p)]
+    coef = p  # (p - 0) / 1, the coefficient after the constant term
+    for k in range(1, a.order + 1):
         dcoeffs.append(coef * a0 ** (p - k))
         coef *= (p - k) / (k + 1)
     return _compose(a, dcoeffs)
@@ -577,47 +600,56 @@ def reciprocal(a):
     return _compose(a, [(-1.0) ** k / a0 ** (k + 1) for k in range(order + 1)])
 
 
-@_elementwise
+@_elementwise(math.exp)
 def exp(a):
-    a0, order = _value_order(a)
-    e0 = math.exp(a0)
-    return _compose(a, [e0 / math.factorial(k) for k in range(order + 1)])
+    e0 = math.exp(a.value)
+    return _compose(a, [e0 / math.factorial(k) for k in range(a.order + 1)])
 
 
-@_elementwise
-def log(a):
-    a0, order = _value_order(a)
-    if a0 <= 0.0:
+def _log_value(x):
+    if x <= 0.0:
         raise SingularEvaluationError("log requires a positive constant term")
-    dc = [math.log(a0)]
-    dc += [(-1.0) ** (k - 1) / (k * a0 ** k) for k in range(1, order + 1)]
+    return math.log(x)
+
+
+@_elementwise(_log_value)
+def log(a):
+    a0 = a.value
+    dc = [_log_value(a0)]
+    dc += [(-1.0) ** (k - 1) / (k * a0 ** k) for k in range(1, a.order + 1)]
     return _compose(a, dc)
 
 
-@_elementwise
-def sqrt(a):
-    a0, _ = _value_order(a)
-    if a0 <= 0.0:
+def _sqrt_value(x):
+    if x <= 0.0:
         raise SingularEvaluationError("sqrt requires a positive constant term")
+    return x ** 0.5  # real_power's rule at p = 0.5
+
+
+@_elementwise(_sqrt_value)
+def sqrt(a):
+    _sqrt_value(a.value)  # raises with sqrt's message
     return real_power(a, 0.5)
 
 
-@_elementwise
+def _sin_value(x):
+    return math.sin(x + 0.0)  # the k = 0 term below: -0.0 + 0.0 is 0.0
+
+
+@_elementwise(_sin_value)
 def sin(a):
-    a0, order = _value_order(a)
-    return _compose(
-        a,
-        [math.sin(a0 + k * math.pi / 2) / math.factorial(k) for k in range(order + 1)],
-    )
+    a0 = a.value
+    dc = [_sin_value(a0)]
+    dc += [math.sin(a0 + k * math.pi / 2) / math.factorial(k) for k in range(1, a.order + 1)]
+    return _compose(a, dc)
 
 
-@_elementwise
+@_elementwise(math.cos)
 def cos(a):
-    a0, order = _value_order(a)
-    return _compose(
-        a,
-        [math.cos(a0 + k * math.pi / 2) / math.factorial(k) for k in range(order + 1)],
-    )
+    a0 = a.value
+    dc = [math.cos(a0)]
+    dc += [math.cos(a0 + k * math.pi / 2) / math.factorial(k) for k in range(1, a.order + 1)]
+    return _compose(a, dc)
 
 
 ELEMENTARY = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt}

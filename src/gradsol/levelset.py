@@ -237,42 +237,38 @@ def _f_value(inst, point):
 
 
 def _scan(inst, c, anchor, d, s_max, f0):
-    """Where the walk of each ray must start: None if its scan brackets nothing.
+    """Steps and f - c of a block of rays, and the step where each ray's walk starts.
 
     Row i of `d` is a unit direction with ray length s_max[i]; f0 is f - c at
     the anchor.  One call of the potential on float64 arrays of shape (rays,
     steps) gives f - c at every step with the float path's bits, NaN where
-    `_f_value` would raise.  A walk starts at its ray's first NaN, zero or
-    change of sign (a zero one step before counts), as (prev_s, prev_v,
-    steps, values): the step before it (0 at the anchor) and f - c there,
-    then the ray's steps and values from it on.
+    `_f_value` would raise.  Returns the steps s, the values v and, per ray,
+    the index of its first step that is NaN or ends a bracket (None if no
+    step does): the walk of `_ray_root` passes every step before it.
     """
     s = s_max[:, None] * np.arange(1, _SCAN_STEPS + 1) / _SCAN_STEPS
     with np.errstate(all="ignore"):
         f = inst.potential_fn([x + s * d[:, [j]] for j, x in enumerate(anchor)])
         v = (f + inst.f_shift) - c
-    s_prev = np.concatenate((np.zeros((len(d), 1)), s[:, :-1]), axis=1)
     v_prev = np.concatenate((np.full((len(d), 1), f0), v[:, :-1]), axis=1)
+    # `_ray_root`'s rule for leaving its walk, with NaN for a step it re-evaluates
     stop = np.isnan(v) | (v == 0.0) | (v_prev == 0.0) | ((v > 0) != (v_prev > 0))
-    first = stop.argmax(axis=1)
-    starts = [None] * len(d)
-    for i in np.flatnonzero(stop.any(axis=1)).tolist():
-        k = first[i]
-        starts[i] = (float(s_prev[i, k]), float(v_prev[i, k]),
-                     s[i, k:].tolist(), v[i, k:].tolist())
-    return starts
+    first = np.where(stop.any(axis=1), stop.argmax(axis=1), -1)
+    return s, v, [None if k < 0 else k for k in first.tolist()]
 
 
-def _ray_root(inst, c, ray, prev_s, prev_v, steps, values):
+def _ray_root(inst, c, ray, steps, values, start, f0):
     """The point where the walk and bisection of one ray find f = c, or None.
 
-    `ray` pairs the anchor's coordinates with the direction's; the walk
-    takes the steps and values of `_scan` in order with the rule of a scan
-    on floats, from the step prev_s where f - c is prev_v.  Bisection runs
-    to 1e-12 on floats, with f - c at the bracket's low end from the scan.
+    `ray` pairs the anchor's coordinates with the direction's; `steps` and
+    `values` are the ray's row of `_scan`, whose `start` is where the walk
+    begins, and f0 is f - c at the anchor.  The walk takes the steps in order
+    with the rule of a scan on floats; bisection runs to 1e-12 on floats,
+    with f - c at the bracket's low end from the scan.
     """
+    prev_s, prev_v = (steps[start - 1], values[start - 1]) if start else (0.0, f0)
     bracket = None
-    for s, v in zip(steps, values):
+    for s, v in zip(steps[start:], values[start:]):
         if math.isnan(v):  # the float path raises here, or gives NaN as well
             v = _f_value(inst, [x + s * y for x, y in ray]) - c
         if prev_v == 0.0:
@@ -345,12 +341,14 @@ def level_points(inst, c, n_points=12, seed=11):
                              np.where(d < -1e-12, (lo - anchor) / d, np.inf)).min(axis=1)
         keep = np.isfinite(s_max) & (s_max >= 1e-6)
         d, s_max = d[keep], s_max[keep]
-        for row, start in zip(d.tolist(), _scan(inst, c, anchor, d, s_max, f0)):
+        s, v, starts = _scan(inst, c, anchor, d, s_max, f0)
+        for i, start in enumerate(starts):
             if len(evals) == n_points:
                 break
             if start is None:
                 continue
-            point = _ray_root(inst, c, list(zip(anchor, row)), *start)
+            ray = list(zip(anchor, d[i].tolist()))
+            point = _ray_root(inst, c, ray, s[i].tolist(), v[i].tolist(), start, f0)
             if point is not None:
                 ev = solitons.admit(inst, point, 3)
                 if ev is not None:

@@ -10,6 +10,7 @@ byte-identical JSON.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,25 +306,27 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     (for thm5.2 the equivalence status) in memory only.
 
     ConfigurationError, before any point is drawn, for a point count that is
-    not an int (one below MIN_POINTS is raised to it), an order that is not
-    an int in 0..MAX_ORDER, a seed that is not an integer >= 0 and a
+    not an integer (one below MIN_POINTS is raised to it), an order that is
+    not an integer in 0..MAX_ORDER, a seed that is not an integer >= 0 and a
     tol_scale that is not finite and > 0.
     """
     # `not 0 <`, unlike `<= 0`, also holds for NaN
     if not 0.0 < tol_scale < math.inf:
         raise ConfigurationError(f"tol_scale must be finite and > 0, got {tol_scale}")
-    if isinstance(n_points, bool) or not isinstance(n_points, int):
+    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral):
         raise ConfigurationError(
             f"{inst.name}: need a whole number of sample points, got {n_points!r}"
         )
-    if isinstance(order, bool) or not isinstance(order, int) or not 0 <= order <= MAX_ORDER:
+    if (isinstance(order, bool) or not isinstance(order, numbers.Integral)
+            or not 0 <= order <= MAX_ORDER):
         raise ConfigurationError(f"order must be an integer in 0..{MAX_ORDER}, got {order!r}")
-    n_points = max(MIN_POINTS, n_points)
+    n_points, order = max(MIN_POINTS, int(n_points)), int(order)
     evals = sample_evals(inst, n_points, seed, max(order, 3))
     certify(inst, evals)
 
     selected = CHECKS if checks is None else [c for c in CHECKS if c.id in set(checks)]
-    config = {"order": order, "points": n_points, "seed": seed}
+    # sample_evals has checked the seed; the report holds plain ints
+    config = {"order": order, "points": n_points, "seed": int(seed)}
 
     d_zero = None
     entries = []

@@ -79,6 +79,31 @@ def test_sqrt_domain():
         jets.log(constant(JetSpace.get(2, 2), 0.0))
 
 
+def _outcome(fn, *args):
+    # the float hex a call returns, or the class and message of what it raises
+    try:
+        return fn(*args).hex()
+    except (SingularEvaluationError, ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name", ["exp", "log", "sqrt", "sin", "cos", "real_power"])
+def test_plain_real_is_the_jet_constant_term(name):
+    # a plain real gives the constant term of the jet through it, bit for bit,
+    # or raises as the jet does; an array gives it entrywise, NaN where it raises
+    fn = (lambda a: jets.real_power(a, 1.7)) if name == "real_power" else getattr(jets, name)
+    xs = [-0.0, 0.0, 0.3, -1.2, 2.5, 800.0]
+    space = JetSpace.get(1, 3)
+    plain = [_outcome(fn, x) for x in xs]
+    assert plain == [_outcome(lambda x: fn(variable(space, 0, x)).coeffs[0], x) for x in xs]
+    on_array = fn(np.array(xs)).tolist()
+    assert [v.hex() for v in on_array] == [
+        p if isinstance(p, str) else math.nan.hex() for p in plain
+    ]
+    if name == "sin":  # the series' k = 0 term sin(x + 0 pi/2)/0! is +0.0 at -0.0
+        assert plain[0] == (0.0).hex()
+
+
 def test_exp_against_plain_finite_differences():
     # single-variable case: first/second central differences of exp itself
     e = jets.exp(variable(JetSpace.get(1, 2), 0, 1.0))
@@ -223,6 +248,9 @@ def test_int_and_float_powers():
     assert np.allclose((x**3).coeffs, (x * x * x).coeffs)
     assert np.allclose((x**-2).coeffs, (1.0 / (x * x)).coeffs)
     assert np.allclose((x**0.5).coeffs, jets.sqrt(x).coeffs)
+    # Taylor coefficients of x^p at 1.7: binom(p, k) 1.7^(p - k)
+    binom = [math.prod(1.5 - j for j in range(k)) / math.factorial(k) for k in range(5)]
+    assert np.allclose((x**1.5).coeffs, [b * 1.7 ** (1.5 - k) for k, b in enumerate(binom)])
 
 
 def test_truncation_is_prefix():

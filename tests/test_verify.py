@@ -72,7 +72,7 @@ def test_points_floor_enforced():
 
 @pytest.mark.parametrize("n_points", [math.nan, math.inf, "12", 2.5, 8.0, True],
                          ids=["nan", "inf", "string", "fraction", "whole-float", "boolean"])
-def test_run_suite_rejects_a_point_count_that_is_not_an_int(n_points):
+def test_run_suite_rejects_a_point_count_that_is_not_an_integer(n_points):
     # int() of these used to raise ValueError or OverflowError, or ran 12 or 8 points
     with pytest.raises(ConfigurationError, match="whole number of sample points"):
         run_suite(get_instance("gaussian-r3"), n_points=n_points, seed=7, order=4)
@@ -80,10 +80,17 @@ def test_run_suite_rejects_a_point_count_that_is_not_an_int(n_points):
 
 @pytest.mark.parametrize("order", [4.0, True, 6, -1, "5"],
                          ids=["whole-float", "boolean", "above-max", "negative", "string"])
-def test_run_suite_rejects_an_order_that_is_not_an_int_in_range(order):
+def test_run_suite_rejects_an_order_that_is_not_an_integer_in_range(order):
     # 4.0 used to run and report "order": 4.0; True ran with every check SKIPPED
     with pytest.raises(ConfigurationError, match="order must be an integer"):
         run_suite(get_instance("gaussian-r3"), n_points=8, seed=7, order=order)
+
+
+def test_run_suite_takes_numpy_integers_as_the_same_ints():
+    inst = get_instance("gaussian-r3")
+    rep = run_suite(inst, n_points=np.int64(8), seed=np.int64(7), order=np.int64(4))
+    assert all(type(v) is int for v in rep["config"].values())
+    assert report_to_json(rep) == report_to_json(run_suite(inst, n_points=8, seed=7, order=4))
 
 
 def test_report_to_json_writes_an_array_for_several_reports():
