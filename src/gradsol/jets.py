@@ -118,20 +118,19 @@ class JetSpace:
             dtype=np.float64,
         )
 
+        # a multi-index as digits in base order + 1: two whose degrees sum to at
+        # most `order` add digit by digit, with no carry, and `rank` reads ranks
         degree = self.exponents.sum(axis=1)
-        left, right, target = [], [], []
-        for i, ai in enumerate(exps):
-            di = degree[i]
-            for j, aj in enumerate(exps):
-                if di + degree[j] > order:
-                    continue
-                left.append(i)
-                right.append(j)
-                target.append(self._rank_of[tuple(x + y for x, y in zip(ai, aj))])
-        ordering = np.argsort(np.array(target), kind="stable")
-        self.mul_left = np.array(left, dtype=np.intp)[ordering]
-        self.mul_right = np.array(right, dtype=np.intp)[ordering]
-        mk = np.array(target, dtype=np.intp)[ordering]
+        place = (order + 1) ** np.arange(dim - 1, -1, -1)
+        code = self.exponents @ place
+        rank = np.zeros((order + 1) ** dim, dtype=np.intp)
+        rank[code] = np.arange(self.n_terms)
+        left, right = np.nonzero(degree[:, None] + degree <= order)  # i-major pairs
+        target = rank[code[left] + code[right]]
+        ordering = np.argsort(target, kind="stable")
+        self.mul_left = left[ordering]
+        self.mul_right = right[ordering]
+        mk = target[ordering]
         # every rank k occurs (pair (k, 0)), so reduceat yields n_terms segments
         self.mul_starts = np.searchsorted(mk, np.arange(self.n_terms))
         # (k, j) fixes i, so pair p owns entry (target, right) of a flat T x T matrix
@@ -139,15 +138,9 @@ class JetSpace:
 
         # d_v of the order-(o-1) rank r reads rank src[v, r] of the order-o jet
         # times the exponent of v there: one gather takes every partial
-        n_lower = starts[order] if order > 0 else 0
-        self.grad_src = np.empty((dim, n_lower), dtype=np.intp)
-        self.grad_fac = np.empty((dim, n_lower), dtype=np.float64)
-        for v in range(dim):
-            for r in range(n_lower):
-                beta = list(exps[r])
-                beta[v] += 1
-                self.grad_src[v, r] = self._rank_of[tuple(beta)]
-                self.grad_fac[v, r] = beta[v]
+        n_lower = starts[order]
+        self.grad_src = rank[code[:n_lower] + place[:, None]]
+        self.grad_fac = (self.exponents[:n_lower] + 1).T.astype(np.float64, order="C")
 
     @staticmethod
     @lru_cache(maxsize=None)

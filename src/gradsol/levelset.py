@@ -298,24 +298,21 @@ def _ray_root(inst, c, ray, steps, values, start, f0):
 def level_points(inst, c, n_points=12, seed=11):
     """Order-3 point evaluations on {f = c}: roots along rays that `solitons.admit` accepts.
 
-    Needs an int `n_points >= 1` and a finite `c` (ConfigurationError otherwise);
-    HypothesisViolationError for a constant potential, which has no regular
-    level values.  Rays leave the box centre in blocks: the first holds one
-    ray per point sought, each later one twice as many as the one before, up
-    to 600 rays in all.  f at every scan step of a block is one evaluation
-    of the potential on float64 arrays, elementwise with the bits of the
-    float path, so the potential must take such arrays as compiled
-    expressions do.  The rays are then walked in order as a scan on floats
-    would walk them, and stop once `n_points` are admitted; a ray point
+    Needs an integer `n_points >= 1` (not a bool) and a finite `c`
+    (ConfigurationError otherwise); HypothesisViolationError for a constant
+    potential, which has no regular level values.  Rays leave the box centre
+    in blocks: the first holds one ray per point sought, each later one twice
+    as many as the one before, up to 600 rays in all.  f at every scan step of
+    a block is one evaluation of the potential on float64 arrays, elementwise
+    with the bits of the float path, so the potential must take such arrays as
+    compiled expressions do.  The rays are then walked in order as a scan on
+    floats would walk them, and stop once `n_points` are admitted; a ray point
     anchor + s d is one product and one sum per coordinate, so every point,
     step and value is bit-identical to its numpy or float formation.
     """
     from . import solitons
 
-    if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 1:
-        raise ConfigurationError(
-            f"{inst.name}: need a whole number of at least 1 level point, got {n_points!r}"
-        )
+    n_points = solitons.whole_count(inst, n_points, "at least 1 level point", 1)
     if not math.isfinite(c):
         raise ConfigurationError(f"{inst.name}: the level must be finite, got {c}")
     if inst.trivial:

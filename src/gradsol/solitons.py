@@ -253,6 +253,13 @@ def instance_rng(inst, seed, salt=0):
     )
 
 
+def whole_count(inst, n, what, least=-math.inf):
+    """`n` as an int: ConfigurationError unless it is an integer >= `least` (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < least:
+        raise ConfigurationError(f"{inst.name}: need a whole number of {what}, got {n!r}")
+    return int(n)
+
+
 def admit(inst, point, order):
     """The order-`order` point evaluation at a sampled point, or None if it is rejected.
 
@@ -271,10 +278,7 @@ def admit(inst, point, order):
 
 def sample_evals(inst, n_points, seed, order):
     """Order-`order` point evaluations at deterministic chart samples that `admit` accepts."""
-    if isinstance(n_points, bool) or not isinstance(n_points, int) or n_points < 1:
-        raise ConfigurationError(
-            f"{inst.name}: need a whole number of at least 1 sample point, got {n_points!r}"
-        )
+    n_points = whole_count(inst, n_points, "at least 1 sample point", 1)
     rng = instance_rng(inst, seed)
     lo = np.array([b[0] for b in inst.box])
     hi = np.array([b[1] for b in inst.box])
@@ -440,6 +444,13 @@ BUILTIN_SPECS = [
           "flat chart, negated quadratic potential"),
     _perturbed(4, [(0, 1, 3, 4), (2, 3, 1, 2)]),
     _perturbed(5, [(0, 1, 3, 4), (2, 3, 5, 1), (1, 4, 1, 3)]),
+    # Hamilton's cigar (dx1^2 + dx2^2)/(1 + |x|^2), f = -log(1 + |x|^2), times
+    # flat R^k: steady solitons whose Ricci tensor is not parallel
+    *(_spec(f"cigar-r{n - 2}", 0, "steady",
+            [f"1/(1 + ({_squares([1, 2])}))"] * 2 + ["1"] * (n - 2),
+            f"-log(1 + ({_squares([1, 2])}))", [[-2, 2]] * n, [1, 0.5] + [0] * (n - 2),
+            f"Hamilton's cigar times R^{n - 2} (steady, Ricci not parallel)")
+      for n in (4, 5)),
 ]
 
 

@@ -34,6 +34,7 @@ from .solitons import (
     is_normalized_shrinker,
     sample_evals,
     soliton_eq_residual,
+    whole_count,
 )
 
 MIN_POINTS = 8
@@ -313,14 +314,11 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     # `not 0 <`, unlike `<= 0`, also holds for NaN
     if not 0.0 < tol_scale < math.inf:
         raise ConfigurationError(f"tol_scale must be finite and > 0, got {tol_scale}")
-    if isinstance(n_points, bool) or not isinstance(n_points, numbers.Integral):
-        raise ConfigurationError(
-            f"{inst.name}: need a whole number of sample points, got {n_points!r}"
-        )
+    n_points = max(MIN_POINTS, whole_count(inst, n_points, "sample points"))
     if (isinstance(order, bool) or not isinstance(order, numbers.Integral)
             or not 0 <= order <= MAX_ORDER):
         raise ConfigurationError(f"order must be an integer in 0..{MAX_ORDER}, got {order!r}")
-    n_points, order = max(MIN_POINTS, int(n_points)), int(order)
+    order = int(order)
     evals = sample_evals(inst, n_points, seed, max(order, 3))
     certify(inst, evals)
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,50 @@ def test_bad_character():
 def test_unbalanced_parenthesis():
     with pytest.raises(ConfigurationError):
         compile_expression("sin(x1", 1)
+
+
+def test_a_chain_of_900_unary_minus_compiles():
+    # the compiler walks Python's tree with one frame per nesting level
+    fn = compile_expression("-" * 900 + "x1", 1)
+    assert fn([2.0]) == 2.0
+
+
+# Python's expression syntax accepts each of these; the grammar does not
+PYTHON_ONLY = {
+    "exponent": "1e3", "underscore": "1_0", "hex": "0x1f", "complex": "1j",
+    "python-power": "x1**2", "floor-division": "x1 // 2", "modulo": "x1 % 2",
+    "attribute": "x1.real", "subscript": "x1[0]", "two-arguments": "sin(x1, x2)",
+    "call-of-variable": "(x1)(x2)", "parenthesised-function": "(sin)(x1)",
+    "boolean": "True", "conditional": "x1 if x2 else 1", "not": "not x1",
+    "comparison": "x1 < x2", "comment": "x1 # c", "fullwidth-name": "\uff581",
+    "leading-zeros": "007",
+}
+
+
+@pytest.mark.parametrize("text", PYTHON_ONLY.values(), ids=PYTHON_ONLY.keys())
+def test_python_syntax_outside_the_grammar_is_refused(text):
+    with pytest.raises(ConfigurationError):
+        compile_expression(text, 2)
+
+
+@pytest.mark.parametrize("text", ["1if x1 else 2", "0x1for x1", "1or x1"])
+def test_a_malformed_literal_is_refused_without_a_warning(text):
+    # Python's tokenizer warns about a literal run into a keyword
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ConfigurationError):
+            compile_expression(text, 2)
+    assert seen == []
+
+
+@pytest.mark.parametrize("text", [" x1^2/4 ", "x1^2/4\n", "x1 +\n x2", "\tx1 \u00a0* x2"])
+def test_whitespace_is_only_a_separator(text):
+    # same generated code as the text with its whitespace runs made one space
+    fn = compile_expression(text, 2)
+    ref = compile_expression(" ".join(text.split()), 2)
+    assert fn.__code__.co_code == ref.__code__.co_code
+    assert fn.__code__.co_names == ref.__code__.co_names
+    assert fn([1.5, -0.5]).hex() == ref([1.5, -0.5]).hex()
 
 
 def _validate_with_potential(tmp_path, potential):

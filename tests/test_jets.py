@@ -12,6 +12,33 @@ from gradsol.errors import (
 from gradsol.jets import JetScalar, JetSpace, constant, jet_lift, variable
 
 
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_product_and_gradient_tables_by_their_defining_properties(dim):
+    for order in range(6):
+        space = JetSpace(dim, order)
+        exps, n_terms = space.exponents, space.n_terms
+        degree = exps.sum(axis=1)
+        left, right, starts = space.mul_left, space.mul_right, space.mul_starts
+        # every pair whose degrees sum to at most `order` appears once
+        assert np.all(degree[left] + degree[right] <= order)
+        assert len(set(zip(left.tolist(), right.tolist()))) == len(left)
+        assert len(left) == np.count_nonzero(degree[:, None] + degree <= order)
+        # grouped by target, every rank a target, each group in i-major order
+        assert starts[0] == 0 and np.all(np.diff(starts) > 0)
+        target = np.repeat(np.arange(n_terms), np.diff(np.append(starts, len(left))))
+        assert np.array_equal(exps[target], exps[left] + exps[right])
+        same = target[1:] == target[:-1]
+        assert np.all(left[1:][same] > left[:-1][same])
+        assert np.array_equal(space.mul_flat, target * n_terms + right)
+        # d_v of lower rank r reads rank grad_src[v, r], times its exponent of v
+        n_lower = space.block_starts[order]
+        assert space.grad_src.shape == space.grad_fac.shape == (dim, n_lower)
+        for v in range(dim):
+            unit = np.eye(dim, dtype=np.int64)[v]
+            assert np.array_equal(exps[space.grad_src[v]], exps[:n_lower] + unit)
+            assert np.array_equal(space.grad_fac[v], exps[:n_lower, v] + 1.0)
+
+
 def test_jet_lift_coordinate():
     j = jet_lift(3.0, index=0, dim=2, order=2)
     space = j.space

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import report_entry
 from gradsol.errors import ConfigurationError, DomainError, ValidationError
-from gradsol.levelset import level_points
+from gradsol.levelset import level_points, prop32_report
 from gradsol.solitons import (
     PointEval,
     catalog,
@@ -193,6 +193,18 @@ def test_sample_evals_rejects_a_count_that_is_not_a_positive_int(count):
     with pytest.raises(ConfigurationError, match="whole number"):
         sample_evals(dataclasses.replace(inst, potential_fn=counting), count, 3, 1)
     assert calls == []
+
+
+@pytest.mark.parametrize("entry", [
+    lambda inst, n: [ev.point for ev in sample_evals(inst, n, 3, 1)],
+    lambda inst, n: validate_instance(inst, n_points=n, seed=3),
+    lambda inst, n: [ev.point for ev in level_points(inst, 1.0, n_points=n, seed=3)],
+    lambda inst, n: prop32_report(inst, 1.0, n_points=n, seed=3),
+], ids=["sample_evals", "validate_instance", "level_points", "prop32_report"])
+def test_a_numpy_integer_count_is_the_same_int(entry):
+    # one whole-count rule for every point count: numbers.Integral, not bool
+    inst = get_instance("gaussian-r3")
+    assert repr(entry(inst, np.int64(4))) == repr(entry(inst, 4))
 
 
 def test_builtin_specs_load_as_extensions_bit_for_bit(tmp_path):
