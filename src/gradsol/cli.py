@@ -9,6 +9,7 @@ import numpy as np
 
 from .errors import ConfigurationError, GradsolError, ValidationError
 from .solitons import (
+    BUILTIN_SPECS,
     PointEval,
     catalog,
     finite_numbers,
@@ -24,13 +25,15 @@ def _load_instances(args):
 
 
 def _cmd_catalog(args):
-    extra = _load_instances(args)
+    extra = _load_instances(args)  # built, which validates them
     if args.action == "list":
-        for inst in extra + catalog():
-            kind = inst.kind or "none (negative control)"
-            print(f"{inst.name:28s} n={inst.n}  rho={inst.rho:+.2f}  kind={kind}")
-            if args.verbose and inst.description:
-                print(f"{'':28s} {inst.description}")
+        # the built-ins are listed from their specs: nothing is compiled
+        rows = [(i.name, i.n, i.rho, i.kind, i.description) for i in extra]
+        rows += [(s["name"], s["n"], s["rho"], s["kind"], s["description"]) for s in BUILTIN_SPECS]
+        for name, n, rho, kind, description in rows:
+            print(f"{name:28s} n={n}  rho={rho:+.2f}  kind={kind or 'none (negative control)'}")
+            if args.verbose and description:
+                print(f"{'':28s} {description}")
         return 0
     inst = get_instance(args.name, extra=extra)
     try:
@@ -91,8 +94,11 @@ def _cmd_verify(args):
                 status = thm.get("detail", {"status": "error", "reason": thm.get("error")})
             print(f"   equivalence status: {json.dumps(status, sort_keys=True, default=float)}")
     if args.report and reports:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(*reports))
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report_to_json(*reports))
+        except OSError as err:
+            raise ConfigurationError(f"cannot write report {args.report}: {err}") from None
         print(f"report written to {args.report}")
     elif args.report:
         print("no report written: no instance completed the suite")

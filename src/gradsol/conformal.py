@@ -17,23 +17,28 @@ import numpy as np
 from .curvature import covariant_derivative, divergence
 from .errors import ConsistencyError, UnsupportedDimensionError
 from .jets import jet_einsum, truncate_arrays
-from .tensors import TensorJet, raise_lower
+from .tensors import TensorJet, raise_lower, row_abs_max
 
 _CROSS_CHECK_ALGEBRAIC = 1e-10
 _CROSS_CHECK_DIFFERENTIAL = 1e-8
 
 
 def _require_agreement(a, b, tol, what):
-    """Compare two paths on the coefficients up to their common order."""
+    """Compare two paths on the coefficients up to their common order.
+
+    With a point axis each row is judged on its own, in order, and the first
+    row that disagrees raises with its own figures.
+    """
     n = min(a.space.n_terms, b.space.n_terms)
     aa, bb = a.data[..., :n], b.data[..., :n]
-    diff = float(np.abs(aa - bb).max())
-    scale = max(float(np.abs(aa).max()), float(np.abs(bb).max()))
-    # `not <=`, unlike `>`, holds for NaN: a NaN on either path disagrees
-    if not diff / max(1.0, scale) <= tol:
-        raise ConsistencyError(
-            f"{what}: independent paths disagree by {diff:.3e} (scale {scale:.3e})"
-        )
+    rows = (row_abs_max(x, a.rank) for x in (aa - bb, aa, bb))
+    for diff, scale_a, scale_b in zip(*rows):
+        scale = max(scale_a, scale_b)
+        # `not <=`, unlike `>`, holds for NaN: a NaN on either path disagrees
+        if not diff / max(1.0, scale) <= tol:
+            raise ConsistencyError(
+                f"{what}: independent paths disagree by {diff:.3e} (scale {scale:.3e})"
+            )
 
 
 def _kulkarni_nomizu(space, g, h):

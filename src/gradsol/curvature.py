@@ -17,6 +17,10 @@ K[c, s, i] = g^{cm} Γ^s_{mi} and its trace γ^s = K[c, s, c]:
 
 K is built once per pack at each order a divergence asks for (one below the
 order of the tensor it differentiates), not at Γ's full order.
+
+A pack may carry a point axis (see ``tensors``): `curvature_pack` of a
+metric with one evaluates every row with its own point's bits, and
+``row(p, metric)`` is the pack of one point.
 """
 
 from dataclasses import dataclass, field
@@ -68,6 +72,19 @@ class CurvaturePack:
         """Gradient one-form dR of the scalar curvature, built once."""
         return scalar_gradient(self.scalar)
 
+    def row(self, p, metric):
+        """Row p of a pack with a point axis, over `metric`, that row's metric.
+
+        The fields, and `schouten` and `dscalar` if the block built them, are
+        C-contiguous copies of the row.
+        """
+        pack = CurvaturePack(metric, self.gamma.row(p), self.riemann.row(p),
+                             self.ricci.row(p), self.scalar.row(p))
+        for name in ("schouten", "dscalar"):
+            if name in self.__dict__:
+                pack.__dict__[name] = self.__dict__[name].row(p)
+        return pack
+
     def raised_gamma(self, order):
         """K[c, s, i] = g^{cm} Γ^s_{mi} at `order` (at most Γ's), built once per order."""
         k = self._raised.get(order)
@@ -81,7 +98,7 @@ class CurvaturePack:
 def _connection(metric):
     """Γ_{l,ij} ([l, i, j]) one order below g; Γ^k_ij = g^{kl}Γ_{l,ij} at g^{-1}'s order."""
     dg = gradient_arrays(metric.space, metric.g.data)  # dg[i, j, l] = d_i g_jl
-    first = 0.5 * (dg.transpose(2, 0, 1, 3) + dg.transpose(2, 1, 0, 3) - dg)
+    first = 0.5 * (dg.transpose(2, 0, 1, *range(3, dg.ndim)) + dg.swapaxes(0, 2) - dg)
     space = metric.g_inv.space
     gamma = jet_einsum(space, "kl,lij->kij", metric.g_inv.data, first)
     return first, TensorJet(space, "udd", gamma)
@@ -92,7 +109,8 @@ def curvature_pack(metric):
     first, gamma = _connection(metric)
     r2, ginv = gamma.space, metric.g_inv.data
     # R_mkij = d_i Γ_{m,jk} - d_j Γ_{m,ik} - Γ_{l,im} Γ^l_jk + Γ_{l,jm} Γ^l_ik
-    t1 = gradient_arrays(metric.space.lower(), first).transpose(1, 3, 0, 2, 4)
+    t1 = gradient_arrays(metric.space.lower(), first)
+    t1 = t1.transpose(1, 3, 0, 2, *range(4, t1.ndim))
     q = jet_einsum(r2, "lim,ljk->mkij", first, gamma.data)
     riem = t1 - t1.swapaxes(2, 3) - q + q.swapaxes(2, 3)
     ricci = jet_einsum(r2, "mi,mkij->kj", ginv, riem)

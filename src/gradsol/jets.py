@@ -40,6 +40,19 @@ output order.  A repeated call therefore parses no subscripts and makes no ``np.
 ``einsum_path`` call, and returns the same bits as numpy's two-operand
 einsum, which lays the contraction out the same way.
 
+Several points are evaluated at once on a *point axis*, which sits just
+before the jet axis: a scalar jet is then ``(P, n_terms)`` and tensor data
+``(dim,)*rank + (P, n_terms)``.  Each row is computed with the bits its own
+point's evaluation gives.  ``jet_einsum`` plans by one point's shapes, so a
+row runs its point's kernel and a block adds no plan, and the kernels run
+with the point axis moved to the front, where it stays a separate batch
+axis of every transpose, reshape and matmul.  numpy's matmul picks a BLAS
+call or its own loop from the strides of each matrix of a stack, and its
+bits follow that choice.  An order-0 product contracts the component axes
+themselves, so block data that one reads holds its rows one after another,
+as the points' own C-ordered arrays (`point_rows`): the metric, its
+inverse and truncated copies.
+
 A tensor times a scalar jet is ``jet_einsum`` with an empty subscript for
 the scalar (``'ijkl,->ijkl'``), so the same choice picks its kernel.
 ``mul_arrays`` is the scalar-by-scalar product only: it sums its pairs with
@@ -52,7 +65,9 @@ constant term would hold.  They take a float64 array elementwise with the
 plain real's bits: numpy divides and multiplies, and the functions that
 call ``math`` or ``**`` run their float rule, from which their jets take
 the constant term, on each entry.  An entry where the plain real would
-raise is NaN, without a warning.
+raise is NaN, without a warning.  On a jet with a point axis they run
+their Taylor rule on each row's constant term, in row order; the first
+row where it raises raises.
 """
 
 import math
@@ -180,6 +195,24 @@ def gradient_arrays(space, data):
     return np.multiply(parts, fac, order="C")
 
 
+def point_first(data):
+    """View of data with its point axis, the one just before the jet axis, moved to the front."""
+    k = data.ndim - 2
+    return data.transpose((k,) + tuple(range(k)) + (k + 1,))
+
+
+def point_back(data):
+    """The inverse of `point_first`: the leading point axis moved back before the jet axis."""
+    k = data.ndim - 2
+    return data.transpose(tuple(range(1, k + 1)) + (0, k + 1))
+
+
+def point_rows(data):
+    """A copy of data with a point axis that holds each row where a point's
+    own C-ordered array would: the rows one after another."""
+    return point_back(np.ascontiguousarray(point_first(data)))
+
+
 def truncate_arrays(space, data, order):
     """Prefix slice down to `order`; returns (lower_space, view)."""
     if order > space.order:
@@ -194,7 +227,8 @@ def truncate_arrays(space, data, order):
 
 # Compiled pair contractions, keyed by (sub_x, sub_y, out, x.shape, y.shape):
 # the transposes, reshapes and the one matmul (or multiply) that evaluate
-# `sub_x,sub_y->out`, found once so a hot call parses nothing.
+# `sub_x,sub_y->out`, found once so a hot call parses nothing.  Operands
+# with a leading point axis use the plan of one point's shapes.
 _PAIR_PLANS = {}
 _EINSUM_PLANS = {}
 
@@ -240,13 +274,34 @@ def _compile_pair(sub_x, sub_y, out, shape_x, shape_y):
     )
 
 
+def _behind(perm):
+    """A permutation moved behind a leading point axis, which stays first."""
+    return (0,) + tuple(i + 1 for i in perm)
+
+
 def _pair_contract(sub_x, sub_y, out, x, y):
-    """``np.einsum(f"{sub_x},{sub_y}->{out}", x, y)`` through its compiled plan."""
-    key = (sub_x, sub_y, out, x.shape, y.shape)
+    """``np.einsum(f"{sub_x},{sub_y}->{out}", x, y)`` through its compiled plan.
+
+    Operands with one more axis than their subscripts carry a leading point
+    axis.  It stays a separate leading axis of every step, so each row is
+    transposed, reshaped (a view or a copy) and multiplied with the strides
+    its own point's operands have, and numpy's matmul takes the BLAS call
+    or its own loop that the point's product takes, with the same bits.
+    """
+    if x.ndim == len(sub_x):
+        key = (sub_x, sub_y, out, x.shape, y.shape)
+    else:
+        key = (sub_x, sub_y, out, x.shape[1:], y.shape[1:])
     plan = _PAIR_PLANS.get(key)
     if plan is None:
-        plan = _PAIR_PLANS[key] = _compile_pair(sub_x, sub_y, out, x.shape, y.shape)
+        plan = _PAIR_PLANS[key] = _compile_pair(sub_x, sub_y, out, key[3], key[4])
     perm_x, fused_x, perm_y, fused_y, shape_xy, perm_xy = plan
+    if x.ndim > len(sub_x):
+        points = x.shape[:1]
+        perm_x, fused_x = _behind(perm_x), points + fused_x
+        perm_y, fused_y = _behind(perm_y), points + fused_y
+        if shape_xy is not None:
+            shape_xy, perm_xy = points + shape_xy, _behind(perm_xy)
     x = x.transpose(perm_x).reshape(fused_x)
     y = y.transpose(perm_y).reshape(fused_y)
     if shape_xy is None:
@@ -283,13 +338,16 @@ def _einsum_const(space, sub_a, sub_b, out, a, b):
 def _plan(space, sub_a, sub_b, out, a, b):
     """Pick the strategy with the lower cost estimate (module docstring).
 
-    Returns (kernel, swap); `swap` puts the operand with fewer components
-    first, where the matrix path scatters it; order 0 keeps that operand order.
+    Reads the operands' component shapes, which a point axis leaves out, so
+    each point of a block gets its own point's choice.  Returns (kernel,
+    swap); `swap` puts the operand with fewer components first, where the
+    matrix path scatters it; order 0 keeps that operand order.
     """
-    na, nb = math.prod(a.shape[:-1]), math.prod(b.shape[:-1])
+    shape_a, shape_b = a.shape[:len(sub_a)], b.shape[:len(sub_b)]
+    na, nb = math.prod(shape_a), math.prod(shape_b)
     if space.order == 0:
         return _einsum_const, nb < na
-    sizes = dict(zip(sub_a + sub_b, a.shape[:-1] + b.shape[:-1]))
+    sizes = dict(zip(sub_a + sub_b, shape_a + shape_b))
     t2, pairs = space.n_terms ** 2, len(space.mul_left)
     nout = math.prod(sizes[c] for c in out)
     nfull = math.prod(sizes.values())
@@ -305,7 +363,10 @@ def jet_einsum(space, subscripts, a, b):
     the trailing jet axis is handled internally.  Each operand may carry a
     higher order than `space`: its first ``space.n_terms`` coefficients, the
     prefix that is its truncation to `space`, are read.  An operand with
-    fewer coefficients raises InsufficientOrderError.
+    fewer coefficients raises InsufficientOrderError.  Operands with a point
+    axis (both or neither, just before the jet axis) contract row by row: the
+    kernel is the one a single point's shapes choose, and the point axis is a
+    batch axis of its contraction.
     """
     n = space.n_terms
     if min(a.shape[-1], b.shape[-1]) < n:
@@ -315,14 +376,21 @@ def jet_einsum(space, subscripts, a, b):
     a, b = a[..., :n], b[..., :n]
     ins, out = subscripts.split("->")
     sub_a, sub_b = ins.split(",")
-    key = (space, subscripts, a.shape, b.shape)
+    shape_a, shape_b = a.shape, b.shape
+    point = a.ndim > len(sub_a) + 1
+    if point:  # planned by one point's shapes
+        shape_a, shape_b = shape_a[:-2] + shape_a[-1:], shape_b[:-2] + shape_b[-1:]
+    key = (space, subscripts, shape_a, shape_b)
     plan = _EINSUM_PLANS.get(key)
     if plan is None:
         plan = _EINSUM_PLANS[key] = _plan(space, sub_a, sub_b, out, a, b)
     kernel, swap = plan
     if swap:
-        return kernel(space, sub_b, sub_a, out, b, a)
-    return kernel(space, sub_a, sub_b, out, a, b)
+        a, b, sub_a, sub_b = b, a, sub_b, sub_a
+    if not point:
+        return kernel(space, sub_a, sub_b, out, a, b)
+    # the kernels run with the point axis first, where it leads every step
+    return point_back(kernel(space, sub_a, sub_b, out, point_first(a), point_first(b)))
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +400,17 @@ class JetScalar:
     """One truncated Taylor polynomial: value plus derivatives at a point.
 
     Immutable by convention; all arithmetic returns new instances.  Mixed
-    arithmetic with plain numbers lifts them to constant jets.
+    arithmetic with plain numbers lifts them to constant jets.  `coeffs` has
+    shape (n_terms,), or (P, n_terms) with a point axis: one polynomial per
+    row, each row computed as its own point's would be (`value` and
+    `partial` read one point).
     """
 
     __slots__ = ("space", "coeffs")
 
     def __init__(self, space, coeffs):
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != (space.n_terms,):
+        if coeffs.ndim not in (1, 2) or coeffs.shape[-1] != space.n_terms:
             raise ConfigurationError(
                 f"expected {space.n_terms} coefficients, got shape {coeffs.shape}"
             )
@@ -373,6 +444,10 @@ class JetScalar:
     def truncated(self, order):
         lower, data = truncate_arrays(self.space, self.coeffs, order)
         return JetScalar(lower, data.copy())
+
+    def row(self, p):
+        """Row p of the point axis, as the jet of one point (a copy)."""
+        return JetScalar(self.space, self.coeffs[p].copy())
 
     def _coerce(self, other):
         if isinstance(other, JetScalar):
@@ -451,13 +526,14 @@ def constant(space, value):
 
 
 def variable(space, index, value):
+    """The coordinate jet x_index at `value`, or at each entry of a 1-D array (a point axis)."""
     if not (0 <= index < space.dim):
         raise ConfigurationError(f"variable index {index} out of range for dim {space.dim}")
-    c = np.zeros(space.n_terms)
-    c[0] = value
+    c = np.zeros(np.shape(value) + (space.n_terms,))
+    c[..., 0] = value
     if space.order >= 1:
         unit = tuple(1 if k == index else 0 for k in range(space.dim))
-        c[space.rank_of(unit)] = 1.0
+        c[..., space.rank_of(unit)] = 1.0
     return JetScalar(space, c)
 
 
@@ -470,33 +546,37 @@ def jet_lift(value, index=None, *, dim, order):
 
 
 def coordinate_jets(space, point):
-    point = [float(x) for x in point]
-    if len(point) != space.dim:
-        raise ConfigurationError(f"point has {len(point)} entries, dim is {space.dim}")
-    return [variable(space, i, x) for i, x in enumerate(point)]
+    """The coordinate jets at a point, or with a point axis at each row of a (P, dim) block."""
+    point = np.asarray(point, dtype=np.float64)
+    if point.ndim not in (1, 2) or point.shape[-1] != space.dim:
+        raise ConfigurationError(f"point has shape {point.shape}, dim is {space.dim}")
+    return [variable(space, i, x) for i, x in enumerate(point.T)]
 
 
 # ---------------------------------------------------------------------------
 # elementary functions via univariate Taylor composition
 #
 # Each also takes a plain real, and a float64 array entry by entry, as the
-# module docstring says.
+# module docstring says.  Each is written as its Taylor rule on floats: the
+# jet of a point is composed with the rule at its constant term, a jet with
+# a point axis with the rule at each row's constant term.
 
-def _elementwise(value):
-    """Extend a jet function to plain reals and float64 arrays by its float rule.
+def _elementary(value):
+    """Make a function of jets, plain reals and float64 arrays from its float rules.
 
-    `value(x, *args)` is the float the constant term of the function's jet
-    holds when the argument's constant term is x, and raises where the jet
-    function raises; the jet function takes its constant term from it.  A
-    plain real gives `value` of itself, an array `value` of each entry, NaN
-    where `value` raises.
+    The decorated `series(x, order, *args)` lists f^(k)(x)/k! for k = 0..order
+    as floats and raises where the function raises; its first term is
+    `value(x, *args)`, the float the constant term of the function's jet holds
+    when the argument's constant term is x.  A jet is composed with the series
+    (`_series_at`).  A plain real gives `value` of itself, an array `value` of
+    each entry, NaN where `value` raises.
     """
 
-    def extend(fn):
-        @wraps(fn)
+    def extend(series):
+        @wraps(series)
         def on_any(a, *args):
             if isinstance(a, JetScalar):
-                return fn(a, *args)
+                return _compose(a, _series_at(a, series, *args))
             if not isinstance(a, np.ndarray):
                 return value(float(a), *args)
 
@@ -518,23 +598,28 @@ def _elementwise(value):
     return extend
 
 
-def _value_order(a):
-    if isinstance(a, JetScalar):
-        return a.value, a.order
-    return float(a), 0
+def _series_at(a, series, *args):
+    """series(a0, order, *args) at a jet's constant term a0.
+
+    With a point axis the rule runs on each row's constant term, in row
+    order, and each coefficient is a (P, 1) column: the first row whose rule
+    raises raises.
+    """
+    if a.coeffs.ndim == 1:
+        return series(a.value, a.order, *args)
+    rows = [series(x, a.order, *args) for x in a.coeffs[:, 0].tolist()]
+    return [np.array(column)[:, None] for column in zip(*rows)]
 
 
 def _compose(a, dcoeffs):
     """Sum_k dcoeffs[k] * (a - a0)^k, truncated.  dcoeffs[k] = f^(k)(a0)/k!."""
-    if not isinstance(a, JetScalar):
-        return dcoeffs[0]
     space = a.space
-    out = np.zeros(space.n_terms)
-    out[0] = dcoeffs[0]
+    out = np.zeros(a.coeffs.shape)
+    out[..., :1] = dcoeffs[0]
     if space.order == 0:
         return JetScalar(space, out)
     tilde = a.coeffs.copy()
-    tilde[0] = 0.0
+    tilde[..., 0] = 0.0
     power = None
     for k in range(1, space.order + 1):
         power = tilde if k == 1 else mul_arrays(space, power, tilde)
@@ -553,7 +638,11 @@ def int_power(a, p):
     if p == 0:
         if isinstance(a, np.ndarray):  # an entry that is NaN stays NaN
             return np.where(np.isnan(a), np.nan, 1.0)
-        return constant(a.space, 1.0) if isinstance(a, JetScalar) else 1.0
+        if isinstance(a, JetScalar):  # the constant one, on a's point axis if any
+            one = np.zeros(a.coeffs.shape)
+            one[..., 0] = 1.0
+            return JetScalar(a.space, one)
+        return 1.0
     result = None
     while p:
         if p & 1:
@@ -572,31 +661,36 @@ def _real_power_value(x, p):
     return x ** p
 
 
-@_elementwise(_real_power_value)
-def real_power(a, p):
+@_elementary(_real_power_value)
+def real_power(a0, order, p):
     """a ** p for a real p by power series; the constant term must be positive."""
-    a0 = a.value
     dcoeffs = [_real_power_value(a0, p)]
     coef = p  # (p - 0) / 1, the coefficient after the constant term
-    for k in range(1, a.order + 1):
+    for k in range(1, order + 1):
         dcoeffs.append(coef * a0 ** (p - k))
         coef *= (p - k) / (k + 1)
-    return _compose(a, dcoeffs)
+    return dcoeffs
+
+
+def _reciprocal_series(a0, order):
+    if a0 == 0.0:
+        raise SingularEvaluationError("division by a jet with zero constant term")
+    return [(-1.0) ** k / a0 ** (k + 1) for k in range(order + 1)]
 
 
 def reciprocal(a):
-    if isinstance(a, np.ndarray):  # 1.0 / a0, as on a plain real; NaN at a0 == 0
+    """1 / a; a float64 array is divided by numpy, NaN where an entry is 0."""
+    if isinstance(a, np.ndarray):  # 1.0 / a0, as on a plain real
         return np.divide(1.0, a, out=np.full(a.shape, np.nan), where=a != 0.0)
-    a0, order = _value_order(a)
-    if a0 == 0.0:
-        raise SingularEvaluationError("division by a jet with zero constant term")
-    return _compose(a, [(-1.0) ** k / a0 ** (k + 1) for k in range(order + 1)])
+    if isinstance(a, JetScalar):
+        return _compose(a, _series_at(a, _reciprocal_series))
+    return _reciprocal_series(float(a), 0)[0]
 
 
-@_elementwise(math.exp)
-def exp(a):
-    e0 = math.exp(a.value)
-    return _compose(a, [e0 / math.factorial(k) for k in range(a.order + 1)])
+@_elementary(math.exp)
+def exp(a0, order):
+    e0 = math.exp(a0)
+    return [e0 / math.factorial(k) for k in range(order + 1)]
 
 
 def _log_value(x):
@@ -605,12 +699,11 @@ def _log_value(x):
     return math.log(x)
 
 
-@_elementwise(_log_value)
-def log(a):
-    a0 = a.value
+@_elementary(_log_value)
+def log(a0, order):
     dc = [_log_value(a0)]
-    dc += [(-1.0) ** (k - 1) / (k * a0 ** k) for k in range(1, a.order + 1)]
-    return _compose(a, dc)
+    dc += [(-1.0) ** (k - 1) / (k * a0 ** k) for k in range(1, order + 1)]
+    return dc
 
 
 def _sqrt_value(x):
@@ -619,30 +712,28 @@ def _sqrt_value(x):
     return x ** 0.5  # real_power's rule at p = 0.5
 
 
-@_elementwise(_sqrt_value)
-def sqrt(a):
-    _sqrt_value(a.value)  # raises with sqrt's message
-    return real_power(a, 0.5)
+@_elementary(_sqrt_value)
+def sqrt(a0, order):
+    _sqrt_value(a0)  # raises with sqrt's message
+    return real_power.__wrapped__(a0, order, 0.5)
 
 
 def _sin_value(x):
     return math.sin(x + 0.0)  # the k = 0 term below: -0.0 + 0.0 is 0.0
 
 
-@_elementwise(_sin_value)
-def sin(a):
-    a0 = a.value
+@_elementary(_sin_value)
+def sin(a0, order):
     dc = [_sin_value(a0)]
-    dc += [math.sin(a0 + k * math.pi / 2) / math.factorial(k) for k in range(1, a.order + 1)]
-    return _compose(a, dc)
+    dc += [math.sin(a0 + k * math.pi / 2) / math.factorial(k) for k in range(1, order + 1)]
+    return dc
 
 
-@_elementwise(math.cos)
-def cos(a):
-    a0 = a.value
+@_elementary(math.cos)
+def cos(a0, order):
     dc = [math.cos(a0)]
-    dc += [math.cos(a0 + k * math.pi / 2) / math.factorial(k) for k in range(1, a.order + 1)]
-    return _compose(a, dc)
+    dc += [math.cos(a0 + k * math.pi / 2) / math.factorial(k) for k in range(1, order + 1)]
+    return dc
 
 
 ELEMENTARY = {"sin": sin, "cos": cos, "exp": exp, "log": log, "sqrt": sqrt}

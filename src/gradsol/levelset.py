@@ -20,7 +20,11 @@ off constant potentials, and at a critical point the adapted frame raises
 centre.  The potential of each block of rays is evaluated once, on float64
 arrays that compiled expressions take elementwise with the bits of their
 float path (NaN where that path would raise); the walk along each ray,
-the bisection and the ray points are plain floats.
+the bisection and the ray points are plain floats.  The roots still
+needed are evaluated as one block on a point axis (metric, g^-1, f and
+grad f at order 3) and admitted in ray order, and :func:`prop32_report`
+evaluates the pack, D, |D|^2 and Hess f of its points as one more block;
+each point's evaluation holds its own row, with its own bits.
 """
 
 import math
@@ -295,20 +299,60 @@ def _ray_root(inst, c, ray, steps, values, start, f0):
     return [x + 0.5 * (a + b) * y for x, y in ray]
 
 
+def _ray_roots(inst, c, n_points, seed):
+    """The points where rays from the box centre meet f = c, in ray order.
+
+    Rays are drawn in blocks: the first holds `n_points` rays, each later one
+    twice as many as the one before, up to 600 rays in all; a block is drawn
+    when the caller asks for a root past the last block's.
+    """
+    from . import solitons
+
+    rng = solitons.instance_rng(inst, seed, salt=97)
+    lo = np.array([float(b[0]) for b in inst.box])
+    hi = np.array([float(b[1]) for b in inst.box])
+    anchor = ((lo + hi) / 2.0).tolist()
+    f0 = _f_value(inst, anchor) - c
+    drawn, block = 0, n_points
+    while drawn < _MAX_RAYS:
+        # one draw of the block's directions gives the stream of one draw per ray
+        draws = rng.standard_normal((min(block, _MAX_RAYS - drawn), inst.n))
+        drawn, block = drawn + len(draws), 2 * block
+        # each row by its own norm, np.linalg.norm's sqrt(row . row): a batched
+        # norm sums in another order
+        d = draws / np.sqrt([row.dot(row) for row in draws])[:, None]
+        # longest ray length keeping anchor + s d inside the box
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_max = np.where(d > 1e-12, (hi - anchor) / d,
+                             np.where(d < -1e-12, (lo - anchor) / d, np.inf)).min(axis=1)
+        keep = np.isfinite(s_max) & (s_max >= 1e-6)
+        d, s_max = d[keep], s_max[keep]
+        s, v, starts = _scan(inst, c, anchor, d, s_max, f0)
+        for i, start in enumerate(starts):
+            if start is not None:
+                ray = list(zip(anchor, d[i].tolist()))
+                point = _ray_root(inst, c, ray, s[i].tolist(), v[i].tolist(), start, f0)
+                if point is not None:
+                    yield point
+
+
 def level_points(inst, c, n_points=12, seed=11):
     """Order-3 point evaluations on {f = c}: roots along rays that `solitons.admit` accepts.
 
     Needs an integer `n_points >= 1` (not a bool) and a finite `c`
     (ConfigurationError otherwise); HypothesisViolationError for a constant
     potential, which has no regular level values.  Rays leave the box centre
-    in blocks: the first holds one ray per point sought, each later one twice
-    as many as the one before, up to 600 rays in all.  f at every scan step of
-    a block is one evaluation of the potential on float64 arrays, elementwise
-    with the bits of the float path, so the potential must take such arrays as
-    compiled expressions do.  The rays are then walked in order as a scan on
-    floats would walk them, and stop once `n_points` are admitted; a ray point
-    anchor + s d is one product and one sum per coordinate, so every point,
-    step and value is bit-identical to its numpy or float formation.
+    in blocks (`_ray_roots`).  f at every scan step of a block of rays is one
+    evaluation of the potential on float64 arrays, elementwise with the bits
+    of the float path, so the potential must take such arrays as compiled
+    expressions do.  The rays are then walked in order as a scan on floats
+    would walk them; a ray point anchor + s d is one product and one sum per
+    coordinate, so every point, step and value is bit-identical to its numpy
+    or float formation.  The roots still needed are collected in ray order
+    and admitted as one block (`solitons.admit_points`: metric, g^-1, f and
+    grad f on one point axis) until `n_points` are admitted.  A collected
+    root is evaluated before an error of a later ray's walk surfaces, so
+    errors arise in the order a point-by-point walk meets them.
     """
     from . import solitons
 
@@ -319,37 +363,19 @@ def level_points(inst, c, n_points=12, seed=11):
         raise HypothesisViolationError(
             f"{inst.name}: potential is constant, there are no regular level values"
         )
-    rng = solitons.instance_rng(inst, seed, salt=97)
-    lo = np.array([float(b[0]) for b in inst.box])
-    hi = np.array([float(b[1]) for b in inst.box])
-    anchor = ((lo + hi) / 2.0).tolist()
-    f0 = _f_value(inst, anchor) - c
-    evals = []
-    drawn, block = 0, n_points
-    while len(evals) < n_points and drawn < _MAX_RAYS:
-        # one draw of the block's directions gives the stream of one draw per ray
-        draws = rng.standard_normal((min(block, _MAX_RAYS - drawn), inst.n))
-        drawn, block = drawn + len(draws), 2 * block
-        # each row by its own norm: a batched norm sums in another order
-        d = draws / np.array([np.linalg.norm(row) for row in draws])[:, None]
-        # longest ray length keeping anchor + s d inside the box
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s_max = np.where(d > 1e-12, (hi - anchor) / d,
-                             np.where(d < -1e-12, (lo - anchor) / d, np.inf)).min(axis=1)
-        keep = np.isfinite(s_max) & (s_max >= 1e-6)
-        d, s_max = d[keep], s_max[keep]
-        s, v, starts = _scan(inst, c, anchor, d, s_max, f0)
-        for i, start in enumerate(starts):
-            if len(evals) == n_points:
-                break
-            if start is None:
-                continue
-            ray = list(zip(anchor, d[i].tolist()))
-            point = _ray_root(inst, c, ray, s[i].tolist(), v[i].tolist(), start, f0)
-            if point is not None:
-                ev = solitons.admit(inst, point, 3)
-                if ev is not None:
-                    evals.append(ev)
+    evals, roots = [], []
+    try:
+        for point in _ray_roots(inst, c, n_points, seed):
+            roots.append(point)
+            if len(roots) == n_points - len(evals):
+                evals += solitons.admit_points(inst, roots, 3)
+                roots = []
+                if len(evals) == n_points:
+                    break
+    except Exception:
+        solitons.admit_points(inst, roots, 3)  # its error, if any, comes first
+        raise
+    evals += solitons.admit_points(inst, roots, 3)
     if len(evals) < n_points:
         raise LevelPointError(
             f"{inst.name}: found only {len(evals)}/{n_points} points on f = {c}"
@@ -365,9 +391,14 @@ def prop32_report(inst, c, n_points=12, seed=11):
     the second fundamental form, and the two-eigenvalue structure of the
     Ricci tensor with the predicted values
     lambda = R - (n-1) rho + H |grad f| and mu = rho - H |grad f|/(n-1).
-    Each level point is an order-3 point evaluation from :func:`level_points`.
+    Each level point is an order-3 point evaluation from :func:`level_points`;
+    their curvature, D, |D|^2 and Hess f are evaluated as one block
+    (`solitons.evaluate_curvature`).
     """
+    from . import solitons
+
     evals = level_points(inst, c, n_points=n_points, seed=seed)
+    solitons.evaluate_curvature(evals)
     n = inst.n
     # np.max and `not <=`, unlike max and `>`, let a NaN at any point through
     d_max = float(np.max([ev.d_norm for ev in evals]))

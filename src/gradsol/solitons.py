@@ -7,6 +7,12 @@ factors use stereographic coordinates so that components are rational and
 jets are exact; the only chart pole sits outside every box.  A
 deliberately perturbed non-soliton pair is included as a negative control
 for the verification harness.
+
+A :class:`PointEval` evaluates one point lazily.  `evaluate_points` and
+`evaluate_curvature` fill the caches of several at once from evaluations
+over a point axis (see ``tensors``), with each point's own bits; errors
+are those of the first failing point.  `admit_points` admits such a block
+by the one rule of `admit`.
 """
 
 import math
@@ -21,10 +27,10 @@ import numpy as np
 from . import levelset
 from .conformal import bach, cotton, d_tensor, weyl
 from .curvature import covariant_derivative, curvature_pack, divergence, scalar_gradient
-from .errors import ConfigurationError, DomainError, ValidationError
+from .errors import ConfigurationError, DomainError, GradsolError, ValidationError
 from .exprs import compile_expression
-from .jets import JetScalar, JetSpace, constant, coordinate_jets
-from .tensors import metric_at_point, tensor_norm_sq
+from .jets import JetScalar, JetSpace, constant, coordinate_jets, point_back
+from .tensors import MetricAtPoint, TensorJet, metric_at_point, metric_at_points, tensor_norm_sq
 
 KINDS = ("shrinking", "steady", "expanding", "einstein")
 SOLITON_TOL = 1e-9
@@ -71,6 +77,7 @@ class SolitonInstance:
         return metric_at_point(self.metric_fn, point, self.n, order)
 
     def potential_jet(self, point, space, normalized=True):
+        """The jet of f at `point`, or with a point axis at each of a list of points."""
         xs = coordinate_jets(space, point)
         f = self.potential_fn(xs)
         if not isinstance(f, JetScalar):
@@ -115,7 +122,12 @@ def _norm(t, metric):
 
 
 class PointEval:
-    """Lazy, cached geometry of one instance at one sample point."""
+    """Lazy, cached geometry of one instance at one sample point.
+
+    `evaluate_points` and `evaluate_curvature` fill the caches of several
+    evaluations from one evaluation over a point axis, with the bits each
+    point's own evaluation gives.
+    """
 
     def __init__(self, inst, point, order):
         self.inst = inst
@@ -260,6 +272,17 @@ def whole_count(inst, n, what, least=-math.inf):
     return int(n)
 
 
+def _excluded(inst, point):
+    return inst.excluded_distance(point) < MIN_EXCLUDED_DISTANCE
+
+
+def _steep(inst, ev):
+    """Whether |grad f| at `ev` is not below MIN_GRAD_DISTANCE; always, for a constant f."""
+    if inst.trivial:
+        return True
+    return not math.sqrt(max(ev.df.values @ ev.gradf_up_values, 0.0)) < MIN_GRAD_DISTANCE
+
+
 def admit(inst, point, order):
     """The order-`order` point evaluation at a sampled point, or None if it is rejected.
 
@@ -267,13 +290,76 @@ def admit(inst, point, order):
     the potential is constant, a point where |grad f| < MIN_GRAD_DISTANCE,
     read from the evaluation that is returned to the point's readers.
     """
-    if inst.excluded_distance(point) < MIN_EXCLUDED_DISTANCE:
+    if _excluded(inst, point):
         return None
     ev = PointEval(inst, point, order)
-    if inst.trivial:
-        return ev
-    grad_norm = math.sqrt(max(ev.df.values @ ev.gradf_up_values, 0.0))
-    return None if grad_norm < MIN_GRAD_DISTANCE else ev
+    return ev if _steep(inst, ev) else None
+
+
+def admit_points(inst, points, order):
+    """`admit` at each of `points`, in order: the admitted evaluations.
+
+    The points not excluded are evaluated as one block (`evaluate_points`)
+    before |grad f| is read, so an excluded point is never evaluated.
+    """
+    kept = [point for point in points if not _excluded(inst, point)]
+    return [ev for ev in evaluate_points(inst, kept, order) if _steep(inst, ev)]
+
+
+def evaluate_points(inst, points, order):
+    """Order-`order` point evaluations at `points`, their metric, g^-1, f and grad f as one block.
+
+    One `metric_at_points` call and one potential call over a point axis
+    serve all points; each evaluation's caches hold C-contiguous copies of
+    its row, the bits of its own point's evaluation.  A block that raises is
+    evaluated again point by point, in order, so the first point whose own
+    evaluation raises raises, with its own error.
+    """
+    evals = [PointEval(inst, point, order) for point in points]
+    if not evals:
+        return evals
+    try:
+        metric = metric_at_points(inst.metric_fn, [ev.point for ev in evals], inst.n, order)
+        f = inst.potential_jet([ev.point for ev in evals], metric.space)
+        df = scalar_gradient(f)
+    except (GradsolError, ArithmeticError, ValueError):
+        for ev in evals:
+            ev.df  # the metric, f and grad f of this point alone
+        return evals
+    for p, ev in enumerate(evals):
+        ev.__dict__.update(metric=metric.row(p, ev.point), f=f.row(p), df=df.row(p))
+    return evals
+
+
+def evaluate_curvature(evals):
+    """Fill the pack, D, |D|^2 and Hess f of evaluations of one instance and order as one block.
+
+    The evaluations' metrics and grad f are stacked on a point axis; the
+    curvature pack, D, |D|^2 and Hess f are each evaluated once, and each
+    evaluation's caches get C-contiguous copies of its row.  D's cross-check,
+    the one check here, is judged row by row: the first point whose own D
+    fails it raises, with its own error.
+    """
+    if not evals:
+        return
+    first = evals[0]
+
+    def stacked(tensors):
+        t = tensors[0]
+        # each row laid out as the point's own C-ordered array
+        return TensorJet(t.space, t.valence, point_back(np.stack([t.data for t in tensors])))
+
+    metric = MetricAtPoint(first.metric.space, [ev.point for ev in evals],
+                           stacked([ev.metric.g for ev in evals]),
+                           stacked([ev.metric.g_inv for ev in evals]))
+    df = stacked([ev.df for ev in evals])
+    pack = curvature_pack(metric)
+    dtensor = d_tensor(pack, df, cross_check=first.inst.kind is not None)
+    d_norm_sq = tensor_norm_sq(dtensor, metric)
+    hess_f = covariant_derivative(df.truncated(1), pack)
+    for p, ev in enumerate(evals):
+        ev.__dict__.update(pack=pack.row(p, ev.metric), dtensor=dtensor.row(p),
+                           d_norm_sq=float(d_norm_sq[p]), hess_f=hess_f.row(p))
 
 
 def sample_evals(inst, n_points, seed, order):

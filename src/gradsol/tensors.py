@@ -6,6 +6,15 @@ run as vectorised kernels instead of per-component Python loops.
 A :class:`MetricAtPoint` carries g^{-1} two orders below g, the
 order of the curvature and the most any reader takes; ``jet_einsum`` reads
 g and g^{-1} at the order of each product, so readers pass them whole.
+
+Every tensor may carry one point axis, just before the jet axis: data of
+shape (dim,)*rank + (P, n_terms) holds one tensor per row of a block of
+points, each row computed with the bits its own point gives.
+:func:`metric_at_points` evaluates a metric on such a block and
+:func:`metric_at_point` at one point, its case without a point axis; the
+positivity and g * g_inv checks are judged row by row, and a failing block
+raises the error of its first failing row.  ``row(p)`` of a tensor, metric
+or scalar jet is a C-contiguous copy of one row.
 """
 
 import string
@@ -19,7 +28,16 @@ from .errors import (
     InsufficientOrderError,
     TensorShapeError,
 )
-from .jets import JetScalar, JetSpace, coordinate_jets, jet_einsum, truncate_arrays
+from .jets import (
+    JetScalar,
+    JetSpace,
+    coordinate_jets,
+    jet_einsum,
+    point_back,
+    point_first,
+    point_rows,
+    truncate_arrays,
+)
 
 _LETTERS = string.ascii_lowercase
 
@@ -28,7 +46,8 @@ class TensorJet:
     """Dense tensor with jet-valued components.
 
     `valence` is a string over {'d', 'u'} marking each slot covariant or
-    contravariant.  `data` has shape (dim,)*rank + (n_terms,).
+    contravariant.  `data` has shape (dim,)*rank + (n_terms,), or
+    (dim,)*rank + (P, n_terms) with a point axis.
     """
 
     __slots__ = ("space", "valence", "data")
@@ -36,10 +55,10 @@ class TensorJet:
     def __init__(self, space, valence, data):
         data = np.asarray(data, dtype=np.float64)
         rank = len(valence)
-        if any(v not in "du" for v in valence):
+        if valence.strip("du"):
             raise TensorShapeError(f"valence must use 'd'/'u', got {valence!r}")
         expected = (space.dim,) * rank + (space.n_terms,)
-        if data.shape != expected:
+        if data.ndim not in (rank + 1, rank + 2) or data.shape[:rank] + data.shape[-1:] != expected:
             raise TensorShapeError(f"expected shape {expected}, got {data.shape}")
         self.space = space
         self.valence = valence
@@ -64,7 +83,12 @@ class TensorJet:
 
     def truncated(self, order):
         lower, data = truncate_arrays(self.space, self.data, order)
-        return TensorJet(lower, self.valence, data.copy())
+        copy = point_rows(data) if data.ndim > self.rank + 1 else data.copy()
+        return TensorJet(lower, self.valence, copy)
+
+    def row(self, p):
+        """Row p of the point axis, as a tensor of one point (a C-contiguous copy)."""
+        return TensorJet(self.space, self.valence, self.data[..., p, :].copy())
 
     def max_abs(self, all_coeffs=False):
         if all_coeffs:
@@ -98,7 +122,10 @@ def raise_lower(t, slot, metric):
 
 
 def tensor_norm_sq(t, metric):
-    """Full metric contraction |T|^2 of a covariant tensor; constant term."""
+    """Full metric contraction |T|^2 of a covariant tensor; constant term.
+
+    A float, or with a point axis an array of one value per row.
+    """
     if any(v != "d" for v in t.valence):
         raise TensorShapeError("tensor_norm_sq expects a fully covariant tensor")
     # only the constant term is read, so contract values alone
@@ -107,12 +134,15 @@ def tensor_norm_sq(t, metric):
     for slot in range(t.rank):
         up = raise_lower(up, slot, metric)
     letters = _LETTERS[: t.rank]
-    s = jet_einsum(t.space, f"{letters},{letters}->", t.data, up.data)
-    return float(s[0])
+    s = jet_einsum(t.space, f"{letters},{letters}->", t.data, up.data)[..., 0]
+    return s if s.ndim else float(s)
 
 
 class MetricAtPoint:
-    """Metric jets at one chart point, and g^{-1} two orders below, the curvature's order."""
+    """Metric jets at one chart point, and g^{-1} two orders below, the curvature's order.
+
+    With a point axis, `point` holds one row per point of the block.
+    """
 
     __slots__ = ("space", "point", "g", "g_inv")
 
@@ -130,6 +160,10 @@ class MetricAtPoint:
     def order(self):
         return self.space.order
 
+    def row(self, p, point):
+        """Row p of the point axis, at `point`, as the metric of one point."""
+        return MetricAtPoint(self.space, point, self.g.row(p), self.g_inv.row(p))
+
     def __repr__(self):
         return f"MetricAtPoint(dim={self.dim}, order={self.order}, point={self.point})"
 
@@ -140,15 +174,23 @@ def _invert_metric_jets(space, gdata):
     (G X)_d = 0 for d >= 1 gives X_d = -G_0^{-1} (G_+ X)_d, G_+ being G
     without its constant term; while X's degree-d block is still zero,
     (G X)_d is (G_+ X)_d, so each degree costs one product at its order.
+    With a point axis, each row's G_0 and products are moved to the front:
+    one stacked inverse and one stacked matmul per degree.
     """
     n = space.dim
-    x = np.zeros((n, n, space.n_terms))
-    x[..., 0] = x0 = np.linalg.inv(gdata[..., 0])
+    x = np.zeros(gdata.shape[:-1] + (space.n_terms,))
+    block = gdata.ndim == 4  # a point axis
+    if block:
+        x = point_rows(x)
+    x0 = np.linalg.inv(gdata[..., 0].transpose(2, 0, 1) if block else gdata[..., 0])
+    x[..., 0] = x0.transpose(1, 2, 0) if block else x0
     for d in range(1, space.order + 1):
         step = JetSpace.get(n, d)
         r = jet_einsum(step, "ij,jk->ik", gdata, x)
         lo = step.block_starts[d]
-        x[..., lo : step.n_terms] = -np.tensordot(x0, r[..., lo:], axes=(1, 0))
+        r = point_first(r[..., lo:]) if block else r[..., lo:]  # (j, k, terms) per row
+        xd = np.matmul(x0, r.reshape(r.shape[:-2] + (-1,))).reshape(r.shape)
+        x[..., lo : step.n_terms] = -(point_back(xd) if block else xd)
     return x
 
 
@@ -160,10 +202,27 @@ def metric_at_point(metric_fn, point, dim, order):
     triangle; the result is checked for positive definiteness and for
     g * g_inv = identity at jet-coefficient level.
     """
+    return _evaluate_metric(metric_fn, point, dim, order)
+
+
+def metric_at_points(metric_fn, points, dim, order):
+    """`metric_at_point` at each of a list of points at once, on a point axis.
+
+    Each row holds the bits `metric_at_point` gives at its point.  Positivity
+    is judged for every row, then g * g_inv; a failing block raises the
+    error of its first failing row, with that point's message.
+    """
+    return _evaluate_metric(metric_fn, [list(p) for p in points], dim, order)
+
+
+def _evaluate_metric(metric_fn, point, dim, order):
+    """Metric and inverse at `point`, or with a point axis at each of a list of points."""
     space = JetSpace.get(dim, order)
     xs = coordinate_jets(space, point)
     rows = metric_fn(xs)
-    gdata = np.zeros((dim, dim, space.n_terms))
+    gdata = np.zeros((dim, dim) + xs[0].coeffs.shape)
+    if gdata.ndim == 4:
+        gdata = point_rows(gdata)
     for i in range(dim):
         for j in range(i, dim):
             entry = rows[i][j]
@@ -172,21 +231,32 @@ def metric_at_point(metric_fn, point, dim, order):
                     raise ConfigurationError("metric components must share the chart space")
                 gdata[i, j] = entry.coeffs
             else:
-                gdata[i, j, 0] = float(entry)
+                gdata[i, j, ..., 0] = float(entry)
             gdata[j, i] = gdata[i, j]
 
-    g0 = gdata[..., 0]
-    if np.linalg.eigvalsh(g0).min() <= 0.0:
-        raise DomainError(f"metric is not positive definite at {list(point)}")
+    if gdata.ndim == 4:  # a point axis: one matrix per row
+        points, g0 = point, gdata[..., 0].transpose(2, 0, 1)
+    else:
+        points, g0 = [point], gdata[..., 0]
+    for p, low in enumerate(np.linalg.eigvalsh(g0).min(axis=-1, keepdims=True).ravel()):
+        if low <= 0.0:
+            raise DomainError(f"metric is not positive definite at {list(points[p])}")
 
     inv_space, g_low = truncate_arrays(space, gdata, max(order - 2, 0))
     inv = _invert_metric_jets(inv_space, g_low)
     resid = jet_einsum(inv_space, "ij,jk->ik", g_low, inv)
-    resid[np.arange(dim), np.arange(dim), 0] -= 1.0
+    resid[np.arange(dim), np.arange(dim), ..., 0] -= 1.0
     # `not <=`, unlike `>`, holds for NaN: a non-finite inverse fails the check
-    if not (np.abs(resid[..., 0]).max() <= 1e-12 and np.abs(resid).max() <= 1e-10):
-        raise ConsistencyError("metric inverse failed the g*g_inv = id check")
+    for r0, r in zip(row_abs_max(resid[..., :1], 2), row_abs_max(resid, 2)):
+        if not (r0 <= 1e-12 and r <= 1e-10):
+            raise ConsistencyError("metric inverse failed the g*g_inv = id check")
 
     g = TensorJet(space, "dd", gdata)
     g_inv = TensorJet(inv_space, "uu", inv)
     return MetricAtPoint(space, point, g, g_inv)
+
+
+def row_abs_max(data, rank):
+    """max |data| of rank-`rank` tensor data over components and coefficients,
+    as a list: one value, or one per row of a point axis."""
+    return np.abs(data).max(axis=tuple(range(rank)) + (-1,), keepdims=True).ravel().tolist()

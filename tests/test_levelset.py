@@ -401,9 +401,11 @@ def test_level_points_evaluation_count_is_pinned():
     # which takes f at the bracket's low end from the scan, admission and
     # the instance's own cached values.  A changed scan or bisection changes
     # this number; scanning each ray step by step on floats made 15,211.
+    # Admission evaluates the 12 roots as one block, one potential call where
+    # evaluating them point by point made 12 (464 calls in all).
     inst, calls = _counting_instance("cylinder-s3xr")
     level_points(inst, 9.0 / 4.0 + 1.5, n_points=12, seed=5)
-    assert len(calls) == 464
+    assert len(calls) == 453
 
 
 @pytest.mark.parametrize("n_points, c", [
@@ -424,23 +426,24 @@ def test_prop32_nan_d_at_second_level_point_fails(monkeypatch):
     # must not pass the D = 0 gate of prop3.2
     inst = get_instance("gaussian-r3")
     c = levelset._f_value(inst, inst.base_point)
-    # suite points are point evaluations too: count D at prop3.2's level points only
+    # suite points are point evaluations too: inject into the block of
+    # prop3.2's level points only, at its second row
     level = {tuple(ev.point) for ev in level_points(inst, c, n_points=12, seed=7)}
     calls = []
     d_tensor = solitons.d_tensor
 
     def nan_at_second(pack, df, *args, **kwargs):
         d = d_tensor(pack, df, *args, **kwargs)
-        if tuple(pack.metric.point.tolist()) in level:
-            calls.append(None)
-            if len(calls) == 2:
-                d.data[...] = np.nan
+        rows = [tuple(p) for p in np.atleast_2d(pack.metric.point).tolist()]
+        if set(rows) <= level:
+            calls.append(len(rows))
+            d.data[..., 1, :] = np.nan
         return d
 
     monkeypatch.setattr(solitons, "d_tensor", nan_at_second)
     rep = run_suite(inst, n_points=8, seed=7, order=3)
     (entry,) = [e for e in rep["checks"] if e["id"] == "prop3.2"]
-    assert len(calls) >= 2
+    assert calls == [12]  # one block: D of all 12 level points
     assert entry["status"] == "FAIL"
     assert "HypothesisViolationError" in entry["error"] and "nan" in entry["error"]
 

@@ -1,0 +1,263 @@
+"""Block evaluation of level points on a point axis against point-by-point evaluation."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from gradsol import conformal, curvature, jets, levelset, solitons, tensors
+from gradsol.errors import ConsistencyError, DomainError, SingularEvaluationError
+from gradsol.levelset import level_points, prop32_report
+from gradsol.solitons import PointEval, get_instance, instance_from_spec
+from gradsol.tensors import metric_at_points
+
+LEVELSET_INSTANCES = [
+    "gaussian-r3", "gaussian-r4", "gaussian-r5", "cylinder-s2xr", "cylinder-s3xr",
+    "cylinder-s4xr", "einstein-cylinder-s2xs2xr", "warped-cylinder", "steady-flat-r4",
+    "expanding-gaussian-r4",
+]
+
+# metric and potential through sin, cos, exp, log, sqrt and a real power; not a
+# soliton, so D has no cross-check and no prop3.2 report
+TRANSCENDENTAL = {
+    "name": "transcendental-r3", "n": 3, "rho": 0, "kind": None,
+    "metric": [["2 + sin(x1)*cos(x2)", "0.1*exp(x3/4)", "0"],
+               ["0.1*exp(x3/4)", "1 + log(2 + x1*x1)", "0"],
+               ["0", "0", "(1.5 + x2*x2)^1.5"]],
+    "potential": "exp(x1/4) + log(2 + x2) + sqrt(3 + x3) + (2.5 + x1)^1.5 + sin(x2)*cos(x3)",
+    "domain": {"box": [[-1, 1]] * 3}, "base_point": [0.5, 0.3, -0.2],
+}
+
+
+def _level(inst):
+    return levelset._f_value(inst, inst.base_point)
+
+
+def _point_by_point(monkeypatch):
+    """Evaluate every level point on its own, as PointEval's caches do."""
+    monkeypatch.setattr(solitons, "evaluate_points",
+                        lambda inst, points, order: [PointEval(inst, p, order) for p in points])
+    monkeypatch.setattr(solitons, "evaluate_curvature", lambda evals: None)
+
+
+def _fields(ev):
+    pack = ev.pack
+    return {
+        "g": ev.metric.g.data, "g_inv": ev.metric.g_inv.data, "gamma": pack.gamma.data,
+        "riemann": pack.riemann.data, "ricci": pack.ricci.data, "R": pack.scalar.coeffs,
+        "dR": pack.dscalar.data, "schouten": pack.schouten.data, "df": ev.df.data,
+        "D": ev.dtensor.data, "D2": np.array(ev.d_norm_sq), "hess_f": ev.hess_f.data,
+    }
+
+
+@pytest.mark.parametrize("name", LEVELSET_INSTANCES + ["transcendental-r3"])
+@pytest.mark.parametrize("seed", [11, 61])
+def test_block_rows_are_the_point_evaluations_bit_for_bit(name, seed):
+    if name == "transcendental-r3":
+        inst = instance_from_spec(TRANSCENDENTAL)
+    else:
+        inst = get_instance(name)
+    evals = level_points(inst, _level(inst), n_points=12, seed=seed)
+    solitons.evaluate_curvature(evals)
+    for ev in evals:
+        # the block filled these caches with C-contiguous copies of its rows
+        for cache in ("metric", "f", "df", "pack", "dtensor", "d_norm_sq", "hess_f"):
+            assert cache in vars(ev), cache
+        assert ev.pack.metric is ev.metric
+        for t in (ev.metric.g, ev.df, ev.pack.riemann, ev.dtensor, ev.hess_f):
+            assert t.data.flags.c_contiguous
+        ref = PointEval(inst, ev.point, 3)
+        got, want = _fields(ev), _fields(ref)
+        for key in want:
+            assert got[key].shape == want[key].shape, key
+            assert np.array_equal(got[key], want[key]), (key, ev.point)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+def test_block_functions_give_each_row_its_points_bits(order):
+    # the library path: a metric block straight into the curvature, D and |D|^2
+    inst = instance_from_spec(TRANSCENDENTAL)
+    points = [[0.1, -0.2, 0.3], [0.5, 0.4, -0.6], [-0.7, 0.2, 0.9], [0.0, 0.8, -0.1]]
+    metric = metric_at_points(inst.metric_fn, points, 3, order)
+    pack = curvature.curvature_pack(metric)
+    df = curvature.scalar_gradient(inst.potential_jet(points, metric.space))
+    d = conformal.d_tensor(pack, df)
+    d_norm_sq = tensors.tensor_norm_sq(d, metric)
+    for p, point in enumerate(points):
+        ref = PointEval(inst, point, order)
+        row = pack.row(p, metric.row(p, point))
+        for got, want in ((row.metric.g, ref.metric.g), (row.metric.g_inv, ref.metric.g_inv),
+                          (row.gamma, ref.pack.gamma), (row.riemann, ref.pack.riemann),
+                          (row.ricci, ref.pack.ricci), (df.row(p), ref.df), (d.row(p), ref.dtensor)):
+            assert np.array_equal(got.data, want.data)
+        assert d_norm_sq[p] == ref.d_norm_sq
+
+
+@pytest.mark.parametrize("name", LEVELSET_INSTANCES)
+@pytest.mark.parametrize("seed", [11, 61])
+def test_prop32_report_is_the_point_by_point_report(monkeypatch, name, seed):
+    inst = get_instance(name)
+    got = prop32_report(inst, _level(inst), n_points=12, seed=seed)
+    with monkeypatch.context() as m:
+        _point_by_point(m)
+        want = prop32_report(inst, _level(inst), n_points=12, seed=seed)
+    assert repr(got) == repr(want)
+
+
+def test_plans_do_not_depend_on_the_block_size(monkeypatch):
+    # cylinder-s4xr at order 3 runs all three kernels; after one warm block no
+    # block size adds a plan, and each plan is the one a single point makes
+    inst = get_instance("cylinder-s4xr")
+    roots = list(itertools.islice(levelset._ray_roots(inst, _level(inst), 16, 11), 16))
+
+    def block(points):
+        evals = solitons.evaluate_points(inst, points, 3)
+        solitons.evaluate_curvature(evals)
+        return evals
+
+    calls = []
+    jet_einsum = jets.jet_einsum
+
+    def recording(space, subscripts, a, b):
+        calls.append((space, subscripts, a, b))
+        return jet_einsum(space, subscripts, a, b)
+
+    for module in (tensors, curvature, conformal):
+        monkeypatch.setattr(module, "jet_einsum", recording)
+    monkeypatch.setattr(jets, "_EINSUM_PLANS", {})
+    monkeypatch.setattr(jets, "_PAIR_PLANS", {})
+    block(roots[:5])
+    sizes = len(jets._EINSUM_PLANS), len(jets._PAIR_PLANS)
+    for n in (1, 3, 7, 16):
+        block(roots[:n])
+        assert (len(jets._EINSUM_PLANS), len(jets._PAIR_PLANS)) == sizes, n
+    kernels = set()
+    for space, subscripts, a, b in calls:
+        sub_a, sub_b = subscripts.split("->")[0].split(",")
+        assert a.ndim == len(sub_a) + 2 and b.ndim == len(sub_b) + 2, subscripts
+        one_a, one_b = a[..., 0, : space.n_terms], b[..., 0, : space.n_terms]
+        plan = jets._EINSUM_PLANS[(space, subscripts, one_a.shape, one_b.shape)]
+        out = subscripts.split("->")[1]
+        assert plan == jets._plan(space, sub_a, sub_b, out, one_a, one_b), subscripts
+        kernels.add(plan[0])
+    assert kernels == {jets._einsum_gather, jets._einsum_matrix, jets._einsum_const}
+
+
+def test_a_block_raises_the_first_non_positive_row():
+    def metric(xs):
+        return [[xs[0], 0.0], [0.0, 1.0]]
+
+    points = [[0.5, 0.0], [-0.25, 1.0], [1.0, 2.0], [-0.5, 3.0]]
+    with pytest.raises(DomainError, match=r"at \[-0.25, 1.0\]$"):
+        metric_at_points(metric, points, 2, 3)
+
+
+FAULTS = {  # g is not positive definite where x1 <= -0.3; log(x3 + 0.5) raises on floats
+    "name": "two-faults-r3", "n": 3, "rho": 0, "kind": None,
+    "metric": [["x1 + 0.3", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "potential": "log(x3 + 0.5) + x1*x1 + x2*x2",
+    "domain": {"box": [[-1, 1]] * 3},
+}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as err:  # compared by type and message
+        return type(err), str(err)
+
+
+def test_level_points_raise_the_first_non_positive_root_in_ray_order(monkeypatch):
+    spec = dict(FAULTS, potential="x1*x1 + x2*x2 + x3*x3")
+    inst = instance_from_spec(spec)
+    roots = list(itertools.islice(levelset._ray_roots(inst, 0.25, 12, 4), 12))
+    # rows 4 and 7 of the one block of 12 roots are not positive definite
+    assert [k for k, p in enumerate(roots) if p[0] <= -0.3] == [4, 7]
+    with pytest.raises(DomainError) as raised:
+        level_points(inst, 0.25, n_points=12, seed=4)
+    assert str(raised.value) == f"metric is not positive definite at {roots[4]}"
+    _point_by_point(monkeypatch)
+    assert _outcome(lambda: level_points(inst, 0.25, 12, 4)) == (DomainError, str(raised.value))
+
+
+@pytest.mark.parametrize("seed, error", [(2, DomainError), (10, SingularEvaluationError)])
+def test_a_collected_root_is_evaluated_before_a_later_walk_error(monkeypatch, seed, error):
+    # every seed walks into the log's domain error on some ray; at seed 2 a
+    # root collected before that ray is not positive definite, at seed 10 none is
+    inst = instance_from_spec(FAULTS)
+    with pytest.raises(SingularEvaluationError):
+        list(levelset._ray_roots(inst, 0.0, 12, seed))
+    got = _outcome(lambda: level_points(inst, 0.0, 12, seed))
+    assert got[0] is error
+    _point_by_point(monkeypatch)
+    assert _outcome(lambda: level_points(inst, 0.0, 12, seed)) == got
+
+
+def test_rejected_roots_never_enter_the_curvature_block(monkeypatch):
+    # f = x1^3 + x2/20000 on the level 0: roots near x2 = 0 have |grad f| < 1e-3;
+    # the ball excludes the roots near (0, 1, 0)
+    spec = {"name": "rejections-r3", "n": 3, "rho": 0, "kind": None,
+            "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            "potential": "x1*x1*x1 + x2/20000", "domain": {"box": [[-0.5, 1.5], [-1, 1], [-1, 1]]},
+            "excluded": [{"center": [0, 1, 0], "radius": 0.5}]}
+    inst = instance_from_spec(spec)
+    metric_blocks, packs = [], []
+    metric_at, curvature_pack = solitons.metric_at_points, solitons.curvature_pack
+
+    def recording_metric(metric_fn, points, n, order):
+        metric_blocks.append([tuple(p) for p in points])
+        return metric_at(metric_fn, points, n, order)
+
+    def recording_pack(metric):
+        packs.append([tuple(p) for p in metric.point.tolist()])
+        return curvature_pack(metric)
+
+    monkeypatch.setattr(solitons, "metric_at_points", recording_metric)
+    monkeypatch.setattr(solitons, "curvature_pack", recording_pack)
+    roots = [tuple(p) for p in itertools.islice(levelset._ray_roots(inst, 0.0, 12, 2), 40)]
+    evals = level_points(inst, 0.0, n_points=12, seed=2)
+    solitons.evaluate_curvature(evals)
+    admitted = [tuple(ev.point) for ev in evals]
+    evaluated = [p for block in metric_blocks for p in block]
+    excluded = [p for p in roots if inst.excluded_distance(p) < solitons.MIN_EXCLUDED_DISTANCE]
+    flat = [p for p in evaluated if p not in admitted]
+    assert excluded and flat and len(metric_blocks) >= 2
+    assert not set(excluded) & set(evaluated)
+    assert evaluated == [p for p in roots[: roots.index(admitted[-1]) + 1] if p not in excluded]
+    assert packs == [admitted]
+    for ev in evals:
+        assert ev.frame.grad_f_norm >= solitons.MIN_GRAD_DISTANCE
+
+
+def test_d_cross_check_raises_the_first_failing_row():
+    # cylinder-s3xr's metric with f + x1^4: the soliton equation, and with it
+    # D's cross-check, holds where x1 = 0 and fails elsewhere, by amounts that
+    # differ from point to point
+    spec = {"name": "cylinder-s3xr-wrong-f", "n": 4, "rho": 0.5, "kind": "shrinking",
+            "metric": [["4*(2/(1 + (x1*x1 + x2*x2 + x3*x3)))^2" if i == j < 3 else
+                        ("1" if i == j else "0") for j in range(4)] for i in range(4)],
+            "potential": "x4*x4/4 + 1.5 + x1^4",
+            "domain": {"box": [[-1.2, 1.2]] * 3 + [[-4, 4]]}, "base_point": [0, 0, 0, 2]}
+    inst = instance_from_spec(spec)
+    points = [[0.0, 0.1, 0.2, 2.0], [0.3, -0.2, 0.1, 1.5], [0.5, 0.1, 0.2, 2.0]]
+    alone = [_outcome(lambda: PointEval(inst, p, 3).dtensor) for p in points]
+    assert isinstance(alone[0], tensors.TensorJet)
+    assert alone[1][0] is alone[2][0] is ConsistencyError and alone[1] != alone[2]
+    evals = solitons.evaluate_points(inst, points, 3)
+    assert _outcome(lambda: solitons.evaluate_curvature(evals)) == alone[1]
+
+
+def test_a_failing_block_raises_what_the_first_failing_point_raises():
+    # row 1's potential fails, row 2's metric fails: point by point, the metric
+    # and f of row 1 come before the metric of row 2, so the potential's error
+    # is the one raised, although the block evaluates every metric first
+    spec = {"name": "late-faults-r2", "n": 2, "rho": 0, "kind": None,
+            "metric": [["sqrt(x1 + 0.5)", "0"], ["0", "1"]], "potential": "log(x2 + 0.5) + x1",
+            "domain": {"box": [[-1, 1]] * 2}}
+    inst = instance_from_spec(spec)
+    points = [[0.1, 0.1], [0.2, -0.7], [-0.7, 0.3], [0.4, 0.2]]
+    alone = [_outcome(lambda: PointEval(inst, p, 3).df) for p in points]
+    assert alone[1] == (SingularEvaluationError, "log requires a positive constant term")
+    assert alone[2] == (SingularEvaluationError, "sqrt requires a positive constant term")
+    assert _outcome(lambda: solitons.evaluate_points(inst, points, 3)) == alone[1]
+    assert _outcome(lambda: solitons.admit_points(inst, points, 3)) == alone[1]

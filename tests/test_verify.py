@@ -242,6 +242,42 @@ def test_cli_catalog_list(capsys):
     assert "negative control" in out
 
 
+def test_cli_catalog_list_compiles_no_builtin(monkeypatch, tmp_path, capsys):
+    # the built-ins are listed from their specs; an extension file is still
+    # built, which compiles and validates its expressions
+    from gradsol import exprs
+    from gradsol.solitons import BUILTIN_SPECS
+
+    compiled = []
+    compile_expression = exprs.compile_expression
+
+    def counting(text, dim):
+        compiled.append(text)
+        return compile_expression(text, dim)
+
+    monkeypatch.setattr(exprs, "compile_expression", counting)
+    monkeypatch.setattr(solitons, "compile_expression", counting)
+    assert main(["catalog", "list"]) == 0
+    assert compiled == []
+    assert capsys.readouterr().out.count("\n") == len(BUILTIN_SPECS)
+    spec = dict(BUILTIN_SPECS[0], name="gaussian-r3-copy", potential="x1^2/4 + x2")
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps({"instances": [spec]}))
+    assert main(["catalog", "list", "--extensions", str(path)]) == 0
+    assert set(compiled) == {"1", "0", "x1^2/4 + x2"}
+    assert capsys.readouterr().out.splitlines()[0].startswith("gaussian-r3-copy ")
+
+
+def test_cli_report_to_a_missing_directory_is_an_error(tmp_path, capsys):
+    report = tmp_path / "missing" / "r.json"
+    code = main(["verify", "--instance", "gaussian-r3", "--order", "4",
+                 "--points", "8", "--report", str(report)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: cannot write report") and str(report) in captured.err
+    assert not report.parent.exists()
+
+
 def test_cli_catalog_validate(capsys):
     assert main(["catalog", "validate", "cylinder-s3xr", "--points", "8"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -496,7 +532,8 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
 
 def test_gradients_of_f_and_r_taken_once_per_point(monkeypatch):
     # every reader of grad f reads PointEval.df and every reader of dR reads
-    # CurvaturePack.dscalar, so each point evaluation takes two gradients
+    # CurvaturePack.dscalar, so each sample point evaluation takes two
+    # gradients, and prop3.2's block of level points two for all its rows
     inst = get_instance("cylinder-s4xr")
     taken = []  # the scalar jets whose gradient was taken, kept alive
     evals = []
@@ -512,10 +549,19 @@ def test_gradients_of_f_and_r_taken_once_per_point(monkeypatch):
     rep = run_suite(inst, n_points=8, seed=7, order=5)
     assert report_entry(rep, "prop3.2")["status"] == "PASS"
     assert sorted(ev.order for ev in evals) == [3] * 12 + [5] * 8
-    for ev in evals:
+    suite = [ev for ev in evals if ev.order == 5]
+    for ev in suite:
         assert sum(s is ev.f for s in taken) == 1, ev.point
         assert sum(s is ev.pack.scalar for s in taken) == 1, ev.point
-    assert len(taken) == 2 * len(evals) + 1  # and one for f_shift at the base point
+    # the level points' f and R are rows of one block each, whose gradient
+    # is taken once
+    blocks = [s for s in taken if s.coeffs.ndim == 2]
+    assert [len(s.coeffs) for s in blocks] == [12, 12]
+    for k, ev in enumerate(ev for ev in evals if ev.order == 3):
+        assert np.array_equal(ev.f.coeffs, blocks[0].coeffs[k]), ev.point
+        assert np.array_equal(ev.pack.scalar.coeffs, blocks[1].coeffs[k]), ev.point
+    # and one for f_shift at the base point
+    assert len(taken) == 2 * len(suite) + len(blocks) + 1
 
 
 def test_cli_equivalence_line_comes_from_the_suite(monkeypatch, capsys):
