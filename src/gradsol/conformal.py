@@ -42,14 +42,9 @@ def _require_agreement(a, b, tol, what):
 
 
 def _kulkarni_nomizu(space, g, h):
-    """(g KN h)_ijkl = g_ik h_jl - g_il h_jk - g_jk h_il + g_jl h_ik, by transposes."""
+    """(g KN h)_ijkl = g_ik h_jl - g_il h_jk - g_jk h_il + g_jl h_ik, by swapped slots."""
     p = jet_einsum(space, "ik,jl->ijkl", g, h)
-    return (
-        p
-        - p.transpose(0, 1, 3, 2, 4)
-        - p.transpose(1, 0, 2, 3, 4)
-        + p.transpose(1, 0, 3, 2, 4)
-    )
+    return p - p.swapaxes(2, 3) - p.swapaxes(0, 1) + p.swapaxes(0, 1).swapaxes(2, 3)
 
 
 def einstein_tensor(pack, order=None):
@@ -72,7 +67,7 @@ def weyl(pack):
     space, g = pack.riemann.space, pack.metric.g.data
     ric_part = _kulkarni_nomizu(space, g, pack.ricci.data)
     gg = jet_einsum(space, "ik,jl->ijkl", g, g)
-    gg_asym = gg - gg.transpose(0, 1, 3, 2, 4)
+    gg_asym = gg - gg.swapaxes(2, 3)
     scal_part = jet_einsum(space, "ijkl,->ijkl", gg_asym, pack.scalar.coeffs)
     w = (
         pack.riemann.data

@@ -40,10 +40,12 @@ class CurvaturePack:
     """Metric, connection and curvature jets at one point.
 
     gamma is (1,2) with the contravariant slot first; riemann is fully
-    covariant R_ijkl; ricci is R_ij; scalar is g^{ij} R_ij.  Two fields are
-    built on first use and kept: `schouten`, which three conformal tensors
-    read, and `dscalar`, the gradient dR that five identities read; and
-    `raised_gamma(order)` keeps one K per order that a divergence reads.
+    covariant R_ijkl (None in a block stacked from its points' own packs,
+    whose readers do not read it); ricci is R_ij; scalar is g^{ij} R_ij.
+    Two fields are built on first use and kept: `schouten`, which three
+    conformal tensors read, and `dscalar`, the gradient dR that five
+    identities read; and `raised_gamma(order)` keeps one K per order that a
+    divergence reads.
     """
 
     metric: MetricAtPoint

@@ -49,9 +49,9 @@ with the point axis moved to the front, where it stays a separate batch
 axis of every transpose, reshape and matmul.  numpy's matmul picks a BLAS
 call or its own loop from the strides of each matrix of a stack, and its
 bits follow that choice.  An order-0 product contracts the component axes
-themselves, so block data that one reads holds its rows one after another,
-as the points' own C-ordered arrays (`point_rows`): the metric, its
-inverse and truncated copies.
+themselves, so ``jet_einsum`` reads each operand of one with its rows one
+after another, each laid out as its point's own array (`rows_apart`, a copy
+where they lie interleaved); `stack_rows` stacks points' arrays that way.
 
 A tensor times a scalar jet is ``jet_einsum`` with an empty subscript for
 the scalar (``'ijkl,->ijkl'``), so the same choice picks its kernel.
@@ -211,6 +211,26 @@ def point_rows(data):
     """A copy of data with a point axis that holds each row where a point's
     own C-ordered array would: the rows one after another."""
     return point_back(np.ascontiguousarray(point_first(data)))
+
+
+def stack_rows(arrays):
+    """Data with a point axis whose row p is arrays[p], each row held one after
+    another and laid out as arrays[0] is, its axes in the same memory order."""
+    first = arrays[0]
+    outer = sorted(range(first.ndim), key=lambda k: -first.strides[k])  # outermost axis first
+    block = np.stack([data.transpose(outer) for data in arrays])
+    return point_back(block.transpose((0,) + tuple(1 + outer.index(k) for k in range(first.ndim))))
+
+
+def rows_apart(data):
+    """Data with a point axis whose rows lie one after another, each laid out
+    as that row's axes lie in data: data itself if they do, else a copy."""
+    rows = point_first(data)
+    row = rows[0]
+    span = row.itemsize + sum((n - 1) * s for n, s in zip(row.shape, row.strides))
+    if len(rows) == 1 or rows.strides[0] == span == row.nbytes:  # dense rows, in order
+        return data
+    return stack_rows(list(rows))
 
 
 def truncate_arrays(space, data, order):
@@ -373,11 +393,13 @@ def jet_einsum(space, subscripts, a, b):
         raise InsufficientOrderError(
             f"operands carry {a.shape[-1]} and {b.shape[-1]} coefficients; {space} reads {n}"
         )
-    a, b = a[..., :n], b[..., :n]
     ins, out = subscripts.split("->")
     sub_a, sub_b = ins.split(",")
-    shape_a, shape_b = a.shape, b.shape
     point = a.ndim > len(sub_a) + 1
+    if point and space.order == 0:  # the product reads the rows' own strides
+        a, b = rows_apart(a), rows_apart(b)
+    a, b = a[..., :n], b[..., :n]
+    shape_a, shape_b = a.shape, b.shape
     if point:  # planned by one point's shapes
         shape_a, shape_b = shape_a[:-2] + shape_a[-1:], shape_b[:-2] + shape_b[-1:]
     key = (space, subscripts, shape_a, shape_b)
@@ -520,8 +542,9 @@ class JetScalar:
 
 
 def constant(space, value):
-    c = np.zeros(space.n_terms)
-    c[0] = value
+    """The constant jet `value`, or with a point axis one per entry of a 1-D array."""
+    c = np.zeros(np.shape(value) + (space.n_terms,))
+    c[..., 0] = value
     return JetScalar(space, c)
 
 

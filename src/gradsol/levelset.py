@@ -46,7 +46,7 @@ from .tensors import TensorJet
 
 GRAD_THRESHOLD = 1e-6
 D_ZERO_TOL = 1e-9
-_MAX_RAYS = 600
+_MAX_RAYS = 1200
 _SCAN_STEPS = 48
 
 
@@ -303,7 +303,7 @@ def _ray_roots(inst, c, n_points, seed):
     """The points where rays from the box centre meet f = c, in ray order.
 
     Rays are drawn in blocks: the first holds `n_points` rays, each later one
-    twice as many as the one before, up to 600 rays in all; a block is drawn
+    twice as many as the one before, up to 1200 rays in all; a block is drawn
     when the caller asks for a root past the last block's.
     """
     from . import solitons
@@ -337,7 +337,7 @@ def _ray_roots(inst, c, n_points, seed):
 
 
 def level_points(inst, c, n_points=12, seed=11):
-    """Order-3 point evaluations on {f = c}: roots along rays that `solitons.admit` accepts.
+    """Order-3 point evaluations on {f = c}: roots along rays that `solitons.admit_points` accepts.
 
     Needs an integer `n_points >= 1` (not a bool) and a finite `c`
     (ConfigurationError otherwise); HypothesisViolationError for a constant

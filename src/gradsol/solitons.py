@@ -12,7 +12,10 @@ A :class:`PointEval` evaluates one point lazily.  `evaluate_points` and
 `evaluate_curvature` fill the caches of several at once from evaluations
 over a point axis (see ``tensors``), with each point's own bits; errors
 are those of the first failing point.  `admit_points` admits such a block
-by the one rule of `admit`.
+by the one admission rule.  `sample_evals` draws its candidates in blocks
+and admits each block with one metric, g^-1, f and grad f evaluation; the
+identity suite then fills the curvature chain of its sample in blocks
+where `block_rule` says that pays, and every other cache stays lazy.
 """
 
 import math
@@ -26,10 +29,16 @@ import numpy as np
 
 from . import levelset
 from .conformal import bach, cotton, d_tensor, weyl
-from .curvature import covariant_derivative, curvature_pack, divergence, scalar_gradient
+from .curvature import (
+    CurvaturePack,
+    covariant_derivative,
+    curvature_pack,
+    divergence,
+    scalar_gradient,
+)
 from .errors import ConfigurationError, DomainError, GradsolError, ValidationError
 from .exprs import compile_expression
-from .jets import JetScalar, JetSpace, constant, coordinate_jets, point_back
+from .jets import JetScalar, JetSpace, constant, coordinate_jets, stack_rows
 from .tensors import MetricAtPoint, TensorJet, metric_at_point, metric_at_points, tensor_norm_sq
 
 KINDS = ("shrinking", "steady", "expanding", "einstein")
@@ -38,6 +47,12 @@ HAMILTON_TOL = 1e-9
 MIN_GRAD_DISTANCE = 1e-3
 MIN_EXCLUDED_DISTANCE = 1e-3
 CONTROL_POINTS = 8  # sample points that size a negative control's rejection
+MAX_CANDIDATES = 20000  # sample candidates drawn before giving up
+BLOCK_BYTES = 2 ** 19  # a block's largest product, at most (`block_rule`)
+MIN_BLOCK_ROWS = 4
+# what a block evaluation may raise where a point of it would: the block is
+# then left to its points, each of which raises its own error or none
+_BLOCK_ERRORS = (GradsolError, ArithmeticError, ValueError)
 
 
 @dataclass
@@ -80,8 +95,8 @@ class SolitonInstance:
         """The jet of f at `point`, or with a point axis at each of a list of points."""
         xs = coordinate_jets(space, point)
         f = self.potential_fn(xs)
-        if not isinstance(f, JetScalar):
-            f = constant(space, float(f))
+        if not isinstance(f, JetScalar):  # a constant potential, one row per point
+            f = constant(space, np.full(xs[0].coeffs.shape[:-1], float(f)))
         if normalized:
             f = f + self.f_shift
         return f
@@ -117,8 +132,12 @@ class SolitonInstance:
 # ---------------------------------------------------------------------------
 # per-point evaluation and residuals
 
+def _norm_of(norm_sq):
+    return math.sqrt(max(norm_sq, 0.0))
+
+
 def _norm(t, metric):
-    return math.sqrt(max(tensor_norm_sq(t, metric), 0.0))
+    return _norm_of(tensor_norm_sq(t, metric))
 
 
 class PointEval:
@@ -283,24 +302,14 @@ def _steep(inst, ev):
     return not math.sqrt(max(ev.df.values @ ev.gradf_up_values, 0.0)) < MIN_GRAD_DISTANCE
 
 
-def admit(inst, point, order):
-    """The order-`order` point evaluation at a sampled point, or None if it is rejected.
+def admit_points(inst, points, order):
+    """The order-`order` point evaluations at `points` that the admission rule accepts, in order.
 
     The one admission rule: reject a point near an excluded locus and, unless
     the potential is constant, a point where |grad f| < MIN_GRAD_DISTANCE,
-    read from the evaluation that is returned to the point's readers.
-    """
-    if _excluded(inst, point):
-        return None
-    ev = PointEval(inst, point, order)
-    return ev if _steep(inst, ev) else None
-
-
-def admit_points(inst, points, order):
-    """`admit` at each of `points`, in order: the admitted evaluations.
-
-    The points not excluded are evaluated as one block (`evaluate_points`)
-    before |grad f| is read, so an excluded point is never evaluated.
+    read from the evaluation that is returned to the point's readers.  The
+    points not excluded are evaluated as one block (`evaluate_points`) before
+    |grad f| is read, so an excluded point is never evaluated.
     """
     kept = [point for point in points if not _excluded(inst, point)]
     return [ev for ev in evaluate_points(inst, kept, order) if _steep(inst, ev)]
@@ -322,7 +331,7 @@ def evaluate_points(inst, points, order):
         metric = metric_at_points(inst.metric_fn, [ev.point for ev in evals], inst.n, order)
         f = inst.potential_jet([ev.point for ev in evals], metric.space)
         df = scalar_gradient(f)
-    except (GradsolError, ArithmeticError, ValueError):
+    except _BLOCK_ERRORS:
         for ev in evals:
             ev.df  # the metric, f and grad f of this point alone
         return evals
@@ -332,49 +341,134 @@ def evaluate_points(inst, points, order):
 
 
 def evaluate_curvature(evals):
-    """Fill the pack, D, |D|^2 and Hess f of evaluations of one instance and order as one block.
+    """Fill the curvature chain of evaluations of one instance and order as one block.
 
-    The evaluations' metrics and grad f are stacked on a point axis; the
-    curvature pack, D, |D|^2 and Hess f are each evaluated once, and each
-    evaluation's caches get C-contiguous copies of its row.  D's cross-check,
-    the one check here, is judged row by row: the first point whose own D
-    fails it raises, with its own error.
+    The evaluations' metrics and grad f are stacked on a point axis, and D,
+    |D|^2 and Hess f are each evaluated once; from order 4, where the suite
+    reads the Bach tensor, so are the Cotton tensor and |C|, from dimension
+    4 B, |W| and |B|, and at order 5 div B.  The layers of Riemann's size,
+    the curvature pack, W and div W, are a block too where `block_rule`
+    says so; elsewhere each point evaluates its own, and the block stacks
+    their rows.  Each evaluation's caches get C-contiguous copies of its
+    row.  Each cross-check is judged row by row: a block raises the error of
+    the first row that fails one, with that point's figures, and fills no
+    cache of the block's layers.
     """
     if not evals:
         return
     first = evals[0]
+    n, order = first.inst.n, first.order
+    riemann_blocks = block_rule(n, order)[1]
 
     def stacked(tensors):
         t = tensors[0]
-        # each row laid out as the point's own C-ordered array
-        return TensorJet(t.space, t.valence, point_back(np.stack([t.data for t in tensors])))
+        return TensorJet(t.space, t.valence, stack_rows([t.data for t in tensors]))
 
     metric = MetricAtPoint(first.metric.space, [ev.point for ev in evals],
                            stacked([ev.metric.g for ev in evals]),
                            stacked([ev.metric.g_inv for ev in evals]))
     df = stacked([ev.df for ev in evals])
-    pack = curvature_pack(metric)
-    dtensor = d_tensor(pack, df, cross_check=first.inst.kind is not None)
-    d_norm_sq = tensor_norm_sq(dtensor, metric)
-    hess_f = covariant_derivative(df.truncated(1), pack)
+    if riemann_blocks:
+        pack = curvature_pack(metric)
+    else:
+        packs = [ev.pack for ev in evals]
+        # Riemann is read only by W, which each point evaluates itself
+        pack = CurvaturePack(metric, stacked([pk.gamma for pk in packs]), None,
+                             stacked([pk.ricci for pk in packs]),
+                             JetScalar(packs[0].scalar.space,
+                                       stack_rows([pk.scalar.coeffs for pk in packs])))
+    block = {"dtensor": d_tensor(pack, df, cross_check=first.inst.kind is not None),
+             "hess_f": covariant_derivative(df.truncated(1), pack)}
+    d_norm_sq = tensor_norm_sq(block["dtensor"], metric)
+    norms, div_bach = {}, None  # |T|^2 per row of the tensors whose norm |T| the suite reads
+    if order >= 4:
+        block["cotton"] = cotton(pack)
+        norms["cotton_norm"] = tensor_norm_sq(block["cotton"], metric)
+        if riemann_blocks:
+            block["weyl"] = weyl(pack)
+        if n >= 4:
+            if riemann_blocks:
+                w = block["weyl"]
+                div_w = block["div_weyl"] = divergence(w, pack, 3)
+            else:  # B and |W| read W at B's order, two below Ricci's
+                w = stacked([ev.weyl.truncated(pack.ricci.order - 2) for ev in evals])
+                div_w = stacked([ev.div_weyl for ev in evals])
+            block["bach"] = bach(pack, block["cotton"], w, div_w)
+            norms["weyl_norm"] = tensor_norm_sq(w, metric)
+            norms["bach_norm"] = tensor_norm_sq(block["bach"], metric)
+            if order >= 5:
+                div_bach = divergence(block["bach"], pack, 1).values
     for p, ev in enumerate(evals):
-        ev.__dict__.update(pack=pack.row(p, ev.metric), dtensor=dtensor.row(p),
-                           d_norm_sq=float(d_norm_sq[p]), hess_f=hess_f.row(p))
+        if riemann_blocks:
+            ev.__dict__["pack"] = pack.row(p, ev.metric)
+        else:  # the point's own pack gets the block's Schouten tensor and dR
+            ev.pack.__dict__.update({name: pack.__dict__[name].row(p)
+                                     for name in ("schouten", "dscalar") if name in pack.__dict__})
+        ev.__dict__.update({name: t.row(p) for name, t in block.items()},
+                           d_norm_sq=float(d_norm_sq[p]),
+                           **{name: _norm_of(float(sq[p])) for name, sq in norms.items()})
+        if div_bach is not None:
+            ev.__dict__["div_bach"] = div_bach[..., p].copy()
+
+
+def evaluate_in_blocks(evals):
+    """`evaluate_curvature` on consecutive blocks of `block_rule`'s rows of
+    evaluations of one instance and order.
+
+    A block that raises is left to its points, whose caches stay lazy: each
+    reader meets its own point's error where point-by-point evaluation
+    meets it.
+    """
+    if evals:
+        rows = block_rule(evals[0].inst.n, evals[0].order)[0]
+        for k in range(0, len(evals), rows):
+            try:
+                evaluate_curvature(evals[k:k + rows])
+            except _BLOCK_ERRORS:
+                pass
+
+
+def block_rule(n, order):
+    """Rows per block of sample points at dimension n and metric order `order`,
+    and whether the layers of Riemann's size are blocks as well.
+
+    One row's largest product sizes both: Riemann's gather `lim,ljk->mkij`,
+    n^4 components times the product pairs of Riemann's order (order - 2),
+    which the pack, W and div W form at that size.  A block holds as many
+    rows as keep that product within BLOCK_BYTES, so its temporaries stay
+    below the size at which freeing them moves glibc's mmap threshold, and
+    at least MIN_BLOCK_ROWS.  The pack, W and div W are blocks only where
+    that many rows fit: measured against point-by-point evaluation (ROADMAP
+    item 7), their blocks lose from dimension 4 at order 5 and at dimension
+    5 from order 4, while the metric, g^-1, f and grad f and the rest of the
+    chain (D, Hess f, Cotton, B, div B, the norms) pay from 4 rows at every
+    dimension.
+    """
+    product_row = n ** 4 * len(JetSpace.get(n, max(order - 2, 0)).mul_left) * 8
+    fit = BLOCK_BYTES // product_row
+    return max(fit, MIN_BLOCK_ROWS), fit >= MIN_BLOCK_ROWS
 
 
 def sample_evals(inst, n_points, seed, order):
-    """Order-`order` point evaluations at deterministic chart samples that `admit` accepts."""
+    """Order-`order` point evaluations at deterministic chart samples that the
+    admission rule accepts.
+
+    Candidates are drawn in blocks of at most as many as are still needed
+    (and `block_rule`'s rows); one draw of k candidates gives the stream of k
+    single draws, so each block is admitted in draw order by `admit_points`.
+    No candidate past the last admitted one is drawn or evaluated, so an
+    error is the one a point-by-point sampler meets first.
+    """
     n_points = whole_count(inst, n_points, "at least 1 sample point", 1)
     rng = instance_rng(inst, seed)
     lo = np.array([b[0] for b in inst.box])
     hi = np.array([b[1] for b in inst.box])
-    evals = []
-    for _ in range(20000):  # candidates drawn before giving up
-        if len(evals) == n_points:
-            break
-        ev = admit(inst, lo + (hi - lo) * rng.random(inst.n), order)
-        if ev is not None:
-            evals.append(ev)
+    rows = block_rule(inst.n, order)[0]
+    evals, drawn = [], 0
+    while len(evals) < n_points and drawn < MAX_CANDIDATES:
+        k = min(rows, n_points - len(evals), MAX_CANDIDATES - drawn)
+        evals += admit_points(inst, lo + (hi - lo) * rng.random((k, inst.n)), order)
+        drawn += k
     if len(evals) < n_points:
         raise ConfigurationError(
             f"{inst.name}: could not draw {n_points} admissible sample points"

@@ -29,6 +29,7 @@ from .errors import ConfigurationError, GradsolError, InsufficientOrderError
 from .jets import MAX_DIM, MAX_ORDER
 from .solitons import (
     certify,
+    evaluate_in_blocks,
     hamilton_first_residual,
     hamilton_second_residual,
     is_normalized_shrinker,
@@ -299,7 +300,13 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
 
     Each sample point is evaluated once, admission test included, at order
     max(order, 3) for the first integrals, and the instance is certified
-    from those evaluations first (kind-less instances abort).  Checks whose
+    from those evaluations first (kind-less instances abort).  The points
+    are evaluated as rows of blocks on a point axis, as many rows as
+    `solitons.block_rule` says: their metric, g^-1, f and grad f, then their
+    curvature chain (`solitons.evaluate_in_blocks`).  Each row holds its own
+    point's bits, so the report is that of evaluating the points one by
+    one; a chain block that raises is left to its points, so an error is a
+    FAIL of the checks that read it, with its point's own text.  Checks whose
     required order exceeds `order` are SKIPPED; checks whose hypotheses the
     instance does not meet are N/A.  Per-check errors are recorded without
     aborting the rest of the suite.  A per-instance check returns (residual, scale,
@@ -320,6 +327,8 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
         raise ConfigurationError(f"order must be an integer in 0..{MAX_ORDER}, got {order!r}")
     order = int(order)
     evals = sample_evals(inst, n_points, seed, max(order, 3))
+    if inst.kind is not None:  # a negative control stops at certification
+        evaluate_in_blocks(evals)
     certify(inst, evals)
 
     selected = CHECKS if checks is None else [c for c in CHECKS if c.id in set(checks)]

@@ -149,6 +149,14 @@ def test_level_points_unreachable_value(instances):
         level_points(instances["gaussian-r4"], -1.0, n_points=4)
 
 
+def test_level_points_reach_a_level_only_steep_rays_meet(instances):
+    # on einstein-cylinder-s2xs2xr only rays steep in x5 reach f = 3 inside the
+    # box; at this seed the first 600 rays meet it at 15 points
+    inst = instances["einstein-cylinder-s2xs2xr"]
+    rep = prop32_report(inst, 3.0, n_points=16, seed=1320126017)
+    assert rep["n_points"] == 16
+
+
 def test_prop32_rejects_constant_potential(instances):
     with pytest.raises(HypothesisViolationError):
         prop32_report(instances["sphere-s4"], 2.0)
@@ -299,9 +307,7 @@ def _numpy_level_points(inst, c, n_points, seed):
                 a, fa = mid, fm
             else:
                 b = mid
-        ev = solitons.admit(inst, anchor + 0.5 * (a + b) * d, 3)
-        if ev is not None:
-            evals.append(ev)
+        evals += solitons.admit_points(inst, [anchor + 0.5 * (a + b) * d], 3)
     return evals
 
 

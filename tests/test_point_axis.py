@@ -1,11 +1,13 @@
-"""Block evaluation of level points on a point axis against point-by-point evaluation."""
+"""Block evaluation on a point axis against point-by-point evaluation: the
+level points of prop3.2 and the identity suite's sample points."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gradsol import conformal, curvature, jets, levelset, solitons, tensors
+from gradsol import conformal, curvature, jets, levelset, solitons, tensors, verify
 from gradsol.errors import ConsistencyError, DomainError, SingularEvaluationError
 from gradsol.levelset import level_points, prop32_report
 from gradsol.solitons import PointEval, get_instance, instance_from_spec
@@ -261,3 +263,206 @@ def test_a_failing_block_raises_what_the_first_failing_point_raises():
     assert alone[2] == (SingularEvaluationError, "sqrt requires a positive constant term")
     assert _outcome(lambda: solitons.evaluate_points(inst, points, 3)) == alone[1]
     assert _outcome(lambda: solitons.admit_points(inst, points, 3)) == alone[1]
+
+
+# ---------------------------------------------------------------------------
+# the identity suite's sample points on the point axis
+
+CERTIFIED = [spec["name"] for spec in solitons.BUILTIN_SPECS if spec["kind"] is not None]
+_S3 = "4*(2/(1+x1^2+x2^2+x3^2))^2"
+_S2 = "2*(2/(1+x1^2+x2^2))^2"
+BENCH_TWINS = {  # the expression-form twins of the benchmark's verify-o4-ext workload
+    "cylinder-s3xr-expr": {
+        "name": "cylinder-s3xr-expr", "n": 4, "rho": 0.5, "kind": "shrinking",
+        "metric": [[_S3 if i == j < 3 else ("1" if i == j else "0") for j in range(4)]
+                   for i in range(4)],
+        "potential": "x4^2/4 + 1.5", "domain": {"box": [[-1.2, 1.2]] * 3 + [[-4, 4]]},
+        "base_point": [0, 0, 0, 2],
+    },
+    "s2xr3-expr": {
+        "name": "s2xr3-expr", "n": 5, "rho": 0.5, "kind": "shrinking",
+        "metric": [[_S2 if i == j < 2 else ("1" if i == j else "0") for j in range(5)]
+                   for i in range(5)],
+        "potential": "(x3^2 + x4^2 + x5^2)/4 + 1",
+        "domain": {"box": [[-1.2, 1.2]] * 2 + [[-3, 3]] * 3}, "base_point": [0, 0, 2, 0, 0],
+    },
+}
+
+
+def _instance(name):
+    return instance_from_spec(BENCH_TWINS[name]) if name in BENCH_TWINS else get_instance(name)
+
+
+def _caches(ev):
+    """Every filled cache of a point evaluation, the pack's included, as arrays by name."""
+    out = {}
+    for name, value in vars(ev).items():
+        if name in ("inst", "point", "order"):
+            continue
+        if name == "metric":
+            out.update(g=value.g.data, g_inv=value.g_inv.data)
+        elif name == "pack":
+            out.update(gamma=value.gamma.data, riemann=value.riemann.data,
+                       ricci=value.ricci.data, R=value.scalar.coeffs)
+            out.update({k: v.data for k, v in vars(value).items() if k in ("schouten", "dscalar")})
+        elif name == "f":
+            out[name] = value.coeffs
+        elif isinstance(value, tensors.TensorJet):
+            out[name] = value.data
+        else:
+            out[name] = np.asarray(value)
+    return out
+
+
+def _fresh(ev, names):
+    """A fresh point-by-point evaluation of ev's point with the caches `names` touched."""
+    ref = PointEval(ev.inst, ev.point, ev.order)
+    for name in names:
+        getattr(ref, name)
+    ref.pack.schouten, ref.pack.dscalar
+    return ref
+
+
+@pytest.mark.parametrize("seed", [7, 61])
+@pytest.mark.parametrize("order", [4, 5])
+@pytest.mark.parametrize("name", CERTIFIED + list(BENCH_TWINS))
+def test_suite_rows_are_the_point_evaluations_bit_for_bit(name, order, seed):
+    # five points: at dimensions 4 and 5 a block of four rows and one of one
+    inst = _instance(name)
+    evals = solitons.sample_evals(inst, 5, seed, order)
+    solitons.evaluate_in_blocks(evals)
+    filled = {"metric", "f", "df", "pack", "dtensor", "d_norm_sq", "hess_f", "cotton",
+              "cotton_norm", "weyl"}
+    if inst.n >= 4:
+        filled |= {"div_weyl", "bach", "weyl_norm", "bach_norm"}
+        filled |= {"div_bach"} if order == 5 else set()
+    for ev in evals:
+        # and gradf_up_values, where the admission test reads |grad f|
+        assert set(vars(ev)) - {"inst", "point", "order", "gradf_up_values"} == filled, ev.point
+        assert ev.pack.metric is ev.metric
+        for name in ("dtensor", "hess_f", "cotton", "bach"):
+            if name in vars(ev):
+                assert vars(ev)[name].data.flags.c_contiguous, name
+        got = _caches(ev)
+        want = _caches(_fresh(ev, set(vars(ev)) - {"inst", "point", "order"}))
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].shape == want[key].shape, key
+            assert np.array_equal(got[key], want[key]), (key, ev.point)
+
+
+@pytest.mark.parametrize("name", ["sphere-s4", "warped-sphere-s4", "sphere-s5"])
+def test_constant_potentials_take_a_point_axis(name):
+    # f is a number on jets; its block jet has one row per point
+    inst = get_instance(name)
+    points = [ev.point for ev in solitons.sample_evals(inst, 6, 3, 1)]
+    space = jets.JetSpace.get(inst.n, 5)
+    f = inst.potential_jet(points, space)
+    assert f.coeffs.shape == (6, space.n_terms)
+    for order in (3, 5):
+        evals = solitons.admit_points(inst, points, order)
+        assert [ev.point for ev in evals] == points
+        for ev in evals:
+            ref = PointEval(inst, ev.point, order)
+            for got, want in ((ev.f.coeffs, ref.f.coeffs), (ev.df.data, ref.df.data),
+                              (ev.metric.g.data, ref.metric.g.data)):
+                assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _point_by_point_suite(monkeypatch, inst, **kwargs):
+    with monkeypatch.context() as m:
+        _point_by_point(m)
+        return _outcome(lambda: verify.run_suite(inst, **kwargs))
+
+
+def _entries(report):
+    return [(e["id"], e["status"], e["max_residual"], e["argmax_point"], e.get("error"))
+            for e in report["checks"]]
+
+
+@pytest.mark.parametrize("name, order", [("s2xr2", 4), ("s2xr3", 5), ("cylinder-s2xr", 5)])
+def test_a_planted_disagreement_fails_the_checks_a_point_by_point_suite_fails(
+        monkeypatch, name, order):
+    # at one sample point the Schouten path of W is off, so W's two paths
+    # disagree there: a block holding that point raises (s2xr2 at order 4 and
+    # cylinder-s2xr evaluate W as a block, s2xr3 at order 5 point by point)
+    # and its points fall back to their own evaluations, whose errors are
+    # FAILs of the checks that read W
+    inst = get_instance(name)
+    planted = solitons.sample_evals(inst, 8, 7, order)[5].point
+    g_planted = PointEval(inst, planted, order).metric.g.data
+    kulkarni_nomizu = conformal._kulkarni_nomizu
+    calls = itertools.count()
+
+    def off(space, g, h):
+        kn = kulkarni_nomizu(space, g, h)
+        if next(calls) % 2:  # W's second product, the Schouten tensor's
+            # the planted point, alone or as a row, found by its own bits
+            if g.ndim == 3 and np.array_equal(g, g_planted):
+                kn[..., 0] += 1e-3
+            for p in range(g.shape[-2] if g.ndim == 4 else 0):
+                if np.array_equal(g[..., p, :], g_planted):
+                    kn[..., p, 0] += 1e-3
+        return kn
+
+    monkeypatch.setattr(conformal, "_kulkarni_nomizu", off)
+    got = verify.run_suite(inst, n_points=8, seed=7, order=order)
+    assert next(calls) > 2
+    calls = itertools.count()
+    want = _point_by_point_suite(monkeypatch, inst, n_points=8, seed=7, order=order)
+    assert _entries(got) == _entries(want)
+    errors = [e["error"] for e in got["checks"] if "error" in e]
+    assert errors and all(e.startswith("ConsistencyError: weyl: independent paths")
+                          for e in errors)
+
+
+def test_a_metric_block_raises_its_failing_points_own_error(monkeypatch):
+    # g is not positive definite where x1 <= -0.3: the sampler's block holding
+    # the first such candidate raises that candidate's error, as a
+    # point-by-point sampler does
+    inst = instance_from_spec(dict(FAULTS, kind="shrinking", potential="x1*x1 + x2*x2 + x3*x3"))
+    rng = solitons.instance_rng(inst, 6)
+    candidates = (-1 + 2 * rng.random((20, 3))).tolist()
+    bad = next(k for k, p in enumerate(candidates) if p[0] <= -0.3)
+    assert 0 < bad < solitons.block_rule(3, 5)[0]  # a later row of the first block
+    got = _outcome(lambda: verify.run_suite(inst, n_points=20, seed=6, order=5))
+    assert got == (DomainError, f"metric is not positive definite at {candidates[bad]}")
+    assert _point_by_point_suite(monkeypatch, inst, n_points=20, seed=6, order=5) == got
+
+
+@pytest.mark.parametrize("name", ["s2xr2", "s2xr3"])
+def test_blocks_hold_the_suites_peak_memory_flat(monkeypatch, name):
+    # tracemalloc's peak of an order-5 suite of 20 points, against the same
+    # points evaluated one by one (lazy PointEvals reading the same caches)
+    inst = get_instance(name)
+
+    def peak():
+        verify.run_suite(inst, n_points=8, seed=3, order=5)  # plans and tables
+        tracemalloc.start()
+        try:
+            verify.run_suite(inst, n_points=20, seed=7, order=5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    blocks = peak()
+    with monkeypatch.context() as m:
+        _point_by_point(m)
+        alone = peak()
+    assert blocks <= 1.1 * alone, (blocks, alone)
+
+
+def test_rows_apart_copies_only_interleaved_rows():
+    rows = [np.arange(24.0).reshape(2, 3, 4) + p for p in range(3)]
+    block = jets.stack_rows(rows)
+    assert block.shape == (2, 3, 3, 4)
+    assert jets.rows_apart(block) is block
+    for p, row in enumerate(rows):
+        assert np.array_equal(block[..., p, :], row)
+    # a transposed row keeps its memory order in the block
+    turned = jets.stack_rows([r.transpose(1, 0, 2) for r in rows])
+    assert turned[..., 0, :].strides == rows[0].transpose(1, 0, 2).strides
+    interleaved = np.ascontiguousarray(block)  # the point axis inside each row
+    apart = jets.rows_apart(interleaved)
+    assert apart is not interleaved and np.array_equal(apart, block)
+    assert apart[..., 1, :].strides == rows[1].strides

@@ -456,17 +456,27 @@ def test_suite_evaluates_each_sample_point_once(monkeypatch):
     inst = get_instance("s2xr3")
     points = [tuple(ev.point) for ev in verify.sample_evals(inst, 8, 7, 4)]
     calls = collections.Counter()
-    metric_at_point = solitons.metric_at_point
+    blocks = []
+    metric_at_point, metric_at_points = solitons.metric_at_point, solitons.metric_at_points
 
     def counting(metric_fn, point, n, order):
         calls[tuple(float(x) for x in point), order] += 1
         return metric_at_point(metric_fn, point, n, order)
 
+    def counting_block(metric_fn, block, n, order):
+        blocks.append(len(block))
+        for point in block:
+            calls[tuple(float(x) for x in point), order] += 1
+        return metric_at_points(metric_fn, block, n, order)
+
     monkeypatch.setattr(solitons, "metric_at_point", counting)
+    monkeypatch.setattr(solitons, "metric_at_points", counting_block)
     run_suite(inst, n_points=8, seed=7, order=4)
     for p in points:
-        # one order-4 evaluation serves the admission test, certification and the checks
+        # one order-4 evaluation, a row of one block, serves the admission
+        # test, certification and the checks
         assert {o: c for (q, o), c in calls.items() if q == p} == {4: 1}
+    assert blocks == [4, 4]  # solitons.block_rule(5, 4) rows
 
 
 def _count_calls(monkeypatch, fn, key):
@@ -493,8 +503,11 @@ def _count_calls(monkeypatch, fn, key):
 
 
 def _where(obj):
-    """(point, order) of a PointEval, a curvature pack or a metric."""
+    """(point, order) of a PointEval, a curvature pack or a metric; for a
+    block on a point axis, a tuple of one (point, order) per row."""
     metric = getattr(obj, "metric", obj)
+    if metric.point.ndim == 2:
+        return tuple((tuple(p), metric.order) for p in metric.point.tolist())
     return tuple(float(x) for x in metric.point), metric.order
 
 
@@ -503,7 +516,9 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
     # lemma5.1, thm5.2 and prop3.2 all run on it
     inst = get_instance("cylinder-s4xr")
     suite_points = {tuple(ev.point) for ev in verify.sample_evals(inst, 8, 7, 5)}
-    bach_ids = _count_calls(monkeypatch, conformal.bach, lambda a, out: id(out))
+    # each Bach tensor is kept alive, so that no later tensor takes its id
+    kept = []
+    bach_ids = _count_calls(monkeypatch, conformal.bach, lambda a, out: kept.append(out) or id(out))
     counts = {
         "sff": _count_calls(monkeypatch, levelset.second_fundamental_form,
                             lambda a, out: _where(a[0])),
@@ -515,10 +530,12 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
     rep = run_suite(inst, n_points=8, seed=7, order=5)
     for cid in ("prop3.1", "eq4.6", "lemma4.2", "lemma5.1", "thm5.2", "prop3.2"):
         assert report_entry(rep, cid)["status"] == "PASS", cid
-    per_point = collections.defaultdict(dict)
+    per_point = collections.defaultdict(collections.Counter)
     for what, c in counts.items():
         for where, n in c.items():
-            per_point[where][what] = n
+            # div B of the suite's points is taken on blocks, once per row
+            for row in (where if isinstance(where[0][0], tuple) else [where]):
+                per_point[row][what] += n
     suite = {w: c for w, c in per_point.items() if w[0] in suite_points}
     level = {w: c for w, c in per_point.items() if w[0] not in suite_points}
     assert sorted(suite) == sorted((p, 5) for p in suite_points)
@@ -532,9 +549,11 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
 
 def test_gradients_of_f_and_r_taken_once_per_point(monkeypatch):
     # every reader of grad f reads PointEval.df and every reader of dR reads
-    # CurvaturePack.dscalar, so each sample point evaluation takes two
-    # gradients, and prop3.2's block of level points two for all its rows
+    # CurvaturePack.dscalar, so each sample point's two gradients are taken
+    # once each, as a row of one block: grad f in the sampler's blocks, dR in
+    # the curvature chain's, and prop3.2's level points in one block each
     inst = get_instance("cylinder-s4xr")
+    assert solitons.block_rule(5, 5)[0] == 4
     taken = []  # the scalar jets whose gradient was taken, kept alive
     evals = []
     # a None key counts nothing: the key function keeps each argument instead
@@ -549,19 +568,19 @@ def test_gradients_of_f_and_r_taken_once_per_point(monkeypatch):
     rep = run_suite(inst, n_points=8, seed=7, order=5)
     assert report_entry(rep, "prop3.2")["status"] == "PASS"
     assert sorted(ev.order for ev in evals) == [3] * 12 + [5] * 8
-    suite = [ev for ev in evals if ev.order == 5]
-    for ev in suite:
-        assert sum(s is ev.f for s in taken) == 1, ev.point
-        assert sum(s is ev.pack.scalar for s in taken) == 1, ev.point
-    # the level points' f and R are rows of one block each, whose gradient
-    # is taken once
-    blocks = [s for s in taken if s.coeffs.ndim == 2]
-    assert [len(s.coeffs) for s in blocks] == [12, 12]
-    for k, ev in enumerate(ev for ev in evals if ev.order == 3):
-        assert np.array_equal(ev.f.coeffs, blocks[0].coeffs[k]), ev.point
-        assert np.array_equal(ev.pack.scalar.coeffs, blocks[1].coeffs[k]), ev.point
-    # and one for f_shift at the base point
-    assert len(taken) == 2 * len(suite) + len(blocks) + 1
+
+    def rows(s):
+        return [s.coeffs] if s.coeffs.ndim == 1 else list(s.coeffs)
+
+    for ev in evals:
+        for jet in (ev.f, ev.pack.scalar):
+            holders = [s for s in taken if any(np.array_equal(r, jet.coeffs) for r in rows(s))]
+            assert len(holders) == 1, ev.point
+    blocks = [len(s.coeffs) for s in taken if s.coeffs.ndim == 2]
+    # the suite's f, then its R, then the level points' f and R
+    assert blocks == [4, 4, 4, 4, 12, 12]
+    # and one f for f_shift at the base point
+    assert len(taken) == len(blocks) + 1
 
 
 def test_cli_equivalence_line_comes_from_the_suite(monkeypatch, capsys):
