@@ -8,14 +8,16 @@ jets are exact; the only chart pole sits outside every box.  A
 deliberately perturbed non-soliton pair is included as a negative control
 for the verification harness.
 
-A :class:`PointEval` evaluates one point lazily.  `evaluate_points` and
-`evaluate_curvature` fill the caches of several at once from evaluations
-over a point axis (see ``tensors``), with each point's own bits; errors
-are those of the first failing point.  `admit_points` admits such a block
-by the one admission rule.  `sample_evals` draws its candidates in blocks
-and admits each block with one metric, g^-1, f and grad f evaluation; the
-identity suite then fills the curvature chain of its sample in blocks
-where `block_rule` says that pays, and every other cache stays lazy.
+A :class:`PointEval` evaluates one point lazily, or a block: a list of
+points on a point axis (see ``tensors``), each row with its own point's
+bits.  Its cached properties are the one recipe of each quantity.
+`evaluate_points` and `evaluate_curvature` build a block, and `_fill_rows`
+hands its rows to the evaluations of its points; errors are those of the
+first failing point.  `admit_points` admits such a block by the one
+admission rule.  `sample_evals` draws its candidates in blocks and admits
+each block with one metric, g^-1, f and grad f evaluation; the identity
+suite then fills the curvature chain of its sample in blocks where
+`block_rule` says that pays, and every other cache stays lazy.
 """
 
 import math
@@ -29,13 +31,8 @@ import numpy as np
 
 from . import levelset
 from .conformal import bach, cotton, d_tensor, weyl
-from .curvature import (
-    CurvaturePack,
-    covariant_derivative,
-    curvature_pack,
-    divergence,
-    scalar_gradient,
-)
+from .curvature import (CurvaturePack, covariant_derivative, curvature_pack, divergence,
+                        scalar_gradient)
 from .errors import ConfigurationError, DomainError, GradsolError, ValidationError
 from .exprs import compile_expression
 from .jets import JetScalar, JetSpace, constant, coordinate_jets, stack_rows
@@ -89,7 +86,9 @@ class SolitonInstance:
         return min((fn(p) for fn in self.excluded), default=math.inf)
 
     def metric_at(self, point, order):
-        return metric_at_point(self.metric_fn, point, self.n, order)
+        """The metric at `point`, or with a point axis at each of a list of points."""
+        at = metric_at_points if np.ndim(point) == 2 else metric_at_point
+        return at(self.metric_fn, point, self.n, order)
 
     def potential_jet(self, point, space, normalized=True):
         """The jet of f at `point`, or with a point axis at each of a list of points."""
@@ -132,25 +131,25 @@ class SolitonInstance:
 # ---------------------------------------------------------------------------
 # per-point evaluation and residuals
 
-def _norm_of(norm_sq):
+def _norm(norm_sq):
+    """|T| from |T|^2: a float, or an array with one value per row."""
+    if isinstance(norm_sq, np.ndarray):
+        return np.array([_norm(x) for x in norm_sq.tolist()])
     return math.sqrt(max(norm_sq, 0.0))
 
 
-def _norm(t, metric):
-    return _norm_of(tensor_norm_sq(t, metric))
-
-
 class PointEval:
-    """Lazy, cached geometry of one instance at one sample point.
+    """Lazy, cached geometry of one instance at one sample point, or a block.
 
-    `evaluate_points` and `evaluate_curvature` fill the caches of several
-    evaluations from one evaluation over a point axis, with the bits each
-    point's own evaluation gives.
+    A block is the `PointEval` of a list of points: each property holds one
+    row per point, on a point axis, with the bits of that point's own
+    evaluation, and a norm an array of one value per row.  `_fill_rows`
+    hands a block's rows to the evaluations of its points.
     """
 
     def __init__(self, inst, point, order):
         self.inst = inst
-        self.point = [float(x) for x in point]
+        self.point = np.asarray(point, dtype=float).tolist()
         self.order = order
 
     @cached_property
@@ -206,19 +205,19 @@ class PointEval:
 
     @cached_property
     def d_norm(self):
-        return math.sqrt(max(self.d_norm_sq, 0.0))
+        return _norm(self.d_norm_sq)
 
     @cached_property
     def cotton_norm(self):
-        return _norm(self.cotton, self.metric)
+        return _norm(tensor_norm_sq(self.cotton, self.metric))
 
     @cached_property
     def weyl_norm(self):
-        return _norm(self.weyl, self.metric)
+        return _norm(tensor_norm_sq(self.weyl, self.metric))
 
     @cached_property
     def bach_norm(self):
-        return _norm(self.bach, self.metric)
+        return _norm(tensor_norm_sq(self.bach, self.metric))
 
     @cached_property
     def div_bach(self):
@@ -315,44 +314,61 @@ def admit_points(inst, points, order):
     return [ev for ev in evaluate_points(inst, kept, order) if _steep(inst, ev)]
 
 
+def _fill_rows(evals, block, names):
+    """Evaluate the properties `names` of `block` and give each of `evals`,
+    the evaluations (or packs) of its points in order, its row of each, a
+    C-contiguous copy, as a cached value.
+
+    Every property is evaluated before any row is handed out, so a block
+    that raises fills no cache.  A pack's row lies over the point's metric.
+    """
+    values = [(name, getattr(block, name)) for name in names]
+    for p, ev in enumerate(evals):
+        for name, value in values:
+            if isinstance(value, CurvaturePack):
+                row = value.row(p, ev.metric)
+            elif isinstance(value, MetricAtPoint):
+                row = value.row(p, ev.point)
+            elif isinstance(value, np.ndarray):  # per-row values, last axis the points'
+                row = value[..., p].copy() if value.ndim > 1 else float(value[p])
+            else:
+                row = value.row(p)
+            ev.__dict__[name] = row
+
+
 def evaluate_points(inst, points, order):
     """Order-`order` point evaluations at `points`, their metric, g^-1, f and grad f as one block.
 
-    One `metric_at_points` call and one potential call over a point axis
-    serve all points; each evaluation's caches hold C-contiguous copies of
-    its row, the bits of its own point's evaluation.  A block that raises is
-    evaluated again point by point, in order, so the first point whose own
-    evaluation raises raises, with its own error.
+    The block is the `PointEval` of the list of points; each evaluation
+    gets its rows (`_fill_rows`).  A block that raises is evaluated again
+    point by point, in order, so the first point whose own evaluation
+    raises raises, with its own error.
     """
     evals = [PointEval(inst, point, order) for point in points]
     if not evals:
         return evals
     try:
-        metric = metric_at_points(inst.metric_fn, [ev.point for ev in evals], inst.n, order)
-        f = inst.potential_jet([ev.point for ev in evals], metric.space)
-        df = scalar_gradient(f)
+        _fill_rows(evals, PointEval(inst, [ev.point for ev in evals], order), ("metric", "f", "df"))
     except _BLOCK_ERRORS:
         for ev in evals:
             ev.df  # the metric, f and grad f of this point alone
-        return evals
-    for p, ev in enumerate(evals):
-        ev.__dict__.update(metric=metric.row(p, ev.point), f=f.row(p), df=df.row(p))
     return evals
 
 
 def evaluate_curvature(evals):
     """Fill the curvature chain of evaluations of one instance and order as one block.
 
-    The evaluations' metrics and grad f are stacked on a point axis, and D,
-    |D|^2 and Hess f are each evaluated once; from order 4, where the suite
-    reads the Bach tensor, so are the Cotton tensor and |C|, from dimension
-    4 B, |W| and |B|, and at order 5 div B.  The layers of Riemann's size,
-    the curvature pack, W and div W, are a block too where `block_rule`
-    says so; elsewhere each point evaluates its own, and the block stacks
-    their rows.  Each evaluation's caches get C-contiguous copies of its
-    row.  Each cross-check is judged row by row: a block raises the error of
-    the first row that fails one, with that point's figures, and fills no
-    cache of the block's layers.
+    The block is the `PointEval` of their points, over their metrics and
+    grad f stacked on a point axis; `_fill_rows` hands out its D, |D|^2 and
+    Hess f, from order 4, where the suite reads the Bach tensor, its Cotton
+    tensor and |C|, from dimension 4 B, |W| and |B|, and at order 5 div B.
+    The layers of Riemann's size, the curvature pack, W and div W, are the
+    block's own too where `block_rule` says so; elsewhere each point
+    evaluates its own, the block stacks their rows (W at B's order), and
+    the points' packs get the block's Schouten tensor and dR.  Each
+    cross-check is judged row by row: a block raises the error of the
+    first row that fails one, with that point's figures, and fills no cache
+    of the block's layers.
     """
     if not evals:
         return
@@ -364,51 +380,33 @@ def evaluate_curvature(evals):
         t = tensors[0]
         return TensorJet(t.space, t.valence, stack_rows([t.data for t in tensors]))
 
-    metric = MetricAtPoint(first.metric.space, [ev.point for ev in evals],
-                           stacked([ev.metric.g for ev in evals]),
-                           stacked([ev.metric.g_inv for ev in evals]))
-    df = stacked([ev.df for ev in evals])
+    block = PointEval(first.inst, [ev.point for ev in evals], order)
+    block.metric = MetricAtPoint(first.metric.space, block.point,
+                                 stacked([ev.metric.g for ev in evals]),
+                                 stacked([ev.metric.g_inv for ev in evals]))
+    block.df = stacked([ev.df for ev in evals])
+    names = ["dtensor", "d_norm_sq", "hess_f"]
     if riemann_blocks:
-        pack = curvature_pack(metric)
+        names.append("pack")
     else:
         packs = [ev.pack for ev in evals]
         # Riemann is read only by W, which each point evaluates itself
-        pack = CurvaturePack(metric, stacked([pk.gamma for pk in packs]), None,
-                             stacked([pk.ricci for pk in packs]),
-                             JetScalar(packs[0].scalar.space,
-                                       stack_rows([pk.scalar.coeffs for pk in packs])))
-    block = {"dtensor": d_tensor(pack, df, cross_check=first.inst.kind is not None),
-             "hess_f": covariant_derivative(df.truncated(1), pack)}
-    d_norm_sq = tensor_norm_sq(block["dtensor"], metric)
-    norms, div_bach = {}, None  # |T|^2 per row of the tensors whose norm |T| the suite reads
+        block.pack = CurvaturePack(block.metric, stacked([pk.gamma for pk in packs]), None,
+                                   stacked([pk.ricci for pk in packs]),
+                                   JetScalar(packs[0].scalar.space,
+                                             stack_rows([pk.scalar.coeffs for pk in packs])))
     if order >= 4:
-        block["cotton"] = cotton(pack)
-        norms["cotton_norm"] = tensor_norm_sq(block["cotton"], metric)
+        names += ["cotton", "cotton_norm"]
         if riemann_blocks:
-            block["weyl"] = weyl(pack)
+            names += ["weyl", "div_weyl"] if n >= 4 else ["weyl"]
+        elif n >= 4:  # B and |W| read W at B's order, two below Ricci's
+            block.weyl = stacked([ev.weyl.truncated(block.pack.ricci.order - 2) for ev in evals])
+            block.div_weyl = stacked([ev.div_weyl for ev in evals])
         if n >= 4:
-            if riemann_blocks:
-                w = block["weyl"]
-                div_w = block["div_weyl"] = divergence(w, pack, 3)
-            else:  # B and |W| read W at B's order, two below Ricci's
-                w = stacked([ev.weyl.truncated(pack.ricci.order - 2) for ev in evals])
-                div_w = stacked([ev.div_weyl for ev in evals])
-            block["bach"] = bach(pack, block["cotton"], w, div_w)
-            norms["weyl_norm"] = tensor_norm_sq(w, metric)
-            norms["bach_norm"] = tensor_norm_sq(block["bach"], metric)
-            if order >= 5:
-                div_bach = divergence(block["bach"], pack, 1).values
-    for p, ev in enumerate(evals):
-        if riemann_blocks:
-            ev.__dict__["pack"] = pack.row(p, ev.metric)
-        else:  # the point's own pack gets the block's Schouten tensor and dR
-            ev.pack.__dict__.update({name: pack.__dict__[name].row(p)
-                                     for name in ("schouten", "dscalar") if name in pack.__dict__})
-        ev.__dict__.update({name: t.row(p) for name, t in block.items()},
-                           d_norm_sq=float(d_norm_sq[p]),
-                           **{name: _norm_of(float(sq[p])) for name, sq in norms.items()})
-        if div_bach is not None:
-            ev.__dict__["div_bach"] = div_bach[..., p].copy()
+            names += ["bach", "weyl_norm", "bach_norm"] + (["div_bach"] if order >= 5 else [])
+    _fill_rows(evals, block, names)
+    if not riemann_blocks:
+        _fill_rows([ev.pack for ev in evals], block.pack, ("schouten", "dscalar"))
 
 
 def evaluate_in_blocks(evals):

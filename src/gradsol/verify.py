@@ -301,17 +301,18 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     Each sample point is evaluated once, admission test included, at order
     max(order, 3) for the first integrals, and the instance is certified
     from those evaluations first (kind-less instances abort).  The points
-    are evaluated as rows of blocks on a point axis, as many rows as
-    `solitons.block_rule` says: their metric, g^-1, f and grad f, then their
-    curvature chain (`solitons.evaluate_in_blocks`).  Each row holds its own
-    point's bits, so the report is that of evaluating the points one by
-    one; a chain block that raises is left to its points, so an error is a
-    FAIL of the checks that read it, with its point's own text.  Checks whose
-    required order exceeds `order` are SKIPPED; checks whose hypotheses the
-    instance does not meet are N/A.  Per-check errors are recorded without
-    aborting the rest of the suite.  A per-instance check returns (residual, scale,
-    detail), with residual None for N/A; entry["detail"] keeps the detail
-    (for thm5.2 the equivalence status) in memory only.
+    are evaluated in blocks of `solitons.block_rule`'s rows, a block being
+    the `PointEval` of a list of points that hands each point its rows: of
+    the metric, g^-1, f and grad f, then of the curvature chain
+    (`solitons.evaluate_in_blocks`).  Each row holds its own point's bits,
+    so the report is that of evaluating the points one by one.  An error,
+    of a chain block's point or of the D = 0 decision, is a FAIL of the
+    checks that read it, with its point's own text; the rest of the suite
+    runs on.  Checks whose required order exceeds `order` are SKIPPED;
+    checks whose hypotheses the instance does not meet are N/A.  A
+    per-instance check returns (residual, scale, detail), with residual None
+    for N/A; entry["detail"] keeps the detail (for thm5.2 the equivalence
+    status) in memory only.
 
     ConfigurationError, before any point is drawn, for a point count that is
     not an integer (one below MIN_POINTS is raised to it), an order that is
@@ -352,13 +353,13 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
             entry["status"] = "SKIPPED"
             entries.append(entry)
             continue
-        if spec.level_sets == "d_zero":
-            if d_zero is None:
-                d_zero = _instance_d_zero(evals)
-            if not d_zero:
-                entries.append(entry)
-                continue
         try:
+            if spec.level_sets == "d_zero":
+                if d_zero is None:  # decided in the try: an error of D FAILs the checks on D = 0
+                    d_zero = _instance_d_zero(evals)
+                if not d_zero:
+                    entries.append(entry)
+                    continue
             judged = argmax = None
             if spec.per_instance:
                 resid, scale, detail = spec.fn(inst, evals, config)

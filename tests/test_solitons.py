@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import report_entry
+from gradsol import conformal, solitons
 from gradsol.errors import ConfigurationError, DomainError, ValidationError
 from gradsol.levelset import level_points, prop32_report
 from gradsol.solitons import (
@@ -22,6 +24,7 @@ from gradsol.solitons import (
     soliton_eq_residual,
     validate_instance,
 )
+from gradsol.tensors import TensorJet
 
 
 def test_catalog_size_and_names(instances):
@@ -558,3 +561,31 @@ def test_negative_seed_is_an_error(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seed" in err
+
+
+def test_block_rows_come_from_the_point_eval_recipe(monkeypatch):
+    # a block is a PointEval of a list of points, so a PointEval whose Cotton
+    # tensor is doubled fills every row with the doubled C and its norm
+    spec = {"name": "curved-r3", "n": 3, "rho": 0, "kind": None,
+            "metric": [["1 + 0.1*x2*x2", "0.05*x3", "0"], ["0.05*x3", "1 + 0.2*x3*x1", "0"],
+                       ["0", "0", "1 + 0.1*x1*x2"]],
+            "potential": "x1*x1 + x2", "domain": {"box": [[-1, 1]] * 3}}
+    inst = instance_from_spec(spec)
+    evals = sample_evals(inst, 5, 3, 4)
+
+    class DoubledCotton(PointEval):
+        @functools.cached_property
+        def cotton(self):
+            c = conformal.cotton(self.pack)
+            return TensorJet(c.space, c.valence, 2.0 * c.data)
+
+    monkeypatch.setattr(solitons, "PointEval", DoubledCotton)
+    solitons.evaluate_in_blocks(evals)
+    for ev in evals:
+        ref = DoubledCotton(inst, ev.point, 4)
+        plain = PointEval(inst, ev.point, 4)
+        assert "cotton" in vars(ev) and "cotton_norm" in vars(ev)
+        assert np.array_equal(ev.cotton.data, ref.cotton.data)
+        assert np.array_equal(ev.cotton.data, 2.0 * plain.cotton.data)
+        assert plain.cotton.max_abs() > 1e-3
+        assert ev.cotton_norm == ref.cotton_norm == 2.0 * plain.cotton_norm

@@ -7,7 +7,12 @@ import pytest
 
 from conftest import report_entry, thm52_of
 from gradsol.cli import main
-from gradsol.errors import ConfigurationError, CriticalPointError, ValidationError
+from gradsol.errors import (
+    ConfigurationError,
+    ConsistencyError,
+    CriticalPointError,
+    ValidationError,
+)
 from gradsol import cli, conformal, curvature, levelset, solitons, verify
 from gradsol.solitons import get_instance
 from gradsol.verify import (
@@ -452,6 +457,34 @@ def test_nan_d_norm_at_second_point_is_not_d_zero(monkeypatch):
     assert report_entry(rep, "d_vanishes")["status"] == "FAIL"
 
 
+def test_a_d_error_fails_the_checks_that_read_d(monkeypatch):
+    # D's evaluation raises at one sample point: the D = 0 decision meets
+    # that error too, so the level-set checks on the D = 0 branch FAIL with
+    # it instead of ending the suite
+    inst = get_instance("cylinder-s3xr")
+    want = run_suite(inst, n_points=8, seed=7, order=5)
+    planted = verify.sample_evals(inst, 8, 7, 5)[5].point
+    d_tensor = solitons.d_tensor
+
+    def planted_d_tensor(pack, df, cross_check=False):
+        if any(np.array_equal(p, planted) for p in np.atleast_2d(pack.metric.point)):
+            raise ConsistencyError("d_tensor: planted at the sixth sample point")
+        return d_tensor(pack, df, cross_check)
+
+    monkeypatch.setattr(solitons, "d_tensor", planted_d_tensor)
+    got = run_suite(inst, n_points=8, seed=7, order=5)
+    reads_d = {"eq3.3", "lemma3.1", "d_gradf_contraction", "eq4.1", "prop3.1", "eq4.6",
+               "eq4.7", "codazzi_tangential", "lemma4.2", "lemma4.3", "prop3.2", "d_vanishes"}
+    assert [e["id"] for e in got["checks"]] == [e["id"] for e in want["checks"]]
+    for e, w in zip(got["checks"], want["checks"]):
+        if e["id"] in reads_d:
+            assert w["status"] == "PASS", e["id"]
+            assert e["status"] == "FAIL", e["id"]
+            assert e["error"] == "ConsistencyError: d_tensor: planted at the sixth sample point"
+        else:
+            assert e == w, e["id"]
+
+
 def test_suite_evaluates_each_sample_point_once(monkeypatch):
     inst = get_instance("s2xr3")
     points = [tuple(ev.point) for ev in verify.sample_evals(inst, 8, 7, 4)]
@@ -562,7 +595,8 @@ def test_gradients_of_f_and_r_taken_once_per_point(monkeypatch):
     class RecordingPointEval(solitons.PointEval):
         def __init__(self, *args):
             super().__init__(*args)
-            evals.append(self)
+            if np.ndim(self.point) == 1:  # a point, not a block of them
+                evals.append(self)
 
     monkeypatch.setattr(solitons, "PointEval", RecordingPointEval)
     rep = run_suite(inst, n_points=8, seed=7, order=5)
