@@ -246,7 +246,8 @@ def div_bach_residual(ev):
     n = ev.inst.n
     metric = ev.metric
     lhs = ev.div_bach  # raises InsufficientOrderError below order 5
-    ric_up = raise_lower(raise_lower(ev.pack.ricci, 0, metric), 1, metric)
+    # only the values of R^{jk} are read
+    ric_up = raise_lower(raise_lower(ev.pack.ricci.truncated(0), 0, metric), 1, metric)
     rhs = ((n - 4.0) / (n - 2.0) ** 2) * np.einsum(
         "ijk,jk->i", ev.cotton.values, ric_up.values
     )

@@ -8,8 +8,15 @@ the compensating sign explicitly.
 
 The per-point functions read one :class:`~gradsol.solitons.PointEval`,
 which caches the frame, the Hessian of f and the level-surface data, so
-each is computed once per point.  The residuals of the suite's level-set
-checks return ``(residual, scale)``; :func:`prop31_residual` and
+each is computed once per point.  :func:`adapted_frame`,
+:func:`second_fundamental_form`, :func:`in_frame` and :func:`prop32_terms`
+also take a block ``PointEval`` of a list of points: each runs its one
+recipe once over the point axis, the leading batch axis of every stacked
+matmul and of ``eigvalsh``, on operands whose rows lie as their points'
+own values do (``TensorJet.stacked_values``), so each row has its point's
+bits.  Their results lead with the point axis, except ``in_frame``'s,
+which keeps it last as tensor values do.  The residuals of the suite's
+level-set checks return ``(residual, scale)``; :func:`prop31_residual` and
 :func:`frame_cotton_components` add a third element, a dict of the
 quantities behind the residual.  They need a regular point of a
 non-constant potential: the suite's ``CheckSpec.level_sets`` keeps them
@@ -23,8 +30,10 @@ float path (NaN where that path would raise); the walk along each ray,
 the bisection and the ray points are plain floats.  The roots still
 needed are evaluated as one block on a point axis (metric, g^-1, f and
 grad f at order 3) and admitted in ray order, and :func:`prop32_report`
-evaluates the pack, D, |D|^2 and Hess f of its points as one more block;
-each point's evaluation holds its own row, with its own bits.
+evaluates the pack, D, |D|^2 and Hess f of its points as one more block,
+then on that block their frames, second fundamental forms and
+:class:`Prop32Terms`; each point's evaluation holds its own row, with its
+own bits.
 """
 
 import math
@@ -50,12 +59,29 @@ _MAX_RAYS = 1200
 _SCAN_STEPS = 48
 
 
+def _row(data, p):
+    """Row p of level-surface data with a leading point axis: a copy of each
+    array's row, a float where there is one value per row."""
+    return type(data)(*(x[p].copy() if x.ndim > 1 else float(x[p]) for x in vars(data).values()))
+
+
+def _point_value(x):
+    """A float for a 0-d result, the array itself for one value per row."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _quad(a, m, b):
+    """a^T m b of each row: two stacked matmuls, the second a dot product."""
+    return (a[..., None, :] @ m @ b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Orthonormal frame at a point with e_1 parallel to grad f.
 
     `vectors` holds the frame row-wise in chart components; `grad_f_norm`
-    is |grad f| at the point.
+    is |grad f| at the point.  A block's frame leads with the point axis:
+    `vectors` is (P, n, n) and `grad_f_norm` holds one value per row.
     """
 
     vectors: np.ndarray
@@ -63,57 +89,111 @@ class AdaptedFrame:
 
     @property
     def e1(self):
-        return self.vectors[0]
+        return self.vectors[..., 0, :]
 
     @property
     def tangent(self):
-        return self.vectors[1:]
+        return self.vectors[..., 1:, :]
+
+    def row(self, p):
+        return _row(self, p)
 
 
 @dataclass(frozen=True)
 class LevelSurfaceData:
-    """Extrinsic data of the level surface through a point."""
+    """Extrinsic data of the level surface through a point (a block's: point axis first)."""
 
     h: np.ndarray
     H: float
     tangential_dR: np.ndarray
-    frame: AdaptedFrame
+
+    def row(self, p):
+        return _row(self, p)
+
+
+@dataclass(frozen=True)
+class Prop32Terms:
+    """Prop 3.2's quantities at a point (a block's: one value per row).
+
+    R, |grad f|^2 and H; the largest mixed Ricci component |Ric(e_1, e_a)|;
+    umbilicity max |h - H/(n-1) I|; the predicted eigenvalues lambda and mu;
+    and the largest difference between the sorted eigenvalues of Ric in the
+    frame and the sorted (lambda, mu, ..., mu).
+    """
+
+    r: float
+    grad_sq: float
+    h_mean: float
+    ricci_mixed: float
+    umbilicity: float
+    lam: float
+    mu: float
+    eigenvalue_mismatch: float
+
+    def row(self, p):
+        return _row(self, p)
 
 
 def adapted_frame(ev):
-    """Gram-Schmidt completion of grad f/|grad f| against the chart basis."""
-    g0 = ev.metric.g.values
+    """Gram-Schmidt completion of grad f/|grad f| against the chart basis.
+
+    On a block every row is completed at once: each step is one stacked
+    matmul over the point axis.  A block whose rows branch differently (a
+    chart direction spanned in some rows only) completes each row on its
+    own, as its point does.
+    """
+    g0 = ev.metric.g.stacked_values()
     grad = ev.gradf_up_values
-    norm = math.sqrt(max(grad @ g0 @ grad, 0.0))
-    if norm < GRAD_THRESHOLD:
+    if ev.metric.g.blocked:  # rows first, each laid out as its point's own vector
+        grad = np.ascontiguousarray(np.moveaxis(grad, -1, 0))
+    norm = np.sqrt(np.maximum(_quad(grad, g0, grad), 0.0))
+    low = np.flatnonzero(np.ravel(norm < GRAD_THRESHOLD))
+    if low.size:
         raise CriticalPointError(
-            f"|grad f| = {norm:.3e} below threshold {GRAD_THRESHOLD:.1e}"
+            f"|grad f| = {np.ravel(norm)[low[0]]:.3e} below threshold {GRAD_THRESHOLD:.1e}"
         )
-    n = ev.metric.dim
-    vectors = [grad / norm]
+    return AdaptedFrame(_completed(g0, grad, norm), _point_value(norm))
+
+
+def _completed(g0, grad, norm):
+    """The frame vectors of `adapted_frame`, rows on a leading point axis if any."""
+    n = g0.shape[-1]
+    vectors = [grad / norm[..., None]]
     for k in range(n):
-        v = np.zeros(n)
-        v[k] = 1.0
+        v = np.zeros(grad.shape)
+        v[..., k] = 1.0
         for e in vectors:
-            v = v - (e @ g0 @ v) * e
-        sq = v @ g0 @ v
-        if sq < 1e-12:
+            v = v - _quad(e, g0, v)[..., None] * e
+        sq = _quad(v, g0, v)
+        skip = sq < 1e-12
+        if skip.all():
             continue  # chart direction already spanned; deterministic skip
-        vectors.append(v / math.sqrt(sq))
+        if skip.any():  # the rows branch: each completes its own frame
+            return np.stack([_completed(g0[p], grad[p], norm[p]) for p in range(len(g0))])
+        vectors.append(v / np.sqrt(sq)[..., None])
         if len(vectors) == n:
             break
     if len(vectors) != n:
         raise ConsistencyError("frame completion failed")
-    return AdaptedFrame(np.array(vectors), norm)
+    return np.stack(vectors, axis=-2)
 
 
 def in_frame(frame, values):
-    """Components of a covariant tensor's values in the adapted frame."""
-    out = values
-    for _ in range(values.ndim):
-        # contract the leading chart slot; its frame slot goes last
-        out = np.tensordot(out, frame.vectors, axes=(0, 1))
-    return out
+    """Components of a covariant tensor's values in the adapted frame.
+
+    A block's values and result carry the point axis last, as `values` do.
+    """
+    vectors = frame.vectors
+    block = vectors.ndim == 3
+    out = np.moveaxis(values, -1, 0) if block else values
+    lead = out.shape[:1] if block else ()
+    for _ in range(out.ndim - len(lead)):
+        # contract the leading chart slot; its frame slot goes last: a copy
+        # with that slot last, as np.tensordot makes, and one matmul
+        moved = np.moveaxis(out, len(lead), -1)
+        flat = np.ascontiguousarray(moved).reshape(lead + (-1, moved.shape[-1]))
+        out = (flat @ np.swapaxes(vectors, -1, -2)).reshape(moved.shape[:-1] + (-1,))
+    return np.moveaxis(out, 0, -1) if block else out
 
 
 def second_fundamental_form(ev):
@@ -121,26 +201,59 @@ def second_fundamental_form(ev):
 
     Primary form (Hess f)(e_a, e_b)/|grad f|; on an instance declared a
     soliton the equivalent form (rho g_ab - R_ab)/|grad f| is computed too
-    and both must agree to 1e-9.
+    and both must agree to 1e-9, at every row of a block.
     """
     frame = ev.frame
     t = frame.tangent
-    h = t @ ev.hess_f.values @ t.T / frame.grad_f_norm
+    t_up = np.swapaxes(t, -1, -2)
+    norm = np.asarray(frame.grad_f_norm)[..., None, None]
+    h = t @ ev.hess_f.stacked_values() @ t_up / norm
     if ev.inst.kind is not None:
-        ric_f = t @ ev.pack.ricci.values @ t.T
-        alt = (ev.inst.rho * np.eye(len(t)) - ric_f) / frame.grad_f_norm
-        scale = max(1.0, float(np.abs(h).max()), float(np.abs(alt).max()))
+        ric_f = t @ ev.pack.ricci.stacked_values() @ t_up
+        alt = (ev.inst.rho * np.eye(t.shape[-2]) - ric_f) / norm
+        scale = np.maximum(np.maximum(1.0, _abs_max(h)), _abs_max(alt))
         # `not <=`, unlike `>`, holds for NaN: a NaN on either form disagrees
-        if not float(np.abs(h - alt).max()) / scale <= 1e-9:
+        if not np.all(_abs_max(h - alt) / scale <= 1e-9):
             raise ConsistencyError(
                 "second fundamental form: Hessian and soliton forms disagree"
             )
     return LevelSurfaceData(
         h=h,
-        H=float(np.trace(h)),
-        tangential_dR=t @ ev.pack.dscalar.values,
-        frame=frame,
+        H=_point_value(np.trace(h, axis1=-2, axis2=-1)),
+        tangential_dR=(t @ ev.pack.dscalar.stacked_values()[..., None])[..., 0],
     )
+
+
+def _abs_max(x):
+    """max |x| over the last two axes: one value, or one per row."""
+    return np.abs(x).max(axis=(-2, -1))
+
+
+def prop32_terms(ev):
+    """Prop 3.2's per-point quantities (`Prop32Terms`) at a point evaluation
+    or, one value per row, at a block: Ric in the frame is one stacked matmul
+    and its eigenvalues one stacked `eigvalsh`."""
+    n, rho = ev.inst.n, ev.inst.rho
+    frame, lsd = ev.frame, ev.level_surface
+    r = ev.pack.scalar.coeffs[..., 0]
+    v = frame.vectors
+    ric_f = v @ ev.pack.ricci.stacked_values() @ np.swapaxes(v, -1, -2)
+    h_mean, norm = np.asarray(lsd.H), np.asarray(frame.grad_f_norm)
+    umbilic = lsd.h - (h_mean / (n - 1))[..., None, None] * np.eye(n - 1)
+    lam = r - (n - 1) * rho + h_mean * norm
+    mu = rho - h_mean * norm / (n - 1)
+    expected = np.sort(np.stack([lam] + [mu] * (n - 1), axis=-1), axis=-1)
+    eig = np.sort(np.linalg.eigvalsh(ric_f), axis=-1)
+    return Prop32Terms(*(_point_value(x) for x in (
+        r,
+        np.float_power(norm, 2),  # C pow, as a float's ** is; an array's ** 2 squares
+        h_mean,
+        np.abs(ric_f[..., 0, 1:]).max(axis=-1),
+        _abs_max(umbilic),
+        lam,
+        mu,
+        np.abs(eig - expected).max(axis=-1),
+    )))
 
 
 def prop31_residual(ev):
@@ -166,11 +279,17 @@ def _normal_form_derivative(ev, phi):
     `phi` maps the jet of |grad f|^2 to a scalar jet.
     """
     df = ev.df.truncated(1)  # the derivative's values need the form to order 1
-    space = df.space
-    up = jet_einsum(space, "ij,j->i", ev.metric.g_inv.data, df.data)
-    w2 = JetScalar(space, jet_einsum(space, "i,i->", up, df.data))
-    form = TensorJet(space, "d", jet_einsum(space, "i,->i", df.data, phi(w2).coeffs))
+    form = TensorJet(df.space, "d",
+                     jet_einsum(df.space, "i,->i", df.data, phi(ev.grad_sq_jet).coeffs))
     return covariant_derivative(form, ev.pack).values
+
+
+def grad_sq_jet(ev):
+    """|grad f|^2 = g^{ij} df_i df_j as an order-1 jet, what the normal-form
+    derivatives read."""
+    df = ev.df.truncated(1)
+    up = jet_einsum(df.space, "ij,j->i", ev.metric.g_inv.data, df.data)
+    return JetScalar(df.space, jet_einsum(df.space, "i,i->", up, df.data))
 
 
 def normal_metric_derivative(ev):
@@ -393,13 +512,14 @@ def prop32_report(inst, c, n_points=12, seed=11):
     lambda = R - (n-1) rho + H |grad f| and mu = rho - H |grad f|/(n-1).
     Each level point is an order-3 point evaluation from :func:`level_points`;
     their curvature, D, |D|^2 and Hess f are evaluated as one block
-    (`solitons.evaluate_curvature`).
+    (`solitons.evaluate_curvature`), and after the D = 0 test their frames,
+    second fundamental forms and `Prop32Terms` on the same block
+    (`solitons.fill_from_block`).
     """
     from . import solitons
 
     evals = level_points(inst, c, n_points=n_points, seed=seed)
-    solitons.evaluate_curvature(evals)
-    n = inst.n
+    block = solitons.evaluate_curvature(evals)
     # np.max and `not <=`, unlike max and `>`, let a NaN at any point through
     d_max = float(np.max([ev.d_norm for ev in evals]))
     if not d_max <= D_ZERO_TOL:
@@ -407,25 +527,11 @@ def prop32_report(inst, c, n_points=12, seed=11):
             f"{inst.name}: |D| = {d_max:.3e} on the level surface; the report "
             "applies only where the 3-tensor D vanishes"
         )
+    solitons.fill_from_block(evals, block, ("prop32_terms",))
+    terms = [ev.prop32_terms for ev in evals]
 
-    r_vals, w2_vals, h_means = [], [], []
-    ric_mixed, umbil, eig_mismatch = [], [], []
-    lambdas, mus = [], []
-    for ev in evals:
-        frame, lsd, pack = ev.frame, ev.level_surface, ev.pack
-        r_vals.append(pack.scalar.value)
-        w2_vals.append(frame.grad_f_norm ** 2)
-        h_means.append(lsd.H)
-        ric_f = frame.vectors @ pack.ricci.values @ frame.vectors.T
-        ric_mixed.append(np.abs(ric_f[0, 1:]).max())
-        umbil.append(np.abs(lsd.h - (lsd.H / (n - 1)) * np.eye(n - 1)).max())
-        lam = pack.scalar.value - (n - 1) * inst.rho + lsd.H * frame.grad_f_norm
-        mu = inst.rho - lsd.H * frame.grad_f_norm / (n - 1)
-        lambdas.append(lam)
-        mus.append(mu)
-        expected = np.sort(np.array([lam] + [mu] * (n - 1)))
-        eig = np.sort(np.linalg.eigvalsh(ric_f))
-        eig_mismatch.append(np.abs(eig - expected).max())
+    def values(name):
+        return [getattr(t, name) for t in terms]
 
     def spread(vals):
         return float(np.max(vals) - np.min(vals))
@@ -434,16 +540,16 @@ def prop32_report(inst, c, n_points=12, seed=11):
         "instance": inst.name,
         "level": float(c),
         "n_points": len(evals),
-        "r_mean": float(np.mean(r_vals)),
-        "r_spread": spread(r_vals),
-        "grad_sq_mean": float(np.mean(w2_vals)),
-        "grad_sq_spread": spread(w2_vals),
-        "h_mean": float(np.mean(h_means)),
-        "h_spread": spread(h_means),
-        "ricci_mixed_max": float(np.max(ric_mixed)),
-        "umbilicity_max": float(np.max(umbil)),
-        "lambda": float(np.mean(lambdas)),
-        "mu": float(np.mean(mus)),
-        "eigenvalue_mismatch": float(np.max(eig_mismatch)),
+        "r_mean": float(np.mean(values("r"))),
+        "r_spread": spread(values("r")),
+        "grad_sq_mean": float(np.mean(values("grad_sq"))),
+        "grad_sq_spread": spread(values("grad_sq")),
+        "h_mean": float(np.mean(values("h_mean"))),
+        "h_spread": spread(values("h_mean")),
+        "ricci_mixed_max": float(np.max(values("ricci_mixed"))),
+        "umbilicity_max": float(np.max(values("umbilicity"))),
+        "lambda": float(np.mean(values("lam"))),
+        "mu": float(np.mean(values("mu"))),
+        "eigenvalue_mismatch": float(np.max(values("eigenvalue_mismatch"))),
         "points": [list(ev.point) for ev in evals],
     }

@@ -10,14 +10,19 @@ for the verification harness.
 
 A :class:`PointEval` evaluates one point lazily, or a block: a list of
 points on a point axis (see ``tensors``), each row with its own point's
-bits.  Its cached properties are the one recipe of each quantity.
-`evaluate_points` and `evaluate_curvature` build a block, and `_fill_rows`
-hands its rows to the evaluations of its points; errors are those of the
-first failing point.  `admit_points` admits such a block by the one
-admission rule.  `sample_evals` draws its candidates in blocks and admits
-each block with one metric, g^-1, f and grad f evaluation; the identity
-suite then fills the curvature chain of its sample in blocks where
-`block_rule` says that pays, and every other cache stays lazy.
+bits.  Its cached properties are the one recipe of each quantity, and
+every one of them takes the point axis: the curvature chain, grad f at
+values, the frame, the level-surface data, W in the frame and Prop 3.2's
+terms (``levelset``).  `evaluate_points` and `evaluate_curvature` build a
+block, and `_fill_rows` hands its rows to the evaluations of its points;
+errors are those of the first failing point.  `admit_points` admits such
+a block by the one admission rule.  `sample_evals` draws its candidates
+in blocks and admits each block with one metric, g^-1, f and grad f
+evaluation; the identity suite then fills the curvature chain of its
+sample in blocks where `block_rule` says that pays, and every other cache
+stays lazy.  `fill_from_block` hands out more rows of such a block: the
+suite's frames and second fundamental forms, and Prop 3.2's terms of
+`prop32_report`'s level points.
 """
 
 import math
@@ -175,7 +180,14 @@ class PointEval:
 
     @cached_property
     def gradf_up_values(self):
-        return self.metric.g_inv.values @ self.df.values
+        """grad f = g^-1 df at values, one stacked matmul; a block's with its
+        point axis last, as `values` are."""
+        up = (self.metric.g_inv.stacked_values() @ self.df.stacked_values()[..., None])[..., 0]
+        return np.moveaxis(up, 0, -1) if self.df.blocked else up
+
+    @cached_property
+    def grad_sq_jet(self):
+        return levelset.grad_sq_jet(self)
 
     @cached_property
     def weyl(self):
@@ -236,6 +248,10 @@ class PointEval:
     def frame_weyl(self):
         """W in the adapted frame, slot by slot."""
         return levelset.in_frame(self.frame, self.weyl.values)
+
+    @cached_property
+    def prop32_terms(self):
+        return levelset.prop32_terms(self)
 
 
 # Each residual below returns (absolute_residual, scale_of_largest_term).
@@ -368,10 +384,11 @@ def evaluate_curvature(evals):
     the points' packs get the block's Schouten tensor and dR.  Each
     cross-check is judged row by row: a block raises the error of the
     first row that fails one, with that point's figures, and fills no cache
-    of the block's layers.
+    of the block's layers.  Returns the block (None for no evaluations),
+    whose other properties `fill_from_block` hands out.
     """
     if not evals:
-        return
+        return None
     first = evals[0]
     n, order = first.inst.n, first.order
     riemann_blocks = block_rule(n, order)[1]
@@ -407,11 +424,30 @@ def evaluate_curvature(evals):
     _fill_rows(evals, block, names)
     if not riemann_blocks:
         _fill_rows([ev.pack for ev in evals], block.pack, ("schouten", "dscalar"))
+    return block
 
 
-def evaluate_in_blocks(evals):
+def fill_from_block(evals, block, names):
+    """Give `evals` their rows of the properties `names` of `block`, the
+    block `evaluate_curvature` returned for them: level-surface ones, such
+    as the frame, the second fundamental form or Prop 3.2's terms, are each
+    one stacked evaluation over the point axis.
+
+    If one of them raises on the block, or there is no block, nothing is
+    filled: each point then meets its own error, if any, when it reads one.
+    """
+    if block is None:
+        return
+    try:
+        _fill_rows(evals, block, names)
+    except _BLOCK_ERRORS:
+        pass
+
+
+def evaluate_in_blocks(evals, names=()):
     """`evaluate_curvature` on consecutive blocks of `block_rule`'s rows of
-    evaluations of one instance and order.
+    evaluations of one instance and order, then the properties `names` of
+    each block (`fill_from_block`).
 
     A block that raises is left to its points, whose caches stay lazy: each
     reader meets its own point's error where point-by-point evaluation
@@ -420,8 +456,8 @@ def evaluate_in_blocks(evals):
     if evals:
         rows = block_rule(evals[0].inst.n, evals[0].order)[0]
         for k in range(0, len(evals), rows):
-            try:
-                evaluate_curvature(evals[k:k + rows])
+            try:  # no name holds a block past its turn, so no two are alive at once
+                fill_from_block(evals[k:k + rows], evaluate_curvature(evals[k:k + rows]), names)
             except _BLOCK_ERRORS:
                 pass
 

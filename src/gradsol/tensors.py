@@ -36,6 +36,7 @@ from .jets import (
     point_back,
     point_first,
     point_rows,
+    rows_apart,
     truncate_arrays,
 )
 
@@ -81,9 +82,21 @@ class TensorJet:
         """Constant terms: the component values at the base point."""
         return self.data[..., 0]
 
+    @property
+    def blocked(self):
+        """Whether the data carries a point axis."""
+        return self.data.ndim > self.rank + 1
+
+    def stacked_values(self):
+        """`values` with the point axis, if any, first, each row laid out as
+        its point's own values (`rows_apart`): an operand of a stacked matmul."""
+        if not self.blocked:
+            return self.values
+        return point_first(rows_apart(self.data))[..., 0]
+
     def truncated(self, order):
         lower, data = truncate_arrays(self.space, self.data, order)
-        copy = point_rows(data) if data.ndim > self.rank + 1 else data.copy()
+        copy = point_rows(data) if self.blocked else data.copy()
         return TensorJet(lower, self.valence, copy)
 
     def row(self, p):

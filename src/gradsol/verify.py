@@ -303,7 +303,8 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     from those evaluations first (kind-less instances abort).  The points
     are evaluated in blocks of `solitons.block_rule`'s rows, a block being
     the `PointEval` of a list of points that hands each point its rows: of
-    the metric, g^-1, f and grad f, then of the curvature chain
+    the metric, g^-1, f and grad f, then of the curvature chain and, for a
+    non-constant potential, of the frame and the second fundamental form
     (`solitons.evaluate_in_blocks`).  Each row holds its own point's bits,
     so the report is that of evaluating the points one by one.  An error,
     of a chain block's point or of the D = 0 decision, is a FAIL of the
@@ -329,7 +330,8 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     order = int(order)
     evals = sample_evals(inst, n_points, seed, max(order, 3))
     if inst.kind is not None:  # a negative control stops at certification
-        evaluate_in_blocks(evals)
+        # prop3.1 reads the frame and h at every point of a non-constant potential
+        evaluate_in_blocks(evals, () if inst.trivial else ("frame", "level_surface"))
     certify(inst, evals)
 
     selected = CHECKS if checks is None else [c for c in CHECKS if c.id in set(checks)]

@@ -56,3 +56,40 @@ def test_an_exit_code_change_or_a_missing_output_is_a_change():
     assert changed and "  exit code 0 -> 1" in lines
     lines, changed = contract.compare(OLD, {"verify-o5": OLD["verify-o5"]})
     assert changed and "catalog gaussian-r3: only in old tree" in lines
+
+
+def _prop32_output(**moved):
+    report = {"instance": "gaussian-r4", "level": 1.0, "n_points": 2, "r_mean": 0.0,
+              "h_mean": 0.75, "umbilicity_max": 1e-16, "points": [[1.0, 2.0], [3.0, 4.0]]}
+    report.update(moved)
+    return {"text": repr(report), "exit": 0, "fields": json.loads(json.dumps(report))}
+
+
+def test_a_moved_prop32_report_lists_its_moved_fields_and_their_largest_change():
+    old = {"prop32 gaussian-r4 seed 11 points 12": _prop32_output()}
+    new = {"prop32 gaussian-r4 seed 11 points 12": _prop32_output(
+        h_mean=0.75 + 2 ** -53, points=[[1.0, 2.0 + 2 ** -51], [3.0, 4.0 - 2 ** -50]])}
+    lines, changed = contract.compare(old, new)
+    assert not changed
+    assert lines[:3] == [
+        "prop32 gaussian-r4 seed 11 points 12: differs in text",
+        f"  field h_mean moved, largest |Δ| {2 ** -53:.3e}",
+        f"  field points moved, largest |Δ| {2 ** -50:.3e}",
+    ]
+    # an identical report, NaN included, moves no field
+    same = _prop32_output(r_mean=float("nan"))
+    lines, _ = contract.compare({"p": same}, {"p": copy.deepcopy(same)})
+    assert lines[0] == "p: byte-identical"
+
+
+def test_moved_argmax_points_are_listed():
+    new_output = _verify_output({"soliton_eq": "PASS", "d_vanishes": "FAIL"})
+    report = json.loads(new_output["report"])
+    report["checks"][1]["argmax_point"] = [0.2] * 5
+    new_output["report"] = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    lines, changed = contract.compare(OLD, dict(OLD, **{"verify-o5": new_output}))
+    assert not changed
+    assert lines[-2:] == ["moved argmax_point values: 1",
+                          f"  verify-o5 s2xr3 d_vanishes: {[0.1] * 5!r} -> {[0.2] * 5!r}"]
+    lines, _ = contract.compare(OLD, copy.deepcopy(OLD))
+    assert lines[-1] == "moved argmax_point values: 0"

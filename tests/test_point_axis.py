@@ -1,8 +1,10 @@
 """Block evaluation on a point axis against point-by-point evaluation: the
 level points of prop3.2 and the identity suite's sample points."""
 
+import dataclasses
 import itertools
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -466,3 +468,92 @@ def test_rows_apart_copies_only_interleaved_rows():
     apart = jets.rows_apart(interleaved)
     assert apart is not interleaved and np.array_equal(apart, block)
     assert apart[..., 1, :].strides == rows[1].strides
+
+
+def _leaves(value):
+    """The arrays a property's value is made of, in a fixed order."""
+    if isinstance(value, tensors.TensorJet):
+        return [value.data]
+    if isinstance(value, jets.JetScalar):
+        return [value.coeffs]
+    if isinstance(value, tensors.MetricAtPoint):
+        return [value.g.data, value.g_inv.data]
+    if dataclasses.is_dataclass(value):  # a pack, a frame, level-surface data, Prop 3.2 terms
+        return [leaf for f in dataclasses.fields(value) if f.init
+                for leaf in _leaves(getattr(value, f.name))]
+    return [np.asarray(value, dtype=float)]
+
+
+POINT_EVAL_PROPERTIES = [name for name, attr in vars(PointEval).items()
+                         if isinstance(attr, cached_property)]
+
+
+@pytest.mark.parametrize("name", ["gaussian-r4", "cylinder-s3xr", "s2xr3"])
+def test_every_property_of_a_block_holds_its_points_own_bits(name):
+    # every cached property, found by introspection, evaluated on a block of
+    # four sample points: each row is its point's own evaluation, bit for bit
+    assert {"gradf_up_values", "frame", "level_surface", "frame_weyl", "prop32_terms",
+            "grad_sq_jet", "div_bach"} <= set(POINT_EVAL_PROPERTIES)
+    inst = get_instance(name)
+    points = [ev.point for ev in solitons.sample_evals(inst, 4, 7, 5)]
+    block = PointEval(inst, points, 5)
+    for prop in POINT_EVAL_PROPERTIES:
+        rows = [PointEval(inst, point, 5) for point in points]
+        solitons._fill_rows(rows, block, [prop])
+        for row, point in zip(rows, points):
+            got = _leaves(vars(row)[prop])
+            want = _leaves(getattr(PointEval(inst, point, 5), prop))
+            assert len(got) == len(want), prop
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (prop, point)
+
+
+def test_rows_that_branch_in_gram_schmidt_get_their_points_own_frames():
+    # grad f along x1 at (2, 0, 0, 0) spans the first chart direction, which
+    # Gram-Schmidt skips there and takes at the other points
+    inst = get_instance("gaussian-r4")
+    points = [[1.0, 0.5, 0.2, 0.1], [2.0, 0.0, 0.0, 0.0], [0.3, -1.0, 0.4, 2.0]]
+    frame = PointEval(inst, points, 3).frame
+    for p, point in enumerate(points):
+        want = PointEval(inst, point, 3).frame
+        got = frame.row(p)
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert got.grad_f_norm == want.grad_f_norm
+    one_sided = PointEval(inst, points[1:2] * 2, 3).frame  # all rows skip alike
+    assert one_sided.vectors[0].tobytes() == PointEval(inst, points[1], 3).frame.vectors.tobytes()
+
+
+def test_a_prop32_block_that_raises_is_left_to_its_points(monkeypatch):
+    inst = get_instance("cylinder-s3xr")
+    want = repr(prop32_report(inst, _level(inst), n_points=12, seed=11))
+    terms = levelset.prop32_terms
+    evaluated = []
+
+    def block_raises(ev):
+        evaluated.append(ev.metric.g.blocked)
+        if ev.metric.g.blocked:
+            raise ConsistencyError("planted")
+        return terms(ev)
+
+    monkeypatch.setattr(levelset, "prop32_terms", block_raises)
+    assert repr(prop32_report(inst, _level(inst), n_points=12, seed=11)) == want
+    assert evaluated == [True] + [False] * 12
+
+
+def test_prop32_terms_come_from_one_block():
+    inst = get_instance("cylinder-s4xr")
+    evals = level_points(inst, _level(inst), n_points=12, seed=61)
+    block = solitons.evaluate_curvature(evals)
+    solitons.fill_from_block(evals, block, ("prop32_terms",))
+    for p, ev in enumerate(evals):
+        assert vars(ev)["prop32_terms"] == block.prop32_terms.row(p)
+
+
+def test_a_blocks_grad_sq_is_each_rows_float_square():
+    # a float's ** 2 is C's pow, which rounds apart from x * x, an array's
+    # ** 2, at about one value in a thousand
+    x = next(x for x in (1.0 + np.random.default_rng(0).random(20000)).tolist() if x ** 2 != x * x)
+    inst = get_instance("gaussian-r4")
+    block = PointEval(inst, [[1.0, 0.5, 0.2, 0.1], [0.3, -1.0, 0.4, 2.0]], 3)
+    block.frame = levelset.AdaptedFrame(block.frame.vectors, np.array([x, 1.5]))
+    assert block.prop32_terms.grad_sq.tolist() == [x ** 2, 1.5 ** 2]

@@ -10,14 +10,17 @@ processes with ``OPENBLAS_NUM_THREADS=1``, one process per group:
   and the exit code of ``gradsol verify --instance all --points 20 --seed 7``
   at order 5, at order 4, and at order 4 with the benchmark's two
   expression-form extensions;
-* ``prop32``: the ``prop32_report`` repr of each level-set instance at seeds
-  11, 61 and 62 with 12 and 16 points, at its base point's level;
+* ``prop32``: the ``prop32_report`` repr (and its fields) of each level-set
+  instance at seeds 11, 61 and 62 with 12 and 16 points, at its base
+  point's level;
 * ``catalog``: ``gradsol catalog validate`` of every built-in;
 * ``tensor``: ``gradsol tensor`` of every built-in at its base point, for
   each ``--what``.
 
-The comparison prints, for each output, whether it is byte-identical, then
-the verify ``max_residual`` values that moved, largest |Δ| first.  The exit
+The comparison prints, for each output, whether it is byte-identical; for a
+``prop32`` report that is not, the report fields that moved and the largest
+|Δ| of each.  Then it lists the verify ``max_residual`` values that moved,
+largest |Δ| first, and the ``argmax_point`` values that moved.  The exit
 status is 1 on any change of a check status or an exit code, else 0.
 """
 
@@ -26,6 +29,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,7 +94,7 @@ def emit(group, extensions, work):
             for n_points in (12, 16):
                 try:
                     rep = levelset.prop32_report(inst, level, n_points=n_points, seed=seed)
-                    out = {"text": repr(rep), "exit": 0}
+                    out = {"text": repr(rep), "exit": 0, "fields": rep}
                 except Exception as exc:  # an error is an output too
                     out = {"text": f"{type(exc).__name__}: {exc}", "exit": 1}
                 outputs[f"prop32 {name} seed {seed} points {n_points}"] = out
@@ -129,19 +133,47 @@ def _checks(out):
     return {(r["instance"], e["id"]): e for r in reports for e in r["checks"]}
 
 
+def _numbers(value):
+    """The numbers of a report field, flattened in order (a list of lists for points)."""
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) else [None]
+
+
+def moved_fields(a, b):
+    """(field, largest |Δ|) of each field that differs between two prop32
+    reports, in report order; |Δ| is inf where a field's shape differs or a
+    value is not a number."""
+    moved = []
+    for key in list(a) + [k for k in b if k not in a]:
+        if repr(a.get(key)) == repr(b.get(key)):
+            continue
+        xs, ys = _numbers(a.get(key)), _numbers(b.get(key))
+        if len(xs) != len(ys) or None in xs + ys:
+            moved.append((key, math.inf))
+        else:
+            moved.append((key, max(abs(x - y) for x, y in zip(xs, ys))))
+    return moved
+
+
 def compare(old, new):
     """Lines describing how `new`'s outputs differ from `old`'s, and whether a
     status or an exit code changed (or an output is missing on one side)."""
-    lines, changed, moved = [], False, []
+    lines, changed, moved, moved_at = [], False, [], []
     for name in sorted(set(old) | set(new)):
         a, b = old.get(name), new.get(name)
         if a is None or b is None:
             lines.append(f"{name}: only in {'new' if a is None else 'old'} tree")
             changed = True
             continue
-        differs = [key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+        # "fields" is the text of a prop32 report, parsed
+        differs = [key for key in sorted((set(a) | set(b)) - {"fields"})
+                   if a.get(key) != b.get(key)]
         lines.append(f"{name}: " + ("byte-identical" if not differs
                                     else "differs in " + ", ".join(differs)))
+        if "text" in differs and "fields" in a and "fields" in b:
+            for key, delta in moved_fields(a["fields"], b["fields"]):
+                lines.append(f"  field {key} moved, largest |Δ| {delta:.3e}")
         if a["exit"] != b["exit"]:
             lines.append(f"  exit code {a['exit']} -> {b['exit']}")
             changed = True
@@ -156,9 +188,15 @@ def compare(old, new):
             if ra != rb:
                 delta = abs(rb - ra) if ra is not None and rb is not None else float("inf")
                 moved.append((delta, name, key, ra, rb))
+            pa, pb = ea.get("argmax_point"), eb.get("argmax_point")
+            if pa != pb:
+                moved_at.append((name, key, pa, pb))
     lines.append(f"moved max_residual values: {len(moved)}")
     for delta, name, key, ra, rb in sorted(moved, key=lambda m: -m[0])[:MOVED_SHOWN]:
         lines.append(f"  {name} {key[0]} {key[1]}: {ra!r} -> {rb!r} (|Δ| {delta:.3e})")
+    lines.append(f"moved argmax_point values: {len(moved_at)}")
+    for name, key, pa, pb in moved_at[:MOVED_SHOWN]:
+        lines.append(f"  {name} {key[0]} {key[1]}: {pa!r} -> {pb!r}")
     return lines, changed
 
 
