@@ -540,15 +540,6 @@ def test_a_prop32_block_that_raises_is_left_to_its_points(monkeypatch):
     assert evaluated == [True] + [False] * 12
 
 
-def test_prop32_terms_come_from_one_block():
-    inst = get_instance("cylinder-s4xr")
-    evals = level_points(inst, _level(inst), n_points=12, seed=61)
-    block = solitons.evaluate_curvature(evals)
-    solitons.fill_from_block(evals, block, ("prop32_terms",))
-    for p, ev in enumerate(evals):
-        assert vars(ev)["prop32_terms"] == block.prop32_terms.row(p)
-
-
 def test_a_blocks_grad_sq_is_each_rows_float_square():
     # a float's ** 2 is C's pow, which rounds apart from x * x, an array's
     # ** 2, at about one value in a thousand
