@@ -4,12 +4,15 @@ Each tensor that admits two textbook expressions is computed along *both*
 and the paths must agree; a disagreement, or a NaN on either path, raises
 :class:`ConsistencyError`.  The dimension is the curvature pack's.  The
 Bach tensor takes div W as an input, so a point evaluation builds it once
-for eq 2.2 and Bach.  Each identity residual reads one
-:class:`~gradsol.solitons.PointEval` and evaluates the two sides of its
-identity independently.  It returns ``(residual, scale)``: the worst
-component mismatch and the magnitude of the larger side.  Residuals whose
-side sizes show that a check was not vacuous add a third element, a dict
-of those named maxima.
+for eq 2.2 and Bach.  Each identity residual reads a
+:class:`~gradsol.solitons.PointEval`, a point's or a block's, and evaluates
+the two sides of its identity independently, over a block's point axis at
+once: contractions are einsums over the leading point axis of
+``TensorJet.stacked_values``, so each row has its point's bits.  It returns
+``(residual, scale)``: the worst component mismatch and the magnitude of
+the larger side, floats at a point and one value per row at a block.
+Residuals whose side sizes show that a check was not vacuous add a third
+element, a dict of those named maxima.
 """
 
 import numpy as np
@@ -17,7 +20,7 @@ import numpy as np
 from .curvature import covariant_derivative, divergence
 from .errors import ConsistencyError, UnsupportedDimensionError
 from .jets import jet_einsum, truncate_arrays
-from .tensors import TensorJet, raise_lower, row_abs_max
+from .tensors import TensorJet, raise_lower, row_abs_max, row_max
 
 _CROSS_CHECK_ALGEBRAIC = 1e-10
 _CROSS_CHECK_DIFFERENTIAL = 1e-8
@@ -185,25 +188,26 @@ def d_tensor(pack, df, cross_check=False):
 # ---------------------------------------------------------------------------
 # identity residuals (two sides evaluated independently, compared at values)
 
-def _compare(lhs, rhs):
-    """Worst component of lhs - rhs and the magnitude of the larger side."""
-    return float(np.abs(lhs - rhs).max()), max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+def _compare(ev, lhs, rhs):
+    """Worst component of lhs - rhs and the magnitude of the larger side, of a
+    point or of each row of a block."""
+    return ev.abs_max(lhs - rhs), row_max(ev.abs_max(lhs), ev.abs_max(rhs))
 
 
 def cotton_weyl_divergence_residual(ev):
-    """C_ijk + ((n-2)/(n-3)) div W residual at one point evaluation."""
+    """C_ijk + ((n-2)/(n-3)) div W residual at a point evaluation or a block."""
     n = ev.inst.n
     if n < 4:
         raise UnsupportedDimensionError("the divergence relation needs dimension >= 4")
-    lhs = ev.cotton.values
-    rhs = -((n - 2.0) / (n - 3.0)) * ev.div_weyl.values
-    return *_compare(lhs, rhs), {"cotton_max": float(np.abs(lhs).max())}
+    lhs = ev.cotton.stacked_values()
+    rhs = -((n - 2.0) / (n - 3.0)) * ev.div_weyl.stacked_values()
+    return *_compare(ev, lhs, rhs), {"cotton_max": ev.abs_max(lhs)}
 
 
 def d_decomposition_residual(ev):
-    """Worst component of D_ijk - C_ijk - W_ijkl grad^l f at the point."""
-    w_term = np.einsum("ijkl,l->ijk", ev.weyl.values, ev.gradf_up_values)
-    return _compare(ev.dtensor.values, ev.cotton.values + w_term)
+    """Worst component of D_ijk - C_ijk - W_ijkl grad^l f at the point or each row."""
+    w_term = np.einsum("...ijkl,...l->...ijk", ev.weyl.stacked_values(), ev.gradf_up_values)
+    return _compare(ev, ev.dtensor.stacked_values(), ev.cotton.stacked_values() + w_term)
 
 
 def d_cotton_contraction_residual(ev):
@@ -213,10 +217,11 @@ def d_cotton_contraction_residual(ev):
     contracted pair, so (D_ijk - C_ijk) grad^k f vanishes on a soliton
     even where D itself does not.
     """
-    lhs = np.einsum("ijk,k->ij", ev.dtensor.values, ev.gradf_up_values)
-    rhs = np.einsum("ijk,k->ij", ev.cotton.values, ev.gradf_up_values)
-    resid, scale = _compare(lhs, rhs)
-    return resid, max(scale, ev.dtensor.max_abs(), ev.cotton.max_abs())
+    up = ev.gradf_up_values
+    lhs = np.einsum("...ijk,...k->...ij", ev.dtensor.stacked_values(), up)
+    rhs = np.einsum("...ijk,...k->...ij", ev.cotton.stacked_values(), up)
+    resid, scale = _compare(ev, lhs, rhs)
+    return resid, row_max(scale, ev.dtensor.max_abs(), ev.cotton.max_abs())
 
 
 def bach_via_d_residual(ev):
@@ -226,13 +231,13 @@ def bach_via_d_residual(ev):
     with the printed index order; the Bach and div D magnitudes are reported.
     """
     n = ev.inst.n
-    div_d = divergence(ev.dtensor.truncated(1), ev.pack, 1).values
-    c_term = np.einsum("jli,l->ij", ev.cotton.values, ev.gradf_up_values)
-    lhs = ev.bach.values
+    div_d = divergence(ev.dtensor.truncated(1), ev.pack, 1).stacked_values()
+    c_term = np.einsum("...jli,...l->...ij", ev.cotton.stacked_values(), ev.gradf_up_values)
+    lhs = ev.bach.stacked_values()
     rhs = -(div_d + ((n - 3.0) / (n - 2.0)) * c_term) / (n - 2.0)
-    return *_compare(lhs, rhs), {
-        "bach_max": float(np.abs(lhs).max()),
-        "d_divergence_max": float(np.abs(div_d).max()),
+    return *_compare(ev, lhs, rhs), {
+        "bach_max": ev.abs_max(lhs),
+        "d_divergence_max": ev.abs_max(div_d),
     }
 
 
@@ -249,12 +254,12 @@ def div_bach_residual(ev):
     # only the values of R^{jk} are read
     ric_up = raise_lower(raise_lower(ev.pack.ricci.truncated(0), 0, metric), 1, metric)
     rhs = ((n - 4.0) / (n - 2.0) ** 2) * np.einsum(
-        "ijk,jk->i", ev.cotton.values, ric_up.values
+        "...ijk,...jk->...i", ev.cotton.stacked_values(), ric_up.stacked_values()
     )
-    resid, scale = _compare(lhs, rhs)
+    resid, scale = _compare(ev, lhs, rhs)
     bach_max = ev.bach.max_abs()
-    return resid, max(scale, bach_max), {
-        "lhs_max": float(np.abs(lhs).max()),
-        "rhs_max": float(np.abs(rhs).max()),
+    return resid, row_max(scale, bach_max), {
+        "lhs_max": ev.abs_max(lhs),
+        "rhs_max": ev.abs_max(rhs),
         "bach_max": bach_max,
     }

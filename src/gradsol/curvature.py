@@ -19,8 +19,7 @@ K is built once per pack at each order a divergence asks for (one below the
 order of the tensor it differentiates), not at Γ's full order.
 
 A pack may carry a point axis (see ``tensors``): `curvature_pack` of a
-metric with one evaluates every row with its own point's bits, and
-``row(p, metric)`` is the pack of one point.
+metric with one evaluates every row with its own point's bits.
 """
 
 from dataclasses import dataclass, field
@@ -40,8 +39,7 @@ class CurvaturePack:
     """Metric, connection and curvature jets at one point.
 
     gamma is (1,2) with the contravariant slot first; riemann is fully
-    covariant R_ijkl (None in a block stacked from its points' own packs,
-    whose readers do not read it); ricci is R_ij; scalar is g^{ij} R_ij.
+    covariant R_ijkl; ricci is R_ij; scalar is g^{ij} R_ij.
     Two fields are built on first use and kept: `schouten`, which three
     conformal tensors read, and `dscalar`, the gradient dR that five
     identities read; and `raised_gamma(order)` keeps one K per order that a
@@ -73,19 +71,6 @@ class CurvaturePack:
     def dscalar(self):
         """Gradient one-form dR of the scalar curvature, built once."""
         return scalar_gradient(self.scalar)
-
-    def row(self, p, metric):
-        """Row p of a pack with a point axis, over `metric`, that row's metric.
-
-        The fields, and `schouten` and `dscalar` if the block built them, are
-        C-contiguous copies of the row.
-        """
-        pack = CurvaturePack(metric, self.gamma.row(p), self.riemann.row(p),
-                             self.ricci.row(p), self.scalar.row(p))
-        for name in ("schouten", "dscalar"):
-            if name in self.__dict__:
-                pack.__dict__[name] = self.__dict__[name].row(p)
-        return pack
 
     def raised_gamma(self, order):
         """K[c, s, i] = g^{cm} Γ^s_{mi} at `order` (at most Γ's), built once per order."""

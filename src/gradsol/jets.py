@@ -467,10 +467,6 @@ class JetScalar:
         lower, data = truncate_arrays(self.space, self.coeffs, order)
         return JetScalar(lower, data.copy())
 
-    def row(self, p):
-        """Row p of the point axis, as the jet of one point (a copy)."""
-        return JetScalar(self.space, self.coeffs[p].copy())
-
     def _coerce(self, other):
         if isinstance(other, JetScalar):
             if other.space is not self.space:

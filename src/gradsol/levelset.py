@@ -6,22 +6,19 @@ the outward unit normal +e_1.  Checks against the inward normal -e_1
 (where a derivative of the frame metric along the normal appears) carry
 the compensating sign explicitly.
 
-The per-point functions read one :class:`~gradsol.solitons.PointEval`,
-which caches the frame, the Hessian of f and the level-surface data, so
-each is computed once per point.  :func:`adapted_frame`,
-:func:`second_fundamental_form`, :func:`in_frame` and :func:`prop32_terms`
-also take a block ``PointEval`` of a list of points: each runs its one
-recipe once over the point axis, the leading batch axis of every stacked
-matmul and of ``eigvalsh``, on operands whose rows lie as their points'
-own values do (``TensorJet.stacked_values``), so each row has its point's
-bits.  Their results lead with the point axis, except ``in_frame``'s,
-which keeps it last as tensor values do.  The residuals of the suite's
-level-set checks return ``(residual, scale)``; :func:`prop31_residual` and
-:func:`frame_cotton_components` add a third element, a dict of the
-quantities behind the residual.  They need a regular point of a
-non-constant potential: the suite's ``CheckSpec.level_sets`` keeps them
-off constant potentials, and at a critical point the adapted frame raises
-:class:`CriticalPointError`.
+Every function here reads a :class:`~gradsol.solitons.PointEval`, which
+caches the frame, the Hessian of f and the level-surface data: a point's,
+or a block's, over whose point axis it runs its one recipe at once, the
+leading batch axis of every stacked matmul and of ``eigvalsh``, on operands
+whose rows lie as their points' own values do
+(``TensorJet.stacked_values``), so each row has its point's bits.  Results
+lead with the point axis.  The residuals of the suite's level-set checks
+return ``(residual, scale)``, one value per row of a block;
+:func:`prop31_residual` and :func:`frame_cotton_components` add a third
+element, a dict of the quantities behind the residual.  They need a regular
+point of a non-constant potential: the suite's ``CheckSpec.level_sets``
+keeps them off constant potentials, and at a critical point the adapted
+frame raises :class:`CriticalPointError`.
 
 :func:`level_points` finds its points by scanning rays from the box
 centre.  The potential of each block of rays is evaluated once, on float64
@@ -30,14 +27,12 @@ float path (NaN where that path would raise); the walk along each ray,
 the bisection and the ray points are plain floats.  The roots still
 needed are evaluated as one block on a point axis (metric, g^-1, f and
 grad f at order 3) and admitted in ray order, and :func:`prop32_report`
-evaluates the pack, D, |D|^2 and Hess f of its points as one more block,
-then on that block their frames, second fundamental forms and
-:class:`Prop32Terms`; each point's evaluation holds its own row, with its
-own bits.
+reads that block as it is: |D|, then the frames, second fundamental forms
+and :class:`Prop32Terms` of all its rows at once.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,23 +46,12 @@ from .errors import (
 )
 from .jets import JetScalar, jet_einsum
 from .jets import sqrt as jets_sqrt
-from .tensors import TensorJet
+from .tensors import TensorJet, row_max
 
 GRAD_THRESHOLD = 1e-6
 D_ZERO_TOL = 1e-9
 _MAX_RAYS = 1200
 _SCAN_STEPS = 48
-
-
-def _row(data, p):
-    """Row p of level-surface data with a leading point axis: a copy of each
-    array's row, a float where there is one value per row."""
-    return type(data)(*(x[p].copy() if x.ndim > 1 else float(x[p]) for x in vars(data).values()))
-
-
-def _point_value(x):
-    """A float for a 0-d result, the array itself for one value per row."""
-    return float(x) if np.ndim(x) == 0 else x
 
 
 def _quad(a, m, b):
@@ -95,9 +79,6 @@ class AdaptedFrame:
     def tangent(self):
         return self.vectors[..., 1:, :]
 
-    def row(self, p):
-        return _row(self, p)
-
 
 @dataclass(frozen=True)
 class LevelSurfaceData:
@@ -106,9 +87,6 @@ class LevelSurfaceData:
     h: np.ndarray
     H: float
     tangential_dR: np.ndarray
-
-    def row(self, p):
-        return _row(self, p)
 
 
 @dataclass(frozen=True)
@@ -130,9 +108,6 @@ class Prop32Terms:
     mu: float
     eigenvalue_mismatch: float
 
-    def row(self, p):
-        return _row(self, p)
-
 
 def adapted_frame(ev):
     """Gram-Schmidt completion of grad f/|grad f| against the chart basis.
@@ -144,15 +119,13 @@ def adapted_frame(ev):
     """
     g0 = ev.metric.g.stacked_values()
     grad = ev.gradf_up_values
-    if ev.metric.g.blocked:  # rows first, each laid out as its point's own vector
-        grad = np.ascontiguousarray(np.moveaxis(grad, -1, 0))
     norm = np.sqrt(np.maximum(_quad(grad, g0, grad), 0.0))
     low = np.flatnonzero(np.ravel(norm < GRAD_THRESHOLD))
     if low.size:
         raise CriticalPointError(
             f"|grad f| = {np.ravel(norm)[low[0]]:.3e} below threshold {GRAD_THRESHOLD:.1e}"
         )
-    return AdaptedFrame(_completed(g0, grad, norm), _point_value(norm))
+    return AdaptedFrame(_completed(g0, grad, norm), norm)
 
 
 def _completed(g0, grad, norm):
@@ -181,19 +154,19 @@ def _completed(g0, grad, norm):
 def in_frame(frame, values):
     """Components of a covariant tensor's values in the adapted frame.
 
-    A block's values and result carry the point axis last, as `values` do.
+    A block's values (`TensorJet.stacked_values`) and result lead with the
+    point axis, as its frame does.
     """
     vectors = frame.vectors
-    block = vectors.ndim == 3
-    out = np.moveaxis(values, -1, 0) if block else values
-    lead = out.shape[:1] if block else ()
+    lead = values.shape[:vectors.ndim - 2]
+    out = values
     for _ in range(out.ndim - len(lead)):
         # contract the leading chart slot; its frame slot goes last: a copy
         # with that slot last, as np.tensordot makes, and one matmul
         moved = np.moveaxis(out, len(lead), -1)
         flat = np.ascontiguousarray(moved).reshape(lead + (-1, moved.shape[-1]))
         out = (flat @ np.swapaxes(vectors, -1, -2)).reshape(moved.shape[:-1] + (-1,))
-    return np.moveaxis(out, 0, -1) if block else out
+    return out
 
 
 def second_fundamental_form(ev):
@@ -211,22 +184,17 @@ def second_fundamental_form(ev):
     if ev.inst.kind is not None:
         ric_f = t @ ev.pack.ricci.stacked_values() @ t_up
         alt = (ev.inst.rho * np.eye(t.shape[-2]) - ric_f) / norm
-        scale = np.maximum(np.maximum(1.0, _abs_max(h)), _abs_max(alt))
+        scale = np.maximum(np.maximum(1.0, ev.abs_max(h)), ev.abs_max(alt))
         # `not <=`, unlike `>`, holds for NaN: a NaN on either form disagrees
-        if not np.all(_abs_max(h - alt) / scale <= 1e-9):
+        if not np.all(ev.abs_max(h - alt) / scale <= 1e-9):
             raise ConsistencyError(
                 "second fundamental form: Hessian and soliton forms disagree"
             )
     return LevelSurfaceData(
         h=h,
-        H=_point_value(np.trace(h, axis1=-2, axis2=-1)),
+        H=np.trace(h, axis1=-2, axis2=-1),
         tangential_dR=(t @ ev.pack.dscalar.stacked_values()[..., None])[..., 0],
     )
-
-
-def _abs_max(x):
-    """max |x| over the last two axes: one value, or one per row."""
-    return np.abs(x).max(axis=(-2, -1))
 
 
 def prop32_terms(ev):
@@ -244,16 +212,16 @@ def prop32_terms(ev):
     mu = rho - h_mean * norm / (n - 1)
     expected = np.sort(np.stack([lam] + [mu] * (n - 1), axis=-1), axis=-1)
     eig = np.sort(np.linalg.eigvalsh(ric_f), axis=-1)
-    return Prop32Terms(*(_point_value(x) for x in (
+    return Prop32Terms(
         r,
         np.float_power(norm, 2),  # C pow, as a float's ** is; an array's ** 2 squares
         h_mean,
         np.abs(ric_f[..., 0, 1:]).max(axis=-1),
-        _abs_max(umbilic),
+        ev.abs_max(umbilic),
         lam,
         mu,
         np.abs(eig - expected).max(axis=-1),
-    )))
+    )
 
 
 def prop31_residual(ev):
@@ -265,23 +233,26 @@ def prop31_residual(ev):
     n = ev.inst.n
     lsd = ev.level_surface
     lhs = ev.d_norm_sq
-    traceless = lsd.h - (lsd.H / (n - 1)) * np.eye(n - 1)
+    traceless = lsd.h - (np.asarray(lsd.H) / (n - 1))[..., None, None] * np.eye(n - 1)
     rhs = (
-        2.0 * ev.frame.grad_f_norm ** 4 / (n - 2) ** 2 * float((traceless ** 2).sum())
-        + float((lsd.tangential_dR ** 2).sum()) / (2.0 * (n - 1) * (n - 2))
+        # np.float_power, a float's ** 4, is C's pow; an array's ** 4 rounds apart from it
+        2.0 * np.float_power(ev.frame.grad_f_norm, 4) / (n - 2) ** 2
+        * (traceless ** 2).sum(axis=(-2, -1))
+        + (lsd.tangential_dR ** 2).sum(axis=-1) / (2.0 * (n - 1) * (n - 2))
     )
-    return abs(lhs - rhs), max(abs(lhs), abs(rhs)), {"lhs": lhs, "rhs": rhs}
+    return np.abs(lhs - rhs), row_max(np.abs(lhs), np.abs(rhs)), {"lhs": lhs, "rhs": rhs}
 
 
 def _normal_form_derivative(ev, phi):
-    """Values of the covariant derivative of the one-form df * phi(|grad f|^2).
+    """Values of the covariant derivative of the one-form df * phi(|grad f|^2),
+    a block's leading with the point axis.
 
     `phi` maps the jet of |grad f|^2 to a scalar jet.
     """
     df = ev.df.truncated(1)  # the derivative's values need the form to order 1
     form = TensorJet(df.space, "d",
                      jet_einsum(df.space, "i,->i", df.data, phi(ev.grad_sq_jet).coeffs))
-    return covariant_derivative(form, ev.pack).values
+    return covariant_derivative(form, ev.pack).stacked_values()
 
 
 def grad_sq_jet(ev):
@@ -302,8 +273,9 @@ def normal_metric_derivative(ev):
     """
     t = ev.frame.tangent
     dv = _normal_form_derivative(ev, lambda w2: 1.0 / w2)
-    lie = dv + dv.T
-    return -ev.frame.grad_f_norm * (t @ lie @ t.T)
+    lie = dv + np.swapaxes(dv, -1, -2)
+    norm = np.asarray(ev.frame.grad_f_norm)[..., None, None]
+    return -norm * (t @ lie @ np.swapaxes(t, -1, -2))
 
 
 def normal_geodesic_residual(ev):
@@ -314,13 +286,13 @@ def normal_geodesic_residual(ev):
     """
     nu_up = -ev.frame.e1  # unit normal, contravariant components
     dnu = _normal_form_derivative(ev, lambda w2: -(1.0 / jets_sqrt(w2)))
-    return float(np.abs(nu_up @ dnu).max()), 1.0
+    return ev.abs_max((nu_up[..., None, :] @ dnu)[..., 0, :]), 1.0
 
 
 def frame_riemann_e1_tangential(ev):
     """max |Rm(e_1, e_a, e_b, e_c)| over tangential a, b, c."""
-    rm = in_frame(ev.frame, ev.pack.riemann.values)
-    return float(np.abs(rm[0, 1:, 1:, 1:]).max()), float(np.abs(ev.pack.riemann.values).max())
+    rm = in_frame(ev.frame, ev.pack.riemann.stacked_values())
+    return ev.abs_max(rm[..., 0, 1:, 1:, 1:]), ev.pack.riemann.max_abs()
 
 
 def frame_cotton_components(ev):
@@ -331,17 +303,17 @@ def frame_cotton_components(ev):
     whose soliton 3-tensor vanishes the five families vanish and their
     maximum is the residual; elsewhere the record shows which survive.
     """
-    c = in_frame(ev.frame, ev.cotton.values)
+    c = in_frame(ev.frame, ev.cotton.stacked_values())
     w = ev.frame_weyl
     rec = {
-        "c_ij1": float(np.abs(c[:, :, 0]).max()),
-        "c_abc": float(np.abs(c[1:, 1:, 1:]).max()),
-        "c_1ab": float(np.abs(c[0, 1:, 1:]).max()),
-        "w_1abc": float(np.abs(w[0, 1:, 1:, 1:]).max()),
-        "w_1a1b": float(np.abs(w[0, 1:, 0, 1:]).max()),
+        "c_ij1": ev.abs_max(c[..., :, :, 0]),
+        "c_abc": ev.abs_max(c[..., 1:, 1:, 1:]),
+        "c_1ab": ev.abs_max(c[..., 0, 1:, 1:]),
+        "w_1abc": ev.abs_max(w[..., 0, 1:, 1:, 1:]),
+        "w_1a1b": ev.abs_max(w[..., 0, 1:, 0, 1:]),
         "grad_f_norm": ev.frame.grad_f_norm,
     }
-    return max(rec[k] for k in ("c_ij1", "c_abc", "c_1ab", "w_1abc", "w_1a1b")), 1.0, rec
+    return row_max(*(rec[k] for k in ("c_ij1", "c_abc", "c_1ab", "w_1abc", "w_1a1b"))), 1.0, rec
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +428,8 @@ def _ray_roots(inst, c, n_points, seed):
 
 
 def level_points(inst, c, n_points=12, seed=11):
-    """Order-3 point evaluations on {f = c}: roots along rays that `solitons.admit_points` accepts.
+    """Order-3 evaluations, blocks and points, of `n_points` points on {f = c}:
+    roots along rays that `solitons.admit_points` accepts.
 
     Needs an integer `n_points >= 1` (not a bool) and a finite `c`
     (ConfigurationError otherwise); HypothesisViolationError for a constant
@@ -486,19 +459,18 @@ def level_points(inst, c, n_points=12, seed=11):
     try:
         for point in _ray_roots(inst, c, n_points, seed):
             roots.append(point)
-            if len(roots) == n_points - len(evals):
+            if len(roots) == n_points - len(solitons.points_of(evals)):
                 evals += solitons.admit_points(inst, roots, 3)
                 roots = []
-                if len(evals) == n_points:
+                if len(solitons.points_of(evals)) == n_points:
                     break
     except Exception:
         solitons.admit_points(inst, roots, 3)  # its error, if any, comes first
         raise
     evals += solitons.admit_points(inst, roots, 3)
-    if len(evals) < n_points:
-        raise LevelPointError(
-            f"{inst.name}: found only {len(evals)}/{n_points} points on f = {c}"
-        )
+    found = len(solitons.points_of(evals))
+    if found < n_points:
+        raise LevelPointError(f"{inst.name}: found only {found}/{n_points} points on f = {c}")
     return evals
 
 
@@ -510,46 +482,40 @@ def prop32_report(inst, c, n_points=12, seed=11):
     the second fundamental form, and the two-eigenvalue structure of the
     Ricci tensor with the predicted values
     lambda = R - (n-1) rho + H |grad f| and mu = rho - H |grad f|/(n-1).
-    Each level point is an order-3 point evaluation from :func:`level_points`;
-    their curvature, D, |D|^2 and Hess f are evaluated as one block
-    (`solitons.evaluate_curvature`), and after the D = 0 test their frames,
-    second fundamental forms and `Prop32Terms` on the same block
-    (`solitons.fill_from_block`).
+    The level points' evaluations from :func:`level_points` (blocks, as a
+    rule) are read as they are, row by row (`solitons.read_rows`): first |D|
+    of every row, then, after the D = 0 test, each block's frames, second
+    fundamental forms and `Prop32Terms` as one stacked evaluation.
     """
     from . import solitons
 
     evals = level_points(inst, c, n_points=n_points, seed=seed)
-    block = solitons.evaluate_curvature(evals)
-    # np.max and `not <=`, unlike max and `>`, let a NaN at any point through
-    d_max = float(np.max([ev.d_norm for ev in evals]))
+    solitons.evaluate_in_blocks(evals)
+    # max_over_rows and `not <=`, unlike max and `>`, let a NaN at any point through
+    d_max = solitons.max_over_rows(evals, lambda ev: ev.d_norm)
     if not d_max <= D_ZERO_TOL:
         raise HypothesisViolationError(
             f"{inst.name}: |D| = {d_max:.3e} on the level surface; the report "
             "applies only where the 3-tensor D vanishes"
         )
-    solitons.fill_from_block(evals, block, ("prop32_terms",))
-    terms = [ev.prop32_terms for ev in evals]
-
-    def values(name):
-        return [getattr(t, name) for t in terms]
-
-    def spread(vals):
-        return float(np.max(vals) - np.min(vals))
+    names = [f.name for f in fields(Prop32Terms)]
+    rows = solitons.read_rows(evals, lambda ev: [getattr(ev.prop32_terms, k) for k in names])
+    terms = dict(zip(["points"] + names, zip(*rows)))
 
     return {
         "instance": inst.name,
         "level": float(c),
-        "n_points": len(evals),
-        "r_mean": float(np.mean(values("r"))),
-        "r_spread": spread(values("r")),
-        "grad_sq_mean": float(np.mean(values("grad_sq"))),
-        "grad_sq_spread": spread(values("grad_sq")),
-        "h_mean": float(np.mean(values("h_mean"))),
-        "h_spread": spread(values("h_mean")),
-        "ricci_mixed_max": float(np.max(values("ricci_mixed"))),
-        "umbilicity_max": float(np.max(values("umbilicity"))),
-        "lambda": float(np.mean(values("lam"))),
-        "mu": float(np.mean(values("mu"))),
-        "eigenvalue_mismatch": float(np.max(values("eigenvalue_mismatch"))),
-        "points": [list(ev.point) for ev in evals],
+        "n_points": len(terms["points"]),
+        "r_mean": float(np.mean(terms["r"])),
+        "r_spread": float(np.ptp(terms["r"])),
+        "grad_sq_mean": float(np.mean(terms["grad_sq"])),
+        "grad_sq_spread": float(np.ptp(terms["grad_sq"])),
+        "h_mean": float(np.mean(terms["h_mean"])),
+        "h_spread": float(np.ptp(terms["h_mean"])),
+        "ricci_mixed_max": float(np.max(terms["ricci_mixed"])),
+        "umbilicity_max": float(np.max(terms["umbilicity"])),
+        "lambda": float(np.mean(terms["lam"])),
+        "mu": float(np.mean(terms["mu"])),
+        "eigenvalue_mismatch": float(np.max(terms["eigenvalue_mismatch"])),
+        "points": [list(point) for point in terms["points"]],
     }

@@ -11,20 +11,16 @@ for the verification harness.
 A :class:`PointEval` evaluates one point lazily, or a block: a list of
 points on a point axis (see ``tensors``), each row with its own point's
 bits.  Its cached properties are the one recipe of each quantity, and
-every one of them takes the point axis: the curvature chain, grad f at
-values, the frame, the level-surface data, W in the frame and Prop 3.2's
-terms (``levelset``).  `evaluate_points` and `evaluate_curvature` build a
-block, and `_fill_rows` hands its rows to the evaluations of its points;
-errors are those of the first failing point.  `admit_points` admits such
-a block by the one admission rule.  `sample_evals` draws its candidates
-in blocks and admits each block with one metric, g^-1, f and grad f
-evaluation; the identity suite then fills the curvature chain of its
-sample in blocks where `block_rule` says that pays, and every other cache
-stays lazy.  `fill_from_block` hands out more rows of such a block: the
-suite's frames and second fundamental forms, and Prop 3.2's terms of
-`prop32_report`'s level points.
+every one of them takes the point axis.  `sample_evals` draws candidates
+in blocks, which `admit_points` admits by the one admission rule with one
+metric, g^-1, f and grad f evaluation.  Readers take the blocks as they
+are, and no row is copied out to a point: each residual returns one value
+per row, and `read_rows` hands the rows out in draw order.  A block whose
+evaluation raises gives way to its points, each evaluated alone, so an
+error is that of the first failing point.
 """
 
+import itertools
 import math
 import numbers
 import zlib
@@ -40,8 +36,9 @@ from .curvature import (CurvaturePack, covariant_derivative, curvature_pack, div
                         scalar_gradient)
 from .errors import ConfigurationError, DomainError, GradsolError, ValidationError
 from .exprs import compile_expression
-from .jets import JetScalar, JetSpace, constant, coordinate_jets, stack_rows
-from .tensors import MetricAtPoint, TensorJet, metric_at_point, metric_at_points, tensor_norm_sq
+from .jets import JetScalar, JetSpace, constant, coordinate_jets, point_rows, stack_rows
+from .tensors import (MetricAtPoint, TensorJet, metric_at_point, metric_at_points, row_dot,
+                      row_max, tensor_norm_sq)
 
 KINDS = ("shrinking", "steady", "expanding", "einstein")
 SOLITON_TOL = 1e-9
@@ -134,13 +131,12 @@ class SolitonInstance:
 
 
 # ---------------------------------------------------------------------------
-# per-point evaluation and residuals
+# point and block evaluation, and residuals
 
 def _norm(norm_sq):
-    """|T| from |T|^2: a float, or an array with one value per row."""
-    if isinstance(norm_sq, np.ndarray):
-        return np.array([_norm(x) for x in norm_sq.tolist()])
-    return math.sqrt(max(norm_sq, 0.0))
+    """|T| from |T|^2, a float's or each row's: the root of max(|T|^2, 0.0) as
+    Python's max takes it, so -0.0 and NaN keep theirs."""
+    return np.sqrt(np.where(norm_sq < 0.0, 0.0, norm_sq))
 
 
 class PointEval:
@@ -148,14 +144,26 @@ class PointEval:
 
     A block is the `PointEval` of a list of points: each property holds one
     row per point, on a point axis, with the bits of that point's own
-    evaluation, and a norm an array of one value per row.  `_fill_rows`
-    hands a block's rows to the evaluations of its points.
+    evaluation, and a norm an array of one value per row.  Readers take the
+    block as it is (`read_rows`); no row is copied out to a point.
     """
 
     def __init__(self, inst, point, order):
         self.inst = inst
-        self.point = np.asarray(point, dtype=float).tolist()
+        point = np.asarray(point, dtype=float)
+        self.point = point.tolist()
+        self.blocked = point.ndim == 2
         self.order = order
+
+    @property
+    def points(self):
+        """The points of the rows: a block's list, or a list of the one point."""
+        return self.point if self.blocked else [self.point]
+
+    def abs_max(self, x):
+        """max |x| of each row: over every axis of a point's array, every axis
+        but the leading point axis of a block's."""
+        return np.abs(x).max(axis=tuple(range(self.blocked, np.ndim(x))))
 
     @cached_property
     def metric(self):
@@ -180,10 +188,8 @@ class PointEval:
 
     @cached_property
     def gradf_up_values(self):
-        """grad f = g^-1 df at values, one stacked matmul; a block's with its
-        point axis last, as `values` are."""
-        up = (self.metric.g_inv.stacked_values() @ self.df.stacked_values()[..., None])[..., 0]
-        return np.moveaxis(up, 0, -1) if self.df.blocked else up
+        """grad f = g^-1 df at values, one stacked matmul; a block's leads with the point axis."""
+        return (self.metric.g_inv.stacked_values() @ self.df.stacked_values()[..., None])[..., 0]
 
     @cached_property
     def grad_sq_jet(self):
@@ -233,8 +239,9 @@ class PointEval:
 
     @cached_property
     def div_bach(self):
-        """Values of div B; raises InsufficientOrderError below order 5."""
-        return divergence(self.bach, self.pack, 1).values
+        """Values of div B, a block's leading with the point axis; raises
+        InsufficientOrderError below order 5."""
+        return divergence(self.bach, self.pack, 1).stacked_values()
 
     @cached_property
     def frame(self):
@@ -246,45 +253,91 @@ class PointEval:
 
     @cached_property
     def frame_weyl(self):
-        """W in the adapted frame, slot by slot."""
-        return levelset.in_frame(self.frame, self.weyl.values)
+        """W in the adapted frame, slot by slot; a block's leads with the point axis."""
+        return levelset.in_frame(self.frame, self.weyl.stacked_values())
 
     @cached_property
     def prop32_terms(self):
         return levelset.prop32_terms(self)
 
 
-# Each residual below returns (absolute_residual, scale_of_largest_term).
+# Each residual below returns (absolute_residual, scale_of_largest_term), floats
+# at a point and one value per row at a block.
 
 def soliton_eq_residual(ev):
-    """Ric + Hess f - rho g at one point evaluation."""
-    hess = ev.hess_f
-    g = ev.metric.g.values
-    ric = ev.pack.ricci.values
-    resid = np.abs(ric + hess.values - ev.inst.rho * g).max()
-    scale = max(np.abs(ric).max(), np.abs(hess.values).max(), abs(ev.inst.rho) * np.abs(g).max())
-    return float(resid), float(scale)
+    """Ric + Hess f - rho g at a point evaluation or a block."""
+    hess = ev.hess_f.stacked_values()
+    g = ev.metric.g.stacked_values()
+    ric = ev.pack.ricci.stacked_values()
+    resid = ev.abs_max(ric + hess - ev.inst.rho * g)
+    return resid, row_max(ev.abs_max(ric), ev.abs_max(hess), abs(ev.inst.rho) * ev.abs_max(g))
 
 
 def hamilton_first_residual(ev):
-    """dR - 2 Ric(grad f) at one point evaluation (needs order 3)."""
-    d_scal = ev.pack.dscalar.values
-    rhs = 2.0 * ev.pack.ricci.values @ ev.gradf_up_values
-    resid = np.abs(d_scal - rhs).max()
-    return float(resid), float(max(np.abs(d_scal).max(), np.abs(rhs).max()))
+    """dR - 2 Ric(grad f) at a point evaluation or a block (needs order 3)."""
+    d_scal = ev.pack.dscalar.stacked_values()
+    rhs = (2.0 * ev.pack.ricci.stacked_values() @ ev.gradf_up_values[..., None])[..., 0]
+    return ev.abs_max(d_scal - rhs), row_max(ev.abs_max(d_scal), ev.abs_max(rhs))
+
+
+def _grad_sq(ev):
+    """|grad f|^2 = df . grad f at values, of a point or of each row."""
+    return row_dot(ev.df.stacked_values(), ev.gradf_up_values)
 
 
 def hamilton_second_residual(ev):
-    """R + |grad f|^2 - f at one point evaluation."""
-    grad_sq = float(ev.df.values @ ev.gradf_up_values)
-    r = ev.pack.scalar.value
-    f0 = ev.f.value
-    return abs(r + grad_sq - f0), max(abs(r), grad_sq, abs(f0))
+    """R + |grad f|^2 - f at a point evaluation or a block."""
+    grad_sq = _grad_sq(ev)
+    r = ev.pack.scalar.coeffs[..., 0]
+    f0 = ev.f.coeffs[..., 0]
+    return np.abs(r + grad_sq - f0), row_max(np.abs(r), grad_sq, np.abs(f0))
 
 
 def is_normalized_shrinker(inst):
     """Whether the first integrals apply: a shrinker (or Einstein) with rho = 1/2."""
     return inst.rho == 0.5 and inst.kind in ("shrinking", "einstein")
+
+
+def points_of(evals):
+    """The points of the rows of `evals`, blocks and points alike, in order."""
+    return [point for ev in evals for point in ev.points]
+
+
+def _evaluated(evals, fn):
+    """(evaluation, fn of it) of each of `evals`, in order, fn taken when asked for.
+
+    A block where fn raises is replaced in `evals` by its points, each
+    evaluated alone, and fn is taken of each in turn: the first point where it
+    raises raises its own error, as point-by-point evaluation does, and later
+    readers of `evals` read the points.
+    """
+    k = 0
+    while k < len(evals):
+        ev = evals[k]
+        try:
+            out = fn(ev)
+        except _BLOCK_ERRORS:
+            if not ev.blocked:
+                raise
+            evals[k:k + 1] = [PointEval(ev.inst, point, ev.order) for point in ev.point]
+            continue
+        k += 1
+        yield ev, out
+
+
+def read_rows(evals, fn):
+    """(point, *outputs) of each row of `evals`, in order: fn's outputs at the
+    evaluation that holds the row, floats at a point and one value per row at
+    a block, taken once per evaluation (`_evaluated`)."""
+    for ev, out in _evaluated(evals, fn):
+        shape = (len(ev.points),)
+        yield from zip(ev.points, *(np.broadcast_to(x, shape).tolist() for x in out))
+
+
+def max_over_rows(evals, fn):
+    """np.max of fn's one output over every row of `evals`: unlike max, it
+    lets a NaN at any row through."""
+    return float(np.max([x for _, x in read_rows(evals, lambda ev: (fn(ev),))]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,156 +363,95 @@ def _excluded(inst, point):
     return inst.excluded_distance(point) < MIN_EXCLUDED_DISTANCE
 
 
-def _steep(inst, ev):
-    """Whether |grad f| at `ev` is not below MIN_GRAD_DISTANCE; always, for a constant f."""
-    if inst.trivial:
-        return True
-    return not math.sqrt(max(ev.df.values @ ev.gradf_up_values, 0.0)) < MIN_GRAD_DISTANCE
-
-
 def admit_points(inst, points, order):
-    """The order-`order` point evaluations at `points` that the admission rule accepts, in order.
+    """The order-`order` evaluations of the `points` that the admission rule
+    accepts, in order: blocks and, where a block raised, points.
 
     The one admission rule: reject a point near an excluded locus and, unless
     the potential is constant, a point where |grad f| < MIN_GRAD_DISTANCE,
     read from the evaluation that is returned to the point's readers.  The
     points not excluded are evaluated as one block (`evaluate_points`) before
-    |grad f| is read, so an excluded point is never evaluated.
+    |grad f| is read, so an excluded point is never evaluated; a block with
+    rejected rows gives way to the block of its other rows.
     """
     kept = [point for point in points if not _excluded(inst, point)]
-    return [ev for ev in evaluate_points(inst, kept, order) if _steep(inst, ev)]
+    admitted = []
+    for ev in evaluate_points(inst, kept, order):
+        steep = inst.trivial or ~(_norm(_grad_sq(ev)) < MIN_GRAD_DISTANCE)
+        rows = np.flatnonzero(np.broadcast_to(steep, (len(ev.points),)))
+        if len(rows) == len(ev.points):
+            admitted.append(ev)
+        elif len(rows):  # some rows of a block
+            admitted.append(_block_of_rows(ev, rows))
+    return admitted
 
 
-def _fill_rows(evals, block, names):
-    """Evaluate the properties `names` of `block` and give each of `evals`,
-    the evaluations (or packs) of its points in order, its row of each, a
-    C-contiguous copy, as a cached value.
+def _block_of_rows(block, rows):
+    """The block of the `rows` of `block`, with their metric, g^-1, f and grad f,
+    each row laid out as its point's own."""
+    out = PointEval(block.inst, [block.point[p] for p in rows], block.order)
 
-    Every property is evaluated before any row is handed out, so a block
-    that raises fills no cache.  A pack's row lies over the point's metric.
-    """
-    values = [(name, getattr(block, name)) for name in names]
-    for p, ev in enumerate(evals):
-        for name, value in values:
-            if isinstance(value, CurvaturePack):
-                row = value.row(p, ev.metric)
-            elif isinstance(value, MetricAtPoint):
-                row = value.row(p, ev.point)
-            elif isinstance(value, np.ndarray):  # per-row values, last axis the points'
-                row = value[..., p].copy() if value.ndim > 1 else float(value[p])
-            else:
-                row = value.row(p)
-            ev.__dict__[name] = row
+    def take(t):
+        return TensorJet(t.space, t.valence, point_rows(t.data[..., rows, :]))
+
+    metric = block.metric
+    out.metric = MetricAtPoint(metric.space, out.point, take(metric.g), take(metric.g_inv))
+    out.f = JetScalar(block.f.space, block.f.coeffs[rows])
+    out.df = take(block.df)
+    return out
 
 
 def evaluate_points(inst, points, order):
-    """Order-`order` point evaluations at `points`, their metric, g^-1, f and grad f as one block.
-
-    The block is the `PointEval` of the list of points; each evaluation
-    gets its rows (`_fill_rows`).  A block that raises is evaluated again
-    point by point, in order, so the first point whose own evaluation
-    raises raises, with its own error.
-    """
-    evals = [PointEval(inst, point, order) for point in points]
-    if not evals:
-        return evals
-    try:
-        _fill_rows(evals, PointEval(inst, [ev.point for ev in evals], order), ("metric", "f", "df"))
-    except _BLOCK_ERRORS:
-        for ev in evals:
-            ev.df  # the metric, f and grad f of this point alone
+    """Order-`order` evaluations at `points` with their metric, g^-1, f and
+    grad f: one block, the `PointEval` of the list of points, or, if the
+    block raises, its points, evaluated one by one (`_evaluated`)."""
+    evals = [PointEval(inst, points, order)] if len(points) else []
+    for _ in _evaluated(evals, lambda ev: ev.df):  # the metric, then f and grad f
+        pass
     return evals
 
 
-def evaluate_curvature(evals):
-    """Fill the curvature chain of evaluations of one instance and order as one block.
+def _stacked(tensors):
+    """Tensors of points on a point axis, each row laid out as its point's data."""
+    t = tensors[0]
+    return TensorJet(t.space, t.valence, stack_rows([t.data for t in tensors]))
 
-    The block is the `PointEval` of their points, over their metrics and
-    grad f stacked on a point axis; `_fill_rows` hands out its D, |D|^2 and
-    Hess f, from order 4, where the suite reads the Bach tensor, its Cotton
-    tensor and |C|, from dimension 4 B, |W| and |B|, and at order 5 div B.
-    The layers of Riemann's size, the curvature pack, W and div W, are the
-    block's own too where `block_rule` says so; elsewhere each point
-    evaluates its own, the block stacks their rows (W at B's order), and
-    the points' packs get the block's Schouten tensor and dR.  Each
-    cross-check is judged row by row: a block raises the error of the
-    first row that fails one, with that point's figures, and fills no cache
-    of the block's layers.  Returns the block (None for no evaluations),
-    whose other properties `fill_from_block` hands out.
+
+def evaluate_curvature(ev):
+    """The curvature pack, W and div W of a block, evaluated point by point
+    where `block_rule` says these layers of Riemann's size do not pay as
+    blocks; elsewhere, and at a point, they stay lazy, as every other
+    quantity does.
+
+    Each point evaluates its layers over its row of the block's metric (a
+    view, laid out as the point's own metric), and the block holds them
+    stacked on its point axis: the pack and, from order 4, where the suite
+    reads B, W and div W.  The points' evaluations are then dropped.  A
+    cross-check raises the error of the first point that fails it.
     """
-    if not evals:
-        return None
-    first = evals[0]
-    n, order = first.inst.n, first.order
-    riemann_blocks = block_rule(n, order)[1]
-
-    def stacked(tensors):
-        t = tensors[0]
-        return TensorJet(t.space, t.valence, stack_rows([t.data for t in tensors]))
-
-    block = PointEval(first.inst, [ev.point for ev in evals], order)
-    block.metric = MetricAtPoint(first.metric.space, block.point,
-                                 stacked([ev.metric.g for ev in evals]),
-                                 stacked([ev.metric.g_inv for ev in evals]))
-    block.df = stacked([ev.df for ev in evals])
-    names = ["dtensor", "d_norm_sq", "hess_f"]
-    if riemann_blocks:
-        names.append("pack")
-    else:
-        packs = [ev.pack for ev in evals]
-        # Riemann is read only by W, which each point evaluates itself
-        block.pack = CurvaturePack(block.metric, stacked([pk.gamma for pk in packs]), None,
-                                   stacked([pk.ricci for pk in packs]),
-                                   JetScalar(packs[0].scalar.space,
-                                             stack_rows([pk.scalar.coeffs for pk in packs])))
-    if order >= 4:
-        names += ["cotton", "cotton_norm"]
-        if riemann_blocks:
-            names += ["weyl", "div_weyl"] if n >= 4 else ["weyl"]
-        elif n >= 4:  # B and |W| read W at B's order, two below Ricci's
-            block.weyl = stacked([ev.weyl.truncated(block.pack.ricci.order - 2) for ev in evals])
-            block.div_weyl = stacked([ev.div_weyl for ev in evals])
-        if n >= 4:
-            names += ["bach", "weyl_norm", "bach_norm"] + (["div_bach"] if order >= 5 else [])
-    _fill_rows(evals, block, names)
-    if not riemann_blocks:
-        _fill_rows([ev.pack for ev in evals], block.pack, ("schouten", "dscalar"))
-    return block
-
-
-def fill_from_block(evals, block, names):
-    """Give `evals` their rows of the properties `names` of `block`, the
-    block `evaluate_curvature` returned for them: level-surface ones, such
-    as the frame, the second fundamental form or Prop 3.2's terms, are each
-    one stacked evaluation over the point axis.
-
-    If one of them raises on the block, or there is no block, nothing is
-    filled: each point then meets its own error, if any, when it reads one.
-    """
-    if block is None:
+    if not ev.blocked or block_rule(ev.inst.n, ev.order)[1]:
         return
-    try:
-        _fill_rows(evals, block, names)
-    except _BLOCK_ERRORS:
+    g, g_inv = ev.metric.g, ev.metric.g_inv
+    alone = [PointEval(ev.inst, point, ev.order) for point in ev.point]
+    for p, one in enumerate(alone):
+        one.metric = MetricAtPoint(g.space, one.point, *(
+            TensorJet(t.space, t.valence, t.data[..., p, :]) for t in (g, g_inv)))
+    packs = [one.pack for one in alone]
+    ev.pack = CurvaturePack(ev.metric, *(_stacked([getattr(pk, name) for pk in packs])
+                                         for name in ("gamma", "riemann", "ricci")),
+                            JetScalar(packs[0].scalar.space,
+                                      stack_rows([pk.scalar.coeffs for pk in packs])))
+    if ev.order >= 4:
+        ev.weyl = _stacked([one.weyl for one in alone])
+        ev.div_weyl = _stacked([one.div_weyl for one in alone])
+
+
+def evaluate_in_blocks(evals):
+    """`evaluate_curvature` of each of `evals`, evaluations of one instance
+    and order; a block that raises is replaced in `evals` by its points
+    (`_evaluated`), whose readers meet their own errors."""
+    for _ in _evaluated(evals, evaluate_curvature):
         pass
-
-
-def evaluate_in_blocks(evals, names=()):
-    """`evaluate_curvature` on consecutive blocks of `block_rule`'s rows of
-    evaluations of one instance and order, then the properties `names` of
-    each block (`fill_from_block`).
-
-    A block that raises is left to its points, whose caches stay lazy: each
-    reader meets its own point's error where point-by-point evaluation
-    meets it.
-    """
-    if evals:
-        rows = block_rule(evals[0].inst.n, evals[0].order)[0]
-        for k in range(0, len(evals), rows):
-            try:  # no name holds a block past its turn, so no two are alive at once
-                fill_from_block(evals[k:k + rows], evaluate_curvature(evals[k:k + rows]), names)
-            except _BLOCK_ERRORS:
-                pass
 
 
 def block_rule(n, order):
@@ -484,8 +476,8 @@ def block_rule(n, order):
 
 
 def sample_evals(inst, n_points, seed, order):
-    """Order-`order` point evaluations at deterministic chart samples that the
-    admission rule accepts.
+    """Order-`order` evaluations, blocks and points (`admit_points`), of
+    deterministic chart samples that the admission rule accepts.
 
     Candidates are drawn in blocks of at most as many as are still needed
     (and `block_rule`'s rows); one draw of k candidates gives the stream of k
@@ -498,12 +490,14 @@ def sample_evals(inst, n_points, seed, order):
     lo = np.array([b[0] for b in inst.box])
     hi = np.array([b[1] for b in inst.box])
     rows = block_rule(inst.n, order)[0]
-    evals, drawn = [], 0
-    while len(evals) < n_points and drawn < MAX_CANDIDATES:
-        k = min(rows, n_points - len(evals), MAX_CANDIDATES - drawn)
-        evals += admit_points(inst, lo + (hi - lo) * rng.random((k, inst.n)), order)
+    evals, admitted, drawn = [], 0, 0
+    while admitted < n_points and drawn < MAX_CANDIDATES:
+        k = min(rows, n_points - admitted, MAX_CANDIDATES - drawn)
+        block = admit_points(inst, lo + (hi - lo) * rng.random((k, inst.n)), order)
+        evals += block
+        admitted += len(points_of(block))
         drawn += k
-    if len(evals) < n_points:
+    if admitted < n_points:
         raise ConfigurationError(
             f"{inst.name}: could not draw {n_points} admissible sample points"
         )
@@ -512,37 +506,37 @@ def sample_evals(inst, n_points, seed, order):
 
 def sample_points(inst, n_points, seed):
     """The chart points of `sample_evals`, for callers that need no evaluation."""
-    return [np.array(ev.point) for ev in sample_evals(inst, n_points, seed, 1)]
+    return [np.array(point) for point in points_of(sample_evals(inst, n_points, seed, 1))]
 
 
 def certify(inst, evals):
     """Certify the defining equation (and first integrals for shrinkers).
 
-    Reads the residuals from point evaluations of order 3 or more.
-    Returns a dict of residual maxima; raises ValidationError when the
-    instance is not a soliton of its declared kind.
+    Reads the residuals row by row (`read_rows`) from evaluations of order 3
+    or more.  Returns a dict of residual maxima; raises ValidationError when
+    the instance is not a soliton of its declared kind.
     """
     if inst.kind is None:
-        worst = max(soliton_eq_residual(ev)[0] for ev in evals[:CONTROL_POINTS])
+        rows = itertools.islice(read_rows(evals, soliton_eq_residual), CONTROL_POINTS)
+        worst = max(resid for _, resid, _ in rows)
         raise ValidationError(
             f"{inst.name}: negative control, defining-equation residual "
             f"{worst:.3e} (kind-less instances are rejected by design)"
         )
     worst = 0.0
-    argmax = evals[0].point
-    for ev in evals:
-        r = soliton_eq_residual(ev)[0]
+    argmax = evals[0].points[0]
+    for point, r, _ in read_rows(evals, soliton_eq_residual):
         if not math.isfinite(r):
             raise ValidationError(
-                f"{inst.name}: non-finite defining-equation residual {r} at {ev.point}"
+                f"{inst.name}: non-finite defining-equation residual {r} at {point}"
             )
         if r > worst:
-            worst, argmax = r, ev.point
+            worst, argmax = r, point
     result = {
         "name": inst.name,
         "soliton_residual": worst,
         "argmax_point": list(argmax),
-        "n_points": len(evals),
+        "n_points": len(points_of(evals)),
         "f_shift": inst.f_shift,
         "base_point": list(inst.base_point),
     }
@@ -553,13 +547,12 @@ def certify(inst, evals):
         )
     if is_normalized_shrinker(inst):
         h1 = h2 = 0.0
-        for ev in evals:
-            a = hamilton_first_residual(ev)[0]
-            b = hamilton_second_residual(ev)[0]
+        for point, a, b in read_rows(evals, lambda ev: (hamilton_first_residual(ev)[0],
+                                                         hamilton_second_residual(ev)[0])):
             if not (math.isfinite(a) and math.isfinite(b)):
                 raise ValidationError(
                     f"{inst.name}: non-finite first-integral residuals ({a}, {b}) "
-                    f"at {ev.point}"
+                    f"at {point}"
                 )
             h1, h2 = max(h1, a), max(h2, b)
         result["first_integral_residuals"] = (h1, h2)

@@ -13,8 +13,11 @@ points, each row computed with the bits its own point gives.
 :func:`metric_at_points` evaluates a metric on such a block and
 :func:`metric_at_point` at one point, its case without a point axis; the
 positivity and g * g_inv checks are judged row by row, and a failing block
-raises the error of its first failing row.  ``row(p)`` of a tensor, metric
-or scalar jet is a C-contiguous copy of one row.
+raises the error of its first failing row.  Readers take a block's rows
+where they lie: `TensorJet.stacked_values` puts the point axis first, each
+row laid out as its point's own values, so one stacked matmul or einsum
+over it gives each row its point's bits, and `row_max` and `row_dot` are the
+per-point float operations taken row by row.
 """
 
 import string
@@ -99,14 +102,12 @@ class TensorJet:
         copy = point_rows(data) if self.blocked else data.copy()
         return TensorJet(lower, self.valence, copy)
 
-    def row(self, p):
-        """Row p of the point axis, as a tensor of one point (a C-contiguous copy)."""
-        return TensorJet(self.space, self.valence, self.data[..., p, :].copy())
-
     def max_abs(self, all_coeffs=False):
+        """max |value| (of every coefficient with `all_coeffs`): a float, or one per row."""
+        axes = tuple(range(self.rank))
         if all_coeffs:
-            return float(np.abs(self.data).max())
-        return float(np.abs(self.values).max())
+            return np.abs(self.data).max(axis=axes + (-1,))
+        return np.abs(self.values).max(axis=axes)
 
     def __repr__(self):
         return (
@@ -172,10 +173,6 @@ class MetricAtPoint:
     @property
     def order(self):
         return self.space.order
-
-    def row(self, p, point):
-        """Row p of the point axis, at `point`, as the metric of one point."""
-        return MetricAtPoint(self.space, point, self.g.row(p), self.g_inv.row(p))
 
     def __repr__(self):
         return f"MetricAtPoint(dim={self.dim}, order={self.order}, point={self.point})"
@@ -273,3 +270,17 @@ def row_abs_max(data, rank):
     """max |data| of rank-`rank` tensor data over components and coefficients,
     as a list: one value, or one per row of a point axis."""
     return np.abs(data).max(axis=tuple(range(rank)) + (-1,), keepdims=True).ravel().tolist()
+
+
+def row_max(first, *rest):
+    """Python's max of floats, taken row by row: a later value replaces the
+    kept one only where it is greater, so a NaN is kept only if it comes first."""
+    for x in rest:
+        first = np.where(x > first, x, first)
+    return first
+
+
+def row_dot(a, b):
+    """The dot product of vectors, or of each row's pair: one stacked matmul,
+    which takes the dot product of a point's vectors row by row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]

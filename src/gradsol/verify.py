@@ -33,22 +33,26 @@ from .solitons import (
     hamilton_first_residual,
     hamilton_second_residual,
     is_normalized_shrinker,
+    max_over_rows,
+    read_rows,
     sample_evals,
     soliton_eq_residual,
     whole_count,
 )
+from .tensors import row_dot, row_max
 
 MIN_POINTS = 8
 FLAT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# point checks: each returns (absolute_residual, scale_of_largest_term[,
-# named side maxima]); those of the conformal and level-set identities live
-# next to their tensors
+# point checks: each takes a point evaluation or a block and returns
+# (absolute_residual, scale_of_largest_term[, named side maxima]), floats at a
+# point and one value per row at a block; those of the conformal and level-set
+# identities live next to their tensors
 
 def _check_scalar_nonneg(ev):
-    return max(0.0, -ev.pack.scalar.value), 1.0
+    return row_max(0.0, -ev.pack.scalar.coeffs[..., 0]), 1.0
 
 
 def _check_metric_compat(ev):
@@ -60,68 +64,70 @@ def _check_metric_compat(ev):
 
 def _check_riemann_symmetries(ev):
     # Γ^k_ij is symmetric in i, j by construction (`curvature._connection`)
-    rm = ev.pack.riemann.values
-    ric = ev.pack.ricci.values
-    worst = max(
-        np.abs(rm + rm.transpose(1, 0, 2, 3)).max(),
-        np.abs(rm + rm.transpose(0, 1, 3, 2)).max(),
-        np.abs(rm - rm.transpose(2, 3, 0, 1)).max(),
-        np.abs(rm + np.transpose(rm, (1, 2, 0, 3)) + np.transpose(rm, (2, 0, 1, 3))).max(),
-        np.abs(ric - ric.T).max(),
+    rm = ev.pack.riemann.stacked_values()
+    ric = ev.pack.ricci.stacked_values()
+    worst = row_max(
+        ev.abs_max(rm + np.swapaxes(rm, -4, -3)),
+        ev.abs_max(rm + np.swapaxes(rm, -2, -1)),
+        ev.abs_max(rm - np.moveaxis(rm, (-4, -3), (-2, -1))),
+        ev.abs_max(rm + np.moveaxis(rm, -4, -2) + np.moveaxis(rm, -2, -4)),
+        ev.abs_max(ric - np.swapaxes(ric, -2, -1)),
     )
-    return float(worst), float(np.abs(rm).max())
+    return worst, ev.abs_max(rm)
 
 
 def _check_bianchi_contracted(ev):
-    div_ric = divergence(ev.pack.ricci.truncated(1), ev.pack, 0).values
-    d_scal = ev.pack.dscalar.values
-    resid = np.abs(div_ric - 0.5 * d_scal).max()
-    return float(resid), float(max(np.abs(div_ric).max(), np.abs(d_scal).max(), 1e-30))
+    div_ric = divergence(ev.pack.ricci.truncated(1), ev.pack, 0).stacked_values()
+    d_scal = ev.pack.dscalar.stacked_values()
+    resid = ev.abs_max(div_ric - 0.5 * d_scal)
+    return resid, row_max(ev.abs_max(div_ric), ev.abs_max(d_scal), 1e-30)
 
 
-def _trace_family(t, metric):
+def _trace_family(ev, t):
     """Antisymmetry in the first pair plus both metric traces of a 3-tensor."""
-    vals = t.values
-    ginv = metric.g_inv.values
-    worst = np.abs(vals + vals.transpose(1, 0, 2)).max()
-    worst = max(worst, np.abs(np.einsum("ij,ijk->k", ginv, vals)).max())
-    worst = max(worst, np.abs(np.einsum("ik,ijk->j", ginv, vals)).max())
-    return float(worst), float(np.abs(vals).max())
+    vals = t.stacked_values()
+    ginv = ev.metric.g_inv.stacked_values()
+    worst = row_max(
+        ev.abs_max(vals + np.swapaxes(vals, -3, -2)),
+        ev.abs_max(np.einsum("...ij,...ijk->...k", ginv, vals)),
+        ev.abs_max(np.einsum("...ik,...ijk->...j", ginv, vals)),
+    )
+    return worst, ev.abs_max(vals)
 
 
 def _check_cotton_traces(ev):
-    return _trace_family(ev.cotton, ev.metric)
+    return _trace_family(ev, ev.cotton)
 
 
 def _check_d_traces(ev):
-    return _trace_family(ev.dtensor, ev.metric)
+    return _trace_family(ev, ev.dtensor)
 
 
 def _check_weyl_tracefree(ev):
-    w = ev.weyl.values
-    ginv = ev.metric.g_inv.values
-    worst = max(
-        np.abs(np.einsum("ij,ijkl->kl", ginv, w)).max(),
-        np.abs(np.einsum("ik,ijkl->jl", ginv, w)).max(),
-        np.abs(np.einsum("il,ijkl->jk", ginv, w)).max(),
-        np.abs(np.einsum("jl,ijkl->ik", ginv, w)).max(),
-        np.abs(np.einsum("kl,ijkl->ij", ginv, w)).max(),
-        np.abs(w + w.transpose(1, 0, 2, 3)).max(),
-        np.abs(w + w.transpose(0, 1, 3, 2)).max(),
-        np.abs(w - w.transpose(2, 3, 0, 1)).max(),
+    w = ev.weyl.stacked_values()
+    ginv = ev.metric.g_inv.stacked_values()
+    worst = row_max(
+        ev.abs_max(np.einsum("...ij,...ijkl->...kl", ginv, w)),
+        ev.abs_max(np.einsum("...ik,...ijkl->...jl", ginv, w)),
+        ev.abs_max(np.einsum("...il,...ijkl->...jk", ginv, w)),
+        ev.abs_max(np.einsum("...jl,...ijkl->...ik", ginv, w)),
+        ev.abs_max(np.einsum("...kl,...ijkl->...ij", ginv, w)),
+        ev.abs_max(w + np.swapaxes(w, -4, -3)),
+        ev.abs_max(w + np.swapaxes(w, -2, -1)),
+        ev.abs_max(w - np.moveaxis(w, (-4, -3), (-2, -1))),
     )
-    return float(worst), float(max(np.abs(w).max(), 1e-30))
+    return worst, row_max(ev.abs_max(w), 1e-30)
 
 
 def _check_weyl_n3_zero(ev):
-    return ev.weyl.max_abs(), float(np.abs(ev.pack.riemann.values).max())
+    return ev.weyl.max_abs(), ev.pack.riemann.max_abs()
 
 
 def _check_eq46(ev):
     h = ev.level_surface.h
     nug = levelset.normal_metric_derivative(ev)
-    resid = np.abs(h + 0.5 * nug).max()
-    return float(resid), float(max(np.abs(h).max(), np.abs(nug).max()))
+    resid = ev.abs_max(h + 0.5 * nug)
+    return resid, row_max(ev.abs_max(h), ev.abs_max(nug))
 
 
 def _check_d_vanishes(ev):
@@ -141,16 +147,7 @@ def _check_bach_vanishes(ev):
 
 
 # ---------------------------------------------------------------------------
-# instance-level checks
-
-# np.max, unlike max, lets a NaN at any point through: NaN is neither D = 0 nor flat
-
-def _instance_d_zero(evals):
-    return bool(np.max([ev.d_norm for ev in evals]) <= levelset.D_ZERO_TOL)
-
-
-def _instance_flat(evals):
-    return bool(np.max([np.abs(ev.pack.riemann.values).max() for ev in evals]) <= FLAT_TOL)
+# instance-level checks: each reads every row of the evaluations (`read_rows`)
 
 
 def _run_prop32(inst, evals, config):
@@ -177,27 +174,30 @@ def _run_thm52(inst, evals, config):
     return (0.0 if status["consistent"] else 1.0), 1.0, status
 
 
+def _thm52_frame_terms(ev):
+    """max |W(e_1, ...)|, max |W_1a1b| and |div B . grad f| of a point or of each row."""
+    w = ev.frame_weyl
+    return (ev.abs_max(w[..., 0, :, :, :]), ev.abs_max(w[..., 0, 1:, 0, 1:]),
+            np.abs(row_dot(ev.div_bach, ev.gradf_up_values)))
+
+
 def thm52_status(inst, evals):
     """Evaluate the three equivalent vanishing conditions on shared evals."""
     if inst.n != 5:
         return {"status": "not-applicable", "reason": "stated for dimension 5"}
     if inst.kind is None:
         return {"status": "not-applicable", "reason": "not a certified soliton"}
-    if inst.trivial or _instance_flat(evals):
+    # max_over_rows lets a NaN at any row through: NaN is neither D = 0 nor flat
+    if inst.trivial or max_over_rows(evals, lambda ev: ev.pack.riemann.max_abs()) <= FLAT_TOL:
         return {
             "status": "trivial",
             "reason": "Einstein or flat instance; the equivalence is vacuous here",
         }
-    # np.max, unlike max, lets a NaN at any point through to the verdict
-    d_max = float(np.max([ev.d_norm for ev in evals]))
-    c_max = float(np.max([ev.cotton_norm for ev in evals]))
-    w1, w1a1b, divb_gradf = [], [], []
-    for ev in evals:
-        w = ev.frame_weyl
-        w1.append(np.abs(w[0]).max())
-        w1a1b.append(np.abs(w[0, 1:, 0, 1:]).max())
-        divb_gradf.append(abs(ev.div_bach @ ev.gradf_up_values))
-    w1_max, w1a1b_max, divb_gradf_max = (float(np.max(v)) for v in (w1, w1a1b, divb_gradf))
+    d_max = max_over_rows(evals, lambda ev: ev.d_norm)
+    c_max = max_over_rows(evals, lambda ev: ev.cotton_norm)
+    # np.max, unlike max, lets a NaN at any row through to the verdict
+    terms = list(zip(*read_rows(evals, _thm52_frame_terms)))[1:]
+    w1_max, w1a1b_max, divb_gradf_max = (float(np.max(v)) for v in terms)
     tol = 1e-8
     a = d_max <= tol
     b = (c_max <= tol) and (w1_max <= tol)
@@ -302,15 +302,18 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     max(order, 3) for the first integrals, and the instance is certified
     from those evaluations first (kind-less instances abort).  The points
     are evaluated in blocks of `solitons.block_rule`'s rows, a block being
-    the `PointEval` of a list of points that hands each point its rows: of
-    the metric, g^-1, f and grad f, then of the curvature chain and, for a
-    non-constant potential, of the frame and the second fundamental form
-    (`solitons.evaluate_in_blocks`).  Each row holds its own point's bits,
-    so the report is that of evaluating the points one by one.  An error,
-    of a chain block's point or of the D = 0 decision, is a FAIL of the
-    checks that read it, with its point's own text; the rest of the suite
-    runs on.  Checks whose required order exceeds `order` are SKIPPED;
-    checks whose hypotheses the instance does not meet are N/A.  A
+    the `PointEval` of a list of points, and every check reads the blocks
+    themselves: a per-point check is called once per block and returns one
+    residual and scale per row (`solitons.read_rows`).  The rows are judged
+    in draw order by the rule of a point-by-point scan: each row's judged
+    residual is `_judge`'s, the first maximal row is argmax_point, and the
+    first non-finite row ends the scan.  Each row holds its own point's bits,
+    so the report is that of evaluating the points one by one.  A block
+    whose evaluation raises leaves its points to be evaluated and judged
+    alone, in order; an error, of a point or of the D = 0 decision, is a FAIL
+    of the checks that read it, with its point's own text, and the rest of
+    the suite runs on.  Checks whose required order exceeds `order` are
+    SKIPPED; checks whose hypotheses the instance does not meet are N/A.  A
     per-instance check returns (residual, scale, detail), with residual None
     for N/A; entry["detail"] keeps the detail (for thm5.2 the equivalence
     status) in memory only.
@@ -330,8 +333,7 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     order = int(order)
     evals = sample_evals(inst, n_points, seed, max(order, 3))
     if inst.kind is not None:  # a negative control stops at certification
-        # prop3.1 reads the frame and h at every point of a non-constant potential
-        evaluate_in_blocks(evals, () if inst.trivial else ("frame", "level_surface"))
+        evaluate_in_blocks(evals)
     certify(inst, evals)
 
     selected = CHECKS if checks is None else [c for c in CHECKS if c.id in set(checks)]
@@ -358,7 +360,7 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
         try:
             if spec.level_sets == "d_zero":
                 if d_zero is None:  # decided in the try: an error of D FAILs the checks on D = 0
-                    d_zero = _instance_d_zero(evals)
+                    d_zero = max_over_rows(evals, lambda ev: ev.d_norm) <= levelset.D_ZERO_TOL
                 if not d_zero:
                     entries.append(entry)
                     continue
@@ -370,12 +372,11 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
                 if resid is not None:
                     judged = _judge(resid, scale)
             else:
-                for ev in evals:
-                    out = spec.fn(ev)
-                    j = _judge(out[0], out[1])
+                for point, resid, scale in read_rows(evals, lambda ev: spec.fn(ev)[:2]):
+                    j = _judge(resid, scale)
                     # `not j <= judged` also holds for NaN, which ends the scan
                     if judged is None or not j <= judged:
-                        judged, argmax = j, ev.point
+                        judged, argmax = j, point
                     if not math.isfinite(j):
                         break
             if judged is None:

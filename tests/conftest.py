@@ -6,7 +6,7 @@ import pytest
 
 from gradsol.curvature import curvature_pack
 from gradsol.jets import JetScalar, JetSpace, coordinate_jets, jet_einsum
-from gradsol.solitons import PointEval, catalog, get_instance, sample_evals
+from gradsol.solitons import PointEval, catalog, get_instance, points_of, sample_evals
 from gradsol.verify import run_suite, thm52_status
 
 
@@ -77,6 +77,13 @@ def suite_reports():
 def thm52_of(inst):
     """thm5.2 status on 12 order-5 evaluations of the suite's sample points."""
     return thm52_status(inst, sample_evals(inst, 12, 7, 5))
+
+
+def point_evals(inst, n_points, seed, order):
+    """Evaluations of the suite's sample points one by one, without a point
+    axis: what a block that raised leaves to its points."""
+    return [PointEval(inst, point, order)
+            for point in points_of(sample_evals(inst, n_points, seed, order))]
 
 
 def report_entry(report, check_id):

@@ -14,6 +14,7 @@ from conftest import (
     all_alphas,
     fd_metric_partials,
     jet_partial_of_entry,
+    point_evals,
     report_entry,
     thm52_of,
 )
@@ -25,7 +26,6 @@ from gradsol.solitons import (
     catalog,
     get_instance,
     instance_rng,
-    sample_evals,
     soliton_eq_residual,
     validate_instance,
 )
@@ -50,7 +50,7 @@ def test_criterion_01_catalog_certification():
     for name in ("perturbed-non-soliton-r4", "perturbed-non-soliton-r5"):
         inst = get_instance(name)
         worst = max(soliton_eq_residual(ev)[0]
-                    for ev in sample_evals(inst, 20, seed=7, order=3))
+                    for ev in point_evals(inst, 20, seed=7, order=3))
         ok = ok and worst >= 1e-3
         try:
             validate_instance(inst, n_points=20, seed=7)
@@ -99,14 +99,14 @@ def test_criterion_05_bach_through_d():
     inst = get_instance("s2xr2")
     ok = True
     nonvacuous = False
-    for ev in sample_evals(inst, 10, seed=7, order=5):
+    for ev in point_evals(inst, 10, seed=7, order=5):
         resid, scale, sides = bach_via_d_residual(ev)
         ok = ok and resid / max(1.0, scale) <= 1e-8
         if sides["bach_max"] > 1e-3 and sides["d_divergence_max"] > 1e-3:
             nonvacuous = True
     for name in ("cylinder-s3xr", "gaussian-r4"):
         inst = get_instance(name)
-        for ev in sample_evals(inst, 6, seed=7, order=5):
+        for ev in point_evals(inst, 6, seed=7, order=5):
             ok = ok and bach_via_d_residual(ev)[0] <= 1e-9
     _verdict(5, "bach expressed through D (nonvacuous on the curved product)", ok and nonvacuous)
 
@@ -166,7 +166,7 @@ def test_criterion_09_div_bach(suite_reports):
     # the divergence for any metric, nonvacuously (nonzero bach tensor)
     inst = get_instance("perturbed-non-soliton-r4")
     bach_seen = 0.0
-    for ev in sample_evals(inst, 8, seed=7, order=5):
+    for ev in point_evals(inst, 8, seed=7, order=5):
         _, _, r = div_bach_residual(ev)
         ok = ok and r["lhs_max"] <= 1e-7 and r["rhs_max"] == 0.0
         bach_seen = max(bach_seen, r["bach_max"])
@@ -175,12 +175,12 @@ def test_criterion_09_div_bach(suite_reports):
     # (its Ricci tensor is parallel so the cotton tensor is zero); the
     # two-sided nonvacuous form runs on the curved control instead
     inst = get_instance("s2xr3")
-    for ev in sample_evals(inst, 8, seed=7, order=5):
+    for ev in point_evals(inst, 8, seed=7, order=5):
         resid, _, r = div_bach_residual(ev)
         ok = ok and resid <= 1e-7 and r["bach_max"] > 1e-3
     inst = get_instance("perturbed-non-soliton-r5")
     side_seen = 0.0
-    for ev in sample_evals(inst, 8, seed=7, order=5):
+    for ev in point_evals(inst, 8, seed=7, order=5):
         resid, _, r = div_bach_residual(ev)
         # judged against the two sides alone, not the suite's scale that includes |B|
         ok = ok and resid / max(1.0, r["lhs_max"], r["rhs_max"]) <= 1e-7

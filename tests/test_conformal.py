@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import point_evals
 from gradsol.conformal import (
     _require_agreement,
     bach,
@@ -23,7 +24,7 @@ from gradsol.curvature import (
     scalar_gradient,
 )
 from gradsol.errors import ConsistencyError, InsufficientOrderError, UnsupportedDimensionError
-from gradsol.solitons import PointEval, get_instance, sample_evals
+from gradsol.solitons import PointEval, get_instance
 from gradsol.tensors import TensorJet, tensor_norm_sq
 
 
@@ -104,21 +105,21 @@ def test_weyl_vanishes_dimension_three():
 
 def test_weyl_vanishes_on_cylinder(instances):
     inst = instances["cylinder-s3xr"]
-    for ev in sample_evals(inst, 6, seed=5, order=4):
+    for ev in point_evals(inst, 6, seed=5, order=4):
         assert weyl(ev.pack).max_abs() < 1e-9
 
 
 def test_weyl_vanishes_s2xr_three_manifold(instances):
     # the 2-sphere-times-line shrinker: curved, dimension three
     inst = instances["cylinder-s2xr"]
-    for ev in sample_evals(inst, 6, seed=5, order=4):
+    for ev in point_evals(inst, 6, seed=5, order=4):
         assert ev.pack.riemann.max_abs() > 1e-2
         assert weyl(ev.pack).max_abs() < 1e-9
 
 
 def test_weyl_norm_s2xr2(instances):
     inst = instances["s2xr2"]
-    for ev in sample_evals(inst, 8, seed=5, order=3):
+    for ev in point_evals(inst, 8, seed=5, order=3):
         w = weyl(ev.pack)
         assert tensor_norm_sq(w, ev.metric) > 0.1
     # exact value from the product structure
@@ -198,7 +199,7 @@ def test_d_decomposition(point_eval, instances):
     assert d_decomposition_residual(ev)[0] == 0.0
 
     inst = instances["s2xr2"]
-    for ev in sample_evals(inst, 6, seed=21, order=4):
+    for ev in point_evals(inst, 6, seed=21, order=4):
         assert d_decomposition_residual(ev)[0] < 1e-8
         assert ev.cotton.max_abs() < 1e-9
         assert ev.dtensor.max_abs() > 1e-3  # non-vacuous: D equals the W-term
@@ -209,7 +210,7 @@ def test_d_cotton_contraction(instances):
     from gradsol.conformal import d_cotton_contraction_residual
 
     inst = instances["s2xr2"]
-    for ev in sample_evals(inst, 6, seed=43, order=4):
+    for ev in point_evals(inst, 6, seed=43, order=4):
         assert ev.dtensor.max_abs() > 1e-3
         assert d_cotton_contraction_residual(ev)[0] < 1e-9
 
@@ -217,7 +218,7 @@ def test_d_cotton_contraction(instances):
 def test_bach_via_d(point_eval, instances):
     inst = instances["s2xr2"]
     seen_nonzero = False
-    for ev in sample_evals(inst, 6, seed=33, order=5):
+    for ev in point_evals(inst, 6, seed=33, order=5):
         resid, scale, sides = bach_via_d_residual(ev)
         assert resid / max(1.0, scale) < 1e-8
         if sides["bach_max"] > 1e-3 and sides["d_divergence_max"] > 1e-3:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import point_evals
 import gradsol.curvature as curvature
 import gradsol.jets as jets
 from gradsol.curvature import (
@@ -14,7 +15,7 @@ from gradsol.curvature import (
 )
 from gradsol.errors import InsufficientOrderError
 from gradsol.jets import JetSpace, jet_einsum, truncate_arrays
-from gradsol.solitons import PointEval, get_instance, sample_evals
+from gradsol.solitons import PointEval, get_instance
 from gradsol.tensors import TensorJet, metric_at_point
 
 
@@ -69,7 +70,7 @@ def test_riemann_space_form(geometry):
 
 def test_cylinder_scalar_curvature(instances):
     inst = instances["cylinder-s3xr"]
-    for ev in sample_evals(inst, 8, seed=3, order=3):
+    for ev in point_evals(inst, 8, seed=3, order=3):
         assert abs(ev.pack.scalar.value - 1.5) < 1e-11
 
 
@@ -92,7 +93,7 @@ def test_gradient_of_potential_gaussian(geometry):
 
 def test_contracted_bianchi(instances):
     inst = instances["s2xr2"]
-    for ev in sample_evals(inst, 6, seed=9, order=4):
+    for ev in point_evals(inst, 6, seed=9, order=4):
         metric, pack = ev.metric, ev.pack
         dric = covariant_derivative(pack.ricci, pack)
         _, ginv = truncate_arrays(metric.g_inv.space, metric.g_inv.data, dric.order)
@@ -125,7 +126,7 @@ def test_hessian_symmetric(geometry):
 def test_riemann_symmetries_sampled(instances):
     for name in ("s2xr3", "warped-sphere-s4"):
         inst = instances[name]
-        for ev in sample_evals(inst, 5, seed=13, order=3):
+        for ev in point_evals(inst, 5, seed=13, order=3):
             rm = ev.pack.riemann.values
             scale = max(1.0, np.abs(rm).max())
             assert np.abs(rm + rm.transpose(1, 0, 2, 3)).max() / scale < 1e-9
@@ -139,7 +140,7 @@ def test_riemann_symmetries_sampled(instances):
 def test_christoffel_symbols_exactly_symmetric(instances, order):
     # the riemann_symmetries check leaves Γ^k_ij - Γ^k_ji out: it is 0 bit for bit
     for inst in instances.values():
-        for ev in sample_evals(inst, 8, seed=7, order=order):
+        for ev in point_evals(inst, 8, seed=7, order=order):
             gamma = ev.pack.gamma.data
             assert np.array_equal(gamma, gamma.swapaxes(1, 2)), (inst.name, ev.point)
 
@@ -148,7 +149,7 @@ def test_shrinker_scalar_curvature_nonnegative(instances):
     for inst in instances.values():
         if inst.kind not in ("shrinking", "einstein"):
             continue
-        for ev in sample_evals(inst, 20, seed=7, order=2):
+        for ev in point_evals(inst, 20, seed=7, order=2):
             assert ev.pack.scalar.value >= -1e-10, inst.name
 
 

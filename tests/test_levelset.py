@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import point_evals
 from gradsol.errors import (
     ConfigurationError,
     ConsistencyError,
@@ -26,7 +27,7 @@ from gradsol.levelset import (
     prop32_report,
     second_fundamental_form,
 )
-from gradsol.solitons import PointEval, SolitonInstance, catalog, get_instance, sample_evals
+from gradsol.solitons import PointEval, SolitonInstance, catalog, get_instance, points_of
 from gradsol.verify import run_suite
 
 
@@ -45,7 +46,7 @@ def test_frame_cylinder_axis(point_eval):
 
 def test_frame_orthonormal_sampled(instances):
     inst = instances["s2xr2"]
-    for ev in sample_evals(inst, 20, seed=19, order=3):
+    for ev in point_evals(inst, 20, seed=19, order=3):
         fr = adapted_frame(ev)
         gram = fr.vectors @ ev.metric.g.values @ fr.vectors.T
         assert np.abs(gram - np.eye(4)).max() < 1e-10
@@ -87,14 +88,14 @@ def test_prop31_spot_value(point_eval):
 def test_prop31_vanishing_cases(instances):
     for name in ("cylinder-s3xr", "gaussian-r4"):
         inst = instances[name]
-        for ev in sample_evals(inst, 6, seed=23, order=4):
+        for ev in point_evals(inst, 6, seed=23, order=4):
             _, _, r = prop31_residual(ev)
             assert r["lhs"] < 1e-9 and r["rhs"] < 1e-9
 
 
 def test_prop31_sampled_s2xr2(instances):
     inst = instances["s2xr2"]
-    for ev in sample_evals(inst, 10, seed=29, order=4):
+    for ev in point_evals(inst, 10, seed=29, order=4):
         resid, scale, _ = prop31_residual(ev)
         assert resid / max(1.0, scale) < 1e-8
 
@@ -102,14 +103,14 @@ def test_prop31_sampled_s2xr2(instances):
 def test_level_points_on_level(instances):
     inst = instances["cylinder-s3xr"]
     c = 9.0 / 4.0 + 1.5
-    pts = [ev.point for ev in level_points(inst, c, n_points=12, seed=11)]
+    pts = points_of(level_points(inst, c, n_points=12, seed=11))
     from gradsol.jets import JetSpace
 
     for p in pts:
         f = inst.potential_jet(list(p), JetSpace.get(4, 0)).value
         assert abs(f - c) < 1e-9
         assert abs(abs(p[3]) - 3.0) < 1e-9
-    again = [ev.point for ev in level_points(inst, c, n_points=12, seed=11)]
+    again = points_of(level_points(inst, c, n_points=12, seed=11))
     assert all(np.array_equal(a, b) for a, b in zip(pts, again))
 
 
@@ -175,7 +176,7 @@ def test_prop32_rejects_nonvanishing_d(instances):
 
 def test_frame_components_cylinder(instances):
     inst = instances["cylinder-s3xr"]
-    for ev in sample_evals(inst, 6, seed=31, order=4):
+    for ev in point_evals(inst, 6, seed=31, order=4):
         _, _, rec = frame_cotton_components(ev)
         for key in ("c_ij1", "c_abc", "c_1ab", "w_1abc", "w_1a1b"):
             assert rec[key] < 1e-9, key
@@ -199,7 +200,7 @@ def test_normal_derivative_of_frame_metric(instances):
     # normal (sign folded into the check)
     for name in ("cylinder-s3xr", "gaussian-r4", "s2xr2"):
         inst = instances[name]
-        for ev in sample_evals(inst, 5, seed=37, order=4):
+        for ev in point_evals(inst, 5, seed=37, order=4):
             lsd = second_fundamental_form(ev)
             nug = normal_metric_derivative(ev)
             assert np.abs(lsd.h + 0.5 * nug).max() < 1e-8, name
@@ -210,14 +211,14 @@ def test_normal_field_is_geodesic_on_d_zero_instances(instances):
 
     for name in ("cylinder-s3xr", "gaussian-r4", "expanding-gaussian-r4"):
         inst = instances[name]
-        for ev in sample_evals(inst, 5, seed=47, order=4):
+        for ev in point_evals(inst, 5, seed=47, order=4):
             assert normal_geodesic_residual(ev)[0] < 1e-8, name
 
 
 def test_codazzi_consequence_on_d_zero_instances(instances):
     for name in ("cylinder-s3xr", "gaussian-r4", "warped-cylinder", "steady-flat-r4"):
         inst = instances[name]
-        for ev in sample_evals(inst, 5, seed=41, order=4):
+        for ev in point_evals(inst, 5, seed=41, order=4):
             assert frame_riemann_e1_tangential(ev)[0] < 1e-8, name
 
 
@@ -322,8 +323,8 @@ def _numpy_level_points(inst, c, n_points, seed):
         "expression", "transcendental-expression"])
 def test_level_points_match_jet_root_finder(make, c):
     inst = make()
-    pts = [ev.point for ev in level_points(inst, c, n_points=12, seed=5)]
-    ref = [ev.point for ev in _numpy_level_points(inst, c, n_points=12, seed=5)]
+    pts = points_of(level_points(inst, c, n_points=12, seed=5))
+    ref = points_of(_numpy_level_points(inst, c, n_points=12, seed=5))
     assert pts == ref
 
 
@@ -345,9 +346,9 @@ def test_level_points_on_a_log_potential_singular_past_every_bracket():
     # f = log(4 - r^2) about the anchor brackets f = 1 at r = 1.13 on every
     # ray; the steps past r = 2 that long rays scan are never walked
     inst, nans = _nan_counting(_expression_instance("log(4 - ((x1 - 1.55)^2 + x2^2))"))
-    pts = [ev.point for ev in level_points(inst, 1.0, n_points=12, seed=5)]
+    pts = points_of(level_points(inst, 1.0, n_points=12, seed=5))
     assert sum(nans) > 0
-    assert pts == [ev.point for ev in _numpy_level_points(inst, 1.0, n_points=12, seed=5)]
+    assert pts == points_of(_numpy_level_points(inst, 1.0, n_points=12, seed=5))
 
 
 @pytest.mark.parametrize("text, c, error", [
@@ -377,13 +378,13 @@ def test_level_points_raise_only_on_rays_they_walk():
     for seed in range(16):
         inst, nans = _nan_counting(_expression_instance("x1 + 0.01*log(x1 - 0.3)"))
         try:
-            ref = [ev.point for ev in _numpy_level_points(inst, 2.05, n_points=2, seed=seed)]
+            ref = points_of(_numpy_level_points(inst, 2.05, n_points=2, seed=seed))
         except SingularEvaluationError as err:
             with pytest.raises(SingularEvaluationError, match=re.escape(str(err))):
                 level_points(inst, 2.05, n_points=2, seed=seed)
             outcomes.add("raised")
             continue
-        assert [ev.point for ev in level_points(inst, 2.05, n_points=2, seed=seed)] == ref
+        assert points_of(level_points(inst, 2.05, n_points=2, seed=seed)) == ref
         if sum(nans):
             outcomes.add("unwalked singular ray")
     assert outcomes == {"raised", "unwalked singular ray"}
@@ -434,7 +435,7 @@ def test_prop32_nan_d_at_second_level_point_fails(monkeypatch):
     c = levelset._f_value(inst, inst.base_point)
     # suite points are point evaluations too: inject into the block of
     # prop3.2's level points only, at its second row
-    level = {tuple(ev.point) for ev in level_points(inst, c, n_points=12, seed=7)}
+    level = {tuple(p) for p in points_of(level_points(inst, c, n_points=12, seed=7))}
     calls = []
     d_tensor = solitons.d_tensor
 

@@ -38,10 +38,15 @@ def _level(inst):
 
 
 def _point_by_point(monkeypatch):
-    """Evaluate every level point on its own, as PointEval's caches do."""
+    """Evaluate every point alone, from its admission to the checks: single-point
+    PointEvals without a point axis, what a block that raised leaves to its points."""
     monkeypatch.setattr(solitons, "evaluate_points",
                         lambda inst, points, order: [PointEval(inst, p, order) for p in points])
-    monkeypatch.setattr(solitons, "evaluate_curvature", lambda evals: None)
+
+
+def _row(x, p):
+    """Row p of a block's tensor data or scalar jet: the axis before the jet axis."""
+    return x[..., p, :] if x.ndim > 1 else x[p]
 
 
 def _fields(ev):
@@ -62,19 +67,15 @@ def test_block_rows_are_the_point_evaluations_bit_for_bit(name, seed):
     else:
         inst = get_instance(name)
     evals = level_points(inst, _level(inst), n_points=12, seed=seed)
-    solitons.evaluate_curvature(evals)
+    solitons.evaluate_in_blocks(evals)
+    assert all(ev.blocked for ev in evals)
     for ev in evals:
-        # the block filled these caches with C-contiguous copies of its rows
-        for cache in ("metric", "f", "df", "pack", "dtensor", "d_norm_sq", "hess_f"):
-            assert cache in vars(ev), cache
-        assert ev.pack.metric is ev.metric
-        for t in (ev.metric.g, ev.df, ev.pack.riemann, ev.dtensor, ev.hess_f):
-            assert t.data.flags.c_contiguous
-        ref = PointEval(inst, ev.point, 3)
-        got, want = _fields(ev), _fields(ref)
-        for key in want:
-            assert got[key].shape == want[key].shape, key
-            assert np.array_equal(got[key], want[key]), (key, ev.point)
+        got = _fields(ev)  # the block's own arrays, each row read where it lies
+        for p, point in enumerate(ev.points):
+            want = _fields(PointEval(inst, point, 3))
+            for key in want:
+                assert _row(got[key], p).shape == want[key].shape, key
+                assert np.array_equal(_row(got[key], p), want[key]), (key, point)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -89,11 +90,10 @@ def test_block_functions_give_each_row_its_points_bits(order):
     d_norm_sq = tensors.tensor_norm_sq(d, metric)
     for p, point in enumerate(points):
         ref = PointEval(inst, point, order)
-        row = pack.row(p, metric.row(p, point))
-        for got, want in ((row.metric.g, ref.metric.g), (row.metric.g_inv, ref.metric.g_inv),
-                          (row.gamma, ref.pack.gamma), (row.riemann, ref.pack.riemann),
-                          (row.ricci, ref.pack.ricci), (df.row(p), ref.df), (d.row(p), ref.dtensor)):
-            assert np.array_equal(got.data, want.data)
+        for got, want in ((metric.g, ref.metric.g), (metric.g_inv, ref.metric.g_inv),
+                          (pack.gamma, ref.pack.gamma), (pack.riemann, ref.pack.riemann),
+                          (pack.ricci, ref.pack.ricci), (df, ref.df), (d, ref.dtensor)):
+            assert np.array_equal(_row(got.data, p), want.data)
         assert d_norm_sq[p] == ref.d_norm_sq
 
 
@@ -115,9 +115,9 @@ def test_plans_do_not_depend_on_the_block_size(monkeypatch):
     roots = list(itertools.islice(levelset._ray_roots(inst, _level(inst), 16, 11), 16))
 
     def block(points):
-        evals = solitons.evaluate_points(inst, points, 3)
-        solitons.evaluate_curvature(evals)
-        return evals
+        (ev,) = solitons.evaluate_points(inst, points, 3)
+        ev.d_norm_sq, ev.hess_f  # the pack, D, |D|^2 and Hess f
+        return ev
 
     calls = []
     jet_einsum = jets.jet_einsum
@@ -220,17 +220,18 @@ def test_rejected_roots_never_enter_the_curvature_block(monkeypatch):
     monkeypatch.setattr(solitons, "curvature_pack", recording_pack)
     roots = [tuple(p) for p in itertools.islice(levelset._ray_roots(inst, 0.0, 12, 2), 40)]
     evals = level_points(inst, 0.0, n_points=12, seed=2)
-    solitons.evaluate_curvature(evals)
-    admitted = [tuple(ev.point) for ev in evals]
+    for ev in evals:
+        ev.pack
+    admitted = [tuple(p) for p in solitons.points_of(evals)]
     evaluated = [p for block in metric_blocks for p in block]
     excluded = [p for p in roots if inst.excluded_distance(p) < solitons.MIN_EXCLUDED_DISTANCE]
     flat = [p for p in evaluated if p not in admitted]
     assert excluded and flat and len(metric_blocks) >= 2
     assert not set(excluded) & set(evaluated)
     assert evaluated == [p for p in roots[: roots.index(admitted[-1]) + 1] if p not in excluded]
-    assert packs == [admitted]
+    assert [p for block in packs for p in block] == admitted
     for ev in evals:
-        assert ev.frame.grad_f_norm >= solitons.MIN_GRAD_DISTANCE
+        assert np.all(ev.frame.grad_f_norm >= solitons.MIN_GRAD_DISTANCE)
 
 
 def test_d_cross_check_raises_the_first_failing_row():
@@ -247,8 +248,8 @@ def test_d_cross_check_raises_the_first_failing_row():
     alone = [_outcome(lambda: PointEval(inst, p, 3).dtensor) for p in points]
     assert isinstance(alone[0], tensors.TensorJet)
     assert alone[1][0] is alone[2][0] is ConsistencyError and alone[1] != alone[2]
-    evals = solitons.evaluate_points(inst, points, 3)
-    assert _outcome(lambda: solitons.evaluate_curvature(evals)) == alone[1]
+    (block,) = solitons.evaluate_points(inst, points, 3)
+    assert _outcome(lambda: block.dtensor) == alone[1]
 
 
 def test_a_failing_block_raises_what_the_first_failing_point_raises():
@@ -295,30 +296,38 @@ def _instance(name):
     return instance_from_spec(BENCH_TWINS[name]) if name in BENCH_TWINS else get_instance(name)
 
 
-def _caches(ev):
-    """Every filled cache of a point evaluation, the pack's included, as arrays by name."""
+def _caches(ev, p=None):
+    """Every filled cache of an evaluation, the pack's included, as arrays by
+    name: a point's, or row p of a block's, read where it lies."""
+    def jet(x):  # tensor data and scalar jets: the point axis before the jet axis
+        return x if p is None else x[..., p, :]
+
+    def plain(x):  # norms and values: the point axis first
+        return np.asarray(x) if p is None else np.asarray(x)[p]
+
     out = {}
     for name, value in vars(ev).items():
-        if name in ("inst", "point", "order"):
+        if name in ("inst", "point", "order", "blocked"):
             continue
         if name == "metric":
-            out.update(g=value.g.data, g_inv=value.g_inv.data)
+            out.update(g=jet(value.g.data), g_inv=jet(value.g_inv.data))
         elif name == "pack":
-            out.update(gamma=value.gamma.data, riemann=value.riemann.data,
-                       ricci=value.ricci.data, R=value.scalar.coeffs)
-            out.update({k: v.data for k, v in vars(value).items() if k in ("schouten", "dscalar")})
+            out.update(gamma=jet(value.gamma.data), riemann=jet(value.riemann.data),
+                       ricci=jet(value.ricci.data), R=jet(value.scalar.coeffs))
+            out.update({k: jet(v.data) for k, v in vars(value).items()
+                        if k in ("schouten", "dscalar")})
         elif name == "f":
-            out[name] = value.coeffs
+            out[name] = jet(value.coeffs)
         elif isinstance(value, tensors.TensorJet):
-            out[name] = value.data
+            out[name] = jet(value.data)
         else:
-            out[name] = np.asarray(value)
+            out[name] = plain(value)
     return out
 
 
-def _fresh(ev, names):
-    """A fresh point-by-point evaluation of ev's point with the caches `names` touched."""
-    ref = PointEval(ev.inst, ev.point, ev.order)
+def _fresh(inst, point, order, names):
+    """A fresh point-by-point evaluation of `point` with the caches `names` touched."""
+    ref = PointEval(inst, point, order)
     for name in names:
         getattr(ref, name)
     ref.pack.schouten, ref.pack.dscalar
@@ -333,42 +342,46 @@ def test_suite_rows_are_the_point_evaluations_bit_for_bit(name, order, seed):
     inst = _instance(name)
     evals = solitons.sample_evals(inst, 5, seed, order)
     solitons.evaluate_in_blocks(evals)
-    filled = {"metric", "f", "df", "pack", "dtensor", "d_norm_sq", "hess_f", "cotton",
-              "cotton_norm", "weyl"}
+    chain = {"metric", "f", "df", "pack", "dtensor", "d_norm_sq", "hess_f", "cotton",
+             "cotton_norm", "weyl"}
     if inst.n >= 4:
-        filled |= {"div_weyl", "bach", "weyl_norm", "bach_norm"}
-        filled |= {"div_bach"} if order == 5 else set()
+        chain |= {"div_weyl", "bach", "weyl_norm", "bach_norm"}
+        chain |= {"div_bach"} if order == 5 else set()
+    assert all(ev.blocked for ev in evals)
     for ev in evals:
+        for name in chain:  # the suite's curvature chain, read on the block
+            getattr(ev, name)
+        ev.pack.schouten, ev.pack.dscalar
         # and gradf_up_values, where the admission test reads |grad f|
-        assert set(vars(ev)) - {"inst", "point", "order", "gradf_up_values"} == filled, ev.point
-        assert ev.pack.metric is ev.metric
-        for name in ("dtensor", "hess_f", "cotton", "bach"):
-            if name in vars(ev):
-                assert vars(ev)[name].data.flags.c_contiguous, name
-        got = _caches(ev)
-        want = _caches(_fresh(ev, set(vars(ev)) - {"inst", "point", "order"}))
-        assert got.keys() == want.keys()
-        for key in want:
-            assert got[key].shape == want[key].shape, key
-            assert np.array_equal(got[key], want[key]), (key, ev.point)
+        assert set(vars(ev)) - {"inst", "point", "order", "blocked", "gradf_up_values"} == chain
+        for p, point in enumerate(ev.points):
+            got = _caches(ev, p)
+            want = _caches(_fresh(inst, point, order, set(vars(ev)) - {"inst", "point", "order",
+                                                                       "blocked"}))
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key].shape == want[key].shape, key
+                assert np.array_equal(got[key], want[key]), (key, point)
 
 
 @pytest.mark.parametrize("name", ["sphere-s4", "warped-sphere-s4", "sphere-s5"])
 def test_constant_potentials_take_a_point_axis(name):
     # f is a number on jets; its block jet has one row per point
     inst = get_instance(name)
-    points = [ev.point for ev in solitons.sample_evals(inst, 6, 3, 1)]
+    points = solitons.points_of(solitons.sample_evals(inst, 6, 3, 1))
     space = jets.JetSpace.get(inst.n, 5)
     f = inst.potential_jet(points, space)
     assert f.coeffs.shape == (6, space.n_terms)
     for order in (3, 5):
         evals = solitons.admit_points(inst, points, order)
-        assert [ev.point for ev in evals] == points
+        assert solitons.points_of(evals) == points
         for ev in evals:
-            ref = PointEval(inst, ev.point, order)
-            for got, want in ((ev.f.coeffs, ref.f.coeffs), (ev.df.data, ref.df.data),
-                              (ev.metric.g.data, ref.metric.g.data)):
-                assert got.shape == want.shape and np.array_equal(got, want)
+            for p, point in enumerate(ev.points):
+                ref = PointEval(inst, point, order)
+                for got, want in ((ev.f.coeffs, ref.f.coeffs), (ev.df.data, ref.df.data),
+                                  (ev.metric.g.data, ref.metric.g.data)):
+                    got = _row(got, p)
+                    assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def _point_by_point_suite(monkeypatch, inst, **kwargs):
@@ -391,7 +404,7 @@ def test_a_planted_disagreement_fails_the_checks_a_point_by_point_suite_fails(
     # and its points fall back to their own evaluations, whose errors are
     # FAILs of the checks that read W
     inst = get_instance(name)
-    planted = solitons.sample_evals(inst, 8, 7, order)[5].point
+    planted = solitons.points_of(solitons.sample_evals(inst, 8, 7, order))[5]
     g_planted = PointEval(inst, planted, order).metric.g.data
     kulkarni_nomizu = conformal._kulkarni_nomizu
     calls = itertools.count()
@@ -470,18 +483,23 @@ def test_rows_apart_copies_only_interleaved_rows():
     assert apart[..., 1, :].strides == rows[1].strides
 
 
-def _leaves(value):
-    """The arrays a property's value is made of, in a fixed order."""
+def _leaves(value, p=None):
+    """The arrays a property's value is made of, in a fixed order: a point's,
+    or row p of a block's, read where it lies."""
+    def jet(x):  # tensor data and scalar jets: the point axis before the jet axis
+        return x if p is None else x[..., p, :]
+
     if isinstance(value, tensors.TensorJet):
-        return [value.data]
+        return [jet(value.data)]
     if isinstance(value, jets.JetScalar):
-        return [value.coeffs]
+        return [jet(value.coeffs)]
     if isinstance(value, tensors.MetricAtPoint):
-        return [value.g.data, value.g_inv.data]
+        return [jet(value.g.data), jet(value.g_inv.data)]
     if dataclasses.is_dataclass(value):  # a pack, a frame, level-surface data, Prop 3.2 terms
         return [leaf for f in dataclasses.fields(value) if f.init
-                for leaf in _leaves(getattr(value, f.name))]
-    return [np.asarray(value, dtype=float)]
+                for leaf in _leaves(getattr(value, f.name), p)]
+    value = np.asarray(value, dtype=float)  # the point axis first
+    return [value if p is None else value[p]]
 
 
 POINT_EVAL_PROPERTIES = [name for name, attr in vars(PointEval).items()
@@ -495,17 +513,56 @@ def test_every_property_of_a_block_holds_its_points_own_bits(name):
     assert {"gradf_up_values", "frame", "level_surface", "frame_weyl", "prop32_terms",
             "grad_sq_jet", "div_bach"} <= set(POINT_EVAL_PROPERTIES)
     inst = get_instance(name)
-    points = [ev.point for ev in solitons.sample_evals(inst, 4, 7, 5)]
-    block = PointEval(inst, points, 5)
+    points = solitons.points_of(solitons.sample_evals(inst, 4, 7, 5))
     for prop in POINT_EVAL_PROPERTIES:
-        rows = [PointEval(inst, point, 5) for point in points]
-        solitons._fill_rows(rows, block, [prop])
-        for row, point in zip(rows, points):
-            got = _leaves(vars(row)[prop])
+        block = getattr(PointEval(inst, points, 5), prop)
+        for p, point in enumerate(points):
+            got = _leaves(block, p)
             want = _leaves(getattr(PointEval(inst, point, 5), prop))
             assert len(got) == len(want), prop
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (prop, point)
+
+
+# a non-diagonal metric through sin, cos and exp, not a soliton: on it eq4.7's
+# stacked matmul rounds a row apart from its point unless the interleaved rows
+# of the block's covariant derivative are laid out apart first
+# (`TensorJet.stacked_values`, `jets.rows_apart`)
+SHEARED = {
+    "name": "sheared-r4", "n": 4, "rho": 0, "kind": None,
+    "metric": [["2.092 + 0.095*cos(x4*0.720)*x2", "0.026*exp(x4/3)*x4", "0.030*sin(x4/3)*x1",
+                "0.024*cos(x3/3)*x2"],
+               ["0.026*exp(x4/3)*x4", "2.633 + 0.150*exp(x3*0.977)*x2", "0.036*exp(x2/3)*x4",
+                "0.034*cos(x1/3)*x1"],
+               ["0.030*sin(x4/3)*x1", "0.036*exp(x2/3)*x4", "2.318 + 0.166*exp(x3*0.947)*x3",
+                "0.051*exp(x1/3)*x2"],
+               ["0.024*cos(x3/3)*x2", "0.034*cos(x1/3)*x1", "0.051*exp(x1/3)*x2",
+                "2.884 + 0.080*sin(x1*0.776)*x2"]],
+    "potential": "0.879*cos(x1*0.585) + 0.613*cos(x2*0.715) + 0.890*sin(x3*0.925) "
+                 "+ 0.691*cos(x4*0.881) + x1*x1",
+    "domain": {"box": [[-1, 1]] * 4},
+}
+
+
+@pytest.mark.parametrize("spec, seed", [(SHEARED, 2), (TRANSCENDENTAL, 7)],
+                         ids=["sheared-r4", "transcendental-r3"])
+def test_every_check_on_a_block_gives_each_row_its_points_outputs(spec, seed):
+    # each per-point check of the suite, called once on a block of four sample
+    # points, returns each row's residual and scale with its point's bits
+    inst = instance_from_spec(spec)
+    points = solitons.points_of(solitons.sample_evals(inst, 4, seed, 5))
+    block = PointEval(inst, points, 5)
+    checked = 0
+    for check in verify.CHECKS:
+        if check.per_instance or check.exact_dim not in (None, inst.n) or check.min_dim > inst.n:
+            continue
+        got = [np.broadcast_to(x, (len(points),)) for x in check.fn(block)[:2]]
+        for p, point in enumerate(points):
+            want = check.fn(PointEval(inst, point, 5))[:2]
+            for g, w in zip(got, want):
+                assert np.float64(g[p]).tobytes() == np.float64(w).tobytes(), (check.id, point)
+        checked += 1
+    assert checked >= 18
 
 
 def test_rows_that_branch_in_gram_schmidt_get_their_points_own_frames():
@@ -516,9 +573,8 @@ def test_rows_that_branch_in_gram_schmidt_get_their_points_own_frames():
     frame = PointEval(inst, points, 3).frame
     for p, point in enumerate(points):
         want = PointEval(inst, point, 3).frame
-        got = frame.row(p)
-        assert got.vectors.tobytes() == want.vectors.tobytes()
-        assert got.grad_f_norm == want.grad_f_norm
+        assert frame.vectors[p].tobytes() == want.vectors.tobytes()
+        assert frame.grad_f_norm[p] == want.grad_f_norm
     one_sided = PointEval(inst, points[1:2] * 2, 3).frame  # all rows skip alike
     assert one_sided.vectors[0].tobytes() == PointEval(inst, points[1], 3).frame.vectors.tobytes()
 

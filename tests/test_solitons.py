@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import report_entry
+from conftest import point_evals, report_entry
 from gradsol import conformal, solitons
 from gradsol.errors import ConfigurationError, DomainError, ValidationError
 from gradsol.levelset import level_points, prop32_report
@@ -19,6 +19,7 @@ from gradsol.solitons import (
     instance_from_spec,
     instance_rng,
     load_extension_file,
+    points_of,
     sample_evals,
     sample_points,
     soliton_eq_residual,
@@ -94,7 +95,7 @@ def test_all_certified_instances_validate(instances):
 def test_negative_controls_fail_hard(instances):
     for name in ("perturbed-non-soliton-r4", "perturbed-non-soliton-r5"):
         inst = instances[name]
-        worst = max(soliton_eq_residual(ev)[0] for ev in sample_evals(inst, 8, seed=7, order=3))
+        worst = max(soliton_eq_residual(ev)[0] for ev in point_evals(inst, 8, seed=7, order=3))
         assert worst >= 1e-3
         with pytest.raises(ValidationError):
             validate_instance(inst)
@@ -199,9 +200,9 @@ def test_sample_evals_rejects_a_count_that_is_not_a_positive_int(count):
 
 
 @pytest.mark.parametrize("entry", [
-    lambda inst, n: [ev.point for ev in sample_evals(inst, n, 3, 1)],
+    lambda inst, n: points_of(sample_evals(inst, n, 3, 1)),
     lambda inst, n: validate_instance(inst, n_points=n, seed=3),
-    lambda inst, n: [ev.point for ev in level_points(inst, 1.0, n_points=n, seed=3)],
+    lambda inst, n: points_of(level_points(inst, 1.0, n_points=n, seed=3)),
     lambda inst, n: prop32_report(inst, 1.0, n_points=n, seed=3),
 ], ids=["sample_evals", "validate_instance", "level_points", "prop32_report"])
 def test_a_numpy_integer_count_is_the_same_int(entry):
@@ -447,7 +448,7 @@ def test_sample_evals_are_the_order1_samplers_points(instances, seed, order):
     for inst in certified + [instance_from_spec(s) for s in _TWINS]:
         expected = _order1_sampler(inst, 20, seed)
         evals = sample_evals(inst, 20, seed, order)
-        assert [ev.point for ev in evals] == expected, inst.name
+        assert points_of(evals) == expected, inst.name
         assert {ev.order for ev in evals} == {order}, inst.name
         points = sample_points(inst, 20, seed)
         assert all(isinstance(p, np.ndarray) for p in points), inst.name
@@ -565,13 +566,12 @@ def test_negative_seed_is_an_error(capsys, argv):
 
 def test_block_rows_come_from_the_point_eval_recipe(monkeypatch):
     # a block is a PointEval of a list of points, so a PointEval whose Cotton
-    # tensor is doubled fills every row with the doubled C and its norm
+    # tensor is doubled holds the doubled C and its norm in every row
     spec = {"name": "curved-r3", "n": 3, "rho": 0, "kind": None,
             "metric": [["1 + 0.1*x2*x2", "0.05*x3", "0"], ["0.05*x3", "1 + 0.2*x3*x1", "0"],
                        ["0", "0", "1 + 0.1*x1*x2"]],
             "potential": "x1*x1 + x2", "domain": {"box": [[-1, 1]] * 3}}
     inst = instance_from_spec(spec)
-    evals = sample_evals(inst, 5, 3, 4)
 
     class DoubledCotton(PointEval):
         @functools.cached_property
@@ -580,12 +580,22 @@ def test_block_rows_come_from_the_point_eval_recipe(monkeypatch):
             return TensorJet(c.space, c.valence, 2.0 * c.data)
 
     monkeypatch.setattr(solitons, "PointEval", DoubledCotton)
-    solitons.evaluate_in_blocks(evals)
+    evals = sample_evals(inst, 5, 3, 4)
+    assert evals and all(isinstance(ev, DoubledCotton) and ev.blocked for ev in evals)
     for ev in evals:
-        ref = DoubledCotton(inst, ev.point, 4)
-        plain = PointEval(inst, ev.point, 4)
-        assert "cotton" in vars(ev) and "cotton_norm" in vars(ev)
-        assert np.array_equal(ev.cotton.data, ref.cotton.data)
-        assert np.array_equal(ev.cotton.data, 2.0 * plain.cotton.data)
-        assert plain.cotton.max_abs() > 1e-3
-        assert ev.cotton_norm == ref.cotton_norm == 2.0 * plain.cotton_norm
+        for p, point in enumerate(ev.points):
+            ref = DoubledCotton(inst, point, 4)
+            plain = PointEval(inst, point, 4)
+            assert np.array_equal(ev.cotton.data[..., p, :], ref.cotton.data)
+            assert np.array_equal(ev.cotton.data[..., p, :], 2.0 * plain.cotton.data)
+            assert plain.cotton.max_abs() > 1e-3
+            assert ev.cotton_norm[p] == ref.cotton_norm == 2.0 * plain.cotton_norm
+
+
+def test_norm_is_the_root_of_pythons_max():
+    # max(-0.0, 0.0) keeps -0.0 and max(nan, 0.0) keeps nan: np.maximum would not
+    xs = [-0.0, 0.0, math.nan, 5e-324, 2.5e-310, -5e-324, -1.0, 2.0, math.inf, -math.inf]
+    want = [math.sqrt(max(x, 0.0)) for x in xs]
+    for got in (solitons._norm(np.array(xs)).tolist(), [float(solitons._norm(x)) for x in xs]):
+        for x, g, w in zip(xs, got, want):
+            assert (math.isnan(g) and math.isnan(w)) or (g == w and str(g) == str(w)), x

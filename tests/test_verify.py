@@ -56,16 +56,16 @@ def test_cigar_products_pass_the_identities_on_non_parallel_ricci(suite_reports,
     assert failed == VANISHING
     for cid in ("soliton_eq", "bianchi_contracted", "eq2.4", "eq2.2", "eq4.1", "lemma5.1"):
         assert report_entry(rep, cid)["status"] == "PASS", cid
-    evals = solitons.sample_evals(get_instance(name), 20, 7, 5)  # the suite's evaluations
+    evals = solitons.sample_evals(get_instance(name), 20, 7, 5)  # the suite's blocks
     div_ric = max(np.abs(curvature.divergence(ev.pack.ricci.truncated(1), ev.pack, 0).values).max()
                   for ev in evals)
     half_dr = max(np.abs(0.5 * ev.pack.dscalar.values).max() for ev in evals)
-    cotton = max(ev.cotton.max_abs() for ev in evals)
-    cotton_max = max(conformal.cotton_weyl_divergence_residual(ev)[2]["cotton_max"]
+    cotton = max(np.max(ev.cotton.max_abs()) for ev in evals)
+    cotton_max = max(np.max(conformal.cotton_weyl_divergence_residual(ev)[2]["cotton_max"])
                      for ev in evals)
     assert min(div_ric, half_dr, cotton, cotton_max) > 1e-3
     if name == "cigar-r3":  # lemma5.1's sides carry a factor n - 4
-        assert max(conformal.div_bach_residual(ev)[2]["lhs_max"] for ev in evals) > 1e-3
+        assert max(np.max(conformal.div_bach_residual(ev)[2]["lhs_max"]) for ev in evals) > 1e-3
 
 
 def test_d_norm_at_spec_product_point():
@@ -412,9 +412,10 @@ def test_cli_extension_file(tmp_path, capsys):
 def _nan_at_second_point():
     seen = []
 
-    def fn(ev):
-        seen.append(ev.point)
-        return (float("nan") if len(seen) == 2 else 1e-20), 1.0
+    def fn(ev):  # NaN at the second row drawn, of a block or a point alone
+        resid = np.where(np.arange(len(seen), len(seen) + len(ev.points)) == 1, np.nan, 1e-20)
+        seen.extend(ev.points)
+        return (resid if ev.blocked else resid[0]), 1.0
 
     return CheckSpec("nan_point", 2, 1e-9, fn)
 
@@ -444,10 +445,14 @@ def test_nan_d_norm_at_second_point_is_not_d_zero(monkeypatch):
     # Python's max(0.0, nan) is 0.0; a NaN |D| must neither read as D = 0
     # nor leave the thm5.2 verdict standing
     inst = get_instance("cylinder-s4xr")
-    second = verify.sample_evals(inst, 8, 7, 5)[1].point
+    second = solitons.points_of(verify.sample_evals(inst, 8, 7, 5))[1]
     d_norm = solitons.PointEval.d_norm.func
-    monkeypatch.setattr(solitons.PointEval, "d_norm", property(
-        lambda ev: math.nan if ev.point == second else d_norm(ev)))
+
+    def nan_at_second(ev):  # a block's row or a point alone
+        at = [point == second for point in ev.points]
+        return np.where(at if ev.blocked else at[0], math.nan, d_norm(ev))
+
+    monkeypatch.setattr(solitons.PointEval, "d_norm", property(nan_at_second))
     rep = run_suite(inst, n_points=8, seed=7, order=5)
     thm = report_entry(rep, "thm5.2")
     assert thm["status"] == "FAIL" and "non-finite" in thm["error"]
@@ -463,7 +468,7 @@ def test_a_d_error_fails_the_checks_that_read_d(monkeypatch):
     # it instead of ending the suite
     inst = get_instance("cylinder-s3xr")
     want = run_suite(inst, n_points=8, seed=7, order=5)
-    planted = verify.sample_evals(inst, 8, 7, 5)[5].point
+    planted = solitons.points_of(verify.sample_evals(inst, 8, 7, 5))[5]
     d_tensor = solitons.d_tensor
 
     def planted_d_tensor(pack, df, cross_check=False):
@@ -487,7 +492,7 @@ def test_a_d_error_fails_the_checks_that_read_d(monkeypatch):
 
 def test_suite_evaluates_each_sample_point_once(monkeypatch):
     inst = get_instance("s2xr3")
-    points = [tuple(ev.point) for ev in verify.sample_evals(inst, 8, 7, 4)]
+    points = [tuple(p) for p in solitons.points_of(verify.sample_evals(inst, 8, 7, 4))]
     calls = collections.Counter()
     blocks = []
     metric_at_point, metric_at_points = solitons.metric_at_point, solitons.metric_at_points
@@ -548,7 +553,7 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
     # cylinder-s4xr: n = 5, D = 0 and curved, so prop3.1, eq4.6, lemma4.2,
     # lemma5.1, thm5.2 and prop3.2 all run on it
     inst = get_instance("cylinder-s4xr")
-    suite_points = {tuple(ev.point) for ev in verify.sample_evals(inst, 8, 7, 5)}
+    suite_points = {tuple(p) for p in solitons.points_of(verify.sample_evals(inst, 8, 7, 5))}
     # each Bach tensor is kept alive, so that no later tensor takes its id
     kept = []
     bach_ids = _count_calls(monkeypatch, conformal.bach, lambda a, out: kept.append(out) or id(out))
@@ -587,29 +592,24 @@ def test_gradients_of_f_and_r_taken_once_per_point(monkeypatch):
     # the curvature chain's, and prop3.2's level points in one block each
     inst = get_instance("cylinder-s4xr")
     assert solitons.block_rule(5, 5)[0] == 4
+    twin = get_instance("cylinder-s4xr")  # its f_shift and points, taken before counting
+    points = [(p, 5) for p in solitons.points_of(solitons.sample_evals(twin, 8, 7, 5))]
+    level = levelset.level_points(twin, levelset._f_value(twin, twin.base_point), 12, 7)
+    points += [(p, 3) for p in solitons.points_of(level)]
     taken = []  # the scalar jets whose gradient was taken, kept alive
-    evals = []
     # a None key counts nothing: the key function keeps each argument instead
     _count_calls(monkeypatch, curvature.scalar_gradient, lambda a, out: taken.append(a[0]))
-
-    class RecordingPointEval(solitons.PointEval):
-        def __init__(self, *args):
-            super().__init__(*args)
-            if np.ndim(self.point) == 1:  # a point, not a block of them
-                evals.append(self)
-
-    monkeypatch.setattr(solitons, "PointEval", RecordingPointEval)
     rep = run_suite(inst, n_points=8, seed=7, order=5)
     assert report_entry(rep, "prop3.2")["status"] == "PASS"
-    assert sorted(ev.order for ev in evals) == [3] * 12 + [5] * 8
 
     def rows(s):
         return [s.coeffs] if s.coeffs.ndim == 1 else list(s.coeffs)
 
-    for ev in evals:
+    for point, order in points:
+        ev = solitons.PointEval(inst, point, order)  # takes no gradient of f or R
         for jet in (ev.f, ev.pack.scalar):
             holders = [s for s in taken if any(np.array_equal(r, jet.coeffs) for r in rows(s))]
-            assert len(holders) == 1, ev.point
+            assert len(holders) == 1, point
     blocks = [len(s.coeffs) for s in taken if s.coeffs.ndim == 2]
     # the suite's f, then its R, then the level points' f and R
     assert blocks == [4, 4, 4, 4, 12, 12]
@@ -640,10 +640,132 @@ def test_cli_equivalence_line_comes_from_the_suite(monkeypatch, capsys):
 def test_weyl_derivative_built_once_per_point(monkeypatch):
     # eq2.2 reads the div W that the Bach tensor's second path takes as input
     inst = get_instance("cylinder-s4xr")
-    suite_points = {tuple(ev.point) for ev in verify.sample_evals(inst, 8, 7, 5)}
+    suite_points = {tuple(p) for p in solitons.points_of(verify.sample_evals(inst, 8, 7, 5))}
     counts = _count_calls(monkeypatch, curvature.divergence,
                           lambda a, out: _where(a[1]) if a[0].rank == 4 else None)
     rep = run_suite(inst, n_points=8, seed=7, order=5)
     for cid in ("eq2.2", "eq4.1", "lemma5.1", "thm5.2", "bach_vanishes"):
         assert report_entry(rep, cid)["status"] == "PASS", cid
     assert counts == {(p, 5): 1 for p in suite_points}
+
+
+# ---------------------------------------------------------------------------
+# judging the rows of blocks
+
+RAISES = object()  # a row whose point raises
+
+
+def _planted(points, table, raise_on_blocks=False):
+    """A per-point check giving row k of the sample `table[k]`, (residual, scale)
+    or RAISES, on a block or a point alone; and the list of its calls, True
+    for a block.  With `raise_on_blocks` a block holding a RAISES row raises
+    and the point alone gives (0.0, 1.0)."""
+    index = {tuple(p): k for k, p in enumerate(points)}
+    calls = []
+
+    def fn(ev):
+        calls.append(ev.blocked)
+        rows = [table[index[tuple(p)]] for p in ev.points]
+        if any(r is RAISES for r in rows) and (ev.blocked or not raise_on_blocks):
+            raise ConsistencyError("planted")
+        resid, scale = (np.array(c) for c in zip(*[(0.0, 1.0) if r is RAISES else r
+                                                   for r in rows]))
+        return (resid, scale) if ev.blocked else (resid[0], scale[0])
+
+    return fn, calls
+
+
+def _scan(points, table, tolerance):
+    """The per-point scan over the planted rows: (status, max_residual,
+    argmax_point, error) as a suite that judges each point in turn reports it."""
+    judged = argmax = None
+    for point, row in zip(points, table):
+        if row is RAISES:
+            return "FAIL", None, None, "ConsistencyError: planted"
+        j = verify._judge(*row)
+        if judged is None or not j <= judged:
+            judged, argmax = j, point
+        if not math.isfinite(j):
+            return "FAIL", judged, argmax, f"non-finite residual {judged} at {argmax}"
+    return ("PASS" if judged <= tolerance else "FAIL"), judged, argmax, None
+
+
+def _entry(report):
+    (e,) = report["checks"]
+    return e["status"], e["max_residual"], e["argmax_point"], e.get("error")
+
+
+NAN, INF = math.nan, math.inf
+TABLES = {  # eight rows: gaussian-r5 at order 5 draws two blocks of four
+    "tie": [(1e-12, 1.0), (5e-12, 2.0), (1e-11, 2.0), (0.0, 1.0),
+            (3e-12, 0.5), (5e-12, 1.0), (-0.0, 1.0), (2e-12, 1.0)],
+    "fail": [(1e-12, 1.0), (3e-8, 4.0), (3e-12, 1.0), (2e-8, 2.0),
+             (1e-12, 1.0), (1.2e-8, 1.0), (1e-9, 1.0), (4e-8, 8.0)],
+    "nan-then-error": [(1e-12, 1.0), (2e-12, 1.0), (NAN, 1.0), (1.0, 1.0),
+                       (1e-12, 1.0), RAISES, (1e-12, 1.0), (1e-12, 1.0)],
+    "inf-scale": [(1e-12, 1.0), (1e-12, 1.0), (1e-12, 1.0), (1e-12, 1.0),
+                  (1e-12, 1.0), (0.0, INF), (NAN, 1.0), (1e-12, 1.0)],
+    "error-after-a-row": [(1e-12, 1.0), (1e-12, 1.0), (1e-12, 1.0), (1e-12, 1.0),
+                          (5e-12, 1.0), RAISES, (NAN, 1.0), (1e-12, 1.0)],
+}
+
+
+@pytest.mark.parametrize("table", list(TABLES), ids=list(TABLES))
+def test_block_rows_are_judged_as_a_point_by_point_scan(monkeypatch, table):
+    # a tie keeps the first maximal row; the first non-finite row ends the
+    # scan, so a later block's error is never met; an infinite scale is non-finite
+    inst = get_instance("gaussian-r5")
+    assert solitons.block_rule(5, 5)[0] == 4
+    points = solitons.points_of(solitons.sample_evals(inst, 8, 7, 5))
+    fn, calls = _planted(points, TABLES[table])
+    monkeypatch.setattr(verify, "CHECKS", [CheckSpec("planted", 2, 1e-9, fn)])
+    got = _entry(run_suite(inst, n_points=8, seed=7, order=5))
+    assert repr(got) == repr(_scan(points, TABLES[table], 1e-9))
+    assert calls.count(True) == (1 if table == "nan-then-error" else 2)
+    # point by point: each point's evaluation alone, as a block that raised leaves it
+    with monkeypatch.context() as m:
+        m.setattr(solitons, "evaluate_points",
+                  lambda inst, points, order: [solitons.PointEval(inst, p, order) for p in points])
+        del calls[:]
+        assert repr(_entry(run_suite(inst, n_points=8, seed=7, order=5))) == repr(got)
+        assert calls and True not in calls
+
+
+def test_a_check_is_called_once_per_block_and_once_per_point_of_a_block_that_raised(monkeypatch):
+    inst = get_instance("gaussian-r5")
+    points = solitons.points_of(solitons.sample_evals(inst, 8, 7, 5))
+    table = [(1e-12 * (k + 1), 1.0) for k in range(8)]
+    fn, calls = _planted(points, table)
+    monkeypatch.setattr(verify, "CHECKS", [CheckSpec("planted", 2, 1e-9, fn)])
+    assert _entry(run_suite(inst, n_points=8, seed=7, order=5))[:3] == ("PASS", 8e-12, points[7])
+    assert calls == [True, True]
+    table[5] = RAISES  # the second block raises, its points alone do not
+    fn, calls = _planted(points, table, raise_on_blocks=True)
+    monkeypatch.setattr(verify, "CHECKS", [CheckSpec("planted", 2, 1e-9, fn)])
+    assert _entry(run_suite(inst, n_points=8, seed=7, order=5))[:3] == ("PASS", 8e-12, points[7])
+    assert calls == [True, True, False, False, False, False]
+
+
+def test_readers_call_the_per_point_check_once_per_block(monkeypatch):
+    # certification, the thm5.2 status and the prop3.2 report read blocks too
+    inst = get_instance("cylinder-s4xr")
+    evals = solitons.sample_evals(inst, 8, 7, 5)
+    solitons.evaluate_in_blocks(evals)
+    assert [len(ev.points) for ev in evals] == [4, 4]
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(ev):
+            counts[name, ev.blocked] += 1
+            return fn(ev)
+        return wrapper
+
+    monkeypatch.setattr(solitons, "soliton_eq_residual",
+                        counting("soliton_eq", solitons.soliton_eq_residual))
+    monkeypatch.setattr(verify, "_thm52_frame_terms",
+                        counting("thm5.2", verify._thm52_frame_terms))
+    monkeypatch.setattr(levelset, "prop32_terms", counting("prop3.2", levelset.prop32_terms))
+    solitons.certify(inst, evals)
+    assert verify.thm52_status(inst, evals)["status"] == "evaluated"
+    levelset.prop32_report(inst, levelset._f_value(inst, inst.base_point), n_points=12, seed=7)
+    assert counts == {("soliton_eq", True): 2, ("thm5.2", True): 2, ("prop3.2", True): 1}
