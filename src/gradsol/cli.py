@@ -116,13 +116,14 @@ def _cmd_tensor(args):
     if len(point) != inst.n:
         raise ConfigurationError(f"--at needs {inst.n} coordinates, got {len(point)}")
     inst.require_inside(point)
-    ev = PointEval(inst, point, args.order)
+    ev = PointEval(inst, [point], args.order)  # a block of one row: row 0 is printed
     if args.what == "scalar":
-        print(f"scalar curvature at {point}: {ev.pack.scalar.value!r}")
+        print(f"scalar curvature at {point}: {float(ev.pack.scalar.coeffs[0, 0])!r}")
         return 0
     tensor = ev.pack.ricci if args.what == "ricci" else getattr(ev, _TENSOR_ATTR[args.what])
+    values = tensor.stacked_values()[0]
     # a component that prints as zero prints unsigned, whatever its rounding
-    values = np.where(np.round(tensor.values, 10) == 0.0, 0.0, tensor.values)
+    values = np.where(np.round(values, 10) == 0.0, 0.0, values)
     print(f"{args.what} components at {point} (chart basis):")
     print(np.array2string(values, precision=10, suppress_small=True))
     return 0

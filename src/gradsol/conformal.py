@@ -4,13 +4,12 @@ Each tensor that admits two textbook expressions is computed along *both*
 and the paths must agree; a disagreement, or a NaN on either path, raises
 :class:`ConsistencyError`.  The dimension is the curvature pack's.  The
 Bach tensor takes div W as an input, so a point evaluation builds it once
-for eq 2.2 and Bach.  Each identity residual reads a
-:class:`~gradsol.solitons.PointEval`, a point's or a block's, and evaluates
-the two sides of its identity independently, over a block's point axis at
-once: contractions are einsums over the leading point axis of
-``TensorJet.stacked_values``, so each row has its point's bits.  It returns
-``(residual, scale)``: the worst component mismatch and the magnitude of
-the larger side, floats at a point and one value per row at a block.
+for eq 2.2 and Bach.  Each identity residual reads a block
+:class:`~gradsol.solitons.PointEval` and evaluates the two sides of its
+identity independently, over the block's point axis at once: contractions
+are einsums over the leading point axis of ``TensorJet.stacked_values``, so
+each row has its point's bits.  It returns ``(residual, scale)``: the worst
+component mismatch and the magnitude of the larger side, one value per row.
 Residuals whose side sizes show that a check was not vacuous add a third
 element, a dict of those named maxima.
 """
@@ -29,8 +28,8 @@ _CROSS_CHECK_DIFFERENTIAL = 1e-8
 def _require_agreement(a, b, tol, what):
     """Compare two paths on the coefficients up to their common order.
 
-    With a point axis each row is judged on its own, in order, and the first
-    row that disagrees raises with its own figures.
+    Each row is judged on its own, in order, and the first row that
+    disagrees raises with its own figures.
     """
     n = min(a.space.n_terms, b.space.n_terms)
     aa, bb = a.data[..., :n], b.data[..., :n]
@@ -189,13 +188,13 @@ def d_tensor(pack, df, cross_check=False):
 # identity residuals (two sides evaluated independently, compared at values)
 
 def _compare(ev, lhs, rhs):
-    """Worst component of lhs - rhs and the magnitude of the larger side, of a
-    point or of each row of a block."""
+    """Worst component of lhs - rhs and the magnitude of the larger side, of
+    each row of a block."""
     return ev.abs_max(lhs - rhs), row_max(ev.abs_max(lhs), ev.abs_max(rhs))
 
 
 def cotton_weyl_divergence_residual(ev):
-    """C_ijk + ((n-2)/(n-3)) div W residual at a point evaluation or a block."""
+    """C_ijk + ((n-2)/(n-3)) div W residual of each row of a block."""
     n = ev.inst.n
     if n < 4:
         raise UnsupportedDimensionError("the divergence relation needs dimension >= 4")
@@ -205,7 +204,7 @@ def cotton_weyl_divergence_residual(ev):
 
 
 def d_decomposition_residual(ev):
-    """Worst component of D_ijk - C_ijk - W_ijkl grad^l f at the point or each row."""
+    """Worst component of D_ijk - C_ijk - W_ijkl grad^l f at each row."""
     w_term = np.einsum("...ijkl,...l->...ijk", ev.weyl.stacked_values(), ev.gradf_up_values)
     return _compare(ev, ev.dtensor.stacked_values(), ev.cotton.stacked_values() + w_term)
 

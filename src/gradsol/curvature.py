@@ -1,4 +1,4 @@
-"""Connection and curvature of a metric at a point.
+"""Connection and curvature of a metric at the points of a block.
 
 The convention is fixed so that the round sphere has positive sectional
 curvature in the form R_ijkl = c (g_ik g_jl - g_il g_jk) with c = 1/r^2,
@@ -18,8 +18,8 @@ K[c, s, i] = g^{cm} Γ^s_{mi} and its trace γ^s = K[c, s, c]:
 K is built once per pack at each order a divergence asks for (one below the
 order of the tensor it differentiates), not at Γ's full order.
 
-A pack may carry a point axis (see ``tensors``): `curvature_pack` of a
-metric with one evaluates every row with its own point's bits.
+A pack carries its metric's point axis (see ``tensors``): `curvature_pack`
+evaluates every row with its own point's bits.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +36,7 @@ _L = "abcdefgh"
 
 @dataclass(frozen=True)
 class CurvaturePack:
-    """Metric, connection and curvature jets at one point.
+    """Metric, connection and curvature jets at the points of a block.
 
     gamma is (1,2) with the contravariant slot first; riemann is fully
     covariant R_ijkl; ricci is R_ij; scalar is g^{ij} R_ij.

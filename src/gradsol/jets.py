@@ -40,18 +40,20 @@ output order.  A repeated call therefore parses no subscripts and makes no ``np.
 ``einsum_path`` call, and returns the same bits as numpy's two-operand
 einsum, which lays the contraction out the same way.
 
-Several points are evaluated at once on a *point axis*, which sits just
-before the jet axis: a scalar jet is then ``(P, n_terms)`` and tensor data
-``(dim,)*rank + (P, n_terms)``.  Each row is computed with the bits its own
-point's evaluation gives.  ``jet_einsum`` plans by one point's shapes, so a
-row runs its point's kernel and a block adds no plan, and the kernels run
-with the point axis moved to the front, where it stays a separate batch
-axis of every transpose, reshape and matmul.  numpy's matmul picks a BLAS
-call or its own loop from the strides of each matrix of a stack, and its
-bits follow that choice.  An order-0 product contracts the component axes
-themselves, so ``jet_einsum`` reads each operand of one with its rows one
-after another, each laid out as its point's own array (`rows_apart`, a copy
-where they lie interleaved); `stack_rows` stacks points' arrays that way.
+Points are evaluated in blocks on a *point axis*, which sits just before
+the jet axis: tensor data is ``(dim,)*rank + (P, n_terms)``, one point being
+a block of one row, and ``jet_einsum`` takes no operand without that axis.
+Each row is computed with the bits its own point's evaluation gives.
+``jet_einsum`` plans by one point's shapes, so every block size runs one
+point's kernel and adds no plan, and its compiled plans lead every
+transpose, reshape and matmul with the point axis, a separate batch axis.
+numpy's matmul picks a BLAS call or its own loop from the strides of each
+matrix of a stack, and its bits follow that choice.  An order-0 product
+contracts the component axes themselves, so ``jet_einsum`` reads each
+operand of one with its rows one after another, each laid out as its
+point's own array (`rows_apart`, a copy where they lie interleaved);
+`stack_rows` stacks points' arrays that way.  A scalar jet (`JetScalar`)
+takes either shape, ``(n_terms,)`` or ``(P, n_terms)``.
 
 A tensor times a scalar jet is ``jet_einsum`` with an empty subscript for
 the scalar (``'ijkl,->ijkl'``), so the same choice picks its kernel.
@@ -81,6 +83,7 @@ from .errors import (
     ConfigurationError,
     InsufficientOrderError,
     SingularEvaluationError,
+    TensorShapeError,
 )
 
 MAX_ORDER = 5
@@ -225,10 +228,12 @@ def stack_rows(arrays):
 def rows_apart(data):
     """Data with a point axis whose rows lie one after another, each laid out
     as that row's axes lie in data: data itself if they do, else a copy."""
+    if data.shape[-2] == 1:  # one row lies as its point's array does
+        return data
     rows = point_first(data)
     row = rows[0]
     span = row.itemsize + sum((n - 1) * s for n, s in zip(row.shape, row.strides))
-    if len(rows) == 1 or rows.strides[0] == span == row.nbytes:  # dense rows, in order
+    if rows.strides[0] == span == row.nbytes:  # dense rows, in order
         return data
     return stack_rows(list(rows))
 
@@ -245,10 +250,10 @@ def truncate_arrays(space, data, order):
     return lower, data[..., : lower.n_terms]
 
 
-# Compiled pair contractions, keyed by (sub_x, sub_y, out, x.shape, y.shape):
-# the transposes, reshapes and the one matmul (or multiply) that evaluate
-# `sub_x,sub_y->out`, found once so a hot call parses nothing.  Operands
-# with a leading point axis use the plan of one point's shapes.
+# Compiled pair contractions, keyed by (sub_x, sub_y, out, x.shape, y.shape)
+# of one point: the transposes, reshapes and the one matmul (or multiply)
+# that evaluate `sub_x,sub_y->out` row by row over a leading point axis,
+# found once so a hot call parses nothing.
 _PAIR_PLANS = {}
 _EINSUM_PLANS = {}
 
@@ -264,6 +269,8 @@ def _compile_pair(sub_x, sub_y, out, shape_x, shape_y):
     at order 0), each operand is laid out in `out` order with size-1 axes
     for the letters it lacks, and one broadcast multiply is the product
     (shape_xy is None).  Other size-1 axes simply fuse into their groups.
+    The leading point axis stays first in every step: each perm leads with
+    0 and each shape with -1, the number of rows.
     """
     sizes = {}
     for c, n in zip(sub_x + sub_y, shape_x + shape_y):
@@ -275,53 +282,39 @@ def _compile_pair(sub_x, sub_y, out, shape_x, shape_y):
     keep_y = [c for c in sub_y if c not in sub_x]
     if all(sizes[c] == 1 for c in summed):
         return (
-            tuple(sub_x.index(c) for c in out + "".join(summed) if c in sub_x),
-            tuple(sizes[c] if c in sub_x else 1 for c in out),
-            tuple(sub_y.index(c) for c in out + "".join(summed) if c in sub_y),
-            tuple(sizes[c] if c in sub_y else 1 for c in out),
+            (0,) + tuple(1 + sub_x.index(c) for c in out + "".join(summed) if c in sub_x),
+            (-1,) + tuple(sizes[c] if c in sub_x else 1 for c in out),
+            (0,) + tuple(1 + sub_y.index(c) for c in out + "".join(summed) if c in sub_y),
+            (-1,) + tuple(sizes[c] if c in sub_y else 1 for c in out),
             None, None,
         )
-    lead = [batch] if batch else []  # no batch: plain 2-D matmul
+    lead = [batch] if batch else []  # no batch: one matrix per row
     gx, gy = lead + [keep_x, summed], lead + [summed, keep_y]
     made = batch + keep_x + keep_y
     return (
-        tuple(sub_x.index(c) for g in gx for c in g),
-        tuple(math.prod(sizes[c] for c in g) for g in gx),
-        tuple(sub_y.index(c) for g in gy for c in g),
-        tuple(math.prod(sizes[c] for c in g) for g in gy),
-        tuple(sizes[c] for c in made),
-        tuple(made.index(c) for c in out),
+        (0,) + tuple(1 + sub_x.index(c) for g in gx for c in g),
+        (-1,) + tuple(math.prod(sizes[c] for c in g) for g in gx),
+        (0,) + tuple(1 + sub_y.index(c) for g in gy for c in g),
+        (-1,) + tuple(math.prod(sizes[c] for c in g) for g in gy),
+        (-1,) + tuple(sizes[c] for c in made),
+        (0,) + tuple(1 + made.index(c) for c in out),
     )
 
 
-def _behind(perm):
-    """A permutation moved behind a leading point axis, which stays first."""
-    return (0,) + tuple(i + 1 for i in perm)
-
-
 def _pair_contract(sub_x, sub_y, out, x, y):
-    """``np.einsum(f"{sub_x},{sub_y}->{out}", x, y)`` through its compiled plan.
+    """``np.einsum(f"...{sub_x},...{sub_y}->...{out}", x, y)`` through its compiled plan.
 
-    Operands with one more axis than their subscripts carry a leading point
-    axis.  It stays a separate leading axis of every step, so each row is
-    transposed, reshaped (a view or a copy) and multiplied with the strides
-    its own point's operands have, and numpy's matmul takes the BLAS call
-    or its own loop that the point's product takes, with the same bits.
+    Both operands carry a leading point axis.  It stays a separate leading
+    axis of every step, so each row is transposed, reshaped (a view or a
+    copy) and multiplied with the strides its own point's operands have, and
+    numpy's matmul takes the BLAS call or its own loop that the point's
+    product takes, with the same bits.
     """
-    if x.ndim == len(sub_x):
-        key = (sub_x, sub_y, out, x.shape, y.shape)
-    else:
-        key = (sub_x, sub_y, out, x.shape[1:], y.shape[1:])
+    key = (sub_x, sub_y, out, x.shape[1:], y.shape[1:])
     plan = _PAIR_PLANS.get(key)
     if plan is None:
         plan = _PAIR_PLANS[key] = _compile_pair(sub_x, sub_y, out, key[3], key[4])
     perm_x, fused_x, perm_y, fused_y, shape_xy, perm_xy = plan
-    if x.ndim > len(sub_x):
-        points = x.shape[:1]
-        perm_x, fused_x = _behind(perm_x), points + fused_x
-        perm_y, fused_y = _behind(perm_y), points + fused_y
-        if shape_xy is not None:
-            shape_xy, perm_xy = points + shape_xy, _behind(perm_xy)
     x = x.transpose(perm_x).reshape(fused_x)
     y = y.transpose(perm_y).reshape(fused_y)
     if shape_xy is None:
@@ -358,8 +351,8 @@ def _einsum_const(space, sub_a, sub_b, out, a, b):
 def _plan(space, sub_a, sub_b, out, a, b):
     """Pick the strategy with the lower cost estimate (module docstring).
 
-    Reads the operands' component shapes, which a point axis leaves out, so
-    each point of a block gets its own point's choice.  Returns (kernel,
+    Reads the operands' component shapes, before their point axis, so each
+    point of a block gets its own point's choice.  Returns (kernel,
     swap); `swap` puts the operand with fewer components first, where the
     matrix path scatters it; order 0 keeps that operand order.
     """
@@ -377,40 +370,38 @@ def _plan(space, sub_a, sub_b, out, a, b):
 
 
 def jet_einsum(space, subscripts, a, b):
-    """einsum over component axes with jet-valued entries.
+    """einsum over component axes with jet-valued entries, row by row.
 
     `subscripts` addresses component axes only (e.g. ``'kl,lij->kij'``);
-    the trailing jet axis is handled internally.  Each operand may carry a
-    higher order than `space`: its first ``space.n_terms`` coefficients, the
-    prefix that is its truncation to `space`, are read.  An operand with
-    fewer coefficients raises InsufficientOrderError.  Operands with a point
-    axis (both or neither, just before the jet axis) contract row by row: the
-    kernel is the one a single point's shapes choose, and the point axis is a
-    batch axis of its contraction.
+    each operand carries a point axis and the jet axis after them, and the
+    output too.  Each operand may carry a higher order than `space`: its
+    first ``space.n_terms`` coefficients, the prefix that is its truncation
+    to `space`, are read.  An operand with fewer coefficients raises
+    InsufficientOrderError, one without a point axis TensorShapeError.  The
+    kernel is the one a single point's shapes choose, and the point axis is
+    a batch axis of its contraction.
     """
     n = space.n_terms
+    ins, out = subscripts.split("->")
+    sub_a, sub_b = ins.split(",")
+    if a.ndim != len(sub_a) + 2 or b.ndim != len(sub_b) + 2:
+        raise TensorShapeError(f"{subscripts!r} needs a point axis on each operand, "
+                               f"got shapes {a.shape} and {b.shape}")
     if min(a.shape[-1], b.shape[-1]) < n:
         raise InsufficientOrderError(
             f"operands carry {a.shape[-1]} and {b.shape[-1]} coefficients; {space} reads {n}"
         )
-    ins, out = subscripts.split("->")
-    sub_a, sub_b = ins.split(",")
-    point = a.ndim > len(sub_a) + 1
-    if point and space.order == 0:  # the product reads the rows' own strides
+    if space.order == 0:  # the product reads the rows' own strides
         a, b = rows_apart(a), rows_apart(b)
     a, b = a[..., :n], b[..., :n]
-    shape_a, shape_b = a.shape, b.shape
-    if point:  # planned by one point's shapes
-        shape_a, shape_b = shape_a[:-2] + shape_a[-1:], shape_b[:-2] + shape_b[-1:]
-    key = (space, subscripts, shape_a, shape_b)
+    # planned by one point's shapes
+    key = (space, subscripts, a.shape[:-2] + a.shape[-1:], b.shape[:-2] + b.shape[-1:])
     plan = _EINSUM_PLANS.get(key)
     if plan is None:
         plan = _EINSUM_PLANS[key] = _plan(space, sub_a, sub_b, out, a, b)
     kernel, swap = plan
     if swap:
         a, b, sub_a, sub_b = b, a, sub_b, sub_a
-    if not point:
-        return kernel(space, sub_a, sub_b, out, a, b)
     # the kernels run with the point axis first, where it leads every step
     return point_back(kernel(space, sub_a, sub_b, out, point_first(a), point_first(b)))
 

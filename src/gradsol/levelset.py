@@ -6,14 +6,14 @@ the outward unit normal +e_1.  Checks against the inward normal -e_1
 (where a derivative of the frame metric along the normal appears) carry
 the compensating sign explicitly.
 
-Every function here reads a :class:`~gradsol.solitons.PointEval`, which
-caches the frame, the Hessian of f and the level-surface data: a point's,
-or a block's, over whose point axis it runs its one recipe at once, the
-leading batch axis of every stacked matmul and of ``eigvalsh``, on operands
+Every function here reads a block :class:`~gradsol.solitons.PointEval`,
+which caches the frame, the Hessian of f and the level-surface data, and
+runs its one recipe over the block's point axis at once, the leading
+batch axis of every stacked matmul and of ``eigvalsh``, on operands
 whose rows lie as their points' own values do
 (``TensorJet.stacked_values``), so each row has its point's bits.  Results
 lead with the point axis.  The residuals of the suite's level-set checks
-return ``(residual, scale)``, one value per row of a block;
+return ``(residual, scale)``, one value per row;
 :func:`prop31_residual` and :func:`frame_cotton_components` add a third
 element, a dict of the quantities behind the residual.  They need a regular
 point of a non-constant potential: the suite's ``CheckSpec.level_sets``
@@ -61,15 +61,15 @@ def _quad(a, m, b):
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Orthonormal frame at a point with e_1 parallel to grad f.
+    """Orthonormal frames at the points of a block with e_1 parallel to grad f.
 
-    `vectors` holds the frame row-wise in chart components; `grad_f_norm`
-    is |grad f| at the point.  A block's frame leads with the point axis:
+    `vectors` holds each frame row-wise in chart components and
+    `grad_f_norm` |grad f| at each point, both leading with the point axis:
     `vectors` is (P, n, n) and `grad_f_norm` holds one value per row.
     """
 
     vectors: np.ndarray
-    grad_f_norm: float
+    grad_f_norm: np.ndarray
 
     @property
     def e1(self):
@@ -82,16 +82,16 @@ class AdaptedFrame:
 
 @dataclass(frozen=True)
 class LevelSurfaceData:
-    """Extrinsic data of the level surface through a point (a block's: point axis first)."""
+    """Extrinsic data of the level surfaces through the points of a block, point axis first."""
 
     h: np.ndarray
-    H: float
+    H: np.ndarray
     tangential_dR: np.ndarray
 
 
 @dataclass(frozen=True)
 class Prop32Terms:
-    """Prop 3.2's quantities at a point (a block's: one value per row).
+    """Prop 3.2's quantities at the points of a block, one value per row.
 
     R, |grad f|^2 and H; the largest mixed Ricci component |Ric(e_1, e_a)|;
     umbilicity max |h - H/(n-1) I|; the predicted eigenvalues lambda and mu;
@@ -99,37 +99,37 @@ class Prop32Terms:
     frame and the sorted (lambda, mu, ..., mu).
     """
 
-    r: float
-    grad_sq: float
-    h_mean: float
-    ricci_mixed: float
-    umbilicity: float
-    lam: float
-    mu: float
-    eigenvalue_mismatch: float
+    r: np.ndarray
+    grad_sq: np.ndarray
+    h_mean: np.ndarray
+    ricci_mixed: np.ndarray
+    umbilicity: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+    eigenvalue_mismatch: np.ndarray
 
 
 def adapted_frame(ev):
     """Gram-Schmidt completion of grad f/|grad f| against the chart basis.
 
-    On a block every row is completed at once: each step is one stacked
-    matmul over the point axis.  A block whose rows branch differently (a
-    chart direction spanned in some rows only) completes each row on its
-    own, as its point does.
+    Every row is completed at once: each step is one stacked matmul over
+    the point axis.  A block whose rows branch differently (a chart
+    direction spanned in some rows only) completes each row on its own, as
+    a block of one, as its point does.
     """
     g0 = ev.metric.g.stacked_values()
     grad = ev.gradf_up_values
     norm = np.sqrt(np.maximum(_quad(grad, g0, grad), 0.0))
-    low = np.flatnonzero(np.ravel(norm < GRAD_THRESHOLD))
+    low = np.flatnonzero(norm < GRAD_THRESHOLD)
     if low.size:
         raise CriticalPointError(
-            f"|grad f| = {np.ravel(norm)[low[0]]:.3e} below threshold {GRAD_THRESHOLD:.1e}"
+            f"|grad f| = {norm[low[0]]:.3e} below threshold {GRAD_THRESHOLD:.1e}"
         )
     return AdaptedFrame(_completed(g0, grad, norm), norm)
 
 
 def _completed(g0, grad, norm):
-    """The frame vectors of `adapted_frame`, rows on a leading point axis if any."""
+    """The frame vectors of `adapted_frame`, rows on a leading point axis."""
     n = g0.shape[-1]
     vectors = [grad / norm[..., None]]
     for k in range(n):
@@ -141,8 +141,9 @@ def _completed(g0, grad, norm):
         skip = sq < 1e-12
         if skip.all():
             continue  # chart direction already spanned; deterministic skip
-        if skip.any():  # the rows branch: each completes its own frame
-            return np.stack([_completed(g0[p], grad[p], norm[p]) for p in range(len(g0))])
+        if skip.any():  # the rows branch: each completes its own frame, a block of one
+            return np.concatenate([_completed(g0[p:p + 1], grad[p:p + 1], norm[p:p + 1])
+                                   for p in range(len(g0))])
         vectors.append(v / np.sqrt(sq)[..., None])
         if len(vectors) == n:
             break
@@ -154,18 +155,16 @@ def _completed(g0, grad, norm):
 def in_frame(frame, values):
     """Components of a covariant tensor's values in the adapted frame.
 
-    A block's values (`TensorJet.stacked_values`) and result lead with the
-    point axis, as its frame does.
+    The values (`TensorJet.stacked_values`) and the result lead with the
+    point axis, as the frame does.
     """
-    vectors = frame.vectors
-    lead = values.shape[:vectors.ndim - 2]
     out = values
-    for _ in range(out.ndim - len(lead)):
+    for _ in range(values.ndim - 1):
         # contract the leading chart slot; its frame slot goes last: a copy
         # with that slot last, as np.tensordot makes, and one matmul
-        moved = np.moveaxis(out, len(lead), -1)
-        flat = np.ascontiguousarray(moved).reshape(lead + (-1, moved.shape[-1]))
-        out = (flat @ np.swapaxes(vectors, -1, -2)).reshape(moved.shape[:-1] + (-1,))
+        moved = np.moveaxis(out, 1, -1)
+        flat = np.ascontiguousarray(moved).reshape(len(moved), -1, moved.shape[-1])
+        out = (flat @ np.swapaxes(frame.vectors, -1, -2)).reshape(moved.shape[:-1] + (-1,))
     return out
 
 
@@ -179,7 +178,7 @@ def second_fundamental_form(ev):
     frame = ev.frame
     t = frame.tangent
     t_up = np.swapaxes(t, -1, -2)
-    norm = np.asarray(frame.grad_f_norm)[..., None, None]
+    norm = frame.grad_f_norm[..., None, None]
     h = t @ ev.hess_f.stacked_values() @ t_up / norm
     if ev.inst.kind is not None:
         ric_f = t @ ev.pack.ricci.stacked_values() @ t_up
@@ -198,15 +197,15 @@ def second_fundamental_form(ev):
 
 
 def prop32_terms(ev):
-    """Prop 3.2's per-point quantities (`Prop32Terms`) at a point evaluation
-    or, one value per row, at a block: Ric in the frame is one stacked matmul
-    and its eigenvalues one stacked `eigvalsh`."""
+    """Prop 3.2's per-point quantities (`Prop32Terms`), one value per row of a
+    block: Ric in the frame is one stacked matmul and its eigenvalues one
+    stacked `eigvalsh`."""
     n, rho = ev.inst.n, ev.inst.rho
     frame, lsd = ev.frame, ev.level_surface
     r = ev.pack.scalar.coeffs[..., 0]
     v = frame.vectors
     ric_f = v @ ev.pack.ricci.stacked_values() @ np.swapaxes(v, -1, -2)
-    h_mean, norm = np.asarray(lsd.H), np.asarray(frame.grad_f_norm)
+    h_mean, norm = lsd.H, frame.grad_f_norm
     umbilic = lsd.h - (h_mean / (n - 1))[..., None, None] * np.eye(n - 1)
     lam = r - (n - 1) * rho + h_mean * norm
     mu = rho - h_mean * norm / (n - 1)
@@ -233,7 +232,7 @@ def prop31_residual(ev):
     n = ev.inst.n
     lsd = ev.level_surface
     lhs = ev.d_norm_sq
-    traceless = lsd.h - (np.asarray(lsd.H) / (n - 1))[..., None, None] * np.eye(n - 1)
+    traceless = lsd.h - (lsd.H / (n - 1))[..., None, None] * np.eye(n - 1)
     rhs = (
         # np.float_power, a float's ** 4, is C's pow; an array's ** 4 rounds apart from it
         2.0 * np.float_power(ev.frame.grad_f_norm, 4) / (n - 2) ** 2
@@ -245,7 +244,7 @@ def prop31_residual(ev):
 
 def _normal_form_derivative(ev, phi):
     """Values of the covariant derivative of the one-form df * phi(|grad f|^2),
-    a block's leading with the point axis.
+    leading with the point axis.
 
     `phi` maps the jet of |grad f|^2 to a scalar jet.
     """
@@ -274,7 +273,7 @@ def normal_metric_derivative(ev):
     t = ev.frame.tangent
     dv = _normal_form_derivative(ev, lambda w2: 1.0 / w2)
     lie = dv + np.swapaxes(dv, -1, -2)
-    norm = np.asarray(ev.frame.grad_f_norm)[..., None, None]
+    norm = ev.frame.grad_f_norm[..., None, None]
     return -norm * (t @ lie @ np.swapaxes(t, -1, -2))
 
 
@@ -428,7 +427,7 @@ def _ray_roots(inst, c, n_points, seed):
 
 
 def level_points(inst, c, n_points=12, seed=11):
-    """Order-3 evaluations, blocks and points, of `n_points` points on {f = c}:
+    """Order-3 evaluations, in blocks, of `n_points` points on {f = c}:
     roots along rays that `solitons.admit_points` accepts.
 
     Needs an integer `n_points >= 1` (not a bool) and a finite `c`

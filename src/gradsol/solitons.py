@@ -8,16 +8,17 @@ jets are exact; the only chart pole sits outside every box.  A
 deliberately perturbed non-soliton pair is included as a negative control
 for the verification harness.
 
-A :class:`PointEval` evaluates one point lazily, or a block: a list of
-points on a point axis (see ``tensors``), each row with its own point's
-bits.  Its cached properties are the one recipe of each quantity, and
-every one of them takes the point axis.  `sample_evals` draws candidates
+A :class:`PointEval` evaluates a block lazily: a list of points on a point
+axis (see ``tensors``), one point being a block of one, each row with its
+own point's bits.  Its cached properties are the one recipe of each
+quantity.  `sample_evals` draws candidates
 in blocks, which `admit_points` admits by the one admission rule with one
 metric, g^-1, f and grad f evaluation.  Readers take the blocks as they
 are, and no row is copied out to a point: each residual returns one value
 per row, and `read_rows` hands the rows out in draw order.  A block whose
-evaluation raises gives way to its points, each evaluated alone, so an
-error is that of the first failing point.
+evaluation raises gives way to blocks of one, one per point, which keep
+its rows of the metric, g^-1, f and grad f where it holds them, so an error
+is that of the first failing point.
 """
 
 import itertools
@@ -37,8 +38,7 @@ from .curvature import (CurvaturePack, covariant_derivative, curvature_pack, div
 from .errors import ConfigurationError, DomainError, GradsolError, ValidationError
 from .exprs import compile_expression
 from .jets import JetScalar, JetSpace, constant, coordinate_jets, point_rows, stack_rows
-from .tensors import (MetricAtPoint, TensorJet, metric_at_point, metric_at_points, row_dot,
-                      row_max, tensor_norm_sq)
+from .tensors import MetricAtPoint, TensorJet, metric_at_points, row_dot, row_max, tensor_norm_sq
 
 KINDS = ("shrinking", "steady", "expanding", "einstein")
 SOLITON_TOL = 1e-9
@@ -87,13 +87,12 @@ class SolitonInstance:
         p = np.asarray(point, dtype=float)
         return min((fn(p) for fn in self.excluded), default=math.inf)
 
-    def metric_at(self, point, order):
-        """The metric at `point`, or with a point axis at each of a list of points."""
-        at = metric_at_points if np.ndim(point) == 2 else metric_at_point
-        return at(self.metric_fn, point, self.n, order)
+    def metric_at(self, points, order):
+        """The metric at each of a list of points, on a point axis."""
+        return metric_at_points(self.metric_fn, points, self.n, order)
 
     def potential_jet(self, point, space, normalized=True):
-        """The jet of f at `point`, or with a point axis at each of a list of points."""
+        """The jet of f at `point`, or on a point axis at each of a list of points."""
         xs = coordinate_jets(space, point)
         f = self.potential_fn(xs)
         if not isinstance(f, JetScalar):  # a constant potential, one row per point
@@ -118,13 +117,13 @@ class SolitonInstance:
         """
         if not is_normalized_shrinker(self):
             return 0.0
-        space = JetSpace.get(self.n, 2)
-        metric = self.metric_at(self.base_point, 2)
+        base = [self.base_point]  # a block of one row
+        metric = self.metric_at(base, 2)
         pack = curvature_pack(metric)
-        f = self.potential_jet(self.base_point, space, normalized=False)
-        df = scalar_gradient(f)
-        grad_sq = float(df.values @ metric.g_inv.values @ df.values)
-        return pack.scalar.value + grad_sq - f.value
+        f = self.potential_jet(base, metric.space, normalized=False)
+        df = scalar_gradient(f).stacked_values()[0]
+        grad_sq = float(df @ metric.g_inv.stacked_values()[0] @ df)
+        return float(pack.scalar.coeffs[0, 0]) + grad_sq - float(f.coeffs[0, 0])
 
     def __repr__(self):
         return f"SolitonInstance({self.name!r}, n={self.n}, rho={self.rho}, kind={self.kind})"
@@ -140,34 +139,27 @@ def _norm(norm_sq):
 
 
 class PointEval:
-    """Lazy, cached geometry of one instance at one sample point, or a block.
+    """Lazy, cached geometry of one instance at a block of sample points.
 
-    A block is the `PointEval` of a list of points: each property holds one
-    row per point, on a point axis, with the bits of that point's own
-    evaluation, and a norm an array of one value per row.  Readers take the
-    block as it is (`read_rows`); no row is copied out to a point.
+    A block is the `PointEval` of a list of points, one point being a block
+    of one: each property holds one row per point, on a point axis, with the
+    bits of that point's own evaluation, and a norm an array of one value
+    per row.  Readers take the block as it is (`read_rows`); no row is
+    copied out to a point.
     """
 
-    def __init__(self, inst, point, order):
+    def __init__(self, inst, points, order):
         self.inst = inst
-        point = np.asarray(point, dtype=float)
-        self.point = point.tolist()
-        self.blocked = point.ndim == 2
+        self.points = np.asarray(points, dtype=float).tolist()
         self.order = order
 
-    @property
-    def points(self):
-        """The points of the rows: a block's list, or a list of the one point."""
-        return self.point if self.blocked else [self.point]
-
     def abs_max(self, x):
-        """max |x| of each row: over every axis of a point's array, every axis
-        but the leading point axis of a block's."""
-        return np.abs(x).max(axis=tuple(range(self.blocked, np.ndim(x))))
+        """max |x| of each row: over every axis but the leading point axis."""
+        return np.abs(x).max(axis=tuple(range(1, np.ndim(x))))
 
     @cached_property
     def metric(self):
-        return self.inst.metric_at(self.point, self.order)
+        return self.inst.metric_at(self.points, self.order)
 
     @cached_property
     def pack(self):
@@ -175,7 +167,7 @@ class PointEval:
 
     @cached_property
     def f(self):
-        return self.inst.potential_jet(self.point, self.metric.space)
+        return self.inst.potential_jet(self.points, self.metric.space)
 
     @cached_property
     def df(self):
@@ -188,7 +180,7 @@ class PointEval:
 
     @cached_property
     def gradf_up_values(self):
-        """grad f = g^-1 df at values, one stacked matmul; a block's leads with the point axis."""
+        """grad f = g^-1 df at values, one stacked matmul, leading with the point axis."""
         return (self.metric.g_inv.stacked_values() @ self.df.stacked_values()[..., None])[..., 0]
 
     @cached_property
@@ -239,7 +231,7 @@ class PointEval:
 
     @cached_property
     def div_bach(self):
-        """Values of div B, a block's leading with the point axis; raises
+        """Values of div B, leading with the point axis; raises
         InsufficientOrderError below order 5."""
         return divergence(self.bach, self.pack, 1).stacked_values()
 
@@ -253,7 +245,7 @@ class PointEval:
 
     @cached_property
     def frame_weyl(self):
-        """W in the adapted frame, slot by slot; a block's leads with the point axis."""
+        """W in the adapted frame, slot by slot, leading with the point axis."""
         return levelset.in_frame(self.frame, self.weyl.stacked_values())
 
     @cached_property
@@ -261,11 +253,11 @@ class PointEval:
         return levelset.prop32_terms(self)
 
 
-# Each residual below returns (absolute_residual, scale_of_largest_term), floats
-# at a point and one value per row at a block.
+# Each residual below returns (absolute_residual, scale_of_largest_term), one
+# value per row of a block.
 
 def soliton_eq_residual(ev):
-    """Ric + Hess f - rho g at a point evaluation or a block."""
+    """Ric + Hess f - rho g at each row of a block."""
     hess = ev.hess_f.stacked_values()
     g = ev.metric.g.stacked_values()
     ric = ev.pack.ricci.stacked_values()
@@ -274,19 +266,19 @@ def soliton_eq_residual(ev):
 
 
 def hamilton_first_residual(ev):
-    """dR - 2 Ric(grad f) at a point evaluation or a block (needs order 3)."""
+    """dR - 2 Ric(grad f) at each row of a block (needs order 3)."""
     d_scal = ev.pack.dscalar.stacked_values()
     rhs = (2.0 * ev.pack.ricci.stacked_values() @ ev.gradf_up_values[..., None])[..., 0]
     return ev.abs_max(d_scal - rhs), row_max(ev.abs_max(d_scal), ev.abs_max(rhs))
 
 
 def _grad_sq(ev):
-    """|grad f|^2 = df . grad f at values, of a point or of each row."""
+    """|grad f|^2 = df . grad f at values, of each row."""
     return row_dot(ev.df.stacked_values(), ev.gradf_up_values)
 
 
 def hamilton_second_residual(ev):
-    """R + |grad f|^2 - f at a point evaluation or a block."""
+    """R + |grad f|^2 - f at each row of a block."""
     grad_sq = _grad_sq(ev)
     r = ev.pack.scalar.coeffs[..., 0]
     f0 = ev.f.coeffs[..., 0]
@@ -299,17 +291,19 @@ def is_normalized_shrinker(inst):
 
 
 def points_of(evals):
-    """The points of the rows of `evals`, blocks and points alike, in order."""
+    """The points of the rows of the blocks `evals`, in order."""
     return [point for ev in evals for point in ev.points]
 
 
 def _evaluated(evals, fn):
     """(evaluation, fn of it) of each of `evals`, in order, fn taken when asked for.
 
-    A block where fn raises is replaced in `evals` by its points, each
-    evaluated alone, and fn is taken of each in turn: the first point where it
-    raises raises its own error, as point-by-point evaluation does, and later
-    readers of `evals` read the points.
+    A block of several points where fn raises is replaced in `evals` by blocks
+    of one, one per point, and fn is taken of each in turn: the first point
+    where it raises raises its own error, as point-by-point evaluation does,
+    and later readers of `evals` read the points.  Each point keeps its row of
+    the block's metric, g^-1, f and grad f where the block holds them
+    (`_block_of_rows`), and is evaluated from its chart point where not.
     """
     k = 0
     while k < len(evals):
@@ -317,9 +311,12 @@ def _evaluated(evals, fn):
         try:
             out = fn(ev)
         except _BLOCK_ERRORS:
-            if not ev.blocked:
+            if len(ev.points) == 1:
                 raise
-            evals[k:k + 1] = [PointEval(ev.inst, point, ev.order) for point in ev.point]
+            if "df" in vars(ev):  # cached with the metric and f
+                evals[k:k + 1] = [_block_of_rows(ev, [p]) for p in range(len(ev.points))]
+            else:
+                evals[k:k + 1] = [PointEval(ev.inst, [point], ev.order) for point in ev.points]
             continue
         k += 1
         yield ev, out
@@ -327,8 +324,8 @@ def _evaluated(evals, fn):
 
 def read_rows(evals, fn):
     """(point, *outputs) of each row of `evals`, in order: fn's outputs at the
-    evaluation that holds the row, floats at a point and one value per row at
-    a block, taken once per evaluation (`_evaluated`)."""
+    evaluation that holds the row, one value per row (or one for all rows),
+    taken once per evaluation (`_evaluated`)."""
     for ev, out in _evaluated(evals, fn):
         shape = (len(ev.points),)
         yield from zip(ev.points, *(np.broadcast_to(x, shape).tolist() for x in out))
@@ -365,7 +362,7 @@ def _excluded(inst, point):
 
 def admit_points(inst, points, order):
     """The order-`order` evaluations of the `points` that the admission rule
-    accepts, in order: blocks and, where a block raised, points.
+    accepts, in order: blocks and, where a block raised, blocks of one.
 
     The one admission rule: reject a point near an excluded locus and, unless
     the potential is constant, a point where |grad f| < MIN_GRAD_DISTANCE,
@@ -389,13 +386,13 @@ def admit_points(inst, points, order):
 def _block_of_rows(block, rows):
     """The block of the `rows` of `block`, with their metric, g^-1, f and grad f,
     each row laid out as its point's own."""
-    out = PointEval(block.inst, [block.point[p] for p in rows], block.order)
+    out = PointEval(block.inst, [block.points[p] for p in rows], block.order)
 
     def take(t):
         return TensorJet(t.space, t.valence, point_rows(t.data[..., rows, :]))
 
     metric = block.metric
-    out.metric = MetricAtPoint(metric.space, out.point, take(metric.g), take(metric.g_inv))
+    out.metric = MetricAtPoint(metric.space, out.points, take(metric.g), take(metric.g_inv))
     out.f = JetScalar(block.f.space, block.f.coeffs[rows])
     out.df = take(block.df)
     return out
@@ -404,7 +401,7 @@ def _block_of_rows(block, rows):
 def evaluate_points(inst, points, order):
     """Order-`order` evaluations at `points` with their metric, g^-1, f and
     grad f: one block, the `PointEval` of the list of points, or, if the
-    block raises, its points, evaluated one by one (`_evaluated`)."""
+    block raises, blocks of one, evaluated one by one (`_evaluated`)."""
     evals = [PointEval(inst, points, order)] if len(points) else []
     for _ in _evaluated(evals, lambda ev: ev.df):  # the metric, then f and grad f
         pass
@@ -412,35 +409,35 @@ def evaluate_points(inst, points, order):
 
 
 def _stacked(tensors):
-    """Tensors of points on a point axis, each row laid out as its point's data."""
+    """Tensors of blocks of one on one point axis, each row laid out as its block's data."""
     t = tensors[0]
-    return TensorJet(t.space, t.valence, stack_rows([t.data for t in tensors]))
+    return TensorJet(t.space, t.valence, stack_rows([t.data[..., 0, :] for t in tensors]))
 
 
 def evaluate_curvature(ev):
     """The curvature pack, W and div W of a block, evaluated point by point
     where `block_rule` says these layers of Riemann's size do not pay as
-    blocks; elsewhere, and at a point, they stay lazy, as every other
+    blocks; elsewhere, and in a block of one, they stay lazy, as every other
     quantity does.
 
-    Each point evaluates its layers over its row of the block's metric (a
-    view, laid out as the point's own metric), and the block holds them
-    stacked on its point axis: the pack and, from order 4, where the suite
-    reads B, W and div W.  The points' evaluations are then dropped.  A
-    cross-check raises the error of the first point that fails it.
+    Each point evaluates its layers as a block of one over its row of the
+    block's metric (a view, laid out as the point's own metric), and the
+    block holds them stacked on its point axis: the pack and, from order 4,
+    where the suite reads B, W and div W.  The points' evaluations are then
+    dropped.  A cross-check raises the error of the first point that fails it.
     """
-    if not ev.blocked or block_rule(ev.inst.n, ev.order)[1]:
+    if len(ev.points) == 1 or block_rule(ev.inst.n, ev.order)[1]:
         return
     g, g_inv = ev.metric.g, ev.metric.g_inv
-    alone = [PointEval(ev.inst, point, ev.order) for point in ev.point]
+    alone = [PointEval(ev.inst, [point], ev.order) for point in ev.points]
     for p, one in enumerate(alone):
-        one.metric = MetricAtPoint(g.space, one.point, *(
-            TensorJet(t.space, t.valence, t.data[..., p, :]) for t in (g, g_inv)))
+        one.metric = MetricAtPoint(g.space, one.points, *(
+            TensorJet(t.space, t.valence, t.data[..., p:p + 1, :]) for t in (g, g_inv)))
     packs = [one.pack for one in alone]
     ev.pack = CurvaturePack(ev.metric, *(_stacked([getattr(pk, name) for pk in packs])
                                          for name in ("gamma", "riemann", "ricci")),
                             JetScalar(packs[0].scalar.space,
-                                      stack_rows([pk.scalar.coeffs for pk in packs])))
+                                      stack_rows([pk.scalar.coeffs[0] for pk in packs])))
     if ev.order >= 4:
         ev.weyl = _stacked([one.weyl for one in alone])
         ev.div_weyl = _stacked([one.div_weyl for one in alone])
@@ -476,7 +473,7 @@ def block_rule(n, order):
 
 
 def sample_evals(inst, n_points, seed, order):
-    """Order-`order` evaluations, blocks and points (`admit_points`), of
+    """Order-`order` evaluations, in blocks (`admit_points`), of
     deterministic chart samples that the admission rule accepts.
 
     Candidates are drawn in blocks of at most as many as are still needed

@@ -7,13 +7,13 @@ A :class:`MetricAtPoint` carries g^{-1} two orders below g, the
 order of the curvature and the most any reader takes; ``jet_einsum`` reads
 g and g^{-1} at the order of each product, so readers pass them whole.
 
-Every tensor may carry one point axis, just before the jet axis: data of
-shape (dim,)*rank + (P, n_terms) holds one tensor per row of a block of
-points, each row computed with the bits its own point gives.
-:func:`metric_at_points` evaluates a metric on such a block and
-:func:`metric_at_point` at one point, its case without a point axis; the
-positivity and g * g_inv checks are judged row by row, and a failing block
-raises the error of its first failing row.  Readers take a block's rows
+Every tensor carries a point axis, just before the jet axis: data of shape
+(dim,)*rank + (P, n_terms) holds one tensor per row of a block of points,
+one point being a block of one row, each row computed with the bits its
+own point gives.  :func:`metric_at_points` evaluates a metric on a block
+(:func:`metric_at_point` on the block of one point); the positivity and
+g * g_inv checks are judged row by row, and a failing block raises the
+error of its first failing row.  Readers take a block's rows
 where they lie: `TensorJet.stacked_values` puts the point axis first, each
 row laid out as its point's own values, so one stacked matmul or einsum
 over it gives each row its point's bits, and `row_max` and `row_dot` are the
@@ -50,8 +50,8 @@ class TensorJet:
     """Dense tensor with jet-valued components.
 
     `valence` is a string over {'d', 'u'} marking each slot covariant or
-    contravariant.  `data` has shape (dim,)*rank + (n_terms,), or
-    (dim,)*rank + (P, n_terms) with a point axis.
+    contravariant.  `data` has shape (dim,)*rank + (P, n_terms): one
+    tensor per row of the point axis.
     """
 
     __slots__ = ("space", "valence", "data")
@@ -62,8 +62,9 @@ class TensorJet:
         if valence.strip("du"):
             raise TensorShapeError(f"valence must use 'd'/'u', got {valence!r}")
         expected = (space.dim,) * rank + (space.n_terms,)
-        if data.ndim not in (rank + 1, rank + 2) or data.shape[:rank] + data.shape[-1:] != expected:
-            raise TensorShapeError(f"expected shape {expected}, got {data.shape}")
+        if data.ndim != rank + 2 or data.shape[:rank] + data.shape[-1:] != expected:
+            raise TensorShapeError(f"expected shape {expected[:-1]} + (P, {space.n_terms}) "
+                                   f"with a point axis of P rows, got {data.shape}")
         self.space = space
         self.valence = valence
         self.data = data
@@ -82,28 +83,20 @@ class TensorJet:
 
     @property
     def values(self):
-        """Constant terms: the component values at the base point."""
+        """Constant terms: the component values at each row's point, the point axis last."""
         return self.data[..., 0]
 
-    @property
-    def blocked(self):
-        """Whether the data carries a point axis."""
-        return self.data.ndim > self.rank + 1
-
     def stacked_values(self):
-        """`values` with the point axis, if any, first, each row laid out as
-        its point's own values (`rows_apart`): an operand of a stacked matmul."""
-        if not self.blocked:
-            return self.values
+        """`values` with the point axis first, each row laid out as its point's
+        own values (`rows_apart`): an operand of a stacked matmul."""
         return point_first(rows_apart(self.data))[..., 0]
 
     def truncated(self, order):
         lower, data = truncate_arrays(self.space, self.data, order)
-        copy = point_rows(data) if self.blocked else data.copy()
-        return TensorJet(lower, self.valence, copy)
+        return TensorJet(lower, self.valence, point_rows(data))
 
     def max_abs(self, all_coeffs=False):
-        """max |value| (of every coefficient with `all_coeffs`): a float, or one per row."""
+        """max |value| (of every coefficient with `all_coeffs`) of each row."""
         axes = tuple(range(self.rank))
         if all_coeffs:
             return np.abs(self.data).max(axis=axes + (-1,))
@@ -136,10 +129,8 @@ def raise_lower(t, slot, metric):
 
 
 def tensor_norm_sq(t, metric):
-    """Full metric contraction |T|^2 of a covariant tensor; constant term.
-
-    A float, or with a point axis an array of one value per row.
-    """
+    """Full metric contraction |T|^2 of a covariant tensor; constant term,
+    an array of one value per row."""
     if any(v != "d" for v in t.valence):
         raise TensorShapeError("tensor_norm_sq expects a fully covariant tensor")
     # only the constant term is read, so contract values alone
@@ -148,15 +139,12 @@ def tensor_norm_sq(t, metric):
     for slot in range(t.rank):
         up = raise_lower(up, slot, metric)
     letters = _LETTERS[: t.rank]
-    s = jet_einsum(t.space, f"{letters},{letters}->", t.data, up.data)[..., 0]
-    return s if s.ndim else float(s)
+    return jet_einsum(t.space, f"{letters},{letters}->", t.data, up.data)[..., 0]
 
 
 class MetricAtPoint:
-    """Metric jets at one chart point, and g^{-1} two orders below, the curvature's order.
-
-    With a point axis, `point` holds one row per point of the block.
-    """
+    """Metric jets at the chart points of a block, and g^{-1} two orders
+    below, the curvature's order; `point` holds one row per point."""
 
     __slots__ = ("space", "point", "g", "g_inv")
 
@@ -184,55 +172,43 @@ def _invert_metric_jets(space, gdata):
     (G X)_d = 0 for d >= 1 gives X_d = -G_0^{-1} (G_+ X)_d, G_+ being G
     without its constant term; while X's degree-d block is still zero,
     (G X)_d is (G_+ X)_d, so each degree costs one product at its order.
-    With a point axis, each row's G_0 and products are moved to the front:
-    one stacked inverse and one stacked matmul per degree.
+    Each row's G_0 and products are moved to the front: one stacked inverse
+    and one stacked matmul per degree.
     """
     n = space.dim
-    x = np.zeros(gdata.shape[:-1] + (space.n_terms,))
-    block = gdata.ndim == 4  # a point axis
-    if block:
-        x = point_rows(x)
-    x0 = np.linalg.inv(gdata[..., 0].transpose(2, 0, 1) if block else gdata[..., 0])
-    x[..., 0] = x0.transpose(1, 2, 0) if block else x0
+    x = point_rows(np.zeros(gdata.shape[:-1] + (space.n_terms,)))
+    x0 = np.linalg.inv(gdata[..., 0].transpose(2, 0, 1))
+    x[..., 0] = x0.transpose(1, 2, 0)
     for d in range(1, space.order + 1):
         step = JetSpace.get(n, d)
         r = jet_einsum(step, "ij,jk->ik", gdata, x)
         lo = step.block_starts[d]
-        r = point_first(r[..., lo:]) if block else r[..., lo:]  # (j, k, terms) per row
+        r = point_first(r[..., lo:])  # (j, k, terms) per row
         xd = np.matmul(x0, r.reshape(r.shape[:-2] + (-1,))).reshape(r.shape)
-        x[..., lo : step.n_terms] = -(point_back(xd) if block else xd)
+        x[..., lo : step.n_terms] = -point_back(xd)
     return x
 
 
 def metric_at_point(metric_fn, point, dim, order):
-    """Evaluate a metric closure at a point and package it with its inverse.
-
-    `metric_fn` maps a list of coordinate jets to an n-by-n grid whose
-    entries are jets or plain numbers.  Symmetry is enforced from the upper
-    triangle; the result is checked for positive definiteness and for
-    g * g_inv = identity at jet-coefficient level.
-    """
-    return _evaluate_metric(metric_fn, point, dim, order)
+    """`metric_at_points` at one point: a block of one row."""
+    return metric_at_points(metric_fn, [point], dim, order)
 
 
 def metric_at_points(metric_fn, points, dim, order):
-    """`metric_at_point` at each of a list of points at once, on a point axis.
+    """Evaluate a metric closure at a list of points and package it with its inverse.
 
-    Each row holds the bits `metric_at_point` gives at its point.  Positivity
-    is judged for every row, then g * g_inv; a failing block raises the
-    error of its first failing row, with that point's message.
+    `metric_fn` maps a list of coordinate jets, each with a point axis, to
+    an n-by-n grid whose entries are jets or plain numbers.  Symmetry is
+    enforced from the upper triangle.  Each row holds the bits of its own
+    point's evaluation.  Positivity is judged for every row, then
+    g * g_inv = identity at jet-coefficient level; a failing block raises
+    the error of its first failing row, with that point's message.
     """
-    return _evaluate_metric(metric_fn, [list(p) for p in points], dim, order)
-
-
-def _evaluate_metric(metric_fn, point, dim, order):
-    """Metric and inverse at `point`, or with a point axis at each of a list of points."""
+    points = [list(p) for p in points]
     space = JetSpace.get(dim, order)
-    xs = coordinate_jets(space, point)
+    xs = coordinate_jets(space, points)
     rows = metric_fn(xs)
-    gdata = np.zeros((dim, dim) + xs[0].coeffs.shape)
-    if gdata.ndim == 4:
-        gdata = point_rows(gdata)
+    gdata = point_rows(np.zeros((dim, dim) + xs[0].coeffs.shape))
     for i in range(dim):
         for j in range(i, dim):
             entry = rows[i][j]
@@ -244,13 +220,10 @@ def _evaluate_metric(metric_fn, point, dim, order):
                 gdata[i, j, ..., 0] = float(entry)
             gdata[j, i] = gdata[i, j]
 
-    if gdata.ndim == 4:  # a point axis: one matrix per row
-        points, g0 = point, gdata[..., 0].transpose(2, 0, 1)
-    else:
-        points, g0 = [point], gdata[..., 0]
-    for p, low in enumerate(np.linalg.eigvalsh(g0).min(axis=-1, keepdims=True).ravel()):
+    g0 = gdata[..., 0].transpose(2, 0, 1)  # one matrix per row
+    for p, low in enumerate(np.linalg.eigvalsh(g0).min(axis=-1)):
         if low <= 0.0:
-            raise DomainError(f"metric is not positive definite at {list(points[p])}")
+            raise DomainError(f"metric is not positive definite at {points[p]}")
 
     inv_space, g_low = truncate_arrays(space, gdata, max(order - 2, 0))
     inv = _invert_metric_jets(inv_space, g_low)
@@ -263,13 +236,13 @@ def _evaluate_metric(metric_fn, point, dim, order):
 
     g = TensorJet(space, "dd", gdata)
     g_inv = TensorJet(inv_space, "uu", inv)
-    return MetricAtPoint(space, point, g, g_inv)
+    return MetricAtPoint(space, points, g, g_inv)
 
 
 def row_abs_max(data, rank):
     """max |data| of rank-`rank` tensor data over components and coefficients,
-    as a list: one value, or one per row of a point axis."""
-    return np.abs(data).max(axis=tuple(range(rank)) + (-1,), keepdims=True).ravel().tolist()
+    as a list of one value per row."""
+    return np.abs(data).max(axis=tuple(range(rank)) + (-1,)).tolist()
 
 
 def row_max(first, *rest):
@@ -281,6 +254,6 @@ def row_max(first, *rest):
 
 
 def row_dot(a, b):
-    """The dot product of vectors, or of each row's pair: one stacked matmul,
+    """The dot product of each row's pair of vectors: one stacked matmul,
     which takes the dot product of a point's vectors row by row."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]

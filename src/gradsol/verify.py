@@ -46,10 +46,9 @@ FLAT_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# point checks: each takes a point evaluation or a block and returns
-# (absolute_residual, scale_of_largest_term[, named side maxima]), floats at a
-# point and one value per row at a block; those of the conformal and level-set
-# identities live next to their tensors
+# point checks: each takes a block and returns (absolute_residual,
+# scale_of_largest_term[, named side maxima]), one value per row; those of the
+# conformal and level-set identities live next to their tensors
 
 def _check_scalar_nonneg(ev):
     return row_max(0.0, -ev.pack.scalar.coeffs[..., 0]), 1.0
@@ -175,7 +174,7 @@ def _run_thm52(inst, evals, config):
 
 
 def _thm52_frame_terms(ev):
-    """max |W(e_1, ...)|, max |W_1a1b| and |div B . grad f| of a point or of each row."""
+    """max |W(e_1, ...)|, max |W_1a1b| and |div B . grad f| of each row."""
     w = ev.frame_weyl
     return (ev.abs_max(w[..., 0, :, :, :]), ev.abs_max(w[..., 0, 1:, 0, 1:]),
             np.abs(row_dot(ev.div_bach, ev.gradf_up_values)))
@@ -309,8 +308,8 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     residual is `_judge`'s, the first maximal row is argmax_point, and the
     first non-finite row ends the scan.  Each row holds its own point's bits,
     so the report is that of evaluating the points one by one.  A block
-    whose evaluation raises leaves its points to be evaluated and judged
-    alone, in order; an error, of a point or of the D = 0 decision, is a FAIL
+    whose evaluation raises leaves its points to be judged alone, in order,
+    as blocks of one; an error, of a point or of the D = 0 decision, is a FAIL
     of the checks that read it, with its point's own text, and the rest of
     the suite runs on.  Checks whose required order exceeds `order` are
     SKIPPED; checks whose hypotheses the instance does not meet are N/A.  A

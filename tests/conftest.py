@@ -16,12 +16,13 @@ def instances():
 
 
 def full_order_newton(space, gdata):
-    """Reference metric inverse: three Newton steps, each at the full order."""
+    """Reference metric inverse: three Newton steps, each at the full order,
+    on gdata's point axis."""
     n = space.dim
     x = np.zeros_like(gdata)
-    x[..., 0] = np.linalg.inv(gdata[..., 0])
+    x[..., 0] = np.linalg.inv(gdata[..., 0].transpose(2, 0, 1)).transpose(1, 2, 0)
     two_eye = np.zeros_like(gdata)
-    two_eye[np.arange(n), np.arange(n), 0] = 2.0
+    two_eye[np.arange(n), np.arange(n), ..., 0] = 2.0
     for _ in range(3):  # right to order 2^3 - 1 = 7
         x = jet_einsum(space, "ij,jk->ik", x, two_eye - jet_einsum(space, "ij,jk->ik", gdata, x))
     return x
@@ -30,15 +31,16 @@ def full_order_newton(space, gdata):
 @lru_cache(maxsize=256)
 def _geometry(name, point, order):
     inst = get_instance(name)
-    metric = inst.metric_at(list(point), order)
+    metric = inst.metric_at([list(point)], order)  # a block of one row
     pack = curvature_pack(metric)
-    f = inst.potential_jet(list(point), metric.space)
+    f = inst.potential_jet([list(point)], metric.space)
     return inst, metric, pack, f
 
 
 @pytest.fixture(scope="session")
 def geometry():
-    """Cached (inst, metric, pack, f_jet) per (name, point, order)."""
+    """Cached (inst, metric, pack, f_jet) per (name, point, order), each a
+    block of one row."""
 
     def get(name, point, order=4):
         return _geometry(name, tuple(float(x) for x in point), order)
@@ -48,12 +50,13 @@ def geometry():
 
 @lru_cache(maxsize=256)
 def _point_eval(name, point, order):
-    return PointEval(get_instance(name), list(point), order)
+    return PointEval(get_instance(name), [list(point)], order)
 
 
 @pytest.fixture(scope="session")
 def point_eval():
-    """Cached PointEval per (name, point, order); tests must not mutate it."""
+    """Cached PointEval, a block of one row, per (name, point, order); tests
+    must not mutate it."""
 
     def get(name, point, order=4):
         return _point_eval(name, tuple(float(x) for x in point), order)
@@ -80,9 +83,9 @@ def thm52_of(inst):
 
 
 def point_evals(inst, n_points, seed, order):
-    """Evaluations of the suite's sample points one by one, without a point
-    axis: what a block that raised leaves to its points."""
-    return [PointEval(inst, point, order)
+    """Evaluations of the suite's sample points one by one, each a block of
+    one row: what a block that raised leaves to its points."""
+    return [PointEval(inst, [point], order)
             for point in points_of(sample_evals(inst, n_points, seed, order))]
 
 

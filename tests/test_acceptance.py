@@ -101,18 +101,19 @@ def test_criterion_05_bach_through_d():
     nonvacuous = False
     for ev in point_evals(inst, 10, seed=7, order=5):
         resid, scale, sides = bach_via_d_residual(ev)
-        ok = ok and resid / max(1.0, scale) <= 1e-8
-        if sides["bach_max"] > 1e-3 and sides["d_divergence_max"] > 1e-3:
+        ok = ok and resid[0] / max(1.0, scale[0]) <= 1e-8
+        if sides["bach_max"][0] > 1e-3 and sides["d_divergence_max"][0] > 1e-3:
             nonvacuous = True
     for name in ("cylinder-s3xr", "gaussian-r4"):
         inst = get_instance(name)
         for ev in point_evals(inst, 6, seed=7, order=5):
-            ok = ok and bach_via_d_residual(ev)[0] <= 1e-9
+            ok = ok and bach_via_d_residual(ev)[0][0] <= 1e-9
     _verdict(5, "bach expressed through D (nonvacuous on the curved product)", ok and nonvacuous)
 
 
 def test_criterion_06_norm_identity_spot_value():
-    _, _, r = prop31_residual(PointEval(get_instance("s2xr2"), [0.0, 0.0, 2.0, 0.0], 4))
+    _, _, r = prop31_residual(PointEval(get_instance("s2xr2"), [[0.0, 0.0, 2.0, 0.0]], 4))
+    r = {key: r[key][0] for key in ("lhs", "rhs")}  # the block's one row
     ok = abs(r["lhs"] - 1.0 / 12.0) <= 1e-8 and abs(r["rhs"] - 1.0 / 12.0) <= 1e-8
     print(f"   |D|^2 spot value: lhs {r['lhs']:.12f}, rhs {r['rhs']:.12f}, target 1/12")
     _verdict(6, "norm identity spot value 1/12 at the product point", ok)
@@ -154,6 +155,11 @@ def test_criterion_08_d_zero_forces_cotton_and_weyl(suite_reports):
              ok and checked >= 3)
 
 
+def _row0(resid, scale, sides):
+    """A block of one's residual, scale and named side maxima, read at its row."""
+    return resid[0], scale[0], {key: value[0] for key, value in sides.items()}
+
+
 def test_criterion_09_div_bach(suite_reports):
     ok = True
     # certified instances: the suite's order-5 divergence check
@@ -167,7 +173,7 @@ def test_criterion_09_div_bach(suite_reports):
     inst = get_instance("perturbed-non-soliton-r4")
     bach_seen = 0.0
     for ev in point_evals(inst, 8, seed=7, order=5):
-        _, _, r = div_bach_residual(ev)
+        _, _, r = _row0(*div_bach_residual(ev))
         ok = ok and r["lhs_max"] <= 1e-7 and r["rhs_max"] == 0.0
         bach_seen = max(bach_seen, r["bach_max"])
     ok = ok and bach_seen > 1e-3
@@ -176,12 +182,12 @@ def test_criterion_09_div_bach(suite_reports):
     # two-sided nonvacuous form runs on the curved control instead
     inst = get_instance("s2xr3")
     for ev in point_evals(inst, 8, seed=7, order=5):
-        resid, _, r = div_bach_residual(ev)
+        resid, _, r = _row0(*div_bach_residual(ev))
         ok = ok and resid <= 1e-7 and r["bach_max"] > 1e-3
     inst = get_instance("perturbed-non-soliton-r5")
     side_seen = 0.0
     for ev in point_evals(inst, 8, seed=7, order=5):
-        resid, _, r = div_bach_residual(ev)
+        resid, _, r = _row0(*div_bach_residual(ev))
         # judged against the two sides alone, not the suite's scale that includes |B|
         ok = ok and resid / max(1.0, r["lhs_max"], r["rhs_max"]) <= 1e-7
         side_seen = max(side_seen, min(r["lhs_max"], r["rhs_max"]))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,11 @@ from gradsol.errors import (
     ConfigurationError,
     InsufficientOrderError,
     SingularEvaluationError,
+    TensorShapeError,
 )
 from gradsol.jets import JetScalar, JetSpace, constant, jet_lift, variable
+
+ROWS = 2  # rows of the point axis that jet_einsum operands carry
 
 
 @pytest.mark.parametrize("dim", range(1, 7))
@@ -257,16 +261,17 @@ def test_jet_einsum_matches_scalar_arithmetic():
     rng = np.random.default_rng(13)
     space = JetSpace.get(3, 3)
     n, N = 3, space.n_terms
-    a = rng.uniform(-1, 1, (n, n, N))
-    b = rng.uniform(-1, 1, (n, n, n, N))
+    a = rng.uniform(-1, 1, (n, n, ROWS, N))
+    b = rng.uniform(-1, 1, (n, n, n, ROWS, N))
     packed = jet_einsum(space, "sk,sij->kij", a, b)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                ref = constant(space, 0.0)
-                for s in range(n):
-                    ref = ref + JetScalar(space, a[s, k]) * JetScalar(space, b[s, i, j])
-                assert np.abs(packed[k, i, j] - ref.coeffs).max() < 1e-13
+    for p in range(ROWS):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    ref = constant(space, 0.0)
+                    for s in range(n):
+                        ref = ref + JetScalar(space, a[s, k, p]) * JetScalar(space, b[s, i, j, p])
+                    assert np.abs(packed[k, i, j, p] - ref.coeffs).max() < 1e-13
 
 
 def test_int_and_float_powers():
@@ -329,40 +334,49 @@ def _per_component_reference(space, sub_a, sub_b, out, a, b):
     return ref
 
 
+def _rows_first(rng, dim, sub, space):
+    """Random operand data of `sub` with a leading point axis, the layout the
+    kernels take: ROWS rows, one at dim 5, where one row's gathered operand
+    reaches 75 MB."""
+    rows = 1 if dim == 5 else ROWS
+    return rng.uniform(-1, 1, (rows,) + (dim,) * len(sub) + (space.n_terms,))
+
+
 @pytest.mark.parametrize("dim", [3, 4, 5])
 @pytest.mark.parametrize("order", range(0, 6))
 def test_jet_einsum_strategies_agree(dim, order):
     # both product strategies, called directly, against each other and
-    # against per-component truncated products
+    # against per-component truncated products of each row's own operands
     rng = np.random.default_rng(100 * dim + order)
     space = JetSpace.get(dim, order)
     for subscripts in _engine_subscripts():
         ins, out = subscripts.split("->")
         sub_a, sub_b = ins.split(",")
-        a = rng.uniform(-1, 1, (dim,) * len(sub_a) + (space.n_terms,))
-        b = rng.uniform(-1, 1, (dim,) * len(sub_b) + (space.n_terms,))
+        a = _rows_first(rng, dim, sub_a, space)
+        b = _rows_first(rng, dim, sub_b, space)
         gathered = jets._einsum_gather(space, sub_a, sub_b, out, a, b)
         scale = np.abs(gathered).max()
         results = [gathered]
         # the matrix path scatters the operand with fewer components
         if b.size < a.size:
             sub_a, sub_b, a, b = sub_b, sub_a, b, a
-        if a.size * space.n_terms <= 2_000_000:
+        if a[0].size * space.n_terms <= 2_000_000:
             matrix = jets._einsum_matrix(space, sub_a, sub_b, out, a, b)
             assert np.abs(matrix - gathered).max() <= 1e-13 * scale, subscripts
             results.append(matrix)
         else:
             # a matrix over 16 MB is never chosen; keep the test small too
-            assert jets._plan(space, sub_a, sub_b, out, a, b)[0] is jets._einsum_gather
+            assert jets._plan(space, sub_a, sub_b, out, a[0], b[0])[0] is jets._einsum_gather
         if order == 0:
             const = jets._einsum_const(space, sub_a, sub_b, out, a, b)
             assert np.abs(const - gathered).max() <= 1e-13 * scale, subscripts
             results.append(const)
         # the scalar loop runs dim**letters products; dims 3-4 cover 5 letters
         if dim ** len(set(sub_a + sub_b)) <= 1024:
-            ref = _per_component_reference(space, sub_a, sub_b, out, a, b)
-            for r in results:
-                assert np.abs(r - ref).max() <= 1e-13 * scale, subscripts
+            for p in range(len(a)):
+                ref = _per_component_reference(space, sub_a, sub_b, out, a[p], b[p])
+                for r in results:
+                    assert np.abs(r[p] - ref).max() <= 1e-13 * scale, subscripts
 
 
 def test_jet_einsum_strategy_choice():
@@ -396,24 +410,27 @@ def test_compiled_plans_match_plain_einsum(dim, order):
     for subscripts in _engine_subscripts():
         ins, out = subscripts.split("->")
         sub_a, sub_b = ins.split(",")
-        a = rng.uniform(-1, 1, (dim,) * len(sub_a) + (space.n_terms,))
-        b = rng.uniform(-1, 1, (dim,) * len(sub_b) + (space.n_terms,))
-        ref = np.add.reduceat(
-            np.einsum(f"{sub_a}Z,{sub_b}Z->{out}Z", a[..., space.mul_left],
-                      b[..., space.mul_right], optimize=False),
+        a = _rows_first(rng, dim, sub_a, space)
+        b = _rows_first(rng, dim, sub_b, space)
+        # each row's reference: numpy's einsum of that row's own operands
+        ref = np.stack([np.add.reduceat(
+            np.einsum(f"{sub_a}Z,{sub_b}Z->{out}Z", a[p][..., space.mul_left],
+                      b[p][..., space.mul_right], optimize=False),
             space.mul_starts, axis=-1,
-        )
-        scale = np.abs(ref).max()
+        ) for p in range(len(a))])
         for x, y, sx, sy in ((a, b, sub_a, sub_b), (b, a, sub_b, sub_a)):
             kernels = [jets._einsum_gather]
-            if x.size * space.n_terms <= 2_000_000:
+            if x[0].size * space.n_terms <= 2_000_000:
                 kernels.append(jets._einsum_matrix)
             if order == 0:
                 kernels.append(jets._einsum_const)
             for kernel in kernels:
                 got = kernel(space, sx, sy, out, x, y)
                 assert got.shape == ref.shape, (subscripts, sx, kernel.__name__)
-                assert np.abs(got - ref).max() <= 1e-13 * scale, (subscripts, sx, kernel.__name__)
+                for p in range(len(ref)):
+                    scale = np.abs(ref[p]).max()
+                    assert np.abs(got[p] - ref[p]).max() <= 1e-13 * scale, (
+                        subscripts, sx, kernel.__name__)
 
 
 def test_warm_jet_einsum_calls_no_einsum(monkeypatch):
@@ -424,10 +441,12 @@ def test_warm_jet_einsum_calls_no_einsum(monkeypatch):
     calls = []
     for subscripts in _engine_subscripts():
         sub_a, sub_b = subscripts.split("->")[0].split(",")
-        a = rng.uniform(-1, 1, (4,) * len(sub_a) + (space.n_terms,))
-        b = rng.uniform(-1, 1, (4,) * len(sub_b) + (space.n_terms,))
+        a = rng.uniform(-1, 1, (4,) * len(sub_a) + (ROWS, space.n_terms))
+        b = rng.uniform(-1, 1, (4,) * len(sub_b) + (ROWS, space.n_terms))
         calls.append((subscripts, a, b, jets.jet_einsum(space, subscripts, a, b)))
-    kernels = {jets._EINSUM_PLANS[(space, s, a.shape, b.shape)][0] for s, a, b, _ in calls}
+    # plans are keyed by one point's shapes
+    kernels = {jets._EINSUM_PLANS[(space, s, a[..., 0, :].shape, b[..., 0, :].shape)][0]
+               for s, a, b, _ in calls}
     assert kernels == {jets._einsum_gather, jets._einsum_matrix}
 
     def forbidden(*args, **kwargs):
@@ -452,8 +471,8 @@ def test_jet_einsum_reads_operands_at_its_own_order(order, subscripts, kernel):
     ins, out = subscripts.split("->")
     sub_a, sub_b = ins.split(",")
     rng = np.random.default_rng(31 + order)
-    a = rng.uniform(-1, 1, (4,) * len(sub_a) + (above.n_terms,))
-    b = rng.uniform(-1, 1, (4,) * len(sub_b) + (above.n_terms,))
+    a = rng.uniform(-1, 1, (4,) * len(sub_a) + (ROWS, above.n_terms))
+    b = rng.uniform(-1, 1, (4,) * len(sub_b) + (ROWS, above.n_terms))
     a_low, b_low = a[..., :n].copy(), b[..., :n].copy()
     chosen, _ = jets._plan(space, sub_a, sub_b, out, a_low, b_low)
     assert chosen is getattr(jets, f"_einsum_{kernel}")
@@ -463,6 +482,16 @@ def test_jet_einsum_reads_operands_at_its_own_order(order, subscripts, kernel):
     for x, y in ((a_low, b), (a, b_low)):
         with pytest.raises(InsufficientOrderError):
             jets.jet_einsum(above, subscripts, x, y)
+
+
+def test_jet_einsum_refuses_an_operand_without_a_point_axis():
+    # an axis-less operand would have its last component axis read as the point axis
+    space = JetSpace.get(3, 2)
+    block, bare = np.zeros((3, 3, 2, space.n_terms)), np.zeros((3, 3, space.n_terms))
+    for a, b in ((block, bare), (bare, block)):
+        with pytest.raises(TensorShapeError, match=r"point axis on each operand, got shapes "
+                           + re.escape(f"{a.shape} and {b.shape}")):
+            jets.jet_einsum(space, "ij,jk->ik", a, b)
 
 
 @pytest.mark.parametrize("p, products", [(2, 1), (3, 2), (5, 3)])

@@ -41,14 +41,15 @@ def test_frame_cylinder_axis(point_eval):
     fr = adapted_frame(point_eval("cylinder-s3xr", [0.3, -0.2, 0.5, 2.0], 3))
     assert np.allclose(np.abs(fr.e1), [0.0, 0.0, 0.0, 1.0], atol=1e-13)
     fr = adapted_frame(point_eval("cylinder-s3xr", [0.3, -0.2, 0.5, -2.0], 3))
-    assert fr.e1[3] < 0.0
+    assert fr.e1[0, 3] < 0.0
 
 
 def test_frame_orthonormal_sampled(instances):
     inst = instances["s2xr2"]
     for ev in point_evals(inst, 20, seed=19, order=3):
         fr = adapted_frame(ev)
-        gram = fr.vectors @ ev.metric.g.values @ fr.vectors.T
+        vectors = fr.vectors[0]
+        gram = vectors @ ev.metric.g.stacked_values()[0] @ vectors.T
         assert np.abs(gram - np.eye(4)).max() < 1e-10
 
 
@@ -66,8 +67,8 @@ def test_h_cylinder_totally_geodesic(point_eval):
 
 def test_h_s2xr2_product_point(point_eval):
     lsd = second_fundamental_form(point_eval("s2xr2", [0.0, 0.0, 2.0, 0.0], 3))
-    assert np.allclose(np.sort(np.diag(lsd.h)), [0.0, 0.0, 0.5], atol=1e-12)
-    assert abs(lsd.H - 0.5) < 1e-12
+    assert np.allclose(np.sort(np.diag(lsd.h[0])), [0.0, 0.0, 0.5], atol=1e-12)
+    assert abs(lsd.H[0] - 0.5) < 1e-12
 
 
 def test_h_gaussian_round_spheres(point_eval):
@@ -458,7 +459,7 @@ def test_prop32_nan_d_at_second_level_point_fails(monkeypatch):
 def test_second_fundamental_form_rejects_a_nan_ricci_tensor():
     # NaN compares false both ways, so `diff / scale > 1e-9` let a NaN
     # soliton form pass and returned a finite h
-    ev = PointEval(get_instance("s2xr2"), [0.0, 0.0, 2.0, 0.0], 3)
+    ev = PointEval(get_instance("s2xr2"), [[0.0, 0.0, 2.0, 0.0]], 3)
     assert ev.hess_f is not None and ev.frame is not None  # neither reads Ric
     ev.pack.ricci.data[...] = np.nan
     with pytest.raises(ConsistencyError, match="second fundamental form"):

@@ -24,6 +24,7 @@ UNREAD_DEFS_KEPT = {
     ("solitons", "sample_points"): "bench/tracer.py spans it; bench/test_bench.py calls it",
     ("jets", "jet_lift"): "the finite-difference oracles in tests/test_jets.py",
     ("jets", "JetScalar.partial"): "the finite-difference oracles in tests/test_jets.py",
+    ("tensors", "metric_at_point"): "bench/tracer.py spans it; the package exports it",
 }
 
 

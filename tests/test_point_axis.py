@@ -38,10 +38,10 @@ def _level(inst):
 
 
 def _point_by_point(monkeypatch):
-    """Evaluate every point alone, from its admission to the checks: single-point
-    PointEvals without a point axis, what a block that raised leaves to its points."""
+    """Evaluate every point alone, from its admission to the checks: blocks of
+    one point, what a block that raised leaves to its points."""
     monkeypatch.setattr(solitons, "evaluate_points",
-                        lambda inst, points, order: [PointEval(inst, p, order) for p in points])
+                        lambda inst, points, order: [PointEval(inst, [p], order) for p in points])
 
 
 def _row(x, p):
@@ -67,15 +67,16 @@ def test_block_rows_are_the_point_evaluations_bit_for_bit(name, seed):
     else:
         inst = get_instance(name)
     evals = level_points(inst, _level(inst), n_points=12, seed=seed)
+    blocks = list(evals)
     solitons.evaluate_in_blocks(evals)
-    assert all(ev.blocked for ev in evals)
+    assert evals == blocks and all(len(ev.points) > 1 for ev in evals)  # none left to its points
     for ev in evals:
         got = _fields(ev)  # the block's own arrays, each row read where it lies
         for p, point in enumerate(ev.points):
-            want = _fields(PointEval(inst, point, 3))
+            want = _fields(PointEval(inst, [point], 3))  # a block of one, read at row 0
             for key in want:
-                assert _row(got[key], p).shape == want[key].shape, key
-                assert np.array_equal(_row(got[key], p), want[key]), (key, point)
+                assert _row(got[key], p).shape == _row(want[key], 0).shape, key
+                assert np.array_equal(_row(got[key], p), _row(want[key], 0)), (key, point)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -89,12 +90,12 @@ def test_block_functions_give_each_row_its_points_bits(order):
     d = conformal.d_tensor(pack, df)
     d_norm_sq = tensors.tensor_norm_sq(d, metric)
     for p, point in enumerate(points):
-        ref = PointEval(inst, point, order)
+        ref = PointEval(inst, [point], order)
         for got, want in ((metric.g, ref.metric.g), (metric.g_inv, ref.metric.g_inv),
                           (pack.gamma, ref.pack.gamma), (pack.riemann, ref.pack.riemann),
                           (pack.ricci, ref.pack.ricci), (df, ref.df), (d, ref.dtensor)):
-            assert np.array_equal(_row(got.data, p), want.data)
-        assert d_norm_sq[p] == ref.d_norm_sq
+            assert np.array_equal(_row(got.data, p), _row(want.data, 0))
+        assert d_norm_sq[p] == ref.d_norm_sq[0]
 
 
 @pytest.mark.parametrize("name", LEVELSET_INSTANCES)
@@ -245,7 +246,7 @@ def test_d_cross_check_raises_the_first_failing_row():
             "domain": {"box": [[-1.2, 1.2]] * 3 + [[-4, 4]]}, "base_point": [0, 0, 0, 2]}
     inst = instance_from_spec(spec)
     points = [[0.0, 0.1, 0.2, 2.0], [0.3, -0.2, 0.1, 1.5], [0.5, 0.1, 0.2, 2.0]]
-    alone = [_outcome(lambda: PointEval(inst, p, 3).dtensor) for p in points]
+    alone = [_outcome(lambda: PointEval(inst, [p], 3).dtensor) for p in points]
     assert isinstance(alone[0], tensors.TensorJet)
     assert alone[1][0] is alone[2][0] is ConsistencyError and alone[1] != alone[2]
     (block,) = solitons.evaluate_points(inst, points, 3)
@@ -261,7 +262,7 @@ def test_a_failing_block_raises_what_the_first_failing_point_raises():
             "domain": {"box": [[-1, 1]] * 2}}
     inst = instance_from_spec(spec)
     points = [[0.1, 0.1], [0.2, -0.7], [-0.7, 0.3], [0.4, 0.2]]
-    alone = [_outcome(lambda: PointEval(inst, p, 3).df) for p in points]
+    alone = [_outcome(lambda: PointEval(inst, [p], 3).df) for p in points]
     assert alone[1] == (SingularEvaluationError, "log requires a positive constant term")
     assert alone[2] == (SingularEvaluationError, "sqrt requires a positive constant term")
     assert _outcome(lambda: solitons.evaluate_points(inst, points, 3)) == alone[1]
@@ -296,18 +297,18 @@ def _instance(name):
     return instance_from_spec(BENCH_TWINS[name]) if name in BENCH_TWINS else get_instance(name)
 
 
-def _caches(ev, p=None):
+def _caches(ev, p):
     """Every filled cache of an evaluation, the pack's included, as arrays by
-    name: a point's, or row p of a block's, read where it lies."""
+    name: row p of a block's, read where it lies."""
     def jet(x):  # tensor data and scalar jets: the point axis before the jet axis
-        return x if p is None else x[..., p, :]
+        return x[..., p, :]
 
     def plain(x):  # norms and values: the point axis first
-        return np.asarray(x) if p is None else np.asarray(x)[p]
+        return np.asarray(x)[p]
 
     out = {}
     for name, value in vars(ev).items():
-        if name in ("inst", "point", "order", "blocked"):
+        if name in ("inst", "points", "order"):
             continue
         if name == "metric":
             out.update(g=jet(value.g.data), g_inv=jet(value.g_inv.data))
@@ -326,8 +327,8 @@ def _caches(ev, p=None):
 
 
 def _fresh(inst, point, order, names):
-    """A fresh point-by-point evaluation of `point` with the caches `names` touched."""
-    ref = PointEval(inst, point, order)
+    """A fresh evaluation of `point` alone, a block of one, with the caches `names` touched."""
+    ref = PointEval(inst, [point], order)
     for name in names:
         getattr(ref, name)
     ref.pack.schouten, ref.pack.dscalar
@@ -341,23 +342,24 @@ def test_suite_rows_are_the_point_evaluations_bit_for_bit(name, order, seed):
     # five points: at dimensions 4 and 5 a block of four rows and one of one
     inst = _instance(name)
     evals = solitons.sample_evals(inst, 5, seed, order)
-    solitons.evaluate_in_blocks(evals)
     chain = {"metric", "f", "df", "pack", "dtensor", "d_norm_sq", "hess_f", "cotton",
              "cotton_norm", "weyl"}
     if inst.n >= 4:
         chain |= {"div_weyl", "bach", "weyl_norm", "bach_norm"}
         chain |= {"div_bach"} if order == 5 else set()
-    assert all(ev.blocked for ev in evals)
+    blocks = list(evals)
+    solitons.evaluate_in_blocks(evals)
+    assert evals == blocks  # none left to its points
     for ev in evals:
         for name in chain:  # the suite's curvature chain, read on the block
             getattr(ev, name)
         ev.pack.schouten, ev.pack.dscalar
         # and gradf_up_values, where the admission test reads |grad f|
-        assert set(vars(ev)) - {"inst", "point", "order", "blocked", "gradf_up_values"} == chain
+        assert set(vars(ev)) - {"inst", "points", "order", "gradf_up_values"} == chain
         for p, point in enumerate(ev.points):
             got = _caches(ev, p)
-            want = _caches(_fresh(inst, point, order, set(vars(ev)) - {"inst", "point", "order",
-                                                                       "blocked"}))
+            want = _caches(_fresh(inst, point, order, set(vars(ev)) - {"inst", "points", "order"}),
+                           0)
             assert got.keys() == want.keys()
             for key in want:
                 assert got[key].shape == want[key].shape, key
@@ -377,10 +379,10 @@ def test_constant_potentials_take_a_point_axis(name):
         assert solitons.points_of(evals) == points
         for ev in evals:
             for p, point in enumerate(ev.points):
-                ref = PointEval(inst, point, order)
+                ref = PointEval(inst, [point], order)
                 for got, want in ((ev.f.coeffs, ref.f.coeffs), (ev.df.data, ref.df.data),
                                   (ev.metric.g.data, ref.metric.g.data)):
-                    got = _row(got, p)
+                    got, want = _row(got, p), _row(want, 0)
                     assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -395,6 +397,33 @@ def _entries(report):
             for e in report["checks"]]
 
 
+def _plant_weyl_apart(monkeypatch, inst, order):
+    """Put the Schouten path of W off by 1e-3 at the sixth of 8 order-`order`
+    sample points, so W's two paths disagree there.  Returns a function that
+    gives the number of Kulkarni-Nomizu products made since the last call."""
+    planted = solitons.points_of(solitons.sample_evals(inst, 8, 7, order))[5]
+    g_planted = PointEval(inst, [planted], order).metric.g.data[..., 0, :]
+    kulkarni_nomizu = conformal._kulkarni_nomizu
+    calls = [0]
+
+    def off(space, g, h):
+        kn = kulkarni_nomizu(space, g, h)
+        calls[0] += 1
+        if calls[0] % 2 == 0:  # W's second product, the Schouten tensor's
+            # the planted point, in a block or alone, found by its own bits
+            for p in range(g.shape[-2]):
+                if np.array_equal(g[..., p, :], g_planted):
+                    kn[..., p, 0] += 1e-3
+        return kn
+
+    def restart():
+        made, calls[0] = calls[0], 0
+        return made
+
+    monkeypatch.setattr(conformal, "_kulkarni_nomizu", off)
+    return restart
+
+
 @pytest.mark.parametrize("name, order", [("s2xr2", 4), ("s2xr3", 5), ("cylinder-s2xr", 5)])
 def test_a_planted_disagreement_fails_the_checks_a_point_by_point_suite_fails(
         monkeypatch, name, order):
@@ -404,31 +433,39 @@ def test_a_planted_disagreement_fails_the_checks_a_point_by_point_suite_fails(
     # and its points fall back to their own evaluations, whose errors are
     # FAILs of the checks that read W
     inst = get_instance(name)
-    planted = solitons.points_of(solitons.sample_evals(inst, 8, 7, order))[5]
-    g_planted = PointEval(inst, planted, order).metric.g.data
-    kulkarni_nomizu = conformal._kulkarni_nomizu
-    calls = itertools.count()
-
-    def off(space, g, h):
-        kn = kulkarni_nomizu(space, g, h)
-        if next(calls) % 2:  # W's second product, the Schouten tensor's
-            # the planted point, alone or as a row, found by its own bits
-            if g.ndim == 3 and np.array_equal(g, g_planted):
-                kn[..., 0] += 1e-3
-            for p in range(g.shape[-2] if g.ndim == 4 else 0):
-                if np.array_equal(g[..., p, :], g_planted):
-                    kn[..., p, 0] += 1e-3
-        return kn
-
-    monkeypatch.setattr(conformal, "_kulkarni_nomizu", off)
+    restart = _plant_weyl_apart(monkeypatch, inst, order)
     got = verify.run_suite(inst, n_points=8, seed=7, order=order)
-    assert next(calls) > 2
-    calls = itertools.count()
+    assert restart() > 2
     want = _point_by_point_suite(monkeypatch, inst, n_points=8, seed=7, order=order)
     assert _entries(got) == _entries(want)
     errors = [e["error"] for e in got["checks"] if "error" in e]
     assert errors and all(e.startswith("ConsistencyError: weyl: independent paths")
                           for e in errors)
+
+
+def test_the_points_of_a_raising_block_keep_its_metric_f_and_grad_f(monkeypatch):
+    # s2xr2 at order 4 draws its 8 points in blocks of 5 and 3 and evaluates W
+    # on them; the block of 3 raises at its planted row, and its points read
+    # their rows of the block's metric, g^-1, f and grad f: the suite evaluates
+    # no metric beyond the sampler's two blocks, and reports as point by point
+    inst = get_instance("s2xr2")
+    assert solitons.block_rule(4, 4) == (5, True)
+    restart = _plant_weyl_apart(monkeypatch, inst, 4)
+    blocks = []
+    metric_at_points = solitons.metric_at_points
+
+    def counting(metric_fn, points, n, order):
+        blocks.append(len(points))
+        return metric_at_points(metric_fn, points, n, order)
+
+    with monkeypatch.context() as m:
+        m.setattr(solitons, "metric_at_points", counting)
+        got = verify.run_suite(inst, n_points=8, seed=7, order=4)
+    assert blocks == [5, 3]
+    restart()
+    want = _point_by_point_suite(monkeypatch, inst, n_points=8, seed=7, order=4)
+    assert _entries(got) == _entries(want)
+    assert any(e["status"] == "FAIL" and "weyl" in e.get("error", "") for e in got["checks"])
 
 
 def test_a_metric_block_raises_its_failing_points_own_error(monkeypatch):
@@ -518,7 +555,7 @@ def test_every_property_of_a_block_holds_its_points_own_bits(name):
         block = getattr(PointEval(inst, points, 5), prop)
         for p, point in enumerate(points):
             got = _leaves(block, p)
-            want = _leaves(getattr(PointEval(inst, point, 5), prop))
+            want = _leaves(getattr(PointEval(inst, [point], 5), prop), 0)
             assert len(got) == len(want), prop
             for a, b in zip(got, want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (prop, point)
@@ -558,7 +595,7 @@ def test_every_check_on_a_block_gives_each_row_its_points_outputs(spec, seed):
             continue
         got = [np.broadcast_to(x, (len(points),)) for x in check.fn(block)[:2]]
         for p, point in enumerate(points):
-            want = check.fn(PointEval(inst, point, 5))[:2]
+            want = [np.broadcast_to(x, (1,))[0] for x in check.fn(PointEval(inst, [point], 5))[:2]]
             for g, w in zip(got, want):
                 assert np.float64(g[p]).tobytes() == np.float64(w).tobytes(), (check.id, point)
         checked += 1
@@ -572,11 +609,12 @@ def test_rows_that_branch_in_gram_schmidt_get_their_points_own_frames():
     points = [[1.0, 0.5, 0.2, 0.1], [2.0, 0.0, 0.0, 0.0], [0.3, -1.0, 0.4, 2.0]]
     frame = PointEval(inst, points, 3).frame
     for p, point in enumerate(points):
-        want = PointEval(inst, point, 3).frame
-        assert frame.vectors[p].tobytes() == want.vectors.tobytes()
-        assert frame.grad_f_norm[p] == want.grad_f_norm
+        want = PointEval(inst, [point], 3).frame
+        assert frame.vectors[p].tobytes() == want.vectors[0].tobytes()
+        assert frame.grad_f_norm[p] == want.grad_f_norm[0]
     one_sided = PointEval(inst, points[1:2] * 2, 3).frame  # all rows skip alike
-    assert one_sided.vectors[0].tobytes() == PointEval(inst, points[1], 3).frame.vectors.tobytes()
+    alone = PointEval(inst, points[1:2], 3).frame
+    assert one_sided.vectors[0].tobytes() == alone.vectors[0].tobytes()
 
 
 def test_a_prop32_block_that_raises_is_left_to_its_points(monkeypatch):
@@ -585,9 +623,9 @@ def test_a_prop32_block_that_raises_is_left_to_its_points(monkeypatch):
     terms = levelset.prop32_terms
     evaluated = []
 
-    def block_raises(ev):
-        evaluated.append(ev.metric.g.blocked)
-        if ev.metric.g.blocked:
+    def block_raises(ev):  # a block of several points raises, a point alone does not
+        evaluated.append(len(ev.points) > 1)
+        if len(ev.points) > 1:
             raise ConsistencyError("planted")
         return terms(ev)
 

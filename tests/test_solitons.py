@@ -44,13 +44,13 @@ def test_catalog_size_and_names(instances):
 
 def _soliton_residual(inst, point):
     """Worst component of Ric + Hess f - rho g at the point."""
-    return soliton_eq_residual(PointEval(inst, point, 3))[0]
+    return soliton_eq_residual(PointEval(inst, [point], 3))[0][0]
 
 
 def _hamilton_residuals(inst, point):
     """(max_i |d_i R - 2 R_ij grad^j f|, |R + |grad f|^2 - f|) at the point."""
-    ev = PointEval(inst, point, 3)
-    return hamilton_first_residual(ev)[0], hamilton_second_residual(ev)[0]
+    ev = PointEval(inst, [point], 3)
+    return hamilton_first_residual(ev)[0][0], hamilton_second_residual(ev)[0][0]
 
 
 def test_gaussian_residual_exact(instances):
@@ -229,7 +229,7 @@ def test_builtin_specs_load_as_extensions_bit_for_bit(tmp_path):
         lo, hi = np.array(inst.box).T
         space = JetSpace.get(inst.n, 3)
         for p in (lo + (hi - lo) * rng.random((3, inst.n))).tolist():
-            g, g_builtin = inst.metric_at(p, 3).g.data, builtin.metric_at(p, 3).g.data
+            g, g_builtin = inst.metric_at([p], 3).g.data, builtin.metric_at([p], 3).g.data
             assert g.tobytes() == g_builtin.tobytes()
             assert (inst.potential_jet(p, space).coeffs.tobytes()
                     == builtin.potential_jet(p, space).coeffs.tobytes())
@@ -258,25 +258,26 @@ def test_warped_cylinder_matches_product(instances):
         t = rng.uniform(0.5, 3.0)
         pw = [t, *u]
         pc = [*u, t]
-        mw = w.metric_at(pw, 4)
-        mc = c.metric_at(pc, 4)
+        mw = w.metric_at([pw], 4)
+        mc = c.metric_at([pc], 4)
         packw = curvature_pack(mw)
         packc = curvature_pack(mc)
-        assert np.abs(mw.g.values - mc.g.values[np.ix_(perm, perm)]).max() < 1e-12
+        gw, gc = mw.g.stacked_values()[0], mc.g.stacked_values()[0]
+        assert np.abs(gw - gc[np.ix_(perm, perm)]).max() < 1e-12
         assert (
             np.abs(
-                packw.riemann.values
-                - packc.riemann.values[np.ix_(perm, perm, perm, perm)]
+                packw.riemann.stacked_values()[0]
+                - packc.riemann.stacked_values()[0][np.ix_(perm, perm, perm, perm)]
             ).max()
             < 1e-9
         )
-        fw = w.potential_jet(pw, mw.space)
-        fc = c.potential_jet(pc, mc.space)
-        dw = d_tensor(packw, scalar_gradient(fw))
-        dc = d_tensor(packc, scalar_gradient(fc))
-        assert np.abs(dw.values - dc.values[np.ix_(perm, perm, perm)]).max() < 1e-9
-        assert abs(tensor_norm_sq(weyl(packw), mw) - tensor_norm_sq(weyl(packc), mc)) < 1e-9
-        assert abs(packw.scalar.value - packc.scalar.value) < 1e-12
+        fw = w.potential_jet([pw], mw.space)
+        fc = c.potential_jet([pc], mc.space)
+        dw = d_tensor(packw, scalar_gradient(fw)).stacked_values()[0]
+        dc = d_tensor(packc, scalar_gradient(fc)).stacked_values()[0]
+        assert np.abs(dw - dc[np.ix_(perm, perm, perm)]).max() < 1e-9
+        assert abs(tensor_norm_sq(weyl(packw), mw)[0] - tensor_norm_sq(weyl(packc), mc)[0]) < 1e-9
+        assert abs(packw.scalar.coeffs[0, 0] - packc.scalar.coeffs[0, 0]) < 1e-12
 
 
 def test_get_instance_unknown():
@@ -434,8 +435,8 @@ def _order1_sampler(inst, n_points, seed):
         p = lo + (hi - lo) * rng.random(inst.n)
         if inst.excluded_distance(p) < MIN_EXCLUDED_DISTANCE:
             continue
-        ev = PointEval(inst, p, 1)
-        grad_norm = math.sqrt(max(ev.df.values @ ev.gradf_up_values, 0.0))
+        ev = PointEval(inst, [p], 1)
+        grad_norm = math.sqrt(max(float(ev.df.stacked_values()[0] @ ev.gradf_up_values[0]), 0.0))
         if not inst.trivial and grad_norm < MIN_GRAD_DISTANCE:
             continue
         points.append([float(x) for x in p])
@@ -581,15 +582,16 @@ def test_block_rows_come_from_the_point_eval_recipe(monkeypatch):
 
     monkeypatch.setattr(solitons, "PointEval", DoubledCotton)
     evals = sample_evals(inst, 5, 3, 4)
-    assert evals and all(isinstance(ev, DoubledCotton) and ev.blocked for ev in evals)
+    assert evals and all(isinstance(ev, DoubledCotton) for ev in evals)
+    assert [len(ev.points) for ev in evals] == [5]  # one block
     for ev in evals:
         for p, point in enumerate(ev.points):
-            ref = DoubledCotton(inst, point, 4)
-            plain = PointEval(inst, point, 4)
-            assert np.array_equal(ev.cotton.data[..., p, :], ref.cotton.data)
-            assert np.array_equal(ev.cotton.data[..., p, :], 2.0 * plain.cotton.data)
-            assert plain.cotton.max_abs() > 1e-3
-            assert ev.cotton_norm[p] == ref.cotton_norm == 2.0 * plain.cotton_norm
+            ref = DoubledCotton(inst, [point], 4)
+            plain = PointEval(inst, [point], 4)
+            assert np.array_equal(ev.cotton.data[..., p, :], ref.cotton.data[..., 0, :])
+            assert np.array_equal(ev.cotton.data[..., p, :], 2.0 * plain.cotton.data[..., 0, :])
+            assert plain.cotton.max_abs()[0] > 1e-3
+            assert ev.cotton_norm[p] == ref.cotton_norm[0] == 2.0 * plain.cotton_norm[0]
 
 
 def test_norm_is_the_root_of_pythons_max():

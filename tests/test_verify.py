@@ -75,10 +75,10 @@ def test_d_norm_at_spec_product_point():
     from gradsol.tensors import tensor_norm_sq
 
     inst = get_instance("s2xr2")
-    m = inst.metric_at([0.0, 0.0, 2.0, 0.0], 3)
+    m = inst.metric_at([[0.0, 0.0, 2.0, 0.0]], 3)
     pack = curvature_pack(m)
-    f = inst.potential_jet([0.0, 0.0, 2.0, 0.0], m.space)
-    d_norm = np.sqrt(tensor_norm_sq(d_tensor(pack, scalar_gradient(f)), m))
+    f = inst.potential_jet([[0.0, 0.0, 2.0, 0.0]], m.space)
+    d_norm = np.sqrt(tensor_norm_sq(d_tensor(pack, scalar_gradient(f)), m)[0])
     assert abs(d_norm - 0.2886751345948129) < 1e-9
 
 
@@ -178,7 +178,7 @@ def test_level_set_checks_are_not_applicable_to_a_constant_potential(suite_repor
 ])
 def test_level_set_residual_on_a_constant_potential_raises(fn):
     # the residuals no longer return None there: grad f = 0 is a critical point
-    ev = solitons.PointEval(get_instance("sphere-s4"), [0.5, -0.2, 0.3, 0.1], 3)
+    ev = solitons.PointEval(get_instance("sphere-s4"), [[0.5, -0.2, 0.3, 0.1]], 3)
     with pytest.raises(CriticalPointError):
         fn(ev)
 
@@ -415,7 +415,7 @@ def _nan_at_second_point():
     def fn(ev):  # NaN at the second row drawn, of a block or a point alone
         resid = np.where(np.arange(len(seen), len(seen) + len(ev.points)) == 1, np.nan, 1e-20)
         seen.extend(ev.points)
-        return (resid if ev.blocked else resid[0]), 1.0
+        return resid, 1.0
 
     return CheckSpec("nan_point", 2, 1e-9, fn)
 
@@ -450,7 +450,7 @@ def test_nan_d_norm_at_second_point_is_not_d_zero(monkeypatch):
 
     def nan_at_second(ev):  # a block's row or a point alone
         at = [point == second for point in ev.points]
-        return np.where(at if ev.blocked else at[0], math.nan, d_norm(ev))
+        return np.where(at, math.nan, d_norm(ev))
 
     monkeypatch.setattr(solitons.PointEval, "d_norm", property(nan_at_second))
     rep = run_suite(inst, n_points=8, seed=7, order=5)
@@ -472,7 +472,7 @@ def test_a_d_error_fails_the_checks_that_read_d(monkeypatch):
     d_tensor = solitons.d_tensor
 
     def planted_d_tensor(pack, df, cross_check=False):
-        if any(np.array_equal(p, planted) for p in np.atleast_2d(pack.metric.point)):
+        if any(np.array_equal(p, planted) for p in pack.metric.point):
             raise ConsistencyError("d_tensor: planted at the sixth sample point")
         return d_tensor(pack, df, cross_check)
 
@@ -495,11 +495,7 @@ def test_suite_evaluates_each_sample_point_once(monkeypatch):
     points = [tuple(p) for p in solitons.points_of(verify.sample_evals(inst, 8, 7, 4))]
     calls = collections.Counter()
     blocks = []
-    metric_at_point, metric_at_points = solitons.metric_at_point, solitons.metric_at_points
-
-    def counting(metric_fn, point, n, order):
-        calls[tuple(float(x) for x in point), order] += 1
-        return metric_at_point(metric_fn, point, n, order)
+    metric_at_points = solitons.metric_at_points
 
     def counting_block(metric_fn, block, n, order):
         blocks.append(len(block))
@@ -507,7 +503,6 @@ def test_suite_evaluates_each_sample_point_once(monkeypatch):
             calls[tuple(float(x) for x in point), order] += 1
         return metric_at_points(metric_fn, block, n, order)
 
-    monkeypatch.setattr(solitons, "metric_at_point", counting)
     monkeypatch.setattr(solitons, "metric_at_points", counting_block)
     run_suite(inst, n_points=8, seed=7, order=4)
     for p in points:
@@ -541,12 +536,9 @@ def _count_calls(monkeypatch, fn, key):
 
 
 def _where(obj):
-    """(point, order) of a PointEval, a curvature pack or a metric; for a
-    block on a point axis, a tuple of one (point, order) per row."""
+    """One (point, order) per row of a PointEval, a curvature pack or a metric."""
     metric = getattr(obj, "metric", obj)
-    if metric.point.ndim == 2:
-        return tuple((tuple(p), metric.order) for p in metric.point.tolist())
-    return tuple(float(x) for x in metric.point), metric.order
+    return tuple((tuple(p), metric.order) for p in metric.point.tolist())
 
 
 def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
@@ -572,7 +564,7 @@ def test_level_surface_and_div_bach_run_once_per_point(monkeypatch):
     for what, c in counts.items():
         for where, n in c.items():
             # div B of the suite's points is taken on blocks, once per row
-            for row in (where if isinstance(where[0][0], tuple) else [where]):
+            for row in where:
                 per_point[row][what] += n
     suite = {w: c for w, c in per_point.items() if w[0] in suite_points}
     level = {w: c for w, c in per_point.items() if w[0] not in suite_points}
@@ -602,18 +594,15 @@ def test_gradients_of_f_and_r_taken_once_per_point(monkeypatch):
     rep = run_suite(inst, n_points=8, seed=7, order=5)
     assert report_entry(rep, "prop3.2")["status"] == "PASS"
 
-    def rows(s):
-        return [s.coeffs] if s.coeffs.ndim == 1 else list(s.coeffs)
-
     for point, order in points:
-        ev = solitons.PointEval(inst, point, order)  # takes no gradient of f or R
+        ev = solitons.PointEval(inst, [point], order)  # takes no gradient of f or R
         for jet in (ev.f, ev.pack.scalar):
-            holders = [s for s in taken if any(np.array_equal(r, jet.coeffs) for r in rows(s))]
+            holders = [s for s in taken if any(np.array_equal(r, jet.coeffs[0]) for r in s.coeffs)]
             assert len(holders) == 1, point
-    blocks = [len(s.coeffs) for s in taken if s.coeffs.ndim == 2]
+    blocks = [len(s.coeffs) for s in taken if len(s.coeffs) > 1]
     # the suite's f, then its R, then the level points' f and R
     assert blocks == [4, 4, 4, 4, 12, 12]
-    # and one f for f_shift at the base point
+    # and one f for f_shift at the base point, a block of one
     assert len(taken) == len(blocks) + 1
 
 
@@ -646,7 +635,7 @@ def test_weyl_derivative_built_once_per_point(monkeypatch):
     rep = run_suite(inst, n_points=8, seed=7, order=5)
     for cid in ("eq2.2", "eq4.1", "lemma5.1", "thm5.2", "bach_vanishes"):
         assert report_entry(rep, cid)["status"] == "PASS", cid
-    assert counts == {(p, 5): 1 for p in suite_points}
+    assert counts == {((p, 5),): 1 for p in suite_points}  # each point's div W alone
 
 
 # ---------------------------------------------------------------------------
@@ -657,20 +646,21 @@ RAISES = object()  # a row whose point raises
 
 def _planted(points, table, raise_on_blocks=False):
     """A per-point check giving row k of the sample `table[k]`, (residual, scale)
-    or RAISES, on a block or a point alone; and the list of its calls, True
-    for a block.  With `raise_on_blocks` a block holding a RAISES row raises
-    and the point alone gives (0.0, 1.0)."""
+    or RAISES, on a block or a point alone (a block of one); and the list of
+    its calls, True for a block of several points.  With `raise_on_blocks` a
+    block of several points holding a RAISES row raises and the point alone
+    gives (0.0, 1.0)."""
     index = {tuple(p): k for k, p in enumerate(points)}
     calls = []
 
     def fn(ev):
-        calls.append(ev.blocked)
+        several = len(ev.points) > 1
+        calls.append(several)
         rows = [table[index[tuple(p)]] for p in ev.points]
-        if any(r is RAISES for r in rows) and (ev.blocked or not raise_on_blocks):
+        if any(r is RAISES for r in rows) and (several or not raise_on_blocks):
             raise ConsistencyError("planted")
-        resid, scale = (np.array(c) for c in zip(*[(0.0, 1.0) if r is RAISES else r
-                                                   for r in rows]))
-        return (resid, scale) if ev.blocked else (resid[0], scale[0])
+        return tuple(np.array(c) for c in zip(*[(0.0, 1.0) if r is RAISES else r
+                                                 for r in rows]))
 
     return fn, calls
 
@@ -725,7 +715,7 @@ def test_block_rows_are_judged_as_a_point_by_point_scan(monkeypatch, table):
     # point by point: each point's evaluation alone, as a block that raised leaves it
     with monkeypatch.context() as m:
         m.setattr(solitons, "evaluate_points",
-                  lambda inst, points, order: [solitons.PointEval(inst, p, order) for p in points])
+                  lambda inst, points, order: [solitons.PointEval(inst, [p], order) for p in points])
         del calls[:]
         assert repr(_entry(run_suite(inst, n_points=8, seed=7, order=5))) == repr(got)
         assert calls and True not in calls
@@ -756,7 +746,7 @@ def test_readers_call_the_per_point_check_once_per_block(monkeypatch):
 
     def counting(name, fn):
         def wrapper(ev):
-            counts[name, ev.blocked] += 1
+            counts[name, len(ev.points) > 1] += 1
             return fn(ev)
         return wrapper
 

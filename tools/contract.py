@@ -10,6 +10,11 @@ processes with ``OPENBLAS_NUM_THREADS=1``, one process per group:
   and the exit code of ``gradsol verify --instance all --points 20 --seed 7``
   at order 5, at order 4, and at order 4 with the benchmark's two
   expression-form extensions;
+* ``dim6``: the report JSON, the text and the exit code of ``gradsol verify
+  --order 4 --points 20 --seed 7 --extensions`` of flat R^6 and S^5 x R, two
+  instances whose specs the tool writes: at dimension 6
+  ``solitons.block_rule`` keeps the order-3 and order-4 layers of Riemann's
+  size per point;
 * ``prop32``: the ``prop32_report`` repr (and its fields) of each level-set
   instance at seeds 11, 61 and 62 with 12 and 16 points, at its base
   point's level;
@@ -39,7 +44,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 VERIFY = {"verify-o5": ["--order", "5"], "verify-o4": ["--order", "4"],
           "verify-o4-ext": ["--order", "4", "--extensions"]}
-GROUPS = (*VERIFY, "prop32", "catalog", "tensor")
+GROUPS = (*VERIFY, "dim6", "prop32", "catalog", "tensor")
+_S5 = "(2/(1 + (x1*x1 + x2*x2 + x3*x3 + x4*x4 + x5*x5)))^2*8"  # round S^5, radius sqrt(8)
+DIM6 = [
+    {"name": "flat-r6", "n": 6, "rho": 0.5, "kind": "shrinking",
+     "metric": [["1" if i == j else "0" for j in range(6)] for i in range(6)],
+     "potential": "(x1*x1 + x2*x2 + x3*x3 + x4*x4 + x5*x5 + x6*x6)/4",
+     "domain": {"box": [[-3, 3]] * 6}, "base_point": [2, 0, 0, 0, 0, 0]},
+    {"name": "cylinder-s5xr", "n": 6, "rho": 0.5, "kind": "shrinking",
+     "metric": [[(_S5 if i < 5 else "1") if i == j else "0" for j in range(6)]
+                for i in range(6)],
+     "potential": "x6*x6/4 + 2.5",
+     "domain": {"box": [[-1.2, 1.2]] * 5 + [[-4, 4]]}, "base_point": [0, 0, 0, 0, 0, 2]},
+]
 LEVELSET_INSTANCES = [
     "gaussian-r3", "gaussian-r4", "gaussian-r5", "cylinder-s2xr", "cylinder-s3xr",
     "cylinder-s4xr", "einstein-cylinder-s2xs2xr", "warped-cylinder", "steady-flat-r4",
@@ -62,6 +79,14 @@ def _cli(argv):
     return {"text": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
+def _verify(argv, report):
+    """Output of one ``gradsol verify`` command that writes `report`, the report included."""
+    out = _cli(["verify", "--points", "20", "--seed", "7", "--report", str(report)] + argv)
+    out["report"] = report.read_text(encoding="utf-8") if report.exists() else None
+    out["text"] = out["text"].replace(str(report), "REPORT")
+    return out
+
+
 def emit(group, extensions, work):
     """The outputs of one group in this process, by name."""
     from gradsol import levelset, solitons
@@ -69,13 +94,16 @@ def emit(group, extensions, work):
 
     names = [spec["name"] for spec in solitons.BUILTIN_SPECS]
     if group in VERIFY:
-        report = Path(work) / f"{group}.json"
-        argv = ["verify", "--instance", "all", "--points", "20", "--seed", "7",
-                "--report", str(report)] + VERIFY[group]
-        out = _cli(argv + ([extensions] if group == "verify-o4-ext" else []))
-        out["report"] = report.read_text(encoding="utf-8") if report.exists() else None
-        out["text"] = out["text"].replace(str(report), "REPORT")
-        return {group: out}
+        argv = ["--instance", "all"] + VERIFY[group]
+        argv += [extensions] if group == "verify-o4-ext" else []
+        return {group: _verify(argv, Path(work) / f"{group}.json")}
+    if group == "dim6":
+        specs = Path(work) / "dim6.json"
+        specs.write_text(json.dumps({"instances": DIM6}, indent=1) + "\n", encoding="utf-8")
+        return {f"dim6 {spec['name']}": _verify(
+                    ["--instance", spec["name"], "--order", "4", "--extensions", str(specs)],
+                    Path(work) / f"dim6-{spec['name']}.json")
+                for spec in DIM6}
     if group == "catalog":
         return {f"catalog {name}": _cli(["catalog", "validate", name]) for name in names}
     if group == "tensor":
