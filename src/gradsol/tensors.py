@@ -204,7 +204,8 @@ def metric_at_points(metric_fn, points, dim, order):
     g * g_inv = identity at jet-coefficient level; a failing block raises
     the error of its first failing row, with that point's message.
     """
-    points = [list(p) for p in points]
+    if np.ndim(points) != 2:
+        raise TensorShapeError(f"expected a list of points, got shape {np.shape(points)}")
     space = JetSpace.get(dim, order)
     xs = coordinate_jets(space, points)
     rows = metric_fn(xs)
@@ -223,7 +224,7 @@ def metric_at_points(metric_fn, points, dim, order):
     g0 = gdata[..., 0].transpose(2, 0, 1)  # one matrix per row
     for p, low in enumerate(np.linalg.eigvalsh(g0).min(axis=-1)):
         if low <= 0.0:
-            raise DomainError(f"metric is not positive definite at {points[p]}")
+            raise DomainError(f"metric is not positive definite at {list(points[p])}")
 
     inv_space, g_low = truncate_arrays(space, gdata, max(order - 2, 0))
     inv = _invert_metric_jets(inv_space, g_low)

@@ -245,6 +245,7 @@ def test_scalar_jet_products_take_scalar_operands(monkeypatch, name, point):
     assert np.isfinite(levelset.normal_metric_derivative(ev)).all()
     assert levelset.normal_geodesic_residual(ev) is not None
     assert shapes
-    # scalar jets: the jet axis after a block's point axis, or alone for a
-    # plain number lifted to a constant jet
-    assert all(max(len(sa), len(sb)) <= 2 for sa, sb in shapes), sorted(set(shapes))
+    # scalar jets: the jet axis after this block's one-row point axis, or
+    # alone for a plain number lifted to a constant jet
+    assert all(sa[:-1] in ((), (1,)) and sb[:-1] in ((), (1,)) for sa, sb in shapes), \
+        sorted(set(shapes))

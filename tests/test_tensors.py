@@ -9,7 +9,7 @@ from gradsol.errors import (
     TensorShapeError,
 )
 from gradsol.jets import JetScalar, JetSpace, jet_einsum, truncate_arrays
-from gradsol.solitons import get_instance
+from gradsol.solitons import PointEval, get_instance
 from gradsol.tensors import TensorJet, metric_at_point, raise_lower, tensor_norm_sq
 
 from conftest import full_order_newton
@@ -217,6 +217,19 @@ def test_tensor_jet_refuses_data_without_a_point_axis():
     with pytest.raises(TensorShapeError, match=r"expected shape \(3, 3\) \+ \(P, 10\) "
                        r"with a point axis of P rows, got \(3, 3, 10\)"):
         TensorJet(space, "dd", np.zeros((3, 3, space.n_terms)))
+
+
+def test_a_flat_point_is_refused_with_the_expected_list_of_points():
+    # one point is a block of one: a flat point, the shape taken before,
+    # must meet a named error, not a TypeError from deep in the evaluation
+    inst = get_instance("s2xr2")
+    flat = [0.1, 0.2, 1.0, 0.3]
+    for evaluate in (lambda: tensors.metric_at_points(inst.metric_fn, flat, inst.n, 3),
+                     lambda: inst.metric_at(flat, 3),
+                     lambda: PointEval(inst, flat, 3).metric):
+        with pytest.raises(TensorShapeError, match=r"expected a list of points, got shape \(4,\)"):
+            evaluate()
+    assert PointEval(inst, [flat], 3).metric.g.stacked_values().shape == (1, 4, 4)
 
 
 def test_symmetry_enforced_from_upper_triangle():
