@@ -55,6 +55,15 @@ point's own array (`rows_apart`, a copy where they lie interleaved);
 `stack_rows` stacks points' arrays that way.  A scalar jet (`JetScalar`)
 takes either shape, ``(n_terms,)`` or ``(P, n_terms)``.
 
+Rows are independent batch entries of every step, so ``jet_einsum`` runs its
+kernel on chunks of rows: as many as keep the kernel's temporaries within
+BLOCK_BYTES (one row at least), estimated once per plan from one row's
+gathered or scattered operands and product (`_row_bytes`).  A block of any
+size therefore forms no larger temporaries than a chunk, and each chunk's
+rows get the bits of the whole block and of their points alone.  At order
+0 the copy that lays interleaved operands out row by row is made before the
+chunks, at the size of the operands.
+
 A tensor times a scalar jet is ``jet_einsum`` with an empty subscript for
 the scalar (``'ijkl,->ijkl'``), so the same choice picks its kernel.
 ``mul_arrays`` is the scalar-by-scalar product only: it sums its pairs with
@@ -88,6 +97,7 @@ from .errors import (
 
 MAX_ORDER = 5
 MAX_DIM = 6
+BLOCK_BYTES = 2 ** 19  # a kernel's temporaries per chunk of rows, at most (`jet_einsum`)
 
 
 def _compositions(total, slots):
@@ -216,13 +226,20 @@ def point_rows(data):
     return point_back(np.ascontiguousarray(point_first(data)))
 
 
+def rows_like(row, n):
+    """Uninitialised data with a point axis of n rows, each laid out as `row`,
+    its axes in the same memory order, and the rows held one after another."""
+    outer = sorted(range(row.ndim), key=lambda k: -row.strides[k])  # outermost axis first
+    block = np.empty((n,) + tuple(row.shape[k] for k in outer))
+    return point_back(block.transpose((0,) + tuple(1 + outer.index(k) for k in range(row.ndim))))
+
+
 def stack_rows(arrays):
-    """Data with a point axis whose row p is arrays[p], each row held one after
-    another and laid out as arrays[0] is, its axes in the same memory order."""
-    first = arrays[0]
-    outer = sorted(range(first.ndim), key=lambda k: -first.strides[k])  # outermost axis first
-    block = np.stack([data.transpose(outer) for data in arrays])
-    return point_back(block.transpose((0,) + tuple(1 + outer.index(k) for k in range(first.ndim))))
+    """Data with a point axis whose row p is arrays[p], laid out by `rows_like`."""
+    block = rows_like(arrays[0], len(arrays))
+    for p, data in enumerate(arrays):
+        block[..., p, :] = data
+    return block
 
 
 def rows_apart(data):
@@ -348,6 +365,15 @@ def _einsum_const(space, sub_a, sub_b, out, a, b):
     return _pair_contract(sub_b + "Z", sub_a + "Z", out + "Z", b, a)
 
 
+def _counts(sub_a, sub_b, out, a, b):
+    """Components of each operand, of the output and of the full index space:
+    (na, nb, nout, nfull), read from the operands' component axes."""
+    shape_a, shape_b = a.shape[:len(sub_a)], b.shape[:len(sub_b)]
+    sizes = dict(zip(sub_a + sub_b, shape_a + shape_b))
+    return (math.prod(shape_a), math.prod(shape_b), math.prod(sizes[c] for c in out),
+            math.prod(sizes.values()))
+
+
 def _plan(space, sub_a, sub_b, out, a, b):
     """Pick the strategy with the lower cost estimate (module docstring).
 
@@ -356,17 +382,23 @@ def _plan(space, sub_a, sub_b, out, a, b):
     swap); `swap` puts the operand with fewer components first, where the
     matrix path scatters it; order 0 keeps that operand order.
     """
-    shape_a, shape_b = a.shape[:len(sub_a)], b.shape[:len(sub_b)]
-    na, nb = math.prod(shape_a), math.prod(shape_b)
+    na, nb, nout, nfull = _counts(sub_a, sub_b, out, a, b)
     if space.order == 0:
         return _einsum_const, nb < na
-    sizes = dict(zip(sub_a + sub_b, shape_a + shape_b))
     t2, pairs = space.n_terms ** 2, len(space.mul_left)
-    nout = math.prod(sizes[c] for c in out)
-    nfull = math.prod(sizes.values())
     if 2 * min(na, nb) * t2 + nfull * t2 / 16 < pairs * (na + nb + nfull + nout):
         return _einsum_matrix, nb < na
     return _einsum_gather, False
+
+
+def _row_bytes(space, kernel, na, nb, nout):
+    """Bytes of a kernel's temporaries per row: the gathered (or scattered)
+    operands, twice for the copies its transposes may make, and its product
+    before the pairs are summed.  At order 0 one pair is gathered."""
+    if kernel is _einsum_matrix:
+        t = space.n_terms
+        return 8 * (2 * min(na, nb) * t * t + (max(na, nb) + nout) * t)
+    return 8 * len(space.mul_left) * (2 * (na + nb) + nout)
 
 
 def jet_einsum(space, subscripts, a, b):
@@ -379,7 +411,9 @@ def jet_einsum(space, subscripts, a, b):
     to `space`, are read.  An operand with fewer coefficients raises
     InsufficientOrderError, one without a point axis TensorShapeError.  The
     kernel is the one a single point's shapes choose, and the point axis is
-    a batch axis of its contraction.
+    a batch axis of its contraction.  It runs on chunks of rows (module
+    docstring), each written into the output's rows, laid out as the
+    chunk's (`rows_like`).
     """
     n = space.n_terms
     ins, out = subscripts.split("->")
@@ -398,12 +432,25 @@ def jet_einsum(space, subscripts, a, b):
     key = (space, subscripts, a.shape[:-2] + a.shape[-1:], b.shape[:-2] + b.shape[-1:])
     plan = _EINSUM_PLANS.get(key)
     if plan is None:
-        plan = _EINSUM_PLANS[key] = _plan(space, sub_a, sub_b, out, a, b)
-    kernel, swap = plan
+        kernel, swap = _plan(space, sub_a, sub_b, out, a, b)
+        row_bytes = _row_bytes(space, kernel, *_counts(sub_a, sub_b, out, a, b)[:3])
+        plan = _EINSUM_PLANS[key] = kernel, swap, row_bytes
+    kernel, swap, row_bytes = plan
     if swap:
         a, b, sub_a, sub_b = b, a, sub_b, sub_a
     # the kernels run with the point axis first, where it leads every step
-    return point_back(kernel(space, sub_a, sub_b, out, point_first(a), point_first(b)))
+    a, b = point_first(a), point_first(b)
+    rows, step = len(a), max(1, BLOCK_BYTES // row_bytes)
+    if rows <= step:
+        return point_back(kernel(space, sub_a, sub_b, out, a, b))
+    result = None
+    for r in range(0, rows, step):
+        made = kernel(space, sub_a, sub_b, out, a[r:r + step], b[r:r + step])
+        if result is None:
+            result = point_first(rows_like(made[0], rows))
+        result[r:r + step] = made
+        del made  # before the next chunk's temporaries
+    return point_back(result)
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +571,10 @@ class JetScalar:
             return real_power(self, p)
         return NotImplemented
 
-    def __repr__(self):
-        return f"JetScalar(dim={self.dim}, order={self.order}, value={self.value!r})"
+    def __repr__(self):  # with a point axis, the list of each row's value
+        values = self.coeffs[..., 0]
+        shown = float(values) if values.ndim == 0 else values.tolist()
+        return f"JetScalar(dim={self.dim}, order={self.order}, value={shown!r})"
 
 
 def constant(space, value):

@@ -37,7 +37,8 @@ from .curvature import (CurvaturePack, covariant_derivative, curvature_pack, div
                         scalar_gradient)
 from .errors import ConfigurationError, DomainError, GradsolError, ValidationError
 from .exprs import compile_expression
-from .jets import JetScalar, JetSpace, constant, coordinate_jets, point_rows, stack_rows
+from .jets import (BLOCK_BYTES, JetScalar, JetSpace, constant, coordinate_jets, point_rows,
+                   rows_like)
 from .tensors import MetricAtPoint, TensorJet, metric_at_points, row_dot, row_max, tensor_norm_sq
 
 KINDS = ("shrinking", "steady", "expanding", "einstein")
@@ -47,7 +48,6 @@ MIN_GRAD_DISTANCE = 1e-3
 MIN_EXCLUDED_DISTANCE = 1e-3
 CONTROL_POINTS = 8  # sample points that size a negative control's rejection
 MAX_CANDIDATES = 20000  # sample candidates drawn before giving up
-BLOCK_BYTES = 2 ** 19  # a block's largest product, at most (`block_rule`)
 MIN_BLOCK_ROWS = 4
 # what a block evaluation may raise where a point of it would: the block is
 # then left to its points, each of which raises its own error or none
@@ -408,39 +408,47 @@ def evaluate_points(inst, points, order):
     return evals
 
 
-def _stacked(tensors):
-    """Tensors of blocks of one on one point axis, each row laid out as its block's data."""
-    t = tensors[0]
-    return TensorJet(t.space, t.valence, stack_rows([t.data[..., 0, :] for t in tensors]))
-
-
 def evaluate_curvature(ev):
     """The curvature pack, W and div W of a block, evaluated point by point
     where `block_rule` says these layers of Riemann's size do not pay as
     blocks; elsewhere, and in a block of one, they stay lazy, as every other
     quantity does.
 
-    Each point evaluates its layers as a block of one over its row of the
-    block's metric (a view, laid out as the point's own metric), and the
-    block holds them stacked on its point axis: the pack and, from order 4,
-    where the suite reads B, W and div W.  The points' evaluations are then
-    dropped.  A cross-check raises the error of the first point that fails it.
+    Each point in turn evaluates its layers as a block of one over its row
+    of the block's metric (a view, laid out as the point's own metric): the
+    pack and, from order 4, where the suite reads B, W and div W.  Its rows
+    are written into the block's arrays, allocated at the first point and
+    laid out as `stack_rows` lays rows out (`rows_like`), and the point's
+    evaluation is dropped before the next point's, so one point's layers are
+    alive at a time.  A cross-check raises the error of the first point that
+    fails it.
     """
     if len(ev.points) == 1 or block_rule(ev.inst.n, ev.order)[1]:
         return
     g, g_inv = ev.metric.g, ev.metric.g_inv
-    alone = [PointEval(ev.inst, [point], ev.order) for point in ev.points]
-    for p, one in enumerate(alone):
+    rows = len(ev.points)
+    blocks = kinds = None
+    for p, point in enumerate(ev.points):
+        one = PointEval(ev.inst, [point], ev.order)
         one.metric = MetricAtPoint(g.space, one.points, *(
             TensorJet(t.space, t.valence, t.data[..., p:p + 1, :]) for t in (g, g_inv)))
-    packs = [one.pack for one in alone]
-    ev.pack = CurvaturePack(ev.metric, *(_stacked([getattr(pk, name) for pk in packs])
-                                         for name in ("gamma", "riemann", "ricci")),
-                            JetScalar(packs[0].scalar.space,
-                                      stack_rows([pk.scalar.coeffs[0] for pk in packs])))
-    if ev.order >= 4:
-        ev.weyl = _stacked([one.weyl for one in alone])
-        ev.div_weyl = _stacked([one.div_weyl for one in alone])
+        pack = one.pack
+        tensors = [pack.gamma, pack.riemann, pack.ricci]
+        if ev.order >= 4:
+            tensors += [one.weyl, one.div_weyl]
+        arrays = [t.data for t in tensors] + [pack.scalar.coeffs]
+        if blocks is None:
+            blocks = [rows_like(x[..., 0, :], rows) for x in arrays]
+            kinds = [(t.space, t.valence) for t in tensors]
+        for block, x in zip(blocks, arrays):
+            block[..., p, :] = x[..., 0, :]
+        del one, pack, tensors, arrays
+    *data, scalar = blocks
+    gamma, riemann, ricci, *weyl = [TensorJet(space, valence, block)
+                                    for (space, valence), block in zip(kinds, data)]
+    ev.pack = CurvaturePack(ev.metric, gamma, riemann, ricci, JetScalar(ricci.space, scalar))
+    if weyl:
+        ev.weyl, ev.div_weyl = weyl
 
 
 def evaluate_in_blocks(evals):
@@ -455,21 +463,26 @@ def block_rule(n, order):
     """Rows per block of sample points at dimension n and metric order `order`,
     and whether the layers of Riemann's size are blocks as well.
 
-    One row's largest product sizes both: Riemann's gather `lim,ljk->mkij`,
-    n^4 components times the product pairs of Riemann's order (order - 2),
-    which the pack, W and div W form at that size.  A block holds as many
-    rows as keep that product within BLOCK_BYTES, so its temporaries stay
-    below the size at which freeing them moves glibc's mmap threshold, and
-    at least MIN_BLOCK_ROWS.  The pack, W and div W are blocks only where
-    that many rows fit: measured against point-by-point evaluation (ROADMAP
-    item 7), their blocks lose from dimension 4 at order 5 and at dimension
-    5 from order 4, while the metric, g^-1, f and grad f and the rest of the
-    chain (D, Hess f, Cotton, B, div B, the norms) pay from 4 rows at every
-    dimension.
+    One row's largest product decides the layers: Riemann's gather
+    `lim,ljk->mkij`, n^4 components times the product pairs of Riemann's
+    order (order - 2), which the pack, W and div W form at that size.  They
+    are blocks where at least MIN_BLOCK_ROWS rows keep it within
+    BLOCK_BYTES, and a block then holds as many rows as do: measured against
+    point-by-point evaluation (ROADMAP item 7), their blocks lose from
+    dimension 4 at order 5 and at dimension 5 from order 4.  Elsewhere each
+    point forms that product alone (`evaluate_curvature`), `jet_einsum`
+    bounds the temporaries of the block's own products, and the block is
+    sized from its largest arrays, its metric jets g and g^-1 (n^2
+    components at the metric's order and at Riemann's): as many rows of
+    them as one point's product holds bytes, at least MIN_BLOCK_ROWS.
     """
-    product_row = n ** 4 * len(JetSpace.get(n, max(order - 2, 0)).mul_left) * 8
+    riemann = JetSpace.get(n, max(order - 2, 0))
+    product_row = n ** 4 * len(riemann.mul_left) * 8
     fit = BLOCK_BYTES // product_row
-    return max(fit, MIN_BLOCK_ROWS), fit >= MIN_BLOCK_ROWS
+    if fit >= MIN_BLOCK_ROWS:
+        return fit, True
+    metric_row = n * n * (JetSpace.get(n, order).n_terms + riemann.n_terms) * 8
+    return max(product_row // metric_row, MIN_BLOCK_ROWS), False
 
 
 def sample_evals(inst, n_points, seed, order):

@@ -143,7 +143,10 @@ def test_plans_do_not_depend_on_the_block_size(monkeypatch):
         one_a, one_b = a[..., 0, : space.n_terms], b[..., 0, : space.n_terms]
         plan = jets._EINSUM_PLANS[(space, subscripts, one_a.shape, one_b.shape)]
         out = subscripts.split("->")[1]
-        assert plan == jets._plan(space, sub_a, sub_b, out, one_a, one_b), subscripts
+        # the plan is the single point's kernel and swap, and its row bytes
+        kernel, swap = jets._plan(space, sub_a, sub_b, out, one_a, one_b)
+        counts = jets._counts(sub_a, sub_b, out, one_a, one_b)[:3]
+        assert plan == (kernel, swap, jets._row_bytes(space, kernel, *counts)), subscripts
         kernels.add(plan[0])
     assert kernels == {jets._einsum_gather, jets._einsum_matrix, jets._einsum_const}
 
@@ -518,6 +521,92 @@ def test_rows_apart_copies_only_interleaved_rows():
     apart = jets.rows_apart(interleaved)
     assert apart is not interleaved and np.array_equal(apart, block)
     assert apart[..., 1, :].strides == rows[1].strides
+
+
+def _engine_subscripts(monkeypatch):
+    """The subscripts of every jet_einsum call of order-5 suites at dimensions 3-5."""
+    seen = set()
+    jet_einsum = jets.jet_einsum
+
+    def recording(space, subscripts, a, b):
+        seen.add(subscripts)
+        return jet_einsum(space, subscripts, a, b)
+
+    with monkeypatch.context() as m:
+        for module in (tensors, curvature, conformal, levelset):
+            m.setattr(module, "jet_einsum", recording)
+        for name in ("cylinder-s2xr", "s2xr2", "cylinder-s3xr", "s2xr3", "cylinder-s4xr"):
+            verify.run_suite(get_instance(name), n_points=8, seed=7, order=5)
+    return sorted(seen)
+
+
+def test_chunks_give_each_row_the_bits_of_the_block_and_of_its_point(monkeypatch):
+    # a byte budget of two rows' temporaries splits a block of five into
+    # chunks of 2, 2 and 1 rows: each row equals the unchunked block's row
+    # and its point's product alone, bit for bit, the block's rows laid out
+    # as the points' arrays (`stack_rows`) and, at order 0, where jet_einsum
+    # lays them out so itself, also interleaved (a C-ordered copy)
+    subscripts = _engine_subscripts(monkeypatch)
+    assert {"lim,ljk->mkij", "ijkl,->ijkl", "abcd,abcd->", "dm,mabcd->abc"} <= set(subscripts)
+    rng = np.random.default_rng(30)
+    chunks = []
+
+    def recording(kernel):
+        def run(space, sub_a, sub_b, out, a, b):
+            chunks.append(len(a))
+            return kernel(space, sub_a, sub_b, out, a, b)
+        return run
+
+    for dim, order, subs in itertools.product((3, 4, 5), range(4), subscripts):
+        space = jets.JetSpace.get(dim, order)
+        where = (dim, order, subs)
+        points = [[rng.standard_normal((dim,) * len(sub) + (space.n_terms,)) for _ in range(5)]
+                  for sub in subs.split("->")[0].split(",")]
+        stacked = [jets.stack_rows(rows) for rows in points]
+        layouts = [stacked] + ([[np.ascontiguousarray(x) for x in stacked]] if order == 0 else [])
+        for a, b in layouts:
+            with monkeypatch.context() as m:
+                m.setattr(jets, "BLOCK_BYTES", 2 ** 62)
+                whole = jets.jet_einsum(space, subs, a, b)
+                key = (space, subs, a.shape[:-2] + a.shape[-1:], b.shape[:-2] + b.shape[-1:])
+                kernel, swap, row_bytes = jets._EINSUM_PLANS[key]
+                m.setitem(jets._EINSUM_PLANS, key, (recording(kernel), swap, row_bytes))
+                m.setattr(jets, "BLOCK_BYTES", 2 * row_bytes)
+                del chunks[:]
+                chunked = jets.jet_einsum(space, subs, a, b)
+            assert chunks == [2, 2, 1], where
+            assert chunked.shape == whole.shape and np.array_equal(chunked, whole), where
+            for p, (one_a, one_b) in enumerate(zip(*points)):
+                alone = jets.jet_einsum(space, subs, one_a[..., None, :], one_b[..., None, :])
+                assert np.array_equal(alone[..., 0, :], whole[..., p, :]), (where, p)
+
+
+def test_a_chunked_product_keeps_its_temporaries_within_the_byte_budget():
+    # Riemann's gather at dimension 3, order 3 on 20 rows: unchunked its
+    # temporaries would take 20 rows' worth, over seven times BLOCK_BYTES
+    space = jets.JetSpace.get(3, 3)
+    rng = np.random.default_rng(31)
+    first, gamma = (rng.standard_normal((3, 3, 3, 20, space.n_terms)) for _ in range(2))
+    jets.jet_einsum(space, "lim,ljk->mkij", first[..., :1, :], gamma[..., :1, :])  # the plan
+    key = (space, "lim,ljk->mkij", (3, 3, 3, space.n_terms), (3, 3, 3, space.n_terms))
+    assert 20 * jets._EINSUM_PLANS[key][2] > 7 * jets.BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        out = jets.jet_einsum(space, "lim,ljk->mkij", first, gamma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= jets.BLOCK_BYTES + 2 ** 14, peak - out.nbytes
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_repr_of_a_scalar_jet_shows_every_rows_value(rows):
+    inst = get_instance("s2xr2")
+    points = solitons.points_of(solitons.sample_evals(inst, rows, 7, 3))
+    scalar = PointEval(inst, points, 3).pack.scalar
+    shown = scalar.coeffs[:, 0].tolist()
+    assert len(shown) == rows
+    assert repr(scalar) == f"JetScalar(dim=4, order=1, value={shown!r})"
 
 
 def _leaves(value, p=None):

@@ -492,7 +492,8 @@ def test_a_d_error_fails_the_checks_that_read_d(monkeypatch):
 
 def test_suite_evaluates_each_sample_point_once(monkeypatch):
     inst = get_instance("s2xr3")
-    points = [tuple(p) for p in solitons.points_of(verify.sample_evals(inst, 8, 7, 4))]
+    rows = solitons.block_rule(5, 4)[0]
+    points = [tuple(p) for p in solitons.points_of(verify.sample_evals(inst, 2 * rows, 7, 4))]
     calls = collections.Counter()
     blocks = []
     metric_at_points = solitons.metric_at_points
@@ -504,12 +505,12 @@ def test_suite_evaluates_each_sample_point_once(monkeypatch):
         return metric_at_points(metric_fn, block, n, order)
 
     monkeypatch.setattr(solitons, "metric_at_points", counting_block)
-    run_suite(inst, n_points=8, seed=7, order=4)
+    run_suite(inst, n_points=2 * rows, seed=7, order=4)
     for p in points:
         # one order-4 evaluation, a row of one block, serves the admission
         # test, certification and the checks
         assert {o: c for (q, o), c in calls.items() if q == p} == {4: 1}
-    assert blocks == [4, 4]  # solitons.block_rule(5, 4) rows
+    assert blocks == [rows, rows]  # two blocks of solitons.block_rule(5, 4) rows
 
 
 def _count_calls(monkeypatch, fn, key):
@@ -583,15 +584,15 @@ def test_gradients_of_f_and_r_taken_once_per_point(monkeypatch):
     # once each, as a row of one block: grad f in the sampler's blocks, dR in
     # the curvature chain's, and prop3.2's level points in one block each
     inst = get_instance("cylinder-s4xr")
-    assert solitons.block_rule(5, 5)[0] == 4
+    rows = solitons.block_rule(5, 5)[0]
     twin = get_instance("cylinder-s4xr")  # its f_shift and points, taken before counting
-    points = [(p, 5) for p in solitons.points_of(solitons.sample_evals(twin, 8, 7, 5))]
+    points = [(p, 5) for p in solitons.points_of(solitons.sample_evals(twin, 2 * rows, 7, 5))]
     level = levelset.level_points(twin, levelset._f_value(twin, twin.base_point), 12, 7)
     points += [(p, 3) for p in solitons.points_of(level)]
     taken = []  # the scalar jets whose gradient was taken, kept alive
     # a None key counts nothing: the key function keeps each argument instead
     _count_calls(monkeypatch, curvature.scalar_gradient, lambda a, out: taken.append(a[0]))
-    rep = run_suite(inst, n_points=8, seed=7, order=5)
+    rep = run_suite(inst, n_points=2 * rows, seed=7, order=5)
     assert report_entry(rep, "prop3.2")["status"] == "PASS"
 
     for point, order in points:
@@ -601,7 +602,7 @@ def test_gradients_of_f_and_r_taken_once_per_point(monkeypatch):
             assert len(holders) == 1, point
     blocks = [len(s.coeffs) for s in taken if len(s.coeffs) > 1]
     # the suite's f, then its R, then the level points' f and R
-    assert blocks == [4, 4, 4, 4, 12, 12]
+    assert blocks == [rows, rows, rows, rows, 12, 12]
     # and one f for f_shift at the base point, a block of one
     assert len(taken) == len(blocks) + 1
 
@@ -686,7 +687,7 @@ def _entry(report):
 
 
 NAN, INF = math.nan, math.inf
-TABLES = {  # eight rows: gaussian-r5 at order 5 draws two blocks of four
+TABLES = {  # two halves of four rows, one per block of gaussian-r5's order-5 sample
     "tie": [(1e-12, 1.0), (5e-12, 2.0), (1e-11, 2.0), (0.0, 1.0),
             (3e-12, 0.5), (5e-12, 1.0), (-0.0, 1.0), (2e-12, 1.0)],
     "fail": [(1e-12, 1.0), (3e-8, 4.0), (3e-12, 1.0), (2e-8, 2.0),
@@ -700,48 +701,66 @@ TABLES = {  # eight rows: gaussian-r5 at order 5 draws two blocks of four
 }
 
 
-@pytest.mark.parametrize("table", list(TABLES), ids=list(TABLES))
-def test_block_rows_are_judged_as_a_point_by_point_scan(monkeypatch, table):
+def _two_blocks(inst, order):
+    """The rows of a block of inst's order-`order` sample, and the points of
+    a sample of two such blocks."""
+    rows = solitons.block_rule(inst.n, order)[0]
+    evals = solitons.sample_evals(inst, 2 * rows, 7, order)
+    assert [len(ev.points) for ev in evals] == [rows, rows]
+    return rows, solitons.points_of(evals)
+
+
+def _padded(table, rows):
+    """A table's two halves as two blocks of `rows`: each half followed by
+    rows - 4 rows of (1e-12, 1.0), below every table's maximum."""
+    fill = [(1e-12, 1.0)] * (rows - 4)
+    return table[:4] + fill + table[4:] + fill
+
+
+@pytest.mark.parametrize("name", list(TABLES), ids=list(TABLES))
+def test_block_rows_are_judged_as_a_point_by_point_scan(monkeypatch, name):
     # a tie keeps the first maximal row; the first non-finite row ends the
     # scan, so a later block's error is never met; an infinite scale is non-finite
     inst = get_instance("gaussian-r5")
-    assert solitons.block_rule(5, 5)[0] == 4
-    points = solitons.points_of(solitons.sample_evals(inst, 8, 7, 5))
-    fn, calls = _planted(points, TABLES[table])
+    rows, points = _two_blocks(inst, 5)
+    table = _padded(TABLES[name], rows)
+    fn, calls = _planted(points, table)
     monkeypatch.setattr(verify, "CHECKS", [CheckSpec("planted", 2, 1e-9, fn)])
-    got = _entry(run_suite(inst, n_points=8, seed=7, order=5))
-    assert repr(got) == repr(_scan(points, TABLES[table], 1e-9))
-    assert calls.count(True) == (1 if table == "nan-then-error" else 2)
+    got = _entry(run_suite(inst, n_points=2 * rows, seed=7, order=5))
+    assert repr(got) == repr(_scan(points, table, 1e-9))
+    assert calls.count(True) == (1 if name == "nan-then-error" else 2)
     # point by point: each point's evaluation alone, as a block that raised leaves it
     with monkeypatch.context() as m:
         m.setattr(solitons, "evaluate_points",
                   lambda inst, points, order: [solitons.PointEval(inst, [p], order) for p in points])
         del calls[:]
-        assert repr(_entry(run_suite(inst, n_points=8, seed=7, order=5))) == repr(got)
+        assert repr(_entry(run_suite(inst, n_points=2 * rows, seed=7, order=5))) == repr(got)
         assert calls and True not in calls
 
 
 def test_a_check_is_called_once_per_block_and_once_per_point_of_a_block_that_raised(monkeypatch):
     inst = get_instance("gaussian-r5")
-    points = solitons.points_of(solitons.sample_evals(inst, 8, 7, 5))
-    table = [(1e-12 * (k + 1), 1.0) for k in range(8)]
+    rows, points = _two_blocks(inst, 5)
+    table = [(1e-12 * (k + 1), 1.0) for k in range(2 * rows)]
     fn, calls = _planted(points, table)
     monkeypatch.setattr(verify, "CHECKS", [CheckSpec("planted", 2, 1e-9, fn)])
-    assert _entry(run_suite(inst, n_points=8, seed=7, order=5))[:3] == ("PASS", 8e-12, points[7])
+    want = ("PASS", table[-1][0], points[-1])
+    assert _entry(run_suite(inst, n_points=2 * rows, seed=7, order=5))[:3] == want
     assert calls == [True, True]
-    table[5] = RAISES  # the second block raises, its points alone do not
+    table[rows + 1] = RAISES  # the second block raises, its points alone do not
     fn, calls = _planted(points, table, raise_on_blocks=True)
     monkeypatch.setattr(verify, "CHECKS", [CheckSpec("planted", 2, 1e-9, fn)])
-    assert _entry(run_suite(inst, n_points=8, seed=7, order=5))[:3] == ("PASS", 8e-12, points[7])
-    assert calls == [True, True, False, False, False, False]
+    assert _entry(run_suite(inst, n_points=2 * rows, seed=7, order=5))[:3] == want
+    assert calls == [True, True] + [False] * rows
 
 
 def test_readers_call_the_per_point_check_once_per_block(monkeypatch):
     # certification, the thm5.2 status and the prop3.2 report read blocks too
     inst = get_instance("cylinder-s4xr")
-    evals = solitons.sample_evals(inst, 8, 7, 5)
+    rows = solitons.block_rule(5, 5)[0]
+    evals = solitons.sample_evals(inst, 2 * rows, 7, 5)
     solitons.evaluate_in_blocks(evals)
-    assert [len(ev.points) for ev in evals] == [4, 4]
+    assert [len(ev.points) for ev in evals] == [rows, rows]
     counts = collections.Counter()
 
     def counting(name, fn):

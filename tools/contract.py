@@ -15,6 +15,10 @@ processes with ``OPENBLAS_NUM_THREADS=1``, one process per group:
   instances whose specs the tool writes: at dimension 6
   ``solitons.block_rule`` keeps the order-3 and order-4 layers of Riemann's
   size per point;
+* ``points40``: the report JSON, the text and the exit code of ``gradsol
+  verify --order 5 --points 40 --seed 7`` of ``s2xr3`` and ``sphere-s4``,
+  whose samples span several blocks, and ``jet_einsum`` calls several row
+  chunks;
 * ``prop32``: the ``prop32_report`` repr (and its fields) of each level-set
   instance at seeds 11, 61 and 62 with 12 and 16 points, at its base
   point's level;
@@ -44,7 +48,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 VERIFY = {"verify-o5": ["--order", "5"], "verify-o4": ["--order", "4"],
           "verify-o4-ext": ["--order", "4", "--extensions"]}
-GROUPS = (*VERIFY, "dim6", "prop32", "catalog", "tensor")
+GROUPS = (*VERIFY, "dim6", "points40", "prop32", "catalog", "tensor")
+POINTS40 = ("s2xr3", "sphere-s4")
 _S5 = "(2/(1 + (x1*x1 + x2*x2 + x3*x3 + x4*x4 + x5*x5)))^2*8"  # round S^5, radius sqrt(8)
 DIM6 = [
     {"name": "flat-r6", "n": 6, "rho": 0.5, "kind": "shrinking",
@@ -79,9 +84,9 @@ def _cli(argv):
     return {"text": out.getvalue(), "stderr": err.getvalue(), "exit": code}
 
 
-def _verify(argv, report):
+def _verify(argv, report, points=20):
     """Output of one ``gradsol verify`` command that writes `report`, the report included."""
-    out = _cli(["verify", "--points", "20", "--seed", "7", "--report", str(report)] + argv)
+    out = _cli(["verify", "--points", str(points), "--seed", "7", "--report", str(report)] + argv)
     out["report"] = report.read_text(encoding="utf-8") if report.exists() else None
     out["text"] = out["text"].replace(str(report), "REPORT")
     return out
@@ -104,6 +109,10 @@ def emit(group, extensions, work):
                     ["--instance", spec["name"], "--order", "4", "--extensions", str(specs)],
                     Path(work) / f"dim6-{spec['name']}.json")
                 for spec in DIM6}
+    if group == "points40":
+        return {f"points40 {name}": _verify(["--instance", name, "--order", "5"],
+                                            Path(work) / f"points40-{name}.json", points=40)
+                for name in POINTS40}
     if group == "catalog":
         return {f"catalog {name}": _cli(["catalog", "validate", name]) for name in names}
     if group == "tensor":
