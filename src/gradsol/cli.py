@@ -121,7 +121,7 @@ def _cmd_tensor(args):
         print(f"scalar curvature at {point}: {float(ev.pack.scalar.coeffs[0, 0])!r}")
         return 0
     tensor = ev.pack.ricci if args.what == "ricci" else getattr(ev, _TENSOR_ATTR[args.what])
-    values = tensor.stacked_values()[0]
+    values = tensor.values[0]
     # a component that prints as zero prints unsigned, whatever its rounding
     values = np.where(np.round(values, 10) == 0.0, 0.0, values)
     print(f"{args.what} components at {point} (chart basis):")

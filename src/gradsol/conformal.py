@@ -7,8 +7,8 @@ Bach tensor takes div W as an input, so a point evaluation builds it once
 for eq 2.2 and Bach.  Each identity residual reads a block
 :class:`~gradsol.solitons.PointEval` and evaluates the two sides of its
 identity independently, over the block's point axis at once: contractions
-are einsums over the leading point axis of ``TensorJet.stacked_values``, so
-each row has its point's bits.  It returns ``(residual, scale)``: the worst
+are einsums over the leading point axis of ``TensorJet.values``, so each
+row has its point's bits.  It returns ``(residual, scale)``: the worst
 component mismatch and the magnitude of the larger side, one value per row.
 Residuals whose side sizes show that a check was not vacuous add a third
 element, a dict of those named maxima.
@@ -33,7 +33,7 @@ def _require_agreement(a, b, tol, what):
     """
     n = min(a.space.n_terms, b.space.n_terms)
     aa, bb = a.data[..., :n], b.data[..., :n]
-    rows = (row_abs_max(x, a.rank) for x in (aa - bb, aa, bb))
+    rows = (row_abs_max(x).tolist() for x in (aa - bb, aa, bb))
     for diff, scale_a, scale_b in zip(*rows):
         scale = max(scale_a, scale_b)
         # `not <=`, unlike `>`, holds for NaN: a NaN on either path disagrees
@@ -46,7 +46,7 @@ def _require_agreement(a, b, tol, what):
 def _kulkarni_nomizu(space, g, h):
     """(g KN h)_ijkl = g_ik h_jl - g_il h_jk - g_jk h_il + g_jl h_ik, by swapped slots."""
     p = jet_einsum(space, "ik,jl->ijkl", g, h)
-    return p - p.swapaxes(2, 3) - p.swapaxes(0, 1) + p.swapaxes(0, 1).swapaxes(2, 3)
+    return p - p.swapaxes(3, 4) - p.swapaxes(1, 2) + p.swapaxes(1, 2).swapaxes(3, 4)
 
 
 def einstein_tensor(pack, order=None):
@@ -69,7 +69,7 @@ def weyl(pack):
     space, g = pack.riemann.space, pack.metric.g.data
     ric_part = _kulkarni_nomizu(space, g, pack.ricci.data)
     gg = jet_einsum(space, "ik,jl->ijkl", g, g)
-    gg_asym = gg - gg.swapaxes(2, 3)
+    gg_asym = gg - gg.swapaxes(3, 4)
     scal_part = jet_einsum(space, "ijkl,->ijkl", gg_asym, pack.scalar.coeffs)
     w = (
         pack.riemann.data
@@ -98,13 +98,13 @@ def cotton(pack):
     t = jet_einsum(space, "jk,i->ijk", pack.metric.g.data, pack.dscalar.data)
     c = (
         dric.data
-        - dric.data.swapaxes(0, 1)
-        - (t - t.swapaxes(0, 1)) / (2.0 * (n - 1))
+        - dric.data.swapaxes(1, 2)
+        - (t - t.swapaxes(1, 2)) / (2.0 * (n - 1))
     )
     cotton_t = TensorJet(space, "ddd", c)
 
     da = covariant_derivative(pack.schouten, pack)
-    cotton_alt = TensorJet(space, "ddd", da.data - da.data.swapaxes(0, 1))
+    cotton_alt = TensorJet(space, "ddd", da.data - da.data.swapaxes(1, 2))
     _require_agreement(cotton_t, cotton_alt, _CROSS_CHECK_ALGEBRAIC, "cotton")
     return cotton_t
 
@@ -161,7 +161,7 @@ def d_tensor(pack, df, cross_check=False):
     t1 = jet_einsum(space, "jk,i->ijk", a.data, df.data)
     v = jet_einsum(space, "il,l->i", e, gradf_up)
     t2 = jet_einsum(space, "jk,i->ijk", g, v)
-    d = (t1 - t1.swapaxes(0, 1)) / (n - 2) + (t2 - t2.swapaxes(0, 1)) / (
+    d = (t1 - t1.swapaxes(1, 2)) / (n - 2) + (t2 - t2.swapaxes(1, 2)) / (
         (n - 1) * (n - 2)
     )
     d_t = TensorJet(space, "ddd", d)
@@ -174,9 +174,9 @@ def d_tensor(pack, df, cross_check=False):
         u3 = jet_einsum(s2, "jk,i->ijk", g, df.data)
         u3 = jet_einsum(s2, "ijk,->ijk", u3, pack.scalar.coeffs)
         d2 = (
-            (u1 - u1.swapaxes(0, 1)) / (n - 2)
-            + (u2 - u2.swapaxes(0, 1)) / (2.0 * (n - 1) * (n - 2))
-            - (u3 - u3.swapaxes(0, 1)) / ((n - 1) * (n - 2))
+            (u1 - u1.swapaxes(1, 2)) / (n - 2)
+            + (u2 - u2.swapaxes(1, 2)) / (2.0 * (n - 1) * (n - 2))
+            - (u3 - u3.swapaxes(1, 2)) / ((n - 1) * (n - 2))
         )
         _require_agreement(
             d_t, TensorJet(s2, "ddd", d2), _CROSS_CHECK_ALGEBRAIC, "d_tensor"
@@ -198,15 +198,15 @@ def cotton_weyl_divergence_residual(ev):
     n = ev.inst.n
     if n < 4:
         raise UnsupportedDimensionError("the divergence relation needs dimension >= 4")
-    lhs = ev.cotton.stacked_values()
-    rhs = -((n - 2.0) / (n - 3.0)) * ev.div_weyl.stacked_values()
+    lhs = ev.cotton.values
+    rhs = -((n - 2.0) / (n - 3.0)) * ev.div_weyl.values
     return *_compare(ev, lhs, rhs), {"cotton_max": ev.abs_max(lhs)}
 
 
 def d_decomposition_residual(ev):
     """Worst component of D_ijk - C_ijk - W_ijkl grad^l f at each row."""
-    w_term = np.einsum("...ijkl,...l->...ijk", ev.weyl.stacked_values(), ev.gradf_up_values)
-    return _compare(ev, ev.dtensor.stacked_values(), ev.cotton.stacked_values() + w_term)
+    w_term = np.einsum("...ijkl,...l->...ijk", ev.weyl.values, ev.gradf_up_values)
+    return _compare(ev, ev.dtensor.values, ev.cotton.values + w_term)
 
 
 def d_cotton_contraction_residual(ev):
@@ -217,8 +217,8 @@ def d_cotton_contraction_residual(ev):
     even where D itself does not.
     """
     up = ev.gradf_up_values
-    lhs = np.einsum("...ijk,...k->...ij", ev.dtensor.stacked_values(), up)
-    rhs = np.einsum("...ijk,...k->...ij", ev.cotton.stacked_values(), up)
+    lhs = np.einsum("...ijk,...k->...ij", ev.dtensor.values, up)
+    rhs = np.einsum("...ijk,...k->...ij", ev.cotton.values, up)
     resid, scale = _compare(ev, lhs, rhs)
     return resid, row_max(scale, ev.dtensor.max_abs(), ev.cotton.max_abs())
 
@@ -230,9 +230,9 @@ def bach_via_d_residual(ev):
     with the printed index order; the Bach and div D magnitudes are reported.
     """
     n = ev.inst.n
-    div_d = divergence(ev.dtensor.truncated(1), ev.pack, 1).stacked_values()
-    c_term = np.einsum("...jli,...l->...ij", ev.cotton.stacked_values(), ev.gradf_up_values)
-    lhs = ev.bach.stacked_values()
+    div_d = divergence(ev.dtensor.truncated(1), ev.pack, 1).values
+    c_term = np.einsum("...jli,...l->...ij", ev.cotton.values, ev.gradf_up_values)
+    lhs = ev.bach.values
     rhs = -(div_d + ((n - 3.0) / (n - 2.0)) * c_term) / (n - 2.0)
     return *_compare(ev, lhs, rhs), {
         "bach_max": ev.abs_max(lhs),
@@ -253,7 +253,7 @@ def div_bach_residual(ev):
     # only the values of R^{jk} are read
     ric_up = raise_lower(raise_lower(ev.pack.ricci.truncated(0), 0, metric), 1, metric)
     rhs = ((n - 4.0) / (n - 2.0) ** 2) * np.einsum(
-        "...ijk,...jk->...i", ev.cotton.stacked_values(), ric_up.stacked_values()
+        "...ijk,...jk->...i", ev.cotton.values, ric_up.values
     )
     resid, scale = _compare(ev, lhs, rhs)
     bach_max = ev.bach.max_abs()

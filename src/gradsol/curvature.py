@@ -84,8 +84,8 @@ class CurvaturePack:
 
 def _connection(metric):
     """Γ_{l,ij} ([l, i, j]) one order below g; Γ^k_ij = g^{kl}Γ_{l,ij} at g^{-1}'s order."""
-    dg = gradient_arrays(metric.space, metric.g.data)  # dg[i, j, l] = d_i g_jl
-    first = 0.5 * (dg.transpose(2, 0, 1, *range(3, dg.ndim)) + dg.swapaxes(0, 2) - dg)
+    dg = gradient_arrays(metric.space, metric.g.data)  # dg[:, i, j, l] = d_i g_jl
+    first = 0.5 * (dg.transpose(0, 3, 1, 2, 4) + dg.swapaxes(1, 3) - dg)
     space = metric.g_inv.space
     gamma = jet_einsum(space, "kl,lij->kij", metric.g_inv.data, first)
     return first, TensorJet(space, "udd", gamma)
@@ -97,9 +97,9 @@ def curvature_pack(metric):
     r2, ginv = gamma.space, metric.g_inv.data
     # R_mkij = d_i Γ_{m,jk} - d_j Γ_{m,ik} - Γ_{l,im} Γ^l_jk + Γ_{l,jm} Γ^l_ik
     t1 = gradient_arrays(metric.space.lower(), first)
-    t1 = t1.transpose(1, 3, 0, 2, *range(4, t1.ndim))
+    t1 = t1.transpose(0, 2, 4, 1, 3, 5)
     q = jet_einsum(r2, "lim,ljk->mkij", first, gamma.data)
-    riem = t1 - t1.swapaxes(2, 3) - q + q.swapaxes(2, 3)
+    riem = t1 - t1.swapaxes(3, 4) - q + q.swapaxes(3, 4)
     ricci = jet_einsum(r2, "mi,mkij->kj", ginv, riem)
     scal = jet_einsum(r2, "ij,ij->", ginv, ricci)
 
@@ -163,7 +163,7 @@ def divergence(t, pack, slot):
             tsub = letters[:r] + "s" + letters[r + 1 :]
             out = out - jet_einsum(out_space, f"{c}s{i},{tsub}->{rest}", k, t.data)
     tsub = letters[:slot] + "s" + letters[slot + 1 :]
-    trace = np.trace(k, axis1=0, axis2=2)  # γ^s
+    trace = np.trace(k, axis1=1, axis2=3)  # γ^s
     out = out - jet_einsum(out_space, f"s,{tsub}->{rest}", trace, t.data)
     return TensorJet(out_space, "d" * len(rest), out)
 

@@ -40,29 +40,27 @@ output order.  A repeated call therefore parses no subscripts and makes no ``np.
 ``einsum_path`` call, and returns the same bits as numpy's two-operand
 einsum, which lays the contraction out the same way.
 
-Points are evaluated in blocks on a *point axis*, which sits just before
-the jet axis: tensor data is ``(dim,)*rank + (P, n_terms)``, one point being
-a block of one row, and ``jet_einsum`` takes no operand without that axis.
-Each row is computed with the bits its own point's evaluation gives.
-``jet_einsum`` plans by one point's shapes, so every block size runs one
-point's kernel and adds no plan, and its compiled plans lead every
-transpose, reshape and matmul with the point axis, a separate batch axis.
-numpy's matmul picks a BLAS call or its own loop from the strides of each
-matrix of a stack, and its bits follow that choice.  An order-0 product
-contracts the component axes themselves, so ``jet_einsum`` reads each
-operand of one with its rows one after another, each laid out as its
-point's own array (`rows_apart`, a copy where they lie interleaved);
-`stack_rows` stacks points' arrays that way.  A scalar jet (`JetScalar`)
-takes either shape, ``(n_terms,)`` or ``(P, n_terms)``.
+Points are evaluated in blocks on a *point axis*, the first axis of every
+jet array: tensor data is ``(P,) + (dim,)*rank + (n_terms,)`` and a scalar
+jet's ``(P, n_terms)``, one point being a block of one row, and
+``jet_einsum`` takes no operand without that axis.  Each row is computed
+with the bits its own point's evaluation gives, and the layout keeps that
+so: the point axis is the outermost in memory, so each row lies apart from
+the others, with the strides of its point's own array.  ``jet_einsum``
+plans by one point's shapes, so every block size runs one point's kernel
+and adds no plan, and its compiled plans lead every transpose, reshape and
+matmul with the point axis, a separate batch axis.  numpy's matmul picks a
+BLAS call or its own loop from the strides of each matrix of a stack, and
+its bits follow that choice, which a row therefore makes as its point
+does.  ``jet_einsum`` returns its product C-ordered, so a later product
+reads the same strides whatever the block size.
 
 Rows are independent batch entries of every step, so ``jet_einsum`` runs its
 kernel on chunks of rows: as many as keep the kernel's temporaries within
 BLOCK_BYTES (one row at least), estimated once per plan from one row's
 gathered or scattered operands and product (`_row_bytes`).  A block of any
 size therefore forms no larger temporaries than a chunk, and each chunk's
-rows get the bits of the whole block and of their points alone.  At order
-0 the copy that lays interleaved operands out row by row is made before the
-chunks, at the size of the operands.
+rows get the bits of the whole block and of their points alone.
 
 A tensor times a scalar jet is ``jet_einsum`` with an empty subscript for
 the scalar (``'ijkl,->ijkl'``), so the same choice picks its kernel.
@@ -200,59 +198,12 @@ def mul_arrays(space, a, b):
 
 
 def gradient_arrays(space, data):
-    """All partials on a new leading axis of length dim; drops one order."""
+    """All partials on a new axis of length dim just after the point axis; drops one order."""
     if space.order == 0:
         raise InsufficientOrderError("no derivative information left at order 0")
-    parts = np.moveaxis(data[..., space.grad_src], -2, 0)
-    fac = space.grad_fac.reshape((space.dim,) + (1,) * (data.ndim - 1) + (-1,))
+    parts = np.moveaxis(data[..., space.grad_src], -2, 1)
+    fac = space.grad_fac.reshape((space.dim,) + (1,) * (data.ndim - 2) + (-1,))
     return np.multiply(parts, fac, order="C")
-
-
-def point_first(data):
-    """View of data with its point axis, the one just before the jet axis, moved to the front."""
-    k = data.ndim - 2
-    return data.transpose((k,) + tuple(range(k)) + (k + 1,))
-
-
-def point_back(data):
-    """The inverse of `point_first`: the leading point axis moved back before the jet axis."""
-    k = data.ndim - 2
-    return data.transpose(tuple(range(1, k + 1)) + (0, k + 1))
-
-
-def point_rows(data):
-    """A copy of data with a point axis that holds each row where a point's
-    own C-ordered array would: the rows one after another."""
-    return point_back(np.ascontiguousarray(point_first(data)))
-
-
-def rows_like(row, n):
-    """Uninitialised data with a point axis of n rows, each laid out as `row`,
-    its axes in the same memory order, and the rows held one after another."""
-    outer = sorted(range(row.ndim), key=lambda k: -row.strides[k])  # outermost axis first
-    block = np.empty((n,) + tuple(row.shape[k] for k in outer))
-    return point_back(block.transpose((0,) + tuple(1 + outer.index(k) for k in range(row.ndim))))
-
-
-def stack_rows(arrays):
-    """Data with a point axis whose row p is arrays[p], laid out by `rows_like`."""
-    block = rows_like(arrays[0], len(arrays))
-    for p, data in enumerate(arrays):
-        block[..., p, :] = data
-    return block
-
-
-def rows_apart(data):
-    """Data with a point axis whose rows lie one after another, each laid out
-    as that row's axes lie in data: data itself if they do, else a copy."""
-    if data.shape[-2] == 1:  # one row lies as its point's array does
-        return data
-    rows = point_first(data)
-    row = rows[0]
-    span = row.itemsize + sum((n - 1) * s for n, s in zip(row.shape, row.strides))
-    if rows.strides[0] == span == row.nbytes:  # dense rows, in order
-        return data
-    return stack_rows(list(rows))
 
 
 def truncate_arrays(space, data, order):
@@ -368,7 +319,7 @@ def _einsum_const(space, sub_a, sub_b, out, a, b):
 def _counts(sub_a, sub_b, out, a, b):
     """Components of each operand, of the output and of the full index space:
     (na, nb, nout, nfull), read from the operands' component axes."""
-    shape_a, shape_b = a.shape[:len(sub_a)], b.shape[:len(sub_b)]
+    shape_a, shape_b = a.shape[1:-1], b.shape[1:-1]
     sizes = dict(zip(sub_a + sub_b, shape_a + shape_b))
     return (math.prod(shape_a), math.prod(shape_b), math.prod(sizes[c] for c in out),
             math.prod(sizes.values()))
@@ -377,7 +328,7 @@ def _counts(sub_a, sub_b, out, a, b):
 def _plan(space, sub_a, sub_b, out, a, b):
     """Pick the strategy with the lower cost estimate (module docstring).
 
-    Reads the operands' component shapes, before their point axis, so each
+    Reads the operands' component shapes, after their point axis, so each
     point of a block gets its own point's choice.  Returns (kernel,
     swap); `swap` puts the operand with fewer components first, where the
     matrix path scatters it; order 0 keeps that operand order.
@@ -405,15 +356,15 @@ def jet_einsum(space, subscripts, a, b):
     """einsum over component axes with jet-valued entries, row by row.
 
     `subscripts` addresses component axes only (e.g. ``'kl,lij->kij'``);
-    each operand carries a point axis and the jet axis after them, and the
-    output too.  Each operand may carry a higher order than `space`: its
-    first ``space.n_terms`` coefficients, the prefix that is its truncation
-    to `space`, are read.  An operand with fewer coefficients raises
-    InsufficientOrderError, one without a point axis TensorShapeError.  The
-    kernel is the one a single point's shapes choose, and the point axis is
-    a batch axis of its contraction.  It runs on chunks of rows (module
-    docstring), each written into the output's rows, laid out as the
-    chunk's (`rows_like`).
+    each operand carries a point axis before them and the jet axis after
+    them, and so does the C-ordered output.  Each operand may carry a higher
+    order than `space`: its first ``space.n_terms`` coefficients, the prefix
+    that is its truncation to `space`, are read.  An operand with fewer
+    coefficients raises InsufficientOrderError, one without a point axis
+    TensorShapeError.  The kernel is the one a single point's shapes choose,
+    and the point axis is a batch axis of its contraction.  It runs on
+    chunks of rows (module docstring), each written into its rows of the
+    output.
     """
     n = space.n_terms
     ins, out = subscripts.split("->")
@@ -425,11 +376,8 @@ def jet_einsum(space, subscripts, a, b):
         raise InsufficientOrderError(
             f"operands carry {a.shape[-1]} and {b.shape[-1]} coefficients; {space} reads {n}"
         )
-    if space.order == 0:  # the product reads the rows' own strides
-        a, b = rows_apart(a), rows_apart(b)
     a, b = a[..., :n], b[..., :n]
-    # planned by one point's shapes
-    key = (space, subscripts, a.shape[:-2] + a.shape[-1:], b.shape[:-2] + b.shape[-1:])
+    key = (space, subscripts, a.shape[1:], b.shape[1:])  # planned by one point's shapes
     plan = _EINSUM_PLANS.get(key)
     if plan is None:
         kernel, swap = _plan(space, sub_a, sub_b, out, a, b)
@@ -438,19 +386,17 @@ def jet_einsum(space, subscripts, a, b):
     kernel, swap, row_bytes = plan
     if swap:
         a, b, sub_a, sub_b = b, a, sub_b, sub_a
-    # the kernels run with the point axis first, where it leads every step
-    a, b = point_first(a), point_first(b)
     rows, step = len(a), max(1, BLOCK_BYTES // row_bytes)
     if rows <= step:
-        return point_back(kernel(space, sub_a, sub_b, out, a, b))
+        return np.ascontiguousarray(kernel(space, sub_a, sub_b, out, a, b))
     result = None
     for r in range(0, rows, step):
         made = kernel(space, sub_a, sub_b, out, a[r:r + step], b[r:r + step])
         if result is None:
-            result = point_first(rows_like(made[0], rows))
+            result = np.empty((rows,) + made.shape[1:])
         result[r:r + step] = made
         del made  # before the next chunk's temporaries
-    return point_back(result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +409,7 @@ class JetScalar:
     arithmetic with plain numbers lifts them to constant jets.  `coeffs` has
     shape (n_terms,), or (P, n_terms) with a point axis: one polynomial per
     row, each row computed as its own point's would be (`value` and
-    `partial` read one point).
+    `partial` read each row's).
     """
 
     __slots__ = ("space", "coeffs")
@@ -487,7 +433,8 @@ class JetScalar:
 
     @property
     def value(self):
-        return float(self.coeffs[0])
+        """The constant term: a float, or with a point axis an array of one per row."""
+        return _per_row(self.coeffs[..., 0])
 
     def partial(self, alpha):
         """d^alpha at the base point, i.e. alpha! times the stored coefficient."""
@@ -499,7 +446,7 @@ class JetScalar:
                 f"|alpha|={sum(alpha)} exceeds carried order {self.order}"
             )
         r = self.space.rank_of(alpha)
-        return float(self.coeffs[r] * self.space.factorial[r])
+        return _per_row(self.coeffs[..., r] * self.space.factorial[r])
 
     def truncated(self, order):
         lower, data = truncate_arrays(self.space, self.coeffs, order)
@@ -572,9 +519,13 @@ class JetScalar:
         return NotImplemented
 
     def __repr__(self):  # with a point axis, the list of each row's value
-        values = self.coeffs[..., 0]
-        shown = float(values) if values.ndim == 0 else values.tolist()
+        shown = self.coeffs[..., 0].tolist()
         return f"JetScalar(dim={self.dim}, order={self.order}, value={shown!r})"
+
+
+def _per_row(x):
+    """A float from a 0-d array, else the array: one value per row of a point axis."""
+    return float(x) if x.ndim == 0 else x
 
 
 def constant(space, value):

@@ -10,10 +10,10 @@ Every function here reads a block :class:`~gradsol.solitons.PointEval`,
 which caches the frame, the Hessian of f and the level-surface data, and
 runs its one recipe over the block's point axis at once, the leading
 batch axis of every stacked matmul and of ``eigvalsh``, on operands
-whose rows lie as their points' own values do
-(``TensorJet.stacked_values``), so each row has its point's bits.  Results
-lead with the point axis.  The residuals of the suite's level-set checks
-return ``(residual, scale)``, one value per row;
+whose rows lie as their points' own values do (``TensorJet.values``), so
+each row has its point's bits.  Results lead with the point axis.  The
+residuals of the suite's level-set checks return ``(residual, scale)``, one
+value per row;
 :func:`prop31_residual` and :func:`frame_cotton_components` add a third
 element, a dict of the quantities behind the residual.  They need a regular
 point of a non-constant potential: the suite's ``CheckSpec.level_sets``
@@ -117,7 +117,7 @@ def adapted_frame(ev):
     direction spanned in some rows only) completes each row on its own, as
     a block of one, as its point does.
     """
-    g0 = ev.metric.g.stacked_values()
+    g0 = ev.metric.g.values
     grad = ev.gradf_up_values
     norm = np.sqrt(np.maximum(_quad(grad, g0, grad), 0.0))
     low = np.flatnonzero(norm < GRAD_THRESHOLD)
@@ -155,8 +155,8 @@ def _completed(g0, grad, norm):
 def in_frame(frame, values):
     """Components of a covariant tensor's values in the adapted frame.
 
-    The values (`TensorJet.stacked_values`) and the result lead with the
-    point axis, as the frame does.
+    The values (`TensorJet.values`) and the result lead with the point
+    axis, as the frame does.
     """
     out = values
     for _ in range(values.ndim - 1):
@@ -179,9 +179,9 @@ def second_fundamental_form(ev):
     t = frame.tangent
     t_up = np.swapaxes(t, -1, -2)
     norm = frame.grad_f_norm[..., None, None]
-    h = t @ ev.hess_f.stacked_values() @ t_up / norm
+    h = t @ ev.hess_f.values @ t_up / norm
     if ev.inst.kind is not None:
-        ric_f = t @ ev.pack.ricci.stacked_values() @ t_up
+        ric_f = t @ ev.pack.ricci.values @ t_up
         alt = (ev.inst.rho * np.eye(t.shape[-2]) - ric_f) / norm
         scale = np.maximum(np.maximum(1.0, ev.abs_max(h)), ev.abs_max(alt))
         # `not <=`, unlike `>`, holds for NaN: a NaN on either form disagrees
@@ -192,7 +192,7 @@ def second_fundamental_form(ev):
     return LevelSurfaceData(
         h=h,
         H=np.trace(h, axis1=-2, axis2=-1),
-        tangential_dR=(t @ ev.pack.dscalar.stacked_values()[..., None])[..., 0],
+        tangential_dR=(t @ ev.pack.dscalar.values[..., None])[..., 0],
     )
 
 
@@ -204,7 +204,7 @@ def prop32_terms(ev):
     frame, lsd = ev.frame, ev.level_surface
     r = ev.pack.scalar.coeffs[..., 0]
     v = frame.vectors
-    ric_f = v @ ev.pack.ricci.stacked_values() @ np.swapaxes(v, -1, -2)
+    ric_f = v @ ev.pack.ricci.values @ np.swapaxes(v, -1, -2)
     h_mean, norm = lsd.H, frame.grad_f_norm
     umbilic = lsd.h - (h_mean / (n - 1))[..., None, None] * np.eye(n - 1)
     lam = r - (n - 1) * rho + h_mean * norm
@@ -243,15 +243,14 @@ def prop31_residual(ev):
 
 
 def _normal_form_derivative(ev, phi):
-    """Values of the covariant derivative of the one-form df * phi(|grad f|^2),
-    leading with the point axis.
+    """Values of the covariant derivative of the one-form df * phi(|grad f|^2).
 
     `phi` maps the jet of |grad f|^2 to a scalar jet.
     """
     df = ev.df.truncated(1)  # the derivative's values need the form to order 1
     form = TensorJet(df.space, "d",
                      jet_einsum(df.space, "i,->i", df.data, phi(ev.grad_sq_jet).coeffs))
-    return covariant_derivative(form, ev.pack).stacked_values()
+    return covariant_derivative(form, ev.pack).values
 
 
 def grad_sq_jet(ev):
@@ -290,7 +289,7 @@ def normal_geodesic_residual(ev):
 
 def frame_riemann_e1_tangential(ev):
     """max |Rm(e_1, e_a, e_b, e_c)| over tangential a, b, c."""
-    rm = in_frame(ev.frame, ev.pack.riemann.stacked_values())
+    rm = in_frame(ev.frame, ev.pack.riemann.values)
     return ev.abs_max(rm[..., 0, 1:, 1:, 1:]), ev.pack.riemann.max_abs()
 
 
@@ -302,7 +301,7 @@ def frame_cotton_components(ev):
     whose soliton 3-tensor vanishes the five families vanish and their
     maximum is the residual; elsewhere the record shows which survive.
     """
-    c = in_frame(ev.frame, ev.cotton.stacked_values())
+    c = in_frame(ev.frame, ev.cotton.values)
     w = ev.frame_weyl
     rec = {
         "c_ij1": ev.abs_max(c[..., :, :, 0]),

@@ -37,9 +37,9 @@ from .curvature import (CurvaturePack, covariant_derivative, curvature_pack, div
                         scalar_gradient)
 from .errors import ConfigurationError, DomainError, GradsolError, ValidationError
 from .exprs import compile_expression
-from .jets import (BLOCK_BYTES, JetScalar, JetSpace, constant, coordinate_jets, point_rows,
-                   rows_like)
-from .tensors import MetricAtPoint, TensorJet, metric_at_points, row_dot, row_max, tensor_norm_sq
+from .jets import BLOCK_BYTES, JetScalar, JetSpace, constant, coordinate_jets
+from .tensors import (MetricAtPoint, TensorJet, metric_at_points, row_abs_max, row_dot, row_max,
+                      tensor_norm_sq)
 
 KINDS = ("shrinking", "steady", "expanding", "einstein")
 SOLITON_TOL = 1e-9
@@ -121,8 +121,8 @@ class SolitonInstance:
         metric = self.metric_at(base, 2)
         pack = curvature_pack(metric)
         f = self.potential_jet(base, metric.space, normalized=False)
-        df = scalar_gradient(f).stacked_values()[0]
-        grad_sq = float(df @ metric.g_inv.stacked_values()[0] @ df)
+        df = scalar_gradient(f).values[0]
+        grad_sq = float(df @ metric.g_inv.values[0] @ df)
         return float(pack.scalar.coeffs[0, 0]) + grad_sq - float(f.coeffs[0, 0])
 
     def __repr__(self):
@@ -153,9 +153,7 @@ class PointEval:
         self.points = np.asarray(points, dtype=float).tolist()
         self.order = order
 
-    def abs_max(self, x):
-        """max |x| of each row: over every axis but the leading point axis."""
-        return np.abs(x).max(axis=tuple(range(1, np.ndim(x))))
+    abs_max = staticmethod(row_abs_max)
 
     @cached_property
     def metric(self):
@@ -180,8 +178,8 @@ class PointEval:
 
     @cached_property
     def gradf_up_values(self):
-        """grad f = g^-1 df at values, one stacked matmul, leading with the point axis."""
-        return (self.metric.g_inv.stacked_values() @ self.df.stacked_values()[..., None])[..., 0]
+        """grad f = g^-1 df at values, one stacked matmul."""
+        return (self.metric.g_inv.values @ self.df.values[..., None])[..., 0]
 
     @cached_property
     def grad_sq_jet(self):
@@ -231,9 +229,8 @@ class PointEval:
 
     @cached_property
     def div_bach(self):
-        """Values of div B, leading with the point axis; raises
-        InsufficientOrderError below order 5."""
-        return divergence(self.bach, self.pack, 1).stacked_values()
+        """Values of div B; raises InsufficientOrderError below order 5."""
+        return divergence(self.bach, self.pack, 1).values
 
     @cached_property
     def frame(self):
@@ -245,8 +242,8 @@ class PointEval:
 
     @cached_property
     def frame_weyl(self):
-        """W in the adapted frame, slot by slot, leading with the point axis."""
-        return levelset.in_frame(self.frame, self.weyl.stacked_values())
+        """W in the adapted frame, slot by slot."""
+        return levelset.in_frame(self.frame, self.weyl.values)
 
     @cached_property
     def prop32_terms(self):
@@ -258,23 +255,23 @@ class PointEval:
 
 def soliton_eq_residual(ev):
     """Ric + Hess f - rho g at each row of a block."""
-    hess = ev.hess_f.stacked_values()
-    g = ev.metric.g.stacked_values()
-    ric = ev.pack.ricci.stacked_values()
+    hess = ev.hess_f.values
+    g = ev.metric.g.values
+    ric = ev.pack.ricci.values
     resid = ev.abs_max(ric + hess - ev.inst.rho * g)
     return resid, row_max(ev.abs_max(ric), ev.abs_max(hess), abs(ev.inst.rho) * ev.abs_max(g))
 
 
 def hamilton_first_residual(ev):
     """dR - 2 Ric(grad f) at each row of a block (needs order 3)."""
-    d_scal = ev.pack.dscalar.stacked_values()
-    rhs = (2.0 * ev.pack.ricci.stacked_values() @ ev.gradf_up_values[..., None])[..., 0]
+    d_scal = ev.pack.dscalar.values
+    rhs = (2.0 * ev.pack.ricci.values @ ev.gradf_up_values[..., None])[..., 0]
     return ev.abs_max(d_scal - rhs), row_max(ev.abs_max(d_scal), ev.abs_max(rhs))
 
 
 def _grad_sq(ev):
     """|grad f|^2 = df . grad f at values, of each row."""
-    return row_dot(ev.df.stacked_values(), ev.gradf_up_values)
+    return row_dot(ev.df.values, ev.gradf_up_values)
 
 
 def hamilton_second_residual(ev):
@@ -384,12 +381,11 @@ def admit_points(inst, points, order):
 
 
 def _block_of_rows(block, rows):
-    """The block of the `rows` of `block`, with their metric, g^-1, f and grad f,
-    each row laid out as its point's own."""
+    """The block of the `rows` of `block`, with their metric, g^-1, f and grad f."""
     out = PointEval(block.inst, [block.points[p] for p in rows], block.order)
 
     def take(t):
-        return TensorJet(t.space, t.valence, point_rows(t.data[..., rows, :]))
+        return TensorJet(t.space, t.valence, t.data[rows])
 
     metric = block.metric
     out.metric = MetricAtPoint(metric.space, out.points, take(metric.g), take(metric.g_inv))
@@ -417,11 +413,10 @@ def evaluate_curvature(ev):
     Each point in turn evaluates its layers as a block of one over its row
     of the block's metric (a view, laid out as the point's own metric): the
     pack and, from order 4, where the suite reads B, W and div W.  Its rows
-    are written into the block's arrays, allocated at the first point and
-    laid out as `stack_rows` lays rows out (`rows_like`), and the point's
-    evaluation is dropped before the next point's, so one point's layers are
-    alive at a time.  A cross-check raises the error of the first point that
-    fails it.
+    are written into the block's arrays, allocated at the first point, and
+    the point's evaluation is dropped before the next point's, so one
+    point's layers are alive at a time.  A cross-check raises the error of
+    the first point that fails it.
     """
     if len(ev.points) == 1 or block_rule(ev.inst.n, ev.order)[1]:
         return
@@ -431,17 +426,17 @@ def evaluate_curvature(ev):
     for p, point in enumerate(ev.points):
         one = PointEval(ev.inst, [point], ev.order)
         one.metric = MetricAtPoint(g.space, one.points, *(
-            TensorJet(t.space, t.valence, t.data[..., p:p + 1, :]) for t in (g, g_inv)))
+            TensorJet(t.space, t.valence, t.data[p:p + 1]) for t in (g, g_inv)))
         pack = one.pack
         tensors = [pack.gamma, pack.riemann, pack.ricci]
         if ev.order >= 4:
             tensors += [one.weyl, one.div_weyl]
         arrays = [t.data for t in tensors] + [pack.scalar.coeffs]
         if blocks is None:
-            blocks = [rows_like(x[..., 0, :], rows) for x in arrays]
+            blocks = [np.empty((rows,) + x.shape[1:]) for x in arrays]
             kinds = [(t.space, t.valence) for t in tensors]
         for block, x in zip(blocks, arrays):
-            block[..., p, :] = x[..., 0, :]
+            block[p] = x[0]
         del one, pack, tensors, arrays
     *data, scalar = blocks
     gamma, riemann, ricci, *weyl = [TensorJet(space, valence, block)

@@ -7,17 +7,17 @@ A :class:`MetricAtPoint` carries g^{-1} two orders below g, the
 order of the curvature and the most any reader takes; ``jet_einsum`` reads
 g and g^{-1} at the order of each product, so readers pass them whole.
 
-Every tensor carries a point axis, just before the jet axis: data of shape
-(dim,)*rank + (P, n_terms) holds one tensor per row of a block of points,
-one point being a block of one row, each row computed with the bits its
-own point gives.  :func:`metric_at_points` evaluates a metric on a block
-(:func:`metric_at_point` on the block of one point); the positivity and
-g * g_inv checks are judged row by row, and a failing block raises the
-error of its first failing row.  Readers take a block's rows
-where they lie: `TensorJet.stacked_values` puts the point axis first, each
-row laid out as its point's own values, so one stacked matmul or einsum
-over it gives each row its point's bits, and `row_max` and `row_dot` are the
-per-point float operations taken row by row.
+Every tensor carries a point axis, its first and outermost axis: data of
+shape (P,) + (dim,)*rank + (n_terms,) holds one tensor per row of a block
+of points, one point being a block of one row, each row computed with the
+bits its own point gives.  :func:`metric_at_points` evaluates a metric on a
+block (:func:`metric_at_point` on the block of one point); the positivity
+and g * g_inv checks are judged row by row, and a failing block raises the
+error of its first failing row.  Readers take a block's rows where they
+lie: each row of `TensorJet.values` lies as its point's own values do, so
+one stacked matmul or einsum over them gives each row its point's bits,
+and `row_abs_max`, `row_max` and `row_dot` are the per-point float
+operations taken row by row.
 """
 
 import string
@@ -31,17 +31,7 @@ from .errors import (
     InsufficientOrderError,
     TensorShapeError,
 )
-from .jets import (
-    JetScalar,
-    JetSpace,
-    coordinate_jets,
-    jet_einsum,
-    point_back,
-    point_first,
-    point_rows,
-    rows_apart,
-    truncate_arrays,
-)
+from .jets import JetScalar, JetSpace, coordinate_jets, jet_einsum, truncate_arrays
 
 _LETTERS = string.ascii_lowercase
 
@@ -50,7 +40,7 @@ class TensorJet:
     """Dense tensor with jet-valued components.
 
     `valence` is a string over {'d', 'u'} marking each slot covariant or
-    contravariant.  `data` has shape (dim,)*rank + (P, n_terms): one
+    contravariant.  `data` has shape (P,) + (dim,)*rank + (n_terms,): one
     tensor per row of the point axis.
     """
 
@@ -62,8 +52,8 @@ class TensorJet:
         if valence.strip("du"):
             raise TensorShapeError(f"valence must use 'd'/'u', got {valence!r}")
         expected = (space.dim,) * rank + (space.n_terms,)
-        if data.ndim != rank + 2 or data.shape[:rank] + data.shape[-1:] != expected:
-            raise TensorShapeError(f"expected shape {expected[:-1]} + (P, {space.n_terms}) "
+        if data.ndim != rank + 2 or data.shape[1:] != expected:
+            raise TensorShapeError(f"expected shape (P,) + {expected} "
                                    f"with a point axis of P rows, got {data.shape}")
         self.space = space
         self.valence = valence
@@ -83,24 +73,17 @@ class TensorJet:
 
     @property
     def values(self):
-        """Constant terms: the component values at each row's point, the point axis last."""
+        """Constant terms: the component values at each row's point, the point
+        axis first; an operand of a stacked matmul or einsum."""
         return self.data[..., 0]
-
-    def stacked_values(self):
-        """`values` with the point axis first, each row laid out as its point's
-        own values (`rows_apart`): an operand of a stacked matmul."""
-        return point_first(rows_apart(self.data))[..., 0]
 
     def truncated(self, order):
         lower, data = truncate_arrays(self.space, self.data, order)
-        return TensorJet(lower, self.valence, point_rows(data))
+        return TensorJet(lower, self.valence, data.copy())
 
     def max_abs(self, all_coeffs=False):
         """max |value| (of every coefficient with `all_coeffs`) of each row."""
-        axes = tuple(range(self.rank))
-        if all_coeffs:
-            return np.abs(self.data).max(axis=axes + (-1,))
-        return np.abs(self.values).max(axis=axes)
+        return row_abs_max(self.data if all_coeffs else self.values)
 
     def __repr__(self):
         return (
@@ -172,20 +155,17 @@ def _invert_metric_jets(space, gdata):
     (G X)_d = 0 for d >= 1 gives X_d = -G_0^{-1} (G_+ X)_d, G_+ being G
     without its constant term; while X's degree-d block is still zero,
     (G X)_d is (G_+ X)_d, so each degree costs one product at its order.
-    Each row's G_0 and products are moved to the front: one stacked inverse
-    and one stacked matmul per degree.
+    The point axis leads: one stacked inverse of the rows' G_0 and one
+    stacked matmul per degree.
     """
-    n = space.dim
-    x = point_rows(np.zeros(gdata.shape[:-1] + (space.n_terms,)))
-    x0 = np.linalg.inv(gdata[..., 0].transpose(2, 0, 1))
-    x[..., 0] = x0.transpose(1, 2, 0)
+    x = np.zeros(gdata.shape[:-1] + (space.n_terms,))
+    x0 = x[..., 0] = np.linalg.inv(gdata[..., 0])
     for d in range(1, space.order + 1):
-        step = JetSpace.get(n, d)
-        r = jet_einsum(step, "ij,jk->ik", gdata, x)
+        step = JetSpace.get(space.dim, d)
         lo = step.block_starts[d]
-        r = point_first(r[..., lo:])  # (j, k, terms) per row
+        r = jet_einsum(step, "ij,jk->ik", gdata, x)[..., lo:]  # (j, k, terms) per row
         xd = np.matmul(x0, r.reshape(r.shape[:-2] + (-1,))).reshape(r.shape)
-        x[..., lo : step.n_terms] = -point_back(xd)
+        x[..., lo : step.n_terms] = -xd
     return x
 
 
@@ -209,29 +189,28 @@ def metric_at_points(metric_fn, points, dim, order):
     space = JetSpace.get(dim, order)
     xs = coordinate_jets(space, points)
     rows = metric_fn(xs)
-    gdata = point_rows(np.zeros((dim, dim) + xs[0].coeffs.shape))
+    gdata = np.zeros((len(points), dim, dim, space.n_terms))
     for i in range(dim):
         for j in range(i, dim):
             entry = rows[i][j]
             if isinstance(entry, JetScalar):
                 if entry.space is not space:
                     raise ConfigurationError("metric components must share the chart space")
-                gdata[i, j] = entry.coeffs
+                gdata[:, i, j] = entry.coeffs
             else:
-                gdata[i, j, ..., 0] = float(entry)
-            gdata[j, i] = gdata[i, j]
+                gdata[:, i, j, 0] = float(entry)
+            gdata[:, j, i] = gdata[:, i, j]
 
-    g0 = gdata[..., 0].transpose(2, 0, 1)  # one matrix per row
-    for p, low in enumerate(np.linalg.eigvalsh(g0).min(axis=-1)):
+    for p, low in enumerate(np.linalg.eigvalsh(gdata[..., 0]).min(axis=-1)):
         if low <= 0.0:
             raise DomainError(f"metric is not positive definite at {list(points[p])}")
 
     inv_space, g_low = truncate_arrays(space, gdata, max(order - 2, 0))
     inv = _invert_metric_jets(inv_space, g_low)
     resid = jet_einsum(inv_space, "ij,jk->ik", g_low, inv)
-    resid[np.arange(dim), np.arange(dim), ..., 0] -= 1.0
+    resid[:, np.arange(dim), np.arange(dim), 0] -= 1.0
     # `not <=`, unlike `>`, holds for NaN: a non-finite inverse fails the check
-    for r0, r in zip(row_abs_max(resid[..., :1], 2), row_abs_max(resid, 2)):
+    for r0, r in zip(row_abs_max(resid[..., :1]).tolist(), row_abs_max(resid).tolist()):
         if not (r0 <= 1e-12 and r <= 1e-10):
             raise ConsistencyError("metric inverse failed the g*g_inv = id check")
 
@@ -240,10 +219,9 @@ def metric_at_points(metric_fn, points, dim, order):
     return MetricAtPoint(space, points, g, g_inv)
 
 
-def row_abs_max(data, rank):
-    """max |data| of rank-`rank` tensor data over components and coefficients,
-    as a list of one value per row."""
-    return np.abs(data).max(axis=tuple(range(rank)) + (-1,)).tolist()
+def row_abs_max(x):
+    """max |x| of each row: over every axis but the leading point axis."""
+    return np.abs(x).max(axis=tuple(range(1, np.ndim(x))))
 
 
 def row_max(first, *rest):

@@ -63,8 +63,8 @@ def _check_metric_compat(ev):
 
 def _check_riemann_symmetries(ev):
     # Γ^k_ij is symmetric in i, j by construction (`curvature._connection`)
-    rm = ev.pack.riemann.stacked_values()
-    ric = ev.pack.ricci.stacked_values()
+    rm = ev.pack.riemann.values
+    ric = ev.pack.ricci.values
     worst = row_max(
         ev.abs_max(rm + np.swapaxes(rm, -4, -3)),
         ev.abs_max(rm + np.swapaxes(rm, -2, -1)),
@@ -76,16 +76,16 @@ def _check_riemann_symmetries(ev):
 
 
 def _check_bianchi_contracted(ev):
-    div_ric = divergence(ev.pack.ricci.truncated(1), ev.pack, 0).stacked_values()
-    d_scal = ev.pack.dscalar.stacked_values()
+    div_ric = divergence(ev.pack.ricci.truncated(1), ev.pack, 0).values
+    d_scal = ev.pack.dscalar.values
     resid = ev.abs_max(div_ric - 0.5 * d_scal)
     return resid, row_max(ev.abs_max(div_ric), ev.abs_max(d_scal), 1e-30)
 
 
 def _trace_family(ev, t):
     """Antisymmetry in the first pair plus both metric traces of a 3-tensor."""
-    vals = t.stacked_values()
-    ginv = ev.metric.g_inv.stacked_values()
+    vals = t.values
+    ginv = ev.metric.g_inv.values
     worst = row_max(
         ev.abs_max(vals + np.swapaxes(vals, -3, -2)),
         ev.abs_max(np.einsum("...ij,...ijk->...k", ginv, vals)),
@@ -103,8 +103,8 @@ def _check_d_traces(ev):
 
 
 def _check_weyl_tracefree(ev):
-    w = ev.weyl.stacked_values()
-    ginv = ev.metric.g_inv.stacked_values()
+    w = ev.weyl.values
+    ginv = ev.metric.g_inv.values
     worst = row_max(
         ev.abs_max(np.einsum("...ij,...ijkl->...kl", ginv, w)),
         ev.abs_max(np.einsum("...ik,...ijkl->...jl", ginv, w)),

@@ -20,9 +20,9 @@ def full_order_newton(space, gdata):
     on gdata's point axis."""
     n = space.dim
     x = np.zeros_like(gdata)
-    x[..., 0] = np.linalg.inv(gdata[..., 0].transpose(2, 0, 1)).transpose(1, 2, 0)
+    x[..., 0] = np.linalg.inv(gdata[..., 0])
     two_eye = np.zeros_like(gdata)
-    two_eye[np.arange(n), np.arange(n), ..., 0] = 2.0
+    two_eye[:, np.arange(n), np.arange(n), 0] = 2.0
     for _ in range(3):  # right to order 2^3 - 1 = 7
         x = jet_einsum(space, "ij,jk->ik", x, two_eye - jet_einsum(space, "ij,jk->ik", gdata, x))
     return x

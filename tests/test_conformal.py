@@ -43,7 +43,7 @@ def test_schouten_round_sphere(geometry):
 def test_schouten_trace_cylinder(geometry):
     _, m, pack, _ = geometry("cylinder-s3xr", [0.2, 0.5, -0.3, 1.4], 4)
     a = pack.schouten
-    trace = np.einsum("ij,ij->", m.g_inv.stacked_values()[0], a.stacked_values()[0])
+    trace = np.einsum("ij,ij->", m.g_inv.values[0], a.values[0])
     # R (n-2)/(2(n-1)) with R = 3/2, n = 4
     assert abs(trace - 0.5) < 1e-12
 
@@ -261,7 +261,7 @@ def test_direct_tensor_assembly(geometry):
     # symmetry of the rank-2 members
     for t in (pack.schouten, einstein_tensor(pack), bach(pack, c, w, divergence(w, pack, 3))):
         assert t.valence == "dd"
-        values = t.stacked_values()[0]
+        values = t.values[0]
         assert np.abs(values - values.T).max() < 1e-9
 
 
@@ -319,7 +319,7 @@ def test_divergence_matches_a_hand_written_trace(point_eval):
     # D of the perturbed control is generic, so every slot's trace is nonzero
     ev = point_eval("perturbed-non-soliton-r4", [1.0, -0.8, 1.2, 0.7], 5)
     dd = covariant_derivative(ev.dtensor, ev.pack)
-    ginv, ddv = ev.metric.g_inv.stacked_values()[0], dd.stacked_values()[0]
+    ginv, ddv = ev.metric.g_inv.values[0], dd.values[0]
     by_slot = {
         0: np.einsum("im,mijk->jk", ginv, ddv),
         1: np.einsum("jm,mijk->ik", ginv, ddv),
@@ -329,4 +329,4 @@ def test_divergence_matches_a_hand_written_trace(point_eval):
         div = divergence(ev.dtensor, ev.pack, slot)
         assert (div.valence, div.order) == ("dd", dd.order)
         assert np.abs(want).max() > 1e-3, slot
-        assert np.abs(div.stacked_values()[0] - want).max() < 1e-13, slot
+        assert np.abs(div.values[0] - want).max() < 1e-13, slot

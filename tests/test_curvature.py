@@ -38,9 +38,9 @@ def test_christoffel_polar_sphere():
 
     m = metric_at_point(s2, [1.0, 0.5], 2, 3)
     gamma = curvature_pack(m).gamma
-    assert abs(gamma.values[0, 1, 1, 0] + math.sin(1.0) * math.cos(1.0)) < 1e-13
+    assert abs(gamma.values[0, 0, 1, 1] + math.sin(1.0) * math.cos(1.0)) < 1e-13
     # symmetric in the lower pair
-    assert np.abs(gamma.data - gamma.data.swapaxes(1, 2)).max() == 0.0
+    assert np.abs(gamma.data - gamma.data.swapaxes(2, 3)).max() == 0.0
 
 
 def test_christoffel_conformally_flat():
@@ -50,7 +50,7 @@ def test_christoffel_conformally_flat():
         return [[w if i == j else 0.0 for j in range(3)] for i in range(3)]
 
     m = metric_at_point(conf, [0.2, -0.1, 0.4], 3, 3)
-    gamma = curvature_pack(m).gamma.stacked_values()[0]
+    gamma = curvature_pack(m).gamma.values[0]
     assert abs(gamma[0, 0, 0] - 1.0) < 1e-13
     assert abs(gamma[0, 1, 1] + 1.0) < 1e-13
     assert abs(gamma[1, 0, 1] - 1.0) < 1e-13
@@ -63,9 +63,9 @@ def test_riemann_flat(geometry):
 
 def test_riemann_space_form(geometry):
     _, m, pack, _ = geometry("sphere-s4", [0.3, 0.1, -0.2, 0.4], 4)
-    g = m.g.truncated(pack.riemann.order).stacked_values()[0]
+    g = m.g.truncated(pack.riemann.order).values[0]
     expected = (np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g)) / 6.0
-    assert np.abs(pack.riemann.stacked_values()[0] - expected).max() < 1e-9
+    assert np.abs(pack.riemann.values[0] - expected).max() < 1e-9
 
 
 def test_cylinder_scalar_curvature(instances):
@@ -88,7 +88,7 @@ def test_metric_compatibility_all_instances(instances):
 def test_gradient_of_potential_gaussian(geometry):
     _, _, pack, f = geometry("gaussian-r4", [1.2, -0.6, 0.4, 2.0], 3)
     df = scalar_gradient(f)
-    assert np.allclose(df.stacked_values()[0], np.array([1.2, -0.6, 0.4, 2.0]) / 2.0)
+    assert np.allclose(df.values[0], np.array([1.2, -0.6, 0.4, 2.0]) / 2.0)
 
 
 def test_contracted_bianchi(instances):
@@ -105,12 +105,12 @@ def test_contracted_bianchi(instances):
 def test_hessian_gaussian(geometry):
     _, m, pack, f = geometry("gaussian-r4", [2.0, 0.0, 0.0, 0.0], 3)
     h = covariant_derivative(scalar_gradient(f), pack)
-    assert np.abs(h.stacked_values()[0] - 0.5 * np.eye(4)).max() < 1e-14
+    assert np.abs(h.values[0] - 0.5 * np.eye(4)).max() < 1e-14
 
 
 def test_hessian_cylinder_product_structure(geometry):
     _, _, pack, f = geometry("cylinder-s3xr", [0.4, -0.3, 0.2, 3.0], 3)
-    h = covariant_derivative(scalar_gradient(f), pack).stacked_values()[0]
+    h = covariant_derivative(scalar_gradient(f), pack).values[0]
     expected = np.zeros((4, 4))
     expected[3, 3] = 0.5
     assert np.abs(h - expected).max() < 1e-13
@@ -120,14 +120,14 @@ def test_hessian_symmetric(geometry):
     for name, p in [("s2xr2", [0.5, 0.3, 1.7, -0.9]), ("sphere-s5", [0.2, -0.4, 0.6, 0.1, 0.3])]:
         _, _, pack, f = geometry(name, p, 4)
         h = covariant_derivative(scalar_gradient(f), pack)
-        assert np.abs(h.data - h.data.swapaxes(0, 1)).max() < 1e-12
+        assert np.abs(h.data - h.data.swapaxes(1, 2)).max() < 1e-12
 
 
 def test_riemann_symmetries_sampled(instances):
     for name in ("s2xr3", "warped-sphere-s4"):
         inst = instances[name]
         for ev in point_evals(inst, 5, seed=13, order=3):
-            rm = ev.pack.riemann.stacked_values()[0]
+            rm = ev.pack.riemann.values[0]
             scale = max(1.0, np.abs(rm).max())
             assert np.abs(rm + rm.transpose(1, 0, 2, 3)).max() / scale < 1e-9
             assert np.abs(rm + rm.transpose(0, 1, 3, 2)).max() / scale < 1e-9
@@ -142,7 +142,7 @@ def test_christoffel_symbols_exactly_symmetric(instances, order):
     for inst in instances.values():
         for ev in point_evals(inst, 8, seed=7, order=order):
             gamma = ev.pack.gamma.data
-            assert np.array_equal(gamma, gamma.swapaxes(1, 2)), (inst.name, ev.points)
+            assert np.array_equal(gamma, gamma.swapaxes(2, 3)), (inst.name, ev.points)
 
 
 def test_shrinker_scalar_curvature_nonnegative(instances):
@@ -162,7 +162,7 @@ def test_derivative_budget_booked_by_order():
 
     m = metric_at_point(s2, [1.0, 0.5], 2, 4)
     pack = curvature_pack(m)
-    comp = jets.JetScalar(pack.riemann.space, pack.riemann.data[0, 1, 0, 1, 0])
+    comp = jets.JetScalar(pack.riemann.space, pack.riemann.data[0, 0, 1, 0, 1])
     assert comp.order == 2
     comp.partial((2, 0))
     with pytest.raises(InsufficientOrderError):
@@ -233,7 +233,7 @@ def test_divergence_is_the_trace_of_the_covariant_derivative(name, order):
     rng = np.random.default_rng(order)
     tensors = [
         TensorJet(space, "d" * rank,
-                  rng.uniform(-1, 1, (space.dim,) * rank + (space.n_terms,))[..., None, :])
+                  rng.uniform(-1, 1, (space.dim,) * rank + (space.n_terms,))[None])
         for rank in range(1, 5)
     ]
     errors = _divergence_errors(ev.pack, tensors)

@@ -98,7 +98,7 @@ def _d_full(pack, f):
     t1 = jet_einsum(space, "jk,i->ijk", a.data, dfd)
     v = jet_einsum(space, "il,l->i", e.data, jet_einsum(space, "ij,j->i", ginv, dfd))
     t2 = jet_einsum(space, "jk,i->ijk", g, v)
-    d = (t1 - t1.swapaxes(0, 1)) / (n - 2) + (t2 - t2.swapaxes(0, 1)) / ((n - 1) * (n - 2))
+    d = (t1 - t1.swapaxes(1, 2)) / (n - 2) + (t2 - t2.swapaxes(1, 2)) / ((n - 1) * (n - 2))
     return TensorJet(space, "ddd", d)
 
 
@@ -125,16 +125,16 @@ def _curvature_textbook(metric):
     lower = metric.space.lower()
     r2 = lower.lower()
     dg = gradient_arrays(metric.space, metric.g.data)
-    sym = dg.transpose(2, 0, 1, 3, 4) + dg.transpose(2, 1, 0, 3, 4) - dg
+    sym = dg.transpose(0, 3, 1, 2, 4) + dg.transpose(0, 3, 2, 1, 4) - dg
     gamma = 0.5 * jet_einsum(lower, "kl,lij->kij", _inverse_at(metric, lower.order), sym)
-    dG = gradient_arrays(lower, gamma)  # dG[m, l, i, j] = d_m Γ^l_ij
-    t1 = dG.transpose(1, 3, 0, 2, 4, 5)
+    dG = gradient_arrays(lower, gamma)  # dG[:, m, l, i, j] = d_m Γ^l_ij
+    t1 = dG.transpose(0, 2, 4, 1, 3, 5)
     gtr = gamma[..., : r2.n_terms]
     q = jet_einsum(r2, "lis,sjk->lkij", gtr, gtr)
-    rmix = t1 - t1.swapaxes(2, 3) + q - q.swapaxes(2, 3)
+    rmix = t1 - t1.swapaxes(3, 4) + q - q.swapaxes(3, 4)
     g = metric.g.data[..., : r2.n_terms]
     riem = jet_einsum(r2, "ml,lkij->mkij", g, rmix)
-    ricci = np.trace(rmix, axis1=0, axis2=2)
+    ricci = np.trace(rmix, axis1=1, axis2=3)
     scalar = jet_einsum(r2, "ij,ij->", _inverse_at(metric, r2.order), ricci)
     return riem, ricci, scalar
 
@@ -146,7 +146,7 @@ def _normal_form_derivative_full(ev, phi):
     up = jet_einsum(space, "ij,j->i", ginv, df.data)
     w2 = JetScalar(space, jet_einsum(space, "i,i->", up, df.data))
     form = TensorJet(space, "d", mul_arrays(space, df.data, phi(w2).coeffs))
-    return covariant_derivative(form, ev.pack).stacked_values()
+    return covariant_derivative(form, ev.pack).values
 
 
 def _assert_close(got, want, rtol=1e-13):
@@ -187,9 +187,9 @@ def test_d_at_its_cross_check_order(ev):
 
 def test_eq41_div_d_values(ev):
     n = ev.inst.n
-    div_d = divergence(_d_full(ev.pack, ev.f), ev.pack, 1).stacked_values()[0]
-    c_term = np.einsum("jli,l->ij", ev.cotton.stacked_values()[0], ev.gradf_up_values[0])
-    lhs = ev.bach.stacked_values()[0]
+    div_d = divergence(_d_full(ev.pack, ev.f), ev.pack, 1).values[0]
+    c_term = np.einsum("jli,l->ij", ev.cotton.values[0], ev.gradf_up_values[0])
+    lhs = ev.bach.values[0]
     rhs = -(div_d + ((n - 3.0) / (n - 2.0)) * c_term) / (n - 2.0)
     resid, scale, sides = bach_via_d_residual(ev)
     assert np.abs(div_d).max() > 1e-3

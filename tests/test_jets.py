@@ -234,22 +234,23 @@ def test_product_rule_against_finite_differences():
 
 
 def test_derivative_is_a_derivation():
-    # each partial of gradient_arrays obeys the product rule coefficient-wise
+    # each partial of gradient_arrays obeys the product rule coefficient-wise,
+    # on jets with a point axis of one row
     from gradsol.jets import gradient_arrays, mul_arrays, truncate_arrays
 
     rng = np.random.default_rng(7)
     space = JetSpace.get(3, 4)
     lower = JetSpace.get(3, 3)
     for _ in range(6):
-        a = rng.uniform(-1.5, 1.5, space.n_terms)
-        b = rng.uniform(-1.5, 1.5, space.n_terms)
+        a = rng.uniform(-1.5, 1.5, (1, space.n_terms))
+        b = rng.uniform(-1.5, 1.5, (1, space.n_terms))
         prod = mul_arrays(space, a, b)
         for v in range(3):
-            lhs = gradient_arrays(space, prod)[v]
+            lhs = gradient_arrays(space, prod)[:, v]
             _, a_low = truncate_arrays(space, a, 3)
             _, b_low = truncate_arrays(space, b, 3)
-            rhs = mul_arrays(lower, gradient_arrays(space, a)[v], b_low) + mul_arrays(
-                lower, a_low, gradient_arrays(space, b)[v]
+            rhs = mul_arrays(lower, gradient_arrays(space, a)[:, v], b_low) + mul_arrays(
+                lower, a_low, gradient_arrays(space, b)[:, v]
             )
             assert np.abs(lhs - rhs).max() < 1e-13
 
@@ -261,8 +262,8 @@ def test_jet_einsum_matches_scalar_arithmetic():
     rng = np.random.default_rng(13)
     space = JetSpace.get(3, 3)
     n, N = 3, space.n_terms
-    a = rng.uniform(-1, 1, (n, n, ROWS, N))
-    b = rng.uniform(-1, 1, (n, n, n, ROWS, N))
+    a = rng.uniform(-1, 1, (ROWS, n, n, N))
+    b = rng.uniform(-1, 1, (ROWS, n, n, n, N))
     packed = jet_einsum(space, "sk,sij->kij", a, b)
     for p in range(ROWS):
         for k in range(n):
@@ -270,8 +271,8 @@ def test_jet_einsum_matches_scalar_arithmetic():
                 for j in range(n):
                     ref = constant(space, 0.0)
                     for s in range(n):
-                        ref = ref + JetScalar(space, a[s, k, p]) * JetScalar(space, b[s, i, j, p])
-                    assert np.abs(packed[k, i, j, p] - ref.coeffs).max() < 1e-13
+                        ref = ref + JetScalar(space, a[p, s, k]) * JetScalar(space, b[p, s, i, j])
+                    assert np.abs(packed[p, k, i, j] - ref.coeffs).max() < 1e-13
 
 
 def test_int_and_float_powers():
@@ -366,7 +367,7 @@ def test_jet_einsum_strategies_agree(dim, order):
             results.append(matrix)
         else:
             # a matrix over 16 MB is never chosen; keep the test small too
-            assert jets._plan(space, sub_a, sub_b, out, a[0], b[0])[0] is jets._einsum_gather
+            assert jets._plan(space, sub_a, sub_b, out, a, b)[0] is jets._einsum_gather
         if order == 0:
             const = jets._einsum_const(space, sub_a, sub_b, out, a, b)
             assert np.abs(const - gathered).max() <= 1e-13 * scale, subscripts
@@ -381,20 +382,20 @@ def test_jet_einsum_strategies_agree(dim, order):
 
 def test_jet_einsum_strategy_choice():
     # small-by-large at a middle order takes the matrix path; same-size
-    # products at order 5 stay on the gather path
+    # products at order 5 stay on the gather path; operands of one row
     s53, s55 = JetSpace.get(5, 3), JetSpace.get(5, 5)
-    a = np.zeros((5, 5, s53.n_terms))
-    b = np.zeros((5, 5, 5, 5, s53.n_terms))
+    a = np.zeros((1, 5, 5, s53.n_terms))
+    b = np.zeros((1, 5, 5, 5, 5, s53.n_terms))
     assert jets._plan(s53, "ed", "abcd", "abce", a, b) == (jets._einsum_matrix, False)
     assert jets._plan(s53, "abcd", "ed", "abce", b, a) == (jets._einsum_matrix, True)
-    g = np.zeros((5, 5, s55.n_terms))
+    g = np.zeros((1, 5, 5, s55.n_terms))
     assert jets._plan(s55, "ij", "jk", "ik", g, g) == (jets._einsum_gather, False)
     # Weyl's g^g times the scalar curvature scatters the scalar
-    assert jets._plan(s53, "ijkl", "", "ijkl", b, np.zeros(s53.n_terms)) == (
+    assert jets._plan(s53, "ijkl", "", "ijkl", b, np.zeros((1, s53.n_terms))) == (
         jets._einsum_matrix, True)
     # order 0 has one product pair: its constant terms are contracted directly
     s50 = JetSpace.get(5, 0)
-    g0, r0 = np.zeros((5, 5, 1)), np.zeros((5, 5, 5, 5, 1))
+    g0, r0 = np.zeros((1, 5, 5, 1)), np.zeros((1, 5, 5, 5, 5, 1))
     assert jets._plan(s50, "ij", "jk", "ik", g0, g0) == (jets._einsum_const, False)
     assert jets._plan(s50, "abcd", "ed", "abce", r0, g0) == (jets._einsum_const, True)
 
@@ -441,11 +442,11 @@ def test_warm_jet_einsum_calls_no_einsum(monkeypatch):
     calls = []
     for subscripts in _engine_subscripts():
         sub_a, sub_b = subscripts.split("->")[0].split(",")
-        a = rng.uniform(-1, 1, (4,) * len(sub_a) + (ROWS, space.n_terms))
-        b = rng.uniform(-1, 1, (4,) * len(sub_b) + (ROWS, space.n_terms))
+        a = rng.uniform(-1, 1, (ROWS,) + (4,) * len(sub_a) + (space.n_terms,))
+        b = rng.uniform(-1, 1, (ROWS,) + (4,) * len(sub_b) + (space.n_terms,))
         calls.append((subscripts, a, b, jets.jet_einsum(space, subscripts, a, b)))
     # plans are keyed by one point's shapes
-    kernels = {jets._EINSUM_PLANS[(space, s, a[..., 0, :].shape, b[..., 0, :].shape)][0]
+    kernels = {jets._EINSUM_PLANS[(space, s, a.shape[1:], b.shape[1:])][0]
                for s, a, b, _ in calls}
     assert kernels == {jets._einsum_gather, jets._einsum_matrix}
 
@@ -471,8 +472,8 @@ def test_jet_einsum_reads_operands_at_its_own_order(order, subscripts, kernel):
     ins, out = subscripts.split("->")
     sub_a, sub_b = ins.split(",")
     rng = np.random.default_rng(31 + order)
-    a = rng.uniform(-1, 1, (4,) * len(sub_a) + (ROWS, above.n_terms))
-    b = rng.uniform(-1, 1, (4,) * len(sub_b) + (ROWS, above.n_terms))
+    a = rng.uniform(-1, 1, (ROWS,) + (4,) * len(sub_a) + (above.n_terms,))
+    b = rng.uniform(-1, 1, (ROWS,) + (4,) * len(sub_b) + (above.n_terms,))
     a_low, b_low = a[..., :n].copy(), b[..., :n].copy()
     chosen, _ = jets._plan(space, sub_a, sub_b, out, a_low, b_low)
     assert chosen is getattr(jets, f"_einsum_{kernel}")
@@ -485,9 +486,9 @@ def test_jet_einsum_reads_operands_at_its_own_order(order, subscripts, kernel):
 
 
 def test_jet_einsum_refuses_an_operand_without_a_point_axis():
-    # an axis-less operand would have its last component axis read as the point axis
+    # an axis-less operand would have its first component axis read as the point axis
     space = JetSpace.get(3, 2)
-    block, bare = np.zeros((3, 3, 2, space.n_terms)), np.zeros((3, 3, space.n_terms))
+    block, bare = np.zeros((2, 3, 3, space.n_terms)), np.zeros((3, 3, space.n_terms))
     for a, b in ((block, bare), (bare, block)):
         with pytest.raises(TensorShapeError, match=r"point axis on each operand, got shapes "
                            + re.escape(f"{a.shape} and {b.shape}")):

@@ -44,11 +44,6 @@ def _point_by_point(monkeypatch):
                         lambda inst, points, order: [PointEval(inst, [p], order) for p in points])
 
 
-def _row(x, p):
-    """Row p of a block's tensor data or scalar jet: the axis before the jet axis."""
-    return x[..., p, :] if x.ndim > 1 else x[p]
-
-
 def _fields(ev):
     pack = ev.pack
     return {
@@ -75,8 +70,8 @@ def test_block_rows_are_the_point_evaluations_bit_for_bit(name, seed):
         for p, point in enumerate(ev.points):
             want = _fields(PointEval(inst, [point], 3))  # a block of one, read at row 0
             for key in want:
-                assert _row(got[key], p).shape == _row(want[key], 0).shape, key
-                assert np.array_equal(_row(got[key], p), _row(want[key], 0)), (key, point)
+                assert got[key][p].shape == want[key][0].shape, key
+                assert np.array_equal(got[key][p], want[key][0]), (key, point)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -94,7 +89,7 @@ def test_block_functions_give_each_row_its_points_bits(order):
         for got, want in ((metric.g, ref.metric.g), (metric.g_inv, ref.metric.g_inv),
                           (pack.gamma, ref.pack.gamma), (pack.riemann, ref.pack.riemann),
                           (pack.ricci, ref.pack.ricci), (df, ref.df), (d, ref.dtensor)):
-            assert np.array_equal(_row(got.data, p), _row(want.data, 0))
+            assert np.array_equal(got.data[p], want.data[0])
         assert d_norm_sq[p] == ref.d_norm_sq[0]
 
 
@@ -140,8 +135,8 @@ def test_plans_do_not_depend_on_the_block_size(monkeypatch):
     for space, subscripts, a, b in calls:
         sub_a, sub_b = subscripts.split("->")[0].split(",")
         assert a.ndim == len(sub_a) + 2 and b.ndim == len(sub_b) + 2, subscripts
-        one_a, one_b = a[..., 0, : space.n_terms], b[..., 0, : space.n_terms]
-        plan = jets._EINSUM_PLANS[(space, subscripts, one_a.shape, one_b.shape)]
+        one_a, one_b = a[:1, ..., : space.n_terms], b[:1, ..., : space.n_terms]
+        plan = jets._EINSUM_PLANS[(space, subscripts, one_a.shape[1:], one_b.shape[1:])]
         out = subscripts.split("->")[1]
         # the plan is the single point's kernel and swap, and its row bytes
         kernel, swap = jets._plan(space, sub_a, sub_b, out, one_a, one_b)
@@ -302,11 +297,8 @@ def _instance(name):
 
 def _caches(ev, p):
     """Every filled cache of an evaluation, the pack's included, as arrays by
-    name: row p of a block's, read where it lies."""
-    def jet(x):  # tensor data and scalar jets: the point axis before the jet axis
-        return x[..., p, :]
-
-    def plain(x):  # norms and values: the point axis first
+    name: row p of a block's, on the point axis that leads every array."""
+    def row(x):
         return np.asarray(x)[p]
 
     out = {}
@@ -314,18 +306,18 @@ def _caches(ev, p):
         if name in ("inst", "points", "order"):
             continue
         if name == "metric":
-            out.update(g=jet(value.g.data), g_inv=jet(value.g_inv.data))
+            out.update(g=row(value.g.data), g_inv=row(value.g_inv.data))
         elif name == "pack":
-            out.update(gamma=jet(value.gamma.data), riemann=jet(value.riemann.data),
-                       ricci=jet(value.ricci.data), R=jet(value.scalar.coeffs))
-            out.update({k: jet(v.data) for k, v in vars(value).items()
+            out.update(gamma=row(value.gamma.data), riemann=row(value.riemann.data),
+                       ricci=row(value.ricci.data), R=row(value.scalar.coeffs))
+            out.update({k: row(v.data) for k, v in vars(value).items()
                         if k in ("schouten", "dscalar")})
         elif name == "f":
-            out[name] = jet(value.coeffs)
+            out[name] = row(value.coeffs)
         elif isinstance(value, tensors.TensorJet):
-            out[name] = jet(value.data)
+            out[name] = row(value.data)
         else:
-            out[name] = plain(value)
+            out[name] = row(value)
     return out
 
 
@@ -385,7 +377,7 @@ def test_constant_potentials_take_a_point_axis(name):
                 ref = PointEval(inst, [point], order)
                 for got, want in ((ev.f.coeffs, ref.f.coeffs), (ev.df.data, ref.df.data),
                                   (ev.metric.g.data, ref.metric.g.data)):
-                    got, want = _row(got, p), _row(want, 0)
+                    got, want = got[p], want[0]
                     assert got.shape == want.shape and np.array_equal(got, want)
 
 
@@ -405,7 +397,7 @@ def _plant_weyl_apart(monkeypatch, inst, order):
     sample points, so W's two paths disagree there.  Returns a function that
     gives the number of Kulkarni-Nomizu products made since the last call."""
     planted = solitons.points_of(solitons.sample_evals(inst, 8, 7, order))[5]
-    g_planted = PointEval(inst, [planted], order).metric.g.data[..., 0, :]
+    g_planted = PointEval(inst, [planted], order).metric.g.data[0]
     kulkarni_nomizu = conformal._kulkarni_nomizu
     calls = [0]
 
@@ -414,9 +406,9 @@ def _plant_weyl_apart(monkeypatch, inst, order):
         calls[0] += 1
         if calls[0] % 2 == 0:  # W's second product, the Schouten tensor's
             # the planted point, in a block or alone, found by its own bits
-            for p in range(g.shape[-2]):
-                if np.array_equal(g[..., p, :], g_planted):
-                    kn[..., p, 0] += 1e-3
+            for p in range(len(g)):
+                if np.array_equal(g[p], g_planted):
+                    kn[p, ..., 0] += 1e-3
         return kn
 
     def restart():
@@ -507,22 +499,6 @@ def test_blocks_hold_the_suites_peak_memory_flat(monkeypatch, name):
     assert blocks <= 1.1 * alone, (blocks, alone)
 
 
-def test_rows_apart_copies_only_interleaved_rows():
-    rows = [np.arange(24.0).reshape(2, 3, 4) + p for p in range(3)]
-    block = jets.stack_rows(rows)
-    assert block.shape == (2, 3, 3, 4)
-    assert jets.rows_apart(block) is block
-    for p, row in enumerate(rows):
-        assert np.array_equal(block[..., p, :], row)
-    # a transposed row keeps its memory order in the block
-    turned = jets.stack_rows([r.transpose(1, 0, 2) for r in rows])
-    assert turned[..., 0, :].strides == rows[0].transpose(1, 0, 2).strides
-    interleaved = np.ascontiguousarray(block)  # the point axis inside each row
-    apart = jets.rows_apart(interleaved)
-    assert apart is not interleaved and np.array_equal(apart, block)
-    assert apart[..., 1, :].strides == rows[1].strides
-
-
 def _engine_subscripts(monkeypatch):
     """The subscripts of every jet_einsum call of order-5 suites at dimensions 3-5."""
     seen = set()
@@ -540,12 +516,34 @@ def _engine_subscripts(monkeypatch):
     return sorted(seen)
 
 
+def _block_and_points(rng, space, rank, layout):
+    """Five rows of random rank-`rank` jet data as a block laid out as `layout`
+    says, and each row's point alone, a block of one laid out the same way:
+    ``stacked`` rows (`np.stack`), the partials of ``gradient_arrays`` (from
+    one order up; rank 1 and up) or a ``swapped`` view of a stacked block,
+    its first two component axes swapped (rank 2 and up)."""
+    dim = space.dim
+    if layout == "gradient":
+        up = jets.JetSpace.get(dim, space.order + 1)
+        rows = [rng.standard_normal((dim,) * (rank - 1) + (up.n_terms,)) for _ in range(5)]
+        return (jets.gradient_arrays(up, np.stack(rows)),
+                [jets.gradient_arrays(up, row[None]) for row in rows])
+    rows = [rng.standard_normal((dim,) * rank + (space.n_terms,)) for _ in range(5)]
+    if layout == "swapped":
+        return np.stack(rows).swapaxes(1, 2), [row[None].swapaxes(1, 2) for row in rows]
+    return np.stack(rows), [row[None] for row in rows]
+
+
+_LEAST_RANK = {"stacked": 0, "gradient": 1, "swapped": 2}
+
+
 def test_chunks_give_each_row_the_bits_of_the_block_and_of_its_point(monkeypatch):
     # a byte budget of two rows' temporaries splits a block of five into
     # chunks of 2, 2 and 1 rows: each row equals the unchunked block's row
-    # and its point's product alone, bit for bit, the block's rows laid out
-    # as the points' arrays (`stack_rows`) and, at order 0, where jet_einsum
-    # lays them out so itself, also interleaved (a C-ordered copy)
+    # and its point's product alone, bit for bit, at every order, however
+    # the block was made: the point axis leads, so each row lies where its
+    # point's own array would, with its point's strides.  An operand below
+    # a layout's least rank is stacked.
     subscripts = _engine_subscripts(monkeypatch)
     assert {"lim,ljk->mkij", "ijkl,->ijkl", "abcd,abcd->", "dm,mabcd->abc"} <= set(subscripts)
     rng = np.random.default_rng(30)
@@ -557,28 +555,32 @@ def test_chunks_give_each_row_the_bits_of_the_block_and_of_its_point(monkeypatch
             return kernel(space, sub_a, sub_b, out, a, b)
         return run
 
-    for dim, order, subs in itertools.product((3, 4, 5), range(4), subscripts):
+    for dim, order, subs, layout in itertools.product((3, 4, 5), range(4), subscripts,
+                                                      _LEAST_RANK):
+        ranks = [len(sub) for sub in subs.split("->")[0].split(",")]
+        if max(ranks) < _LEAST_RANK[layout]:
+            continue  # both operands stacked, as in the stacked layout
         space = jets.JetSpace.get(dim, order)
-        where = (dim, order, subs)
-        points = [[rng.standard_normal((dim,) * len(sub) + (space.n_terms,)) for _ in range(5)]
-                  for sub in subs.split("->")[0].split(",")]
-        stacked = [jets.stack_rows(rows) for rows in points]
-        layouts = [stacked] + ([[np.ascontiguousarray(x) for x in stacked]] if order == 0 else [])
-        for a, b in layouts:
-            with monkeypatch.context() as m:
-                m.setattr(jets, "BLOCK_BYTES", 2 ** 62)
-                whole = jets.jet_einsum(space, subs, a, b)
-                key = (space, subs, a.shape[:-2] + a.shape[-1:], b.shape[:-2] + b.shape[-1:])
-                kernel, swap, row_bytes = jets._EINSUM_PLANS[key]
-                m.setitem(jets._EINSUM_PLANS, key, (recording(kernel), swap, row_bytes))
-                m.setattr(jets, "BLOCK_BYTES", 2 * row_bytes)
-                del chunks[:]
-                chunked = jets.jet_einsum(space, subs, a, b)
-            assert chunks == [2, 2, 1], where
-            assert chunked.shape == whole.shape and np.array_equal(chunked, whole), where
-            for p, (one_a, one_b) in enumerate(zip(*points)):
-                alone = jets.jet_einsum(space, subs, one_a[..., None, :], one_b[..., None, :])
-                assert np.array_equal(alone[..., 0, :], whole[..., p, :]), (where, p)
+        where = (dim, order, subs, layout)
+        (a, points_a), (b, points_b) = (
+            _block_and_points(rng, space, rank,
+                              layout if rank >= _LEAST_RANK[layout] else "stacked")
+            for rank in ranks)
+        with monkeypatch.context() as m:
+            m.setattr(jets, "BLOCK_BYTES", 2 ** 62)
+            whole = jets.jet_einsum(space, subs, a, b)
+            key = (space, subs, a.shape[1:], b.shape[1:])
+            kernel, swap, row_bytes = jets._EINSUM_PLANS[key]
+            m.setitem(jets._EINSUM_PLANS, key, (recording(kernel), swap, row_bytes))
+            m.setattr(jets, "BLOCK_BYTES", 2 * row_bytes)
+            del chunks[:]
+            chunked = jets.jet_einsum(space, subs, a, b)
+        assert chunks == [2, 2, 1], where
+        assert chunked.shape == whole.shape and np.array_equal(chunked, whole), where
+        for p, (one_a, one_b) in enumerate(zip(points_a, points_b)):
+            assert np.array_equal(one_a[0], a[p]) and np.array_equal(one_b[0], b[p]), where
+            alone = jets.jet_einsum(space, subs, one_a, one_b)
+            assert np.array_equal(alone[0], whole[p]), (where, p)
 
 
 def test_a_chunked_product_keeps_its_temporaries_within_the_byte_budget():
@@ -586,8 +588,8 @@ def test_a_chunked_product_keeps_its_temporaries_within_the_byte_budget():
     # temporaries would take 20 rows' worth, over seven times BLOCK_BYTES
     space = jets.JetSpace.get(3, 3)
     rng = np.random.default_rng(31)
-    first, gamma = (rng.standard_normal((3, 3, 3, 20, space.n_terms)) for _ in range(2))
-    jets.jet_einsum(space, "lim,ljk->mkij", first[..., :1, :], gamma[..., :1, :])  # the plan
+    first, gamma = (rng.standard_normal((20, 3, 3, 3, space.n_terms)) for _ in range(2))
+    jets.jet_einsum(space, "lim,ljk->mkij", first[:1], gamma[:1])  # the plan
     key = (space, "lim,ljk->mkij", (3, 3, 3, space.n_terms), (3, 3, 3, space.n_terms))
     assert 20 * jets._EINSUM_PLANS[key][2] > 7 * jets.BLOCK_BYTES
     tracemalloc.start()
@@ -609,11 +611,53 @@ def test_repr_of_a_scalar_jet_shows_every_rows_value(rows):
     assert repr(scalar) == f"JetScalar(dim=4, order=1, value={shown!r})"
 
 
+def test_value_and_partial_of_a_scalar_jet_read_each_row():
+    # on a block of three, each row's value and partial are those of its
+    # block of one, bit for bit; a jet without a point axis gives floats
+    inst = get_instance("s2xr2")
+    points = solitons.points_of(solitons.sample_evals(inst, 3, 7, 3))
+    block = PointEval(inst, points, 3).f
+    alpha = (1, 0, 0, 0)
+    assert block.value.shape == block.partial(alpha).shape == (3,)
+    for p, point in enumerate(points):
+        alone = PointEval(inst, [point], 3).f
+        assert alone.value.shape == alone.partial(alpha).shape == (1,)
+        assert block.value[p].tobytes() == alone.value[0].tobytes()
+        assert block.partial(alpha)[p].tobytes() == alone.partial(alpha)[0].tobytes()
+        bare = jets.JetScalar(block.space, block.coeffs[p])
+        assert type(bare.value) is type(bare.partial(alpha)) is float
+        assert bare.value == block.value[p] and bare.partial(alpha) == block.partial(alpha)[p]
+
+
+@pytest.mark.parametrize("name", ["s2xr3", "cylinder-s3xr"])
+def test_every_cached_jet_array_of_a_block_leads_with_its_point_axis(name):
+    # the one storage layout: in each tensor and scalar jet a block of five
+    # caches, the point axis comes first and is the outermost in memory, so
+    # each row lies apart, where its point's own array would
+    inst = get_instance(name)
+    evals = solitons.sample_evals(inst, 5, 7, 5)
+    solitons.evaluate_in_blocks(evals)
+    (ev,) = evals
+    pack = ev.pack
+    arrays = {
+        "g": ev.metric.g.data, "g_inv": ev.metric.g_inv.data, "f": ev.f.coeffs,
+        "df": ev.df.data, "hess_f": ev.hess_f.data, "gamma": pack.gamma.data,
+        "riemann": pack.riemann.data, "ricci": pack.ricci.data, "R": pack.scalar.coeffs,
+        "schouten": pack.schouten.data, "dR": pack.dscalar.data, "W": ev.weyl.data,
+        "div_W": ev.div_weyl.data, "C": ev.cotton.data, "D": ev.dtensor.data,
+        "B": ev.bach.data,
+    }
+    for key, data in arrays.items():
+        assert data.shape[0] == 5, key
+        assert data.strides[0] >= data[0].nbytes, (key, data.strides)
+        assert data.strides[0] == max(data.strides), (key, data.strides)
+
+
 def _leaves(value, p=None):
     """The arrays a property's value is made of, in a fixed order: a point's,
-    or row p of a block's, read where it lies."""
-    def jet(x):  # tensor data and scalar jets: the point axis before the jet axis
-        return x if p is None else x[..., p, :]
+    or row p of a block's, on the point axis that leads every array."""
+    def jet(x):
+        return x if p is None else x[p]
 
     if isinstance(value, tensors.TensorJet):
         return [jet(value.data)]
@@ -651,9 +695,9 @@ def test_every_property_of_a_block_holds_its_points_own_bits(name):
 
 
 # a non-diagonal metric through sin, cos and exp, not a soliton: on it eq4.7's
-# stacked matmul rounds a row apart from its point unless the interleaved rows
-# of the block's covariant derivative are laid out apart first
-# (`TensorJet.stacked_values`, `jets.rows_apart`)
+# stacked matmul rounds a row apart from its point unless each row of the
+# block's covariant derivative lies as its point's own does, as the point
+# axis, the outermost in memory, lays it out
 SHEARED = {
     "name": "sheared-r4", "n": 4, "rho": 0, "kind": None,
     "metric": [["2.092 + 0.095*cos(x4*0.720)*x2", "0.026*exp(x4/3)*x4", "0.030*sin(x4/3)*x1",
@@ -689,6 +733,27 @@ def test_every_check_on_a_block_gives_each_row_its_points_outputs(spec, seed):
                 assert np.float64(g[p]).tobytes() == np.float64(w).tobytes(), (check.id, point)
         checked += 1
     assert checked >= 18
+
+
+@pytest.mark.parametrize("name", ["s2xr3", "cylinder-s3xr"])
+def test_a_blocks_checks_do_not_depend_on_how_its_products_are_chunked(monkeypatch, name):
+    # every product of a block of five in chunks of one row, or in one chunk:
+    # each per-point check gives each row the same residual and scale, bit
+    # for bit, as every product's output is laid out alike either way
+    inst = get_instance(name)
+    points = solitons.points_of(solitons.sample_evals(inst, 5, 7, 5))
+    checks = [check for check in verify.CHECKS if not check.per_instance
+              and check.exact_dim in (None, inst.n) and check.min_dim <= inst.n]
+
+    def outputs(budget):
+        with monkeypatch.context() as m:
+            m.setattr(jets, "BLOCK_BYTES", budget)
+            block = PointEval(inst, points, 5)
+            return {check.id: [np.asarray(x).tobytes() for x in check.fn(block)[:2]]
+                    for check in checks}
+
+    assert len(checks) >= 18
+    assert outputs(1) == outputs(2 ** 62)
 
 
 def test_rows_that_branch_in_gram_schmidt_get_their_points_own_frames():

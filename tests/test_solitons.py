@@ -262,19 +262,19 @@ def test_warped_cylinder_matches_product(instances):
         mc = c.metric_at([pc], 4)
         packw = curvature_pack(mw)
         packc = curvature_pack(mc)
-        gw, gc = mw.g.stacked_values()[0], mc.g.stacked_values()[0]
+        gw, gc = mw.g.values[0], mc.g.values[0]
         assert np.abs(gw - gc[np.ix_(perm, perm)]).max() < 1e-12
         assert (
             np.abs(
-                packw.riemann.stacked_values()[0]
-                - packc.riemann.stacked_values()[0][np.ix_(perm, perm, perm, perm)]
+                packw.riemann.values[0]
+                - packc.riemann.values[0][np.ix_(perm, perm, perm, perm)]
             ).max()
             < 1e-9
         )
         fw = w.potential_jet([pw], mw.space)
         fc = c.potential_jet([pc], mc.space)
-        dw = d_tensor(packw, scalar_gradient(fw)).stacked_values()[0]
-        dc = d_tensor(packc, scalar_gradient(fc)).stacked_values()[0]
+        dw = d_tensor(packw, scalar_gradient(fw)).values[0]
+        dc = d_tensor(packc, scalar_gradient(fc)).values[0]
         assert np.abs(dw - dc[np.ix_(perm, perm, perm)]).max() < 1e-9
         assert abs(tensor_norm_sq(weyl(packw), mw)[0] - tensor_norm_sq(weyl(packc), mc)[0]) < 1e-9
         assert abs(packw.scalar.coeffs[0, 0] - packc.scalar.coeffs[0, 0]) < 1e-12
@@ -436,7 +436,7 @@ def _order1_sampler(inst, n_points, seed):
         if inst.excluded_distance(p) < MIN_EXCLUDED_DISTANCE:
             continue
         ev = PointEval(inst, [p], 1)
-        grad_norm = math.sqrt(max(float(ev.df.stacked_values()[0] @ ev.gradf_up_values[0]), 0.0))
+        grad_norm = math.sqrt(max(float(ev.df.values[0] @ ev.gradf_up_values[0]), 0.0))
         if not inst.trivial and grad_norm < MIN_GRAD_DISTANCE:
             continue
         points.append([float(x) for x in p])
@@ -588,8 +588,8 @@ def test_block_rows_come_from_the_point_eval_recipe(monkeypatch):
         for p, point in enumerate(ev.points):
             ref = DoubledCotton(inst, [point], 4)
             plain = PointEval(inst, [point], 4)
-            assert np.array_equal(ev.cotton.data[..., p, :], ref.cotton.data[..., 0, :])
-            assert np.array_equal(ev.cotton.data[..., p, :], 2.0 * plain.cotton.data[..., 0, :])
+            assert np.array_equal(ev.cotton.data[p], ref.cotton.data[0])
+            assert np.array_equal(ev.cotton.data[p], 2.0 * plain.cotton.data[0])
             assert plain.cotton.max_abs()[0] > 1e-3
             assert ev.cotton_norm[p] == ref.cotton_norm[0] == 2.0 * plain.cotton_norm[0]
 

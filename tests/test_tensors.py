@@ -24,8 +24,8 @@ def _euclidean(n):
 
 def _kronecker(space):
     """Component data of the constant Kronecker delta in `space`, a block of one row."""
-    data = np.zeros((space.dim, space.dim, 1, space.n_terms))
-    data[np.arange(space.dim), np.arange(space.dim), 0, 0] = 1.0
+    data = np.zeros((1, space.dim, space.dim, space.n_terms))
+    data[0, np.arange(space.dim), np.arange(space.dim), 0] = 1.0
     return data
 
 
@@ -41,9 +41,9 @@ def test_ginv_outer_g_contract_is_kronecker(geometry):
     _, m, _, _ = geometry("s2xr2", [0.3, -0.1, 1.5, 0.4], 3)
     space, g = truncate_arrays(m.space, m.g.data, m.g_inv.order)
     prod = jet_einsum(space, "ij,kl->ijkl", m.g_inv.data, g)  # slots (u, u, d, d)
-    delta = np.einsum("ijjlPZ->ilPZ", prod)
+    delta = np.einsum("PijjlZ->PilZ", prod)
     expected = np.eye(4)
-    assert np.abs(delta[..., 0, 0] - expected).max() < 1e-12
+    assert np.abs(delta[0, ..., 0] - expected).max() < 1e-12
 
 
 def test_lower_then_raise_roundtrip(geometry):
@@ -57,7 +57,7 @@ def test_raise_lower_euclidean_identity():
     m = metric_at_point(_euclidean(3), [0.0, 0.0, 0.0], 3, 3)
     space = m.g_inv.space  # raising reads g_inv, carried two orders below g
     rng = np.random.default_rng(5)
-    t = TensorJet(space, "dd", rng.standard_normal((3, 3, space.n_terms))[:, :, None])
+    t = TensorJet(space, "dd", rng.standard_normal((3, 3, space.n_terms))[None])
     up = raise_lower(t, 1, m)
     assert np.array_equal(up.data, t.data)
     assert up.valence == "du"
@@ -76,7 +76,7 @@ def test_grad_norm_on_flat_chart(geometry):
 def test_norms():
     m = metric_at_point(_euclidean(5), [0.0] * 5, 5, 2)
     assert abs(tensor_norm_sq(m.g, m)[0] - 5.0) < 1e-13
-    zero = TensorJet(m.space, "ddd", np.zeros((5, 5, 5, 1, m.space.n_terms)))
+    zero = TensorJet(m.space, "ddd", np.zeros((1, 5, 5, 5, m.space.n_terms)))
     assert tensor_norm_sq(zero, m)[0] == 0.0
 
 
@@ -89,7 +89,7 @@ def test_ricci_norm_on_cylinder(geometry):
 def test_ricci_trace_round_sphere(geometry):
     # n(n-1)/r^2 = 2 on the radius-sqrt(6) round 4-sphere
     _, m, pack, _ = geometry("sphere-s4", [0.3, 0.1, -0.2, 0.4], 3)
-    tr = np.einsum("iiPZ->PZ", raise_lower(pack.ricci, 0, m).data)
+    tr = np.einsum("PiiZ->PZ", raise_lower(pack.ricci, 0, m).data)
     assert abs(tr[0, 0] - 2.0) < 1e-12
     assert np.abs(tr - pack.scalar.coeffs).max() < 1e-12
 
@@ -105,12 +105,12 @@ def test_contraction_order_independence():
     # T^i_i^j_j traced first over slots (0, 1), or first over slots (2, 3)
     space = JetSpace.get(3, 3)
     rng = np.random.default_rng(11)
-    t = rng.standard_normal((3, 3, 3, 3, space.n_terms))[:, :, :, :, None]
+    t = rng.standard_normal((3, 3, 3, 3, space.n_terms))[None]
     delta = _kronecker(space)
     a = jet_einsum(space, "kl,kl->", delta, jet_einsum(space, "ij,ijkl->kl", delta, t))
     b = jet_einsum(space, "ij,ij->", delta, jet_einsum(space, "kl,ijkl->ij", delta, t))
     assert np.abs(a - b).max() < 1e-12
-    assert np.abs(a - np.einsum("iijjPZ->PZ", t)).max() < 1e-12
+    assert np.abs(a - np.einsum("PiijjZ->PZ", t)).max() < 1e-12
 
 
 def test_metric_rejects_non_positive_definite():
@@ -125,7 +125,7 @@ def test_metric_inverse_coefficient_level(geometry):
     _, m, _, _ = geometry("sphere-s4", [0.7, -0.4, 0.2, 1.1], 5)
     space, g = truncate_arrays(m.space, m.g.data, m.g_inv.order)
     prod = jet_einsum(space, "ij,jk->ik", g, m.g_inv.data)
-    prod[np.arange(4), np.arange(4), ..., 0] -= 1.0
+    prod[:, np.arange(4), np.arange(4), 0] -= 1.0
     assert np.abs(prod[..., 0]).max() < 1e-12
     assert np.abs(prod).max() < 1e-10
 
@@ -169,9 +169,9 @@ def test_inverse_check_rejects_nan(order):
 def test_graded_inverse_matches_full_order_newton(dim, order):
     space = JetSpace.get(dim, order)
     rng = np.random.default_rng(100 * dim + order)
-    coeffs = rng.uniform(-0.5, 0.5, (dim, dim, space.n_terms))[:, :, None]
-    gdata = coeffs + coeffs.transpose(1, 0, 2, 3)
-    gdata[..., 0] = np.eye(dim)[..., None] + 0.1 * gdata[..., 0]
+    coeffs = rng.uniform(-0.5, 0.5, (dim, dim, space.n_terms))[None]
+    gdata = coeffs + coeffs.transpose(0, 2, 1, 3)
+    gdata[..., 0] = np.eye(dim) + 0.1 * gdata[..., 0]
     ref = full_order_newton(space, gdata)
     got = tensors._invert_metric_jets(space, gdata)
     assert got.shape == ref.shape
@@ -186,7 +186,7 @@ def test_inverse_check_sees_a_top_degree_error(monkeypatch, order):
 
     def off_by_1e6(space, gdata):
         x = invert(space, gdata)
-        x[1, 1, ..., -1] += 1e-6
+        x[:, 1, 1, -1] += 1e-6
         return x
 
     monkeypatch.setattr(tensors, "_invert_metric_jets", off_by_1e6)
@@ -202,19 +202,19 @@ def test_symmetrization_idempotent_on_curvature_outputs(geometry):
     from gradsol.curvature import covariant_derivative, scalar_gradient
 
     for t in (pack.ricci, covariant_derivative(scalar_gradient(f), pack)):
-        sym = 0.5 * (t.data + t.data.swapaxes(0, 1))
+        sym = 0.5 * (t.data + t.data.swapaxes(1, 2))
         assert np.abs(sym - t.data).max() < 1e-12
     rng = np.random.default_rng(23)
     space = m.space
-    raw = rng.standard_normal((4, 4, space.n_terms))[:, :, None]
-    once = 0.5 * (raw + raw.swapaxes(0, 1))
-    twice = 0.5 * (once + once.swapaxes(0, 1))
+    raw = rng.standard_normal((4, 4, space.n_terms))[None]
+    once = 0.5 * (raw + raw.swapaxes(1, 2))
+    twice = 0.5 * (once + once.swapaxes(1, 2))
     assert np.array_equal(once, twice)
 
 
 def test_tensor_jet_refuses_data_without_a_point_axis():
     space = JetSpace.get(3, 2)
-    with pytest.raises(TensorShapeError, match=r"expected shape \(3, 3\) \+ \(P, 10\) "
+    with pytest.raises(TensorShapeError, match=r"expected shape \(P,\) \+ \(3, 3, 10\) "
                        r"with a point axis of P rows, got \(3, 3, 10\)"):
         TensorJet(space, "dd", np.zeros((3, 3, space.n_terms)))
 
@@ -229,7 +229,7 @@ def test_a_flat_point_is_refused_with_the_expected_list_of_points():
                      lambda: PointEval(inst, flat, 3).metric):
         with pytest.raises(TensorShapeError, match=r"expected a list of points, got shape \(4,\)"):
             evaluate()
-    assert PointEval(inst, [flat], 3).metric.g.stacked_values().shape == (1, 4, 4)
+    assert PointEval(inst, [flat], 3).metric.g.values.shape == (1, 4, 4)
 
 
 def test_symmetry_enforced_from_upper_triangle():
@@ -238,4 +238,4 @@ def test_symmetry_enforced_from_upper_triangle():
         return [[1.0, 0.25], [99.0, 2.0]]
 
     m = metric_at_point(lopsided, [0.0, 0.0], 2, 2)
-    assert m.g.values[1, 0, 0] == 0.25
+    assert m.g.values[0, 1, 0] == 0.25
