@@ -18,6 +18,10 @@ class InsufficientOrderError(GradsolError):
     """A derivative was requested beyond the order carried by a jet."""
 
 
+class ProductOrderError(GradsolError):
+    """A jet product was asked for above the order products run at."""
+
+
 class UnsupportedDimensionError(GradsolError):
     """An operation was invoked below its minimum manifold dimension."""
 

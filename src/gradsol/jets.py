@@ -12,23 +12,27 @@ slice itself: an operand carried above the product's order is read at that
 order, so callers pass whole jets.  The heavy operation is
 the truncated product; its index structure is precomputed per (dim, order)
 as the P pairs (i, j) -> k of ranks whose degrees add up to at most the
-order.  Above order 0, where a jet is its constant term and one plain
-contraction does, `jet_einsum` contracts whole tensors of jets in two ways:
+order, and as each target k's pairs padded to the widest segment, L pairs
+(8 at order 3).  ``jet_einsum`` runs products up to order MAX_PRODUCT_ORDER
+(3), the order of g^-1, Γ and the curvature, and refuses a higher one.
+Above order 0, where a jet is its constant term and one plain contraction
+does, it contracts whole tensors of jets in two ways:
 
-* gather: pick the P pair coefficients out of both operands, contract
-  components with the pairs as a batch axis, then sum the pairs of each
-  target k (``reduceat``).  Cost ~ P * (na + nb + nfull + nout).
+* gather: pick each target's padded segment of pairs out of both operands
+  (T x L slots, T = n_terms; a padded slot reads a zero appended to both,
+  so it adds 0 x 0), then contract the slots together with the components
+  in one matmul, the targets a batch axis, so the pairs are summed inside
+  the matmul.  Cost ~ T * L * (2 * (na + nb) + nfull / 2).
 * matrix: scatter the operand with fewer components into its T x T
-  multiplication matrix M[..., k, j] = a[..., i] (T = n_terms; a given
-  (k, j) fixes i, so this is a plain assignment), then contract M with the
-  other operand in one BLAS-backed matmul.
+  multiplication matrix M[..., k, j] = a[..., i] (a given (k, j) fixes i,
+  so this is a plain assignment), then contract M with the other operand
+  in one BLAS-backed matmul.
   Cost ~ 2 * min(na, nb) * T^2 + nfull * T^2 / 16.
 
 Here na, nb and nout count the components of the operands and the output,
 and nfull those of the full index space.  Each call takes the cheaper
-estimate: the matrix path wins on small-by-large contractions at low and
-middle orders, the gather path on same-size products, full contractions
-and orders 4-5, where T^2 outgrows P.
+estimate: the matrix path wins on small-by-large contractions, the gather
+path on same-size products and outer products, where T^2 outgrows T x L.
 
 Both choices are made once per call signature (space, subscripts, operand
 shapes after the prefix slice).  The component contraction each kernel then
@@ -89,12 +93,14 @@ import numpy as np
 from .errors import (
     ConfigurationError,
     InsufficientOrderError,
+    ProductOrderError,
     SingularEvaluationError,
     TensorShapeError,
 )
 
 MAX_ORDER = 5
 MAX_DIM = 6
+MAX_PRODUCT_ORDER = MAX_ORDER - 2  # that of g^-1, Γ and the curvature (`jet_einsum`)
 BLOCK_BYTES = 2 ** 19  # a kernel's temporaries per chunk of rows, at most (`jet_einsum`)
 
 
@@ -118,8 +124,8 @@ class JetSpace:
 
     __slots__ = (
         "dim", "order", "n_terms", "exponents", "block_starts", "factorial",
-        "mul_left", "mul_right", "mul_starts", "mul_flat", "grad_src", "grad_fac",
-        "_rank_of",
+        "mul_left", "mul_right", "mul_starts", "mul_flat", "seg_left", "seg_right",
+        "grad_src", "grad_fac", "_rank_of",
     )
 
     def __init__(self, dim, order):
@@ -161,6 +167,14 @@ class JetSpace:
         self.mul_starts = np.searchsorted(mk, np.arange(self.n_terms))
         # (k, j) fixes i, so pair p owns entry (target, right) of a flat T x T matrix
         self.mul_flat = mk * self.n_terms + self.mul_right
+        # target k's pairs in the slots of row k of a T x L table, L the widest
+        # segment; a padded slot reads rank T, a zero appended to both operands
+        slot = np.arange(len(mk)) - self.mul_starts[mk]
+        shape = (self.n_terms, int(slot.max()) + 1)
+        self.seg_left = np.full(shape, self.n_terms)
+        self.seg_right = np.full(shape, self.n_terms)
+        self.seg_left[mk, slot] = self.mul_left
+        self.seg_right[mk, slot] = self.mul_right
 
         # d_v of the order-(o-1) rank r reads rank src[v, r] of the order-o jet
         # times the exponent of v there: one gather takes every partial
@@ -290,16 +304,24 @@ def _pair_contract(sub_x, sub_y, out, x, y):
     return np.matmul(x, y).reshape(shape_xy).transpose(perm_xy)
 
 
+def _padded(x):
+    """`x` with a zero coefficient appended, the one a padded slot reads."""
+    return np.concatenate((x, np.zeros(x.shape[:-1] + (1,))), axis=-1)
+
+
 # Both kernels put the `b`-side operand first: numpy's two-operand einsum
 # hands a pair to matmul in that order, so the kernels give its bits.
 
 def _einsum_gather(space, sub_a, sub_b, out, a, b):
-    """Gather every product pair, contract components, sum pairs per target."""
-    p = _pair_contract(
-        sub_b + "Z", sub_a + "Z", out + "Z",
-        b[..., space.mul_right], a[..., space.mul_left],
+    """Gather both operands into each target's padded segment of pairs
+    (T x L slots) and contract the slots Y with the component letters in
+    one matmul, the targets Z a batch axis, so each target's pairs are
+    summed inside the matmul.  A padded slot is 0 x 0: a non-finite
+    coefficient reaches only the targets of its own pairs."""
+    return _pair_contract(
+        sub_b + "ZY", sub_a + "ZY", out + "Z",
+        _padded(b)[..., space.seg_right], _padded(a)[..., space.seg_left],
     )
-    return np.add.reduceat(p, space.mul_starts, axis=-1)
 
 
 def _einsum_matrix(space, sub_a, sub_b, out, a, b):
@@ -326,7 +348,7 @@ def _counts(sub_a, sub_b, out, a, b):
 
 
 def _plan(space, sub_a, sub_b, out, a, b):
-    """Pick the strategy with the lower cost estimate (module docstring).
+    """Pick the kernel with the lower cost estimate (module docstring).
 
     Reads the operands' component shapes, after their point axis, so each
     point of a block gets its own point's choice.  Returns (kernel,
@@ -336,20 +358,23 @@ def _plan(space, sub_a, sub_b, out, a, b):
     na, nb, nout, nfull = _counts(sub_a, sub_b, out, a, b)
     if space.order == 0:
         return _einsum_const, nb < na
-    t2, pairs = space.n_terms ** 2, len(space.mul_left)
-    if 2 * min(na, nb) * t2 + nfull * t2 / 16 < pairs * (na + nb + nfull + nout):
+    t = space.n_terms
+    slots = t * space.seg_left.shape[1]
+    if 2 * min(na, nb) * t * t + nfull * t * t / 16 < slots * (2 * (na + nb) + nfull / 2):
         return _einsum_matrix, nb < na
     return _einsum_gather, False
 
 
 def _row_bytes(space, kernel, na, nb, nout):
-    """Bytes of a kernel's temporaries per row: the gathered (or scattered)
-    operands, twice for the copies its transposes may make, and its product
-    before the pairs are summed.  At order 0 one pair is gathered."""
+    """Bytes of a kernel's temporaries per row: the operands gathered into
+    T x L slots per component (or the smaller one scattered into T x T
+    matrices, the other read as it lies), twice for the copies the
+    transposes may make, and the product, T coefficients per output
+    component.  The const kernel takes the gather's count, T = L = 1."""
+    t = space.n_terms
     if kernel is _einsum_matrix:
-        t = space.n_terms
         return 8 * (2 * min(na, nb) * t * t + (max(na, nb) + nout) * t)
-    return 8 * len(space.mul_left) * (2 * (na + nb) + nout)
+    return 8 * t * (2 * space.seg_left.shape[1] * (na + nb) + nout)
 
 
 def jet_einsum(space, subscripts, a, b):
@@ -361,10 +386,10 @@ def jet_einsum(space, subscripts, a, b):
     order than `space`: its first ``space.n_terms`` coefficients, the prefix
     that is its truncation to `space`, are read.  An operand with fewer
     coefficients raises InsufficientOrderError, one without a point axis
-    TensorShapeError.  The kernel is the one a single point's shapes choose,
-    and the point axis is a batch axis of its contraction.  It runs on
-    chunks of rows (module docstring), each written into its rows of the
-    output.
+    TensorShapeError, and a space above MAX_PRODUCT_ORDER ProductOrderError.
+    The kernel is the one a single point's shapes choose, and the point axis
+    is a batch axis of its contraction.  It runs on chunks of rows (module
+    docstring), each written into its rows of the output.
     """
     n = space.n_terms
     ins, out = subscripts.split("->")
@@ -380,6 +405,9 @@ def jet_einsum(space, subscripts, a, b):
     key = (space, subscripts, a.shape[1:], b.shape[1:])  # planned by one point's shapes
     plan = _EINSUM_PLANS.get(key)
     if plan is None:
+        if space.order > MAX_PRODUCT_ORDER:
+            raise ProductOrderError(f"jet_einsum runs products up to order {MAX_PRODUCT_ORDER}; "
+                                    f"{space} is order {space.order}")
         kernel, swap = _plan(space, sub_a, sub_b, out, a, b)
         row_bytes = _row_bytes(space, kernel, *_counts(sub_a, sub_b, out, a, b)[:3])
         plan = _EINSUM_PLANS[key] = kernel, swap, row_bytes

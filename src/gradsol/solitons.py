@@ -458,13 +458,15 @@ def block_rule(n, order):
     """Rows per block of sample points at dimension n and metric order `order`,
     and whether the layers of Riemann's size are blocks as well.
 
-    One row's largest product decides the layers: Riemann's gather
-    `lim,ljk->mkij`, n^4 components times the product pairs of Riemann's
-    order (order - 2), which the pack, W and div W form at that size.  They
-    are blocks where at least MIN_BLOCK_ROWS rows keep it within
-    BLOCK_BYTES, and a block then holds as many rows as do: measured against
-    point-by-point evaluation (ROADMAP item 7), their blocks lose from
-    dimension 4 at order 5 and at dimension 5 from order 4.  Elsewhere each
+    A size threshold decides the layers: n^4 x pairs x 8 bytes a row, n^4
+    being Riemann's components and pairs the product pairs of its order
+    (order - 2), the size at which the pack, W and div W form their
+    products.  It is not the temporaries of the kernel `jet_einsum` picks,
+    whose chunks bound those.  The layers are blocks where at least
+    MIN_BLOCK_ROWS rows keep the threshold within BLOCK_BYTES, and a block
+    then holds as many rows as do: measured against point-by-point
+    evaluation (ROADMAP item 7), their blocks lose from dimension 4 at order
+    5 and at dimension 5 from order 4, and pay at (3, 5).  Elsewhere each
     point forms that product alone (`evaluate_curvature`), `jet_einsum`
     bounds the temporaries of the block's own products, and the block is
     sized from its largest arrays, its metric jets g and g^-1 (n^2

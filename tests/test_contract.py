@@ -46,8 +46,34 @@ def test_moved_residuals_are_listed_largest_first_and_change_no_status():
                                                    residual=3e-12)})
     lines, changed = contract.compare(OLD, new)
     assert not changed
-    assert "moved max_residual values: 2" in lines
-    assert lines[-2].endswith("(|Δ| 2.000e-12)")
+    at = lines.index("moved max_residual values: 2")
+    assert lines[at + 2].endswith("(|Δ| 2.000e-12)")
+
+
+def test_every_moved_residual_is_summed_up_by_output_and_check():
+    # beyond the listed largest ones: one line per (output, check id), over
+    # its instances, with the count, the largest |Δ| and |Δ| over tolerance
+    def output(residuals):
+        reports = [{"instance": name, "checks": [
+            {"id": cid, "status": "PASS", "max_residual": r, "tolerance": tol}
+            for cid, (r, tol) in checks.items()]} for name, checks in residuals.items()]
+        return {"text": "", "stderr": "", "exit": 0, "report": json.dumps(reports)}
+
+    old = {"verify-o4": output({"a": {"eq2.2": (1e-12, 1e-8), "eq4.1": (1e-13, 1e-9)},
+                                "b": {"eq2.2": (2e-12, 1e-8), "eq4.1": (1e-13, 1e-9)}})}
+    new = {"verify-o4": output({"a": {"eq2.2": (1e-12 + 3e-16, 1e-8), "eq4.1": (1e-13, 1e-9)},
+                                "b": {"eq2.2": (2e-12 - 5e-16, 1e-8), "eq4.1": (2e-13, 1e-9)}})}
+    lines, changed = contract.compare(old, new)
+    assert not changed
+    assert "moved max_residual values: 3" in lines
+    at = lines.index("moved max_residual values by output and check: 2")
+    delta = abs((2e-12 - 5e-16) - 2e-12)
+    assert lines[at + 1:at + 3] == [
+        f"  verify-o4 eq4.1: 1 moved, largest |Δ| {1e-13:.3e}, largest |Δ|/tolerance {1e-4:.3e}",
+        f"  verify-o4 eq2.2: 2 moved, largest |Δ| {delta:.3e}, "
+        f"largest |Δ|/tolerance {delta / 1e-8:.3e}",
+    ]
+    assert lines[at + 3] == "moved argmax_point values: 0"
 
 
 def test_an_exit_code_change_or_a_missing_output_is_a_change():

@@ -16,7 +16,7 @@ import collections
 import numpy as np
 import pytest
 
-from conftest import full_order_newton
+from conftest import full_order_einsum, full_order_newton
 from gradsol import conformal, curvature, jets, levelset, solitons, tensors, verify
 from gradsol.conformal import bach_via_d_residual, einstein_tensor
 from gradsol.curvature import covariant_derivative, divergence, scalar_gradient
@@ -126,16 +126,16 @@ def _curvature_textbook(metric):
     r2 = lower.lower()
     dg = gradient_arrays(metric.space, metric.g.data)
     sym = dg.transpose(0, 3, 1, 2, 4) + dg.transpose(0, 3, 2, 1, 4) - dg
-    gamma = 0.5 * jet_einsum(lower, "kl,lij->kij", _inverse_at(metric, lower.order), sym)
+    gamma = 0.5 * full_order_einsum(lower, "kl,lij->kij", _inverse_at(metric, lower.order), sym)
     dG = gradient_arrays(lower, gamma)  # dG[:, m, l, i, j] = d_m Γ^l_ij
     t1 = dG.transpose(0, 2, 4, 1, 3, 5)
     gtr = gamma[..., : r2.n_terms]
-    q = jet_einsum(r2, "lis,sjk->lkij", gtr, gtr)
+    q = full_order_einsum(r2, "lis,sjk->lkij", gtr, gtr)
     rmix = t1 - t1.swapaxes(3, 4) + q - q.swapaxes(3, 4)
     g = metric.g.data[..., : r2.n_terms]
-    riem = jet_einsum(r2, "ml,lkij->mkij", g, rmix)
+    riem = full_order_einsum(r2, "ml,lkij->mkij", g, rmix)
     ricci = np.trace(rmix, axis1=1, axis2=3)
-    scalar = jet_einsum(r2, "ij,ij->", _inverse_at(metric, r2.order), ricci)
+    scalar = full_order_einsum(r2, "ij,ij->", _inverse_at(metric, r2.order), ricci)
     return riem, ricci, scalar
 
 
@@ -143,8 +143,8 @@ def _normal_form_derivative_full(ev, phi):
     df = ev.df
     space = df.space
     ginv = _inverse_at(ev.metric, space.order)
-    up = jet_einsum(space, "ij,j->i", ginv, df.data)
-    w2 = JetScalar(space, jet_einsum(space, "i,i->", up, df.data))
+    up = full_order_einsum(space, "ij,j->i", ginv, df.data)
+    w2 = JetScalar(space, full_order_einsum(space, "i,i->", up, df.data))
     form = TensorJet(space, "d", mul_arrays(space, df.data, phi(w2).coeffs))
     return covariant_derivative(form, ev.pack).values
 

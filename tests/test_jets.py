@@ -8,6 +8,7 @@ import gradsol.jets as jets
 from gradsol.errors import (
     ConfigurationError,
     InsufficientOrderError,
+    ProductOrderError,
     SingularEvaluationError,
     TensorShapeError,
 )
@@ -41,6 +42,17 @@ def test_product_and_gradient_tables_by_their_defining_properties(dim):
             unit = np.eye(dim, dtype=np.int64)[v]
             assert np.array_equal(exps[space.grad_src[v]], exps[:n_lower] + unit)
             assert np.array_equal(space.grad_fac[v], exps[:n_lower, v] + 1.0)
+        # row k of the padded tables: target k's pairs in order, then rank
+        # n_terms (the appended zero) up to the widest segment
+        counts = np.diff(np.append(starts, len(left)))
+        assert space.seg_left.shape == space.seg_right.shape == (n_terms, counts.max())
+        for k in range(n_terms):
+            pairs = slice(starts[k], starts[k] + counts[k])
+            for seg, side in ((space.seg_left, left), (space.seg_right, right)):
+                assert np.array_equal(seg[k, :counts[k]], side[pairs])
+                assert np.all(seg[k, counts[k]:] == n_terms)
+    # the widest order-3 segment from dim 3, target x1 x2 x3: 2^3 pairs
+    assert JetSpace(dim, 3).seg_left.shape[1] == (4, 6, 8, 8, 8, 8)[dim - 1]
 
 
 def test_jet_lift_coordinate():
@@ -338,7 +350,7 @@ def _per_component_reference(space, sub_a, sub_b, out, a, b):
 def _rows_first(rng, dim, sub, space):
     """Random operand data of `sub` with a leading point axis, the layout the
     kernels take: ROWS rows, one at dim 5, where one row's gathered operand
-    reaches 75 MB."""
+    reaches 202 MB at order 5."""
     rows = 1 if dim == 5 else ROWS
     return rng.uniform(-1, 1, (rows,) + (dim,) * len(sub) + (space.n_terms,))
 
@@ -388,6 +400,12 @@ def test_jet_einsum_strategy_choice():
     b = np.zeros((1, 5, 5, 5, 5, s53.n_terms))
     assert jets._plan(s53, "ed", "abcd", "abce", a, b) == (jets._einsum_matrix, False)
     assert jets._plan(s53, "abcd", "ed", "abce", b, a) == (jets._einsum_matrix, True)
+    # the kernel that measured faster at dim 5, order 3: Riemann's ΓΓ term
+    # and Weyl's outer products gather; Ric·W and tensor-by-scalar scatter
+    c = np.zeros((1, 5, 5, 5, s53.n_terms))
+    assert jets._plan(s53, "lim", "ljk", "mkij", c, c) == (jets._einsum_gather, False)
+    assert jets._plan(s53, "ik", "jl", "ijkl", a, a) == (jets._einsum_gather, False)
+    assert jets._plan(s53, "mi", "mkij", "kj", a, b) == (jets._einsum_matrix, False)
     g = np.zeros((1, 5, 5, s55.n_terms))
     assert jets._plan(s55, "ij", "jk", "ik", g, g) == (jets._einsum_gather, False)
     # Weyl's g^g times the scalar curvature scatters the scalar
@@ -462,7 +480,7 @@ def test_warm_jet_einsum_calls_no_einsum(monkeypatch):
 
 @pytest.mark.parametrize(
     "order, subscripts, kernel",
-    [(0, "ij,jkl->ikl", "const"), (2, "ij,jkl->ikl", "matrix"), (4, "ij,ij->", "gather")],
+    [(0, "ij,jkl->ikl", "const"), (2, "ij,jkl->ikl", "matrix"), (3, "ij,ij->", "gather")],
 )
 def test_jet_einsum_reads_operands_at_its_own_order(order, subscripts, kernel):
     # an operand carried one order above the space is read as its prefix, the
@@ -483,6 +501,48 @@ def test_jet_einsum_reads_operands_at_its_own_order(order, subscripts, kernel):
     for x, y in ((a_low, b), (a, b_low)):
         with pytest.raises(InsufficientOrderError):
             jets.jet_einsum(above, subscripts, x, y)
+
+
+def test_jet_einsum_refuses_a_product_above_order_3():
+    # g^-1, Γ and the curvature are the highest products, at MAX_ORDER - 2
+    assert jets.MAX_PRODUCT_ORDER == 3
+    for dim, order in ((3, 4), (5, 5)):
+        space = JetSpace.get(dim, order)
+        a = np.zeros((1, dim, dim, space.n_terms))
+        with pytest.raises(ProductOrderError, match=rf"up to order 3; {re.escape(repr(space))} "
+                           rf"is order {order}"):
+            jets.jet_einsum(space, "ij,jk->ik", a, a)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_a_non_finite_coefficient_reaches_only_its_pairs_targets(dim, order):
+    # inf in one coefficient of one component of an operand, each coefficient
+    # in turn: the gather kernel's non-finite outputs are the per-component
+    # reference's, since a padded slot is 0 x 0.  The matrix kernel matches
+    # with inf in the operand it scatters; in the other one inf meets the
+    # matrix's structural zeros, so its NaN spreads to other targets too
+    rng = np.random.default_rng(10 * dim + order)
+    space = JetSpace.get(dim, order)
+    for subscripts in ("ij,jk->ik", "i,j->ij"):
+        ins, out = subscripts.split("->")
+        sub_a, sub_b = ins.split(",")
+        for r in range(space.n_terms):
+            for side in (0, 1):
+                ops = [rng.uniform(-1, 1, (1,) + (dim,) * len(sub) + (space.n_terms,))
+                       for sub in (sub_a, sub_b)]
+                ops[side][(0,) + tuple(rng.integers(dim, size=ops[side].ndim - 2)) + (r,)] = np.inf
+                a, b = ops
+                with np.errstate(invalid="ignore"):
+                    want = ~np.isfinite(_per_component_reference(space, sub_a, sub_b, out,
+                                                                 a[0], b[0]))
+                    gathered = jets._einsum_gather(space, sub_a, sub_b, out, a, b)
+                    matrix = jets._einsum_matrix(space, sub_a, sub_b, out, a, b)  # scatters a
+                assert want.any(), (subscripts, r, side)
+                assert np.array_equal(~np.isfinite(gathered[0]), want), (subscripts, r, side)
+                spread = ~np.isfinite(matrix[0])
+                assert np.array_equal(spread, want) if side == 0 else np.all(spread[want]), (
+                    subscripts, r, side)
 
 
 def test_jet_einsum_refuses_an_operand_without_a_point_axis():

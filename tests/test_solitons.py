@@ -280,6 +280,18 @@ def test_warped_cylinder_matches_product(instances):
         assert abs(packw.scalar.coeffs[0, 0] - packc.scalar.coeffs[0, 0]) < 1e-12
 
 
+def test_block_rule_table():
+    # (rows per block, whether Riemann's layers are blocks) by (n, order):
+    # the threshold n^4 x pairs x 8 bytes against BLOCK_BYTES decides
+    assert {(n, order): solitons.block_rule(n, order)
+            for n in range(3, 7) for order in range(3, 6)} == {
+        (3, 3): (115, True), (3, 4): (28, True), (3, 5): (9, True),
+        (4, 3): (28, True), (4, 4): (5, True), (4, 5): (16, False),
+        (5, 3): (9, True), (5, 4): (11, False), (5, 5): (23, False),
+        (6, 3): (5, False), (6, 4): (13, False), (6, 5): (30, False),
+    }
+
+
 def test_get_instance_unknown():
     from gradsol.errors import ConfigurationError
 

@@ -29,8 +29,12 @@ processes with ``OPENBLAS_NUM_THREADS=1``, one process per group:
 The comparison prints, for each output, whether it is byte-identical; for a
 ``prop32`` report that is not, the report fields that moved and the largest
 |Δ| of each.  Then it lists the verify ``max_residual`` values that moved,
-largest |Δ| first, and the ``argmax_point`` values that moved.  The exit
-status is 1 on any change of a check status or an exit code, else 0.
+the ``MOVED_SHOWN`` largest |Δ| first, and sums every moved value up, one
+line per (output, check id): how many moved, the largest |Δ|, and the
+largest |Δ| over the entry's ``tolerance`` (its new report's, else its
+old), largest ratio first.  Last it lists the ``argmax_point`` values that
+moved.  The exit status is 1 on any change of a check status or an exit
+code, else 0.
 """
 
 import argparse
@@ -223,14 +227,25 @@ def compare(old, new):
                 changed = True
             ra, rb = ea.get("max_residual"), eb.get("max_residual")
             if ra != rb:
-                delta = abs(rb - ra) if ra is not None and rb is not None else float("inf")
-                moved.append((delta, name, key, ra, rb))
+                delta = abs(rb - ra) if ra is not None and rb is not None else math.inf
+                tolerance = eb.get("tolerance", ea.get("tolerance"))
+                moved.append((delta, name, key, ra, rb, delta / tolerance if tolerance
+                              else math.inf))
             pa, pb = ea.get("argmax_point"), eb.get("argmax_point")
             if pa != pb:
                 moved_at.append((name, key, pa, pb))
     lines.append(f"moved max_residual values: {len(moved)}")
-    for delta, name, key, ra, rb in sorted(moved, key=lambda m: -m[0])[:MOVED_SHOWN]:
+    for delta, name, key, ra, rb, _ in sorted(moved, key=lambda m: -m[0])[:MOVED_SHOWN]:
         lines.append(f"  {name} {key[0]} {key[1]}: {ra!r} -> {rb!r} (|Δ| {delta:.3e})")
+    by_check = {}
+    for delta, name, key, _, _, ratio in moved:
+        count, largest, worst = by_check.get((name, key[1]), (0, 0.0, 0.0))
+        by_check[name, key[1]] = count + 1, max(largest, delta), max(worst, ratio)
+    lines.append(f"moved max_residual values by output and check: {len(by_check)}")
+    for (name, check), (count, largest, worst) in sorted(
+            by_check.items(), key=lambda item: (-item[1][2], item[0])):
+        lines.append(f"  {name} {check}: {count} moved, largest |Δ| {largest:.3e}, "
+                     f"largest |Δ|/tolerance {worst:.3e}")
     lines.append(f"moved argmax_point values: {len(moved_at)}")
     for name, key, pa, pb in moved_at[:MOVED_SHOWN]:
         lines.append(f"  {name} {key[0]} {key[1]}: {pa!r} -> {pb!r}")
