@@ -7,9 +7,10 @@ the outward unit normal +e_1.  Checks against the inward normal -e_1
 the compensating sign explicitly.
 
 Every function here reads a block :class:`~gradsol.solitons.PointEval`,
-which caches the frame, the Hessian of f and the level-surface data, and
-runs its one recipe over the block's point axis at once, the leading
-batch axis of every stacked matmul and of ``eigvalsh``, on operands
+which caches the frame, the Hessian of f, |grad f|^2, |grad f| and the
+level-surface data and owns the plan of its curvature's evaluation; each
+function runs its one recipe over the block's point axis at once, the
+leading batch axis of every stacked matmul and of ``eigvalsh``, on operands
 whose rows lie as their points' own values do (``TensorJet.values``), so
 each row has its point's bits.  Results lead with the point axis.  The
 residuals of the suite's level-set checks return ``(residual, scale)``, one
@@ -64,8 +65,9 @@ class AdaptedFrame:
     """Orthonormal frames at the points of a block with e_1 parallel to grad f.
 
     `vectors` holds each frame row-wise in chart components and
-    `grad_f_norm` |grad f| at each point, both leading with the point axis:
-    `vectors` is (P, n, n) and `grad_f_norm` holds one value per row.
+    `grad_f_norm` |grad f| at each point, the evaluation's own
+    (`PointEval.grad_f_norm`), both leading with the point axis: `vectors`
+    is (P, n, n) and `grad_f_norm` holds one value per row.
     """
 
     vectors: np.ndarray
@@ -112,14 +114,15 @@ class Prop32Terms:
 def adapted_frame(ev):
     """Gram-Schmidt completion of grad f/|grad f| against the chart basis.
 
-    Every row is completed at once: each step is one stacked matmul over
-    the point axis.  A block whose rows branch differently (a chart
+    |grad f| is the evaluation's own (`PointEval.grad_f_norm`).  Every row
+    is completed at once: each step is one stacked matmul over the point
+    axis.  A block whose rows branch differently (a chart
     direction spanned in some rows only) completes each row on its own, as
     a block of one, as its point does.
     """
     g0 = ev.metric.g.values
     grad = ev.gradf_up_values
-    norm = np.sqrt(np.maximum(_quad(grad, g0, grad), 0.0))
+    norm = ev.grad_f_norm
     low = np.flatnonzero(norm < GRAD_THRESHOLD)
     if low.size:
         raise CriticalPointError(
@@ -205,7 +208,7 @@ def prop32_terms(ev):
     r = ev.pack.scalar.coeffs[..., 0]
     v = frame.vectors
     ric_f = v @ ev.pack.ricci.values @ np.swapaxes(v, -1, -2)
-    h_mean, norm = lsd.H, frame.grad_f_norm
+    h_mean, norm = lsd.H, ev.grad_f_norm
     umbilic = lsd.h - (h_mean / (n - 1))[..., None, None] * np.eye(n - 1)
     lam = r - (n - 1) * rho + h_mean * norm
     mu = rho - h_mean * norm / (n - 1)
@@ -213,7 +216,7 @@ def prop32_terms(ev):
     eig = np.sort(np.linalg.eigvalsh(ric_f), axis=-1)
     return Prop32Terms(
         r,
-        np.float_power(norm, 2),  # C pow, as a float's ** is; an array's ** 2 squares
+        ev.grad_sq,
         h_mean,
         np.abs(ric_f[..., 0, 1:]).max(axis=-1),
         ev.abs_max(umbilic),
@@ -234,8 +237,7 @@ def prop31_residual(ev):
     lhs = ev.d_norm_sq
     traceless = lsd.h - (lsd.H / (n - 1))[..., None, None] * np.eye(n - 1)
     rhs = (
-        # np.float_power, a float's ** 4, is C's pow; an array's ** 4 rounds apart from it
-        2.0 * np.float_power(ev.frame.grad_f_norm, 4) / (n - 2) ** 2
+        2.0 * ev.grad_sq ** 2 / (n - 2) ** 2
         * (traceless ** 2).sum(axis=(-2, -1))
         + (lsd.tangential_dR ** 2).sum(axis=-1) / (2.0 * (n - 1) * (n - 2))
     )
@@ -483,12 +485,13 @@ def prop32_report(inst, c, n_points=12, seed=11):
     The level points' evaluations from :func:`level_points` (blocks, as a
     rule) are read as they are, row by row (`solitons.read_rows`): first |D|
     of every row, then, after the D = 0 test, each block's frames, second
-    fundamental forms and `Prop32Terms` as one stacked evaluation.
+    fundamental forms and `Prop32Terms` as one stacked evaluation.  Each
+    block plans its own curvature (`PointEval.pack`), and |grad f|^2 and
+    |grad f| are its own (`PointEval.grad_sq`, `PointEval.grad_f_norm`).
     """
     from . import solitons
 
     evals = level_points(inst, c, n_points=n_points, seed=seed)
-    solitons.evaluate_in_blocks(evals)
     # max_over_rows and `not <=`, unlike max and `>`, let a NaN at any point through
     d_max = solitons.max_over_rows(evals, lambda ev: ev.d_norm)
     if not d_max <= D_ZERO_TOL:

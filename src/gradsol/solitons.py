@@ -11,14 +11,16 @@ for the verification harness.
 A :class:`PointEval` evaluates a block lazily: a list of points on a point
 axis (see ``tensors``), one point being a block of one, each row with its
 own point's bits.  Its cached properties are the one recipe of each
-quantity.  `sample_evals` draws candidates
-in blocks, which `admit_points` admits by the one admission rule with one
-metric, g^-1, f and grad f evaluation.  Readers take the blocks as they
-are, and no row is copied out to a point: each residual returns one value
-per row, and `read_rows` hands the rows out in draw order.  A block whose
-evaluation raises gives way to blocks of one, one per point, which keep
-its rows of the metric, g^-1, f and grad f where it holds them, so an error
-is that of the first failing point.
+quantity, |grad f|^2 and |grad f| included, and it owns the evaluation
+plan: where `block_rule` says the layers of Riemann's size do not pay as
+blocks, the first read of the pack, W or div W fills them point by point.
+`sample_evals` draws candidates in blocks, which `admit_points` admits by
+the one admission rule with one metric, g^-1, f and grad f evaluation.
+Readers take the blocks as they are, and no row is copied out to a point:
+each residual returns one value per row, and `read_rows` hands the rows
+out in draw order.  A block whose evaluation raises gives way to blocks of
+one, one per point, which keep its rows of the metric, g^-1, f and grad f
+where it holds them, so an error is that of the first failing point.
 """
 
 import itertools
@@ -113,17 +115,14 @@ class SolitonInstance:
 
         Only normalized shrinkers (rho = 1/2) carry a shift; the constant
         is chosen so R + |grad f|^2 - f vanishes at the base point, and its
-        constancy elsewhere is then a genuine test.
+        constancy elsewhere is then a genuine test.  R and |grad f|^2 are
+        read from the `PointEval` of the base point with the unnormalized f.
         """
         if not is_normalized_shrinker(self):
             return 0.0
-        base = [self.base_point]  # a block of one row
-        metric = self.metric_at(base, 2)
-        pack = curvature_pack(metric)
-        f = self.potential_jet(base, metric.space, normalized=False)
-        df = scalar_gradient(f).values[0]
-        grad_sq = float(df @ metric.g_inv.values[0] @ df)
-        return float(pack.scalar.coeffs[0, 0]) + grad_sq - float(f.coeffs[0, 0])
+        base = PointEval(self, [self.base_point], 2)
+        base.f = self.potential_jet(base.points, base.metric.space, normalized=False)
+        return float(base.pack.scalar.coeffs[0, 0] + base.grad_sq[0] - base.f.coeffs[0, 0])
 
     def __repr__(self):
         return f"SolitonInstance({self.name!r}, n={self.n}, rho={self.rho}, kind={self.kind})"
@@ -161,6 +160,10 @@ class PointEval:
 
     @cached_property
     def pack(self):
+        """The curvature pack, filled point by point (`_fill_per_point`) where
+        `block_rule` says the layers of Riemann's size do not pay as blocks."""
+        if len(self.points) > 1 and not block_rule(self.inst.n, self.order)[1]:
+            return self._fill_per_point()
         return curvature_pack(self.metric)
 
     @cached_property
@@ -182,17 +185,33 @@ class PointEval:
         return (self.metric.g_inv.values @ self.df.values[..., None])[..., 0]
 
     @cached_property
+    def grad_sq(self):
+        """|grad f|^2 = df . grad f at values, of each row: the one recipe of
+        |grad f|^2, and `grad_f_norm` its root."""
+        return row_dot(self.df.values, self.gradf_up_values)
+
+    @cached_property
+    def grad_f_norm(self):
+        return _norm(self.grad_sq)
+
+    @cached_property
     def grad_sq_jet(self):
         return levelset.grad_sq_jet(self)
 
     @cached_property
     def weyl(self):
-        return weyl(self.pack)
+        """W; from order 4 a point-by-point fill of the pack holds it."""
+        pack = self.pack
+        held = vars(self).get("weyl")
+        return weyl(pack) if held is None else held
 
     @cached_property
     def div_weyl(self):
-        """div W in its last slot, shared by eq 2.2 and the Bach tensor."""
-        return divergence(self.weyl, self.pack, 3)
+        """div W in its last slot, shared by eq 2.2 and the Bach tensor; from
+        order 4 a point-by-point fill of the pack holds it."""
+        pack = self.pack
+        held = vars(self).get("div_weyl")
+        return divergence(self.weyl, pack, 3) if held is None else held
 
     @cached_property
     def cotton(self):
@@ -249,6 +268,40 @@ class PointEval:
     def prop32_terms(self):
         return levelset.prop32_terms(self)
 
+    def _fill_per_point(self):
+        """The pack and, from order 4, where the suite reads B, W and div W,
+        evaluated point by point; returns the pack and caches W and div W.
+
+        Each point in turn evaluates its layers as a block of one over its row
+        of the block's metric (a view, laid out as the point's own metric),
+        writes their rows into the block's arrays, allocated at the first
+        point, and is dropped before the next, so one point's layers are
+        alive at a time.  A cross-check raises the first failing point's error.
+        """
+        g, g_inv = self.metric.g, self.metric.g_inv
+        blocks = kinds = None
+        for p, point in enumerate(self.points):
+            one = PointEval(self.inst, [point], self.order)
+            one.metric = MetricAtPoint(g.space, one.points, *(
+                TensorJet(t.space, t.valence, t.data[p:p + 1]) for t in (g, g_inv)))
+            pack = one.pack
+            tensors = [pack.gamma, pack.riemann, pack.ricci]
+            if self.order >= 4:
+                tensors += [one.weyl, one.div_weyl]
+            arrays = [t.data for t in tensors] + [pack.scalar.coeffs]
+            if blocks is None:
+                blocks = [np.empty((len(self.points),) + x.shape[1:]) for x in arrays]
+                kinds = [(t.space, t.valence) for t in tensors]
+            for block, x in zip(blocks, arrays):
+                block[p] = x[0]
+            del one, pack, tensors, arrays
+        *data, scalar = blocks
+        gamma, riemann, ricci, *weyl_layers = [TensorJet(space, valence, block)
+                                               for (space, valence), block in zip(kinds, data)]
+        if weyl_layers:
+            self.weyl, self.div_weyl = weyl_layers
+        return CurvaturePack(self.metric, gamma, riemann, ricci, JetScalar(ricci.space, scalar))
+
 
 # Each residual below returns (absolute_residual, scale_of_largest_term), one
 # value per row of a block.
@@ -269,14 +322,9 @@ def hamilton_first_residual(ev):
     return ev.abs_max(d_scal - rhs), row_max(ev.abs_max(d_scal), ev.abs_max(rhs))
 
 
-def _grad_sq(ev):
-    """|grad f|^2 = df . grad f at values, of each row."""
-    return row_dot(ev.df.values, ev.gradf_up_values)
-
-
 def hamilton_second_residual(ev):
     """R + |grad f|^2 - f at each row of a block."""
-    grad_sq = _grad_sq(ev)
+    grad_sq = ev.grad_sq
     r = ev.pack.scalar.coeffs[..., 0]
     f0 = ev.f.coeffs[..., 0]
     return np.abs(r + grad_sq - f0), row_max(np.abs(r), grad_sq, np.abs(f0))
@@ -371,7 +419,7 @@ def admit_points(inst, points, order):
     kept = [point for point in points if not _excluded(inst, point)]
     admitted = []
     for ev in evaluate_points(inst, kept, order):
-        steep = inst.trivial or ~(_norm(_grad_sq(ev)) < MIN_GRAD_DISTANCE)
+        steep = inst.trivial or ~(ev.grad_f_norm < MIN_GRAD_DISTANCE)
         rows = np.flatnonzero(np.broadcast_to(steep, (len(ev.points),)))
         if len(rows) == len(ev.points):
             admitted.append(ev)
@@ -404,56 +452,6 @@ def evaluate_points(inst, points, order):
     return evals
 
 
-def evaluate_curvature(ev):
-    """The curvature pack, W and div W of a block, evaluated point by point
-    where `block_rule` says these layers of Riemann's size do not pay as
-    blocks; elsewhere, and in a block of one, they stay lazy, as every other
-    quantity does.
-
-    Each point in turn evaluates its layers as a block of one over its row
-    of the block's metric (a view, laid out as the point's own metric): the
-    pack and, from order 4, where the suite reads B, W and div W.  Its rows
-    are written into the block's arrays, allocated at the first point, and
-    the point's evaluation is dropped before the next point's, so one
-    point's layers are alive at a time.  A cross-check raises the error of
-    the first point that fails it.
-    """
-    if len(ev.points) == 1 or block_rule(ev.inst.n, ev.order)[1]:
-        return
-    g, g_inv = ev.metric.g, ev.metric.g_inv
-    rows = len(ev.points)
-    blocks = kinds = None
-    for p, point in enumerate(ev.points):
-        one = PointEval(ev.inst, [point], ev.order)
-        one.metric = MetricAtPoint(g.space, one.points, *(
-            TensorJet(t.space, t.valence, t.data[p:p + 1]) for t in (g, g_inv)))
-        pack = one.pack
-        tensors = [pack.gamma, pack.riemann, pack.ricci]
-        if ev.order >= 4:
-            tensors += [one.weyl, one.div_weyl]
-        arrays = [t.data for t in tensors] + [pack.scalar.coeffs]
-        if blocks is None:
-            blocks = [np.empty((rows,) + x.shape[1:]) for x in arrays]
-            kinds = [(t.space, t.valence) for t in tensors]
-        for block, x in zip(blocks, arrays):
-            block[p] = x[0]
-        del one, pack, tensors, arrays
-    *data, scalar = blocks
-    gamma, riemann, ricci, *weyl = [TensorJet(space, valence, block)
-                                    for (space, valence), block in zip(kinds, data)]
-    ev.pack = CurvaturePack(ev.metric, gamma, riemann, ricci, JetScalar(ricci.space, scalar))
-    if weyl:
-        ev.weyl, ev.div_weyl = weyl
-
-
-def evaluate_in_blocks(evals):
-    """`evaluate_curvature` of each of `evals`, evaluations of one instance
-    and order; a block that raises is replaced in `evals` by its points
-    (`_evaluated`), whose readers meet their own errors."""
-    for _ in _evaluated(evals, evaluate_curvature):
-        pass
-
-
 def block_rule(n, order):
     """Rows per block of sample points at dimension n and metric order `order`,
     and whether the layers of Riemann's size are blocks as well.
@@ -467,7 +465,7 @@ def block_rule(n, order):
     then holds as many rows as do: measured against point-by-point
     evaluation (ROADMAP item 7), their blocks lose from dimension 4 at order
     5 and at dimension 5 from order 4, and pay at (3, 5).  Elsewhere each
-    point forms that product alone (`evaluate_curvature`), `jet_einsum`
+    point forms that product alone (`PointEval.pack`), `jet_einsum`
     bounds the temporaries of the block's own products, and the block is
     sized from its largest arrays, its metric jets g and g^-1 (n^2
     components at the metric's order and at Riemann's): as many rows of

@@ -29,7 +29,6 @@ from .errors import ConfigurationError, GradsolError, InsufficientOrderError
 from .jets import MAX_DIM, MAX_ORDER
 from .solitons import (
     certify,
-    evaluate_in_blocks,
     hamilton_first_residual,
     hamilton_second_residual,
     is_normalized_shrinker,
@@ -301,9 +300,10 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
     max(order, 3) for the first integrals, and the instance is certified
     from those evaluations first (kind-less instances abort).  The points
     are evaluated in blocks of `solitons.block_rule`'s rows, a block being
-    the `PointEval` of a list of points, and every check reads the blocks
-    themselves: a per-point check is called once per block and returns one
-    residual and scale per row (`solitons.read_rows`).  The rows are judged
+    the `PointEval` of a list of points, which plans its own evaluation
+    (`PointEval.pack`), and every check reads the blocks themselves: a
+    per-point check is called once per block and returns one residual and
+    scale per row (`solitons.read_rows`).  The rows are judged
     in draw order by the rule of a point-by-point scan: each row's judged
     residual is `_judge`'s, the first maximal row is argmax_point, and the
     first non-finite row ends the scan.  Each row holds its own point's bits,
@@ -331,8 +331,6 @@ def run_suite(inst, checks=None, n_points=20, seed=7, order=5, tol_scale=1.0):
         raise ConfigurationError(f"order must be an integer in 0..{MAX_ORDER}, got {order!r}")
     order = int(order)
     evals = sample_evals(inst, n_points, seed, max(order, 3))
-    if inst.kind is not None:  # a negative control stops at certification
-        evaluate_in_blocks(evals)
     certify(inst, evals)
 
     selected = CHECKS if checks is None else [c for c in CHECKS if c.id in set(checks)]

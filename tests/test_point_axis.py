@@ -63,7 +63,6 @@ def test_block_rows_are_the_point_evaluations_bit_for_bit(name, seed):
         inst = get_instance(name)
     evals = level_points(inst, _level(inst), n_points=12, seed=seed)
     blocks = list(evals)
-    solitons.evaluate_in_blocks(evals)
     assert evals == blocks and all(len(ev.points) > 1 for ev in evals)  # none left to its points
     for ev in evals:
         got = _fields(ev)  # the block's own arrays, each row read where it lies
@@ -343,14 +342,14 @@ def test_suite_rows_are_the_point_evaluations_bit_for_bit(name, order, seed):
         chain |= {"div_weyl", "bach", "weyl_norm", "bach_norm"}
         chain |= {"div_bach"} if order == 5 else set()
     blocks = list(evals)
-    solitons.evaluate_in_blocks(evals)
     assert evals == blocks  # none left to its points
     for ev in evals:
         for name in chain:  # the suite's curvature chain, read on the block
             getattr(ev, name)
         ev.pack.schouten, ev.pack.dscalar
-        # and gradf_up_values, where the admission test reads |grad f|
-        assert set(vars(ev)) - {"inst", "points", "order", "gradf_up_values"} == chain
+        # and grad f, |grad f|^2 and |grad f|, where the admission test reads |grad f|
+        admission = {"gradf_up_values", "grad_sq", "grad_f_norm"}
+        assert set(vars(ev)) - {"inst", "points", "order"} - admission == chain
         for p, point in enumerate(ev.points):
             got = _caches(ev, p)
             want = _caches(_fresh(inst, point, order, set(vars(ev)) - {"inst", "points", "order"}),
@@ -636,7 +635,6 @@ def test_every_cached_jet_array_of_a_block_leads_with_its_point_axis(name):
     # each row lies apart, where its point's own array would
     inst = get_instance(name)
     evals = solitons.sample_evals(inst, 5, 7, 5)
-    solitons.evaluate_in_blocks(evals)
     (ev,) = evals
     pack = ev.pack
     arrays = {
@@ -788,11 +786,73 @@ def test_a_prop32_block_that_raises_is_left_to_its_points(monkeypatch):
     assert evaluated == [True] + [False] * 12
 
 
-def test_a_blocks_grad_sq_is_each_rows_float_square():
-    # a float's ** 2 is C's pow, which rounds apart from x * x, an array's
-    # ** 2, at about one value in a thousand
-    x = next(x for x in (1.0 + np.random.default_rng(0).random(20000)).tolist() if x ** 2 != x * x)
+def test_grad_f_and_its_square_have_one_recipe(monkeypatch):
+    # prop3.2's |grad f|^2 and the frame's |grad f| are the evaluation's own,
+    # bit for bit, and admission rejects a row by that |grad f|
     inst = get_instance("gaussian-r4")
-    block = PointEval(inst, [[1.0, 0.5, 0.2, 0.1], [0.3, -1.0, 0.4, 2.0]], 3)
-    block.frame = levelset.AdaptedFrame(block.frame.vectors, np.array([x, 1.5]))
-    assert block.prop32_terms.grad_sq.tolist() == [x ** 2, 1.5 ** 2]
+    points = [[1.0, 0.5, 0.2, 0.1], [0.3, -1.0, 0.4, 2.0], [2.0, 0.0, 0.0, 0.0]]
+    ev = PointEval(inst, points, 3)
+    assert ev.prop32_terms.grad_sq.tobytes() == ev.grad_sq.tobytes()
+    assert ev.frame.grad_f_norm.tobytes() == ev.grad_f_norm.tobytes()
+    assert ev.grad_f_norm.tobytes() == np.sqrt(ev.grad_sq).tobytes()
+
+    evaluate_points = solitons.evaluate_points
+
+    def planted(norm):  # the second row's |grad f| set to `norm`
+        def evaluate(inst, pts, order):
+            (block,) = evaluate_points(inst, pts, order)
+            block.grad_f_norm = np.where(np.arange(len(pts)) == 1, norm, block.grad_f_norm)
+            return [block]
+        return evaluate
+
+    least = solitons.MIN_GRAD_DISTANCE
+    for norm, admitted in ((np.nextafter(least, 0.0), [points[0], points[2]]), (least, points)):
+        monkeypatch.setattr(solitons, "evaluate_points", planted(norm))
+        assert solitons.points_of(solitons.admit_points(inst, points, 3)) == admitted
+
+
+def _count_rows(monkeypatch, names):
+    """(name, rows) of each call of the `solitons` functions `names`, whose
+    one argument is a metric or a pack, in call order."""
+    calls = []
+    for name in names:
+        def counting(x, fn=getattr(solitons, name), name=name):
+            metric = x if name == "curvature_pack" else x.metric
+            calls.append((name, len(metric.g.data)))
+            return fn(x)
+        monkeypatch.setattr(solitons, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("first", ["pack", "weyl", "div_weyl"])
+def test_any_layer_read_first_fills_the_layers_point_by_point(monkeypatch, first):
+    # at (5, 5) the pack, W and div W of a block are filled point by point:
+    # whichever is read first fills all three, each point's pack and W made
+    # once and never the block's, with the bits of reading the pack first
+    inst = get_instance("cylinder-s4xr")
+    assert not solitons.block_rule(5, 5)[1]
+    points = solitons.points_of(solitons.sample_evals(inst, 5, 7, 5))
+    want = PointEval(inst, points, 5)
+    want.pack
+    calls = _count_rows(monkeypatch, ["curvature_pack", "weyl"])
+    ev = PointEval(inst, points, 5)
+    getattr(ev, first)
+    assert calls == [("curvature_pack", 1), ("weyl", 1)] * len(points)
+    for name in ("pack", "weyl", "div_weyl"):
+        for a, b in zip(_leaves(getattr(ev, name)), _leaves(getattr(want, name))):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert len(calls) == 2 * len(points)  # the other two were filled with the first
+
+
+def test_validate_instance_fills_a_dimension_6_pack_point_by_point(monkeypatch):
+    # block_rule(6, 3) keeps the order-3 pack per point: certification, which
+    # reads the blocks of 5 as they are, never evaluates it over the block
+    assert solitons.block_rule(6, 3) == (5, False)
+    inst = instance_from_spec({
+        "name": "flat-r6", "n": 6, "rho": 0.5, "kind": "shrinking",
+        "metric": [["1" if i == j else "0" for j in range(6)] for i in range(6)],
+        "potential": "(x1*x1 + x2*x2 + x3*x3 + x4*x4 + x5*x5 + x6*x6)/4",
+        "domain": {"box": [[-3, 3]] * 6}, "base_point": [2, 0, 0, 0, 0, 0]})
+    calls = _count_rows(monkeypatch, ["curvature_pack"])
+    assert solitons.validate_instance(inst)["n_points"] == 20
+    assert len(calls) == 21 and {rows for _, rows in calls} == {1}  # and the base point's

@@ -759,7 +759,6 @@ def test_readers_call_the_per_point_check_once_per_block(monkeypatch):
     inst = get_instance("cylinder-s4xr")
     rows = solitons.block_rule(5, 5)[0]
     evals = solitons.sample_evals(inst, 2 * rows, 7, 5)
-    solitons.evaluate_in_blocks(evals)
     assert [len(ev.points) for ev in evals] == [rows, rows]
     counts = collections.Counter()
 

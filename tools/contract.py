@@ -12,9 +12,10 @@ processes with ``OPENBLAS_NUM_THREADS=1``, one process per group:
   expression-form extensions;
 * ``dim6``: the report JSON, the text and the exit code of ``gradsol verify
   --order 4 --points 20 --seed 7 --extensions`` of flat R^6 and S^5 x R, two
-  instances whose specs the tool writes: at dimension 6
-  ``solitons.block_rule`` keeps the order-3 and order-4 layers of Riemann's
-  size per point;
+  instances whose specs the tool writes, and ``gradsol catalog validate
+  --extensions`` of each: at dimension 6 ``solitons.block_rule`` keeps the
+  order-3 and order-4 layers of Riemann's size per point, so the suite and
+  certification (at order 3) both fill them point by point;
 * ``points40``: the report JSON, the text and the exit code of ``gradsol
   verify --order 5 --points 40 --seed 7`` of ``s2xr3`` and ``sphere-s4``,
   whose samples span several blocks, and ``jet_einsum`` calls several row
@@ -109,10 +110,15 @@ def emit(group, extensions, work):
     if group == "dim6":
         specs = Path(work) / "dim6.json"
         specs.write_text(json.dumps({"instances": DIM6}, indent=1) + "\n", encoding="utf-8")
-        return {f"dim6 {spec['name']}": _verify(
-                    ["--instance", spec["name"], "--order", "4", "--extensions", str(specs)],
-                    Path(work) / f"dim6-{spec['name']}.json")
-                for spec in DIM6}
+        outputs = {}
+        for spec in DIM6:
+            name = spec["name"]
+            outputs[f"dim6 {name}"] = _verify(
+                ["--instance", name, "--order", "4", "--extensions", str(specs)],
+                Path(work) / f"dim6-{name}.json")
+            outputs[f"dim6 catalog {name}"] = _cli(
+                ["catalog", "validate", name, "--extensions", str(specs)])
+        return outputs
     if group == "points40":
         return {f"points40 {name}": _verify(["--instance", name, "--order", "5"],
                                             Path(work) / f"points40-{name}.json", points=40)
