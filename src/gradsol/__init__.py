@@ -21,7 +21,6 @@ from .conformal import (
 )
 from .jets import JetScalar, JetSpace, jet_lift
 from .levelset import (
-    AdaptedFrame,
     LevelSurfaceData,
     adapted_frame,
     frame_cotton_components,

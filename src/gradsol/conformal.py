@@ -190,7 +190,7 @@ def d_tensor(pack, df, cross_check=False):
 def _compare(ev, lhs, rhs):
     """Worst component of lhs - rhs and the magnitude of the larger side, of
     each row of a block."""
-    return ev.abs_max(lhs - rhs), row_max(ev.abs_max(lhs), ev.abs_max(rhs))
+    return row_abs_max(lhs - rhs), row_max(row_abs_max(lhs), row_abs_max(rhs))
 
 
 def cotton_weyl_divergence_residual(ev):
@@ -200,7 +200,7 @@ def cotton_weyl_divergence_residual(ev):
         raise UnsupportedDimensionError("the divergence relation needs dimension >= 4")
     lhs = ev.cotton.values
     rhs = -((n - 2.0) / (n - 3.0)) * ev.div_weyl.values
-    return *_compare(ev, lhs, rhs), {"cotton_max": ev.abs_max(lhs)}
+    return *_compare(ev, lhs, rhs), {"cotton_max": row_abs_max(lhs)}
 
 
 def d_decomposition_residual(ev):
@@ -235,8 +235,8 @@ def bach_via_d_residual(ev):
     lhs = ev.bach.values
     rhs = -(div_d + ((n - 3.0) / (n - 2.0)) * c_term) / (n - 2.0)
     return *_compare(ev, lhs, rhs), {
-        "bach_max": ev.abs_max(lhs),
-        "d_divergence_max": ev.abs_max(div_d),
+        "bach_max": row_abs_max(lhs),
+        "d_divergence_max": row_abs_max(div_d),
     }
 
 
@@ -258,7 +258,7 @@ def div_bach_residual(ev):
     resid, scale = _compare(ev, lhs, rhs)
     bach_max = ev.bach.max_abs()
     return resid, row_max(scale, bach_max), {
-        "lhs_max": ev.abs_max(lhs),
-        "rhs_max": ev.abs_max(rhs),
+        "lhs_max": row_abs_max(lhs),
+        "rhs_max": row_abs_max(rhs),
         "bach_max": bach_max,
     }

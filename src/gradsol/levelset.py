@@ -8,18 +8,21 @@ the compensating sign explicitly.
 
 Every function here reads a block :class:`~gradsol.solitons.PointEval`,
 which caches the frame, the Hessian of f, |grad f|^2, |grad f| and the
-level-surface data and owns the plan of its curvature's evaluation; each
-function runs its one recipe over the block's point axis at once, the
-leading batch axis of every stacked matmul and of ``eigvalsh``, on operands
-whose rows lie as their points' own values do (``TensorJet.values``), so
-each row has its point's bits.  Results lead with the point axis.  The
-residuals of the suite's level-set checks return ``(residual, scale)``, one
-value per row;
-:func:`prop31_residual` and :func:`frame_cotton_components` add a third
-element, a dict of the quantities behind the residual.  They need a regular
-point of a non-constant potential: the suite's ``CheckSpec.level_sets``
-keeps them off constant potentials, and at a critical point the adapted
-frame raises :class:`CriticalPointError`.
+level-surface data and owns the plan of its curvature's evaluation.  Each
+value is read from its one owner: the frame is the (P, n, n) array of
+:func:`adapted_frame`, e_1 its ``[..., 0, :]`` row; R, |grad f|^2 and
+|grad f| are the evaluation's, h, H and tangential dR
+:class:`LevelSurfaceData`'s.  Each function runs its one recipe over the
+block's point axis at once, the leading batch axis of every stacked matmul
+and of ``eigvalsh``, on operands whose rows lie as their points' own values
+do (``TensorJet.values``), so each row has its point's bits.  Results lead
+with the point axis.  The residuals of the suite's level-set checks return
+``(residual, scale)``, one value per row; :func:`prop31_residual` and
+:func:`frame_cotton_components` add a third element, a dict of the
+quantities behind the residual.  They need a regular point of a
+non-constant potential: the suite's ``CheckSpec.level_sets`` keeps them off
+constant potentials, and at a critical point the adapted frame raises
+:class:`CriticalPointError`.
 
 :func:`level_points` finds its points by scanning rays from the box
 centre.  The potential of each block of rays is evaluated once, on float64
@@ -29,11 +32,11 @@ the bisection and the ray points are plain floats.  The roots still
 needed are evaluated as one block on a point axis (metric, g^-1, f and
 grad f at order 3) and admitted in ray order, and :func:`prop32_report`
 reads that block as it is: |D|, then the frames, second fundamental forms
-and :class:`Prop32Terms` of all its rows at once.
+and :func:`prop32_terms` of all its rows at once.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +50,7 @@ from .errors import (
 )
 from .jets import JetScalar, jet_einsum
 from .jets import sqrt as jets_sqrt
-from .tensors import TensorJet, row_max
+from .tensors import TensorJet, row_abs_max, row_max
 
 GRAD_THRESHOLD = 1e-6
 D_ZERO_TOL = 1e-9
@@ -61,28 +64,6 @@ def _quad(a, m, b):
 
 
 @dataclass(frozen=True)
-class AdaptedFrame:
-    """Orthonormal frames at the points of a block with e_1 parallel to grad f.
-
-    `vectors` holds each frame row-wise in chart components and
-    `grad_f_norm` |grad f| at each point, the evaluation's own
-    (`PointEval.grad_f_norm`), both leading with the point axis: `vectors`
-    is (P, n, n) and `grad_f_norm` holds one value per row.
-    """
-
-    vectors: np.ndarray
-    grad_f_norm: np.ndarray
-
-    @property
-    def e1(self):
-        return self.vectors[..., 0, :]
-
-    @property
-    def tangent(self):
-        return self.vectors[..., 1:, :]
-
-
-@dataclass(frozen=True)
 class LevelSurfaceData:
     """Extrinsic data of the level surfaces through the points of a block, point axis first."""
 
@@ -91,34 +72,17 @@ class LevelSurfaceData:
     tangential_dR: np.ndarray
 
 
-@dataclass(frozen=True)
-class Prop32Terms:
-    """Prop 3.2's quantities at the points of a block, one value per row.
-
-    R, |grad f|^2 and H; the largest mixed Ricci component |Ric(e_1, e_a)|;
-    umbilicity max |h - H/(n-1) I|; the predicted eigenvalues lambda and mu;
-    and the largest difference between the sorted eigenvalues of Ric in the
-    frame and the sorted (lambda, mu, ..., mu).
-    """
-
-    r: np.ndarray
-    grad_sq: np.ndarray
-    h_mean: np.ndarray
-    ricci_mixed: np.ndarray
-    umbilicity: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
-    eigenvalue_mismatch: np.ndarray
-
-
 def adapted_frame(ev):
-    """Gram-Schmidt completion of grad f/|grad f| against the chart basis.
+    """Orthonormal frames at the points of a block with e_1 = grad f/|grad f|:
+    the Gram-Schmidt completion of e_1 against the chart basis.
 
-    |grad f| is the evaluation's own (`PointEval.grad_f_norm`).  Every row
-    is completed at once: each step is one stacked matmul over the point
-    axis.  A block whose rows branch differently (a chart
-    direction spanned in some rows only) completes each row on its own, as
-    a block of one, as its point does.
+    Returns a (P, n, n) array, each frame row-wise in chart components: e_1
+    is `frame[..., 0, :]` and the tangent frame `frame[..., 1:, :]`.  |grad f|
+    is the evaluation's own (`PointEval.grad_f_norm`).  Every row is
+    completed at once: each step is one stacked matmul over the point axis.
+    A block whose rows branch differently (a chart direction spanned in some
+    rows only) completes each row on its own, as a block of one, as its
+    point does.
     """
     g0 = ev.metric.g.values
     grad = ev.gradf_up_values
@@ -128,7 +92,7 @@ def adapted_frame(ev):
         raise CriticalPointError(
             f"|grad f| = {norm[low[0]]:.3e} below threshold {GRAD_THRESHOLD:.1e}"
         )
-    return AdaptedFrame(_completed(g0, grad, norm), norm)
+    return _completed(g0, grad, norm)
 
 
 def _completed(g0, grad, norm):
@@ -167,7 +131,7 @@ def in_frame(frame, values):
         # with that slot last, as np.tensordot makes, and one matmul
         moved = np.moveaxis(out, 1, -1)
         flat = np.ascontiguousarray(moved).reshape(len(moved), -1, moved.shape[-1])
-        out = (flat @ np.swapaxes(frame.vectors, -1, -2)).reshape(moved.shape[:-1] + (-1,))
+        out = (flat @ np.swapaxes(frame, -1, -2)).reshape(moved.shape[:-1] + (-1,))
     return out
 
 
@@ -178,17 +142,16 @@ def second_fundamental_form(ev):
     soliton the equivalent form (rho g_ab - R_ab)/|grad f| is computed too
     and both must agree to 1e-9, at every row of a block.
     """
-    frame = ev.frame
-    t = frame.tangent
+    t = ev.frame[..., 1:, :]
     t_up = np.swapaxes(t, -1, -2)
-    norm = frame.grad_f_norm[..., None, None]
+    norm = ev.grad_f_norm[..., None, None]
     h = t @ ev.hess_f.values @ t_up / norm
     if ev.inst.kind is not None:
         ric_f = t @ ev.pack.ricci.values @ t_up
         alt = (ev.inst.rho * np.eye(t.shape[-2]) - ric_f) / norm
-        scale = np.maximum(np.maximum(1.0, ev.abs_max(h)), ev.abs_max(alt))
+        scale = np.maximum(np.maximum(1.0, row_abs_max(h)), row_abs_max(alt))
         # `not <=`, unlike `>`, holds for NaN: a NaN on either form disagrees
-        if not np.all(ev.abs_max(h - alt) / scale <= 1e-9):
+        if not np.all(row_abs_max(h - alt) / scale <= 1e-9):
             raise ConsistencyError(
                 "second fundamental form: Hessian and soliton forms disagree"
             )
@@ -200,13 +163,15 @@ def second_fundamental_form(ev):
 
 
 def prop32_terms(ev):
-    """Prop 3.2's per-point quantities (`Prop32Terms`), one value per row of a
-    block: Ric in the frame is one stacked matmul and its eigenvalues one
-    stacked `eigvalsh`."""
+    """Prop 3.2's per-point quantities, a tuple of one value per row of a
+    block each: the largest mixed Ricci component |Ric(e_1, e_a)|, umbilicity
+    max |h - H/(n-1) I|, the predicted eigenvalues lambda and mu, and the
+    largest difference between the sorted eigenvalues of Ric in the frame and
+    the sorted (lambda, mu, ..., mu).  Ric in the frame is one stacked matmul
+    and its eigenvalues one stacked `eigvalsh`."""
     n, rho = ev.inst.n, ev.inst.rho
-    frame, lsd = ev.frame, ev.level_surface
+    v, lsd = ev.frame, ev.level_surface
     r = ev.pack.scalar.coeffs[..., 0]
-    v = frame.vectors
     ric_f = v @ ev.pack.ricci.values @ np.swapaxes(v, -1, -2)
     h_mean, norm = lsd.H, ev.grad_f_norm
     umbilic = lsd.h - (h_mean / (n - 1))[..., None, None] * np.eye(n - 1)
@@ -214,12 +179,9 @@ def prop32_terms(ev):
     mu = rho - h_mean * norm / (n - 1)
     expected = np.sort(np.stack([lam] + [mu] * (n - 1), axis=-1), axis=-1)
     eig = np.sort(np.linalg.eigvalsh(ric_f), axis=-1)
-    return Prop32Terms(
-        r,
-        ev.grad_sq,
-        h_mean,
+    return (
         np.abs(ric_f[..., 0, 1:]).max(axis=-1),
-        ev.abs_max(umbilic),
+        row_abs_max(umbilic),
         lam,
         mu,
         np.abs(eig - expected).max(axis=-1),
@@ -271,10 +233,10 @@ def normal_metric_derivative(ev):
     -|grad f| times the symmetrised covariant derivative of df/|grad f|^2
     contracted with the tangent frame.
     """
-    t = ev.frame.tangent
+    t = ev.frame[..., 1:, :]
     dv = _normal_form_derivative(ev, lambda w2: 1.0 / w2)
     lie = dv + np.swapaxes(dv, -1, -2)
-    norm = ev.frame.grad_f_norm[..., None, None]
+    norm = ev.grad_f_norm[..., None, None]
     return -norm * (t @ lie @ np.swapaxes(t, -1, -2))
 
 
@@ -284,15 +246,15 @@ def normal_geodesic_residual(ev):
     The integral curves of the unit normal are geodesics whenever
     |grad f| is constant on level surfaces.
     """
-    nu_up = -ev.frame.e1  # unit normal, contravariant components
+    nu_up = -ev.frame[..., 0, :]  # unit normal, contravariant components
     dnu = _normal_form_derivative(ev, lambda w2: -(1.0 / jets_sqrt(w2)))
-    return ev.abs_max((nu_up[..., None, :] @ dnu)[..., 0, :]), 1.0
+    return row_abs_max((nu_up[..., None, :] @ dnu)[..., 0, :]), 1.0
 
 
 def frame_riemann_e1_tangential(ev):
     """max |Rm(e_1, e_a, e_b, e_c)| over tangential a, b, c."""
     rm = in_frame(ev.frame, ev.pack.riemann.values)
-    return ev.abs_max(rm[..., 0, 1:, 1:, 1:]), ev.pack.riemann.max_abs()
+    return row_abs_max(rm[..., 0, 1:, 1:, 1:]), ev.pack.riemann.max_abs()
 
 
 def frame_cotton_components(ev):
@@ -306,12 +268,12 @@ def frame_cotton_components(ev):
     c = in_frame(ev.frame, ev.cotton.values)
     w = ev.frame_weyl
     rec = {
-        "c_ij1": ev.abs_max(c[..., :, :, 0]),
-        "c_abc": ev.abs_max(c[..., 1:, 1:, 1:]),
-        "c_1ab": ev.abs_max(c[..., 0, 1:, 1:]),
-        "w_1abc": ev.abs_max(w[..., 0, 1:, 1:, 1:]),
-        "w_1a1b": ev.abs_max(w[..., 0, 1:, 0, 1:]),
-        "grad_f_norm": ev.frame.grad_f_norm,
+        "c_ij1": row_abs_max(c[..., :, :, 0]),
+        "c_abc": row_abs_max(c[..., 1:, 1:, 1:]),
+        "c_1ab": row_abs_max(c[..., 0, 1:, 1:]),
+        "w_1abc": row_abs_max(w[..., 0, 1:, 1:, 1:]),
+        "w_1a1b": row_abs_max(w[..., 0, 1:, 0, 1:]),
+        "grad_f_norm": ev.grad_f_norm,
     }
     return row_max(*(rec[k] for k in ("c_ij1", "c_abc", "c_1ab", "w_1abc", "w_1a1b"))), 1.0, rec
 
@@ -485,9 +447,10 @@ def prop32_report(inst, c, n_points=12, seed=11):
     The level points' evaluations from :func:`level_points` (blocks, as a
     rule) are read as they are, row by row (`solitons.read_rows`): first |D|
     of every row, then, after the D = 0 test, each block's frames, second
-    fundamental forms and `Prop32Terms` as one stacked evaluation.  Each
-    block plans its own curvature (`PointEval.pack`), and |grad f|^2 and
-    |grad f| are its own (`PointEval.grad_sq`, `PointEval.grad_f_norm`).
+    fundamental forms and `prop32_terms` as one stacked evaluation.  R, |grad
+    f|^2 and H are read where they live: the block's pack (`PointEval.pack`,
+    which plans its own curvature), `PointEval.grad_sq` and
+    `PointEval.level_surface`.
     """
     from . import solitons
 
@@ -499,24 +462,24 @@ def prop32_report(inst, c, n_points=12, seed=11):
             f"{inst.name}: |D| = {d_max:.3e} on the level surface; the report "
             "applies only where the 3-tensor D vanishes"
         )
-    names = [f.name for f in fields(Prop32Terms)]
-    rows = solitons.read_rows(evals, lambda ev: [getattr(ev.prop32_terms, k) for k in names])
-    terms = dict(zip(["points"] + names, zip(*rows)))
+    rows = solitons.read_rows(evals, lambda ev: (
+        *ev.prop32_terms, ev.pack.scalar.coeffs[..., 0], ev.grad_sq, ev.level_surface.H))
+    points, ricci_mixed, umbilicity, lam, mu, mismatch, r, grad_sq, h_mean = zip(*rows)
 
     return {
         "instance": inst.name,
         "level": float(c),
-        "n_points": len(terms["points"]),
-        "r_mean": float(np.mean(terms["r"])),
-        "r_spread": float(np.ptp(terms["r"])),
-        "grad_sq_mean": float(np.mean(terms["grad_sq"])),
-        "grad_sq_spread": float(np.ptp(terms["grad_sq"])),
-        "h_mean": float(np.mean(terms["h_mean"])),
-        "h_spread": float(np.ptp(terms["h_mean"])),
-        "ricci_mixed_max": float(np.max(terms["ricci_mixed"])),
-        "umbilicity_max": float(np.max(terms["umbilicity"])),
-        "lambda": float(np.mean(terms["lam"])),
-        "mu": float(np.mean(terms["mu"])),
-        "eigenvalue_mismatch": float(np.max(terms["eigenvalue_mismatch"])),
-        "points": [list(point) for point in terms["points"]],
+        "n_points": len(points),
+        "r_mean": float(np.mean(r)),
+        "r_spread": float(np.ptp(r)),
+        "grad_sq_mean": float(np.mean(grad_sq)),
+        "grad_sq_spread": float(np.ptp(grad_sq)),
+        "h_mean": float(np.mean(h_mean)),
+        "h_spread": float(np.ptp(h_mean)),
+        "ricci_mixed_max": float(np.max(ricci_mixed)),
+        "umbilicity_max": float(np.max(umbilicity)),
+        "lambda": float(np.mean(lam)),
+        "mu": float(np.mean(mu)),
+        "eigenvalue_mismatch": float(np.max(mismatch)),
+        "points": [list(point) for point in points],
     }

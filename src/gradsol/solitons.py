@@ -144,15 +144,14 @@ class PointEval:
     of one: each property holds one row per point, on a point axis, with the
     bits of that point's own evaluation, and a norm an array of one value
     per row.  Readers take the block as it is (`read_rows`); no row is
-    copied out to a point.
+    copied out to a point.  `frame` is the (P, n, n) array of the adapted
+    frames, and |grad f| is read from `grad_f_norm` alone.
     """
 
     def __init__(self, inst, points, order):
         self.inst = inst
         self.points = np.asarray(points, dtype=float).tolist()
         self.order = order
-
-    abs_max = staticmethod(row_abs_max)
 
     @cached_property
     def metric(self):
@@ -272,18 +271,15 @@ class PointEval:
         """The pack and, from order 4, where the suite reads B, W and div W,
         evaluated point by point; returns the pack and caches W and div W.
 
-        Each point in turn evaluates its layers as a block of one over its row
-        of the block's metric (a view, laid out as the point's own metric),
-        writes their rows into the block's arrays, allocated at the first
-        point, and is dropped before the next, so one point's layers are
-        alive at a time.  A cross-check raises the first failing point's error.
+        Each point in turn evaluates its layers as the block of its row
+        (`_block_of_rows`), writes them into the block's arrays, allocated at
+        the first point, and is dropped before the next, so one point's layers
+        are alive at a time.  A cross-check raises the first failing point's error.
         """
-        g, g_inv = self.metric.g, self.metric.g_inv
+        metric = self.metric  # the block's: each point takes its row
         blocks = kinds = None
-        for p, point in enumerate(self.points):
-            one = PointEval(self.inst, [point], self.order)
-            one.metric = MetricAtPoint(g.space, one.points, *(
-                TensorJet(t.space, t.valence, t.data[p:p + 1]) for t in (g, g_inv)))
+        for p in range(len(self.points)):
+            one = _block_of_rows(self, [p])
             pack = one.pack
             tensors = [pack.gamma, pack.riemann, pack.ricci]
             if self.order >= 4:
@@ -300,7 +296,7 @@ class PointEval:
                                                for (space, valence), block in zip(kinds, data)]
         if weyl_layers:
             self.weyl, self.div_weyl = weyl_layers
-        return CurvaturePack(self.metric, gamma, riemann, ricci, JetScalar(ricci.space, scalar))
+        return CurvaturePack(metric, gamma, riemann, ricci, JetScalar(ricci.space, scalar))
 
 
 # Each residual below returns (absolute_residual, scale_of_largest_term), one
@@ -311,15 +307,15 @@ def soliton_eq_residual(ev):
     hess = ev.hess_f.values
     g = ev.metric.g.values
     ric = ev.pack.ricci.values
-    resid = ev.abs_max(ric + hess - ev.inst.rho * g)
-    return resid, row_max(ev.abs_max(ric), ev.abs_max(hess), abs(ev.inst.rho) * ev.abs_max(g))
+    resid = row_abs_max(ric + hess - ev.inst.rho * g)
+    return resid, row_max(row_abs_max(ric), row_abs_max(hess), abs(ev.inst.rho) * row_abs_max(g))
 
 
 def hamilton_first_residual(ev):
     """dR - 2 Ric(grad f) at each row of a block (needs order 3)."""
     d_scal = ev.pack.dscalar.values
     rhs = (2.0 * ev.pack.ricci.values @ ev.gradf_up_values[..., None])[..., 0]
-    return ev.abs_max(d_scal - rhs), row_max(ev.abs_max(d_scal), ev.abs_max(rhs))
+    return row_abs_max(d_scal - rhs), row_max(row_abs_max(d_scal), row_abs_max(rhs))
 
 
 def hamilton_second_residual(ev):
@@ -346,9 +342,9 @@ def _evaluated(evals, fn):
     A block of several points where fn raises is replaced in `evals` by blocks
     of one, one per point, and fn is taken of each in turn: the first point
     where it raises raises its own error, as point-by-point evaluation does,
-    and later readers of `evals` read the points.  Each point keeps its row of
-    the block's metric, g^-1, f and grad f where the block holds them
-    (`_block_of_rows`), and is evaluated from its chart point where not.
+    and later readers of `evals` read the points.  Each point keeps its rows
+    of whichever of the metric, g^-1, f and grad f the block holds
+    (`_block_of_rows`) and evaluates the rest from its chart point.
     """
     k = 0
     while k < len(evals):
@@ -358,10 +354,7 @@ def _evaluated(evals, fn):
         except _BLOCK_ERRORS:
             if len(ev.points) == 1:
                 raise
-            if "df" in vars(ev):  # cached with the metric and f
-                evals[k:k + 1] = [_block_of_rows(ev, [p]) for p in range(len(ev.points))]
-            else:
-                evals[k:k + 1] = [PointEval(ev.inst, [point], ev.order) for point in ev.points]
+            evals[k:k + 1] = [_block_of_rows(ev, [p]) for p in range(len(ev.points))]
             continue
         k += 1
         yield ev, out
@@ -429,16 +422,21 @@ def admit_points(inst, points, order):
 
 
 def _block_of_rows(block, rows):
-    """The block of the `rows` of `block`, with their metric, g^-1, f and grad f."""
+    """The block of the `rows` of `block`, with their rows of whichever of the
+    metric (g, g^-1), f and grad f `block` holds."""
     out = PointEval(block.inst, [block.points[p] for p in rows], block.order)
+    held = vars(block)
 
     def take(t):
         return TensorJet(t.space, t.valence, t.data[rows])
 
-    metric = block.metric
-    out.metric = MetricAtPoint(metric.space, out.points, take(metric.g), take(metric.g_inv))
-    out.f = JetScalar(block.f.space, block.f.coeffs[rows])
-    out.df = take(block.df)
+    if "metric" in held:
+        metric = block.metric
+        out.metric = MetricAtPoint(metric.space, out.points, take(metric.g), take(metric.g_inv))
+    if "f" in held:
+        out.f = JetScalar(block.f.space, block.f.coeffs[rows])
+    if "df" in held:
+        out.df = take(block.df)
     return out
 
 

@@ -119,3 +119,16 @@ def test_moved_argmax_points_are_listed():
                           f"  verify-o5 s2xr3 d_vanishes: {[0.1] * 5!r} -> {[0.2] * 5!r}"]
     lines, _ = contract.compare(OLD, copy.deepcopy(OLD))
     assert lines[-1] == "moved argmax_point values: 0"
+
+
+def test_the_src_line_counts_of_both_trees_are_reported(tmp_path):
+    # as wc -l counts: newlines, so a last line without one is not counted
+    package = tmp_path / "src" / "gradsol"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n", encoding="utf-8")
+    (package / "b.py").write_text("z = 3\n\nw = 4", encoding="utf-8")
+    (package / "notes.txt").write_text("not a module\n", encoding="utf-8")
+    assert contract.gradsol_lines(tmp_path) == 4
+    assert contract.size_line(3659, 3619) == "src/gradsol lines: 3659 -> 3619 (-40)"
+    assert contract.size_line(3619, 3619) == "src/gradsol lines: 3619 -> 3619 (+0)"
+    assert contract.size_line(3600, 3619) == "src/gradsol lines: 3600 -> 3619 (+19)"

@@ -229,7 +229,7 @@ def test_rejected_roots_never_enter_the_curvature_block(monkeypatch):
     assert evaluated == [p for p in roots[: roots.index(admitted[-1]) + 1] if p not in excluded]
     assert [p for block in packs for p in block] == admitted
     for ev in evals:
-        assert np.all(ev.frame.grad_f_norm >= solitons.MIN_GRAD_DISTANCE)
+        assert np.all(ev.grad_f_norm >= solitons.MIN_GRAD_DISTANCE)
 
 
 def test_d_cross_check_raises_the_first_failing_row():
@@ -462,6 +462,28 @@ def test_the_points_of_a_raising_block_keep_its_metric_f_and_grad_f(monkeypatch)
     assert any(e["status"] == "FAIL" and "weyl" in e.get("error", "") for e in got["checks"])
 
 
+def test_the_points_of_a_block_whose_potential_raises_keep_its_metric(monkeypatch):
+    # f = log x1 raises at the third of four points, after the block's metric
+    # was evaluated: the points take their rows of it, so no metric is
+    # evaluated again, and the error is the failing point's own
+    inst = instance_from_spec({
+        "name": "log-r3", "n": 3, "rho": 0, "kind": None,
+        "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "potential": "log(x1)", "domain": {"box": [[-1, 1]] * 3}, "base_point": [0.5, 0, 0]})
+    points = [[0.5, 0.1, 0.2], [0.8, -0.3, 0.1], [-0.4, 0.2, 0.3], [0.6, 0.0, -0.5]]
+    want = _outcome(lambda: PointEval(inst, points[2:3], 3).df)
+    blocks = []
+    metric_at_points = solitons.metric_at_points
+
+    def counting(metric_fn, block, n, order):
+        blocks.append(len(block))
+        return metric_at_points(metric_fn, block, n, order)
+
+    monkeypatch.setattr(solitons, "metric_at_points", counting)
+    assert _outcome(lambda: solitons.evaluate_points(inst, points, 3)) == want
+    assert want[0] is SingularEvaluationError and blocks == [4]
+
+
 def test_a_metric_block_raises_its_failing_points_own_error(monkeypatch):
     # g is not positive definite where x1 <= -0.3: the sampler's block holding
     # the first such candidate raises that candidate's error, as a
@@ -663,9 +685,11 @@ def _leaves(value, p=None):
         return [jet(value.coeffs)]
     if isinstance(value, tensors.MetricAtPoint):
         return [jet(value.g.data), jet(value.g_inv.data)]
-    if dataclasses.is_dataclass(value):  # a pack, a frame, level-surface data, Prop 3.2 terms
+    if dataclasses.is_dataclass(value):  # a pack, level-surface data
         return [leaf for f in dataclasses.fields(value) if f.init
                 for leaf in _leaves(getattr(value, f.name), p)]
+    if isinstance(value, tuple):  # Prop 3.2's terms
+        return [leaf for item in value for leaf in _leaves(item, p)]
     value = np.asarray(value, dtype=float)  # the point axis first
     return [value if p is None else value[p]]
 
@@ -759,14 +783,14 @@ def test_rows_that_branch_in_gram_schmidt_get_their_points_own_frames():
     # Gram-Schmidt skips there and takes at the other points
     inst = get_instance("gaussian-r4")
     points = [[1.0, 0.5, 0.2, 0.1], [2.0, 0.0, 0.0, 0.0], [0.3, -1.0, 0.4, 2.0]]
-    frame = PointEval(inst, points, 3).frame
+    block = PointEval(inst, points, 3)
     for p, point in enumerate(points):
-        want = PointEval(inst, [point], 3).frame
-        assert frame.vectors[p].tobytes() == want.vectors[0].tobytes()
-        assert frame.grad_f_norm[p] == want.grad_f_norm[0]
+        want = PointEval(inst, [point], 3)
+        assert block.frame[p].tobytes() == want.frame[0].tobytes()
+        assert block.grad_f_norm[p] == want.grad_f_norm[0]
     one_sided = PointEval(inst, points[1:2] * 2, 3).frame  # all rows skip alike
     alone = PointEval(inst, points[1:2], 3).frame
-    assert one_sided.vectors[0].tobytes() == alone.vectors[0].tobytes()
+    assert one_sided[0].tobytes() == alone[0].tobytes()
 
 
 def test_a_prop32_block_that_raises_is_left_to_its_points(monkeypatch):
@@ -787,13 +811,11 @@ def test_a_prop32_block_that_raises_is_left_to_its_points(monkeypatch):
 
 
 def test_grad_f_and_its_square_have_one_recipe(monkeypatch):
-    # prop3.2's |grad f|^2 and the frame's |grad f| are the evaluation's own,
-    # bit for bit, and admission rejects a row by that |grad f|
+    # |grad f| is the root of the evaluation's own |grad f|^2, bit for bit,
+    # and admission rejects a row by that |grad f|
     inst = get_instance("gaussian-r4")
     points = [[1.0, 0.5, 0.2, 0.1], [0.3, -1.0, 0.4, 2.0], [2.0, 0.0, 0.0, 0.0]]
     ev = PointEval(inst, points, 3)
-    assert ev.prop32_terms.grad_sq.tobytes() == ev.grad_sq.tobytes()
-    assert ev.frame.grad_f_norm.tobytes() == ev.grad_f_norm.tobytes()
     assert ev.grad_f_norm.tobytes() == np.sqrt(ev.grad_sq).tobytes()
 
     evaluate_points = solitons.evaluate_points

@@ -33,9 +33,10 @@ The comparison prints, for each output, whether it is byte-identical; for a
 the ``MOVED_SHOWN`` largest |Δ| first, and sums every moved value up, one
 line per (output, check id): how many moved, the largest |Δ|, and the
 largest |Δ| over the entry's ``tolerance`` (its new report's, else its
-old), largest ratio first.  Last it lists the ``argmax_point`` values that
-moved.  The exit status is 1 on any change of a check status or an exit
-code, else 0.
+old), largest ratio first.  Then it lists the ``argmax_point`` values
+that moved, and last the line count of each tree's ``src/gradsol``
+modules, as ``wc -l`` sums it.  The exit status is 1 on any change of a
+check status or an exit code, else 0.
 """
 
 import argparse
@@ -258,6 +259,16 @@ def compare(old, new):
     return lines, changed
 
 
+def gradsol_lines(tree):
+    """Lines of the ``src/gradsol`` modules of the tree at `tree`, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in Path(tree).glob("src/gradsol/*.py"))
+
+
+def size_line(old, new):
+    """The line that reports both trees' ``src/gradsol`` line counts."""
+    return f"src/gradsol lines: {old} -> {new} ({new - old:+d})"
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", help="git revision to compare this tree with")
@@ -283,9 +294,11 @@ def main(argv=None):
         _bench_extensions(work / "extensions.json")
         old = outputs_of(base, "old", work)
         new = outputs_of(ROOT, "new", work)
+        sizes = gradsol_lines(base), gradsol_lines(ROOT)
     lines, changed = compare(old, new)
     identical = sum(line.endswith(": byte-identical") for line in lines)
     print("\n".join(lines))
+    print(size_line(*sizes))
     print(f"{identical} of {len(set(old) | set(new))} outputs byte-identical; "
           f"{'a status or exit code changed' if changed else 'no status or exit code changed'}")
     return 1 if changed else 0
